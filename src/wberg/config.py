@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -59,7 +59,6 @@ class CaseConfig:
     r_grid: list | None = None
     run: tuple[str, ...] = ("check",)
     gamma: tuple[int, ...] | None = None
-    raw: dict = field(default_factory=dict)
 
     def build_tuple(self, base_dir: Path | None = None) -> OperatorTuple | None:
         if self.tuple_spec is None:
@@ -112,7 +111,6 @@ def parse_case(data: dict, name: str = "case") -> CaseConfig:
         r_grid=data.get("r_grid"),
         run=run,
         gamma=gamma,
-        raw=dict(data),
     )
 
 

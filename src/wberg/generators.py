@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bergman import TruncatedSpace, multishift_tuple
 from .hyper import OperatorTuple
 from .linalg import Operator
 
@@ -30,7 +29,6 @@ __all__ = [
     "random_unitary",
     "commuting_unitaries",
     "unitary_times_nilpotent",
-    "multishift_on",
 ]
 
 _MULT = 6364136223846793005
@@ -152,8 +150,3 @@ def unitary_times_nilpotent(seed: int, udim: int, ndim: int) -> OperatorTuple:
     t1 = np.kron(u.mat, np.eye(ndim))
     t2 = np.kron(np.eye(udim), nil.mat)
     return OperatorTuple.of(Operator(t1), Operator(t2))
-
-
-def multishift_on(space: TruncatedSpace) -> OperatorTuple:
-    """Coordinate shifts on a truncated space (re-exported for generator configs)."""
-    return multishift_tuple(space)

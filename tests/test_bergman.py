@@ -137,6 +137,28 @@ def test_shift_norm_is_weight_ratio():
         assert m.norm() <= 1.0
 
 
+EXPLICIT = WeightSpec.parse(
+    "explicit:[1.0,0.9,0.7,0.65,0.5,0.42,0.3,0.28,0.2,0.15,0.11,0.1]"
+)
+
+
+@pytest.mark.parametrize("spec", [HARDY, B2, WeightSpec.bergman(2.5), EXPLICIT],
+                         ids=["hardy", "bergman2", "bergman2.5", "explicit"])
+@pytest.mark.parametrize("degs", [(12, 5), (5, 12), (8, 8), (4, 3, 5)])
+@pytest.mark.parametrize("e", [1, 3])
+def test_multishift_norm_is_one_variable_shift_norm(spec, degs, e):
+    # On the full index box the shift in variable i is S (x) I_e with S
+    # permutation-similar to I (x) S_1 (x) I, so both have the norm of S_1.
+    others = [HARDY, B2, EXPLICIT]
+    for i in range(len(degs)):
+        specs = [others[(k + i) % 3] for k in range(len(degs))]
+        specs[i] = spec
+        w = MultiWeightSpec.of(*specs)
+        full = shift_matrix(TruncatedSpace(w, degs, coeff_dim=e), i).norm()
+        one = shift_matrix(TruncatedSpace(w.subset((i,)), (degs[i],)), 0).norm()
+        assert full == one
+
+
 def test_kernel_reproducing_property_truncated():
     spec = MultiWeightSpec.of(B2)
     space = TruncatedSpace(spec, (24,))

@@ -250,6 +250,25 @@ def test_general_model_mixed_pair_full_residuals():
     assert len(res.block_layout) == 4
 
 
+@pytest.mark.parametrize("make,wtxt", [
+    (lambda: unitary_times_nilpotent(401, 2, 3), "bergman:2,hardy"),
+    (lambda: scalar_tuple([1.0, 0.5]), "hardy,hardy"),
+    (lambda: scalar_tuple([0.5, 1.0]), "bergman:2,hardy"),
+], ids=["unitary-times-nilpotent", "scalars-hardy", "scalars-bergman"])
+def test_general_model_norms_equal_dense_norms(make, wtxt):
+    res = general_model(make(), MultiWeightSpec.parse(wtxt))
+    # the model holds a shift part and a lifted co-isometry part side by side
+    kinds = set()
+    for block in res.block_layout:
+        if block.space is not None:
+            kinds.add("shift")
+            if len(block.lam) < len(res.model_ops):
+                kinds.add("lift")
+    assert kinds == {"shift", "lift"}
+    for i, op in enumerate(res.model_ops):
+        assert res.residuals[f"model_norm_{i}"] == opnorm(op.mat)
+
+
 def test_general_model_block_structure_matches_displayed_form():
     t = unitary_times_nilpotent(77, 2, 2)
     w = MultiWeightSpec.parse("hardy,hardy")
