@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DegreeOverflow, KernelConsistencyWarning, OutsideDisc
 from .hyper import OperatorTuple, defect_series, tail_operator
 from .linalg import Operator
-from .series import MultiWeightSpec, quotient_coeffs
+from .series import MultiWeightSpec, _normalize_degrees, _normalize_grid, quotient_coeffs
 
 __all__ = [
     "TruncatedSpace",
@@ -163,8 +163,7 @@ def kernel_eval(
         raise OutsideDisc(f"points must have arity {w.n}")
     if any(abs(v) >= 1.0 for v in z) or any(abs(v) >= 1.0 for v in wpt):
         raise OutsideDisc("kernel arguments must lie in the open polydisc")
-    if isinstance(degrees, (int, np.integer)):
-        degrees = (int(degrees),) * w.n
+    degrees = _normalize_degrees(degrees, w.n)
     total = 1.0 + 0.0j
     tail_bound = 0.0
     closed = 1.0 + 0.0j
@@ -299,12 +298,7 @@ def multishift_purity_and_positivity(
     """
     shifts = multishift_tuple(space)
     w = space.weights
-    grid = []
-    for entry in r_grid:
-        if isinstance(entry, (int, float, np.floating)):
-            grid.append((float(entry),) * space.n_vars)
-        else:
-            grid.append(tuple(float(v) for v in entry))
+    grid = _normalize_grid(r_grid, space.n_vars)
     max_resid = 0.0
     min_eig = math.inf
     for point in grid:
@@ -339,5 +333,5 @@ def multishift_purity_and_positivity(
         psd_ok=bool(min_eig >= -tol),
         min_eig=min_eig,
         pure=bool(pure),
-        grid=tuple(grid),
+        grid=grid,
     )

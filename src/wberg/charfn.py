@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .bergman import TruncatedSpace, multiplier_matrix
-from .dilation import _pure_horizon, _defect_sqrt_pieces, _star_powers
+from .dilation import _pure_horizon, _defect_sqrt_pieces
 from .errors import HorizonTooShort, NotPure, NotUnitaryInput
-from .hyper import is_pure
+from .hyper import _power_stack, is_pure
 from .linalg import Operator, as_operator, complete_to_unitary
-from .series import MultiWeightSpec, WeightSpec
+from .series import WeightSpec
 
 __all__ = [
     "rho_sequence",
@@ -100,22 +100,26 @@ class CharFunction:
     def defect_dim(self) -> int:
         return self.defect_min.rows
 
-    def coefficients(self) -> list[np.ndarray]:
-        """Polynomial coefficients of the function, degree 0 .. n_terms."""
+    @cached_property
+    def star_powers(self) -> np.ndarray:
+        """The stack ``[I, T*, ..., T*^(n_terms - 1)]`` every evaluation sums over."""
+        return _power_stack(self.t.mat.conj().T, self.n_terms)
+
+    @cached_property
+    def scaled_d_blocks(self) -> np.ndarray:
+        """``sqrt(rho_n) D_n`` stacked as ``(n_terms, defect_dim, e_dim)``."""
         rho = rho_sequence(self.omega, self.n_terms)
+        d = self.triple.d_stack.mat.reshape(self.n_terms, self.defect_dim, self.triple.e_dim)
+        return np.sqrt(rho)[:, None, None] * d
+
+    def coefficients(self) -> np.ndarray:
+        """Polynomial coefficients of degree 0 .. n_terms, stacked along axis 0."""
         inv_w = self.omega.inverse_weight_values(self.n_terms)
-        stars = _star_powers(self.t.mat, self.n_terms)
-        dmin = self.defect_min.mat
-        b = self.triple.b.mat
-        coeffs = []
-        for k in range(self.n_terms + 1):
-            blk = np.zeros((self.defect_dim, self.triple.e_dim), dtype=complex)
-            if k < self.n_terms:
-                blk += math.sqrt(rho[k]) * self.triple.d_blocks[k].mat
-            if k >= 1:
-                blk += inv_w[k - 1] * (dmin @ stars[k - 1] @ b)
-            coeffs.append(blk)
-        return coeffs
+        kernel_part = self.defect_min.mat @ self.star_powers @ self.triple.b.mat
+        out = np.zeros((self.n_terms + 1, self.defect_dim, self.triple.e_dim), dtype=complex)
+        out[:-1] = self.scaled_d_blocks
+        out[1:] += inv_w[:, None, None] * kernel_part
+        return out
 
 
 def contraction_C(
@@ -134,7 +138,7 @@ def contraction_C(
         n_terms = _char_horizon(t, omega, tol)
     _, _, d_min = _defect_sqrt_pieces(t, omega, tol)
     rho = rho_sequence(omega, n_terms)
-    stars = _star_powers(t.mat, n_terms)
+    stars = _power_stack(t.mat.conj().T, n_terms)
     rows = [math.sqrt(rho[k]) * (d_min.mat @ stars[k]) for k in range(n_terms)]
     c = Operator(np.vstack(rows)) if rows else Operator(np.zeros((0, t.rows)))
     gap = np.eye(t.rows) - (c.H @ c).mat - (t @ t.H).mat
@@ -177,15 +181,10 @@ def char_function(
     return CharFunction(t, omega, n_terms, triple, d_min)
 
 
-def kernel_poly(omega: WeightSpec, z: complex, a: np.ndarray, n_terms: int) -> np.ndarray:
-    """Operator series ``sum_{n < n_terms} z^n A^n / w_n``."""
-    inv_w = omega.inverse_weight_values(n_terms)
-    out = np.zeros_like(np.asarray(a, dtype=complex))
-    power = np.eye(a.shape[0], dtype=complex)
-    for n in range(n_terms):
-        out += inv_w[n] * (z ** n) * power
-        power = power @ a
-    return out
+def kernel_poly(omega: WeightSpec, z: complex, powers: np.ndarray) -> np.ndarray:
+    """Operator series ``sum_n z^n A^n / w_n`` over a power stack ``[I, A, A^2, ...]``."""
+    n = len(powers)
+    return np.tensordot(omega.inverse_weight_values(n) * complex(z) ** np.arange(n), powers, 1)
 
 
 def _kernel_scalar(omega: WeightSpec, x: complex, cap: int = 4096) -> complex:
@@ -209,11 +208,8 @@ def char_function_eval(cf: CharFunction, z: complex) -> Operator:
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("evaluation point must lie in the open disc")
-    rho = rho_sequence(cf.omega, cf.n_terms)
-    out = np.zeros((cf.defect_dim, cf.triple.e_dim), dtype=complex)
-    for n, blk in enumerate(cf.triple.d_blocks):
-        out += math.sqrt(rho[n]) * (z ** n) * blk.mat
-    series = kernel_poly(cf.omega, z, cf.t.mat.conj().T, cf.n_terms)
+    out = np.tensordot(z ** np.arange(cf.n_terms), cf.scaled_d_blocks, 1)
+    series = kernel_poly(cf.omega, z, cf.star_powers)
     out += z * (cf.defect_min.mat @ series @ cf.triple.b.mat)
     return Operator(out)
 
@@ -222,7 +218,8 @@ def key_identity_check(cf: CharFunction, zeta: complex, eta: complex) -> float:
     """Residual of the kernel identity tying the function to the defect.
 
     ``K(eta, zeta) I - theta(eta) theta(zeta)* / (1 - eta conj(zeta))``
-    must equal ``D K(eta, T*) K(conj(zeta), T) D`` in the defect coordinates.
+    must equal ``D K(eta, T*) K(conj(zeta), T) D`` in the defect coordinates,
+    where ``K(conj(zeta), T) = K(zeta, T*)*``.
     """
     zeta, eta = complex(zeta), complex(eta)
     if abs(zeta) >= 1.0 or abs(eta) >= 1.0:
@@ -232,42 +229,43 @@ def key_identity_check(cf: CharFunction, zeta: complex, eta: complex) -> float:
     th_eta = char_function_eval(cf, eta).mat
     th_zeta = char_function_eval(cf, zeta).mat
     lhs = k_scalar * np.eye(r) - (th_eta @ th_zeta.conj().T) / (1.0 - eta * np.conj(zeta))
-    k_left = kernel_poly(cf.omega, eta, cf.t.mat.conj().T, cf.n_terms)
-    k_right = kernel_poly(cf.omega, np.conj(zeta), cf.t.mat, cf.n_terms)
+    k_left = kernel_poly(cf.omega, eta, cf.star_powers)
+    k_right = kernel_poly(cf.omega, zeta, cf.star_powers).conj().T
     dmin = cf.defect_min.mat
     rhs = dmin @ k_left @ k_right @ dmin.conj().T
     return float(np.linalg.norm(lhs - rhs, 2)) if r else 0.0
 
 
-def partial_isometry_check(
-    cf: CharFunction,
-    degrees: int | None = None,
-    source_degrees: int | None = None,
-) -> dict[str, float]:
+def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
     """Check that the multiplier and the dilation map split the identity.
 
-    Builds the multiplication matrix of the function from a truncated Hardy
-    space into the weighted Bergman space of the defect, the dilation map of
-    the operator, and returns the residuals of
-    ``pi pi* + M M* = I`` and of the range orthogonality ``pi* M = 0``.
+    Both maps go into the weighted Bergman space of the defect truncated at
+    ``n_terms``: the dilation map ``pi`` with block rows ``D T*^b / sqrt(w_b)``,
+    and the multiplier ``M`` of the function from the equally truncated Hardy
+    space of ``E``, which is block Toeplitz: ``M[b, a] = sqrt(w_b) Theta_{b-a}``.
+    So ``M M*`` is the Gram matrix of the coefficient blocks summed along
+    block diagonals and rescaled by ``sqrt(w_b w_b')``, and block column ``a``
+    of ``pi* M`` is the correlation ``sum_j T^(a+j) D* Theta_j``, in which the
+    weights cancel.  Returns the residuals of ``pi pi* + M M* = I`` and of the
+    range orthogonality ``pi* M = 0``.
     """
-    n_a = cf.n_terms if degrees is None else int(degrees)
-    n_h = n_a if source_degrees is None else int(source_degrees)
-    r = cf.defect_dim
-    target = TruncatedSpace(MultiWeightSpec.of(cf.omega), (n_a,), coeff_dim=r)
-    source = TruncatedSpace(
-        MultiWeightSpec.of(WeightSpec.hardy()), (n_h,), coeff_dim=cf.triple.e_dim
+    n, r = cf.n_terms, cf.defect_dim
+    theta = cf.coefficients()[:n]  # Theta_n only reaches degrees beyond the cutoff
+    flat = theta.reshape(n * r, -1)
+    gram = (flat @ flat.conj().T).reshape(n, r, n, r)
+    for b in range(1, n):
+        gram[b, :, 1:] += gram[b - 1, :, :-1]
+    sqrt_w = np.repeat(np.sqrt(cf.omega.values(n)), r)
+    mm = sqrt_w[:, None] * gram.reshape(n * r, n * r) * sqrt_w[None, :]
+    rows = cf.defect_min.mat @ cf.star_powers
+    pi = (rows / sqrt_w.reshape(n, r, 1)).reshape(n * r, -1)
+    total = pi @ pi.conj().T + mm
+    res = float(np.linalg.norm(total - np.eye(n * r), 2)) if n * r else 0.0
+    adj = rows.conj().transpose(0, 2, 1)
+    cross = np.concatenate(
+        [np.tensordot(adj[a:], theta[:n - a], axes=([0, 2], [0, 1])) for a in range(n)], axis=1
     )
-    theta = {(k,): blk for k, blk in enumerate(cf.coefficients())}
-    m = multiplier_matrix(theta, source, target)
-    inv_sqrt_w = 1.0 / np.sqrt(cf.omega.values(n_a))
-    stars = _star_powers(cf.t.mat, n_a)
-    rows = [inv_sqrt_w[k] * (cf.defect_min.mat @ stars[k]) for k in range(n_a)]
-    pi = Operator(np.vstack(rows)) if rows else Operator(np.zeros((0, cf.t.rows)))
-    total = (pi @ pi.H + m @ m.H).mat
-    res = float(np.linalg.norm(total - np.eye(target.dim), 2)) if target.dim else 0.0
-    cross = (pi.H @ m).norm()
-    return {"partial_isometry": res, "range_orthogonality": cross}
+    return {"partial_isometry": res, "range_orthogonality": float(np.linalg.norm(cross, 2))}
 
 
 def uniqueness_unitary(t1: CharTriple, t2: CharTriple, tol: float = CHAR_TOL) -> Operator:

@@ -135,11 +135,7 @@ def _full_check_run(case: CaseConfig) -> tuple[str, ...]:
     """The classification command also cross-checks the equivalent criterion
     (for integer binomial-type weights) and the sub-tuple inheritance."""
     run = ["check", "subtuple"]
-    integer_presets = all(
-        w.kind == "hardy" or (w.kind == "bergman" and float(w.beta).is_integer())
-        for w in case.weights
-    )
-    if integer_presets:
+    if case.weights.integer_betas() is not None:
         run.insert(1, "equivalence")
     return tuple(run)
 

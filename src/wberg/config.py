@@ -33,7 +33,7 @@ from .generators import (
 )
 from .hyper import OperatorTuple
 from .linalg import Operator
-from .series import MultiWeightSpec
+from .series import MultiWeightSpec, _normalize_degrees
 
 KNOWN_RUNS = (
     "series",
@@ -82,13 +82,10 @@ def parse_case(data: dict, name: str = "case") -> CaseConfig:
         raise ConfigError("configuration needs a 'weights' entry") from exc
     except WbergError as exc:
         raise ConfigError(f"bad weights: {exc}") from exc
-    degrees = data.get("degrees", 32)
-    if isinstance(degrees, int):
-        degrees = (degrees,) * weights.n
-    else:
-        degrees = tuple(int(d) for d in degrees)
-    if len(degrees) != weights.n or any(d < 1 for d in degrees):
-        raise ConfigError(f"degrees {degrees} do not match weight arity {weights.n}")
+    try:
+        degrees = _normalize_degrees(data.get("degrees", 32), weights.n)
+    except (WbergError, ValueError) as exc:
+        raise ConfigError(f"bad degrees for weight arity {weights.n}: {exc}") from exc
     run = tuple(data.get("run", ("check",)))
     for step in run:
         if step not in KNOWN_RUNS:

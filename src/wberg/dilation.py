@@ -39,6 +39,8 @@ from .errors import (
 )
 from .hyper import (
     OperatorTuple,
+    _nilpotency_order,
+    _power_stack,
     conjugation_limit,
     defect_limit,
     is_omega_hypercontraction,
@@ -52,7 +54,7 @@ from .linalg import (
     douglas_solve,
     psd_root_pieces,
 )
-from .series import MultiWeightSpec, WeightSpec
+from .series import MultiWeightSpec, WeightSpec, _normalize_degrees
 
 __all__ = [
     "DilationResult",
@@ -136,16 +138,6 @@ class CommutantLift:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _star_powers(mat: np.ndarray, count: int) -> np.ndarray:
-    d = mat.shape[0]
-    out = np.empty((count, d, d), dtype=complex)
-    out[0] = np.eye(d)
-    adj = mat.conj().T
-    for k in range(1, count):
-        out[k] = out[k - 1] @ adj
-    return out
-
-
 def _pure_horizon(t: Operator, omega: WeightSpec, tol: float, cap: int = HORIZON_CAP) -> int:
     """Truncation level after which the dilation rows carry no mass.
 
@@ -153,11 +145,9 @@ def _pure_horizon(t: Operator, omega: WeightSpec, tol: float, cap: int = HORIZON
     sum is pushed below ``tol**2`` to keep amplitude-level residuals
     (intertwinings) within ``tol``.
     """
-    mat = np.eye(t.rows, dtype=complex)
-    for k in range(1, min(cap, t.rows) + 1):
-        mat = mat @ t.mat
-        if not np.any(mat):
-            return k
+    nil = _nilpotency_order(t, min(cap, t.rows))
+    if nil is not None:
+        return nil
     sigma = t.norm()
     if sigma < 1.0:
         target = tol * tol
@@ -237,7 +227,7 @@ def one_var_dilation(
     rq = q_min.rows
     space = TruncatedSpace(MultiWeightSpec.of(omega), (n_terms,), coeff_dim=r)
     inv_sqrt_w = 1.0 / np.sqrt(omega.values(n_terms))
-    stars = _star_powers(t.mat, n_terms)
+    stars = _power_stack(t.mat.conj().T, n_terms)
     rows = [inv_sqrt_w[k] * (d_min.mat @ stars[k]) for k in range(n_terms)]
     pi = np.vstack(rows) if rows else np.zeros((0, t.rows), dtype=complex)
     u = _douglas(q_min, q_min @ t.H, tol, "tail co-isometry")
@@ -286,7 +276,7 @@ def isometry_identity_check(t: Operator, omega: WeightSpec, n_terms: int | None 
     if n_terms is None:
         n_terms = _pure_horizon(t, omega, LIMIT_TOL)
     inv_w = omega.inverse_weight_values(n_terms)
-    stars = _star_powers(t.mat, n_terms)
+    stars = _power_stack(t.mat.conj().T, n_terms)
     worst = 0.0
     d2 = (defect @ defect).mat
     q2 = tail.q_squared.mat
@@ -392,13 +382,9 @@ def pure_dilation(
         if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
             raise NotHypercontractive("tuple fails the weighted positivity tests")
     if degrees is None:
-        degs = tuple(
-            _pure_horizon(t[i], w[i], tol) for i in range(t.n)
-        )
-    elif isinstance(degrees, (int, np.integer)):
-        degs = (int(degrees),) * t.n
+        degs = tuple(_pure_horizon(t[i], w[i], tol) for i in range(t.n))
     else:
-        degs = tuple(int(d) for d in degrees)
+        degs = _normalize_degrees(degrees, t.n)
     # cascade of one-variable defects
     cur_ops = [op.mat for op in t.ops]
     stages: list[tuple[np.ndarray, np.ndarray]] = []  # (Dmin_j, stage operator)
@@ -413,9 +399,7 @@ def pure_dilation(
         cur_ops = nxt
     e_dim = stages[-1][0].shape[0]
     space = TruncatedSpace(w, degs, coeff_dim=e_dim)
-    star_stacks = [
-        _star_powers(stages[j][1], degs[j]) for j in range(t.n)
-    ]
+    star_stacks = [_power_stack(stages[j][1].conj().T, degs[j]) for j in range(t.n)]
     rows = []
     for alpha in space.indices:
         mat = stages[0][0] @ star_stacks[0][alpha[0]]
@@ -523,17 +507,15 @@ def general_model(
             raise NotHypercontractive("tuple fails the weighted positivity tests")
     if degrees is None:
         degs = tuple(_pure_horizon(t[i], w[i], tol) for i in range(t.n))
-    elif isinstance(degrees, (int, np.integer)):
-        degs = (int(degrees),) * t.n
     else:
-        degs = tuple(int(d) for d in degrees)
+        degs = _normalize_degrees(degrees, t.n)
     diagnostics: dict[str, float] = {}
     raw = _recursive_blocks(
         [op.mat for op in t.ops], list(w.weights), list(range(t.n)), t.dim, tol, diagnostics
     )
     raw.sort(key=lambda item: sum(1 << i for i in item[0]))
     blocks: list[LambdaBlock] = []
-    star_stacks = [_star_powers(t[i].mat, degs[i]) for i in range(t.n)]
+    star_stacks = [_power_stack(t[i].mat.conj().T, degs[i]) for i in range(t.n)]
     pi_parts: list[np.ndarray] = []
     op_parts: list[list[np.ndarray]] = [[] for _ in range(t.n)]
     model_norms = [0.0] * t.n

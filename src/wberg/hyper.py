@@ -36,7 +36,7 @@ from .errors import (
     SeriesTailTooLarge,
 )
 from .linalg import Operator, as_operator, psd_check, psd_sqrt
-from .series import MultiWeightSpec, WeightSpec
+from .series import MultiWeightSpec, WeightSpec, _normalize_degrees, _normalize_point
 
 __all__ = [
     "OperatorTuple",
@@ -218,18 +218,6 @@ def _tail_estimate(
     return total
 
 
-def _normalize_point(r, n: int) -> tuple[float, ...]:
-    if isinstance(r, (int, float, np.floating)):
-        point = (float(r),) * n
-    else:
-        point = tuple(float(v) for v in r)
-    if len(point) != n:
-        raise ArityMismatch(f"grid point arity {len(point)} != {n}")
-    if any(not (0.0 < v <= 1.0) for v in point):
-        raise ValueError("evaluation points must lie in (0, 1]")
-    return point
-
-
 def dyadic_grid(n: int, levels: int = 3) -> list[tuple[float, ...]]:
     """Diagonal grid ``r_j = 1 - 2^-j`` repeated across coordinates."""
     return [((1.0 - 0.5**j),) * n for j in range(1, levels + 1)]
@@ -240,12 +228,7 @@ def _resolve_degrees(
 ) -> tuple[int, ...]:
     if degrees is None:
         return tuple(_effective_degree(t[i], w[i], cap) for i in range(t.n))
-    if isinstance(degrees, (int, np.integer)):
-        return (int(degrees),) * t.n
-    degs = tuple(int(d) for d in degrees)
-    if len(degs) != t.n:
-        raise ArityMismatch(f"expected {t.n} cutoffs, got {len(degs)}")
-    return degs
+    return _normalize_degrees(degrees, t.n)
 
 
 # ---------------------------------------------------------------------------
@@ -274,62 +257,35 @@ def defect_series(
 class DefectResult:
     """Limit of the defect series as ``r`` increases to the vertex.
 
-    ``tail_estimate`` bounds the truncation mass dropped at the last
-    evaluated point; on the grid route it is the accuracy floor of the
-    reported limit regardless of how small the successive differences get.
+    ``limit`` is the truncated series evaluated at ``r = 1``; ``tail_estimate``
+    bounds the mass dropped beyond the cutoffs and is the accuracy floor of
+    that value.  ``converged`` says the floor is below the requested
+    tolerance.  ``r_trace`` lists the evaluated points with their step sizes.
     """
 
-    value_at_r: Operator
     limit: Operator
     r_trace: tuple[tuple[float, float], ...]
     converged: bool
-    method: str
-    tail_estimate: float = 0.0
+    tail_estimate: float
 
 
 def defect_limit(
     t: OperatorTuple,
     w: MultiWeightSpec,
     tol: float = LIMIT_TOL,
-    grid_policy: str = "auto",
     degrees: Sequence[int] | int | None = None,
-    max_levels: int = 40,
 ) -> DefectResult:
     """Evaluate ``lim_{r -> 1} D(r)``.
 
-    When the dropped coefficient tail at ``r = 1`` is certified below ``tol``
-    the limit is the direct sum at the vertex; otherwise the series is swept
-    along the dyadic grid ``r_j = 1 - 2^-j`` until successive differences
-    fall below ``tol`` (monotonicity makes the sweep decreasing).
+    At fixed cutoffs ``D(r)`` is a matrix polynomial in ``r``, so its limit
+    at the vertex is its value there; the truncation error is reported as
+    the tail estimate.
     """
     degs = _resolve_degrees(t, w, degrees)
     ones = (1.0,) * t.n
-    if grid_policy not in ("auto", "direct", "grid"):
-        raise ValueError(f"unknown grid policy {grid_policy!r}")
-    use_direct = grid_policy == "direct"
-    if grid_policy == "auto":
-        use_direct = _tail_estimate(t, w, ones, degs, DEGREE_CAP) < tol
-    if use_direct:
-        value = defect_series(t, w, ones, degs)
-        est = _tail_estimate(t, w, ones, degs, DEGREE_CAP)
-        return DefectResult(value, value, ((1.0, 0.0),), True, "direct_sum_at_one", est)
-    trace = []
-    prev = None
-    converged = False
-    value = None
-    last_r = 0.5
-    for j in range(1, max_levels + 1):
-        rj = 1.0 - 0.5**j
-        last_r = rj
-        value = defect_series(t, w, (rj,) * t.n, degs)
-        diff = (value - prev).norm() if prev is not None else math.inf
-        trace.append((rj, diff))
-        if prev is not None and diff < tol:
-            converged = True
-            break
-        prev = value
-    est = _tail_estimate(t, w, (last_r,) * t.n, degs, DEGREE_CAP)
-    return DefectResult(value, value, tuple(trace), converged, "monotone_grid", est)
+    value = defect_series(t, w, ones, degs)
+    est = _tail_estimate(t, w, ones, degs, DEGREE_CAP)
+    return DefectResult(value, ((1.0, 0.0),), est < tol, est)
 
 
 def defect_operator(
@@ -340,9 +296,9 @@ def defect_operator(
 ) -> Operator:
     """PSD square root of the defect-series limit."""
     res = defect_limit(t, w, tol=tol, degrees=degrees)
-    if not res.converged or res.tail_estimate > tol:
+    if not res.converged:
         warnings.warn(
-            f"defect limit accuracy floor {max(res.tail_estimate, tol):.1e} "
+            f"defect limit accuracy floor {res.tail_estimate:.1e} "
             f"exceeds the requested tolerance {tol:.1e}",
             SeriesTailTooLarge,
         )
@@ -469,26 +425,12 @@ def is_omega_hypercontraction(
         certs.append(Witness(1, "grid", (r,), min_eig))
         ok = ok and min_eig >= -tol
     limit_eig = None
-    degs = _resolve_degrees(tup, w, degrees)
-    if _tail_estimate(tup, w, (1.0,), degs, DEGREE_CAP) < tol:
-        value = defect_series(tup, w, (1.0,), degs)
-        limit_eig = psd_check(value, tol).min_eigenvalue
+    lim = defect_limit(tup, w, tol, degrees)
+    if lim.converged:
+        limit_eig = psd_check(lim.limit, tol).min_eigenvalue
         certs.append(Witness(1, "limit", (1.0,), limit_eig))
         ok = ok and limit_eig >= -tol
     return OmegaHyperReport(bool(ok), tuple(certs), limit_eig)
-
-
-def _integer_betas(w: MultiWeightSpec) -> tuple[int, ...] | None:
-    """Per-variable binomial exponents when every weight is of that integer type."""
-    betas = []
-    for spec in w:
-        if spec.kind == "hardy":
-            betas.append(1)
-        elif spec.kind == "bergman" and float(spec.beta).is_integer():
-            betas.append(int(spec.beta))
-        else:
-            return None
-    return tuple(betas)
 
 
 def is_W_hypercontraction(
@@ -523,19 +465,16 @@ def is_W_hypercontraction(
             if min_eig < -tol:
                 ok = False
                 failure = failure or wit
-        if _tail_estimate(t, member, (1.0,) * t.n, degs, DEGREE_CAP) < tol:
-            value = defect_series(t, member, (1.0,) * t.n, degs)
-            min_eig = psd_check(value, tol).min_eigenvalue
+        lim = defect_limit(t, member, tol, degs)
+        if lim.converged:
+            min_eig = psd_check(lim.limit, tol).min_eigenvalue
             wit = Witness(mask, "limit", (1.0,) * t.n, min_eig)
             certs.append(wit)
             if min_eig < -tol:
                 ok = False
                 failure = failure or wit
-    use_lattice = lattice_e_points is True or (
-        lattice_e_points == "auto" and _integer_betas(w) is not None
-    )
-    if use_lattice:
-        gamma = _integer_betas(w)
+    gamma = w.integer_betas()
+    if lattice_e_points is True or (lattice_e_points == "auto" and gamma is not None):
         if gamma is None:
             raise ValueError("lattice points require integer binomial-type weights")
         eye = Operator.identity(t.dim)

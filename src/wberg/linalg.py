@@ -8,7 +8,7 @@ range bases, Douglas-type factorization solves, and completion of an
 isometry to a unitary.
 
 Hermitian eigendecomposition is the single spectral primitive for square
-roots; SVD handles ranges and completions.  Rank decisions use the relative
+roots; SVD handles ranges and a complete QR handles completions.  Rank decisions use the relative
 threshold ``sigma <= tol * sigma_max`` with ``tol = 1e-9`` by default.
 """
 
@@ -219,8 +219,8 @@ def complete_to_unitary(x: Operator, tol: float = RANK_TOL) -> tuple[int, Operat
     """Extend an isometry ``X`` to a unitary ``[X Y]``.
 
     Returns ``(e_dim, Y)`` where the ``e_dim = rows - cols`` columns of ``Y``
-    form an orthonormal basis of the orthogonal complement of ``ran X``,
-    ordered by the singular decomposition of the complement projector.
+    form an orthonormal basis of the orthogonal complement of ``ran X``: the
+    trailing columns of the complete QR factor of ``X``.
     """
     x = as_operator(x)
     if x.rows < x.cols:
@@ -233,13 +233,8 @@ def complete_to_unitary(x: Operator, tol: float = RANK_TOL) -> tuple[int, Operat
     e_dim = x.rows - x.cols
     if e_dim == 0:
         return 0, Operator(np.zeros((x.rows, 0), dtype=complex))
-    proj = np.eye(x.rows, dtype=complex) - x.mat @ x.mat.conj().T
-    u, s, _ = np.linalg.svd(proj)
-    y = u[:, :e_dim]
-    # one re-orthogonalization pass against ran X keeps the completion unitary
-    y = y - x.mat @ (x.mat.conj().T @ y)
-    y, _ = np.linalg.qr(y)
-    return e_dim, Operator(y)
+    q, _ = np.linalg.qr(x.mat, mode="complete")
+    return e_dim, Operator(q[:, x.cols:])
 
 
 def kron(a: Operator, b: Operator) -> Operator:

@@ -136,15 +136,9 @@ def run_check(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
 def run_equivalence(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
     gamma = case.gamma
     if gamma is None:
-        gamma = []
-        for w in case.weights:
-            if w.kind == "hardy":
-                gamma.append(1)
-            elif w.kind == "bergman" and float(w.beta).is_integer():
-                gamma.append(int(w.beta))
-            else:
-                return False, {"verdict": False, "error": "equivalence needs integer weights"}
-        gamma = tuple(gamma)
+        gamma = case.weights.integer_betas()
+        if gamma is None:
+            return False, {"verdict": False, "error": "equivalence needs integer weights"}
     rep = equivalence_crosscheck(t, gamma, r_grid=case.r_grid, tol=case.tol)
     return rep.agree, {
         "verdict": rep.agree,

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ArityMismatch,
     BadBeta,
     InvalidWeights,
     NonDecreasingWeights,
@@ -252,6 +253,18 @@ class MultiWeightSpec:
             )
             yield mask, MultiWeightSpec(members)
 
+    def integer_betas(self) -> tuple[int, ...] | None:
+        """Per-variable binomial exponents when every weight is of that integer type."""
+        betas = []
+        for spec in self.weights:
+            if spec.kind == "hardy":
+                betas.append(1)
+            elif spec.kind == "bergman" and float(spec.beta).is_integer():
+                betas.append(int(spec.beta))
+            else:
+                return None
+        return tuple(betas)
+
 
 def _split_weight_list(text: str) -> list[str]:
     # commas inside explicit:[...] brackets do not separate entries
@@ -454,27 +467,30 @@ def check_properties(
 # ---------------------------------------------------------------------------
 
 def _normalize_degrees(degrees: Sequence[int] | int, n: int) -> tuple[int, ...]:
+    """Per-variable cutoffs from one cutoff or a sequence of ``n``, each at least 1."""
     if isinstance(degrees, (int, np.integer)):
         degs = (int(degrees),) * n
     else:
         degs = tuple(int(d) for d in degrees)
     if len(degs) != n:
-        raise ValueError(f"expected {n} cutoffs, got {len(degs)}")
+        raise ArityMismatch(f"expected {n} cutoffs, got {len(degs)}")
     if any(d < 1 for d in degs):
         raise ValueError("cutoffs must be positive")
     return degs
 
 
+def _normalize_point(r, n: int) -> tuple[float, ...]:
+    """A radius point in ``(0, 1]^n``; a scalar is repeated across coordinates."""
+    if isinstance(r, (int, float, np.floating)):
+        point = (float(r),) * n
+    else:
+        point = tuple(float(v) for v in r)
+    if len(point) != n:
+        raise ArityMismatch(f"grid point arity {len(point)} != {n}")
+    if any(not (0.0 < v <= 1.0) for v in point):
+        raise ValueError("evaluation points must lie in (0, 1]")
+    return point
+
+
 def _normalize_grid(r_grid, n: int) -> tuple[tuple[float, ...], ...]:
-    pts = []
-    for entry in r_grid:
-        if isinstance(entry, (int, float, np.floating)):
-            point = (float(entry),) * n
-        else:
-            point = tuple(float(v) for v in entry)
-        if len(point) != n:
-            raise ValueError(f"grid point arity {len(point)} != {n}")
-        if any(not (0.0 < v <= 1.0) for v in point):
-            raise ValueError("grid points must lie in (0, 1]")
-        pts.append(point)
-    return tuple(pts)
+    return tuple(_normalize_point(entry, n) for entry in r_grid)

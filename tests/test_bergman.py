@@ -12,7 +12,7 @@ from wberg.bergman import (
     multishift_tuple,
     shift_matrix,
 )
-from wberg.errors import DegreeOverflow, OutsideDisc
+from wberg.errors import ArityMismatch, DegreeOverflow, OutsideDisc
 from wberg.generators import Lcg
 from wberg.linalg import Operator
 from wberg.series import MultiWeightSpec, WeightSpec, quotient_coeffs
@@ -84,6 +84,14 @@ def test_kernel_outside_disc():
     w = MultiWeightSpec.of(HARDY)
     with pytest.raises(OutsideDisc):
         kernel_eval(w, (1.0,), (0.5,), 8)
+
+
+def test_kernel_rejects_bad_cutoffs():
+    w = MultiWeightSpec.parse("hardy,hardy")
+    with pytest.raises(ArityMismatch):
+        kernel_eval(w, (0.1, 0.1), (0.1, 0.1), [4])
+    with pytest.raises(ValueError):
+        kernel_eval(w, (0.1, 0.1), (0.1, 0.1), (4, 0))
 
 
 # ---------------------------------------------------------------------------

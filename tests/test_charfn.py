@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from wberg.bergman import TruncatedSpace, multiplier_matrix
 from wberg.charfn import (
+    CharFunction,
     CharTriple,
     build_char_triple,
     char_function,
@@ -18,9 +20,10 @@ from wberg.charfn import (
 )
 from wberg.errors import NotPure, NotUnitaryInput
 from wberg.generators import commuting_unitaries, nilpotent_commuting_tuple, random_unitary
+from wberg.hyper import _power_stack
 from wberg.linalg import Operator
 from wberg.pipelines import derive_coincidence_transports
-from wberg.series import WeightSpec
+from wberg.series import MultiWeightSpec, WeightSpec
 
 HARDY = WeightSpec.hardy()
 B2 = WeightSpec.bergman(2)
@@ -169,8 +172,8 @@ def test_zero_operator_function_is_multiplication_by_z():
 
 def test_kernel_poly_terminates_on_nilpotent():
     t = nilpotent_commuting_tuple(15, 4, 1, radius=0.5)[0]
-    full = kernel_poly(B2, 0.5, t.mat.conj().T, 32)
-    short = kernel_poly(B2, 0.5, t.mat.conj().T, 4)
+    full = kernel_poly(B2, 0.5, _power_stack(t.mat.conj().T, 32))
+    short = kernel_poly(B2, 0.5, _power_stack(t.mat.conj().T, 4))
     assert np.allclose(full, short)
 
 
@@ -222,6 +225,57 @@ def test_partial_isometry_nilpotent(spec):
     res = partial_isometry_check(cf)
     assert res["partial_isometry"] < 1e-8
     assert res["range_orthogonality"] < 1e-8
+
+
+def dense_partial_isometry_residuals(cf) -> dict[str, float]:
+    """Reference route: the dense multiplier matrix and the stacked dilation map."""
+    n, r = cf.n_terms, cf.defect_dim
+    target = TruncatedSpace(MultiWeightSpec.of(cf.omega), (n,), coeff_dim=r)
+    source = TruncatedSpace(MultiWeightSpec.of(HARDY), (n,), coeff_dim=cf.triple.e_dim)
+    m = multiplier_matrix({(k,): blk for k, blk in enumerate(cf.coefficients())}, source, target)
+    inv_sqrt_w = 1.0 / np.sqrt(cf.omega.values(n))
+    stars = _power_stack(cf.t.mat.conj().T, n)
+    pi = np.vstack([inv_sqrt_w[k] * (cf.defect_min.mat @ stars[k]) for k in range(n)])
+    total = pi @ pi.conj().T + m.mat @ m.mat.conj().T
+    return {
+        "partial_isometry": opnorm(total - np.eye(target.dim)),
+        "range_orthogonality": opnorm(pi.conj().T @ m.mat),
+    }
+
+
+@pytest.mark.parametrize(
+    "op,spec",
+    [
+        (Operator([[0.6 + 0.2j]]), B2),
+        (Operator([[0.7j]]), HARDY),
+        (Operator([[-0.55]]), WeightSpec.bergman(1.5)),
+        (nilpotent_commuting_tuple(19, 5, 1, radius=0.5)[0], B2),
+        (nilpotent_commuting_tuple(20, 16, 1, radius=0.5)[0], HARDY),
+    ],
+    ids=["bergman2-scalar", "hardy-scalar", "bergman1.5-scalar", "nil5-bergman2", "nil16-hardy"],
+)
+def test_partial_isometry_matches_dense_multiplier(op, spec):
+    cf = char_function(op, spec)
+    got = partial_isometry_check(cf)
+    ref = dense_partial_isometry_residuals(cf)
+    for key in ("partial_isometry", "range_orthogonality"):
+        assert abs(got[key] - ref[key]) < 1e-13, (key, got[key], ref[key])
+    assert got["partial_isometry"] < 1e-8 and got["range_orthogonality"] < 1e-8
+    # a perturbed triple gives residuals of order one, on which both routes
+    # must still agree: tiny residuals alone cannot tell the routes apart
+    rng = np.random.default_rng(7)
+    b = cf.triple.b.mat
+    noisy = CharTriple(
+        cf.triple.e_dim,
+        Operator(b + 0.3 * rng.standard_normal(b.shape)),
+        tuple(Operator(1.2 * blk.mat) for blk in cf.triple.d_blocks),
+    )
+    bad = CharFunction(cf.t, cf.omega, cf.n_terms, noisy, cf.defect_min)
+    got = partial_isometry_check(bad)
+    ref = dense_partial_isometry_residuals(bad)
+    for key in ("partial_isometry", "range_orthogonality"):
+        assert ref[key] > 1e-2
+        assert abs(got[key] - ref[key]) < 1e-13 * ref[key], (key, got[key], ref[key])
 
 
 # ---------------------------------------------------------------------------

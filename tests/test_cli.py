@@ -127,6 +127,23 @@ def test_charfn_pipeline(capsys):
     assert body["coincidence"] is True
 
 
+def test_dilate_pure_fractional_scalar_exit_0(capsys):
+    # the defect limit is the vertex value; an r-sweep stopped short of it
+    # left the dilation map non-isometric (residual 1.7e-7)
+    code, out, _ = run_cli(capsys, "dilate", "--pure", "--weights", "bergman:2.5",
+                           "--tuple", "scalars:[0.95]")
+    assert code == 0
+    assert json.loads(out)["steps"]["dilate-pure"]["residuals"]["isometry"] < 1e-9
+
+
+def test_charfn_fractional_scalar_exit_0(capsys):
+    code, out, _ = run_cli(capsys, "charfn", "--weights", "bergman:2.5",
+                           "--tuple", "scalars:[0.95]")
+    assert code == 0
+    body = json.loads(out)["steps"]["charfn"]
+    assert body["partial_isometry"] < 1e-8 and body["range_orthogonality"] < 1e-8
+
+
 def test_charfn_non_pure_exit_1(capsys):
     code, _, err = run_cli(capsys, "charfn", "--weights", "hardy",
                            "--tuple", "scalars:[1.0]")

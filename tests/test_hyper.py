@@ -111,6 +111,15 @@ def test_defect_series_arity_mismatch():
         defect_series(t, MultiWeightSpec.parse("hardy,hardy"), (0.5, 0.5))
 
 
+def test_defect_series_rejects_bad_cutoffs():
+    t = scalar_tuple([0.5, 0.5])
+    w = MultiWeightSpec.parse("hardy,hardy")
+    with pytest.raises(ValueError):
+        defect_series(t, w, (0.5, 0.5), 0)
+    with pytest.raises(ArityMismatch):
+        defect_series(t, w, (0.5, 0.5), (4,))
+
+
 # ---------------------------------------------------------------------------
 # defect limits and operators
 # ---------------------------------------------------------------------------
@@ -118,7 +127,6 @@ def test_defect_series_arity_mismatch():
 def test_defect_limit_zero_operator():
     t = OperatorTuple.of(Operator([[0.0, 0.0], [0.0, 0.0]]))
     res = defect_limit(t, MultiWeightSpec.of(B2))
-    assert res.method == "direct_sum_at_one"
     assert res.converged
     assert np.allclose(res.limit.mat, np.eye(2))
 
@@ -127,22 +135,35 @@ def test_defect_limit_nilpotent_direct_and_exact():
     t = nilpotent_commuting_tuple(9, 5, 2, radius=0.6)
     w = MultiWeightSpec.parse("hardy,bergman:2")
     res = defect_limit(t, w)
-    assert res.method == "direct_sum_at_one"
     direct = defect_series(t, w, (1.0, 1.0))
     assert np.allclose(res.limit.mat, direct.mat, atol=0)
 
 
-def test_defect_limit_grid_monotone_decrease():
-    # non-integer weight on a unitary coordinate: tails cannot be certified,
-    # so the dyadic sweep runs; monotonicity is all that can be asserted
-    t = commuting_unitaries(3, 3, 1)
+@pytest.mark.parametrize(
+    "t",
+    [commuting_unitaries(3, 3, 1), random_commuting_contractions(5, 4, 1, radius=0.9)],
+    ids=["unitary", "random-contraction"],
+)
+def test_defect_limit_is_the_vertex_value(t):
+    # at fixed cutoffs D(r) is a polynomial in r, so D(1 - h) -> D(1) at rate h
     w = MultiWeightSpec.of(WeightSpec.bergman(1.5))
-    res = defect_limit(t, w, grid_policy="grid", max_levels=8)
-    assert res.method == "monotone_grid"
-    values = [defect_series(t, w, (r,)).mat for r, _ in res.r_trace]
-    for a, b in zip(values, values[1:]):
-        gap = a - b  # D(r) decreases as r grows
-        assert np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))[0] >= -1e-10
+    res = defect_limit(t, w)
+    assert res.r_trace == ((1.0, 0.0),)
+    assert np.array_equal(res.limit.mat, defect_series(t, w, (1.0,)).mat)
+    gaps = [
+        np.linalg.norm(defect_series(t, w, (1.0 - 0.5**j,)).mat - res.limit.mat, 2)
+        for j in range(14, 23)
+    ]
+    assert gaps[0] > 0
+    for a, b in zip(gaps, gaps[1:]):
+        assert 1.95 < a / b < 2.05
+
+
+def test_defect_limit_scalar_closed_form():
+    t = scalar_tuple([0.95])
+    res = defect_limit(t, MultiWeightSpec.parse("bergman:2.5"))
+    assert abs(res.limit.mat[0, 0] - (1.0 - 0.95**2) ** 2.5) < 1e-14
+    assert res.tail_estimate >= 0.0
 
 
 def test_defect_operator_values():
@@ -492,8 +513,9 @@ def test_defect_operator_warns_on_unconverged_grid():
     w = MultiWeightSpec.of(WeightSpec.bergman(1.5))
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        # deep grid levels leave truncation debris: the warning fires first,
-        # then the clamped-negative check rejects the unconverged value
+        # the tail of a non-integer weight on a unitary is not certified at
+        # the cap: the warning fires first, then the positivity check rejects
+        # the truncated vertex value, which sits below zero
         with pytest.raises(NotPsd):
             defect_operator(t, w, tol=1e-12)
     assert any(issubclass(c.category, SeriesTailTooLarge) for c in caught)

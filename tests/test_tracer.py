@@ -1,0 +1,49 @@
+"""The benchmark's layer tracer still finds what it reads in the library.
+
+`perfbench/tracer.py` wraps `wberg` functions and methods from outside the
+package and reads fields of their results (`DefectResult.r_trace`,
+`Operator.mat`, ...).  A refactor that drops one of them would otherwise only
+show as a failing `--trace 1` benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import wberg.pipelines  # noqa: F401  (the tracer patches every layer module)
+from wberg.config import parse_case
+from wberg.corpus import corpus_cases
+from wberg.pipelines import run_case
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_tracer_records_dilation_and_charfn_spans():
+    tracer = _load_tracer()()
+    cases = {c["name"]: c for c in corpus_cases()}
+    tracer.install()
+    try:
+        for name in ("nilpotent-pair-hardy", "charfn-nilpotent-bergman2"):
+            data = dict(cases[name], run=[s for s in cases[name]["run"]
+                                          if s in ("dilate-pure", "charfn")])
+            ok, _ = run_case(parse_case(data, name=name))
+            assert ok
+    finally:
+        tracer.uninstall()
+    stats = tracer.stats
+    assert stats["hyper.defect_limit"]["calls"] > 0
+    assert stats["hyper.defect_limit"]["grid_levels"] == stats["hyper.defect_limit"]["calls"]
+    assert stats["linalg.Operator.init"]["calls"] > 0
+    assert stats["linalg.Operator.init"]["bytes"] > 0
+    assert stats["dilation.pure_dilation"]["calls"] == 1
+    assert stats["charfn.partial_isometry_check"]["calls"] == 1
+    # uninstall restores the originals
+    from wberg import hyper
+
+    assert not hasattr(hyper.defect_limit, "__wrapped__")
