@@ -88,13 +88,19 @@ class CharTriple:
 
 @dataclass(frozen=True)
 class CharFunction:
-    """A characteristic triple bound to its operator, weight and truncation."""
+    """A characteristic triple bound to its operator, weight and truncation.
+
+    It keeps the defect coordinates, their range basis and the column map
+    it was completed from, so nothing downstream recomputes the defect.
+    """
 
     t: Operator
     omega: WeightSpec
     n_terms: int
     triple: CharTriple
     defect_min: Operator  # H -> defect-space coordinates
+    defect_basis: Operator  # columns span ran(D)
+    column_map: Operator  # the stacked contraction C
 
     @property
     def defect_dim(self) -> int:
@@ -122,6 +128,34 @@ class CharFunction:
         return out
 
 
+def _resolve_terms(t: Operator, omega: WeightSpec, n_terms: int | None, tol: float) -> int:
+    if n_terms is None:
+        return _char_horizon(t, omega, tol)
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
+    return n_terms
+
+
+def _column_pieces(
+    t: Operator, omega: WeightSpec, n_terms: int, tol: float
+) -> tuple[Operator, Operator, Operator]:
+    """Defect range basis, defect coordinates and column map of a pure ``T``."""
+    if not is_pure(t):
+        raise NotPure("tail operator does not vanish; no characteristic function")
+    _, basis, d_min = _defect_sqrt_pieces(t, omega, tol)
+    rho = rho_sequence(omega, n_terms)
+    stars = _power_stack(t.mat.conj().T, n_terms)
+    c = Operator(np.vstack([math.sqrt(rho[k]) * (d_min.mat @ stars[k]) for k in range(n_terms)]))
+    gap = np.eye(t.rows) - (c.H @ c).mat - (t @ t.H).mat
+    res = float(np.linalg.norm(gap, 2))
+    if res > tol * 10:
+        raise HorizonTooShort(
+            f"truncation loses column mass (identity residual {res:.3e}); "
+            "increase the number of terms"
+        )
+    return basis, d_min, c
+
+
 def contraction_C(
     t: Operator, omega: WeightSpec, n_terms: int | None = None, tol: float = CHAR_TOL
 ) -> Operator:
@@ -132,53 +166,31 @@ def contraction_C(
     ``I - C*C = T T*``.
     """
     t = as_operator(t)
-    if not is_pure(t):
-        raise NotPure("tail operator does not vanish; no characteristic function")
-    if n_terms is None:
-        n_terms = _char_horizon(t, omega, tol)
-    _, _, d_min = _defect_sqrt_pieces(t, omega, tol)
-    rho = rho_sequence(omega, n_terms)
-    stars = _power_stack(t.mat.conj().T, n_terms)
-    rows = [math.sqrt(rho[k]) * (d_min.mat @ stars[k]) for k in range(n_terms)]
-    c = Operator(np.vstack(rows)) if rows else Operator(np.zeros((0, t.rows)))
-    gap = np.eye(t.rows) - (c.H @ c).mat - (t @ t.H).mat
-    res = float(np.linalg.norm(gap, 2))
-    if res > tol * 10:
-        raise HorizonTooShort(
-            f"truncation loses column mass (identity residual {res:.3e}); "
-            "increase the number of terms"
-        )
-    return c
+    n_terms = _resolve_terms(t, omega, n_terms, tol)
+    return _column_pieces(t, omega, n_terms, tol)[2]
 
 
 def build_char_triple(
     t: Operator, omega: WeightSpec, n_terms: int | None = None, tol: float = CHAR_TOL
 ) -> CharTriple:
     """Complete ``[T*; C]`` to a unitary and split off ``(E, B, {D_n})``."""
-    t = as_operator(t)
-    if n_terms is None:
-        n_terms = _char_horizon(t, omega, tol)
-    c = contraction_C(t, omega, n_terms, tol)
-    x = Operator(np.vstack([t.H.mat, c.mat]))
-    e_dim, y = complete_to_unitary(x, tol)
-    d = t.rows
-    r = c.rows // n_terms if n_terms else 0
-    b = Operator(y.mat[:d, :])
-    blocks = tuple(
-        Operator(y.mat[d + k * r: d + (k + 1) * r, :]) for k in range(n_terms)
-    )
-    return CharTriple(e_dim, b, blocks)
+    return char_function(t, omega, n_terms, tol).triple
 
 
 def char_function(
     t: Operator, omega: WeightSpec, n_terms: int | None = None, tol: float = CHAR_TOL
 ) -> CharFunction:
     t = as_operator(t)
-    if n_terms is None:
-        n_terms = _char_horizon(t, omega, tol)
-    triple = build_char_triple(t, omega, n_terms, tol)
-    _, _, d_min = _defect_sqrt_pieces(t, omega, tol)
-    return CharFunction(t, omega, n_terms, triple, d_min)
+    n_terms = _resolve_terms(t, omega, n_terms, tol)
+    basis, d_min, c = _column_pieces(t, omega, n_terms, tol)
+    e_dim, y = complete_to_unitary(Operator(np.vstack([t.H.mat, c.mat])), tol)
+    d = t.rows
+    r = c.rows // n_terms
+    blocks = tuple(
+        Operator(y.mat[d + k * r: d + (k + 1) * r, :]) for k in range(n_terms)
+    )
+    triple = CharTriple(e_dim, Operator(y.mat[:d, :]), blocks)
+    return CharFunction(t, omega, n_terms, triple, d_min, basis, c)
 
 
 def kernel_poly(omega: WeightSpec, z: complex, powers: np.ndarray) -> np.ndarray:

@@ -8,7 +8,11 @@ central object is the defect series
 where ``c`` are the reciprocal coefficients of the associated function.  The
 series is separable across variables, so it is evaluated as a nested
 one-variable hereditary sum: each level is one batched pass
-``X -> sum_k c_k T^k X T*^k``.
+``X -> sum_k c_k T^k X T*^k``, and the innermost level, where ``X = I``, is
+one weighted sum of the Gram stack ``[T^k T*^k]_k``.  The power and Gram
+stacks live on the :class:`OperatorTuple`, one pair per variable, and grow
+only when a longer prefix is asked for; every swap-family member, grid point
+and vertex value of a tuple, and every classification run on it, reads them.
 
 Classification routines sample ``D(r)`` over an ``r``-grid (any finite grid
 under-approximates the continuum; reports say so), add the ``r -> 1`` limit
@@ -22,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -84,17 +88,65 @@ DEGREE_CAP = 256
 # operator tuples
 # ---------------------------------------------------------------------------
 
+class _OperatorStacks:
+    """Power and Gram stacks of one operator, built lazily and grown on demand.
+
+    Both stacks only ever grow, and a request returns a read-only prefix, so
+    a short request after a long one gives the bits of a fresh build.  The
+    nilpotency order is cached with the depth it was scanned to.
+    """
+
+    __slots__ = ("op", "_powers", "_grams", "_nil")
+
+    def __init__(self, op: Operator) -> None:
+        self.op = op
+        self._powers = self._grams = None
+        self._nil: tuple[int, int | None] = (0, None)
+
+    def powers(self, count: int) -> np.ndarray:
+        """``[I, T, ..., T^(count-1)]``."""
+        if self._powers is None or len(self._powers) < count:
+            self._powers = _power_stack(self.op.mat, count, self._powers)
+            self._powers.flags.writeable = False
+        return self._powers[:count]
+
+    def grams(self, count: int) -> np.ndarray:
+        """``[T^k T*^k for k < count]``."""
+        have = 0 if self._grams is None else len(self._grams)
+        if have < count:
+            new = self.powers(count)[have:]
+            new = new @ new.conj().transpose(0, 2, 1)
+            self._grams = new if have == 0 else np.concatenate([self._grams, new])
+            self._grams.flags.writeable = False
+        return self._grams[:count]
+
+    def nilpotency_order(self, cap: int) -> int | None:
+        """Smallest ``k <= cap`` with ``T^k = 0`` exactly, or None."""
+        depth, order = self._nil
+        if order is None and depth < cap:
+            order = _nilpotency_order(self.op, cap)
+            self._nil = (cap, order)
+        return order if order is not None and order <= cap else None
+
+
 @dataclass(frozen=True)
 class OperatorTuple:
-    """Commuting contractions on a shared finite-dimensional space."""
+    """Commuting contractions on a shared finite-dimensional space.
+
+    The tuple owns the power and Gram stacks of its entries (see
+    :meth:`power_stack`); entries are treated as immutable once the tuple
+    is built.
+    """
 
     ops: tuple[Operator, ...]
     commutation_tol: float = COMMUTATION_TOL
+    _stacks: tuple[_OperatorStacks, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ops:
             raise ArityMismatch("operator tuple needs at least one entry")
         object.__setattr__(self, "ops", tuple(as_operator(t) for t in self.ops))
+        object.__setattr__(self, "_stacks", tuple(_OperatorStacks(t) for t in self.ops))
         d = self.ops[0].rows
         for t in self.ops:
             if not t.is_square or t.rows != d:
@@ -127,11 +179,25 @@ class OperatorTuple:
     def __iter__(self):
         return iter(self.ops)
 
+    def power_stack(self, i: int, count: int) -> np.ndarray:
+        """Read-only ``[I, T_i, ..., T_i^(count-1)]``, shared by every sum over this tuple."""
+        return self._stacks[i].powers(count)
+
+    def gram_stack(self, i: int, count: int) -> np.ndarray:
+        """Read-only ``[T_i^k T_i*^k for k < count]``, built from :meth:`power_stack`."""
+        return self._stacks[i].grams(count)
+
+    def nilpotency_order(self, i: int, cap: int) -> int | None:
+        """Smallest ``k <= cap`` with ``T_i^k = 0`` exactly, or None; scanned once."""
+        return self._stacks[i].nilpotency_order(cap)
+
 
 def subtuple(t: OperatorTuple, lam: Sequence[int]) -> OperatorTuple:
-    """Sub-tuple at the (0-based) sorted index subset ``lam``."""
+    """Sub-tuple at the (0-based) sorted index subset ``lam``; it shares the parent's stacks."""
     lam = _check_subset(lam, t.n)
-    return OperatorTuple(tuple(t.ops[i] for i in lam), t.commutation_tol)
+    sub = OperatorTuple(tuple(t.ops[i] for i in lam), t.commutation_tol)
+    object.__setattr__(sub, "_stacks", tuple(t._stacks[i] for i in lam))
+    return sub
 
 
 def _check_subset(lam: Sequence[int], n: int) -> tuple[int, ...]:
@@ -147,27 +213,50 @@ def _check_subset(lam: Sequence[int], n: int) -> tuple[int, ...]:
 # hereditary evaluation
 # ---------------------------------------------------------------------------
 
-def _power_stack(mat: np.ndarray, count: int) -> np.ndarray:
-    """Stack ``[I, T, T^2, ...]`` with ``count`` entries."""
+def _power_stack(mat: np.ndarray, count: int, prefix: np.ndarray | None = None) -> np.ndarray:
+    """Stack ``[I, T, T^2, ...]`` with ``count`` entries.
+
+    A shorter ``prefix`` of the same stack is copied and continued with the
+    same sequential products, so a grown stack has the bits of a fresh one.
+    """
     d = mat.shape[0]
     out = np.empty((count, d, d), dtype=complex)
-    out[0] = np.eye(d)
-    for k in range(1, count):
+    if prefix is None:
+        out[0] = np.eye(d)
+        start = 1
+    else:
+        start = len(prefix)
+        out[:start] = prefix
+    for k in range(start, count):
         out[k] = out[k - 1] @ mat
     return out
 
 
-def hereditary_apply(coeffs: np.ndarray, t: Operator, x: np.ndarray) -> np.ndarray:
-    """One-variable hereditary sum ``sum_k coeffs[k] T^k X T*^k``."""
+def _hereditary_sum(
+    coeffs: np.ndarray, stacks: _OperatorStacks, x: np.ndarray | None
+) -> np.ndarray:
+    """``sum_k coeffs[k] T^k X T*^k`` over the stacks of ``T``; ``x=None`` means ``X = I``."""
     coeffs = np.asarray(coeffs, dtype=float)
     nz = np.nonzero(coeffs)[0]
     if nz.size == 0:
-        return np.zeros_like(x)
+        return np.zeros_like(stacks.op.mat if x is None else x)
     count = int(nz[-1]) + 1
-    powers = _power_stack(t.mat, count)
-    left = powers @ x
-    terms = left @ powers.conj().transpose(0, 2, 1)
+    if x is None:
+        terms = stacks.grams(count)
+    else:
+        powers = stacks.powers(count)
+        terms = (powers @ x) @ powers.conj().transpose(0, 2, 1)
     return np.tensordot(coeffs[:count], terms, axes=1)
+
+
+def hereditary_apply(coeffs: np.ndarray, t: Operator, x: np.ndarray) -> np.ndarray:
+    """One-variable hereditary sum ``sum_k coeffs[k] T^k X T*^k``.
+
+    This one-shot form builds the powers of ``T`` for this call alone; sums
+    over the entries of an :class:`OperatorTuple` read the tuple's stacks
+    through :func:`defect_series` instead.
+    """
+    return _hereditary_sum(coeffs, _OperatorStacks(t), x)
 
 
 def _nilpotency_order(t: Operator, cap: int) -> int | None:
@@ -180,11 +269,11 @@ def _nilpotency_order(t: Operator, cap: int) -> int | None:
     return None
 
 
-def _effective_degree(t: Operator, w: WeightSpec, cap: int) -> int:
-    """Truncation level for one variable: coefficient support or nilpotency."""
+def _effective_degree(t: OperatorTuple, i: int, w: WeightSpec, cap: int) -> int:
+    """Truncation level for variable ``i``: coefficient support or nilpotency."""
     cap = min(cap, w.max_terms or cap)
     support = w.inverse_support(cap)
-    nil = _nilpotency_order(t, min(cap, t.rows))
+    nil = t.nilpotency_order(i, min(cap, t.dim))
     deg = support if nil is None else min(support, nil)
     return max(1, min(deg, cap))
 
@@ -227,7 +316,7 @@ def _resolve_degrees(
     t: OperatorTuple, w: MultiWeightSpec, degrees, cap: int = DEGREE_CAP
 ) -> tuple[int, ...]:
     if degrees is None:
-        return tuple(_effective_degree(t[i], w[i], cap) for i in range(t.n))
+        return tuple(_effective_degree(t, i, w[i], cap) for i in range(t.n))
     return _normalize_degrees(degrees, t.n)
 
 
@@ -241,15 +330,20 @@ def defect_series(
     r,
     degrees: Sequence[int] | int | None = None,
 ) -> Operator:
-    """Finite hereditary sum ``sum_{a < degrees} c_a r^a T^a T*^a`` (Hermitian)."""
+    """Finite hereditary sum ``sum_{a < degrees} c_a r^a T^a T*^a`` (Hermitian).
+
+    The nesting runs from the last variable, whose level is a weighted sum of
+    the tuple's Gram stack, outwards through the tuple's power stacks; the
+    result equals nesting :func:`hereditary_apply` from ``X = I`` bit for bit.
+    """
     if w.n != t.n:
         raise ArityMismatch(f"weight arity {w.n} != tuple arity {t.n}")
     point = _normalize_point(r, t.n)
     degs = _resolve_degrees(t, w, degrees)
-    x = np.eye(t.dim, dtype=complex)
+    x = None
     for i in reversed(range(t.n)):
         coeffs = w[i].inverse_coeffs(degs[i]) * point[i] ** np.arange(degs[i])
-        x = hereditary_apply(coeffs, t[i], x)
+        x = _hereditary_sum(coeffs, t._stacks[i], x)
     return Operator(0.5 * (x + x.conj().T))
 
 

@@ -239,11 +239,7 @@ def derive_coincidence_transports(
     """
     t2 = Operator(u.mat @ cf1.t.mat @ u.mat.conj().T)
     cf2 = cf_mod.char_function(t2, cf1.omega, cf1.n_terms)
-    from .dilation import _defect_sqrt_pieces
-
-    _, basis1, _ = _defect_sqrt_pieces(cf1.t, cf1.omega, 1e-9)
-    _, basis2, _ = _defect_sqrt_pieces(t2, cf1.omega, 1e-9)
-    tau_star = Operator(basis2.mat.conj().T @ u.mat @ basis1.mat)
+    tau_star = Operator(cf2.defect_basis.mat.conj().T @ u.mat @ cf1.defect_basis.mat)
     transported = cf_mod.CharTriple(
         cf1.triple.e_dim,
         Operator(u.mat @ cf1.triple.b.mat),
@@ -259,7 +255,7 @@ def run_charfn(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
     omega = case.weights[0]
     op = t[0]
     cf = cf_mod.char_function(op, omega)
-    c = cf_mod.contraction_C(op, omega, cf.n_terms)
+    c = cf.column_map
     # block unitarity of [[T*, B], [C, D]]
     big = np.block([
         [op.H.mat, cf.triple.b.mat],

@@ -1,11 +1,12 @@
 """Characteristic triples, functions, and their identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from wberg.bergman import TruncatedSpace, multiplier_matrix
 from wberg.charfn import (
-    CharFunction,
     CharTriple,
     build_char_triple,
     char_function,
@@ -94,6 +95,13 @@ def test_contraction_identity_on_nilpotent_jordan():
 def test_contraction_rejects_non_pure():
     with pytest.raises(NotPure):
         contraction_C(commuting_unitaries(3, 2, 1)[0], HARDY, 8)
+
+
+@pytest.mark.parametrize("fn", [contraction_C, build_char_triple, char_function])
+@pytest.mark.parametrize("n_terms", [0, -1])
+def test_term_count_below_one_is_rejected(fn, n_terms):
+    with pytest.raises(ValueError, match="n_terms"):
+        fn(Operator([[0.0]]), HARDY, n_terms)
 
 
 def test_contraction_norm_identity_random_family():
@@ -270,7 +278,7 @@ def test_partial_isometry_matches_dense_multiplier(op, spec):
         Operator(b + 0.3 * rng.standard_normal(b.shape)),
         tuple(Operator(1.2 * blk.mat) for blk in cf.triple.d_blocks),
     )
-    bad = CharFunction(cf.t, cf.omega, cf.n_terms, noisy, cf.defect_min)
+    bad = dataclasses.replace(cf, triple=noisy)
     got = partial_isometry_check(bad)
     ref = dense_partial_isometry_residuals(bad)
     for key in ("partial_isometry", "range_orthogonality"):
@@ -317,3 +325,22 @@ def test_coincidence_detects_perturbation():
     wrong = ru(4242, tau.rows)
     ok, res = coincidence_verify(cf, cf2, wrong, tau_star, [0.3], tol=1e-9)
     assert not ok and res > 1e-3
+
+
+def test_run_charfn_computes_each_defect_once(monkeypatch):
+    # one defect limit for T and one for U T U*: the characteristic data
+    # carry the defect coordinates, their basis and the column map
+    import wberg.dilation as dilation
+    from wberg.config import parse_case
+    from wberg.corpus import corpus_cases
+    from wberg.pipelines import run_charfn
+
+    calls = []
+    original = dilation.defect_limit
+    monkeypatch.setattr(dilation, "defect_limit",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    data = next(c for c in corpus_cases() if c["name"] == "charfn-nilpotent-bergman2")
+    case = parse_case(data, name=data["name"])
+    ok, report = run_charfn(case, case.build_tuple(None))
+    assert ok and report["coincidence"]
+    assert len(calls) == 2

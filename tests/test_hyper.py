@@ -16,13 +16,17 @@ from wberg.generators import (
     unitary_times_nilpotent,
 )
 from wberg.hyper import (
+    DEGREE_CAP,
     OperatorTuple,
+    _nilpotency_order,
+    _power_stack,
     two_parameter_monotonicity_check,
     defect_limit,
     defect_operator,
     defect_series,
     delta_power,
     equivalence_crosscheck,
+    hereditary_apply,
     is_gamma_contractive,
     is_omega_hypercontraction,
     is_pure,
@@ -118,6 +122,108 @@ def test_defect_series_rejects_bad_cutoffs():
         defect_series(t, w, (0.5, 0.5), 0)
     with pytest.raises(ArityMismatch):
         defect_series(t, w, (0.5, 0.5), (4,))
+
+
+# ---------------------------------------------------------------------------
+# shared power and Gram stacks
+# ---------------------------------------------------------------------------
+
+EXPLICIT = WeightSpec.from_values([1.0, 0.5, 0.25, 0.125, 0.0625])
+
+
+def _reference_degrees(t, w):
+    """Cutoffs as the one-shot route chose them: support, else a fresh nilpotency scan."""
+    degs = []
+    for i in range(t.n):
+        cap = min(DEGREE_CAP, w[i].max_terms or DEGREE_CAP)
+        nil = _nilpotency_order(t[i], min(cap, t.dim))
+        support = w[i].inverse_support(cap)
+        degs.append(max(1, min(support if nil is None else min(support, nil), cap)))
+    return degs
+
+
+def _reference_defect_series(t, w, point, degs):
+    """Nest the public one-shot ``hereditary_apply`` from ``X = I``."""
+    x = np.eye(t.dim, dtype=complex)
+    for i in reversed(range(t.n)):
+        coeffs = w[i].inverse_coeffs(degs[i]) * point[i] ** np.arange(degs[i])
+        x = hereditary_apply(coeffs, t[i], x)
+    return 0.5 * (x + x.conj().T)
+
+
+@pytest.mark.parametrize("kind", ["nilpotent", "random"])
+@pytest.mark.parametrize("spec", [HARDY, B2, WeightSpec.bergman(1.5), EXPLICIT],
+                         ids=["hardy", "bergman2", "bergman1.5", "explicit"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_defect_series_equals_hereditary_nesting(n, spec, kind):
+    if kind == "nilpotent":
+        t = nilpotent_commuting_tuple(40 + n, 4, n, radius=0.6)
+    else:
+        t = random_commuting_contractions(50 + n, 4, n, radius=0.8)
+    w = MultiWeightSpec(tuple(spec for _ in range(n)))
+    # one tuple serves every member, point and the vertex, so the later
+    # sums read stacks that earlier sums grew
+    for _, member in w.swap_family():
+        degs = _reference_degrees(t, member)
+        for point in [(0.5,) * n, (0.9,) * n, tuple(0.3 + 0.2 * i for i in range(n))]:
+            got = defect_series(t, member, point).mat
+            assert np.array_equal(got, _reference_defect_series(t, member, point, degs))
+        vertex = _reference_defect_series(t, member, (1.0,) * n, degs)
+        assert np.array_equal(defect_limit(t, member).limit.mat, vertex)
+        assert np.array_equal(defect_series(t, member, (1.0,) * n).mat, vertex)
+
+
+def test_stacks_are_prefix_stable():
+    t = random_commuting_contractions(61, 5, 2, radius=0.9)
+    fresh = OperatorTuple(t.ops)
+    short = t.power_stack(0, 8).copy()
+    long = t.power_stack(0, 256)
+    assert np.array_equal(short, _power_stack(t[0].mat, 8))
+    assert np.array_equal(long, _power_stack(t[0].mat, 256))
+    assert np.array_equal(t.power_stack(0, 8), short)
+    g_short = t.gram_stack(1, 8).copy()
+    g_long = t.gram_stack(1, 256)
+    p = _power_stack(t[1].mat, 256)
+    assert np.array_equal(g_long, p @ p.conj().transpose(0, 2, 1))
+    assert np.array_equal(g_short, fresh.gram_stack(1, 8))
+    assert np.array_equal(t.gram_stack(1, 8), g_short)
+    assert np.array_equal(fresh.gram_stack(1, 256), g_long)
+
+
+def test_stacks_are_read_only():
+    t = random_commuting_contractions(62, 3, 1, radius=0.5)
+    for stack in (t.power_stack(0, 4), t.gram_stack(0, 4)):
+        with pytest.raises(ValueError):
+            stack[1] = 0.0
+
+
+def test_subtuple_reads_the_stack_of_its_own_entries():
+    t = random_commuting_contractions(63, 4, 2, radius=0.8)
+    parent_stack = t.power_stack(1, 6)
+    sub = subtuple(t, (1,))
+    assert np.array_equal(sub.power_stack(0, 6), _power_stack(t[1].mat, 6))
+    assert np.shares_memory(sub.power_stack(0, 6), parent_stack)
+    assert not np.array_equal(sub.power_stack(0, 6), t.power_stack(0, 6))
+    p = _power_stack(t[1].mat, 6)
+    assert np.array_equal(sub.gram_stack(0, 6), p @ p.conj().transpose(0, 2, 1))
+
+
+def test_nilpotency_order_is_scanned_once_per_variable(monkeypatch):
+    import wberg.hyper as hyper
+
+    t = nilpotent_commuting_tuple(64, 5, 2, radius=0.5)
+    for cap in (2, 5, 3, 8):
+        for i in range(t.n):
+            assert t.nilpotency_order(i, cap) == _nilpotency_order(t[i], cap)
+    calls = []
+    original = hyper._nilpotency_order
+    monkeypatch.setattr(hyper, "_nilpotency_order",
+                        lambda op, cap: calls.append(cap) or original(op, cap))
+    t = random_commuting_contractions(65, 6, 2, radius=0.5)
+    is_W_hypercontraction(t, MultiWeightSpec.parse("bergman:2,hardy"))
+    assert calls == [t.dim, t.dim]
+    # the scan keeps no powers: only the sums, of at most 3 terms, grew the stacks
+    assert [len(t.power_stack(i, 1).base) for i in range(t.n)] == [3, 2]
 
 
 # ---------------------------------------------------------------------------

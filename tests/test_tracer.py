@@ -47,3 +47,32 @@ def test_tracer_records_dilation_and_charfn_spans():
     from wberg import hyper
 
     assert not hasattr(hyper.defect_limit, "__wrapped__")
+
+
+def test_tracer_records_hereditary_spans():
+    import numpy as np
+
+    from wberg import hyper
+
+    tracer = _load_tracer()()
+    data = {"name": "fractional-random-pair", "weights": "bergman:1.5,bergman:2.5",
+            "tuple": "random-contraction:3:4:2:0.3", "run": ["check"]}
+    case = parse_case(data, name=data["name"])
+    t = case.build_tuple(None)
+    tracer.install()
+    try:
+        ok, _ = run_case(case)
+        # the one-shot sum keeps its signature: the tracer reads `args[1].mat`
+        coeffs = np.array([1.0, -0.5, 0.25])
+        hyper.hereditary_apply(coeffs, t[0], np.eye(t.dim, dtype=complex))
+    finally:
+        tracer.uninstall()
+    assert ok
+    stats = tracer.stats
+    assert stats["hyper.is_W_hypercontraction"]["calls"] == 1
+    assert stats["hyper.is_W_hypercontraction"]["certificates"] > 0
+    assert stats["hyper.defect_series"]["calls"] > 0
+    # classification sums read the tuple's stacks, not the one-shot path
+    assert stats["hyper.hereditary_apply"]["calls"] == 1
+    assert stats["hyper.hereditary_apply"]["terms"] == 3
+    assert stats["hyper.hereditary_apply"]["flops"] > 0
