@@ -64,10 +64,12 @@ from .linalg import (
     adjoint,
     complete_to_unitary,
     douglas_solve,
+    hermitian_norm,
     kron,
     psd_check,
     psd_sqrt,
     range_basis,
+    threshold_norm,
 )
 from .series import (
     MultiWeightSpec,

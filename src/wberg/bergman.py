@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegreeOverflow, KernelConsistencyWarning, OutsideDisc
 from .hyper import OperatorTuple, defect_series, tail_operator
-from .linalg import Operator
+from .linalg import Operator, hermitian_norm, threshold_norm
 from .series import MultiWeightSpec, _normalize_degrees, _normalize_grid, quotient_coeffs
 
 __all__ = [
@@ -320,13 +320,13 @@ def multishift_purity_and_positivity(
                 got = diag[idx * space.coeff_dim + p]
                 max_resid = max(max_resid, abs(got - expected))
         off = ds.mat - np.diag(np.diag(ds.mat))
-        max_resid = max(max_resid, float(np.linalg.norm(off, 2)))
+        max_resid = max(max_resid, hermitian_norm(off))
     pure = all(
         not np.any(np.linalg.matrix_power(s.mat, space.degrees[i]))
         for i, s in enumerate(shifts)
     )
     if not pure:  # fall back to the tail limit if exact nilpotency failed
-        pure = all(tail_operator(s).q.norm() <= tol for s in shifts)
+        pure = all(threshold_norm(tail_operator(s).q.mat, tol) <= tol for s in shifts)
     return MultishiftReport(
         diagonal_ok=bool(max_resid <= tol),
         max_diagonal_residual=max_resid,

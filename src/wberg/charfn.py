@@ -32,7 +32,7 @@ import numpy as np
 from .dilation import _pure_horizon, _defect_sqrt_pieces
 from .errors import HorizonTooShort, NotPure, NotUnitaryInput
 from .hyper import _power_stack, is_pure
-from .linalg import Operator, as_operator, complete_to_unitary
+from .linalg import Operator, as_operator, complete_to_unitary, hermitian_norm
 from .series import WeightSpec
 
 __all__ = [
@@ -91,7 +91,8 @@ class CharFunction:
     """A characteristic triple bound to its operator, weight and truncation.
 
     It keeps the defect coordinates, their range basis and the column map
-    it was completed from, so nothing downstream recomputes the defect.
+    it was completed from, with the residual ``||I - C*C - T T*||`` that
+    certified the map, so nothing downstream recomputes either.
     """
 
     t: Operator
@@ -101,6 +102,7 @@ class CharFunction:
     defect_min: Operator  # H -> defect-space coordinates
     defect_basis: Operator  # columns span ran(D)
     column_map: Operator  # the stacked contraction C
+    column_identity: float  # ||I - C*C - T T*||
 
     @property
     def defect_dim(self) -> int:
@@ -138,8 +140,9 @@ def _resolve_terms(t: Operator, omega: WeightSpec, n_terms: int | None, tol: flo
 
 def _column_pieces(
     t: Operator, omega: WeightSpec, n_terms: int, tol: float
-) -> tuple[Operator, Operator, Operator]:
-    """Defect range basis, defect coordinates and column map of a pure ``T``."""
+) -> tuple[Operator, Operator, Operator, float]:
+    """Defect range basis, defect coordinates, column map of a pure ``T`` and
+    the residual of ``I - C*C = T T*``."""
     if not is_pure(t):
         raise NotPure("tail operator does not vanish; no characteristic function")
     _, basis, d_min = _defect_sqrt_pieces(t, omega, tol)
@@ -147,13 +150,13 @@ def _column_pieces(
     stars = _power_stack(t.mat.conj().T, n_terms)
     c = Operator(np.vstack([math.sqrt(rho[k]) * (d_min.mat @ stars[k]) for k in range(n_terms)]))
     gap = np.eye(t.rows) - (c.H @ c).mat - (t @ t.H).mat
-    res = float(np.linalg.norm(gap, 2))
+    res = hermitian_norm(gap)
     if res > tol * 10:
         raise HorizonTooShort(
             f"truncation loses column mass (identity residual {res:.3e}); "
             "increase the number of terms"
         )
-    return basis, d_min, c
+    return basis, d_min, c, res
 
 
 def contraction_C(
@@ -182,7 +185,7 @@ def char_function(
 ) -> CharFunction:
     t = as_operator(t)
     n_terms = _resolve_terms(t, omega, n_terms, tol)
-    basis, d_min, c = _column_pieces(t, omega, n_terms, tol)
+    basis, d_min, c, res = _column_pieces(t, omega, n_terms, tol)
     e_dim, y = complete_to_unitary(Operator(np.vstack([t.H.mat, c.mat])), tol)
     d = t.rows
     r = c.rows // n_terms
@@ -190,7 +193,7 @@ def char_function(
         Operator(y.mat[d + k * r: d + (k + 1) * r, :]) for k in range(n_terms)
     )
     triple = CharTriple(e_dim, Operator(y.mat[:d, :]), blocks)
-    return CharFunction(t, omega, n_terms, triple, d_min, basis, c)
+    return CharFunction(t, omega, n_terms, triple, d_min, basis, c, res)
 
 
 def kernel_poly(omega: WeightSpec, z: complex, powers: np.ndarray) -> np.ndarray:
@@ -200,7 +203,11 @@ def kernel_poly(omega: WeightSpec, z: complex, powers: np.ndarray) -> np.ndarray
 
 
 def _kernel_scalar(omega: WeightSpec, x: complex, cap: int = 4096) -> complex:
-    """Scalar kernel value ``sum_n x^n / w_n`` summed to machine convergence."""
+    """Scalar kernel value ``sum_n x^n / w_n`` summed to machine convergence.
+
+    Raises :class:`HorizonTooShort` when ``cap`` terms do not converge, as
+    they do not for ``|x|`` close to 1, instead of returning a partial sum.
+    """
     total = 0.0 + 0.0j
     block = 64
     n0 = 0
@@ -210,9 +217,11 @@ def _kernel_scalar(omega: WeightSpec, x: complex, cap: int = 4096) -> complex:
         chunk = np.sum(inv_w * powers)
         total += chunk
         if abs(chunk) < 1e-18 * max(1.0, abs(total)):
-            break
+            return complex(total)
         n0 += block
-    return complex(total)
+    raise HorizonTooShort(
+        f"scalar kernel at |x| = {abs(x):.6g} has not converged after {n0} terms"
+    )
 
 
 def char_function_eval(cf: CharFunction, z: complex) -> Operator:
@@ -226,26 +235,41 @@ def char_function_eval(cf: CharFunction, z: complex) -> Operator:
     return Operator(out)
 
 
-def key_identity_check(cf: CharFunction, zeta: complex, eta: complex) -> float:
-    """Residual of the kernel identity tying the function to the defect.
+def key_identity_check(
+    cf: CharFunction, zetas: Sequence[complex], etas: Sequence[complex]
+) -> float:
+    """Largest residual of the kernel identity over all pairs ``(zeta, eta)``.
 
     ``K(eta, zeta) I - theta(eta) theta(zeta)* / (1 - eta conj(zeta))``
     must equal ``D K(eta, T*) K(conj(zeta), T) D`` in the defect coordinates,
-    where ``K(conj(zeta), T) = K(zeta, T*)*``.
+    where ``K(conj(zeta), T) = K(zeta, T*)*``.  ``theta`` and ``K(., T*)`` are
+    evaluated once per distinct point of ``zetas`` and ``etas``; each pair
+    then costs a few products of defect-sized matrices.  A single pair is
+    checked by passing one-element lists.
     """
-    zeta, eta = complex(zeta), complex(eta)
-    if abs(zeta) >= 1.0 or abs(eta) >= 1.0:
+    zetas = [complex(z) for z in zetas]
+    etas = [complex(e) for e in etas]
+    if any(abs(p) >= 1.0 for p in zetas + etas):
         raise ValueError("evaluation points must lie in the open disc")
     r = cf.defect_dim
-    k_scalar = _kernel_scalar(cf.omega, eta * np.conj(zeta))
-    th_eta = char_function_eval(cf, eta).mat
-    th_zeta = char_function_eval(cf, zeta).mat
-    lhs = k_scalar * np.eye(r) - (th_eta @ th_zeta.conj().T) / (1.0 - eta * np.conj(zeta))
-    k_left = kernel_poly(cf.omega, eta, cf.star_powers)
-    k_right = kernel_poly(cf.omega, zeta, cf.star_powers).conj().T
+    if not r:
+        return 0.0
+    points = dict.fromkeys(zetas + etas)
+    theta = {p: char_function_eval(cf, p).mat for p in points}
+    kernel = {p: kernel_poly(cf.omega, p, cf.star_powers) for p in points}
     dmin = cf.defect_min.mat
-    rhs = dmin @ k_left @ k_right @ dmin.conj().T
-    return float(np.linalg.norm(lhs - rhs, 2)) if r else 0.0
+    eye = np.eye(r)
+    worst = 0.0
+    for zeta in zetas:
+        th_zeta_adj = theta[zeta].conj().T
+        k_right = kernel[zeta].conj().T
+        for eta in etas:
+            x = eta * np.conj(zeta)
+            k_scalar = _kernel_scalar(cf.omega, x)
+            lhs = k_scalar * eye - (theta[eta] @ th_zeta_adj) / (1.0 - x)
+            rhs = dmin @ kernel[eta] @ k_right @ dmin.conj().T
+            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
+    return worst
 
 
 def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
@@ -272,7 +296,7 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
     rows = cf.defect_min.mat @ cf.star_powers
     pi = (rows / sqrt_w.reshape(n, r, 1)).reshape(n * r, -1)
     total = pi @ pi.conj().T + mm
-    res = float(np.linalg.norm(total - np.eye(n * r), 2)) if n * r else 0.0
+    res = hermitian_norm(total - np.eye(n * r))
     adj = rows.conj().transpose(0, 2, 1)
     cross = np.concatenate(
         [np.tensordot(adj[a:], theta[:n - a], axes=([0, 2], [0, 1])) for a in range(n)], axis=1
@@ -291,7 +315,7 @@ def uniqueness_unitary(t1: CharTriple, t2: CharTriple, tol: float = CHAR_TOL) ->
     y1 = np.vstack([t1.b.mat, t1.d_stack.mat])
     y2 = np.vstack([t2.b.mat, t2.d_stack.mat])
     u = y1.conj().T @ y2
-    res = float(np.linalg.norm(u.conj().T @ u - np.eye(t2.e_dim), 2)) if t2.e_dim else 0.0
+    res = hermitian_norm(u.conj().T @ u - np.eye(t2.e_dim))
     if res > tol * 10:
         raise NotUnitaryInput(f"triples are not related by a unitary (residual {res:.3e})")
     return Operator(u)
@@ -311,7 +335,7 @@ def coincidence_verify(
     for u in (tau, tau_star):
         if u.rows != u.cols:
             raise NotUnitaryInput("coincidence unitaries must be square")
-        if u.rows and float(np.linalg.norm((u.H @ u).mat - np.eye(u.cols), 2)) > tol * 10:
+        if hermitian_norm((u.H @ u).mat - np.eye(u.cols)) > tol * 10:
             raise NotUnitaryInput("coincidence transports must be unitary")
     worst = 0.0
     for z in z_grid:

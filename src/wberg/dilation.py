@@ -52,6 +52,7 @@ from .linalg import (
     Operator,
     as_operator,
     douglas_solve,
+    hermitian_norm,
     psd_root_pieces,
 )
 from .series import MultiWeightSpec, WeightSpec, _normalize_degrees
@@ -236,9 +237,9 @@ def one_var_dilation(
     model_op = Operator(_block_diag([mz.mat, u.mat]))
     eye = np.eye(t.rows)
     gram = full_map.H @ full_map
-    iso_res = _opnorm(gram.mat - eye)
+    iso_res = hermitian_norm(gram.mat - eye)
     inter_res = (full_map @ t.H - model_op.H @ full_map).norm()
-    u_coiso = _opnorm((u @ u.H).mat - np.eye(rq)) if rq else 0.0
+    u_coiso = hermitian_norm((u @ u.H).mat - np.eye(rq))
     omega_iso = float(np.max(np.abs(np.diag(gram.mat - eye)))) if t.rows else 0.0
     if iso_res > iso_tol:
         raise IsometryResidualTooLarge(
@@ -409,7 +410,7 @@ def pure_dilation(
     pi = Operator(np.vstack(rows)) if rows else Operator(np.zeros((0, t.dim)))
     model_ops = [shift_matrix(space, i) for i in range(t.n)]
     eye = np.eye(t.dim)
-    residuals = {"isometry": _opnorm((pi.H @ pi).mat - eye)}
+    residuals = {"isometry": hermitian_norm((pi.H @ pi).mat - eye)}
     for i in range(t.n):
         residuals[f"intertwining_{i}"] = (pi @ t[i].H - model_ops[i].H @ pi).norm()
         residuals[f"compression_{i}"] = (pi.H @ model_ops[i] @ pi - t[i]).norm()
@@ -462,8 +463,8 @@ def _recursive_blocks(
     for lam, delta, v in x_blocks:
         gram = delta.conj().T @ delta
         moved = u @ gram @ u.conj().T
-        cond = _opnorm(moved - gram)
-        scale = max(1.0, _opnorm(gram))
+        cond = hermitian_norm(moved - gram)
+        scale = max(1.0, hermitian_norm(gram))
         key = "lift_condition_" + "_".join(str(i) for i in (lab1,) + lam) if lam else f"lift_condition_{lab1}"
         diagnostics[key] = cond
         if cond > tol * 100 * scale:
@@ -574,7 +575,7 @@ def general_model(
     model_ops = [Operator(_block_diag(parts)) for parts in op_parts]
     eye = np.eye(t.dim)
     residuals = dict(diagnostics)
-    residuals["isometry"] = _opnorm((pi.H @ pi).mat - eye)
+    residuals["isometry"] = hermitian_norm((pi.H @ pi).mat - eye)
     for i in range(t.n):
         residuals[f"intertwining_{i}"] = (pi @ t[i].H - model_ops[i].H @ pi).norm()
         residuals[f"model_norm_{i}"] = model_norms[i]
@@ -582,7 +583,7 @@ def general_model(
         tag = "_".join(str(i) for i in block.lam) if block.lam else "empty"
         gram = (block.delta.H @ block.delta).mat
         brute = _double_limit(t, w, block.lam, degs, tol)
-        residuals[f"delta_formula_{tag}"] = _opnorm(gram - brute)
+        residuals[f"delta_formula_{tag}"] = hermitian_norm(gram - brute)
         worst_int = 0.0
         worst_co = 0.0
         for i in range(t.n):
@@ -595,7 +596,7 @@ def general_model(
             if block.e_dim:
                 worst_co = max(
                     worst_co,
-                    _opnorm((vi @ vi.H).mat - np.eye(block.e_dim)),
+                    hermitian_norm((vi @ vi.H).mat - np.eye(block.e_dim)),
                 )
         residuals[f"delta_intertwine_{tag}"] = worst_int
         residuals[f"v_coisometry_{tag}"] = worst_co
@@ -653,10 +654,10 @@ def model_colift(
         delta = block.delta.mat
         gram = delta.conj().T @ delta
         moved = v.mat @ gram @ v.mat.conj().T
-        cond = _opnorm(moved - gram)
+        cond = hermitian_norm(moved - gram)
         tag = "_".join(str(i) for i in block.lam) if block.lam else "empty"
         residuals[f"lift_condition_{tag}"] = cond
-        if cond > tol * 100 * max(1.0, _opnorm(gram)):
+        if cond > tol * 100 * max(1.0, hermitian_norm(gram)):
             raise LiftConditionFailed(block.lam, cond)
         if block.e_dim == 0:
             w_lam = np.zeros((0, 0), dtype=complex)
@@ -719,7 +720,7 @@ def transport_identities_check(
     lhs_i = d_full.mat @ lifted @ d_full.mat
     enlarged = (0,) + lam
     rhs_i = defect_limit(_sub(t, enlarged), w.subset(enlarged), tol=tol).limit.mat
-    res_i = _opnorm(lhs_i - rhs_i)
+    res_i = hermitian_norm(lhs_i - rhs_i)
 
     # (ii): tail-side identity
     if lam:
@@ -737,5 +738,5 @@ def transport_identities_check(
         sub_defect = Operator.identity(t.dim)
     lhs_ii = q_full.mat @ lifted_x @ q_full.mat
     rhs_ii, _, _ = conjugation_limit(sub_defect, t[0], tol)
-    res_ii = _opnorm(lhs_ii - rhs_ii.mat)
+    res_ii = hermitian_norm(lhs_ii - rhs_ii.mat)
     return res_i, res_ii

@@ -39,7 +39,14 @@ from .errors import (
     NotPsd,
     SeriesTailTooLarge,
 )
-from .linalg import Operator, as_operator, psd_check, psd_sqrt
+from .linalg import (
+    Operator,
+    as_operator,
+    hermitian_norm,
+    psd_check,
+    psd_sqrt,
+    threshold_norm,
+)
 from .series import MultiWeightSpec, WeightSpec, _normalize_degrees, _normalize_point
 
 __all__ = [
@@ -93,15 +100,17 @@ class _OperatorStacks:
 
     Both stacks only ever grow, and a request returns a read-only prefix, so
     a short request after a long one gives the bits of a fresh build.  The
-    nilpotency order is cached with the depth it was scanned to.
+    nilpotency order is cached with the depth it was scanned to, and the
+    norm of each power asked for by exponent.
     """
 
-    __slots__ = ("op", "_powers", "_grams", "_nil")
+    __slots__ = ("op", "_powers", "_grams", "_nil", "_power_norms")
 
     def __init__(self, op: Operator) -> None:
         self.op = op
         self._powers = self._grams = None
         self._nil: tuple[int, int | None] = (0, None)
+        self._power_norms: dict[int, float] = {}
 
     def powers(self, count: int) -> np.ndarray:
         """``[I, T, ..., T^(count-1)]``."""
@@ -128,6 +137,12 @@ class _OperatorStacks:
             self._nil = (cap, order)
         return order if order is not None and order <= cap else None
 
+    def power_norm(self, k: int) -> float:
+        """``||T^k||``, computed once per exponent."""
+        if k not in self._power_norms:
+            self._power_norms[k] = self.op.power(k).norm()
+        return self._power_norms[k]
+
 
 @dataclass(frozen=True)
 class OperatorTuple:
@@ -148,15 +163,16 @@ class OperatorTuple:
         object.__setattr__(self, "ops", tuple(as_operator(t) for t in self.ops))
         object.__setattr__(self, "_stacks", tuple(_OperatorStacks(t) for t in self.ops))
         d = self.ops[0].rows
+        bound = 1.0 + self.commutation_tol
         for t in self.ops:
             if not t.is_square or t.rows != d:
                 raise ArityMismatch("tuple entries must be square on a shared space")
-            if t.norm() > 1.0 + self.commutation_tol:
+            if threshold_norm(t.mat, bound) > bound:
                 raise NotContractive(f"entry norm {t.norm():.6f} exceeds 1")
         for i in range(len(self.ops)):
             for j in range(i + 1, len(self.ops)):
                 comm = self.ops[i] @ self.ops[j] - self.ops[j] @ self.ops[i]
-                if comm.norm() > self.commutation_tol:
+                if threshold_norm(comm.mat, self.commutation_tol) > self.commutation_tol:
                     raise NotCommuting(
                         f"entries {i} and {j} fail to commute (norm {comm.norm():.3e})"
                     )
@@ -291,7 +307,7 @@ def _tail_estimate(
         deg = min(degrees[i], cap_i)
         # power norms of contractions decrease, so any exponent <= deg bounds
         # the dropped terms; 64 is deep enough to see strict-contraction decay
-        pk = t[i].power(min(deg, max(t.dim, 64))).norm() if deg > 0 else 1.0
+        pk = t._stacks[i].power_norm(min(deg, max(t.dim, 64))) if deg > 0 else 1.0
         tail = float(np.sum(weighted[deg:])) * pk**2
         if w[i].inverse_support(cap_i) >= cap_i and cap_i > 1:
             tail += float(weighted[-1]) * cap_i * pk**2  # crude remainder beyond the cap
@@ -419,7 +435,7 @@ def conjugation_limit(
         m = m @ m
         cur = m @ s.mat @ m.conj().T
         steps += 1
-        if float(np.linalg.norm(cur - prev, 2)) < tol:
+        if threshold_norm(cur - prev, tol) < tol:
             return Operator(0.5 * (cur + cur.conj().T)), True, steps
         prev = cur
     return Operator(0.5 * (prev + prev.conj().T)), False, steps
@@ -436,7 +452,8 @@ class TailResult:
 def tail_operator(t: Operator, tol: float = LIMIT_TOL, max_doublings: int = 60) -> TailResult:
     """PSD square root of ``lim_k T^k T*^k`` (zero exactly for pure contractions)."""
     t = as_operator(t)
-    if t.norm() > 1.0 + max(tol, COMMUTATION_TOL):
+    bound = 1.0 + max(tol, COMMUTATION_TOL)
+    if threshold_norm(t.mat, bound) > bound:
         raise NotContractive(f"tail operator needs a contraction, norm {t.norm():.6f}")
     limit, converged, steps = conjugation_limit(Operator.identity(t.rows), t, tol, max_doublings)
     q = psd_sqrt(limit, max(tol, POSITIVITY_TOL))
@@ -448,7 +465,7 @@ def is_pure(t: OperatorTuple | Operator, tol: float = LIMIT_TOL, max_doublings: 
     ops = t.ops if isinstance(t, OperatorTuple) else (as_operator(t),)
     for op in ops:
         limit, _, _ = conjugation_limit(Operator.identity(op.rows), op, tol, max_doublings)
-        if limit.norm() > tol:
+        if threshold_norm(limit.mat, tol) > tol:
             return False
     return True
 
@@ -627,7 +644,7 @@ def delta_power(
             b_tail = 1.0 - float(np.sum(bk))
             pk = np.linalg.matrix_power(ti, n_series)
             last = pk @ mat @ pk.conj().T
-            est = abs(b_tail) * float(np.linalg.norm(last, 2))
+            est = abs(b_tail) * hermitian_norm(last)
             if est > tol:
                 warnings.warn(
                     f"fractional-power tail estimate {est:.3e} exceeds {tol:.1e}",

@@ -10,6 +10,14 @@ isometry to a unitary.
 Hermitian eigendecomposition is the single spectral primitive for square
 roots; SVD handles ranges and a complete QR handles completions.  Rank decisions use the relative
 threshold ``sigma <= tol * sigma_max`` with ``tol = 1e-9`` by default.
+
+Norms have two primitives besides the SVD norm of :meth:`Operator.norm`:
+:func:`hermitian_norm` reads the norm of a Hermitian matrix (every reported
+residual of a Gram or projector identity) off its extreme eigenvalues, and
+:func:`threshold_norm` decides ``||M|| < bound`` style tests from the
+Frobenius norm, falling back to the SVD only when ``F / sqrt(min(shape)) <=
+bound <= F`` leaves the answer open.  Its value only serves comparisons with
+``bound`` and is never reported.
 """
 
 from __future__ import annotations
@@ -30,10 +38,55 @@ __all__ = [
     "complete_to_unitary",
     "kron",
     "range_basis",
+    "hermitian_norm",
+    "threshold_norm",
     "RANK_TOL",
 ]
 
 RANK_TOL = 1e-9
+
+# Relative slack, per unit of the smaller dimension, between a computed
+# Frobenius bound and ``bound`` before threshold_norm trusts it, so that a
+# comparison that rounding in F could tip goes to the SVD instead.
+_FRO_SLACK = 16 * np.finfo(float).eps
+
+
+def hermitian_norm(h: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix, ``max(|lambda_min|, |lambda_max|)``.
+
+    The matrix is symmetrized first, as :func:`psd_check` does, so rounding
+    that breaks exact hermiticity does not reach the eigensolver.  Backward
+    stability of ``eigvalsh`` puts the value within ``O(n eps ||H||)`` of the
+    SVD norm at a fraction of its cost.
+    """
+    if h.size == 0:
+        return 0.0
+    sym = h + h.conj().T
+    sym *= 0.5
+    eigs = np.linalg.eigvalsh(sym)
+    return float(max(abs(eigs[0]), abs(eigs[-1])))
+
+
+def threshold_norm(mat: np.ndarray, bound: float) -> float:
+    """A value that compares with ``bound`` exactly as the spectral norm does.
+
+    With ``F`` the Frobenius norm and ``k = min(shape)``,
+    ``F / sqrt(k) <= ||M|| <= F``.  So ``F`` is returned when it is already
+    below ``bound``, ``F / sqrt(k)`` when that is already above it, and the
+    SVD norm only in the window between.  Callers keep their own ``<``,
+    ``<=`` or ``>``; the value is a decision aid, not a reported residual.
+    """
+    if mat.size == 0:
+        return 0.0
+    k = min(mat.shape)
+    slack = _FRO_SLACK * k
+    fro = float(np.linalg.norm(mat))
+    if fro * (1.0 + slack) < bound:
+        return fro
+    low = fro / np.sqrt(k)
+    if low * (1.0 - slack) > bound:
+        return low
+    return float(np.linalg.norm(mat, 2))
 
 
 class Operator:
@@ -113,8 +166,13 @@ class Operator:
         return float(np.linalg.norm(self.mat, 2))
 
     def is_hermitian(self, tol: float) -> bool:
-        diff = np.linalg.norm(self.mat - self.mat.conj().T, 2) if self.mat.size else 0.0
-        return diff <= tol * max(1.0, self.norm())
+        """``||A - A*|| <= tol * max(1, ||A||)``; ``||A||`` is taken only when
+        the skew part is not already within ``tol``."""
+        skew = self.mat - self.mat.conj().T
+        if threshold_norm(skew, tol) <= tol:
+            return True
+        bound = tol * max(1.0, self.norm())
+        return threshold_norm(skew, bound) <= bound
 
     def to_dict(self) -> dict:
         return {
@@ -202,7 +260,7 @@ def douglas_solve(g: Operator, f: Operator, tol: float = RANK_TOL) -> Operator:
     gram_g = g.mat.conj().T @ g.mat
     gram_f = f.mat.conj().T @ f.mat
     gap = gram_g - gram_f
-    scale = max(1.0, float(np.linalg.norm(gram_g, 2)) if gram_g.size else 0.0)
+    scale = max(1.0, hermitian_norm(gram_g))
     if gap.size:
         min_eig = float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))[0])
         if min_eig < -tol * scale:
@@ -226,10 +284,9 @@ def complete_to_unitary(x: Operator, tol: float = RANK_TOL) -> tuple[int, Operat
     if x.rows < x.cols:
         raise NotIsometry("isometry must not decrease dimension")
     gram = x.mat.conj().T @ x.mat
-    if gram.size:
-        res = float(np.linalg.norm(gram - np.eye(x.cols), 2))
-        if res > tol:
-            raise NotIsometry(f"columns are not orthonormal (residual {res:.3e})")
+    res = hermitian_norm(gram - np.eye(x.cols))
+    if res > tol:
+        raise NotIsometry(f"columns are not orthonormal (residual {res:.3e})")
     e_dim = x.rows - x.cols
     if e_dim == 0:
         return 0, Operator(np.zeros((x.rows, 0), dtype=complex))

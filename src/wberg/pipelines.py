@@ -26,7 +26,7 @@ from .hyper import (
     is_W_hypercontraction,
     subtuple_inheritance_check,
 )
-from .linalg import Operator, psd_check, psd_sqrt
+from .linalg import Operator, hermitian_norm, psd_check, psd_sqrt
 from .series import (
     MultiWeightSpec,
     TruncatedSeries,
@@ -263,14 +263,12 @@ def run_charfn(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
     ])
     eye = np.eye(big.shape[0])
     unitarity = max(
-        float(np.linalg.norm(big @ big.conj().T - eye, 2)),
-        float(np.linalg.norm(big.conj().T @ big - eye, 2)),
+        hermitian_norm(big @ big.conj().T - eye),
+        hermitian_norm(big.conj().T @ big - eye),
     )
-    cc_res = float(np.linalg.norm(
-        np.eye(op.rows) - (c.H @ c).mat - (op @ op.H).mat, 2
-    ))
+    cc_res = cf.column_identity
     grid = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
-    key_res = max(cf_mod.key_identity_check(cf, z, w) for z in grid for w in grid[:5])
+    key_res = cf_mod.key_identity_check(cf, grid, grid[:5])
     pi_res = cf_mod.partial_isometry_check(cf)
     u = random_unitary(case.seed + 17, op.rows)
     cf2, tau, tau_star = derive_coincidence_transports(cf, u)

@@ -8,6 +8,7 @@ import pytest
 from wberg.bergman import TruncatedSpace, multiplier_matrix
 from wberg.charfn import (
     CharTriple,
+    _kernel_scalar,
     build_char_triple,
     char_function,
     char_function_eval,
@@ -19,10 +20,10 @@ from wberg.charfn import (
     rho_sequence,
     uniqueness_unitary,
 )
-from wberg.errors import NotPure, NotUnitaryInput
+from wberg.errors import HorizonTooShort, NotPure, NotUnitaryInput
 from wberg.generators import commuting_unitaries, nilpotent_commuting_tuple, random_unitary
 from wberg.hyper import _power_stack
-from wberg.linalg import Operator
+from wberg.linalg import Operator, hermitian_norm
 from wberg.pipelines import derive_coincidence_transports
 from wberg.series import MultiWeightSpec, WeightSpec
 
@@ -114,6 +115,15 @@ def test_contraction_norm_identity_random_family():
             assert c.norm() <= 1.0 + 1e-10
 
 
+def test_column_identity_is_kept_on_the_function():
+    t = nilpotent_commuting_tuple(9, 6, 1, radius=0.5)[0]
+    cf = char_function(t, B2, 12)
+    c = cf.column_map
+    gap = np.eye(6) - (c.H @ c).mat - (t @ t.H).mat
+    assert cf.column_identity == hermitian_norm(gap)
+    assert abs(cf.column_identity - opnorm(gap)) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # triples
 # ---------------------------------------------------------------------------
@@ -192,7 +202,7 @@ def test_kernel_poly_terminates_on_nilpotent():
 def test_key_identity_at_origin_is_first_column_unitarity():
     t = nilpotent_commuting_tuple(16, 5, 1, radius=0.5)[0]
     cf = char_function(t, B2)
-    assert key_identity_check(cf, 0.0, 0.0) < 1e-12
+    assert key_identity_check(cf, [0.0], [0.0]) < 1e-12
     # the identity at 0 reduces to I = D0 D0* + Dmin Dmin*
     d0 = cf.triple.d_blocks[0].mat
     lhs = np.eye(cf.defect_dim) - d0 @ d0.conj().T
@@ -205,14 +215,51 @@ def test_key_identity_on_grid(spec):
     t = nilpotent_commuting_tuple(18, 6, 1, radius=0.5)[0]
     cf = char_function(t, spec)
     pts = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
-    worst = max(key_identity_check(cf, z, w) for z in pts for w in pts[::6])
+    worst = key_identity_check(cf, pts, pts[::6])
     assert worst < 1e-9
 
 
 def test_key_identity_zero_operator_reduces_to_kernel_difference():
     cf = char_function(Operator([[0.0]]), B2, 24)
     for z in (0.3, 0.2 - 0.4j):
-        assert key_identity_check(cf, z, z) < 1e-10
+        assert key_identity_check(cf, [z], [z]) < 1e-10
+
+
+def test_key_identity_grid_is_the_max_over_single_pairs(monkeypatch):
+    import wberg.charfn as charfn
+
+    t = nilpotent_commuting_tuple(18, 6, 1, radius=0.5)[0]
+    cf = char_function(t, B2)
+    grid = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
+    single = max(key_identity_check(cf, [z], [w]) for z in grid for w in grid[:5])
+    evaluated = []
+    original = charfn.char_function_eval
+    monkeypatch.setattr(charfn, "char_function_eval",
+                        lambda f, z: evaluated.append(z) or original(f, z))
+    assert key_identity_check(cf, grid, grid[:5]) == single
+    # grid[:5] lies inside grid: 25 distinct points, each evaluated once
+    assert sorted(evaluated, key=lambda z: (z.real, z.imag)) == sorted(
+        grid, key=lambda z: (z.real, z.imag))
+
+
+def test_kernel_scalar_matches_the_closed_form():
+    for x in (0.0, 0.5, -0.3 + 0.4j, 0.9):
+        assert abs(_kernel_scalar(B2, x) - (1 - x) ** -2) <= 1e-12 * abs(1 - x) ** -2
+        assert abs(_kernel_scalar(HARDY, x) - 1 / (1 - x)) <= 1e-12 / abs(1 - x)
+
+
+@pytest.mark.parametrize("spec, x", [(B2, 0.999), (B2, 0.9999), (HARDY, 0.9999)])
+def test_kernel_scalar_refuses_a_truncated_sum(spec, x):
+    with pytest.raises(HorizonTooShort, match="not converged"):
+        _kernel_scalar(spec, x)
+
+
+def test_key_identity_near_the_circle_raises_instead_of_a_spurious_residual():
+    cf = char_function(Operator([[0.5]]), B2)
+    assert key_identity_check(cf, [0.5], [0.5]) < 1e-9
+    z = 0.999**0.5  # eta conj(zeta) = 0.999: the kernel sum needs ~30k terms
+    with pytest.raises(HorizonTooShort):
+        key_identity_check(cf, [z], [z])
 
 
 # ---------------------------------------------------------------------------

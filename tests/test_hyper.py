@@ -226,6 +226,24 @@ def test_nilpotency_order_is_scanned_once_per_variable(monkeypatch):
     assert [len(t.power_stack(i, 1).base) for i in range(t.n)] == [3, 2]
 
 
+def test_tail_estimate_takes_each_power_norm_once(monkeypatch):
+    t = random_commuting_contractions(66, 5, 2, radius=0.5)
+    w = MultiWeightSpec.parse("bergman:1.5,bergman:2.5")
+    fresh = defect_limit(OperatorTuple(t.ops), w).tail_estimate
+    calls = []
+    original = Operator.power
+    monkeypatch.setattr(Operator, "power",
+                        lambda op, k: calls.append((op, k)) or original(op, k))
+    for _ in range(2):
+        is_W_hypercontraction(t, w)
+        subtuple_inheritance_check(t, w, (1,))
+    assert defect_limit(t, w).tail_estimate == fresh
+    keys = [(next(i for i in range(t.n) if op is t[i]), k) for op, k in calls]
+    # one exponent per cutoff: the two-term swapped weights cut at 2, the
+    # non-integer betas run to the cap and take the norm of T^64
+    assert sorted(keys) == [(0, 2), (0, 64), (1, 2), (1, 64)]
+
+
 # ---------------------------------------------------------------------------
 # defect limits and operators
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ from wberg.linalg import (
     adjoint,
     complete_to_unitary,
     douglas_solve,
+    hermitian_norm,
     kron,
     psd_check,
     psd_root_pieces,
     psd_sqrt,
     range_basis,
+    threshold_norm,
 )
 
 
@@ -107,6 +109,105 @@ def test_psd_root_pieces_kills_noise_rank():
     root, basis = psd_root_pieces(Operator(noise))
     assert basis.cols == 0
     assert root.norm() < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# norm primitives
+# ---------------------------------------------------------------------------
+
+def _hermitian(seed, dim, scale=1.0):
+    m = random_matrix(seed, dim, dim)
+    return scale * (m + m.conj().T)
+
+
+def _near_isometry_residual(seed, rows, cols, noise):
+    q, _ = np.linalg.qr(random_matrix(seed, rows, cols))
+    x = q + noise * random_matrix(seed + 1, rows, cols)
+    return x.conj().T @ x - np.eye(cols)
+
+
+def _assert_svd_norm(h):
+    exact = opnorm(h)
+    assert abs(hermitian_norm(h) - exact) <= 16 * h.shape[0] * np.finfo(float).eps * exact
+
+
+@pytest.mark.parametrize("dim", [2, 7, 40, 128])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+def test_hermitian_norm_matches_svd_norm(dim, scale):
+    _assert_svd_norm(_hermitian(dim, dim, scale))
+
+
+@pytest.mark.parametrize("dim", [2, 7, 40, 128])
+@pytest.mark.parametrize("noise", [1e-10, 1e-6, 1e-3])
+def test_hermitian_norm_of_near_isometry_residuals(dim, noise):
+    # G - I is Hermitian up to the rounding of the product G = X* X
+    _assert_svd_norm(_near_isometry_residual(dim, dim + 5, dim, noise))
+
+
+def test_hermitian_norm_edge_sizes():
+    assert hermitian_norm(np.zeros((0, 0), dtype=complex)) == 0.0
+    assert hermitian_norm(np.array([[-2.5 + 0j]])) == 2.5
+    assert hermitian_norm(np.array([[3.0]])) == 3.0
+    # a zero residual reads +0.0, never -0.0, in reports
+    assert str(hermitian_norm(np.zeros((1, 1), dtype=complex))) == "0.0"
+    # the negative end of the spectrum counts as much as the positive one
+    assert hermitian_norm(np.diag([0.5, -4.0, 1.0])) == 4.0
+
+
+def _threshold_cases():
+    rng = np.random.default_rng(5)
+    for dim in (1, 3, 16, 60):
+        u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v = rng.standard_normal(dim + 2) + 1j * rng.standard_normal(dim + 2)
+        yield np.outer(u, v.conj())  # rank one: F equals the 2-norm
+        yield 0.37 * np.eye(dim, dtype=complex)  # F = sqrt(n) ||M||
+        yield random_matrix(dim, dim, dim)
+
+
+def test_threshold_norm_decides_like_the_spectral_norm():
+    for m in _threshold_cases():
+        exact = opnorm(m)
+        fro = float(np.linalg.norm(m))
+        low = fro / np.sqrt(min(m.shape))
+        # both ends of the Frobenius window, its middle, and far outside it
+        for mark in (exact, fro, low, 0.5 * (fro + low), 0.1 * low, 10.0 * fro):
+            for bound in (mark * (1 - 1e-6), mark, mark * (1 + 1e-6)):
+                if abs(bound - exact) <= 1e-12 * exact:
+                    continue  # a tie, which rounding in the SVD itself decides
+                value = threshold_norm(m, bound)
+                assert (value < bound) == (exact < bound)
+                assert (value <= bound) == (exact <= bound)
+                assert (value > bound) == (exact > bound)
+
+
+def test_threshold_norm_skips_the_svd_outside_the_window():
+    m = random_matrix(8, 12, 9)
+    fro = float(np.linalg.norm(m))
+    assert threshold_norm(m, 2.0 * fro) == fro
+    assert threshold_norm(m, 0.1 * fro / 3.0) == fro / 3.0
+    assert threshold_norm(np.zeros((0, 4)), 1.0) == 0.0
+
+
+def _two_svd_is_hermitian(a, tol):
+    return opnorm(a - a.conj().T) <= tol * max(1.0, opnorm(a))
+
+
+def test_is_hermitian_agrees_with_the_two_svd_test():
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for k in range(200):
+        dim = int(rng.integers(1, 24))
+        tol = float(10.0 ** rng.uniform(-12, -6))
+        h = _hermitian(1000 + k, dim, float(10.0 ** rng.uniform(-2, 3)))
+        skew = random_matrix(2000 + k, dim, dim)
+        skew = skew - skew.conj().T
+        # skew parts from well inside to well outside the tolerance band
+        size = tol * max(1.0, opnorm(h)) * float(10.0 ** rng.uniform(-1.5, 1.5))
+        a = h + size * skew / opnorm(skew)
+        expected = _two_svd_is_hermitian(a, tol)
+        assert Operator(a).is_hermitian(tol) == expected
+        verdicts.append(expected)
+    assert 40 < sum(verdicts) < 160
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,11 @@ def test_tracer_records_dilation_and_charfn_spans():
     assert stats["linalg.Operator.init"]["bytes"] > 0
     assert stats["dilation.pure_dilation"]["calls"] == 1
     assert stats["charfn.partial_isometry_check"]["calls"] == 1
+    # the key identity is one grid call that evaluates each of its 25 distinct
+    # points once; coincidence_verify adds 3 points for each of 2 functions
+    assert stats["charfn.key_identity_check"]["calls"] == 1
+    assert stats["charfn.char_function_eval"]["calls"] == 31
+    assert stats["linalg.Operator.is_hermitian"]["calls"] > 0
     # uninstall restores the originals
     from wberg import hyper
 
