@@ -38,6 +38,7 @@ from .errors import (
     NotSubordinate,
 )
 from .hyper import (
+    LIMIT_TOL,
     OperatorTuple,
     _nilpotency_order,
     _power_stack,
@@ -72,7 +73,6 @@ __all__ = [
 ]
 
 ISO_TOL = 1e-8
-LIMIT_TOL = 1e-9
 HORIZON_CAP = 512
 
 
@@ -411,9 +411,11 @@ def pure_dilation(
     model_ops = [shift_matrix(space, i) for i in range(t.n)]
     eye = np.eye(t.dim)
     residuals = {"isometry": hermitian_norm((pi.H @ pi).mat - eye)}
+    p = pi.mat
     for i in range(t.n):
-        residuals[f"intertwining_{i}"] = (pi @ t[i].H - model_ops[i].H @ pi).norm()
-        residuals[f"compression_{i}"] = (pi.H @ model_ops[i] @ pi - t[i]).norm()
+        m, ti = model_ops[i].mat, t[i].mat
+        residuals[f"intertwining_{i}"] = _opnorm(p @ ti.conj().T - m.conj().T @ p)
+        residuals[f"compression_{i}"] = _opnorm(p.conj().T @ m @ p - ti)
     if residuals["isometry"] > iso_tol:
         raise IsometryResidualTooLarge(
             f"pure dilation not isometric (residual {residuals['isometry']:.3e})"
@@ -576,8 +578,10 @@ def general_model(
     eye = np.eye(t.dim)
     residuals = dict(diagnostics)
     residuals["isometry"] = hermitian_norm((pi.H @ pi).mat - eye)
+    p = pi.mat
     for i in range(t.n):
-        residuals[f"intertwining_{i}"] = (pi @ t[i].H - model_ops[i].H @ pi).norm()
+        m = model_ops[i].mat
+        residuals[f"intertwining_{i}"] = _opnorm(p @ t[i].mat.conj().T - m.conj().T @ p)
         residuals[f"model_norm_{i}"] = model_norms[i]
     for block in blocks:
         tag = "_".join(str(i) for i in block.lam) if block.lam else "empty"

@@ -13,6 +13,10 @@ one weighted sum of the Gram stack ``[T^k T*^k]_k``.  The power and Gram
 stacks live on the :class:`OperatorTuple`, one pair per variable, and grow
 only when a longer prefix is asked for; every swap-family member, grid point
 and vertex value of a tuple, and every classification run on it, reads them.
+Next to the stacks the tuple holds its classification reports, one per
+(weights, grid, tolerance, cutoffs, lattice) key, so a fact proved once is
+not proved again by a later pipeline step; the sub-tuple on every index is
+the tuple itself and reads the same reports.
 
 Classification routines sample ``D(r)`` over an ``r``-grid (any finite grid
 under-approximates the continuum; reports say so), add the ``r -> 1`` limit
@@ -47,7 +51,13 @@ from .linalg import (
     psd_sqrt,
     threshold_norm,
 )
-from .series import MultiWeightSpec, WeightSpec, _normalize_degrees, _normalize_point
+from .series import (
+    MultiWeightSpec,
+    WeightSpec,
+    _normalize_degrees,
+    _normalize_grid,
+    _normalize_point,
+)
 
 __all__ = [
     "OperatorTuple",
@@ -149,19 +159,21 @@ class OperatorTuple:
     """Commuting contractions on a shared finite-dimensional space.
 
     The tuple owns the power and Gram stacks of its entries (see
-    :meth:`power_stack`); entries are treated as immutable once the tuple
-    is built.
+    :meth:`power_stack`) and the reports of :func:`is_W_hypercontraction`
+    run on it; entries are treated as immutable once the tuple is built.
     """
 
     ops: tuple[Operator, ...]
     commutation_tol: float = COMMUTATION_TOL
     _stacks: tuple[_OperatorStacks, ...] = field(init=False, repr=False, compare=False)
+    _reports: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ops:
             raise ArityMismatch("operator tuple needs at least one entry")
         object.__setattr__(self, "ops", tuple(as_operator(t) for t in self.ops))
         object.__setattr__(self, "_stacks", tuple(_OperatorStacks(t) for t in self.ops))
+        object.__setattr__(self, "_reports", {})
         d = self.ops[0].rows
         bound = 1.0 + self.commutation_tol
         for t in self.ops:
@@ -209,8 +221,13 @@ class OperatorTuple:
 
 
 def subtuple(t: OperatorTuple, lam: Sequence[int]) -> OperatorTuple:
-    """Sub-tuple at the (0-based) sorted index subset ``lam``; it shares the parent's stacks."""
+    """Sub-tuple at the (0-based) sorted index subset ``lam``; it shares the parent's stacks.
+
+    The subset of every index gives ``t`` itself, with its held reports.
+    """
     lam = _check_subset(lam, t.n)
+    if len(lam) == t.n:
+        return t
     sub = OperatorTuple(tuple(t.ops[i] for i in lam), t.commutation_tol)
     object.__setattr__(sub, "_stacks", tuple(t._stacks[i] for i in lam))
     return sub
@@ -559,10 +576,23 @@ def is_W_hypercontraction(
     binomial-type weights the implied lattice of alternating-sum conditions
     is checked as well (``lattice_e_points="auto"``), so the verdict matches
     the equivalent finite criterion exactly.
+
+    The report is held on ``t``, keyed by the weights, the normalized grid,
+    ``tol``, the normalized cutoffs and the resolved lattice flag (``"auto"``
+    becomes True or False), and a later call with the same key returns it.
     """
     if w.n != t.n:
         raise ArityMismatch(f"weight arity {w.n} != tuple arity {t.n}")
-    grid = dyadic_grid(t.n) if r_grid is None else [_normalize_point(p, t.n) for p in r_grid]
+    grid = _normalize_grid(dyadic_grid(t.n) if r_grid is None else r_grid, t.n)
+    gamma = w.integer_betas()
+    lattice = lattice_e_points is True or (lattice_e_points == "auto" and gamma is not None)
+    if lattice and gamma is None:
+        raise ValueError("lattice points require integer binomial-type weights")
+    key = (w, grid, float(tol), None if degrees is None else _normalize_degrees(degrees, t.n),
+           lattice)
+    held = t._reports.get(key)
+    if held is not None:
+        return held
     certs: list[Witness] = []
     failure = None
     ok = True
@@ -584,10 +614,7 @@ def is_W_hypercontraction(
             if min_eig < -tol:
                 ok = False
                 failure = failure or wit
-    gamma = w.integer_betas()
-    if lattice_e_points is True or (lattice_e_points == "auto" and gamma is not None):
-        if gamma is None:
-            raise ValueError("lattice points require integer binomial-type weights")
+    if lattice:
         eye = Operator.identity(t.dim)
         for beta in itertools.product(*(range(g + 1) for g in gamma)):
             value = delta_power(t, beta, eye)
@@ -597,7 +624,8 @@ def is_W_hypercontraction(
             if min_eig < -tol:
                 ok = False
                 failure = failure or wit
-    return WHyperReport(bool(ok), tuple(certs), failure)
+    report = t._reports[key] = WHyperReport(bool(ok), tuple(certs), failure)
+    return report
 
 
 # ---------------------------------------------------------------------------

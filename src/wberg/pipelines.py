@@ -256,16 +256,13 @@ def run_charfn(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
     op = t[0]
     cf = cf_mod.char_function(op, omega)
     c = cf.column_map
-    # block unitarity of [[T*, B], [C, D]]
+    # block unitarity of the square U = [[T*, B], [C, D]]: U U* and U* U have
+    # the same eigenvalues, so ||U* U - I|| = ||U U* - I|| and one suffices
     big = np.block([
         [op.H.mat, cf.triple.b.mat],
         [c.mat, cf.triple.d_stack.mat],
     ])
-    eye = np.eye(big.shape[0])
-    unitarity = max(
-        hermitian_norm(big @ big.conj().T - eye),
-        hermitian_norm(big.conj().T @ big - eye),
-    )
+    unitarity = hermitian_norm(big.conj().T @ big - np.eye(big.shape[0]))
     cc_res = cf.column_identity
     grid = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
     key_res = cf_mod.key_identity_check(cf, grid, grid[:5])

@@ -391,3 +391,25 @@ def test_run_charfn_computes_each_defect_once(monkeypatch):
     ok, report = run_charfn(case, case.build_tuple(None))
     assert ok and report["coincidence"]
     assert len(calls) == 2
+
+
+def test_block_unitarity_one_side_suffices():
+    # U = [[T*, B], [C, D]] is square, so U U* and U* U share their spectrum:
+    # the U U* - I side that run_charfn leaves out gives the same norm
+    from wberg.config import parse_case
+    from wberg.corpus import corpus_cases
+    from wberg.pipelines import run_charfn
+
+    data = next(c for c in corpus_cases() if c["name"] == "charfn-nilpotent-bergman2")
+    case = parse_case(data, name=data["name"])
+    t = case.build_tuple(None)
+    op = t[0]
+    cf = char_function(op, case.weights[0])
+    big = np.block([[op.H.mat, cf.triple.b.mat], [cf.column_map.mat, cf.triple.d_stack.mat]])
+    assert big.shape[0] == big.shape[1]
+    eye = np.eye(big.shape[0])
+    left = hermitian_norm(big @ big.conj().T - eye)
+    right = hermitian_norm(big.conj().T @ big - eye)
+    assert abs(left - right) < 1e-13
+    _, report = run_charfn(case, t)
+    assert report["block_unitarity"] == right

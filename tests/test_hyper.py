@@ -521,6 +521,7 @@ def test_subtuple_full_set_is_identity():
     t = nilpotent_commuting_tuple(6, 4, 2, radius=0.5)
     sub = subtuple(t, (0, 1))
     assert all(np.array_equal(a.mat, b.mat) for a, b in zip(sub, t))
+    assert sub is t and subtuple(t, range(t.n)) is t and subtuple(t, (1, 0, 1)) is t
 
 
 def test_subtuple_inheritance_coisometries():
@@ -643,3 +644,89 @@ def test_defect_operator_warns_on_unconverged_grid():
         with pytest.raises(NotPsd):
             defect_operator(t, w, tol=1e-12)
     assert any(issubclass(c.category, SeriesTailTooLarge) for c in caught)
+
+
+# ---------------------------------------------------------------------------
+# classification reports held on the tuple
+# ---------------------------------------------------------------------------
+
+FRACTIONAL_PAIR = {"weights": "bergman:1.5,bergman:2.5",
+                   "tuple": "random-contraction:5:4:2:0.4", "degrees": [8, 8]}
+
+
+def _fractional_case(run):
+    from wberg.config import parse_case
+
+    return parse_case({**FRACTIONAL_PAIR, "name": "held-" + "-".join(run), "run": run})
+
+
+@pytest.mark.parametrize("run, arities", [
+    (["check", "subtuple"], [1, 2]),
+    (["check", "dilate-pure"], [2]),
+    (["check", "monotonicity"], [2]),
+])
+def test_run_case_classifies_each_tuple_once(monkeypatch, run, arities):
+    # the swap family is walked once per classification body, so its calls
+    # count the classifications that were actually computed, by arity
+    from wberg.pipelines import run_case
+
+    calls = []
+    original = MultiWeightSpec.swap_family
+    monkeypatch.setattr(MultiWeightSpec, "swap_family",
+                        lambda self: calls.append(self.n) or original(self))
+    ok, _ = run_case(_fractional_case(run))
+    assert ok
+    assert sorted(calls) == arities
+
+
+def test_held_report_key():
+    t = nilpotent_commuting_tuple(17, 5, 2, radius=0.45)
+    w = MultiWeightSpec.parse("bergman:2,bergman:2")
+    base = is_W_hypercontraction(t, w)
+    assert is_W_hypercontraction(t, w, r_grid=[(0.5, 0.5), (0.75, 0.75), (0.875, 0.875)]) is base
+    assert is_W_hypercontraction(t, w, tol=1e-8, lattice_e_points=True) is base
+    fresh = [
+        is_W_hypercontraction(t, w, tol=1e-9),
+        is_W_hypercontraction(t, w, r_grid=[0.5, 0.9]),
+        is_W_hypercontraction(t, MultiWeightSpec.parse("bergman:2,hardy")),
+        is_W_hypercontraction(t, w, degrees=6),
+        is_W_hypercontraction(t, w, lattice_e_points=False),
+    ]
+    assert all(rep is not base for rep in fresh)
+    assert len({id(rep) for rep in fresh}) == len(fresh)
+    assert len(fresh[4].certificates) < len(base.certificates)
+    assert is_W_hypercontraction(t, w, degrees=(6, 6)) is fresh[3]
+
+
+def test_held_report_auto_lattice_resolves_for_fractional_weights():
+    t = nilpotent_commuting_tuple(17, 5, 2, radius=0.45)
+    w = MultiWeightSpec.parse("bergman:1.5,bergman:2.5")
+    auto = is_W_hypercontraction(t, w)
+    assert is_W_hypercontraction(t, w, lattice_e_points=False) is auto
+    with pytest.raises(ValueError):
+        is_W_hypercontraction(t, w, lattice_e_points=True)
+
+
+def test_held_reports_equal_fresh_classifications():
+    # every report the memo served equals one computed on a fresh tuple, and
+    # the case report is byte-identical to one built from a fresh tuple per step
+    import dataclasses
+
+    from wberg.config import report_json
+    from wberg.pipelines import run_case
+
+    case = _fractional_case(["check", "subtuple"])
+    t = case.build_tuple(None)
+    held_case = dataclasses.replace(case)
+    held_case.build_tuple = lambda base_dir=None: t
+    _, report = run_case(held_case)
+    assert len(t._reports) == 1
+    for (w, grid, tol, degrees, lattice), held in t._reports.items():
+        again = is_W_hypercontraction(case.build_tuple(None), w, r_grid=grid, tol=tol,
+                                      degrees=degrees, lattice_e_points=lattice)
+        assert again == held and again is not held
+    steps = {}
+    for step in case.run:
+        _, one = run_case(dataclasses.replace(case, run=(step,)))
+        steps.update(one["steps"])
+    assert report_json(report) == report_json({**report, "steps": steps})
