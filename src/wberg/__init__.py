@@ -9,7 +9,6 @@ for every structural identity.
 from .bergman import (
     TruncatedSpace,
     kernel_eval,
-    multiplier_matrix,
     multishift_purity_and_positivity,
     multishift_tuple,
     shift_matrix,
@@ -17,11 +16,9 @@ from .bergman import (
 from .charfn import (
     CharFunction,
     CharTriple,
-    build_char_triple,
     char_function,
     char_function_eval,
     coincidence_verify,
-    contraction_C,
     key_identity_check,
     partial_isometry_check,
     rho_sequence,
@@ -61,14 +58,12 @@ from .hyper import (
 from .linalg import (
     Operator,
     PsdCertificate,
-    adjoint,
     complete_to_unitary,
     douglas_solve,
     hermitian_norm,
-    kron,
     psd_check,
     psd_sqrt,
-    range_basis,
+    spectral_norm,
     threshold_norm,
 )
 from .series import (

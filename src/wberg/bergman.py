@@ -23,12 +23,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegreeOverflow, KernelConsistencyWarning, OutsideDisc
-from .hyper import OperatorTuple, defect_series, tail_operator
+from .errors import KernelConsistencyWarning, OutsideDisc
+from .hyper import COMMUTATION_TOL, OperatorTuple, defect_series, tail_operator
 from .linalg import Operator, hermitian_norm, threshold_norm
 from .series import MultiWeightSpec, _normalize_degrees, _normalize_grid, quotient_coeffs
 
@@ -37,11 +37,20 @@ __all__ = [
     "kernel_eval",
     "shift_matrix",
     "multishift_tuple",
-    "multiplier_matrix",
     "multishift_purity_and_positivity",
     "MultishiftReport",
     "graded_indices",
 ]
+
+# Relative gap between a truncated kernel sum and its closed form that is
+# tolerated on top of the dropped-tail bound before a warning is raised.
+KERNEL_CLOSED_FORM_RTOL = 1e-10
+# Floor of ``1 - |z w|`` in the geometric tail bound, so a point on the
+# boundary of the disc gives a huge bound instead of a division by zero.
+_GEOMETRIC_GAP_FLOOR = 1e-300
+# Bound on the diagonal-formula residual and on the negative eigenvalues of
+# the defect series in the multishift check.
+MULTISHIFT_TOL = 1e-10
 
 
 def graded_indices(degrees: Sequence[int]) -> list[tuple[int, ...]]:
@@ -129,10 +138,6 @@ class TruncatedSpace:
         """Weighted inner product (linear in the first argument)."""
         return complex(np.vdot(self.from_coeffs(b), self.from_coeffs(a)))
 
-    def gram(self) -> Operator:
-        """Gram matrix of the (unnormalized) monomial basis: diagonal of weights."""
-        return Operator(np.diag(self.weight_vector.astype(complex)))
-
     def to_dict(self) -> dict:
         return {
             "weights": self.weights.text,
@@ -176,7 +181,7 @@ def kernel_eval(
         # geometric bound on the dropped one-variable tail
         last = abs(inv_w[-1] * powers[-1]) if degrees[i] > 1 else 0.0
         ratio = abs(x)
-        tail_bound += last * ratio / max(1e-300, 1.0 - ratio) * 4.0
+        tail_bound += last * ratio / max(_GEOMETRIC_GAP_FLOOR, 1.0 - ratio) * 4.0
         if w[i].kind == "hardy":
             closed *= 1.0 / (1.0 - x)
         elif w[i].kind == "bergman":
@@ -184,7 +189,7 @@ def kernel_eval(
         else:
             closed_known = False
     if closed_known:
-        if abs(total - closed) > max(tail_bound, 1e-10 * abs(closed)):
+        if abs(total - closed) > max(tail_bound, KERNEL_CLOSED_FORM_RTOL * abs(closed)):
             warnings.warn(
                 f"truncated kernel {total} vs closed form {closed} "
                 f"(tail bound {tail_bound:.3e})",
@@ -194,7 +199,7 @@ def kernel_eval(
 
 
 # ---------------------------------------------------------------------------
-# shifts and multipliers
+# shifts
 # ---------------------------------------------------------------------------
 
 def shift_matrix(space: TruncatedSpace, i: int) -> Operator:
@@ -221,54 +226,13 @@ def shift_matrix(space: TruncatedSpace, i: int) -> Operator:
     return Operator(mat)
 
 
-def multishift_tuple(space: TruncatedSpace, commutation_tol: float = 1e-10) -> OperatorTuple:
+def multishift_tuple(
+    space: TruncatedSpace, commutation_tol: float = COMMUTATION_TOL
+) -> OperatorTuple:
     """The tuple of coordinate shifts on a truncated space."""
     return OperatorTuple(
         tuple(shift_matrix(space, i) for i in range(space.n_vars)), commutation_tol
     )
-
-
-def multiplier_matrix(
-    theta: Mapping[tuple[int, ...], np.ndarray] | Sequence[np.ndarray],
-    source: TruncatedSpace,
-    target: TruncatedSpace,
-    strict: bool = False,
-) -> Operator:
-    """Matrix of multiplication by an operator-valued polynomial.
-
-    ``theta`` maps multi-degrees to ``target.coeff_dim x source.coeff_dim``
-    blocks (a plain sequence is taken as one-variable coefficients).  The
-    block at ``(a + k, a)`` is the ``k``-th coefficient rescaled between the
-    weighted bases; products beyond the target cutoff are dropped, or raise
-    :class:`DegreeOverflow` when ``strict``.
-    """
-    if source.n_vars != target.n_vars:
-        raise ValueError("source and target must have the same number of variables")
-    if not isinstance(theta, Mapping):
-        theta = {(k,): np.asarray(c) for k, c in enumerate(theta)}
-    mat = np.zeros((target.dim, source.dim), dtype=complex)
-    es, et = source.coeff_dim, target.coeff_dim
-    dropped = False
-    for k, block in theta.items():
-        blk = np.asarray(block, dtype=complex)
-        if blk.shape == () and es == et == 1:
-            blk = blk.reshape(1, 1)
-        if blk.shape != (et, es):
-            raise ValueError(f"coefficient block at {k} has shape {blk.shape}, wanted {(et, es)}")
-        if not np.any(blk):
-            continue
-        for a in source.indices:
-            b = tuple(ai + ki for ai, ki in zip(a, k))
-            if any(bi >= d for bi, d in zip(b, target.degrees)):
-                dropped = True
-                continue
-            scale = math.sqrt(target.monomial_weight(b) / source.monomial_weight(a))
-            r0 = target.index_position[b] * et
-            c0 = source.index_position[a] * es
-            mat[r0:r0 + et, c0:c0 + es] += scale * blk
-    if dropped and strict:
-        raise DegreeOverflow("polynomial multiplication exceeds the target cutoff")
-    return Operator(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +252,7 @@ class MultishiftReport:
 def multishift_purity_and_positivity(
     space: TruncatedSpace,
     r_grid: Sequence,
-    tol: float = 1e-10,
+    tol: float = MULTISHIFT_TOL,
 ) -> MultishiftReport:
     """Verify the diagonal defect formula and purity of the truncated shifts.
 
@@ -303,7 +267,7 @@ def multishift_purity_and_positivity(
     min_eig = math.inf
     for point in grid:
         ds = defect_series(shifts, w, point, degrees=space.degrees)
-        eigs = np.linalg.eigvalsh(ds.mat)
+        eigs = np.linalg.eigvalsh(ds)
         min_eig = min(min_eig, float(eigs[0]))
         quot = [
             quotient_coeffs(w[i], 1.0, point[i], space.degrees[i])
@@ -311,7 +275,7 @@ def multishift_purity_and_positivity(
         ]
         # diagonal entries in the orthonormal basis are w_a * a_a(1, r);
         # against the monomial quadratic form that is w_a^2 * a_a(1, r)
-        diag = np.real(np.diag(ds.mat))
+        diag = np.real(np.diag(ds))
         for idx, a in enumerate(space.indices):
             expected = space.monomial_weight(a) * float(
                 np.prod([quot[i][a[i]] for i in range(space.n_vars)])
@@ -319,14 +283,14 @@ def multishift_purity_and_positivity(
             for p in range(space.coeff_dim):
                 got = diag[idx * space.coeff_dim + p]
                 max_resid = max(max_resid, abs(got - expected))
-        off = ds.mat - np.diag(np.diag(ds.mat))
+        off = ds - np.diag(np.diag(ds))
         max_resid = max(max_resid, hermitian_norm(off))
     pure = all(
         not np.any(np.linalg.matrix_power(s.mat, space.degrees[i]))
         for i, s in enumerate(shifts)
     )
     if not pure:  # fall back to the tail limit if exact nilpotency failed
-        pure = all(threshold_norm(tail_operator(s).q.mat, tol) <= tol for s in shifts)
+        pure = all(threshold_norm(tail_operator(s).q, tol) <= tol for s in shifts)
     return MultishiftReport(
         diagonal_ok=bool(max_resid <= tol),
         max_diagonal_residual=max_resid,

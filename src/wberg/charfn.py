@@ -32,15 +32,13 @@ import numpy as np
 from .dilation import _pure_horizon, _defect_sqrt_pieces
 from .errors import HorizonTooShort, NotPure, NotUnitaryInput
 from .hyper import _power_stack, is_pure
-from .linalg import Operator, as_operator, complete_to_unitary, hermitian_norm
+from .linalg import complete_to_unitary, hermitian_norm, spectral_norm
 from .series import WeightSpec
 
 __all__ = [
     "rho_sequence",
     "CharTriple",
     "CharFunction",
-    "contraction_C",
-    "build_char_triple",
     "char_function",
     "char_function_eval",
     "key_identity_check",
@@ -56,9 +54,12 @@ CHAR_TOL = 1e-9
 # function decays like (|eta zeta|)^n_terms, so two dozen terms push it to
 # machine level on grids of radius up to ~0.6.
 MIN_CHAR_TERMS = 24
+# A chunk of the scalar kernel sum this small relative to the running total
+# ends the sum: later chunks are smaller still for a point inside the disc.
+KERNEL_CHUNK_RTOL = 1e-18
 
 
-def _char_horizon(t: Operator, omega: WeightSpec, tol: float) -> int:
+def _char_horizon(t: np.ndarray, omega: WeightSpec, tol: float) -> int:
     return max(_pure_horizon(t, omega, tol), MIN_CHAR_TERMS)
 
 
@@ -76,14 +77,14 @@ class CharTriple:
     """Completion data ``(dim E, B, {D_n})`` of the stacked column isometry."""
 
     e_dim: int
-    b: Operator
-    d_blocks: tuple[Operator, ...]
+    b: np.ndarray
+    d_blocks: tuple[np.ndarray, ...]
 
     @property
-    def d_stack(self) -> Operator:
+    def d_stack(self) -> np.ndarray:
         if not self.d_blocks:
-            return Operator(np.zeros((0, self.e_dim)))
-        return Operator(np.vstack([blk.mat for blk in self.d_blocks]))
+            return np.zeros((0, self.e_dim), dtype=complex)
+        return np.vstack(self.d_blocks)
 
 
 @dataclass(frozen=True)
@@ -95,42 +96,42 @@ class CharFunction:
     certified the map, so nothing downstream recomputes either.
     """
 
-    t: Operator
+    t: np.ndarray
     omega: WeightSpec
     n_terms: int
     triple: CharTriple
-    defect_min: Operator  # H -> defect-space coordinates
-    defect_basis: Operator  # columns span ran(D)
-    column_map: Operator  # the stacked contraction C
+    defect_min: np.ndarray  # H -> defect-space coordinates
+    defect_basis: np.ndarray  # columns span ran(D)
+    column_map: np.ndarray  # the stacked contraction C
     column_identity: float  # ||I - C*C - T T*||
 
     @property
     def defect_dim(self) -> int:
-        return self.defect_min.rows
+        return self.defect_min.shape[0]
 
     @cached_property
     def star_powers(self) -> np.ndarray:
         """The stack ``[I, T*, ..., T*^(n_terms - 1)]`` every evaluation sums over."""
-        return _power_stack(self.t.mat.conj().T, self.n_terms)
+        return _power_stack(self.t.conj().T, self.n_terms)
 
     @cached_property
     def scaled_d_blocks(self) -> np.ndarray:
         """``sqrt(rho_n) D_n`` stacked as ``(n_terms, defect_dim, e_dim)``."""
         rho = rho_sequence(self.omega, self.n_terms)
-        d = self.triple.d_stack.mat.reshape(self.n_terms, self.defect_dim, self.triple.e_dim)
+        d = self.triple.d_stack.reshape(self.n_terms, self.defect_dim, self.triple.e_dim)
         return np.sqrt(rho)[:, None, None] * d
 
     def coefficients(self) -> np.ndarray:
         """Polynomial coefficients of degree 0 .. n_terms, stacked along axis 0."""
         inv_w = self.omega.inverse_weight_values(self.n_terms)
-        kernel_part = self.defect_min.mat @ self.star_powers @ self.triple.b.mat
+        kernel_part = self.defect_min @ self.star_powers @ self.triple.b
         out = np.zeros((self.n_terms + 1, self.defect_dim, self.triple.e_dim), dtype=complex)
         out[:-1] = self.scaled_d_blocks
         out[1:] += inv_w[:, None, None] * kernel_part
         return out
 
 
-def _resolve_terms(t: Operator, omega: WeightSpec, n_terms: int | None, tol: float) -> int:
+def _resolve_terms(t: np.ndarray, omega: WeightSpec, n_terms: int | None, tol: float) -> int:
     if n_terms is None:
         return _char_horizon(t, omega, tol)
     if n_terms < 1:
@@ -138,62 +139,37 @@ def _resolve_terms(t: Operator, omega: WeightSpec, n_terms: int | None, tol: flo
     return n_terms
 
 
-def _column_pieces(
-    t: Operator, omega: WeightSpec, n_terms: int, tol: float
-) -> tuple[Operator, Operator, Operator, float]:
-    """Defect range basis, defect coordinates, column map of a pure ``T`` and
-    the residual of ``I - C*C = T T*``."""
-    if not is_pure(t):
+def char_function(
+    t, omega: WeightSpec, n_terms: int | None = None, tol: float = CHAR_TOL
+) -> CharFunction:
+    """Characteristic function of a pure hypercontraction ``T``.
+
+    The column contraction ``C h = (sqrt(rho_n) D T*^n h)_n`` is certified by
+    the exact identity ``I - C*C = T T*`` (a horizon too short to keep the
+    column mass raises :class:`HorizonTooShort`), then ``[T*; C]`` is
+    completed to a unitary, from which ``(E, B, {D_n})`` split off.
+    """
+    mat = np.asarray(t, dtype=complex)
+    n_terms = _resolve_terms(mat, omega, n_terms, tol)
+    if not is_pure(mat):
         raise NotPure("tail operator does not vanish; no characteristic function")
     _, basis, d_min = _defect_sqrt_pieces(t, omega, tol)
     rho = rho_sequence(omega, n_terms)
-    stars = _power_stack(t.mat.conj().T, n_terms)
-    c = Operator(np.vstack([math.sqrt(rho[k]) * (d_min.mat @ stars[k]) for k in range(n_terms)]))
-    gap = np.eye(t.rows) - (c.H @ c).mat - (t @ t.H).mat
-    res = hermitian_norm(gap)
+    t_adj = mat.conj().T
+    stars = _power_stack(t_adj, n_terms)
+    c = np.vstack([math.sqrt(rho[k]) * (d_min @ stars[k]) for k in range(n_terms)])
+    d = mat.shape[0]
+    res = hermitian_norm(np.eye(d) - c.conj().T @ c - mat @ t_adj)
     if res > tol * 10:
         raise HorizonTooShort(
             f"truncation loses column mass (identity residual {res:.3e}); "
             "increase the number of terms"
         )
-    return basis, d_min, c, res
-
-
-def contraction_C(
-    t: Operator, omega: WeightSpec, n_terms: int | None = None, tol: float = CHAR_TOL
-) -> Operator:
-    """The stacked column contraction ``h -> (sqrt(rho_n) D T*^n h)_n``.
-
-    Requires a pure input and a horizon long enough that no column mass is
-    lost; the internal witness is the exact algebraic identity
-    ``I - C*C = T T*``.
-    """
-    t = as_operator(t)
-    n_terms = _resolve_terms(t, omega, n_terms, tol)
-    return _column_pieces(t, omega, n_terms, tol)[2]
-
-
-def build_char_triple(
-    t: Operator, omega: WeightSpec, n_terms: int | None = None, tol: float = CHAR_TOL
-) -> CharTriple:
-    """Complete ``[T*; C]`` to a unitary and split off ``(E, B, {D_n})``."""
-    return char_function(t, omega, n_terms, tol).triple
-
-
-def char_function(
-    t: Operator, omega: WeightSpec, n_terms: int | None = None, tol: float = CHAR_TOL
-) -> CharFunction:
-    t = as_operator(t)
-    n_terms = _resolve_terms(t, omega, n_terms, tol)
-    basis, d_min, c, res = _column_pieces(t, omega, n_terms, tol)
-    e_dim, y = complete_to_unitary(Operator(np.vstack([t.H.mat, c.mat])), tol)
-    d = t.rows
-    r = c.rows // n_terms
-    blocks = tuple(
-        Operator(y.mat[d + k * r: d + (k + 1) * r, :]) for k in range(n_terms)
-    )
-    triple = CharTriple(e_dim, Operator(y.mat[:d, :]), blocks)
-    return CharFunction(t, omega, n_terms, triple, d_min, basis, c, res)
+    e_dim, y = complete_to_unitary(np.vstack([t_adj, c]), tol)
+    r = c.shape[0] // n_terms
+    blocks = tuple(y[d + k * r: d + (k + 1) * r, :] for k in range(n_terms))
+    triple = CharTriple(e_dim, y[:d, :], blocks)
+    return CharFunction(mat, omega, n_terms, triple, d_min, basis, c, res)
 
 
 def kernel_poly(omega: WeightSpec, z: complex, powers: np.ndarray) -> np.ndarray:
@@ -216,7 +192,7 @@ def _kernel_scalar(omega: WeightSpec, x: complex, cap: int = 4096) -> complex:
         powers = x ** (n0 + np.arange(block))
         chunk = np.sum(inv_w * powers)
         total += chunk
-        if abs(chunk) < 1e-18 * max(1.0, abs(total)):
+        if abs(chunk) < KERNEL_CHUNK_RTOL * max(1.0, abs(total)):
             return complex(total)
         n0 += block
     raise HorizonTooShort(
@@ -224,15 +200,15 @@ def _kernel_scalar(omega: WeightSpec, x: complex, cap: int = 4096) -> complex:
     )
 
 
-def char_function_eval(cf: CharFunction, z: complex) -> Operator:
+def char_function_eval(cf: CharFunction, z: complex) -> np.ndarray:
     """Evaluate the characteristic function at a point of the open disc."""
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("evaluation point must lie in the open disc")
     out = np.tensordot(z ** np.arange(cf.n_terms), cf.scaled_d_blocks, 1)
     series = kernel_poly(cf.omega, z, cf.star_powers)
-    out += z * (cf.defect_min.mat @ series @ cf.triple.b.mat)
-    return Operator(out)
+    out += z * (cf.defect_min @ series @ cf.triple.b)
+    return out
 
 
 def key_identity_check(
@@ -255,9 +231,9 @@ def key_identity_check(
     if not r:
         return 0.0
     points = dict.fromkeys(zetas + etas)
-    theta = {p: char_function_eval(cf, p).mat for p in points}
+    theta = {p: char_function_eval(cf, p) for p in points}
     kernel = {p: kernel_poly(cf.omega, p, cf.star_powers) for p in points}
-    dmin = cf.defect_min.mat
+    dmin = cf.defect_min
     eye = np.eye(r)
     worst = 0.0
     for zeta in zetas:
@@ -268,7 +244,7 @@ def key_identity_check(
             k_scalar = _kernel_scalar(cf.omega, x)
             lhs = k_scalar * eye - (theta[eta] @ th_zeta_adj) / (1.0 - x)
             rhs = dmin @ kernel[eta] @ k_right @ dmin.conj().T
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
+            worst = max(worst, spectral_norm(lhs - rhs))
     return worst
 
 
@@ -293,7 +269,7 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
         gram[b, :, 1:] += gram[b - 1, :, :-1]
     sqrt_w = np.repeat(np.sqrt(cf.omega.values(n)), r)
     mm = sqrt_w[:, None] * gram.reshape(n * r, n * r) * sqrt_w[None, :]
-    rows = cf.defect_min.mat @ cf.star_powers
+    rows = cf.defect_min @ cf.star_powers
     pi = (rows / sqrt_w.reshape(n, r, 1)).reshape(n * r, -1)
     total = pi @ pi.conj().T + mm
     res = hermitian_norm(total - np.eye(n * r))
@@ -301,10 +277,10 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
     cross = np.concatenate(
         [np.tensordot(adj[a:], theta[:n - a], axes=([0, 2], [0, 1])) for a in range(n)], axis=1
     )
-    return {"partial_isometry": res, "range_orthogonality": float(np.linalg.norm(cross, 2))}
+    return {"partial_isometry": res, "range_orthogonality": spectral_norm(cross)}
 
 
-def uniqueness_unitary(t1: CharTriple, t2: CharTriple, tol: float = CHAR_TOL) -> Operator:
+def uniqueness_unitary(t1: CharTriple, t2: CharTriple, tol: float = CHAR_TOL) -> np.ndarray:
     """Unitary ``U`` with ``B2 = B1 U`` and ``D2 = D1 U`` between two triples.
 
     Both completion columns are isometries with the same range, so the
@@ -312,34 +288,34 @@ def uniqueness_unitary(t1: CharTriple, t2: CharTriple, tol: float = CHAR_TOL) ->
     """
     if t1.e_dim != t2.e_dim:
         raise NotUnitaryInput("triples have different completion dimensions")
-    y1 = np.vstack([t1.b.mat, t1.d_stack.mat])
-    y2 = np.vstack([t2.b.mat, t2.d_stack.mat])
+    y1 = np.vstack([t1.b, t1.d_stack])
+    y2 = np.vstack([t2.b, t2.d_stack])
     u = y1.conj().T @ y2
     res = hermitian_norm(u.conj().T @ u - np.eye(t2.e_dim))
     if res > tol * 10:
         raise NotUnitaryInput(f"triples are not related by a unitary (residual {res:.3e})")
-    return Operator(u)
+    return u
 
 
 def coincidence_verify(
     theta1: CharFunction,
     theta2: CharFunction,
-    tau: Operator,
-    tau_star: Operator,
+    tau,
+    tau_star,
     z_grid: Sequence[complex],
     tol: float = CHAR_TOL,
 ) -> tuple[bool, float]:
     """Check ``theta2(z) = tau_star theta1(z) tau`` on a grid of disc points."""
-    tau = as_operator(tau)
-    tau_star = as_operator(tau_star)
+    tau = np.asarray(tau, dtype=complex)
+    tau_star = np.asarray(tau_star, dtype=complex)
     for u in (tau, tau_star):
-        if u.rows != u.cols:
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise NotUnitaryInput("coincidence unitaries must be square")
-        if hermitian_norm((u.H @ u).mat - np.eye(u.cols)) > tol * 10:
+        if hermitian_norm(u.conj().T @ u - np.eye(u.shape[1])) > tol * 10:
             raise NotUnitaryInput("coincidence transports must be unitary")
     worst = 0.0
     for z in z_grid:
-        lhs = char_function_eval(theta2, z).mat
-        rhs = tau_star.mat @ char_function_eval(theta1, z).mat @ tau.mat
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)) if lhs.size else 0.0)
+        lhs = char_function_eval(theta2, z)
+        rhs = tau_star @ char_function_eval(theta1, z) @ tau
+        worst = max(worst, spectral_norm(lhs - rhs))
     return worst <= tol, worst

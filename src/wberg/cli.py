@@ -26,6 +26,7 @@ from .errors import (
     NotContractive,
     WbergError,
 )
+from .linalg import POSITIVITY_TOL
 from .pipelines import run_case
 from .series import MultiWeightSpec, associated_series, check_properties, \
     invert_series, quotient_coeffs
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights")
         p.add_argument("--tuple", dest="tuple_spec")
         p.add_argument("--degrees", help="comma-separated per-variable cutoffs")
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=POSITIVITY_TOL)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=Path)
         p.add_argument("--format", choices=("json", "text"), default="json")

@@ -32,8 +32,8 @@ from .generators import (
     scalar_tuple,
 )
 from .hyper import OperatorTuple
-from .linalg import Operator
-from .series import MultiWeightSpec, _normalize_degrees
+from .linalg import POSITIVITY_TOL, Operator
+from .series import MultiWeightSpec, _normalize_degrees, _normalize_grid
 
 KNOWN_RUNS = (
     "series",
@@ -54,7 +54,7 @@ class CaseConfig:
     weights: MultiWeightSpec
     tuple_spec: Any
     degrees: tuple[int, ...]
-    tol: float = 1e-8
+    tol: float = POSITIVITY_TOL
     seed: int = 0
     r_grid: list | None = None
     run: tuple[str, ...] = ("check",)
@@ -90,9 +90,15 @@ def parse_case(data: dict, name: str = "case") -> CaseConfig:
     for step in run:
         if step not in KNOWN_RUNS:
             raise ConfigError(f"unknown pipeline step {step!r}")
-    tol = float(data.get("tol", 1e-8))
+    tol = float(data.get("tol", POSITIVITY_TOL))
     if not (0 < tol < 1):
         raise ConfigError(f"tolerance {tol} out of range")
+    r_grid = data.get("r_grid")
+    if r_grid is not None:
+        try:
+            _normalize_grid(r_grid, weights.n)
+        except (WbergError, ValueError, TypeError) as exc:
+            raise ConfigError(f"bad r_grid for weight arity {weights.n}: {exc}") from exc
     gamma = data.get("gamma")
     if gamma is not None:
         gamma = tuple(int(g) for g in gamma)
@@ -105,7 +111,7 @@ def parse_case(data: dict, name: str = "case") -> CaseConfig:
         degrees=degrees,
         tol=tol,
         seed=int(data.get("seed", 0)),
-        r_grid=data.get("r_grid"),
+        r_grid=r_grid,
         run=run,
         gamma=gamma,
     )

@@ -47,14 +47,16 @@ from .hyper import (
     is_omega_hypercontraction,
     is_pure,
     is_W_hypercontraction,
+    subtuple,
     tail_operator,
 )
 from .linalg import (
+    POSITIVITY_TOL,
     Operator,
-    as_operator,
     douglas_solve,
     hermitian_norm,
     psd_root_pieces,
+    spectral_norm,
 )
 from .series import MultiWeightSpec, WeightSpec, _normalize_degrees
 
@@ -74,6 +76,9 @@ __all__ = [
 
 ISO_TOL = 1e-8
 HORIZON_CAP = 512
+# Commutation slack of the lifted tuples ``(A_i)`` and ``(X_i)``, which carry
+# the rounding of a Douglas solve and commute only to that accuracy.
+LIFT_COMMUTATION_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +95,9 @@ class LambdaBlock:
     """
 
     lam: tuple[int, ...]
-    delta: Operator
+    delta: np.ndarray
     e_dim: int
-    v: dict[int, Operator]
+    v: dict[int, np.ndarray]
     space: TruncatedSpace | None
 
     @property
@@ -106,8 +111,11 @@ class LambdaBlock:
 
 @dataclass
 class DilationResult:
+    """The dilation map as an :class:`Operator`, the model operators as
+    arrays, and the residual of every identity the construction promises."""
+
     map: Operator
-    model_ops: list[Operator]
+    model_ops: list[np.ndarray]
     residuals: dict[str, float]
     block_layout: list[LambdaBlock] | None = None
 
@@ -116,22 +124,22 @@ class DilationResult:
 class OneVarDilation(DilationResult):
     omega: WeightSpec | None = None
     n_terms: int = 0
-    defect: Operator | None = None          # PSD square root on H
-    defect_basis: Operator | None = None    # columns span ran(defect)
-    defect_min: Operator | None = None      # coordinates H -> defect space
-    q: Operator | None = None
-    q_basis: Operator | None = None
-    q_min: Operator | None = None
-    u: Operator | None = None               # co-isometry on the tail coordinates
+    defect: np.ndarray | None = None          # PSD square root on H
+    defect_basis: np.ndarray | None = None    # columns span ran(defect)
+    defect_min: np.ndarray | None = None      # coordinates H -> defect space
+    q: np.ndarray | None = None
+    q_basis: np.ndarray | None = None
+    q_min: np.ndarray | None = None
+    u: np.ndarray | None = None               # co-isometry on the tail coordinates
     space: TruncatedSpace | None = None
 
 
 @dataclass
 class CommutantLift:
     base: OneVarDilation
-    a_ops: list[Operator]  # on the defect coordinates
-    x_ops: list[Operator]  # on the tail coordinates
-    v_ops: list[Operator]  # on the model space
+    a_ops: list[np.ndarray]  # on the defect coordinates
+    x_ops: list[np.ndarray]  # on the tail coordinates
+    v_ops: list[np.ndarray]  # on the model space
     residuals: dict[str, float]
 
 
@@ -139,17 +147,17 @@ class CommutantLift:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _pure_horizon(t: Operator, omega: WeightSpec, tol: float, cap: int = HORIZON_CAP) -> int:
+def _pure_horizon(t: np.ndarray, omega: WeightSpec, tol: float, cap: int = HORIZON_CAP) -> int:
     """Truncation level after which the dilation rows carry no mass.
 
     Row norms scale like the square root of the dropped tail, so the tail
     sum is pushed below ``tol**2`` to keep amplitude-level residuals
     (intertwinings) within ``tol``.
     """
-    nil = _nilpotency_order(t, min(cap, t.rows))
+    nil = _nilpotency_order(t, min(cap, t.shape[0]))
     if nil is not None:
         return nil
-    sigma = t.norm()
+    sigma = spectral_norm(t)
     if sigma < 1.0:
         target = tol * tol
         inv_w = omega.inverse_weight_values(cap)
@@ -162,15 +170,11 @@ def _pure_horizon(t: Operator, omega: WeightSpec, tol: float, cap: int = HORIZON
     return cap
 
 
-def _douglas(g: Operator, f: Operator, tol: float, what: str) -> Operator:
+def _douglas(g: np.ndarray, f: np.ndarray, tol: float, what: str) -> np.ndarray:
     try:
         return douglas_solve(g, f, tol)
     except NotSubordinate as exc:
         raise DouglasPreconditionFailed(f"{what}: {exc}") from exc
-
-
-def _opnorm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, 2)) if mat.size else 0.0
 
 
 def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -186,18 +190,19 @@ def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _defect_sqrt_pieces(
-    t: Operator, omega: WeightSpec, tol: float
-) -> tuple[Operator, Operator, Operator]:
-    """Defect square root on ``H`` plus range basis and minimal coordinates."""
-    single = OperatorTuple.of(t)
-    w = MultiWeightSpec.of(omega)
-    limit = defect_limit(single, w, tol=tol).limit
+    t, omega: WeightSpec, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Defect square root on ``H`` plus range basis and minimal coordinates.
+
+    ``t`` is an :class:`Operator` or an array; an array is validated as the
+    entry of the one-variable tuple the defect limit is taken on.
+    """
+    limit = defect_limit(OperatorTuple.of(t), MultiWeightSpec.of(omega), tol=tol).limit
     try:
-        defect, basis = psd_root_pieces(limit, max(tol, 1e-8))
+        defect, basis = psd_root_pieces(limit, max(tol, POSITIVITY_TOL))
     except NotPsd as exc:
         raise NotHypercontractive(f"defect limit is not positive: {exc}") from exc
-    dmin = basis.H @ defect
-    return defect, basis, dmin
+    return defect, basis, basis.conj().T @ defect
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +210,7 @@ def _defect_sqrt_pieces(
 # ---------------------------------------------------------------------------
 
 def one_var_dilation(
-    t: Operator,
+    t,
     omega: WeightSpec,
     n_terms: int | None = None,
     tol: float = LIMIT_TOL,
@@ -213,41 +218,40 @@ def one_var_dilation(
     validate: bool = True,
 ) -> OneVarDilation:
     """Dilate a single hypercontraction onto ``A^2_w(defect) (+) tail``."""
-    t = as_operator(t)
     if validate:
         report = is_omega_hypercontraction(t, omega)
         if not report.verdict:
             raise NotHypercontractive("operator fails the weighted positivity test")
     defect, d_basis, d_min = _defect_sqrt_pieces(t, omega, tol)
+    t = np.asarray(t, dtype=complex)
+    t_adj = t.conj().T
     tail = tail_operator(t, tol)
-    q, q_basis = psd_root_pieces(tail.q_squared, max(tol, 1e-8))
-    q_min = q_basis.H @ q
+    q, q_basis = psd_root_pieces(tail.q_squared, max(tol, POSITIVITY_TOL))
+    q_min = q_basis.conj().T @ q
     if n_terms is None:
         n_terms = _pure_horizon(t, omega, tol)
-    r = d_min.rows
-    rq = q_min.rows
-    space = TruncatedSpace(MultiWeightSpec.of(omega), (n_terms,), coeff_dim=r)
+    dim = t.shape[0]
+    space = TruncatedSpace(MultiWeightSpec.of(omega), (n_terms,), coeff_dim=d_min.shape[0])
     inv_sqrt_w = 1.0 / np.sqrt(omega.values(n_terms))
-    stars = _power_stack(t.mat.conj().T, n_terms)
-    rows = [inv_sqrt_w[k] * (d_min.mat @ stars[k]) for k in range(n_terms)]
-    pi = np.vstack(rows) if rows else np.zeros((0, t.rows), dtype=complex)
-    u = _douglas(q_min, q_min @ t.H, tol, "tail co-isometry")
-    full_map = Operator(np.vstack([pi, q_min.mat]))
-    mz = shift_matrix(space, 0)
-    model_op = Operator(_block_diag([mz.mat, u.mat]))
-    eye = np.eye(t.rows)
-    gram = full_map.H @ full_map
-    iso_res = hermitian_norm(gram.mat - eye)
-    inter_res = (full_map @ t.H - model_op.H @ full_map).norm()
-    u_coiso = hermitian_norm((u @ u.H).mat - np.eye(rq))
-    omega_iso = float(np.max(np.abs(np.diag(gram.mat - eye)))) if t.rows else 0.0
+    stars = _power_stack(t_adj, n_terms)
+    rows = [inv_sqrt_w[k] * (d_min @ stars[k]) for k in range(n_terms)]
+    pi = np.vstack(rows) if rows else np.zeros((0, dim), dtype=complex)
+    u = _douglas(q_min, q_min @ t_adj, tol, "tail co-isometry")
+    full_map = np.vstack([pi, q_min])
+    model_op = _block_diag([shift_matrix(space, 0).mat, u])
+    eye = np.eye(dim)
+    gram = full_map.conj().T @ full_map
+    iso_res = hermitian_norm(gram - eye)
+    inter_res = spectral_norm(full_map @ t_adj - model_op.conj().T @ full_map)
+    u_coiso = hermitian_norm(u @ u.conj().T - np.eye(q_min.shape[0]))
+    omega_iso = float(np.max(np.abs(np.diag(gram - eye)))) if dim else 0.0
     if iso_res > iso_tol:
         raise IsometryResidualTooLarge(
             f"dilation map is not isometric (residual {iso_res:.3e}); "
             "raise the truncation level"
         )
     return OneVarDilation(
-        map=full_map,
+        map=Operator(full_map),
         model_ops=[model_op],
         residuals={
             "isometry": iso_res,
@@ -269,20 +273,21 @@ def one_var_dilation(
     )
 
 
-def isometry_identity_check(t: Operator, omega: WeightSpec, n_terms: int | None = None) -> float:
+def isometry_identity_check(t, omega: WeightSpec, n_terms: int | None = None) -> float:
     """Residual of ``|h|^2 = sum_k |D T*^k h|^2 / w_k + |Q h|^2`` over a basis."""
-    t = as_operator(t)
     defect, _, _ = _defect_sqrt_pieces(t, omega, LIMIT_TOL)
+    t = np.asarray(t, dtype=complex)
     tail = tail_operator(t)
     if n_terms is None:
         n_terms = _pure_horizon(t, omega, LIMIT_TOL)
     inv_w = omega.inverse_weight_values(n_terms)
-    stars = _power_stack(t.mat.conj().T, n_terms)
+    stars = _power_stack(t.conj().T, n_terms)
     worst = 0.0
-    d2 = (defect @ defect).mat
-    q2 = tail.q_squared.mat
-    for j in range(t.rows):
-        h = np.zeros(t.rows, dtype=complex)
+    d2 = defect @ defect
+    q2 = tail.q_squared
+    dim = t.shape[0]
+    for j in range(dim):
+        h = np.zeros(dim, dtype=complex)
         h[j] = 1.0
         acc = 0.0
         for k in range(n_terms):
@@ -322,32 +327,33 @@ def commutant_lift(
     a_ops, x_ops, v_ops = [], [], []
     residuals: dict[str, float] = dict(base.residuals)
     n_slots = base.n_terms
+    pi, model_op = base.map.mat, base.model_ops[0]
     for i in range(1, t.n):
-        a_i = _douglas(d_min, d_min @ t[i].H, tol, f"defect intertwiner {i}")
-        x_i = _douglas(q_min, q_min @ t[i].H, tol, f"tail intertwiner {i}")
-        v_i = Operator(_block_diag([np.kron(np.eye(n_slots), a_i.mat), x_i.mat]))
-        residuals[f"defect_intertwine_{i}"] = (a_i.H @ d_min - d_min @ t[i].H).norm()
-        residuals[f"tail_intertwine_{i}"] = (x_i.H @ q_min - q_min @ t[i].H).norm()
-        residuals[f"model_intertwine_{i}"] = (base.map @ t[i].H - v_i.H @ base.map).norm()
-        residuals[f"model_commute_{i}"] = (
-            v_i @ base.model_ops[0] - base.model_ops[0] @ v_i
-        ).norm()
+        t_adj = t[i].mat.conj().T
+        a_i = _douglas(d_min, d_min @ t_adj, tol, f"defect intertwiner {i}")
+        x_i = _douglas(q_min, q_min @ t_adj, tol, f"tail intertwiner {i}")
+        v_i = _block_diag([np.kron(np.eye(n_slots), a_i), x_i])
+        residuals[f"defect_intertwine_{i}"] = spectral_norm(
+            a_i.conj().T @ d_min - d_min @ t_adj)
+        residuals[f"tail_intertwine_{i}"] = spectral_norm(x_i.conj().T @ q_min - q_min @ t_adj)
+        residuals[f"model_intertwine_{i}"] = spectral_norm(pi @ t_adj - v_i.conj().T @ pi)
+        residuals[f"model_commute_{i}"] = spectral_norm(v_i @ model_op - model_op @ v_i)
         a_ops.append(a_i)
         x_ops.append(x_i)
         v_ops.append(v_i)
     if classify_lifts and t.n > 1:
         rest = w.subset(range(1, t.n))
-        if a_ops and a_ops[0].rows > 0:
+        if a_ops and a_ops[0].shape[0] > 0:
             rep = is_W_hypercontraction(
-                OperatorTuple(tuple(a_ops), commutation_tol=1e-8), rest,
+                OperatorTuple(tuple(a_ops), commutation_tol=LIFT_COMMUTATION_TOL), rest,
                 lattice_e_points=False,
             )
             residuals["a_tuple_hyper_min_eig"] = min(
                 (c.min_eig for c in rep.certificates), default=0.0
             )
-        if x_ops and x_ops[0].rows > 0:
+        if x_ops and x_ops[0].shape[0] > 0:
             rep = is_W_hypercontraction(
-                OperatorTuple(tuple(x_ops), commutation_tol=1e-8), rest,
+                OperatorTuple(tuple(x_ops), commutation_tol=LIFT_COMMUTATION_TOL), rest,
                 lattice_e_points=False,
             )
             residuals["x_tuple_hyper_min_eig"] = min(
@@ -383,21 +389,19 @@ def pure_dilation(
         if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
             raise NotHypercontractive("tuple fails the weighted positivity tests")
     if degrees is None:
-        degs = tuple(_pure_horizon(t[i], w[i], tol) for i in range(t.n))
+        degs = tuple(_pure_horizon(t[i].mat, w[i], tol) for i in range(t.n))
     else:
         degs = _normalize_degrees(degrees, t.n)
-    # cascade of one-variable defects
-    cur_ops = [op.mat for op in t.ops]
+    # cascade of one-variable defects; the first stage reads the tuple's entries
+    cur_ops = list(t.ops)
     stages: list[tuple[np.ndarray, np.ndarray]] = []  # (Dmin_j, stage operator)
     for j in range(t.n):
-        op_j = Operator(cur_ops[0])
-        _, _, d_min = _defect_sqrt_pieces(op_j, w[j], tol)
-        stages.append((d_min.mat, op_j.mat))
-        nxt = []
-        for mat in cur_ops[1:]:
-            a_i = _douglas(d_min, d_min @ Operator(mat).H, tol, f"stage {j} lift")
-            nxt.append(a_i.mat)
-        cur_ops = nxt
+        _, _, d_min = _defect_sqrt_pieces(cur_ops[0], w[j], tol)
+        stages.append((d_min, np.asarray(cur_ops[0])))
+        cur_ops = [
+            _douglas(d_min, d_min @ np.asarray(op).conj().T, tol, f"stage {j} lift")
+            for op in cur_ops[1:]
+        ]
     e_dim = stages[-1][0].shape[0]
     space = TruncatedSpace(w, degs, coeff_dim=e_dim)
     star_stacks = [_power_stack(stages[j][1].conj().T, degs[j]) for j in range(t.n)]
@@ -407,20 +411,19 @@ def pure_dilation(
         for j in range(1, t.n):
             mat = stages[j][0] @ star_stacks[j][alpha[j]] @ mat
         rows.append(mat / math.sqrt(space.monomial_weight(alpha)))
-    pi = Operator(np.vstack(rows)) if rows else Operator(np.zeros((0, t.dim)))
-    model_ops = [shift_matrix(space, i) for i in range(t.n)]
+    p = np.vstack(rows) if rows else np.zeros((0, t.dim), dtype=complex)
+    model_ops = [shift_matrix(space, i).mat for i in range(t.n)]
     eye = np.eye(t.dim)
-    residuals = {"isometry": hermitian_norm((pi.H @ pi).mat - eye)}
-    p = pi.mat
+    residuals = {"isometry": hermitian_norm(p.conj().T @ p - eye)}
     for i in range(t.n):
-        m, ti = model_ops[i].mat, t[i].mat
-        residuals[f"intertwining_{i}"] = _opnorm(p @ ti.conj().T - m.conj().T @ p)
-        residuals[f"compression_{i}"] = _opnorm(p.conj().T @ m @ p - ti)
+        m, ti = model_ops[i], t[i].mat
+        residuals[f"intertwining_{i}"] = spectral_norm(p @ ti.conj().T - m.conj().T @ p)
+        residuals[f"compression_{i}"] = spectral_norm(p.conj().T @ m @ p - ti)
     if residuals["isometry"] > iso_tol:
         raise IsometryResidualTooLarge(
             f"pure dilation not isometric (residual {residuals['isometry']:.3e})"
         )
-    return DilationResult(map=pi, model_ops=model_ops, residuals=residuals,
+    return DilationResult(map=Operator(p), model_ops=model_ops, residuals=residuals,
                           block_layout=None)
 
 
@@ -429,39 +432,38 @@ def pure_dilation(
 # ---------------------------------------------------------------------------
 
 def _recursive_blocks(
-    ops: list[np.ndarray],
+    ops: list,
     weights: list[WeightSpec],
     labels: list[int],
     dim: int,
     tol: float,
     diagnostics: dict[str, float],
 ) -> list[tuple[tuple[int, ...], np.ndarray, dict[int, np.ndarray]]]:
-    """Blocks ``(lam, delta, v)`` over subsets of ``labels`` on a ``dim``-space."""
+    """Blocks ``(lam, delta, v)`` over subsets of ``labels`` on a ``dim``-space.
+
+    ``ops`` are :class:`Operator` entries at the top level and lifted arrays below.
+    """
     if not ops:
         return [((), np.eye(dim, dtype=complex), {})]
     lab1 = labels[0]
-    t1 = Operator(ops[0])
-    defect, d_basis, d_min = _defect_sqrt_pieces(t1, weights[0], tol)
+    _, _, d_min = _defect_sqrt_pieces(ops[0], weights[0], tol)
+    t1 = np.asarray(ops[0])
     tail = tail_operator(t1, tol)
-    q_op, q_basis = psd_root_pieces(tail.q_squared, max(tol, 1e-8))
-    q_min = (q_basis.H @ q_op).mat
-    u = _douglas(Operator(q_min), Operator(q_min @ t1.mat.conj().T), tol,
-                 f"tail co-isometry at {lab1}").mat
+    q_op, q_basis = psd_root_pieces(tail.q_squared, max(tol, POSITIVITY_TOL))
+    q_min = q_basis.conj().T @ q_op
+    u = _douglas(q_min, q_min @ t1.conj().T, tol, f"tail co-isometry at {lab1}")
     a_next, x_next = [], []
-    for mat, lab in zip(ops[1:], labels[1:]):
-        a_next.append(
-            _douglas(d_min, Operator(d_min.mat @ mat.conj().T), tol,
-                     f"defect intertwiner {lab}").mat
-        )
-        x_next.append(
-            _douglas(Operator(q_min), Operator(q_min @ mat.conj().T), tol,
-                     f"tail intertwiner {lab}").mat
-        )
-    a_blocks = _recursive_blocks(a_next, weights[1:], labels[1:], d_min.rows, tol, diagnostics)
-    x_blocks = _recursive_blocks(x_next, weights[1:], labels[1:], q_min.shape[0], tol, diagnostics)
+    for op, lab in zip(ops[1:], labels[1:]):
+        op_adj = np.asarray(op).conj().T
+        a_next.append(_douglas(d_min, d_min @ op_adj, tol, f"defect intertwiner {lab}"))
+        x_next.append(_douglas(q_min, q_min @ op_adj, tol, f"tail intertwiner {lab}"))
+    a_blocks = _recursive_blocks(a_next, weights[1:], labels[1:], d_min.shape[0], tol,
+                                 diagnostics)
+    x_blocks = _recursive_blocks(x_next, weights[1:], labels[1:], q_min.shape[0], tol,
+                                 diagnostics)
     out = []
     for lam, delta, v in a_blocks:
-        out.append(((lab1,) + lam, delta @ d_min.mat, dict(v)))
+        out.append(((lab1,) + lam, delta @ d_min, dict(v)))
     for lam, delta, v in x_blocks:
         gram = delta.conj().T @ delta
         moved = u @ gram @ u.conj().T
@@ -471,8 +473,7 @@ def _recursive_blocks(
         diagnostics[key] = cond
         if cond > tol * 100 * scale:
             raise LiftConditionFailed((lab1,) + lam, cond)
-        w_lift = _douglas(Operator(delta), Operator(delta @ u.conj().T), tol,
-                          f"co-isometry lift at {lab1}").mat
+        w_lift = _douglas(delta, delta @ u.conj().T, tol, f"co-isometry lift at {lab1}")
         v2 = dict(v)
         v2[lab1] = w_lift
         out.append((lam, delta @ q_min, v2))
@@ -509,12 +510,12 @@ def general_model(
         if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
             raise NotHypercontractive("tuple fails the weighted positivity tests")
     if degrees is None:
-        degs = tuple(_pure_horizon(t[i], w[i], tol) for i in range(t.n))
+        degs = tuple(_pure_horizon(t[i].mat, w[i], tol) for i in range(t.n))
     else:
         degs = _normalize_degrees(degrees, t.n)
     diagnostics: dict[str, float] = {}
     raw = _recursive_blocks(
-        [op.mat for op in t.ops], list(w.weights), list(range(t.n)), t.dim, tol, diagnostics
+        list(t.ops), list(w.weights), list(range(t.n)), t.dim, tol, diagnostics
     )
     raw.sort(key=lambda item: sum(1 << i for i in item[0]))
     blocks: list[LambdaBlock] = []
@@ -531,13 +532,7 @@ def general_model(
             space = TruncatedSpace(
                 w.subset(lam), tuple(degs[i] for i in lam), coeff_dim=e_dim
             )
-        block = LambdaBlock(
-            lam=lam,
-            delta=Operator(delta),
-            e_dim=e_dim,
-            v={i: Operator(m) for i, m in v.items()},
-            space=space,
-        )
+        block = LambdaBlock(lam=lam, delta=delta, e_dim=e_dim, v=v, space=space)
         blocks.append(block)
         total_dim += block.block_dim
         if total_dim > max_model_dim:
@@ -550,7 +545,7 @@ def general_model(
         else:
             rows = []
             for alpha in space.indices:
-                mat = delta.copy()
+                mat = delta
                 for pos, i in enumerate(lam):
                     mat = mat @ star_stacks[i][alpha[pos]]
                 rows.append(mat / math.sqrt(space.monomial_weight(alpha)))
@@ -564,7 +559,7 @@ def general_model(
                 op_parts[i].append(shift_matrix(space, lam.index(i)).mat)
                 if i not in shift_norms:
                     one_var = TruncatedSpace(w.subset((i,)), (degs[i],))
-                    shift_norms[i] = _opnorm(shift_matrix(one_var, 0).mat)
+                    shift_norms[i] = spectral_norm(shift_matrix(one_var, 0).mat)
                 model_norms[i] = max(model_norms[i], shift_norms[i])
             else:
                 vmat = v[i]
@@ -572,22 +567,21 @@ def general_model(
                     op_parts[i].append(vmat)
                 else:
                     op_parts[i].append(np.kron(np.eye(len(space.indices)), vmat))
-                model_norms[i] = max(model_norms[i], _opnorm(vmat))
-    pi = Operator(np.vstack(pi_parts))
-    model_ops = [Operator(_block_diag(parts)) for parts in op_parts]
+                model_norms[i] = max(model_norms[i], spectral_norm(vmat))
+    p = np.vstack(pi_parts)
+    model_ops = [_block_diag(parts) for parts in op_parts]
     eye = np.eye(t.dim)
     residuals = dict(diagnostics)
-    residuals["isometry"] = hermitian_norm((pi.H @ pi).mat - eye)
-    p = pi.mat
+    residuals["isometry"] = hermitian_norm(p.conj().T @ p - eye)
     for i in range(t.n):
-        m = model_ops[i].mat
-        residuals[f"intertwining_{i}"] = _opnorm(p @ t[i].mat.conj().T - m.conj().T @ p)
+        m = model_ops[i]
+        residuals[f"intertwining_{i}"] = spectral_norm(p @ t[i].mat.conj().T - m.conj().T @ p)
         residuals[f"model_norm_{i}"] = model_norms[i]
     for block in blocks:
         tag = "_".join(str(i) for i in block.lam) if block.lam else "empty"
-        gram = (block.delta.H @ block.delta).mat
+        delta = block.delta
         brute = _double_limit(t, w, block.lam, degs, tol)
-        residuals[f"delta_formula_{tag}"] = hermitian_norm(gram - brute)
+        residuals[f"delta_formula_{tag}"] = hermitian_norm(delta.conj().T @ delta - brute)
         worst_int = 0.0
         worst_co = 0.0
         for i in range(t.n):
@@ -595,12 +589,11 @@ def general_model(
                 continue
             vi = block.v[i]
             worst_int = max(
-                worst_int, (block.delta @ t[i].H - vi.H @ block.delta).norm()
+                worst_int, spectral_norm(delta @ t[i].mat.conj().T - vi.conj().T @ delta)
             )
             if block.e_dim:
                 worst_co = max(
-                    worst_co,
-                    hermitian_norm((vi @ vi.H).mat - np.eye(block.e_dim)),
+                    worst_co, hermitian_norm(vi @ vi.conj().T - np.eye(block.e_dim))
                 )
         residuals[f"delta_intertwine_{tag}"] = worst_int
         residuals[f"v_coisometry_{tag}"] = worst_co
@@ -608,7 +601,7 @@ def general_model(
         raise IsometryResidualTooLarge(
             f"general model not isometric (residual {residuals['isometry']:.3e})"
         )
-    return DilationResult(map=pi, model_ops=model_ops, residuals=residuals,
+    return DilationResult(map=Operator(p), model_ops=model_ops, residuals=residuals,
                           block_layout=blocks)
 
 
@@ -622,28 +615,24 @@ def _double_limit(
     """Brute evaluation of the block defect: series limit inside ``lam``,
     power-conjugation limit outside."""
     if lam:
-        from .hyper import subtuple as _sub
-
-        inner = defect_limit(
-            _sub(t, lam), w.subset(lam), tol=tol,
+        cur = defect_limit(
+            subtuple(t, lam), w.subset(lam), tol=tol,
             degrees=tuple(degs[i] for i in lam),
         ).limit
-        s = inner.mat
     else:
-        s = np.eye(t.dim, dtype=complex)
-    cur = Operator(s)
+        cur = np.eye(t.dim, dtype=complex)
     for i in range(t.n):
         if i in lam:
             continue
         cur, _, _ = conjugation_limit(cur, t[i], tol)
-    return cur.mat
+    return cur
 
 
 def model_colift(
-    v: Operator,
+    v,
     model: DilationResult,
     tol: float = LIMIT_TOL,
-) -> tuple[Operator, dict[str, float]]:
+) -> tuple[np.ndarray, dict[str, float]]:
     """Lift a co-isometry commuting with the modeled tuple onto the model.
 
     Requires ``V Delta* Delta V* = Delta* Delta`` for every block; the lifted
@@ -651,13 +640,14 @@ def model_colift(
     """
     if model.block_layout is None:
         raise ValueError("model colift needs a block layout from the general model")
-    v = as_operator(v)
+    v = np.asarray(v, dtype=complex)
+    v_adj = v.conj().T
     parts = []
     residuals: dict[str, float] = {}
     for block in model.block_layout:
-        delta = block.delta.mat
+        delta = block.delta
         gram = delta.conj().T @ delta
-        moved = v.mat @ gram @ v.mat.conj().T
+        moved = v @ gram @ v_adj
         cond = hermitian_norm(moved - gram)
         tag = "_".join(str(i) for i in block.lam) if block.lam else "empty"
         residuals[f"lift_condition_{tag}"] = cond
@@ -666,18 +656,17 @@ def model_colift(
         if block.e_dim == 0:
             w_lam = np.zeros((0, 0), dtype=complex)
         else:
-            w_lam = _douglas(
-                block.delta, Operator(delta @ v.mat.conj().T), tol, f"colift {tag}"
-            ).mat
+            w_lam = _douglas(delta, delta @ v_adj, tol, f"colift {tag}")
         copies = 1 if block.space is None else len(block.space.indices)
         parts.append(np.kron(np.eye(copies), w_lam))
-        residuals[f"colift_intertwine_{tag}"] = Operator(
-            w_lam.conj().T @ delta - delta @ v.mat.conj().T
-        ).norm()
-    lifted = Operator(_block_diag(parts))
-    residuals["map_intertwine"] = (model.map @ v.H - lifted.H @ model.map).norm()
+        residuals[f"colift_intertwine_{tag}"] = spectral_norm(
+            w_lam.conj().T @ delta - delta @ v_adj
+        )
+    lifted = _block_diag(parts)
+    pi = model.map.mat
+    residuals["map_intertwine"] = spectral_norm(pi @ v_adj - lifted.conj().T @ pi)
     for i, r_i in enumerate(model.model_ops):
-        residuals[f"commute_{i}"] = (lifted @ r_i - r_i @ lifted).norm()
+        residuals[f"commute_{i}"] = spectral_norm(lifted @ r_i - r_i @ lifted)
     return lifted, residuals
 
 
@@ -707,40 +696,41 @@ def transport_identities_check(
     q_full = lift.base.q
     q_basis = lift.base.q_basis
     rest_w = w.subset(lam) if lam else None
-    from .hyper import subtuple as _sub
 
     # (i): defect of the A-subtuple, lifted back to H coordinates
     if lam:
         a_sel = [lift.a_ops[i - 1] for i in lam]
-        if a_sel and a_sel[0].rows > 0:
+        if a_sel and a_sel[0].shape[0] > 0:
             a_defect = defect_limit(
-                OperatorTuple(tuple(a_sel), commutation_tol=1e-8), rest_w, tol=tol
-            ).limit.mat
+                OperatorTuple(tuple(a_sel), commutation_tol=LIFT_COMMUTATION_TOL), rest_w,
+                tol=tol,
+            ).limit
         else:
             a_defect = np.zeros((0, 0), dtype=complex)
-        lifted = d_basis.mat @ a_defect @ d_basis.mat.conj().T
+        lifted = d_basis @ a_defect @ d_basis.conj().T
     else:
         lifted = np.eye(t.dim, dtype=complex)
-    lhs_i = d_full.mat @ lifted @ d_full.mat
+    lhs_i = d_full @ lifted @ d_full
     enlarged = (0,) + lam
-    rhs_i = defect_limit(_sub(t, enlarged), w.subset(enlarged), tol=tol).limit.mat
+    rhs_i = defect_limit(subtuple(t, enlarged), w.subset(enlarged), tol=tol).limit
     res_i = hermitian_norm(lhs_i - rhs_i)
 
     # (ii): tail-side identity
     if lam:
         x_sel = [lift.x_ops[i - 1] for i in lam]
-        if x_sel and x_sel[0].rows > 0:
+        if x_sel and x_sel[0].shape[0] > 0:
             x_defect = defect_limit(
-                OperatorTuple(tuple(x_sel), commutation_tol=1e-8), rest_w, tol=tol
-            ).limit.mat
+                OperatorTuple(tuple(x_sel), commutation_tol=LIFT_COMMUTATION_TOL), rest_w,
+                tol=tol,
+            ).limit
         else:
             x_defect = np.zeros((0, 0), dtype=complex)
-        lifted_x = q_basis.mat @ x_defect @ q_basis.mat.conj().T
-        sub_defect = defect_limit(_sub(t, lam), rest_w, tol=tol).limit
+        lifted_x = q_basis @ x_defect @ q_basis.conj().T
+        sub_defect = defect_limit(subtuple(t, lam), rest_w, tol=tol).limit
     else:
         lifted_x = np.eye(t.dim, dtype=complex)
-        sub_defect = Operator.identity(t.dim)
-    lhs_ii = q_full.mat @ lifted_x @ q_full.mat
+        sub_defect = np.eye(t.dim, dtype=complex)
+    lhs_ii = q_full @ lifted_x @ q_full
     rhs_ii, _, _ = conjugation_limit(sub_defect, t[0], tol)
-    res_ii = hermitian_norm(lhs_ii - rhs_ii.mat)
+    res_ii = hermitian_norm(lhs_ii - rhs_ii)
     return res_i, res_ii

@@ -34,6 +34,11 @@ __all__ = [
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
+# Floor of the Box-Muller uniform, so that its logarithm is finite.
+_UNIFORM_FLOOR = 1e-300
+# Commutation slack of the unitaries built as ``V diag V*``, which commute
+# only up to the rounding of those products.
+UNITARY_COMMUTATION_TOL = 1e-9
 
 
 class Lcg:
@@ -52,7 +57,7 @@ class Lcg:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def normal(self) -> float:
-        u1 = max(self.uniform(), 1e-300)
+        u1 = max(self.uniform(), _UNIFORM_FLOOR)
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
@@ -99,7 +104,7 @@ def nilpotent_commuting_tuple(
 
 def scalar_tuple(values: Sequence[complex]) -> OperatorTuple:
     """Commuting tuple of 1x1 operators."""
-    return OperatorTuple(tuple(Operator.scalar(v) for v in values))
+    return OperatorTuple(tuple(Operator([[v]]) for v in values))
 
 
 def random_commuting_contractions(
@@ -140,7 +145,7 @@ def commuting_unitaries(seed: int, dim: int, n: int) -> OperatorTuple:
     for _ in range(n):
         phases = np.exp(2j * np.pi * np.array([rng.uniform() for _ in range(dim)]))
         ops.append(Operator(v @ np.diag(phases) @ v.conj().T))
-    return OperatorTuple(tuple(ops), commutation_tol=1e-9)
+    return OperatorTuple(tuple(ops), commutation_tol=UNITARY_COMMUTATION_TOL)
 
 
 def unitary_times_nilpotent(seed: int, udim: int, ndim: int) -> OperatorTuple:
@@ -149,4 +154,4 @@ def unitary_times_nilpotent(seed: int, udim: int, ndim: int) -> OperatorTuple:
     nil = nilpotent_commuting_tuple(seed + 1, ndim, 1)[0]
     t1 = np.kron(u.mat, np.eye(ndim))
     t2 = np.kron(np.eye(udim), nil.mat)
-    return OperatorTuple.of(Operator(t1), Operator(t2))
+    return OperatorTuple.of(t1, t2)

@@ -44,11 +44,12 @@ from .errors import (
     SeriesTailTooLarge,
 )
 from .linalg import (
+    POSITIVITY_TOL,
     Operator,
-    as_operator,
     hermitian_norm,
     psd_check,
     psd_sqrt,
+    spectral_norm,
     threshold_norm,
 )
 from .series import (
@@ -95,10 +96,11 @@ GRID_CAVEAT = (
     "not certified"
 )
 
-POSITIVITY_TOL = 1e-8
 LIMIT_TOL = 1e-9
 COMMUTATION_TOL = 1e-10
 DEGREE_CAP = 256
+# Distance from an integer below which a real exponent counts as that integer.
+EXPONENT_SNAP = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +108,7 @@ DEGREE_CAP = 256
 # ---------------------------------------------------------------------------
 
 class _OperatorStacks:
-    """Power and Gram stacks of one operator, built lazily and grown on demand.
+    """Power and Gram stacks of one matrix, built lazily and grown on demand.
 
     Both stacks only ever grow, and a request returns a read-only prefix, so
     a short request after a long one gives the bits of a fresh build.  The
@@ -114,10 +116,10 @@ class _OperatorStacks:
     norm of each power asked for by exponent.
     """
 
-    __slots__ = ("op", "_powers", "_grams", "_nil", "_power_norms")
+    __slots__ = ("mat", "_powers", "_grams", "_nil", "_power_norms")
 
-    def __init__(self, op: Operator) -> None:
-        self.op = op
+    def __init__(self, mat: np.ndarray) -> None:
+        self.mat = mat
         self._powers = self._grams = None
         self._nil: tuple[int, int | None] = (0, None)
         self._power_norms: dict[int, float] = {}
@@ -125,7 +127,7 @@ class _OperatorStacks:
     def powers(self, count: int) -> np.ndarray:
         """``[I, T, ..., T^(count-1)]``."""
         if self._powers is None or len(self._powers) < count:
-            self._powers = _power_stack(self.op.mat, count, self._powers)
+            self._powers = _power_stack(self.mat, count, self._powers)
             self._powers.flags.writeable = False
         return self._powers[:count]
 
@@ -143,14 +145,14 @@ class _OperatorStacks:
         """Smallest ``k <= cap`` with ``T^k = 0`` exactly, or None."""
         depth, order = self._nil
         if order is None and depth < cap:
-            order = _nilpotency_order(self.op, cap)
+            order = _nilpotency_order(self.mat, cap)
             self._nil = (cap, order)
         return order if order is not None and order <= cap else None
 
     def power_norm(self, k: int) -> float:
         """``||T^k||``, computed once per exponent."""
         if k not in self._power_norms:
-            self._power_norms[k] = self.op.power(k).norm()
+            self._power_norms[k] = spectral_norm(np.linalg.matrix_power(self.mat, k))
         return self._power_norms[k]
 
 
@@ -158,9 +160,10 @@ class _OperatorStacks:
 class OperatorTuple:
     """Commuting contractions on a shared finite-dimensional space.
 
-    The tuple owns the power and Gram stacks of its entries (see
-    :meth:`power_stack`) and the reports of :func:`is_W_hypercontraction`
-    run on it; entries are treated as immutable once the tuple is built.
+    Entries are validated :class:`Operator` objects, so they are read-only;
+    an ``ndarray`` entry is wrapped here.  The tuple owns the power and Gram
+    stacks of its entries (see :meth:`power_stack`) and the reports of
+    :func:`is_W_hypercontraction` run on it.
     """
 
     ops: tuple[Operator, ...]
@@ -171,27 +174,28 @@ class OperatorTuple:
     def __post_init__(self) -> None:
         if not self.ops:
             raise ArityMismatch("operator tuple needs at least one entry")
-        object.__setattr__(self, "ops", tuple(as_operator(t) for t in self.ops))
-        object.__setattr__(self, "_stacks", tuple(_OperatorStacks(t) for t in self.ops))
+        ops = tuple(t if isinstance(t, Operator) else Operator(t) for t in self.ops)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "_stacks", tuple(_OperatorStacks(t.mat) for t in ops))
         object.__setattr__(self, "_reports", {})
-        d = self.ops[0].rows
+        d = ops[0].rows
         bound = 1.0 + self.commutation_tol
-        for t in self.ops:
-            if not t.is_square or t.rows != d:
+        for t in ops:
+            if t.rows != t.cols or t.rows != d:
                 raise ArityMismatch("tuple entries must be square on a shared space")
             if threshold_norm(t.mat, bound) > bound:
                 raise NotContractive(f"entry norm {t.norm():.6f} exceeds 1")
-        for i in range(len(self.ops)):
-            for j in range(i + 1, len(self.ops)):
-                comm = self.ops[i] @ self.ops[j] - self.ops[j] @ self.ops[i]
-                if threshold_norm(comm.mat, self.commutation_tol) > self.commutation_tol:
+        for i in range(len(ops)):
+            for j in range(i + 1, len(ops)):
+                comm = ops[i].mat @ ops[j].mat - ops[j].mat @ ops[i].mat
+                if threshold_norm(comm, self.commutation_tol) > self.commutation_tol:
                     raise NotCommuting(
-                        f"entries {i} and {j} fail to commute (norm {comm.norm():.3e})"
+                        f"entries {i} and {j} fail to commute (norm {spectral_norm(comm):.3e})"
                     )
 
     @staticmethod
     def of(*ops, commutation_tol: float = COMMUTATION_TOL) -> "OperatorTuple":
-        return OperatorTuple(tuple(as_operator(t) for t in ops), commutation_tol)
+        return OperatorTuple(ops, commutation_tol)
 
     @property
     def n(self) -> int:
@@ -272,7 +276,7 @@ def _hereditary_sum(
     coeffs = np.asarray(coeffs, dtype=float)
     nz = np.nonzero(coeffs)[0]
     if nz.size == 0:
-        return np.zeros_like(stacks.op.mat if x is None else x)
+        return np.zeros_like(stacks.mat if x is None else x)
     count = int(nz[-1]) + 1
     if x is None:
         terms = stacks.grams(count)
@@ -282,21 +286,21 @@ def _hereditary_sum(
     return np.tensordot(coeffs[:count], terms, axes=1)
 
 
-def hereditary_apply(coeffs: np.ndarray, t: Operator, x: np.ndarray) -> np.ndarray:
+def hereditary_apply(coeffs: np.ndarray, t, x: np.ndarray) -> np.ndarray:
     """One-variable hereditary sum ``sum_k coeffs[k] T^k X T*^k``.
 
     This one-shot form builds the powers of ``T`` for this call alone; sums
     over the entries of an :class:`OperatorTuple` read the tuple's stacks
     through :func:`defect_series` instead.
     """
-    return _hereditary_sum(coeffs, _OperatorStacks(t), x)
+    return _hereditary_sum(coeffs, _OperatorStacks(np.asarray(t, dtype=complex)), x)
 
 
-def _nilpotency_order(t: Operator, cap: int) -> int | None:
+def _nilpotency_order(mat: np.ndarray, cap: int) -> int | None:
     """Smallest ``k <= cap`` with ``T^k = 0`` exactly, or None."""
-    p = np.eye(t.rows, dtype=complex)
+    p = np.eye(mat.shape[0], dtype=complex)
     for k in range(1, cap + 1):
-        p = p @ t.mat
+        p = p @ mat
         if not np.any(p):
             return k
     return None
@@ -362,7 +366,7 @@ def defect_series(
     w: MultiWeightSpec,
     r,
     degrees: Sequence[int] | int | None = None,
-) -> Operator:
+) -> np.ndarray:
     """Finite hereditary sum ``sum_{a < degrees} c_a r^a T^a T*^a`` (Hermitian).
 
     The nesting runs from the last variable, whose level is a weighted sum of
@@ -377,7 +381,7 @@ def defect_series(
     for i in reversed(range(t.n)):
         coeffs = w[i].inverse_coeffs(degs[i]) * point[i] ** np.arange(degs[i])
         x = _hereditary_sum(coeffs, t._stacks[i], x)
-    return Operator(0.5 * (x + x.conj().T))
+    return 0.5 * (x + x.conj().T)
 
 
 @dataclass(frozen=True)
@@ -390,7 +394,7 @@ class DefectResult:
     tolerance.  ``r_trace`` lists the evaluated points with their step sizes.
     """
 
-    limit: Operator
+    limit: np.ndarray
     r_trace: tuple[tuple[float, float], ...]
     converged: bool
     tail_estimate: float
@@ -420,7 +424,7 @@ def defect_operator(
     w: MultiWeightSpec,
     tol: float = LIMIT_TOL,
     degrees: Sequence[int] | int | None = None,
-) -> Operator:
+) -> np.ndarray:
     """PSD square root of the defect-series limit."""
     res = defect_limit(t, w, tol=tol, degrees=degrees)
     if not res.converged:
@@ -439,50 +443,56 @@ def defect_operator(
 
 
 def conjugation_limit(
-    s: Operator, t: Operator, tol: float = LIMIT_TOL, max_doublings: int = 60
-) -> tuple[Operator, bool, int]:
+    s, t, tol: float = LIMIT_TOL, max_doublings: int = 60
+) -> tuple[np.ndarray, bool, int]:
     """Limit of ``T^k S T*^k`` along doubling powers (monotone for contractions)."""
-    s = as_operator(s)
-    m = as_operator(t).mat
-    if s.mat.size == 0 or m.size == 0:
-        return Operator(s.mat.copy()), True, 0
-    prev = m @ s.mat @ m.conj().T
+    s = np.asarray(s, dtype=complex)
+    m = np.asarray(t, dtype=complex)
+    if s.size == 0 or m.size == 0:
+        return s.copy(), True, 0
+    prev = m @ s @ m.conj().T
     steps = 1
     for _ in range(max_doublings):
         m = m @ m
-        cur = m @ s.mat @ m.conj().T
+        cur = m @ s @ m.conj().T
         steps += 1
         if threshold_norm(cur - prev, tol) < tol:
-            return Operator(0.5 * (cur + cur.conj().T)), True, steps
+            return 0.5 * (cur + cur.conj().T), True, steps
         prev = cur
-    return Operator(0.5 * (prev + prev.conj().T)), False, steps
+    return 0.5 * (prev + prev.conj().T), False, steps
 
 
 @dataclass(frozen=True)
 class TailResult:
-    q: Operator
-    q_squared: Operator
+    q: np.ndarray
+    q_squared: np.ndarray
     converged: bool
     doublings: int
 
 
-def tail_operator(t: Operator, tol: float = LIMIT_TOL, max_doublings: int = 60) -> TailResult:
+def tail_operator(t, tol: float = LIMIT_TOL, max_doublings: int = 60) -> TailResult:
     """PSD square root of ``lim_k T^k T*^k`` (zero exactly for pure contractions)."""
-    t = as_operator(t)
+    t = np.asarray(t, dtype=complex)
     bound = 1.0 + max(tol, COMMUTATION_TOL)
-    if threshold_norm(t.mat, bound) > bound:
-        raise NotContractive(f"tail operator needs a contraction, norm {t.norm():.6f}")
-    limit, converged, steps = conjugation_limit(Operator.identity(t.rows), t, tol, max_doublings)
+    if threshold_norm(t, bound) > bound:
+        raise NotContractive(f"tail operator needs a contraction, norm {spectral_norm(t):.6f}")
+    eye = np.eye(t.shape[0], dtype=complex)
+    limit, converged, steps = conjugation_limit(eye, t, tol, max_doublings)
     q = psd_sqrt(limit, max(tol, POSITIVITY_TOL))
     return TailResult(q, limit, converged, steps)
 
 
-def is_pure(t: OperatorTuple | Operator, tol: float = LIMIT_TOL, max_doublings: int = 60) -> bool:
-    """True when every coordinate's tail limit vanishes within ``tol``."""
-    ops = t.ops if isinstance(t, OperatorTuple) else (as_operator(t),)
+def is_pure(t, tol: float = LIMIT_TOL, max_doublings: int = 60) -> bool:
+    """True when every coordinate's tail limit vanishes within ``tol``.
+
+    ``t`` is an :class:`OperatorTuple` or a single matrix.
+    """
+    ops = t.ops if isinstance(t, OperatorTuple) else (t,)
     for op in ops:
-        limit, _, _ = conjugation_limit(Operator.identity(op.rows), op, tol, max_doublings)
-        if threshold_norm(limit.mat, tol) > tol:
+        mat = np.asarray(op, dtype=complex)
+        eye = np.eye(mat.shape[0], dtype=complex)
+        limit, _, _ = conjugation_limit(eye, mat, tol, max_doublings)
+        if threshold_norm(limit, tol) > tol:
             return False
     return True
 
@@ -530,7 +540,7 @@ class WHyperReport:
 
 
 def is_omega_hypercontraction(
-    t: Operator,
+    t,
     omega: WeightSpec,
     r_grid: Sequence[float] | None = None,
     tol: float = POSITIVITY_TOL,
@@ -541,7 +551,6 @@ def is_omega_hypercontraction(
     When the coefficient tail at ``r = 1`` is certified small the limit value
     is checked too, which upgrades the grid test to the boundary criterion.
     """
-    t = as_operator(t)
     tup = OperatorTuple.of(t)
     w = MultiWeightSpec.of(omega)
     grid = [p[0] for p in dyadic_grid(1)] if r_grid is None else [float(r) for r in r_grid]
@@ -615,7 +624,7 @@ def is_W_hypercontraction(
                 ok = False
                 failure = failure or wit
     if lattice:
-        eye = Operator.identity(t.dim)
+        eye = np.eye(t.dim, dtype=complex)
         for beta in itertools.product(*(range(g + 1) for g in gamma)):
             value = delta_power(t, beta, eye)
             min_eig = psd_check(value, tol).min_eigenvalue
@@ -635,10 +644,10 @@ def is_W_hypercontraction(
 def delta_power(
     t: OperatorTuple,
     beta: Sequence[float],
-    x: Operator,
+    x,
     n_series: int = 200,
     tol: float = POSITIVITY_TOL,
-) -> Operator:
+) -> np.ndarray:
     """Apply ``prod_i (I - C_{T_i})^{beta_i}`` to a Hermitian ``X``.
 
     ``C_A(X) = A X A*``.  Integer exponents are applied exactly; a fractional
@@ -651,11 +660,11 @@ def delta_power(
         raise ArityMismatch(f"exponent arity {len(beta)} != tuple arity {t.n}")
     if any(b < 0 for b in beta):
         raise ValueError("exponents must be nonnegative")
-    mat = as_operator(x).mat.copy()
+    mat = np.asarray(x, dtype=complex)
     for i, b in enumerate(beta):
-        whole = int(math.floor(b + 1e-12))
+        whole = int(math.floor(b + EXPONENT_SNAP))
         frac = b - whole
-        if frac < 1e-12:
+        if frac < EXPONENT_SNAP:
             frac = 0.0
         ti = t[i].mat
         for _ in range(whole):
@@ -679,7 +688,7 @@ def delta_power(
                     SeriesTailTooLarge,
                 )
             mat = new
-    return Operator(0.5 * (mat + mat.conj().T))
+    return 0.5 * (mat + mat.conj().T)
 
 
 @dataclass(frozen=True)
@@ -708,11 +717,11 @@ def is_gamma_contractive(
         raise ValueError("gamma must be at least 1 in every coordinate")
     axes = []
     for g in gamma:
-        vals = [float(k) for k in range(int(math.floor(g + 1e-12)) + 1)]
+        vals = [float(k) for k in range(int(math.floor(g + EXPONENT_SNAP)) + 1)]
         if not float(g).is_integer():
             vals.append(g)
         axes.append(vals)
-    eye = Operator.identity(t.dim)
+    eye = np.eye(t.dim, dtype=complex)
     witnesses = []
     verdict = True
     failure = None
@@ -815,7 +824,7 @@ def two_parameter_monotonicity_check(
             raise ArityMismatch(f"exponent arity {len(bp)} != complement size {len(comp)}")
     values: dict[tuple, np.ndarray] = {}
     for p in points:
-        base = defect_series(t_sub, w_sub, p, degrees).mat
+        base = defect_series(t_sub, w_sub, p, degrees)
         for bp in betas:
             left = np.eye(t.dim, dtype=complex)
             for idx, power in zip(comp, bp):

@@ -1,17 +1,20 @@
 """Dense complex linear algebra for finite-dimensional Hilbert-space maps.
 
-Everything downstream manipulates one concrete object: a dense complex
-matrix with explicit row/column dimensions, wrapped as :class:`Operator`.
-The module provides the handful of spectral primitives the constructions
-need: Hermitian PSD certification, PSD square roots, Kronecker products,
-range bases, Douglas-type factorization solves, and completion of an
-isometry to a unitary.
+Matrices enter the package as :class:`Operator`: a validated, read-only,
+C-ordered complex array.  Inside the package every computed matrix is a plain
+``np.ndarray``; the functions here take either, through ``np.asarray``, and
+return arrays.  The module provides the handful of spectral primitives the
+constructions need: Hermitian PSD certification, PSD square roots with range
+bases, Douglas-type factorization solves, and completion of an isometry to a
+unitary.
 
-Hermitian eigendecomposition is the single spectral primitive for square
-roots; SVD handles ranges and a complete QR handles completions.  Rank decisions use the relative
-threshold ``sigma <= tol * sigma_max`` with ``tol = 1e-9`` by default.
+Hermitian eigendecomposition is the spectral primitive for square roots and
+their ranges, the pseudo-inverse for Douglas solves and a complete QR for
+completions.  Rank decisions are relative with ``RANK_TOL``: to ``max(1,
+lambda_max)`` for ranges, to ``sigma_max`` in the pseudo-inverse.  Positivity
+verdicts allow eigenvalues down to ``-POSITIVITY_TOL``.
 
-Norms have two primitives besides the SVD norm of :meth:`Operator.norm`:
+Norms have two primitives besides the SVD norm of :func:`spectral_norm`:
 :func:`hermitian_norm` reads the norm of a Hermitian matrix (every reported
 residual of a Gram or projector identity) off its extreme eigenvalues, and
 :func:`threshold_norm` decides ``||M|| < bound`` style tests from the
@@ -31,18 +34,22 @@ from .errors import NotHermitian, NotIsometry, NotPsd, NotSubordinate
 __all__ = [
     "Operator",
     "PsdCertificate",
-    "adjoint",
     "psd_check",
     "psd_sqrt",
+    "psd_root_pieces",
     "douglas_solve",
     "complete_to_unitary",
-    "kron",
-    "range_basis",
+    "spectral_norm",
     "hermitian_norm",
     "threshold_norm",
+    "POSITIVITY_TOL",
     "RANK_TOL",
 ]
 
+# Smallest eigenvalue a positivity verdict accepts is -POSITIVITY_TOL: the
+# default slack of every PSD certificate, square root and classification.
+POSITIVITY_TOL = 1e-8
+# Relative eigenvalue threshold below which a direction is outside the range.
 RANK_TOL = 1e-9
 
 # Relative slack, per unit of the smaller dimension, between a computed
@@ -90,7 +97,13 @@ def threshold_norm(mat: np.ndarray, bound: float) -> float:
 
 
 class Operator:
-    """A dense complex matrix acting between finite-dimensional spaces."""
+    """A validated dense complex matrix: the type in which matrices enter the package.
+
+    The constructor copies its input to a C-ordered complex array, checks that
+    it is a finite matrix and stores it read-only.  ``np.asarray(op)`` returns
+    that array without a copy, so every function that takes a matrix accepts
+    an ``Operator`` or an ``ndarray`` alike; computed results are plain arrays.
+    """
 
     __slots__ = ("mat",)
 
@@ -100,9 +113,13 @@ class Operator:
             raise ValueError(f"operator entries must form a matrix, got ndim={arr.ndim}")
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError("operator entries must be finite")
+        arr.flags.writeable = False
         self.mat = arr
 
-    # -- shape ----------------------------------------------------------------
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy or (dtype is not None and np.dtype(dtype) != self.mat.dtype):
+            return self.mat.astype(self.mat.dtype if dtype is None else dtype)
+        return self.mat
 
     @property
     def rows(self) -> int:
@@ -112,67 +129,13 @@ class Operator:
     def cols(self) -> int:
         return self.mat.shape[1]
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def identity(n: int) -> "Operator":
-        return Operator(np.eye(n, dtype=complex))
-
-    @staticmethod
-    def zeros(rows: int, cols: int | None = None) -> "Operator":
-        return Operator(np.zeros((rows, rows if cols is None else cols), dtype=complex))
-
-    @staticmethod
-    def scalar(value: complex) -> "Operator":
-        return Operator(np.array([[value]], dtype=complex))
-
-    # -- algebra ----------------------------------------------------------------
-
-    @property
-    def H(self) -> "Operator":
-        """Adjoint (conjugate transpose)."""
-        return Operator(self.mat.conj().T)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator(self.mat @ other.mat)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.mat + other.mat)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return Operator(self.mat - other.mat)
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.mat)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def power(self, k: int) -> "Operator":
-        if not self.is_square:
-            raise ValueError("powers need a square operator")
-        return Operator(np.linalg.matrix_power(self.mat, k))
-
     def norm(self) -> float:
         """Operator (spectral) norm."""
-        if self.mat.size == 0:
-            return 0.0
-        return float(np.linalg.norm(self.mat, 2))
+        return spectral_norm(self.mat)
 
     def is_hermitian(self, tol: float) -> bool:
-        """``||A - A*|| <= tol * max(1, ||A||)``; ``||A||`` is taken only when
-        the skew part is not already within ``tol``."""
-        skew = self.mat - self.mat.conj().T
-        if threshold_norm(skew, tol) <= tol:
-            return True
-        bound = tol * max(1.0, self.norm())
-        return threshold_norm(skew, bound) <= bound
+        """``||A - A*|| <= tol * max(1, ||A||)``, as :func:`psd_check` tests it."""
+        return _is_hermitian(self.mat, tol)
 
     def to_dict(self) -> dict:
         return {
@@ -193,12 +156,21 @@ class Operator:
         return f"Operator({self.rows}x{self.cols})"
 
 
-def as_operator(value) -> Operator:
-    return value if isinstance(value, Operator) else Operator(value)
+def spectral_norm(mat: np.ndarray) -> float:
+    """Operator (spectral) norm by SVD; zero for an empty matrix."""
+    if mat.size == 0:
+        return 0.0
+    return float(np.linalg.norm(mat, 2))
 
 
-def adjoint(a: Operator) -> Operator:
-    return as_operator(a).H
+def _is_hermitian(mat: np.ndarray, tol: float) -> bool:
+    """``||A - A*|| <= tol * max(1, ||A||)``; ``||A||`` is taken only when
+    the skew part is not already within ``tol``."""
+    skew = mat - mat.conj().T
+    if threshold_norm(skew, tol) <= tol:
+        return True
+    bound = tol * max(1.0, spectral_norm(mat))
+    return threshold_norm(skew, bound) <= bound
 
 
 @dataclass(frozen=True)
@@ -210,41 +182,41 @@ class PsdCertificate:
     verdict: bool
 
 
-def psd_check(a: Operator, tol: float = 1e-8) -> PsdCertificate:
-    """Certify positive semidefiniteness of a Hermitian operator.
+def psd_check(a, tol: float = POSITIVITY_TOL) -> PsdCertificate:
+    """Certify positive semidefiniteness of a Hermitian matrix.
 
     The verdict compares the smallest eigenvalue of the Hermitian
     symmetrization against ``-tol``.
     """
-    a = as_operator(a)
-    if not a.is_square:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian("psd check needs a square operator")
-    if a.mat.size == 0:
+    if a.size == 0:
         return PsdCertificate(0.0, tol, True)
-    if not a.is_hermitian(tol):
+    if not _is_hermitian(a, tol):
         raise NotHermitian("operator is not Hermitian within tolerance")
-    herm = 0.5 * (a.mat + a.mat.conj().T)
+    herm = 0.5 * (a + a.conj().T)
     eigs = np.linalg.eigvalsh(herm)
     min_eig = float(eigs[0])
     return PsdCertificate(min_eig, tol, min_eig >= -tol)
 
 
-def psd_sqrt(a: Operator, tol: float = 1e-8) -> Operator:
+def psd_sqrt(a, tol: float = POSITIVITY_TOL) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues within ``-tol`` of zero are clamped."""
-    a = as_operator(a)
+    a = np.asarray(a, dtype=complex)
     cert = psd_check(a, tol)
     if not cert.verdict:
         raise NotPsd(f"smallest eigenvalue {cert.min_eigenvalue:.3e} below -{tol:.1e}")
-    if a.mat.size == 0:
-        return Operator(a.mat.copy())
-    herm = 0.5 * (a.mat + a.mat.conj().T)
+    if a.size == 0:
+        return a.copy()
+    herm = 0.5 * (a + a.conj().T)
     vals, vecs = np.linalg.eigh(herm)
     vals = np.where(vals > 0.0, vals, 0.0)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return Operator(0.5 * (root + root.conj().T))
+    return 0.5 * (root + root.conj().T)
 
 
-def douglas_solve(g: Operator, f: Operator, tol: float = RANK_TOL) -> Operator:
+def douglas_solve(g, f, tol: float = RANK_TOL) -> np.ndarray:
     """Solve ``A* G = F`` for a contraction ``A``.
 
     ``G`` and ``F`` must act on the same domain, and ``F* F <= G* G`` up to
@@ -253,12 +225,12 @@ def douglas_solve(g: Operator, f: Operator, tol: float = RANK_TOL) -> Operator:
     ``G`` on ``ran G`` and vanishes on the orthogonal complement, which pins
     ``||A|| <= 1`` up to the tolerance.
     """
-    g = as_operator(g)
-    f = as_operator(f)
-    if g.cols != f.cols:
+    g = np.asarray(g, dtype=complex)
+    f = np.asarray(f, dtype=complex)
+    if g.shape[1] != f.shape[1]:
         raise ValueError("douglas solve needs maps with a common domain")
-    gram_g = g.mat.conj().T @ g.mat
-    gram_f = f.mat.conj().T @ f.mat
+    gram_g = g.conj().T @ g
+    gram_f = f.conj().T @ f
     gap = gram_g - gram_f
     scale = max(1.0, hermitian_norm(gram_g))
     if gap.size:
@@ -267,42 +239,38 @@ def douglas_solve(g: Operator, f: Operator, tol: float = RANK_TOL) -> Operator:
             raise NotSubordinate(
                 f"subordination failed: min eig {min_eig:.3e} < -{tol:.1e} * {scale:.3e}"
             )
-    if g.mat.size == 0 or f.mat.size == 0:
-        return Operator(np.zeros((g.rows, f.rows), dtype=complex))
-    a_adj = f.mat @ np.linalg.pinv(g.mat, rcond=RANK_TOL)
-    return Operator(a_adj.conj().T)
+    if g.size == 0 or f.size == 0:
+        return np.zeros((g.shape[0], f.shape[0]), dtype=complex)
+    a_adj = f @ np.linalg.pinv(g, rcond=RANK_TOL)
+    return a_adj.conj().T
 
 
-def complete_to_unitary(x: Operator, tol: float = RANK_TOL) -> tuple[int, Operator]:
+def complete_to_unitary(x, tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
     """Extend an isometry ``X`` to a unitary ``[X Y]``.
 
     Returns ``(e_dim, Y)`` where the ``e_dim = rows - cols`` columns of ``Y``
     form an orthonormal basis of the orthogonal complement of ``ran X``: the
     trailing columns of the complete QR factor of ``X``.
     """
-    x = as_operator(x)
-    if x.rows < x.cols:
+    x = np.asarray(x, dtype=complex)
+    rows, cols = x.shape
+    if rows < cols:
         raise NotIsometry("isometry must not decrease dimension")
-    gram = x.mat.conj().T @ x.mat
-    res = hermitian_norm(gram - np.eye(x.cols))
+    gram = x.conj().T @ x
+    res = hermitian_norm(gram - np.eye(cols))
     if res > tol:
         raise NotIsometry(f"columns are not orthonormal (residual {res:.3e})")
-    e_dim = x.rows - x.cols
+    e_dim = rows - cols
     if e_dim == 0:
-        return 0, Operator(np.zeros((x.rows, 0), dtype=complex))
-    q, _ = np.linalg.qr(x.mat, mode="complete")
-    return e_dim, Operator(q[:, x.cols:])
-
-
-def kron(a: Operator, b: Operator) -> Operator:
-    """Kronecker (tensor) product."""
-    return Operator(np.kron(as_operator(a).mat, as_operator(b).mat))
+        return 0, np.zeros((rows, 0), dtype=complex)
+    q, _ = np.linalg.qr(x, mode="complete")
+    return e_dim, q[:, cols:]
 
 
 def psd_root_pieces(
-    s: Operator, tol: float = 1e-8, rank_tol: float = RANK_TOL
-) -> tuple[Operator, Operator]:
-    """Square root plus range basis of a Hermitian PSD operator.
+    s, tol: float = POSITIVITY_TOL, rank_tol: float = RANK_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Square root plus range basis of a Hermitian PSD matrix.
 
     Rank is decided on the eigenvalues of ``S`` itself (threshold
     ``rank_tol * max(1, lambda_max)``), not of the root: taking the root
@@ -310,13 +278,13 @@ def psd_root_pieces(
     manufacture spurious range directions.  Basis columns are ordered by
     descending eigenvalue.
     """
-    s = as_operator(s)
+    s = np.asarray(s, dtype=complex)
     cert = psd_check(s, tol)
     if not cert.verdict:
         raise NotPsd(f"smallest eigenvalue {cert.min_eigenvalue:.3e} below -{tol:.1e}")
-    if s.mat.size == 0:
-        return Operator(s.mat.copy()), Operator(np.zeros((s.rows, 0), dtype=complex))
-    herm = 0.5 * (s.mat + s.mat.conj().T)
+    if s.size == 0:
+        return s.copy(), np.zeros((s.shape[0], 0), dtype=complex)
+    herm = 0.5 * (s + s.conj().T)
     vals, vecs = np.linalg.eigh(herm)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     cutoff = rank_tol * max(1.0, float(vals[0]) if vals.size else 0.0)
@@ -325,21 +293,4 @@ def psd_root_pieces(
     cleaned = np.where(keep, vals, 0.0)
     root = (vecs * np.sqrt(cleaned)) @ vecs.conj().T
     root = 0.5 * (root + root.conj().T)
-    return Operator(root), Operator(vecs[:, :rank])
-
-
-def range_basis(a: Operator, tol: float = RANK_TOL) -> Operator:
-    """Orthonormal basis of ``ran A`` as columns, via SVD rank truncation.
-
-    The rank threshold is ``tol * max(sigma_max, 1)``: relative for large
-    operators, but floored absolutely so numerically-zero defect operators
-    get an empty range instead of a spurious full-rank one.
-    """
-    a = as_operator(a)
-    if a.mat.size == 0:
-        return Operator(np.zeros((a.rows, 0), dtype=complex))
-    u, s, _ = np.linalg.svd(a.mat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return Operator(np.zeros((a.rows, 0), dtype=complex))
-    rank = int(np.sum(s > tol * max(s[0], 1.0)))
-    return Operator(u[:, :rank])
+    return root, vecs[:, :rank]

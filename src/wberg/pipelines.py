@@ -12,7 +12,7 @@ import numpy as np
 from . import charfn as cf_mod
 from .bergman import TruncatedSpace, multishift_purity_and_positivity
 from .config import CaseConfig
-from .dilation import general_model, pure_dilation
+from .dilation import ISO_TOL, general_model, pure_dilation
 from .errors import ConfigError
 from .generators import random_unitary
 from .hyper import (
@@ -36,6 +36,23 @@ from .series import (
 )
 
 SERIES_RESID_TOL = 1e-12
+# Floor of the tolerance on Loewner gaps between defect values along the grid.
+LOEWNER_TOL_FLOOR = 1e-10
+# Budgets a pure dilation's residuals must meet, by residual family.
+PURE_DILATION_BUDGETS = {"isometry": 1e-9, "intertwining": 1e-9, "compression": 1e-8}
+# Budget of the general model's intertwining, defect-formula, co-isometry and
+# lift-condition residuals; its isometry residual is held to ISO_TOL.
+GENERAL_MODEL_BUDGET = 1e-7
+# How far a general model operator's norm may exceed 1.
+MODEL_NORM_SLACK = 1e-8
+# Budgets of the characteristic-function residuals, by report key.
+CHARFN_BUDGETS = {
+    "block_unitarity": 1e-9,
+    "column_identity": 1e-10,
+    "key_identity_max": 1e-9,
+    "partial_isometry": 1e-8,
+    "range_orthogonality": 1e-8,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +125,21 @@ def run_check(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
         "certificates_checked": len(rep.certificates),
     }
     # joint tail: the limit of T^b T*^b over all coordinates
-    joint = Operator.identity(t.dim)
+    joint = np.eye(t.dim, dtype=complex)
     for op in t:
         joint, _, _ = conjugation_limit(joint, op)
-    out["q_tail"] = joint.to_dict()
+    out["q_tail"] = Operator(joint).to_dict()
     if rep.verdict:
-        ones = (1.0,) * t.n
-        vertex = defect_series(t, case.weights, ones)
+        # defect_series returns the vertex exactly Hermitian
+        vertex = defect_series(t, case.weights, (1.0,) * t.n)
         out["defect_vertex_min_eig"] = psd_check(vertex, case.tol).min_eigenvalue
-        out["defect"] = psd_sqrt(
-            Operator(0.5 * (vertex.mat + vertex.mat.conj().T)), case.tol
-        ).to_dict()
+        out["defect"] = Operator(psd_sqrt(vertex, case.tol)).to_dict()
     if case.tuple_spec and isinstance(case.tuple_spec, str) and case.tuple_spec.startswith(
         "multishift"
     ):
         dims = tuple(int(v) for v in case.tuple_spec.split(":")[1].split("x"))
         space = TruncatedSpace(case.weights, dims, coeff_dim=1)
-        ms = multishift_purity_and_positivity(space, case.r_grid or [0.5, 0.9], tol=1e-10)
+        ms = multishift_purity_and_positivity(space, case.r_grid or [0.5, 0.9])
         out["multishift_diagonal_ok"] = ms.diagonal_ok
         out["multishift_diag_residual"] = ms.max_diagonal_residual
         out["multishift_pure"] = ms.pure
@@ -171,7 +186,7 @@ def run_monotonicity(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
         gap = defect_series(t, case.weights, a) - defect_series(t, case.weights, b)
         worst = min(worst, psd_check(gap, case.tol).min_eigenvalue)
     out = {"loewner_min_eig": worst}
-    ok = worst >= -max(case.tol, 1e-10)
+    ok = worst >= -max(case.tol, LOEWNER_TOL_FLOOR)
     if t.n >= 2:
         rep = two_parameter_monotonicity_check(
             t, case.weights, lam=tuple(range(t.n - 1)),
@@ -190,12 +205,9 @@ def run_monotonicity(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
 # ---------------------------------------------------------------------------
 
 def run_dilate_pure(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
-    result = pure_dilation(t, case.weights, tol=1e-9, iso_tol=1e-8)
-    budget = {"isometry": 1e-9, "intertwining": 1e-9, "compression": 1e-8}
-    ok = True
-    for key, value in result.residuals.items():
-        base = key.split("_")[0]
-        ok = ok and value <= budget.get(base, 1e-8)
+    result = pure_dilation(t, case.weights)
+    ok = all(value <= PURE_DILATION_BUDGETS[key.split("_")[0]]
+             for key, value in result.residuals.items())
     return ok, {
         "verdict": ok,
         "model_dim": result.map.rows,
@@ -204,14 +216,14 @@ def run_dilate_pure(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
 
 
 def run_dilate_general(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
-    result = general_model(t, case.weights, tol=1e-9, iso_tol=1e-8)
-    ok = result.residuals["isometry"] <= 1e-8
+    result = general_model(t, case.weights)
+    ok = result.residuals["isometry"] <= ISO_TOL
     for key, value in result.residuals.items():
         if key.startswith(("intertwining", "delta_formula", "delta_intertwine",
                            "v_coisometry", "lift_condition")):
-            ok = ok and value <= 1e-7
+            ok = ok and value <= GENERAL_MODEL_BUDGET
         if key.startswith("model_norm"):
-            ok = ok and value <= 1.0 + 1e-8
+            ok = ok and value <= 1.0 + MODEL_NORM_SLACK
     layout = [
         {"lam": list(b.lam), "e_dim": b.e_dim, "block_dim": b.block_dim}
         for b in result.block_layout
@@ -229,21 +241,22 @@ def run_dilate_general(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
 # ---------------------------------------------------------------------------
 
 def derive_coincidence_transports(
-    cf1: cf_mod.CharFunction, u: Operator
-) -> tuple[cf_mod.CharFunction, Operator, Operator]:
+    cf1: cf_mod.CharFunction, u
+) -> tuple[cf_mod.CharFunction, np.ndarray, np.ndarray]:
     """Characteristic data of the conjugated operator plus ``(tau, tau_star)``.
 
     The defect of ``U T U*`` is the conjugated defect, so ``tau_star`` is the
     induced map between defect coordinates and ``tau`` comes from triple
     uniqueness applied to the transported completion.
     """
-    t2 = Operator(u.mat @ cf1.t.mat @ u.mat.conj().T)
+    u = np.asarray(u, dtype=complex)
+    t2 = u @ cf1.t @ u.conj().T
     cf2 = cf_mod.char_function(t2, cf1.omega, cf1.n_terms)
-    tau_star = Operator(cf2.defect_basis.mat.conj().T @ u.mat @ cf1.defect_basis.mat)
+    tau_star = cf2.defect_basis.conj().T @ u @ cf1.defect_basis
     transported = cf_mod.CharTriple(
         cf1.triple.e_dim,
-        Operator(u.mat @ cf1.triple.b.mat),
-        tuple(Operator(tau_star.mat @ blk.mat) for blk in cf1.triple.d_blocks),
+        u @ cf1.triple.b,
+        tuple(tau_star @ blk for blk in cf1.triple.d_blocks),
     )
     tau = cf_mod.uniqueness_unitary(transported, cf2.triple)
     return cf2, tau, tau_star
@@ -252,43 +265,34 @@ def derive_coincidence_transports(
 def run_charfn(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
     if t.n != 1:
         return False, {"verdict": False, "error": "characteristic functions need arity 1"}
-    omega = case.weights[0]
     op = t[0]
-    cf = cf_mod.char_function(op, omega)
-    c = cf.column_map
+    cf = cf_mod.char_function(op, case.weights[0])
     # block unitarity of the square U = [[T*, B], [C, D]]: U U* and U* U have
     # the same eigenvalues, so ||U* U - I|| = ||U U* - I|| and one suffices
     big = np.block([
-        [op.H.mat, cf.triple.b.mat],
-        [c.mat, cf.triple.d_stack.mat],
+        [cf.t.conj().T, cf.triple.b],
+        [cf.column_map, cf.triple.d_stack],
     ])
-    unitarity = hermitian_norm(big.conj().T @ big - np.eye(big.shape[0]))
-    cc_res = cf.column_identity
     grid = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
-    key_res = cf_mod.key_identity_check(cf, grid, grid[:5])
     pi_res = cf_mod.partial_isometry_check(cf)
+    residuals = {
+        "block_unitarity": hermitian_norm(big.conj().T @ big - np.eye(big.shape[0])),
+        "column_identity": cf.column_identity,
+        "key_identity_max": cf_mod.key_identity_check(cf, grid, grid[:5]),
+        "partial_isometry": pi_res["partial_isometry"],
+        "range_orthogonality": pi_res["range_orthogonality"],
+    }
     u = random_unitary(case.seed + 17, op.rows)
     cf2, tau, tau_star = derive_coincidence_transports(cf, u)
     coincide, co_res = cf_mod.coincidence_verify(
-        cf, cf2, tau, tau_star, [0.3, -0.25 + 0.2j, 0.1j], tol=1e-9
+        cf, cf2, tau, tau_star, [0.3, -0.25 + 0.2j, 0.1j]
     )
-    ok = (
-        unitarity < 1e-9
-        and cc_res < 1e-10
-        and key_res < 1e-9
-        and pi_res["partial_isometry"] < 1e-8
-        and pi_res["range_orthogonality"] < 1e-8
-        and coincide
-    )
+    ok = coincide and all(residuals[key] < bound for key, bound in CHARFN_BUDGETS.items())
     return ok, {
         "verdict": ok,
         "e_dim": cf.triple.e_dim,
         "n_terms": cf.n_terms,
-        "block_unitarity": unitarity,
-        "column_identity": cc_res,
-        "key_identity_max": key_res,
-        "partial_isometry": pi_res["partial_isometry"],
-        "range_orthogonality": pi_res["range_orthogonality"],
+        **residuals,
         "coincidence": coincide,
         "coincidence_residual": co_res,
     }
@@ -328,6 +332,10 @@ def run_case(case: CaseConfig, base_dir=None) -> tuple[bool, dict]:
                 t = case.build_tuple(base_dir)
                 if t is None:
                     raise ConfigError(f"step {step!r} needs a tuple generator")
+                if t.n != case.weights.n:
+                    raise ConfigError(
+                        f"weight arity {case.weights.n} != tuple arity {t.n}"
+                    )
             step_ok, step_report = TUPLE_PIPELINES[step](case, t)
         report["steps"][step] = step_report
         ok = ok and step_ok

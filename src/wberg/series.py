@@ -42,6 +42,10 @@ __all__ = [
     "PropertyReport",
 ]
 
+# Most negative product of quotient coefficients that still counts as the
+# positivity property P1.
+PROPERTY_TOL = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # weight sequences
@@ -432,7 +436,7 @@ def check_properties(
     spec: MultiWeightSpec,
     r_grid: Sequence[Sequence[float] | float],
     degrees: Sequence[int] | int,
-    tol: float = 1e-10,
+    tol: float = PROPERTY_TOL,
 ) -> PropertyReport:
     """Check the positivity/boundedness properties of the associated function."""
     degs = _normalize_degrees(degrees, spec.n)

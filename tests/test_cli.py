@@ -165,6 +165,20 @@ def test_config_file_roundtrip(tmp_path, capsys):
     assert json.loads(out)["case"] == "case"
 
 
+@pytest.mark.parametrize("cfg", [
+    {"weights": "bergman:2,hardy", "tuple": "nilpotent:1:4:2:0.5", "r_grid": [[0.5]]},
+    {"weights": "bergman:2,hardy", "tuple": "scalars:[0.5]"},
+], ids=["grid-point-arity", "tuple-arity"])
+def test_config_arity_mismatch_exit_2(tmp_path, capsys, cfg):
+    # a configuration whose grid or tuple does not match the weights is a
+    # usage error, not a failed verdict
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "check", "--config", str(path))
+    assert code == 2
+    assert json.loads(err.splitlines()[0])["error"] == "ConfigError"
+
+
 def test_unknown_config_key_rejected():
     with pytest.raises(ConfigError):
         parse_case({"weights": "hardy", "bogus": 1})
@@ -173,7 +187,7 @@ def test_unknown_config_key_rejected():
 def test_explicit_tuple_object():
     from wberg.linalg import Operator
 
-    eye = Operator.identity(2).to_dict()
+    eye = Operator(np.eye(2)).to_dict()
     t = build_tuple({"kind": "explicit", "matrices": [eye]},
                     MultiWeightSpec.parse("hardy"), (4,))
     assert t.n == 1 and t.dim == 2

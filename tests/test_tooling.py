@@ -1,6 +1,9 @@
 """Source-level guards on the package layout."""
 
 import ast
+import io
+import re
+import tokenize
 from collections import defaultdict
 from pathlib import Path
 
@@ -34,3 +37,26 @@ def test_each_tolerance_is_assigned_in_one_module():
     assert owners["LIMIT_TOL"] == ["hyper"]
     duplicated = {name: mods for name, mods in owners.items() if len(mods) > 1}
     assert not duplicated, f"tolerances assigned in more than one module: {duplicated}"
+
+
+def _module_assignment_lines(tree: ast.Module) -> set[int]:
+    lines = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
+def test_tolerance_literals_live_in_module_level_names():
+    # every 1e-N bound is a named module constant that says what it bounds;
+    # function bodies and defaults use the name (docstrings are strings and
+    # never reach the NUMBER tokens read here)
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        allowed = _module_assignment_lines(ast.parse(text, filename=str(path)))
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if (tok.type == tokenize.NUMBER and re.fullmatch(r"[\d.]+[eE]-\d+", tok.string)
+                    and tok.start[0] not in allowed):
+                stray.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert not stray, f"tolerance literals outside module-level assignments: {stray}"
