@@ -251,16 +251,23 @@ class MultishiftReport:
 
 def multishift_purity_and_positivity(
     space: TruncatedSpace,
+    shifts: OperatorTuple,
     r_grid: Sequence,
     tol: float = MULTISHIFT_TOL,
 ) -> MultishiftReport:
     """Verify the diagonal defect formula and purity of the truncated shifts.
 
-    In the weighted quadratic form the defect series acts diagonally on
-    monomials with entries ``w_a^2 * a_a(1, r)`` built from the quotient
-    coefficients; the truncated shifts are exactly nilpotent.
+    ``shifts`` is the caller's ``multishift_tuple(space)``, so the defect
+    series are summed over the power stacks that tuple already holds.  In the
+    weighted quadratic form the defect series acts diagonally on monomials
+    with entries ``w_a^2 * a_a(1, r)`` built from the quotient coefficients;
+    the truncated shifts are exactly nilpotent.
     """
-    shifts = multishift_tuple(space)
+    if shifts.n != space.n_vars or shifts.dim != space.dim:
+        raise ValueError(
+            f"shift tuple of arity {shifts.n} on dimension {shifts.dim} does not act on "
+            f"a space of {space.n_vars} variables and dimension {space.dim}"
+        )
     w = space.weights
     grid = _normalize_grid(r_grid, space.n_vars)
     max_resid = 0.0

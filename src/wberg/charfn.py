@@ -32,7 +32,7 @@ import numpy as np
 from .dilation import _pure_horizon, _defect_sqrt_pieces
 from .errors import HorizonTooShort, NotPure, NotUnitaryInput
 from .hyper import _power_stack, is_pure
-from .linalg import complete_to_unitary, hermitian_norm, spectral_norm
+from .linalg import complete_to_unitary, hermitian_norm, spectral_norm, threshold_norm
 from .series import WeightSpec
 
 __all__ = [
@@ -220,7 +220,8 @@ def key_identity_check(
     must equal ``D K(eta, T*) K(conj(zeta), T) D`` in the defect coordinates,
     where ``K(conj(zeta), T) = K(zeta, T*)*``.  ``theta`` and ``K(., T*)`` are
     evaluated once per distinct point of ``zetas`` and ``etas``; each pair
-    then costs a few products of defect-sized matrices.  A single pair is
+    then costs a few products of defect-sized matrices, and the pair
+    residuals are normed together by one batched SVD.  A single pair is
     checked by passing one-element lists.
     """
     zetas = [complex(z) for z in zetas]
@@ -228,14 +229,14 @@ def key_identity_check(
     if any(abs(p) >= 1.0 for p in zetas + etas):
         raise ValueError("evaluation points must lie in the open disc")
     r = cf.defect_dim
-    if not r:
+    if not r or not zetas or not etas:
         return 0.0
     points = dict.fromkeys(zetas + etas)
     theta = {p: char_function_eval(cf, p) for p in points}
     kernel = {p: kernel_poly(cf.omega, p, cf.star_powers) for p in points}
     dmin = cf.defect_min
     eye = np.eye(r)
-    worst = 0.0
+    gaps = []
     for zeta in zetas:
         th_zeta_adj = theta[zeta].conj().T
         k_right = kernel[zeta].conj().T
@@ -244,8 +245,8 @@ def key_identity_check(
             k_scalar = _kernel_scalar(cf.omega, x)
             lhs = k_scalar * eye - (theta[eta] @ th_zeta_adj) / (1.0 - x)
             rhs = dmin @ kernel[eta] @ k_right @ dmin.conj().T
-            worst = max(worst, spectral_norm(lhs - rhs))
-    return worst
+            gaps.append(lhs - rhs)
+    return float(np.max(np.linalg.svd(np.stack(gaps), compute_uv=False)))
 
 
 def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
@@ -280,20 +281,38 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
     return {"partial_isometry": res, "range_orthogonality": spectral_norm(cross)}
 
 
-def uniqueness_unitary(t1: CharTriple, t2: CharTriple, tol: float = CHAR_TOL) -> np.ndarray:
-    """Unitary ``U`` with ``B2 = B1 U`` and ``D2 = D1 U`` between two triples.
-
-    Both completion columns are isometries with the same range, so the
-    transition is just the Gram product of the two.
-    """
+def _transition(t1: CharTriple, t2: CharTriple) -> np.ndarray:
+    """Gram product ``Y1* Y2`` of the two completion columns ``[B; D-stack]``."""
     if t1.e_dim != t2.e_dim:
         raise NotUnitaryInput("triples have different completion dimensions")
     y1 = np.vstack([t1.b, t1.d_stack])
     y2 = np.vstack([t2.b, t2.d_stack])
-    u = y1.conj().T @ y2
-    res = hermitian_norm(u.conj().T @ u - np.eye(t2.e_dim))
-    if res > tol * 10:
-        raise NotUnitaryInput(f"triples are not related by a unitary (residual {res:.3e})")
+    return y1.conj().T @ y2
+
+
+def _require_unitary(u: np.ndarray, tol: float, message: str) -> None:
+    """Raise :class:`NotUnitaryInput` unless ``||u* u - I|| <= 10 tol``.
+
+    The decision is :func:`threshold_norm`'s, from the Frobenius norm of the
+    gap; the exact :func:`hermitian_norm` is taken only to quote the residual
+    of a rejected input.
+    """
+    gap = u.conj().T @ u - np.eye(u.shape[1])
+    bound = tol * 10
+    if threshold_norm(gap, bound) > bound:
+        raise NotUnitaryInput(f"{message} (residual {hermitian_norm(gap):.3e})")
+
+
+def uniqueness_unitary(t1: CharTriple, t2: CharTriple, tol: float = CHAR_TOL) -> np.ndarray:
+    """Unitary ``U`` with ``B2 = B1 U`` and ``D2 = D1 U`` between two triples.
+
+    Both completion columns are isometries with the same range, so the
+    transition is just the Gram product of the two.  Its unitarity
+    (``||U* U - I|| <= 10 tol``) is decided by Frobenius bounds; a rejection
+    quotes the exact residual.
+    """
+    u = _transition(t1, t2)
+    _require_unitary(u, tol, "triples are not related by a unitary")
     return u
 
 
@@ -305,14 +324,19 @@ def coincidence_verify(
     z_grid: Sequence[complex],
     tol: float = CHAR_TOL,
 ) -> tuple[bool, float]:
-    """Check ``theta2(z) = tau_star theta1(z) tau`` on a grid of disc points."""
+    """Check ``theta2(z) = tau_star theta1(z) tau`` on a grid of disc points.
+
+    Both transports must be unitary within ``10 tol`` (decided by Frobenius
+    bounds, as in :func:`uniqueness_unitary`) or :class:`NotUnitaryInput` is
+    raised; this is the one unitarity certificate of a transport derived by
+    ``pipelines.derive_coincidence_transports``.
+    """
     tau = np.asarray(tau, dtype=complex)
     tau_star = np.asarray(tau_star, dtype=complex)
     for u in (tau, tau_star):
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise NotUnitaryInput("coincidence unitaries must be square")
-        if hermitian_norm(u.conj().T @ u - np.eye(u.shape[1])) > tol * 10:
-            raise NotUnitaryInput("coincidence transports must be unitary")
+        _require_unitary(u, tol, "coincidence transports must be unitary")
     worst = 0.0
     for z in z_grid:
         lhs = char_function_eval(theta2, z)

@@ -20,7 +20,14 @@ residual of a Gram or projector identity) off its extreme eigenvalues, and
 :func:`threshold_norm` decides ``||M|| < bound`` style tests from the
 Frobenius norm, falling back to the SVD only when ``F / sqrt(min(shape)) <=
 bound <= F`` leaves the answer open.  Its value only serves comparisons with
-``bound`` and is never reported.
+``bound`` and is never reported.  It decides the hermiticity test of
+:func:`psd_check`, the contraction and commutation tests of
+``hyper.OperatorTuple`` and ``hyper.tail_operator``, the convergence test of
+``hyper.conjugation_limit``, the purity tests of ``hyper.is_pure`` and of
+the multi-shift report, and the unitarity of the transition in
+``charfn.uniqueness_unitary`` and of the transports in
+``charfn.coincidence_verify``; a rejection there quotes the exact
+:func:`hermitian_norm` residual.
 """
 
 from __future__ import annotations

@@ -139,7 +139,7 @@ def run_check(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
     ):
         dims = tuple(int(v) for v in case.tuple_spec.split(":")[1].split("x"))
         space = TruncatedSpace(case.weights, dims, coeff_dim=1)
-        ms = multishift_purity_and_positivity(space, case.r_grid or [0.5, 0.9])
+        ms = multishift_purity_and_positivity(space, t, case.r_grid or [0.5, 0.9])
         out["multishift_diagonal_ok"] = ms.diagonal_ok
         out["multishift_diag_residual"] = ms.max_diagonal_residual
         out["multishift_pure"] = ms.pure
@@ -246,8 +246,10 @@ def derive_coincidence_transports(
     """Characteristic data of the conjugated operator plus ``(tau, tau_star)``.
 
     The defect of ``U T U*`` is the conjugated defect, so ``tau_star`` is the
-    induced map between defect coordinates and ``tau`` comes from triple
-    uniqueness applied to the transported completion.
+    induced map between defect coordinates and ``tau`` is the transition of
+    triple uniqueness applied to the transported completion.  Neither is
+    certified here: :func:`charfn.coincidence_verify`, which consumes them,
+    decides the unitarity of both, so ``tau* tau`` is formed once per case.
     """
     u = np.asarray(u, dtype=complex)
     t2 = u @ cf1.t @ u.conj().T
@@ -258,7 +260,7 @@ def derive_coincidence_transports(
         u @ cf1.triple.b,
         tuple(tau_star @ blk for blk in cf1.triple.d_blocks),
     )
-    tau = cf_mod.uniqueness_unitary(transported, cf2.triple)
+    tau = cf_mod._transition(transported, cf2.triple)
     return cf2, tau, tau_star
 
 

@@ -121,7 +121,7 @@ def test_criterion_3_multishift_classification():
     shifts = multishift_tuple(space)
     rep = is_W_hypercontraction(shifts, w)
     pure = is_pure(shifts)
-    ms = multishift_purity_and_positivity(space, [0.4, (0.8, 0.55), 0.95], tol=1e-10)
+    ms = multishift_purity_and_positivity(space, shifts, [0.4, (0.8, 0.55), 0.95], tol=1e-10)
     # independent diagonal oracle straight from the quotient coefficients
     worst = ms.max_diagonal_residual
     for r in (0.4, 0.95):

@@ -226,7 +226,7 @@ def test_multiplier_block_placement():
 
 def test_multishift_diagonal_defect_hardy():
     space = TruncatedSpace(MultiWeightSpec.of(HARDY), (5,))
-    rep = multishift_purity_and_positivity(space, [0.5, 0.8], tol=1e-10)
+    rep = multishift_purity_and_positivity(space, multishift_tuple(space), [0.5, 0.8], tol=1e-10)
     assert rep.diagonal_ok and rep.psd_ok and rep.pure
     # with constant weights the quotient coefficients give 1-r beyond degree 0
     r = 0.5
@@ -242,11 +242,38 @@ def test_multishift_diagonal_defect_hardy():
 def test_multishift_report(wtxt, dims):
     w = MultiWeightSpec.parse(wtxt)
     space = TruncatedSpace(w, dims)
-    rep = multishift_purity_and_positivity(space, [0.4, (0.9, 0.6)], tol=1e-10)
+    rep = multishift_purity_and_positivity(
+        space, multishift_tuple(space), [0.4, (0.9, 0.6)], tol=1e-10
+    )
     assert rep.diagonal_ok
     assert rep.psd_ok
     assert rep.pure
     assert rep.max_diagonal_residual < 1e-10
+
+
+def test_multishift_check_rejects_a_tuple_on_another_space():
+    space = TruncatedSpace(MultiWeightSpec.parse("bergman:2,hardy"), (3, 4))
+    other = multishift_tuple(TruncatedSpace(MultiWeightSpec.parse("bergman:2,hardy"), (3, 3)))
+    with pytest.raises(ValueError):
+        multishift_purity_and_positivity(space, other, [0.5])
+
+
+def test_run_check_reuses_the_case_multishift(monkeypatch):
+    # the case's tuple is the multishift, so run_check hands it to the
+    # multishift check instead of building the coordinate shifts again
+    import wberg.bergman as bergman
+    from wberg.config import parse_case
+    from wberg.corpus import corpus_cases
+    from wberg.pipelines import run_case
+
+    calls = []
+    original = bergman.shift_matrix
+    monkeypatch.setattr(bergman, "shift_matrix",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    data = next(c for c in corpus_cases() if c["name"] == "multishift-2d")
+    ok, report = run_case(parse_case(dict(data), name=data["name"]))
+    assert ok and report["steps"]["check"]["multishift_diagonal_ok"]
+    assert len(calls) == 2
 
 
 def test_multishift_powers_vanish_at_cutoff():

@@ -7,6 +7,7 @@ import pytest
 
 from wberg.bergman import TruncatedSpace
 from wberg.charfn import (
+    CHAR_TOL,
     CharTriple,
     _kernel_scalar,
     char_function,
@@ -390,6 +391,99 @@ def test_run_charfn_computes_each_defect_once(monkeypatch):
     ok, report = run_charfn(case, case.build_tuple(None))
     assert ok and report["coincidence"]
     assert len(calls) == 2
+
+
+def test_run_charfn_certifies_tau_once(monkeypatch):
+    # tau* tau is formed once per case (by coincidence_verify, which consumes
+    # the derived transport), and only the two reported e-sized residuals,
+    # block unitarity and the partial isometry, take an eigvalsh
+    import wberg.charfn as charfn
+    from wberg.config import parse_case
+    from wberg.corpus import corpus_cases
+    from wberg.pipelines import run_charfn
+
+    unitary_sizes, eig_sizes = [], []
+    original_require = charfn._require_unitary
+    original_eig = np.linalg.eigvalsh
+    monkeypatch.setattr(charfn, "_require_unitary",
+                        lambda u, *r: unitary_sizes.append(u.shape[1]) or original_require(u, *r))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *r: eig_sizes.append(min(a.shape)) or original_eig(a, *r))
+    data = next(c for c in corpus_cases() if c["name"] == "charfn-nilpotent-bergman2")
+    case = parse_case(data, name=data["name"])
+    t = case.build_tuple(None)
+    ok, report = run_charfn(case, t)
+    e_dim = report["e_dim"]
+    assert ok and report["coincidence"]
+    assert e_dim > t.dim
+    assert unitary_sizes.count(e_dim) == 1
+    assert sum(size >= e_dim for size in eig_sizes) == 2
+
+
+def _off_unitary(u, size, shape):
+    """``u`` times ``I + eps P`` with ``||(u')* u' - I|| = size``.
+
+    ``P`` is a rank-one projector (the gap has one nonzero singular value)
+    or the identity (the gap is ``size I``), so the Frobenius decision meets
+    both the window it must leave to the SVD and the bounds it decides alone.
+    """
+    n = u.shape[1]
+    eps = np.sqrt(1.0 + size) - 1.0
+    if shape == "rank-one":
+        v = np.zeros(n)
+        v[n // 2] = 1.0
+        p = np.outer(v, v)
+    else:
+        p = np.eye(n)
+    return u @ (np.eye(n) + eps * p)
+
+
+def _gap_norm(u):
+    return hermitian_norm(u.conj().T @ u - np.eye(u.shape[1]))
+
+
+@pytest.mark.parametrize("shape", ["rank-one", "scalar"])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_uniqueness_unitary_threshold_matches_hermitian_norm(factor, shape):
+    bound = 10 * CHAR_TOL
+    t = nilpotent_commuting_tuple(10, 5, 1, radius=0.5)[0]
+    t1 = char_function(t, B2, 12).triple
+    u = _off_unitary(random_unitary(123, t1.e_dim).mat, factor * bound, shape)
+    t2 = CharTriple(t1.e_dim, t1.b @ u, tuple(blk @ u for blk in t1.d_blocks))
+    transition = np.vstack([t1.b, t1.d_stack]).conj().T @ np.vstack([t2.b, t2.d_stack])
+    res = _gap_norm(transition)
+    assert abs(res - factor * bound) < 1e-3 * bound
+    if res <= bound:
+        solved = uniqueness_unitary(t1, t2)
+        assert np.array_equal(solved, transition)
+    else:
+        with pytest.raises(NotUnitaryInput) as err:
+            uniqueness_unitary(t1, t2)
+        assert f"(residual {res:.3e})" in str(err.value)
+    assert (res <= bound) == (factor < 1)
+
+
+@pytest.mark.parametrize("shape", ["rank-one", "scalar"])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("which", ["tau", "tau_star"])
+def test_coincidence_unitarity_threshold_matches_hermitian_norm(which, factor, shape):
+    bound = 10 * CHAR_TOL
+    t = nilpotent_commuting_tuple(25, 5, 1, radius=0.5)[0]
+    cf = char_function(t, B2)
+    cf2, tau, tau_star = derive_coincidence_transports(cf, random_unitary(89, t.rows))
+    transports = {"tau": tau, "tau_star": tau_star}
+    transports[which] = _off_unitary(transports[which], factor * bound, shape)
+    res = _gap_norm(transports[which])
+    assert abs(res - factor * bound) < 1e-3 * bound
+    args = (cf, cf2, transports["tau"], transports["tau_star"], [0.3])
+    if res <= bound:
+        _, co_res = coincidence_verify(*args)
+        assert co_res < 1e-6
+    else:
+        with pytest.raises(NotUnitaryInput) as err:
+            coincidence_verify(*args)
+        assert f"(residual {res:.3e})" in str(err.value)
+    assert (res <= bound) == (factor < 1)
 
 
 def test_block_unitarity_one_side_suffices():
