@@ -11,6 +11,9 @@ Operator matrices are expressed in the orthonormalized monomial basis
 adjoint.  Basis vectors are ordered graded-lexicographically in ``a`` with
 the coefficient index fastest; converters to and from raw monomial
 coefficient arrays are provided for tests against the weighted formulas.
+The coordinate shifts are held as index maps (:class:`ShiftAction`) that act
+on row-stacked maps without forming their ``dim x dim`` matrices;
+:func:`shift_matrix` is the dense copy of the same map.
 
 Truncation makes the coordinate shifts jointly nilpotent, which is the
 canonical pure example: every hereditary series on these spaces is a finite
@@ -34,6 +37,7 @@ from .series import MultiWeightSpec, _normalize_degrees, _normalize_grid, quotie
 
 __all__ = [
     "TruncatedSpace",
+    "ShiftAction",
     "kernel_eval",
     "shift_matrix",
     "multishift_tuple",
@@ -95,15 +99,51 @@ class TruncatedSpace:
     def _weight_rows(self) -> list[np.ndarray]:
         return [self.weights[i].values(self.degrees[i]) for i in range(self.n_vars)]
 
+    @cached_property
+    def _index_array(self) -> np.ndarray:
+        """``indices`` as an integer array of shape ``(len(indices), n_vars)``."""
+        return np.array(self.indices, dtype=np.intp).reshape(len(self.indices), self.n_vars)
+
+    @cached_property
+    def position_box(self) -> np.ndarray:
+        """Basis position of every multi-index, as an array over the index box."""
+        box = np.empty(self.degrees, dtype=np.intp)
+        box[tuple(self._index_array.T)] = np.arange(len(self.indices))
+        return box
+
     def monomial_weight(self, alpha: Sequence[int]) -> float:
         """Squared norm ``w_a`` of the monomial ``z^a``."""
         return float(np.prod([self._weight_rows[i][a] for i, a in enumerate(alpha)]))
 
     @cached_property
+    def index_weights(self) -> np.ndarray:
+        """``w_a`` per multi-index in basis order, multiplied in variable order
+        as :meth:`monomial_weight` does."""
+        idx = self._index_array
+        out = self._weight_rows[0][idx[:, 0]]
+        for i in range(1, self.n_vars):
+            out = out * self._weight_rows[i][idx[:, i]]
+        return out
+
+    @cached_property
     def weight_vector(self) -> np.ndarray:
         """``w_a`` per basis slot (coefficient index fastest)."""
-        per_index = np.array([self.monomial_weight(a) for a in self.indices])
-        return np.repeat(per_index, self.coeff_dim)
+        return np.repeat(self.index_weights, self.coeff_dim)
+
+    @cached_property
+    def shifts(self) -> tuple[ShiftAction, ...]:
+        """The coordinate shifts ``z_i``, one index map per variable."""
+        idx = self._index_array
+        out = []
+        for i in range(self.n_vars):
+            row = self._weight_rows[i]
+            src = np.flatnonzero(idx[:, i] + 1 < self.degrees[i])
+            moved = idx[src]
+            ratio = np.sqrt(row[moved[:, i] + 1] / row[moved[:, i]])
+            moved[:, i] += 1
+            dst = self.position_box[tuple(moved.T)]
+            out.append(ShiftAction(len(self.indices), self.coeff_dim, src, dst, ratio))
+        return tuple(out)
 
     # -- coefficient-space converters -----------------------------------------
 
@@ -202,28 +242,77 @@ def kernel_eval(
 # shifts
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class ShiftAction:
+    """Multiplication by ``z_i`` on a truncated space, held as an index map.
+
+    The shift sends the basis block of the multi-index at position ``src[k]``
+    to that of its successor in variable ``i``, at position ``dst[k]``, scaled
+    by ``ratio[k] = sqrt(w_{a_i+1} / w_{a_i})``; blocks at the top degree in
+    variable ``i`` map to zero.  The actions take a row-stacked map ``x`` of
+    ``n_idx * coeff_dim`` rows, viewed as ``(n_idx, coeff_dim, cols)``, with
+    one gather and one scale and no ``dim x dim`` matrix.
+    """
+
+    n_idx: int
+    coeff_dim: int
+    src: np.ndarray
+    dst: np.ndarray
+    ratio: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.n_idx * self.coeff_dim
+
+    def _moved(self, x: np.ndarray, frm: np.ndarray, to: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        blocks = x.reshape(self.n_idx, self.coeff_dim, x.shape[1])
+        out = np.zeros(blocks.shape, dtype=np.result_type(x.dtype, self.ratio.dtype))
+        moved = blocks[frm].astype(out.dtype, copy=False)
+        moved *= self.ratio[:, None, None]
+        out[to] = moved
+        return out.reshape(x.shape)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``S x``."""
+        return self._moved(x, self.src, self.dst)
+
+    def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
+        """``S* x``."""
+        return self._moved(x, self.dst, self.src)
+
+    def norm(self) -> float:
+        """Spectral norm, exactly: the largest ratio.
+
+        Every column of ``S`` holds at most one nonzero and distinct columns
+        have theirs in distinct rows (``a -> a + e_i`` is injective), so
+        ``S* S`` is diagonal with entries ``ratio**2`` (and zeros), and
+        ``||S||^2 = ||S* S||`` is the largest of them.
+        """
+        return float(self.ratio.max()) if self.ratio.size else 0.0
+
+    def to_matrix(self) -> np.ndarray:
+        """Dense ``dim x dim`` copy: what :func:`shift_matrix` returns, and the
+        reference the actions are tested against."""
+        e = self.coeff_dim
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        p = np.arange(e)
+        mat[(self.dst[:, None] * e + p).ravel(), (self.src[:, None] * e + p).ravel()] = (
+            np.repeat(self.ratio, e))
+        return mat
+
+
 def shift_matrix(space: TruncatedSpace, i: int) -> Operator:
-    """Multiplication by ``z_i`` on the truncated basis.
+    """Multiplication by ``z_i`` on the truncated basis, as a dense matrix.
 
     Top-degree monomials in variable ``i`` map to zero.  In the orthonormal
     basis the nonzero entries are ``sqrt(w_{a_i+1} / w_{a_i})``, which gives
-    exactly the weighted-adjoint action on coefficient arrays.
+    exactly the weighted-adjoint action on coefficient arrays.  This is the
+    dense copy of ``space.shifts[i]``.
     """
     if not (0 <= i < space.n_vars):
         raise ValueError(f"variable index {i} out of range")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    row = space._weight_rows[i]
-    e = space.coeff_dim
-    for a in space.indices:
-        if a[i] + 1 >= space.degrees[i]:
-            continue
-        b = a[:i] + (a[i] + 1,) + a[i + 1:]
-        ratio = math.sqrt(row[a[i] + 1] / row[a[i]])
-        src = space.index_position[a] * e
-        dst = space.index_position[b] * e
-        for p in range(e):
-            mat[dst + p, src + p] = ratio
-    return Operator(mat)
+    return Operator(space.shifts[i].to_matrix())
 
 
 def multishift_tuple(

@@ -4,7 +4,7 @@ Subcommands: ``series`` (invert, quotient, props), ``check``, ``dilate``,
 ``charfn``, ``verify-all``.  Reports are deterministic JSON on stdout (or
 ``--out``); wall-clock timing goes to stderr so report bodies stay
 byte-identical across runs.  Exit codes: 0 success, 1 mathematical verdict
-failure, 2 usage or configuration error.
+failure, 2 usage or configuration error or a model too large to build.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .config import CaseConfig, parse_case, report_json
 from .corpus import corpus_cases
 from .errors import (
     BadBeta,
+    BlockBudgetExceeded,
     ConfigError,
     InvalidWeights,
     NonDecreasingWeights,
@@ -32,6 +33,7 @@ from .series import MultiWeightSpec, associated_series, check_properties, \
     invert_series, quotient_coeffs
 
 USAGE_ERRORS = (
+    BlockBudgetExceeded,
     ConfigError,
     InvalidWeights,
     BadBeta,

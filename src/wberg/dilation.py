@@ -14,19 +14,23 @@ block ``A^2_{W_L}(E_L)`` whose defect map ``Delta_L`` solves a double limit
 (series limit inside ``L``, power conjugation outside).
 
 All model operators live in the orthonormalized graded-lex bases from
-:mod:`wberg.bergman`, and every identity the construction promises is
-re-verified numerically; the residuals travel with the result.
+:mod:`wberg.bergman`, and none is formed as a matrix: each is an action on
+row-stacked maps, a block diagonal (:class:`BlockDiagonal`) of weighted shifts
+(:class:`wberg.bergman.ShiftAction`, an index map), lifted parts ``I (x) V``
+(:class:`LiftedAction`, one batched product over the copies) and small dense
+tail blocks.  Every identity the construction promises is re-verified
+numerically from these actions; the residuals travel with the result.
 """
 
 from __future__ import annotations
 
-import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bergman import TruncatedSpace, shift_matrix
+from .bergman import ShiftAction, TruncatedSpace
 from .errors import (
     BlockBudgetExceeded,
     DouglasPreconditionFailed,
@@ -61,6 +65,8 @@ from .linalg import (
 from .series import MultiWeightSpec, WeightSpec, _normalize_degrees
 
 __all__ = [
+    "LiftedAction",
+    "BlockDiagonal",
     "DilationResult",
     "OneVarDilation",
     "CommutantLift",
@@ -79,6 +85,103 @@ HORIZON_CAP = 512
 # Commutation slack of the lifted tuples ``(A_i)`` and ``(X_i)``, which carry
 # the rounding of a Douglas solve and commute only to that accuracy.
 LIFT_COMMUTATION_TOL = 1e-8
+
+
+# ---------------------------------------------------------------------------
+# model operators as actions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class LiftedAction:
+    """``I (x) V`` on ``copies`` stacked copies of the space of the square
+    block ``v``; a small dense block is the case ``copies == 1``."""
+
+    v: np.ndarray
+    copies: int = 1
+
+    @property
+    def dim(self) -> int:
+        return self.copies * self.v.shape[0]
+
+    def _batched(self, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+        blocks = x.reshape(self.copies, mat.shape[1], x.shape[1])
+        return (mat @ blocks).reshape(self.dim, x.shape[1])
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._batched(self.v, x)
+
+    def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
+        return self._batched(self.v.conj().T, x)
+
+    def norm(self) -> float:
+        """``||I (x) V|| = ||V||``."""
+        return spectral_norm(self.v)
+
+    def to_matrix(self) -> np.ndarray:
+        """Dense copy, the reference the actions are tested against."""
+        e = self.v.shape[0]
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for k in range(self.copies):
+            out[k * e:(k + 1) * e, k * e:(k + 1) * e] = self.v
+        return out
+
+
+ModelAction = ShiftAction | LiftedAction
+
+
+@dataclass(frozen=True, eq=False)
+class BlockDiagonal:
+    """Direct sum of actions on consecutive row ranges of a row-stacked map."""
+
+    blocks: tuple[ModelAction, ...]
+
+    @property
+    def dim(self) -> int:
+        return sum(b.dim for b in self.blocks)
+
+    def _spans(self) -> Iterator[tuple[ModelAction, slice]]:
+        lo = 0
+        for block in self.blocks:
+            yield block, slice(lo, lo + block.dim)
+            lo += block.dim
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape, dtype=np.result_type(x.dtype, complex))
+        for block, rows in self._spans():
+            out[rows] = block.apply(x[rows])
+        return out
+
+    def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape, dtype=np.result_type(x.dtype, complex))
+        for block, rows in self._spans():
+            out[rows] = block.adjoint_apply(x[rows])
+        return out
+
+    def norm(self) -> float:
+        """The largest block norm, which is the norm of a block diagonal."""
+        return max((b.norm() for b in self.blocks), default=0.0)
+
+    def to_matrix(self) -> np.ndarray:
+        """Dense copy, the reference the actions are tested against."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for block, rows in self._spans():
+            out[rows, rows] = block.to_matrix()
+        return out
+
+
+def _commutator_norm(lift: BlockDiagonal, model: BlockDiagonal) -> float:
+    """``||L M - M L||`` for a block diagonal ``L`` of lifts ``I (x) A`` and a
+    model operator ``M`` on the same blocks.
+
+    On a shift block ``S (x) I`` the two commute exactly (each entry of either
+    product is the single term ``s_kl a_pq``); on a lift block ``I (x) B`` the
+    commutator is ``I (x) (A B - B A)``, of norm ``||A B - B A||``.
+    """
+    worst = 0.0
+    for a, m in zip(lift.blocks, model.blocks):
+        if isinstance(m, LiftedAction):
+            worst = max(worst, spectral_norm(a.v @ m.v - m.v @ a.v))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +215,12 @@ class LambdaBlock:
 @dataclass
 class DilationResult:
     """The dilation map as an :class:`Operator`, the model operators as
-    arrays, and the residual of every identity the construction promises."""
+    actions (:class:`ShiftAction` for a pure dilation, :class:`BlockDiagonal`
+    otherwise; ``to_matrix()`` gives the dense reference), and the residual of
+    every identity the construction promises."""
 
     map: Operator
-    model_ops: list[np.ndarray]
+    model_ops: list[ShiftAction | BlockDiagonal]
     residuals: dict[str, float]
     block_layout: list[LambdaBlock] | None = None
 
@@ -139,7 +244,7 @@ class CommutantLift:
     base: OneVarDilation
     a_ops: list[np.ndarray]  # on the defect coordinates
     x_ops: list[np.ndarray]  # on the tail coordinates
-    v_ops: list[np.ndarray]  # on the model space
+    v_ops: list[BlockDiagonal]  # on the model space
     residuals: dict[str, float]
 
 
@@ -177,16 +282,46 @@ def _douglas(g: np.ndarray, f: np.ndarray, tol: float, what: str) -> np.ndarray:
         raise DouglasPreconditionFailed(f"{what}: {exc}") from exc
 
 
-def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols), dtype=complex)
-    r = c = 0
-    for m in mats:
-        out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
+@contextmanager
+def _map_memory(rows: int, cols: int) -> Iterator[None]:
+    """Turn a failed allocation while a dilation map and its residuals are
+    built into :class:`BlockBudgetExceeded` naming the map's shape and size."""
+    try:
+        yield
+    except MemoryError as exc:
+        gib = rows * cols * np.dtype(complex).itemsize / 2**30
+        raise BlockBudgetExceeded(
+            f"the dilation map of shape ({rows}, {cols}) takes {gib:.2f} GiB and does "
+            "not fit in memory next to a residual of its size"
+        ) from exc
+
+
+def _fill_map_rows(
+    out: np.ndarray, space: TruncatedSpace, stacks: Sequence[np.ndarray], on_left: bool
+) -> None:
+    """Write the rows of a dilation map on ``space`` into ``out`` in place.
+
+    The row block of the multi-index ``a`` is the chain ``stacks[0][a_0]``,
+    ``stacks[1][a_1]``, ... (each later factor multiplied on the left when
+    ``on_left``, else on the right) divided by ``sqrt(w_a)``.  The chains over
+    all variables but the last are batched products over the index box; the
+    last variable's factors are applied one slice at a time and written
+    straight to their rows, so no second map-sized array is formed.
+    """
+    rows = out.reshape(len(space.indices), space.coeff_dim, out.shape[1])
+    scale = np.sqrt(space.index_weights)
+    *head, last = stacks
+    prefix = head[0] if head else None
+    for stack in head[1:]:
+        pairs = stack[None] @ prefix[:, None] if on_left else prefix[:, None] @ stack[None]
+        prefix = pairs.reshape(-1, *pairs.shape[2:])
+    for k in range(len(last)):
+        if prefix is None:
+            block = last[k][None]
+        else:
+            block = last[k] @ prefix if on_left else prefix @ last[k]
+        at = space.position_box[..., k].ravel()
+        rows[at] = block / scale[at][:, None, None]
 
 
 def _defect_sqrt_pieces(
@@ -234,15 +369,14 @@ def one_var_dilation(
     space = TruncatedSpace(MultiWeightSpec.of(omega), (n_terms,), coeff_dim=d_min.shape[0])
     inv_sqrt_w = 1.0 / np.sqrt(omega.values(n_terms))
     stars = _power_stack(t_adj, n_terms)
-    rows = [inv_sqrt_w[k] * (d_min @ stars[k]) for k in range(n_terms)]
-    pi = np.vstack(rows) if rows else np.zeros((0, dim), dtype=complex)
+    pi = (inv_sqrt_w[:, None, None] * (d_min @ stars)).reshape(-1, dim)
     u = _douglas(q_min, q_min @ t_adj, tol, "tail co-isometry")
     full_map = np.vstack([pi, q_min])
-    model_op = _block_diag([shift_matrix(space, 0).mat, u])
+    model_op = BlockDiagonal((space.shifts[0], LiftedAction(u)))
     eye = np.eye(dim)
     gram = full_map.conj().T @ full_map
     iso_res = hermitian_norm(gram - eye)
-    inter_res = spectral_norm(full_map @ t_adj - model_op.conj().T @ full_map)
+    inter_res = spectral_norm(full_map @ t_adj - model_op.adjoint_apply(full_map))
     u_coiso = hermitian_norm(u @ u.conj().T - np.eye(q_min.shape[0]))
     omega_iso = float(np.max(np.abs(np.diag(gram - eye)))) if dim else 0.0
     if iso_res > iso_tol:
@@ -315,7 +449,9 @@ def commutant_lift(
     Produces commuting contractions ``A_i`` on the defect coordinates with
     ``A_i* D = D T_i*`` and ``X_i`` on the tail coordinates with
     ``X_i* Q = Q T_i*``, then ``V_i = (I (x) A_i) (+) X_i`` on the model with
-    ``Pi T_i* = V_i* Pi``.
+    ``Pi T_i* = V_i* Pi``.  ``V_i`` commutes with the model operator
+    ``S (+) U`` exactly on the shift block, so ``model_commute_i`` is the
+    tail block's ``||X_i U - U X_i||``.
     """
     if w.n != t.n:
         raise DouglasPreconditionFailed(f"weight arity {w.n} != tuple arity {t.n}")
@@ -332,12 +468,12 @@ def commutant_lift(
         t_adj = t[i].mat.conj().T
         a_i = _douglas(d_min, d_min @ t_adj, tol, f"defect intertwiner {i}")
         x_i = _douglas(q_min, q_min @ t_adj, tol, f"tail intertwiner {i}")
-        v_i = _block_diag([np.kron(np.eye(n_slots), a_i), x_i])
+        v_i = BlockDiagonal((LiftedAction(a_i, n_slots), LiftedAction(x_i)))
         residuals[f"defect_intertwine_{i}"] = spectral_norm(
             a_i.conj().T @ d_min - d_min @ t_adj)
         residuals[f"tail_intertwine_{i}"] = spectral_norm(x_i.conj().T @ q_min - q_min @ t_adj)
-        residuals[f"model_intertwine_{i}"] = spectral_norm(pi @ t_adj - v_i.conj().T @ pi)
-        residuals[f"model_commute_{i}"] = spectral_norm(v_i @ model_op - model_op @ v_i)
+        residuals[f"model_intertwine_{i}"] = spectral_norm(pi @ t_adj - v_i.adjoint_apply(pi))
+        residuals[f"model_commute_{i}"] = _commutator_norm(v_i, model_op)
         a_ops.append(a_i)
         x_ops.append(x_i)
         v_ops.append(v_i)
@@ -404,27 +540,37 @@ def pure_dilation(
         ]
     e_dim = stages[-1][0].shape[0]
     space = TruncatedSpace(w, degs, coeff_dim=e_dim)
-    star_stacks = [_power_stack(stages[j][1].conj().T, degs[j]) for j in range(t.n)]
-    rows = []
-    for alpha in space.indices:
-        mat = stages[0][0] @ star_stacks[0][alpha[0]]
-        for j in range(1, t.n):
-            mat = stages[j][0] @ star_stacks[j][alpha[j]] @ mat
-        rows.append(mat / math.sqrt(space.monomial_weight(alpha)))
-    p = np.vstack(rows) if rows else np.zeros((0, t.dim), dtype=complex)
-    model_ops = [shift_matrix(space, i).mat for i in range(t.n)]
-    eye = np.eye(t.dim)
-    residuals = {"isometry": hermitian_norm(p.conj().T @ p - eye)}
-    for i in range(t.n):
-        m, ti = model_ops[i], t[i].mat
-        residuals[f"intertwining_{i}"] = spectral_norm(p @ ti.conj().T - m.conj().T @ p)
-        residuals[f"compression_{i}"] = spectral_norm(p.conj().T @ m @ p - ti)
+    model_ops = list(space.shifts)
+    with _map_memory(space.dim, t.dim):
+        # the map and one residual of its size, both reserved before any is written
+        p = np.empty((space.dim, t.dim), dtype=complex)
+        resid = np.empty_like(p)
+        _fill_map_rows(p, space, [
+            d_min @ _power_stack(op.conj().T, degs[j]) for j, (d_min, op) in enumerate(stages)
+        ], on_left=True)
+        residuals = {"isometry": hermitian_norm(p.conj().T @ p - np.eye(t.dim))}
+        for i, shift in enumerate(model_ops):
+            (residuals[f"intertwining_{i}"],
+             residuals[f"compression_{i}"]) = _shift_residuals(p, t[i].mat, shift, resid)
     if residuals["isometry"] > iso_tol:
         raise IsometryResidualTooLarge(
             f"pure dilation not isometric (residual {residuals['isometry']:.3e})"
         )
     return DilationResult(map=Operator(p), model_ops=model_ops, residuals=residuals,
                           block_layout=None)
+
+
+def _shift_residuals(
+    p: np.ndarray, ti: np.ndarray, shift: ShiftAction, resid: np.ndarray
+) -> tuple[float, float]:
+    """``||p T_i* - S_i* p||`` and ``||(S_i* p)* p - T_i||``; ``resid`` is
+    scratch of the map's shape, and ``S_i* p`` is conjugated in place."""
+    moved = shift.adjoint_apply(p)
+    np.matmul(p, ti.conj().T, out=resid)
+    resid -= moved
+    intertwining = spectral_norm(resid)
+    np.conjugate(moved, out=moved)
+    return intertwining, spectral_norm(moved.T @ p - ti)
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +643,11 @@ def general_model(
     lifted co-isometries, coordinates inside as shifts.
 
     ``residuals["model_norm_i"]`` is the spectral norm of ``model_ops[i]``,
-    taken from the block factors instead of an SVD of the assembled matrix:
-    the norm of a block diagonal is the largest block norm; the lifted part
-    ``I (x) V`` has the norm of ``V``; and the block shift in variable ``i``
-    is ``S (x) I_e`` with ``S`` permutation-similar to ``I (x) S_1 (x) I`` on
-    the full index box, so its norm is that of the one-variable shift ``S_1``
-    on ``w[i]`` truncated at ``degs[i]``.
+    taken from its blocks without an SVD of a shift: the norm of a block
+    diagonal is the largest block norm; the lifted part ``I (x) V`` has the
+    norm of ``V``; and a block shift has the norm of its largest weight ratio
+    (:meth:`ShiftAction.norm`: ``S* S`` is diagonal), the same ratios
+    ``sqrt(w_{k+1} / w_k)``, ``k < degs[i] - 1``, in every block.
     """
     if w.n != t.n:
         raise NotHypercontractive(f"weight arity {w.n} != tuple arity {t.n}")
@@ -519,11 +664,6 @@ def general_model(
     )
     raw.sort(key=lambda item: sum(1 << i for i in item[0]))
     blocks: list[LambdaBlock] = []
-    star_stacks = [_power_stack(t[i].mat.conj().T, degs[i]) for i in range(t.n)]
-    pi_parts: list[np.ndarray] = []
-    op_parts: list[list[np.ndarray]] = [[] for _ in range(t.n)]
-    model_norms = [0.0] * t.n
-    shift_norms: dict[int, float] = {}
     total_dim = 0
     for lam, delta, v in raw:
         e_dim = delta.shape[0]
@@ -539,44 +679,29 @@ def general_model(
             raise BlockBudgetExceeded(
                 f"model dimension exceeds the budget {max_model_dim}"
             )
-        # rows of the block map
-        if space is None:
-            pi_parts.append(delta if e_dim else np.zeros((0, t.dim), dtype=complex))
-        else:
-            rows = []
-            for alpha in space.indices:
-                mat = delta
-                for pos, i in enumerate(lam):
-                    mat = mat @ star_stacks[i][alpha[pos]]
-                rows.append(mat / math.sqrt(space.monomial_weight(alpha)))
-            pi_parts.append(np.vstack(rows))
-        # block operators
-        for i in range(t.n):
-            if i in lam:
-                if space is None:
-                    op_parts[i].append(np.zeros((0, 0), dtype=complex))
-                    continue
-                op_parts[i].append(shift_matrix(space, lam.index(i)).mat)
-                if i not in shift_norms:
-                    one_var = TruncatedSpace(w.subset((i,)), (degs[i],))
-                    shift_norms[i] = spectral_norm(shift_matrix(one_var, 0).mat)
-                model_norms[i] = max(model_norms[i], shift_norms[i])
-            else:
-                vmat = v[i]
-                if space is None:
-                    op_parts[i].append(vmat)
-                else:
-                    op_parts[i].append(np.kron(np.eye(len(space.indices)), vmat))
-                model_norms[i] = max(model_norms[i], spectral_norm(vmat))
-    p = np.vstack(pi_parts)
-    model_ops = [_block_diag(parts) for parts in op_parts]
-    eye = np.eye(t.dim)
+    model_ops = [BlockDiagonal(tuple(_block_action(b, i) for b in blocks)) for i in range(t.n)]
+    star_stacks = [_power_stack(t[i].mat.conj().T, degs[i]) for i in range(t.n)]
     residuals = dict(diagnostics)
-    residuals["isometry"] = hermitian_norm(p.conj().T @ p - eye)
-    for i in range(t.n):
-        m = model_ops[i]
-        residuals[f"intertwining_{i}"] = spectral_norm(p @ t[i].mat.conj().T - m.conj().T @ p)
-        residuals[f"model_norm_{i}"] = model_norms[i]
+    with _map_memory(total_dim, t.dim):
+        p = np.empty((total_dim, t.dim), dtype=complex)
+        resid = np.empty_like(p)
+        lo = 0
+        for block in blocks:
+            rows = p[lo:lo + block.block_dim]
+            lo += block.block_dim
+            if block.space is None:
+                rows[...] = block.delta
+            else:
+                first = block.delta @ star_stacks[block.lam[0]]
+                _fill_map_rows(rows, block.space,
+                               [first] + [star_stacks[i] for i in block.lam[1:]],
+                               on_left=False)
+        residuals["isometry"] = hermitian_norm(p.conj().T @ p - np.eye(t.dim))
+        for i, op in enumerate(model_ops):
+            np.matmul(p, t[i].mat.conj().T, out=resid)
+            resid -= op.adjoint_apply(p)
+            residuals[f"intertwining_{i}"] = spectral_norm(resid)
+            residuals[f"model_norm_{i}"] = op.norm()
     for block in blocks:
         tag = "_".join(str(i) for i in block.lam) if block.lam else "empty"
         delta = block.delta
@@ -603,6 +728,17 @@ def general_model(
         )
     return DilationResult(map=Operator(p), model_ops=model_ops, residuals=residuals,
                           block_layout=blocks)
+
+
+def _block_action(block: LambdaBlock, i: int) -> ModelAction:
+    """Coordinate ``i`` of the general model on one block: the block shift
+    when ``i`` is in ``lam``, else the lifted co-isometry ``I (x) v[i]``."""
+    if i not in block.lam:
+        copies = 1 if block.space is None else len(block.space.indices)
+        return LiftedAction(block.v[i], copies)
+    if block.space is None:  # an empty block
+        return LiftedAction(np.zeros((0, 0), dtype=complex))
+    return block.space.shifts[block.lam.index(i)]
 
 
 def _double_limit(
@@ -632,11 +768,13 @@ def model_colift(
     v,
     model: DilationResult,
     tol: float = LIMIT_TOL,
-) -> tuple[np.ndarray, dict[str, float]]:
+) -> tuple[BlockDiagonal, dict[str, float]]:
     """Lift a co-isometry commuting with the modeled tuple onto the model.
 
     Requires ``V Delta* Delta V* = Delta* Delta`` for every block; the lifted
-    operator is blockwise ``I (x) W_lam`` with ``W_lam* Delta = Delta V*``.
+    operator is blockwise ``I (x) W_lam`` with ``W_lam* Delta = Delta V*``,
+    and it commutes with each model operator block by block (exactly on the
+    shift blocks).
     """
     if model.block_layout is None:
         raise ValueError("model colift needs a block layout from the general model")
@@ -658,15 +796,15 @@ def model_colift(
         else:
             w_lam = _douglas(delta, delta @ v_adj, tol, f"colift {tag}")
         copies = 1 if block.space is None else len(block.space.indices)
-        parts.append(np.kron(np.eye(copies), w_lam))
+        parts.append(LiftedAction(w_lam, copies))
         residuals[f"colift_intertwine_{tag}"] = spectral_norm(
             w_lam.conj().T @ delta - delta @ v_adj
         )
-    lifted = _block_diag(parts)
+    lifted = BlockDiagonal(tuple(parts))
     pi = model.map.mat
-    residuals["map_intertwine"] = spectral_norm(pi @ v_adj - lifted.conj().T @ pi)
+    residuals["map_intertwine"] = spectral_norm(pi @ v_adj - lifted.adjoint_apply(pi))
     for i, r_i in enumerate(model.model_ops):
-        residuals[f"commute_{i}"] = spectral_norm(lifted @ r_i - r_i @ lifted)
+        residuals[f"commute_{i}"] = _commutator_norm(lifted, r_i)
     return lifted, residuals
 
 

@@ -93,7 +93,8 @@ class LiftConditionFailed(WbergError):
 
 
 class BlockBudgetExceeded(WbergError):
-    pass
+    """A model too large to build: the general model's dimension exceeds its
+    budget, or a dilation map and its residuals do not fit in memory."""
 
 
 # --- characteristic function errors ------------------------------------------

@@ -13,7 +13,7 @@ from wberg.bergman import (
 )
 from wberg.errors import ArityMismatch, DegreeOverflow, OutsideDisc
 from wberg.generators import Lcg
-from wberg.linalg import Operator
+from wberg.linalg import Operator, spectral_norm
 from wberg.series import MultiWeightSpec, WeightSpec, quotient_coeffs
 
 from dense_multiplier import multiplier_matrix
@@ -166,6 +166,49 @@ def test_multishift_norm_is_one_variable_shift_norm(spec, degs, e):
         full = shift_matrix(TruncatedSpace(w, degs, coeff_dim=e), i).norm()
         one = shift_matrix(TruncatedSpace(w.subset((i,)), (degs[i],)), 0).norm()
         assert full == one
+
+
+def dense_shift(space, i):
+    """Reference shift matrix, entry by entry from the monomial weights."""
+    row = space.weights[i].values(space.degrees[i])
+    e = space.coeff_dim
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    for a in space.indices:
+        if a[i] + 1 < space.degrees[i]:
+            b = a[:i] + (a[i] + 1,) + a[i + 1:]
+            for p in range(e):
+                mat[space.slot(b, p), space.slot(a, p)] = np.sqrt(row[a[i] + 1] / row[a[i]])
+    return mat
+
+
+@pytest.mark.parametrize("wtxt,degs", [
+    ("bergman:2.5", (7,)),
+    ("hardy,bergman:1.5", (5, 4)),
+    ("bergman:2,hardy,bergman:3.7", (3, 4, 2)),
+], ids=["one-var", "two-var", "three-var"])
+@pytest.mark.parametrize("e", [1, 3])
+def test_shift_action_equals_its_matrix(wtxt, degs, e):
+    # one nonzero per row and column: the gather and scale is exactly the product
+    space = TruncatedSpace(MultiWeightSpec.parse(wtxt), degs, coeff_dim=e)
+    assert np.array_equal(space.index_weights,
+                          [space.monomial_weight(a) for a in space.indices])
+    x = Lcg(5).complex_matrix(space.dim, 4)
+    for i, action in enumerate(space.shifts):
+        mat = action.to_matrix()
+        assert np.array_equal(mat, dense_shift(space, i))
+        assert np.array_equal(shift_matrix(space, i).mat, mat)
+        assert np.array_equal(action.apply(x), mat @ x)
+        assert np.array_equal(action.adjoint_apply(x), mat.conj().T @ x)
+        assert np.array_equal(action.apply(x[:, :1]), mat @ x[:, :1])
+
+
+@pytest.mark.parametrize("wtxt", ["hardy", "bergman:1.5", "bergman:2", "bergman:2.5",
+                                  "bergman:3.7"])
+def test_shift_action_norm_is_the_svd_norm(wtxt):
+    # S* S is diagonal, so the largest ratio is the spectral norm, bit for bit
+    for deg in (8, 24, 63, 243, 458):
+        space = TruncatedSpace(MultiWeightSpec.parse(wtxt), (deg,))
+        assert space.shifts[0].norm() == spectral_norm(shift_matrix(space, 0).mat)
 
 
 def test_kernel_reproducing_property_truncated():

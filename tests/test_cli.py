@@ -179,6 +179,26 @@ def test_config_arity_mismatch_exit_2(tmp_path, capsys, cfg):
     assert json.loads(err.splitlines()[0])["error"] == "ConfigError"
 
 
+def test_dilation_map_that_does_not_fit_exits_2(monkeypatch, capsys):
+    argv = ("dilate", "--pure", "--weights", "hardy,hardy", "--tuple", "nilpotent:5:4:2:0.6")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    shape = (json.loads(out)["steps"]["dilate-pure"]["model_dim"], 4)
+    original = np.empty
+
+    def empty(size, *args, **kwargs):
+        if tuple(np.atleast_1d(size)) == shape:
+            raise MemoryError("no room")
+        return original(size, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    error = json.loads(err.splitlines()[0])
+    assert error["error"] == "BlockBudgetExceeded"
+    assert f"({shape[0]}, {shape[1]})" in error["message"] and "GiB" in error["message"]
+
+
 def test_unknown_config_key_rejected():
     with pytest.raises(ConfigError):
         parse_case({"weights": "hardy", "bogus": 1})

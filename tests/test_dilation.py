@@ -1,10 +1,15 @@
 """Dilation constructions: one variable, commutant lifts, pure and general models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from wberg.bergman import TruncatedSpace, multishift_tuple
+import wberg.bergman as bergman
+from wberg.bergman import ShiftAction, TruncatedSpace, multishift_tuple
 from wberg.dilation import (
+    BlockDiagonal,
+    LiftedAction,
     commutant_lift,
     general_model,
     isometry_identity_check,
@@ -13,7 +18,12 @@ from wberg.dilation import (
     pure_dilation,
     transport_identities_check,
 )
-from wberg.errors import LiftConditionFailed, NotHypercontractive, NotPure
+from wberg.errors import (
+    BlockBudgetExceeded,
+    LiftConditionFailed,
+    NotHypercontractive,
+    NotPure,
+)
 from wberg.generators import (
     commuting_unitaries,
     nilpotent_commuting_tuple,
@@ -22,6 +32,7 @@ from wberg.generators import (
 )
 from wberg.hyper import OperatorTuple, defect_series, is_W_hypercontraction, subtuple
 from wberg.linalg import Operator
+from wberg.pipelines import PURE_DILATION_BUDGETS
 from wberg.series import MultiWeightSpec, WeightSpec
 
 HARDY = WeightSpec.hardy()
@@ -42,7 +53,7 @@ def test_one_var_zero_operator_embeds_constants():
     assert np.allclose(d.map.mat, np.array([[1], [0], [0], [0], [0]])[: d.map.rows])
     assert d.residuals["isometry"] < 1e-14
     # model operator restricted to the function block is the truncated shift
-    assert np.allclose(d.model_ops[0][:4, :4], np.diag([1.0] * 3, -1))
+    assert np.allclose(d.model_ops[0].to_matrix()[:4, :4], np.diag([1.0] * 3, -1))
 
 
 def test_one_var_pure_branch_reduces_to_shift_intertwining():
@@ -121,7 +132,7 @@ def test_commutant_lift_pure_first_coordinate_has_no_tail_part():
         assert lift.residuals[f"model_intertwine_{i}"] < 1e-10
         assert lift.residuals[f"model_commute_{i}"] < 1e-10
     # V_i = I (x) A_i exactly: compare blocks
-    v = lift.v_ops[0]
+    v = lift.v_ops[0].to_matrix()
     n_slots = lift.base.n_terms
     expected = np.kron(np.eye(n_slots), lift.a_ops[0])
     assert np.allclose(v[: expected.shape[0], : expected.shape[1]], expected)
@@ -177,7 +188,7 @@ def test_pure_dilation_nilpotent_pair_compression_recovery():
         assert res.residuals[f"compression_{i}"] < 1e-10
     # explicit restatement: map* M_i map equals T_i
     for i in range(2):
-        comp = res.map.mat.conj().T @ res.model_ops[i] @ res.map.mat
+        comp = res.map.mat.conj().T @ res.model_ops[i].to_matrix() @ res.map.mat
         assert opnorm(comp - t[i].mat) < 1e-10
 
 
@@ -191,7 +202,7 @@ def test_pure_dilation_model_tuple_is_hypercontractive():
     t = nilpotent_commuting_tuple(35, 4, 2, radius=0.5)
     w = MultiWeightSpec.parse("bergman:2,hardy")
     res = pure_dilation(t, w)
-    model = OperatorTuple.of(*res.model_ops)
+    model = OperatorTuple.of(*(op.to_matrix() for op in res.model_ops))
     assert is_W_hypercontraction(model, w).verdict
 
 
@@ -266,7 +277,7 @@ def test_general_model_norms_equal_dense_norms(make, wtxt):
                 kinds.add("lift")
     assert kinds == {"shift", "lift"}
     for i, op in enumerate(res.model_ops):
-        assert res.residuals[f"model_norm_{i}"] == opnorm(op)
+        assert res.residuals[f"model_norm_{i}"] == opnorm(op.to_matrix())
 
 
 def test_general_model_block_structure_matches_displayed_form():
@@ -279,7 +290,8 @@ def test_general_model_block_structure_matches_displayed_form():
     for block in res.block_layout:
         offsets[block.lam] = (pos, pos + block.block_dim)
         pos += block.block_dim
-    for i, r in enumerate(res.model_ops):
+    for i, op in enumerate(res.model_ops):
+        r = op.to_matrix()
         for lam, (lo, hi) in offsets.items():
             block = layout[lam]
             sub = r[lo:hi, lo:hi]
@@ -323,7 +335,7 @@ def test_model_colift_identity():
     w = MultiWeightSpec.parse("hardy,hardy")
     model = general_model(t, w)
     lifted, residuals = model_colift(np.eye(t.dim), model)
-    assert opnorm(lifted - np.eye(model.map.rows)) < 1e-9
+    assert opnorm(lifted.to_matrix() - np.eye(model.map.rows)) < 1e-9
     assert residuals["map_intertwine"] < 1e-9
 
 
@@ -419,3 +431,148 @@ def test_pure_dilation_bitwise_deterministic():
     r2 = pure_dilation(t, w)
     assert np.array_equal(r1.map.mat, r2.map.mat)
     assert r1.residuals == r2.residuals
+
+
+# ---------------------------------------------------------------------------
+# model operators as actions against the dense route
+# ---------------------------------------------------------------------------
+
+DENSE_ROUTE_TOL = 1e-13
+
+
+def test_pure_dilation_residuals_match_dense_route():
+    t = nilpotent_commuting_tuple(33, 6, 2, radius=0.5)
+    res = pure_dilation(t, MultiWeightSpec.parse("bergman:2,hardy"))
+    p = res.map.mat
+    for i, op in enumerate(res.model_ops):
+        assert isinstance(op, ShiftAction)
+        m, ti = op.to_matrix(), t[i].mat
+        dense_int = opnorm(p @ ti.conj().T - m.conj().T @ p)
+        dense_comp = opnorm(p.conj().T @ m @ p - ti)
+        assert abs(res.residuals[f"intertwining_{i}"] - dense_int) <= DENSE_ROUTE_TOL
+        assert abs(res.residuals[f"compression_{i}"] - dense_comp) <= DENSE_ROUTE_TOL
+
+
+@pytest.mark.parametrize("make,wtxt", [
+    (lambda: unitary_times_nilpotent(401, 2, 3), "bergman:2,hardy"),
+    (lambda: scalar_tuple([1.0, 0.5]), "hardy,hardy"),
+], ids=["unitary-times-nilpotent", "scalars-hardy"])
+def test_general_model_residuals_match_dense_route(make, wtxt):
+    t = make()
+    res = general_model(t, MultiWeightSpec.parse(wtxt))
+    p = res.map.mat
+    for i, op in enumerate(res.model_ops):
+        m = op.to_matrix()
+        dense_int = opnorm(p @ t[i].mat.conj().T - m.conj().T @ p)
+        assert abs(res.residuals[f"intertwining_{i}"] - dense_int) <= DENSE_ROUTE_TOL
+        assert abs(res.residuals[f"model_norm_{i}"] - opnorm(m)) <= DENSE_ROUTE_TOL
+        x = p[:, :1]
+        assert np.allclose(op.apply(x), m @ x, rtol=0, atol=DENSE_ROUTE_TOL)
+
+
+def test_one_var_dilation_residual_matches_dense_route():
+    t = Operator(np.diag([1.0, 0.5]))
+    d = one_var_dilation(t, HARDY)
+    m = d.model_ops[0].to_matrix()
+    pi = d.map.mat
+    dense = opnorm(pi @ t.mat.conj().T - m.conj().T @ pi)
+    assert abs(d.residuals["intertwining"] - dense) <= DENSE_ROUTE_TOL
+
+
+def test_commutant_lift_residuals_match_dense_route():
+    # the first coordinate has a unitary and a pure part
+    t = OperatorTuple.of(Operator(np.diag([1.0, 0.5])), Operator(np.diag([0.6, 0.3j])))
+    lift = commutant_lift(t, MultiWeightSpec.parse("hardy,hardy"))
+    pi = lift.base.map.mat
+    model = lift.base.model_ops[0].to_matrix()
+    assert lift.base.defect_min.shape[0] > 0 and lift.base.q_min.shape[0] > 0
+    v = lift.v_ops[0].to_matrix()
+    dense_int = opnorm(pi @ t[1].mat.conj().T - v.conj().T @ pi)
+    dense_comm = opnorm(v @ model - model @ v)
+    assert abs(lift.residuals["model_intertwine_1"] - dense_int) <= DENSE_ROUTE_TOL
+    assert abs(lift.residuals["model_commute_1"] - dense_comm) <= DENSE_ROUTE_TOL
+
+
+@pytest.mark.parametrize("make,wtxt,lift_of", [
+    (lambda: unitary_times_nilpotent(61, 2, 2), "hardy,hardy", lambda t: t[0].mat),
+    (lambda: OperatorTuple.of(commuting_unitaries(67, 3, 1)[0]), "hardy",
+     lambda t: t[0].mat),
+    (lambda: scalar_tuple([1.0, 0.5]), "hardy,hardy", lambda t: 1j * np.eye(1)),
+], ids=["unitary-times-nilpotent", "unitary", "scalars"])
+def test_model_colift_residuals_match_dense_route(make, wtxt, lift_of):
+    t = make()
+    model = general_model(t, MultiWeightSpec.parse(wtxt))
+    v = lift_of(t)
+    lifted, residuals = model_colift(v, model)
+    big = lifted.to_matrix()
+    pi = model.map.mat
+    dense_int = opnorm(pi @ v.conj().T - big.conj().T @ pi)
+    assert abs(residuals["map_intertwine"] - dense_int) <= DENSE_ROUTE_TOL
+    for i, op in enumerate(model.model_ops):
+        m = op.to_matrix()
+        assert abs(residuals[f"commute_{i}"] - opnorm(big @ m - m @ big)) <= DENSE_ROUTE_TOL
+
+
+def test_lifted_and_block_actions_equal_their_matrices():
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    u = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    space = TruncatedSpace(MultiWeightSpec.parse("bergman:2"), (4,), coeff_dim=3)
+    op = BlockDiagonal((space.shifts[0], LiftedAction(v, 4), LiftedAction(u),
+                        LiftedAction(np.zeros((0, 0), dtype=complex))))
+    m = op.to_matrix()
+    x = rng.standard_normal((op.dim, 5)) + 1j * rng.standard_normal((op.dim, 5))
+    assert np.allclose(op.apply(x), m @ x, rtol=0, atol=1e-14)
+    assert np.allclose(op.adjoint_apply(x), m.conj().T @ x, rtol=0, atol=1e-14)
+    assert abs(op.norm() - opnorm(m)) <= DENSE_ROUTE_TOL
+
+
+def test_dilations_form_no_dense_model_operator(monkeypatch):
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, **k: calls.append(name) or original(*a, **k))
+
+    count(bergman, "shift_matrix")
+    for cls in (ShiftAction, LiftedAction, BlockDiagonal):
+        count(cls, "to_matrix")
+    pure_dilation(nilpotent_commuting_tuple(35, 4, 2, radius=0.5),
+                  MultiWeightSpec.parse("bergman:2,hardy"))
+    general_model(unitary_times_nilpotent(401, 2, 3), MultiWeightSpec.parse("bergman:2,hardy"))
+    assert calls == []
+
+
+def test_pure_dilation_past_the_dense_cliff_stays_small():
+    # horizons (458, 243) give a model of dimension 111 294, whose dense
+    # shifts would need 185 GiB each; the map is 111 294 x 1 (1.8 MB)
+    t = scalar_tuple([0.95, 0.9])
+    w = MultiWeightSpec.parse("bergman:1.5,bergman:2.5")
+    tracemalloc.start()
+    try:
+        res = pure_dilation(t, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.map.rows == 458 * 243
+    for key, value in res.residuals.items():
+        assert value <= PURE_DILATION_BUDGETS[key.split("_")[0]], key
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("build", [pure_dilation, general_model], ids=["pure", "general"])
+def test_map_that_does_not_fit_raises_block_budget(monkeypatch, build):
+    t = nilpotent_commuting_tuple(33, 4, 2, radius=0.5)
+    w = MultiWeightSpec.parse("hardy,hardy")
+    shape = (build(t, w).map.rows, t.dim)
+    original = np.empty
+
+    def empty(size, *args, **kwargs):
+        if tuple(np.atleast_1d(size)) == shape:
+            raise MemoryError("no room")
+        return original(size, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    with pytest.raises(BlockBudgetExceeded, match=rf"\({shape[0]}, {shape[1]}\).*GiB"):
+        build(t, w)

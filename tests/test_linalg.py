@@ -340,8 +340,8 @@ def test_spectral_primitives_bitwise_deterministic():
 @pytest.mark.parametrize("name,expected", [
     # 2 generator entries; 2 report matrices of `check` (q_tail, defect);
     # `dilate-pure`: the lifted entry of the second stage's one-variable
-    # tuple, 2 model shifts and the dilation map
-    ("nilpotent-pair-hardy", 2 + 2 + 1 + 2 + 1),
+    # tuple and the dilation map (the model shifts are index maps)
+    ("nilpotent-pair-hardy", 2 + 2 + 1 + 1),
     # 1 generator entry; 2 report matrices of `check`; `charfn`: the random
     # unitary and the entry of the conjugated operator's tuple
     ("charfn-nilpotent-bergman2", 1 + 2 + 1 + 1),
