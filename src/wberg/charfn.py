@@ -18,6 +18,14 @@ is a partially isometric multiplier from a Hardy space into the weighted
 Bergman space of the defect, complementary to the dilation map, and a
 complete unitary invariant.  Every identity is checkable at the truncation
 level and the checks below return the residuals.
+
+Each residual is computed at the size where it lives.  The unitarity of the
+completed block matrix is read off a ``(d + min(e, d))``-square matrix
+(:func:`block_unitarity`), the range orthogonality ``pi* M = 0`` off a
+``d``-square Gram matrix (:func:`partial_isometry_check`), with ``d`` the
+operator's dimension and ``e`` the completion's.  Only the partial isometry
+``pi pi* + M M* = I`` is taken on the ``e``-sized truncated space: its
+residual has no low-rank structure, being the rounding of its own assembly.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "CharTriple",
     "CharFunction",
     "char_function",
+    "block_unitarity",
     "char_function_eval",
     "key_identity_check",
     "partial_isometry_check",
@@ -60,7 +69,9 @@ KERNEL_CHUNK_RTOL = 1e-18
 
 
 def _char_horizon(t: np.ndarray, omega: WeightSpec, tol: float) -> int:
-    return max(_pure_horizon(t, omega, tol), MIN_CHAR_TERMS)
+    # an explicit weight list shorter than MIN_CHAR_TERMS lends all its entries
+    floor = min(MIN_CHAR_TERMS, omega.max_terms or MIN_CHAR_TERMS)
+    return max(_pure_horizon(t, omega, tol), floor)
 
 
 def rho_sequence(omega: WeightSpec, n: int) -> np.ndarray:
@@ -172,6 +183,41 @@ def char_function(
     return CharFunction(mat, omega, n_terms, triple, d_min, basis, c, res)
 
 
+def block_unitarity(cf: CharFunction) -> float:
+    """Residual ``||U* U - I||`` of the completed block matrix, taken on the small side.
+
+    With ``X = [T*; C]`` the ``N x d`` column isometry and ``Y = [B; D]`` its
+    ``N x e`` completion (``N = d + e``), ``U = [X Y]`` and
+
+        U* U - I = [[X* X - I, (Y* X)*], [Y* X, Y* Y - I]].
+
+    ``Y`` is the trailing block of the complete Householder QR of ``X``, so
+    ``Y* Y - I`` is only that factorization's orthogonality error, a
+    rounding-level quantity (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 19) that says nothing about ``T``.  Write
+    ``U* U - I = H + E`` with ``E = diag(0, Y* Y - I)``; by Weyl's
+    inequality ``||U* U - I||`` and ``||H||`` differ by at most
+    ``||Y* Y - I||``, so ``||H||`` is returned.  With the thin QR
+    ``Y* X = P S`` (``P`` of size ``e x k`` with orthonormal columns, ``S``
+    of size ``k x d``, ``k = min(e, d)``),
+
+        H = V K V*,   V = diag(I_d, P),   K = [[X* X - I, S*], [S, 0]].
+
+    ``V`` is an isometry, so the nonzero eigenvalues of ``H`` are those of
+    the ``(d + k)``-square Hermitian ``K``, and ``||H|| = ||K||``.  The cost
+    is the two ``e x d`` products of ``Y* X = B* T* + D* C`` and one thin
+    QR; no ``N``-square matrix is formed.
+    """
+    t_adj = cf.t.conj().T
+    c = cf.column_map
+    gap = cf.t @ t_adj + c.conj().T @ c - np.eye(cf.t.shape[0])
+    cross = cf.triple.b.conj().T @ t_adj + cf.triple.d_stack.conj().T @ c
+    s = np.linalg.qr(cross, mode="r")
+    k = s.shape[0]
+    small = np.block([[gap, s.conj().T], [s, np.zeros((k, k))]])
+    return hermitian_norm(small)
+
+
 def kernel_poly(omega: WeightSpec, z: complex, powers: np.ndarray) -> np.ndarray:
     """Operator series ``sum_n z^n A^n / w_n`` over a power stack ``[I, A, A^2, ...]``."""
     n = len(powers)
@@ -183,20 +229,28 @@ def _kernel_scalar(omega: WeightSpec, x: complex, cap: int = 4096) -> complex:
 
     Raises :class:`HorizonTooShort` when ``cap`` terms do not converge, as
     they do not for ``|x|`` close to 1, instead of returning a partial sum.
+    An explicit weight list caps the sum at its length.  No chunk follows
+    the one its end cuts short, so there the sum is accepted when the last
+    term alone passes the chunk test; otherwise the error names the list's
+    length.
     """
+    length = omega.max_terms
+    cap = min(cap, length or cap)
     total = 0.0 + 0.0j
     block = 64
     n0 = 0
     while n0 < cap:
-        inv_w = omega.inverse_weight_values(n0 + block)[n0:]
-        powers = x ** (n0 + np.arange(block))
-        chunk = np.sum(inv_w * powers)
+        n1 = min(n0 + block, cap)
+        terms = omega.inverse_weight_values(n1)[n0:] * x ** np.arange(n0, n1)
+        chunk = np.sum(terms)
         total += chunk
-        if abs(chunk) < KERNEL_CHUNK_RTOL * max(1.0, abs(total)):
+        small = KERNEL_CHUNK_RTOL * max(1.0, abs(total))
+        if abs(chunk) < small or (n1 == length and abs(terms[-1]) < small):
             return complex(total)
-        n0 += block
+        n0 = n1
+    ending = f" at the end of the {length}-entry explicit weight list" if n0 == length else ""
     raise HorizonTooShort(
-        f"scalar kernel at |x| = {abs(x):.6g} has not converged after {n0} terms"
+        f"scalar kernel at |x| = {abs(x):.6g} has not converged after {n0} terms{ending}"
     )
 
 
@@ -258,9 +312,15 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
     space of ``E``, which is block Toeplitz: ``M[b, a] = sqrt(w_b) Theta_{b-a}``.
     So ``M M*`` is the Gram matrix of the coefficient blocks summed along
     block diagonals and rescaled by ``sqrt(w_b w_b')``, and block column ``a``
-    of ``pi* M`` is the correlation ``sum_j T^(a+j) D* Theta_j``, in which the
-    weights cancel.  Returns the residuals of ``pi pi* + M M* = I`` and of the
-    range orthogonality ``pi* M = 0``.
+    of ``pi* M`` is the correlation ``sum_(j < n - a) T^(a+j) D* Theta_j``, in
+    which the weights cancel.  Factoring out ``T^a``, it is
+    ``T^a P_(n-1-a)`` with the prefix sums ``P_m = sum_(j <= m) T^j D* Theta_j``,
+    so all ``n`` blocks come from one batched product, one ``cumsum`` and one
+    batched product with the powers.  The ``d x n e`` matrix ``pi* M`` has
+    the norm ``sqrt(lambda_max)`` of its ``d``-square Gram matrix
+    ``sum_a block_a block_a*``; a largest singular value taken from the Gram
+    matrix carries a relative error of about ``eps``.  Returns the residuals
+    of ``pi pi* + M M* = I`` and of the range orthogonality ``pi* M = 0``.
     """
     n, r = cf.n_terms, cf.defect_dim
     theta = cf.coefficients()[:n]  # Theta_n only reaches degrees beyond the cutoff
@@ -274,11 +334,10 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
     pi = (rows / sqrt_w.reshape(n, r, 1)).reshape(n * r, -1)
     total = pi @ pi.conj().T + mm
     res = hermitian_norm(total - np.eye(n * r))
-    adj = rows.conj().transpose(0, 2, 1)
-    cross = np.concatenate(
-        [np.tensordot(adj[a:], theta[:n - a], axes=([0, 2], [0, 1])) for a in range(n)], axis=1
-    )
-    return {"partial_isometry": res, "range_orthogonality": spectral_norm(cross)}
+    prefix = np.cumsum(rows.conj().transpose(0, 2, 1) @ theta, axis=0)
+    blocks = cf.star_powers.conj().transpose(0, 2, 1) @ prefix[::-1]
+    gram_cross = np.tensordot(blocks, blocks.conj(), axes=([0, 2], [0, 2]))
+    return {"partial_isometry": res, "range_orthogonality": math.sqrt(hermitian_norm(gram_cross))}
 
 
 def _transition(t1: CharTriple, t2: CharTriple) -> np.ndarray:

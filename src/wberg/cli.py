@@ -4,7 +4,8 @@ Subcommands: ``series`` (invert, quotient, props), ``check``, ``dilate``,
 ``charfn``, ``verify-all``.  Reports are deterministic JSON on stdout (or
 ``--out``); wall-clock timing goes to stderr so report bodies stay
 byte-identical across runs.  Exit codes: 0 success, 1 mathematical verdict
-failure, 2 usage or configuration error or a model too large to build.
+failure, 2 usage or configuration error, a model too large to build, or a
+truncation the weights cannot carry (``HorizonTooShort``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     BadBeta,
     BlockBudgetExceeded,
     ConfigError,
+    HorizonTooShort,
     InvalidWeights,
     NonDecreasingWeights,
     NotCommuting,
@@ -35,6 +37,7 @@ from .series import MultiWeightSpec, associated_series, check_properties, \
 USAGE_ERRORS = (
     BlockBudgetExceeded,
     ConfigError,
+    HorizonTooShort,
     InvalidWeights,
     BadBeta,
     NonDecreasingWeights,

@@ -34,6 +34,7 @@ from .bergman import ShiftAction, TruncatedSpace
 from .errors import (
     BlockBudgetExceeded,
     DouglasPreconditionFailed,
+    HorizonTooShort,
     IsometryResidualTooLarge,
     LiftConditionFailed,
     NotHypercontractive,
@@ -257,11 +258,15 @@ def _pure_horizon(t: np.ndarray, omega: WeightSpec, tol: float, cap: int = HORIZ
 
     Row norms scale like the square root of the dropped tail, so the tail
     sum is pushed below ``tol**2`` to keep amplitude-level residuals
-    (intertwinings) within ``tol``.
+    (intertwinings) within ``tol``.  An explicit weight list caps the sum
+    at its length, as it caps the classification's degrees; a list that
+    ends before the tail test is met raises :class:`HorizonTooShort`.
     """
+    cap = min(cap, omega.max_terms or cap)
     nil = _nilpotency_order(t, min(cap, t.shape[0]))
     if nil is not None:
         return nil
+    horizon = cap
     sigma = spectral_norm(t)
     if sigma < 1.0:
         target = tol * tol
@@ -270,9 +275,16 @@ def _pure_horizon(t: np.ndarray, omega: WeightSpec, tol: float, cap: int = HORIZ
         for k in range(cap - 1, 0, -1):
             total += inv_w[k] * sigma ** (2 * k)
             if total > target:
-                return min(k + 1, cap)
-        return 2
-    return cap
+                horizon = k + 1
+                break
+        else:
+            return 2
+    if horizon == omega.max_terms:
+        raise HorizonTooShort(
+            f"explicit weight list has {omega.max_terms} entries; the dilation "
+            "rows still carry mass at its end"
+        )
+    return horizon
 
 
 def _douglas(g: np.ndarray, f: np.ndarray, tol: float, what: str) -> np.ndarray:

@@ -151,6 +151,52 @@ def test_charfn_non_pure_exit_1(capsys):
     assert "NotPure" in err
 
 
+def bergman2_prefix(length: int) -> str:
+    """The first ``length`` weights ``w_k = 1/(k+1)`` of ``bergman:2`` as an explicit list."""
+    return "explicit:[" + ",".join(repr(1 / (k + 1)) for k in range(length)) + "]"
+
+
+@pytest.mark.parametrize("tuple_spec", ["scalars:[0.5]", "nilpotent:3:6:1:0.5"])
+@pytest.mark.parametrize("command, step, sizes", [
+    (("dilate", "--pure"), "dilate-pure", ("model_dim",)),
+    (("charfn",), "charfn", ("n_terms", "e_dim")),
+], ids=["dilate-pure", "charfn"])
+def test_explicit_weights_run_like_their_preset(capsys, command, step, sizes, tuple_spec):
+    # 200 entries reach past every sum these cases take: the verdicts and the
+    # truncations equal those of bergman:2
+    code, out, err = run_cli(capsys, *command, "--weights", bergman2_prefix(200),
+                             "--tuple", tuple_spec)
+    assert code == 0, err
+    preset_code, preset_out, _ = run_cli(capsys, *command, "--weights", "bergman:2",
+                                         "--tuple", tuple_spec)
+    assert preset_code == 0
+    body = json.loads(out)["steps"][step]
+    preset = json.loads(preset_out)["steps"][step]
+    assert body["verdict"] is preset["verdict"] is True
+    assert [body[key] for key in sizes] == [preset[key] for key in sizes]
+
+
+@pytest.mark.parametrize("length", [40, 80])
+def test_charfn_on_an_explicit_list_shorter_than_a_kernel_chunk_exit_0(capsys, length):
+    code, out, err = run_cli(capsys, "charfn", "--weights", bergman2_prefix(length),
+                             "--tuple", "nilpotent:3:6:1:0.5")
+    assert code == 0, err
+    assert json.loads(out)["steps"]["charfn"]["verdict"] is True
+
+
+@pytest.mark.parametrize("command, tuple_spec", [
+    (("dilate", "--pure"), "scalars:[0.5]"),
+    (("charfn",), "scalars:[0.5]"),
+    (("charfn",), "nilpotent:3:6:1:0.5"),
+], ids=["dilate-horizon", "charfn-horizon", "charfn-kernel"])
+def test_explicit_list_too_short_for_its_sum_exit_2(capsys, command, tuple_spec):
+    code, _, err = run_cli(capsys, *command, "--weights", bergman2_prefix(12),
+                           "--tuple", tuple_spec)
+    assert code == 2
+    error = json.loads(err.splitlines()[0])
+    assert error["error"] == "HorizonTooShort" and "12" in error["message"]
+
+
 def test_config_file_roundtrip(tmp_path, capsys):
     cfg = {
         "weights": "hardy,hardy",

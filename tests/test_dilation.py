@@ -10,6 +10,7 @@ from wberg.bergman import ShiftAction, TruncatedSpace, multishift_tuple
 from wberg.dilation import (
     BlockDiagonal,
     LiftedAction,
+    _pure_horizon,
     commutant_lift,
     general_model,
     isometry_identity_check,
@@ -20,6 +21,7 @@ from wberg.dilation import (
 )
 from wberg.errors import (
     BlockBudgetExceeded,
+    HorizonTooShort,
     LiftConditionFailed,
     NotHypercontractive,
     NotPure,
@@ -37,6 +39,11 @@ from wberg.series import MultiWeightSpec, WeightSpec
 
 HARDY = WeightSpec.hardy()
 B2 = WeightSpec.bergman(2)
+
+
+def bergman2_prefix(length: int) -> WeightSpec:
+    """The first ``length`` weights ``w_k = 1/(k+1)`` of ``bergman:2`` as an explicit list."""
+    return WeightSpec.from_values(1 / (k + 1) for k in range(length))
 
 
 def opnorm(mat):
@@ -576,3 +583,23 @@ def test_map_that_does_not_fit_raises_block_budget(monkeypatch, build):
     monkeypatch.setattr(np, "empty", empty)
     with pytest.raises(BlockBudgetExceeded, match=rf"\({shape[0]}, {shape[1]}\).*GiB"):
         build(t, w)
+
+
+# ---------------------------------------------------------------------------
+# horizons on explicit weight lists
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("t", [np.array([[0.5]]), np.array([[0.3, 0.4], [0.0, -0.2]])],
+                         ids=["scalar", "triangular"])
+def test_pure_horizon_on_an_explicit_list_matches_its_preset(t):
+    # the list is shorter than HORIZON_CAP but longer than the tail sum needs
+    horizon = _pure_horizon(t, B2, 1e-9)
+    assert horizon < 200
+    assert _pure_horizon(t, bergman2_prefix(200), 1e-9) == horizon
+
+
+def test_pure_horizon_refuses_a_list_that_ends_inside_the_tail():
+    with pytest.raises(HorizonTooShort, match="12 entries"):
+        _pure_horizon(np.array([[0.5]]), bergman2_prefix(12), 1e-9)
+    # a nilpotent operator needs only as many entries as its order
+    assert _pure_horizon(np.diag([0.5, 0.5], -1), bergman2_prefix(3), 1e-9) == 3

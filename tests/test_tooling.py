@@ -60,3 +60,37 @@ def test_tolerance_literals_live_in_module_level_names():
                     and tok.start[0] not in allowed):
                 stray.append(f"{path.name}:{tok.start[0]}: {tok.string}")
     assert not stray, f"tolerance literals outside module-level assignments: {stray}"
+
+
+def _module_imports(tree: ast.Module):
+    """``(bound name, line)`` of every module-level import but ``__future__``."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def test_module_imports_are_used():
+    # an import no expression reads (and __all__ does not re-export) is
+    # left over from code that moved; the package __init__ only re-exports
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported_names(tree)
+        unused += [f"{path.name}:{line}: {name}" for name, line in _module_imports(tree)
+                   if name not in used]
+    assert not unused, f"module-level imports never used: {unused}"
