@@ -48,7 +48,6 @@ from .hyper import (
     delta_power,
     equivalence_crosscheck,
     is_gamma_contractive,
-    is_omega_hypercontraction,
     is_pure,
     is_W_hypercontraction,
     subtuple,

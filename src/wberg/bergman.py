@@ -347,7 +347,8 @@ def multishift_purity_and_positivity(
     """Verify the diagonal defect formula and purity of the truncated shifts.
 
     ``shifts`` is the caller's ``multishift_tuple(space)``, so the defect
-    series are summed over the power stacks that tuple already holds.  In the
+    series are summed over the power stacks that tuple already holds and
+    purity is read from its nilpotency scans.  In the
     weighted quadratic form the defect series acts diagonally on monomials
     with entries ``w_a^2 * a_a(1, r)`` built from the quotient coefficients;
     the truncated shifts are exactly nilpotent.
@@ -382,8 +383,7 @@ def multishift_purity_and_positivity(
         off = ds - np.diag(np.diag(ds))
         max_resid = max(max_resid, hermitian_norm(off))
     pure = all(
-        not np.any(np.linalg.matrix_power(s.mat, space.degrees[i]))
-        for i, s in enumerate(shifts)
+        shifts.nilpotency_order(i, space.degrees[i]) is not None for i in range(shifts.n)
     )
     if not pure:  # fall back to the tail limit if exact nilpotency failed
         pure = all(threshold_norm(tail_operator(s).q, tol) <= tol for s in shifts)

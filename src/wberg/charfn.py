@@ -39,7 +39,7 @@ import numpy as np
 
 from .dilation import _pure_horizon, _defect_sqrt_pieces
 from .errors import HorizonTooShort, NotPure, NotUnitaryInput
-from .hyper import _power_stack, is_pure
+from .hyper import OperatorTuple, is_pure
 from .linalg import complete_to_unitary, hermitian_norm, spectral_norm, threshold_norm
 from .series import WeightSpec
 
@@ -66,12 +66,8 @@ MIN_CHAR_TERMS = 24
 # A chunk of the scalar kernel sum this small relative to the running total
 # ends the sum: later chunks are smaller still for a point inside the disc.
 KERNEL_CHUNK_RTOL = 1e-18
-
-
-def _char_horizon(t: np.ndarray, omega: WeightSpec, tol: float) -> int:
-    # an explicit weight list shorter than MIN_CHAR_TERMS lends all its entries
-    floor = min(MIN_CHAR_TERMS, omega.max_terms or MIN_CHAR_TERMS)
-    return max(_pure_horizon(t, omega, tol), floor)
+# Most terms of the scalar kernel sum before it is declared unconverged.
+KERNEL_CAP = 4096
 
 
 def rho_sequence(omega: WeightSpec, n: int) -> np.ndarray:
@@ -91,8 +87,9 @@ class CharTriple:
     b: np.ndarray
     d_blocks: tuple[np.ndarray, ...]
 
-    @property
+    @cached_property
     def d_stack(self) -> np.ndarray:
+        """The blocks ``D_n`` stacked into one column, formed once per triple."""
         if not self.d_blocks:
             return np.zeros((0, self.e_dim), dtype=complex)
         return np.vstack(self.d_blocks)
@@ -115,15 +112,11 @@ class CharFunction:
     defect_basis: np.ndarray  # columns span ran(D)
     column_map: np.ndarray  # the stacked contraction C
     column_identity: float  # ||I - C*C - T T*||
+    star_powers: np.ndarray  # [I, T*, ..., T*^(n_terms - 1)], which every evaluation sums over
 
     @property
     def defect_dim(self) -> int:
         return self.defect_min.shape[0]
-
-    @cached_property
-    def star_powers(self) -> np.ndarray:
-        """The stack ``[I, T*, ..., T*^(n_terms - 1)]`` every evaluation sums over."""
-        return _power_stack(self.t.conj().T, self.n_terms)
 
     @cached_property
     def scaled_d_blocks(self) -> np.ndarray:
@@ -142,9 +135,11 @@ class CharFunction:
         return out
 
 
-def _resolve_terms(t: np.ndarray, omega: WeightSpec, n_terms: int | None, tol: float) -> int:
+def _resolve_terms(t: OperatorTuple, omega: WeightSpec, n_terms: int | None, tol: float) -> int:
     if n_terms is None:
-        return _char_horizon(t, omega, tol)
+        # an explicit weight list shorter than MIN_CHAR_TERMS lends all its entries
+        floor = min(MIN_CHAR_TERMS, omega.max_terms or MIN_CHAR_TERMS)
+        return max(_pure_horizon(t, 0, omega, tol), floor)
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     return n_terms
@@ -160,14 +155,15 @@ def char_function(
     column mass raises :class:`HorizonTooShort`), then ``[T*; C]`` is
     completed to a unitary, from which ``(E, B, {D_n})`` split off.
     """
-    mat = np.asarray(t, dtype=complex)
-    n_terms = _resolve_terms(mat, omega, n_terms, tol)
-    if not is_pure(mat):
+    tup = OperatorTuple.of(t)
+    mat = tup[0].mat
+    n_terms = _resolve_terms(tup, omega, n_terms, tol)
+    if not is_pure(tup):
         raise NotPure("tail operator does not vanish; no characteristic function")
-    _, basis, d_min = _defect_sqrt_pieces(t, omega, tol)
+    _, basis, d_min = _defect_sqrt_pieces(tup, omega, tol)
     rho = rho_sequence(omega, n_terms)
     t_adj = mat.conj().T
-    stars = _power_stack(t_adj, n_terms)
+    stars = tup.adjoint_stack(0, n_terms)
     c = np.vstack([math.sqrt(rho[k]) * (d_min @ stars[k]) for k in range(n_terms)])
     d = mat.shape[0]
     res = hermitian_norm(np.eye(d) - c.conj().T @ c - mat @ t_adj)
@@ -180,7 +176,7 @@ def char_function(
     r = c.shape[0] // n_terms
     blocks = tuple(y[d + k * r: d + (k + 1) * r, :] for k in range(n_terms))
     triple = CharTriple(e_dim, y[:d, :], blocks)
-    return CharFunction(mat, omega, n_terms, triple, d_min, basis, c, res)
+    return CharFunction(mat, omega, n_terms, triple, d_min, basis, c, res, stars)
 
 
 def block_unitarity(cf: CharFunction) -> float:
@@ -224,10 +220,10 @@ def kernel_poly(omega: WeightSpec, z: complex, powers: np.ndarray) -> np.ndarray
     return np.tensordot(omega.inverse_weight_values(n) * complex(z) ** np.arange(n), powers, 1)
 
 
-def _kernel_scalar(omega: WeightSpec, x: complex, cap: int = 4096) -> complex:
+def _kernel_scalar(omega: WeightSpec, x: complex) -> complex:
     """Scalar kernel value ``sum_n x^n / w_n`` summed to machine convergence.
 
-    Raises :class:`HorizonTooShort` when ``cap`` terms do not converge, as
+    Raises :class:`HorizonTooShort` when ``KERNEL_CAP`` terms do not converge, as
     they do not for ``|x|`` close to 1, instead of returning a partial sum.
     An explicit weight list caps the sum at its length.  No chunk follows
     the one its end cuts short, so there the sum is accepted when the last
@@ -235,7 +231,7 @@ def _kernel_scalar(omega: WeightSpec, x: complex, cap: int = 4096) -> complex:
     length.
     """
     length = omega.max_terms
-    cap = min(cap, length or cap)
+    cap = min(KERNEL_CAP, length or KERNEL_CAP)
     total = 0.0 + 0.0j
     block = 64
     n0 = 0

@@ -74,23 +74,24 @@ def parse_case(data: dict, name: str = "case") -> CaseConfig:
     }
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
+    weights = data.get("weights")
+    if isinstance(weights, list) and all(isinstance(w, str) for w in weights):
+        weights = ",".join(weights)
+    if not isinstance(weights, str):
+        raise ConfigError("configuration needs a 'weights' entry: a string or a list of strings")
     try:
-        weights = MultiWeightSpec.parse(data["weights"]) if isinstance(
-            data.get("weights"), str
-        ) else MultiWeightSpec.parse(",".join(data["weights"]))
-    except KeyError as exc:
-        raise ConfigError("configuration needs a 'weights' entry") from exc
-    except WbergError as exc:
+        weights = MultiWeightSpec.parse(weights)
+    except (WbergError, ValueError) as exc:
         raise ConfigError(f"bad weights: {exc}") from exc
     try:
         degrees = _normalize_degrees(data.get("degrees", 32), weights.n)
-    except (WbergError, ValueError) as exc:
+    except (WbergError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad degrees for weight arity {weights.n}: {exc}") from exc
-    run = tuple(data.get("run", ("check",)))
+    run = _converted(data, "run", tuple, ("check",))
     for step in run:
         if step not in KNOWN_RUNS:
             raise ConfigError(f"unknown pipeline step {step!r}")
-    tol = float(data.get("tol", POSITIVITY_TOL))
+    tol = _converted(data, "tol", float, POSITIVITY_TOL)
     if not (0 < tol < 1):
         raise ConfigError(f"tolerance {tol} out of range")
     r_grid = data.get("r_grid")
@@ -101,7 +102,7 @@ def parse_case(data: dict, name: str = "case") -> CaseConfig:
             raise ConfigError(f"bad r_grid for weight arity {weights.n}: {exc}") from exc
     gamma = data.get("gamma")
     if gamma is not None:
-        gamma = tuple(int(g) for g in gamma)
+        gamma = _converted(data, "gamma", lambda g: tuple(int(v) for v in g), None)
         if len(gamma) != weights.n or any(g < 1 for g in gamma):
             raise ConfigError(f"gamma {gamma} must match arity with entries >= 1")
     return CaseConfig(
@@ -110,11 +111,19 @@ def parse_case(data: dict, name: str = "case") -> CaseConfig:
         tuple_spec=data.get("tuple"),
         degrees=degrees,
         tol=tol,
-        seed=int(data.get("seed", 0)),
+        seed=_converted(data, "seed", int, 0),
         r_grid=r_grid,
         run=run,
         gamma=gamma,
     )
+
+
+def _converted(data: dict, key: str, convert, default):
+    """``convert`` applied to the entry ``key``; a value it rejects is a :class:`ConfigError`."""
+    try:
+        return convert(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key!r} entry {data.get(key)!r}: {exc}") from exc
 
 
 def build_tuple(
@@ -167,7 +176,7 @@ def build_tuple(
         raise
     except WbergError as exc:
         raise ConfigError(f"generator produced an invalid tuple: {exc}") from exc
-    except (ValueError, OSError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         raise ConfigError(f"bad tuple spec {spec!r}: {exc}") from exc
 
 

@@ -13,6 +13,13 @@ tuple; the general model keeps, for every subset ``L`` of coordinates, a
 block ``A^2_{W_L}(E_L)`` whose defect map ``Delta_L`` solves a double limit
 (series limit inside ``L``, power conjugation outside).
 
+Each operator a one-variable step reads is an :class:`~wberg.hyper.OperatorTuple`:
+the first variable is the caller's sub-tuple, whose defect, adjoint powers
+and nilpotency order the classification already formed, and a lifted stage
+operator is wrapped once.  ``_tail_split`` (tail root and co-isometry
+``U* Q = Q T*``) and ``_lifts`` (``A* G = G T*``) are the one route for the
+rest of the split.
+
 All model operators live in the orthonormalized graded-lex bases from
 :mod:`wberg.bergman`, and none is formed as a matrix: each is an action on
 row-stacked maps, a block diagonal (:class:`BlockDiagonal`) of weighted shifts
@@ -45,15 +52,11 @@ from .errors import (
 from .hyper import (
     LIMIT_TOL,
     OperatorTuple,
-    _nilpotency_order,
-    _power_stack,
     conjugation_limit,
     defect_limit,
-    is_omega_hypercontraction,
     is_pure,
     is_W_hypercontraction,
     subtuple,
-    tail_operator,
 )
 from .linalg import (
     POSITIVITY_TOL,
@@ -83,6 +86,8 @@ __all__ = [
 
 ISO_TOL = 1e-8
 HORIZON_CAP = 512
+# Largest general model, in rows of its dilation map, that is assembled.
+MAX_MODEL_DIM = 8192
 # Commutation slack of the lifted tuples ``(A_i)`` and ``(X_i)``, which carry
 # the rounding of a Douglas solve and commute only to that accuracy.
 LIFT_COMMUTATION_TOL = 1e-8
@@ -253,21 +258,22 @@ class CommutantLift:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _pure_horizon(t: np.ndarray, omega: WeightSpec, tol: float, cap: int = HORIZON_CAP) -> int:
-    """Truncation level after which the dilation rows carry no mass.
+def _pure_horizon(t: OperatorTuple, i: int, omega: WeightSpec, tol: float) -> int:
+    """Truncation level of variable ``i`` after which the dilation rows carry no mass.
 
-    Row norms scale like the square root of the dropped tail, so the tail
-    sum is pushed below ``tol**2`` to keep amplitude-level residuals
+    A nilpotent entry stops at its order, read from the tuple's scan.  Row
+    norms scale like the square root of the dropped tail, so otherwise the
+    tail sum is pushed below ``tol**2`` to keep amplitude-level residuals
     (intertwinings) within ``tol``.  An explicit weight list caps the sum
     at its length, as it caps the classification's degrees; a list that
     ends before the tail test is met raises :class:`HorizonTooShort`.
     """
-    cap = min(cap, omega.max_terms or cap)
-    nil = _nilpotency_order(t, min(cap, t.shape[0]))
+    cap = min(HORIZON_CAP, omega.max_terms or HORIZON_CAP)
+    nil = t.nilpotency_order(i, min(cap, t.dim))
     if nil is not None:
         return nil
     horizon = cap
-    sigma = spectral_norm(t)
+    sigma = spectral_norm(t[i].mat)
     if sigma < 1.0:
         target = tol * tol
         inv_w = omega.inverse_weight_values(cap)
@@ -287,11 +293,40 @@ def _pure_horizon(t: np.ndarray, omega: WeightSpec, tol: float, cap: int = HORIZ
     return horizon
 
 
+def _model_degrees(t: OperatorTuple, w: MultiWeightSpec, degrees, tol: float) -> tuple[int, ...]:
+    """The caller's cutoffs, or each variable's purity horizon."""
+    if degrees is None:
+        return tuple(_pure_horizon(t, i, w[i], tol) for i in range(t.n))
+    return _normalize_degrees(degrees, t.n)
+
+
 def _douglas(g: np.ndarray, f: np.ndarray, tol: float, what: str) -> np.ndarray:
     try:
         return douglas_solve(g, f, tol)
     except NotSubordinate as exc:
         raise DouglasPreconditionFailed(f"{what}: {exc}") from exc
+
+
+def _lifts(g: np.ndarray, ops, labels, tol: float, what: str) -> list[np.ndarray]:
+    """The contractions ``A`` with ``A* G = G T*``, one per operator ``T`` of ``ops``."""
+    return [_douglas(g, g @ np.asarray(op).conj().T, tol, f"{what} {lab}")
+            for op, lab in zip(ops, labels)]
+
+
+def _staged(ops: list) -> list:
+    """A lifted list with its first operator wrapped as the one-tuple the next
+    stage reads its defect, powers and horizon from."""
+    return [OperatorTuple.of(ops[0])] + ops[1:] if ops else []
+
+
+def _tail_split(t: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, ...]:
+    """Root ``Q`` of the tail ``lim T^k T*^k`` with its range basis and its
+    minimal coordinates ``Qmin``, and the co-isometry ``U`` on those
+    coordinates with ``U* Qmin = Qmin T*``."""
+    limit, _, _ = conjugation_limit(np.eye(t.shape[0], dtype=complex), t, tol)
+    q, q_basis = psd_root_pieces(limit, max(tol, POSITIVITY_TOL))
+    q_min = q_basis.conj().T @ q
+    return q, q_basis, q_min, _douglas(q_min, q_min @ t.conj().T, tol, what)
 
 
 @contextmanager
@@ -337,14 +372,11 @@ def _fill_map_rows(
 
 
 def _defect_sqrt_pieces(
-    t, omega: WeightSpec, tol: float
+    t: OperatorTuple, omega: WeightSpec, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Defect square root on ``H`` plus range basis and minimal coordinates.
-
-    ``t`` is an :class:`Operator` or an array; an array is validated as the
-    entry of the one-variable tuple the defect limit is taken on.
-    """
-    limit = defect_limit(OperatorTuple.of(t), MultiWeightSpec.of(omega), tol=tol).limit
+    """Defect square root on ``H`` plus range basis and minimal coordinates
+    of the one-tuple ``t``, whose stacks the defect limit sums over."""
+    limit = defect_limit(t, MultiWeightSpec.of(omega), tol=tol).limit
     try:
         defect, basis = psd_root_pieces(limit, max(tol, POSITIVITY_TOL))
     except NotPsd as exc:
@@ -361,28 +393,23 @@ def one_var_dilation(
     omega: WeightSpec,
     n_terms: int | None = None,
     tol: float = LIMIT_TOL,
-    iso_tol: float = ISO_TOL,
     validate: bool = True,
 ) -> OneVarDilation:
     """Dilate a single hypercontraction onto ``A^2_w(defect) (+) tail``."""
-    if validate:
-        report = is_omega_hypercontraction(t, omega)
-        if not report.verdict:
-            raise NotHypercontractive("operator fails the weighted positivity test")
-    defect, d_basis, d_min = _defect_sqrt_pieces(t, omega, tol)
-    t = np.asarray(t, dtype=complex)
+    tup, w = OperatorTuple.of(t), MultiWeightSpec.of(omega)
+    if validate and not is_W_hypercontraction(tup, w, lattice_e_points=False).verdict:
+        raise NotHypercontractive("operator fails the weighted positivity test")
+    defect, d_basis, d_min = _defect_sqrt_pieces(tup, omega, tol)
+    t = tup[0].mat
     t_adj = t.conj().T
-    tail = tail_operator(t, tol)
-    q, q_basis = psd_root_pieces(tail.q_squared, max(tol, POSITIVITY_TOL))
-    q_min = q_basis.conj().T @ q
     if n_terms is None:
-        n_terms = _pure_horizon(t, omega, tol)
+        n_terms = _pure_horizon(tup, 0, omega, tol)
+    q, q_basis, q_min, u = _tail_split(t, tol, "tail co-isometry")
     dim = t.shape[0]
-    space = TruncatedSpace(MultiWeightSpec.of(omega), (n_terms,), coeff_dim=d_min.shape[0])
+    space = TruncatedSpace(w, (n_terms,), coeff_dim=d_min.shape[0])
     inv_sqrt_w = 1.0 / np.sqrt(omega.values(n_terms))
-    stars = _power_stack(t_adj, n_terms)
+    stars = tup.adjoint_stack(0, n_terms)
     pi = (inv_sqrt_w[:, None, None] * (d_min @ stars)).reshape(-1, dim)
-    u = _douglas(q_min, q_min @ t_adj, tol, "tail co-isometry")
     full_map = np.vstack([pi, q_min])
     model_op = BlockDiagonal((space.shifts[0], LiftedAction(u)))
     eye = np.eye(dim)
@@ -391,7 +418,7 @@ def one_var_dilation(
     inter_res = spectral_norm(full_map @ t_adj - model_op.adjoint_apply(full_map))
     u_coiso = hermitian_norm(u @ u.conj().T - np.eye(q_min.shape[0]))
     omega_iso = float(np.max(np.abs(np.diag(gram - eye)))) if dim else 0.0
-    if iso_res > iso_tol:
+    if iso_res > ISO_TOL:
         raise IsometryResidualTooLarge(
             f"dilation map is not isometric (residual {iso_res:.3e}); "
             "raise the truncation level"
@@ -421,17 +448,16 @@ def one_var_dilation(
 
 def isometry_identity_check(t, omega: WeightSpec, n_terms: int | None = None) -> float:
     """Residual of ``|h|^2 = sum_k |D T*^k h|^2 / w_k + |Q h|^2`` over a basis."""
-    defect, _, _ = _defect_sqrt_pieces(t, omega, LIMIT_TOL)
-    t = np.asarray(t, dtype=complex)
-    tail = tail_operator(t)
+    tup = OperatorTuple.of(t)
+    defect, _, _ = _defect_sqrt_pieces(tup, omega, LIMIT_TOL)
+    dim = tup.dim
+    q2, _, _ = conjugation_limit(np.eye(dim, dtype=complex), tup[0].mat, LIMIT_TOL)
     if n_terms is None:
-        n_terms = _pure_horizon(t, omega, LIMIT_TOL)
+        n_terms = _pure_horizon(tup, 0, omega, LIMIT_TOL)
     inv_w = omega.inverse_weight_values(n_terms)
-    stars = _power_stack(t.conj().T, n_terms)
+    stars = tup.adjoint_stack(0, n_terms)
     worst = 0.0
     d2 = defect @ defect
-    q2 = tail.q_squared
-    dim = t.shape[0]
     for j in range(dim):
         h = np.zeros(dim, dtype=complex)
         h[j] = 1.0
@@ -472,41 +498,31 @@ def commutant_lift(
             raise NotHypercontractive("tuple fails the weighted positivity tests")
     base = one_var_dilation(t[0], w[0], n_terms=n_terms, tol=tol, validate=False)
     d_min, q_min = base.defect_min, base.q_min
-    a_ops, x_ops, v_ops = [], [], []
+    rest, labels = t.ops[1:], range(1, t.n)
+    a_ops = _lifts(d_min, rest, labels, tol, "defect intertwiner")
+    x_ops = _lifts(q_min, rest, labels, tol, "tail intertwiner")
+    v_ops = []
     residuals: dict[str, float] = dict(base.residuals)
     n_slots = base.n_terms
     pi, model_op = base.map.mat, base.model_ops[0]
-    for i in range(1, t.n):
+    for i, a_i, x_i in zip(labels, a_ops, x_ops):
         t_adj = t[i].mat.conj().T
-        a_i = _douglas(d_min, d_min @ t_adj, tol, f"defect intertwiner {i}")
-        x_i = _douglas(q_min, q_min @ t_adj, tol, f"tail intertwiner {i}")
         v_i = BlockDiagonal((LiftedAction(a_i, n_slots), LiftedAction(x_i)))
         residuals[f"defect_intertwine_{i}"] = spectral_norm(
             a_i.conj().T @ d_min - d_min @ t_adj)
         residuals[f"tail_intertwine_{i}"] = spectral_norm(x_i.conj().T @ q_min - q_min @ t_adj)
         residuals[f"model_intertwine_{i}"] = spectral_norm(pi @ t_adj - v_i.adjoint_apply(pi))
         residuals[f"model_commute_{i}"] = _commutator_norm(v_i, model_op)
-        a_ops.append(a_i)
-        x_ops.append(x_i)
         v_ops.append(v_i)
     if classify_lifts and t.n > 1:
-        rest = w.subset(range(1, t.n))
-        if a_ops and a_ops[0].shape[0] > 0:
-            rep = is_W_hypercontraction(
-                OperatorTuple(tuple(a_ops), commutation_tol=LIFT_COMMUTATION_TOL), rest,
-                lattice_e_points=False,
-            )
-            residuals["a_tuple_hyper_min_eig"] = min(
-                (c.min_eig for c in rep.certificates), default=0.0
-            )
-        if x_ops and x_ops[0].shape[0] > 0:
-            rep = is_W_hypercontraction(
-                OperatorTuple(tuple(x_ops), commutation_tol=LIFT_COMMUTATION_TOL), rest,
-                lattice_e_points=False,
-            )
-            residuals["x_tuple_hyper_min_eig"] = min(
-                (c.min_eig for c in rep.certificates), default=0.0
-            )
+        rest_w = w.subset(labels)
+        for name, ops in (("a", a_ops), ("x", x_ops)):
+            if ops[0].shape[0] > 0:
+                lifted = OperatorTuple(tuple(ops), commutation_tol=LIFT_COMMUTATION_TOL)
+                rep = is_W_hypercontraction(lifted, rest_w, lattice_e_points=False)
+                residuals[f"{name}_tuple_hyper_min_eig"] = min(
+                    (c.min_eig for c in rep.certificates), default=0.0
+                )
     return CommutantLift(base, a_ops, x_ops, v_ops, residuals)
 
 
@@ -519,7 +535,6 @@ def pure_dilation(
     w: MultiWeightSpec,
     degrees: Sequence[int] | int | None = None,
     tol: float = LIMIT_TOL,
-    iso_tol: float = ISO_TOL,
     validate: bool = True,
 ) -> DilationResult:
     """Dilate a pure tuple onto the truncated multi-shift, one variable at a time.
@@ -536,20 +551,14 @@ def pure_dilation(
             raise NotPure("tuple has a non-vanishing tail; use the general model")
         if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
             raise NotHypercontractive("tuple fails the weighted positivity tests")
-    if degrees is None:
-        degs = tuple(_pure_horizon(t[i].mat, w[i], tol) for i in range(t.n))
-    else:
-        degs = _normalize_degrees(degrees, t.n)
-    # cascade of one-variable defects; the first stage reads the tuple's entries
-    cur_ops = list(t.ops)
-    stages: list[tuple[np.ndarray, np.ndarray]] = []  # (Dmin_j, stage operator)
+    degs = _model_degrees(t, w, degrees, tol)
+    # cascade of one-variable defects
+    ops = [subtuple(t, (0,))] + list(t.ops[1:])
+    stages: list[tuple[np.ndarray, OperatorTuple]] = []  # (Dmin_j, stage one-tuple)
     for j in range(t.n):
-        _, _, d_min = _defect_sqrt_pieces(cur_ops[0], w[j], tol)
-        stages.append((d_min, np.asarray(cur_ops[0])))
-        cur_ops = [
-            _douglas(d_min, d_min @ np.asarray(op).conj().T, tol, f"stage {j} lift")
-            for op in cur_ops[1:]
-        ]
+        _, _, d_min = _defect_sqrt_pieces(ops[0], w[j], tol)
+        stages.append((d_min, ops[0]))
+        ops = _staged(_lifts(d_min, ops[1:], range(j + 1, t.n), tol, f"stage {j} lift"))
     e_dim = stages[-1][0].shape[0]
     space = TruncatedSpace(w, degs, coeff_dim=e_dim)
     model_ops = list(space.shifts)
@@ -558,13 +567,13 @@ def pure_dilation(
         p = np.empty((space.dim, t.dim), dtype=complex)
         resid = np.empty_like(p)
         _fill_map_rows(p, space, [
-            d_min @ _power_stack(op.conj().T, degs[j]) for j, (d_min, op) in enumerate(stages)
+            d_min @ op.adjoint_stack(0, degs[j]) for j, (d_min, op) in enumerate(stages)
         ], on_left=True)
         residuals = {"isometry": hermitian_norm(p.conj().T @ p - np.eye(t.dim))}
         for i, shift in enumerate(model_ops):
             (residuals[f"intertwining_{i}"],
              residuals[f"compression_{i}"]) = _shift_residuals(p, t[i].mat, shift, resid)
-    if residuals["isometry"] > iso_tol:
+    if residuals["isometry"] > ISO_TOL:
         raise IsometryResidualTooLarge(
             f"pure dilation not isometric (residual {residuals['isometry']:.3e})"
         )
@@ -599,25 +608,19 @@ def _recursive_blocks(
 ) -> list[tuple[tuple[int, ...], np.ndarray, dict[int, np.ndarray]]]:
     """Blocks ``(lam, delta, v)`` over subsets of ``labels`` on a ``dim``-space.
 
-    ``ops`` are :class:`Operator` entries at the top level and lifted arrays below.
+    ``ops[0]`` is the one-tuple of the first operator; the others are
+    :class:`Operator` entries at the top level and lifted arrays below.
     """
     if not ops:
         return [((), np.eye(dim, dtype=complex), {})]
     lab1 = labels[0]
     _, _, d_min = _defect_sqrt_pieces(ops[0], weights[0], tol)
-    t1 = np.asarray(ops[0])
-    tail = tail_operator(t1, tol)
-    q_op, q_basis = psd_root_pieces(tail.q_squared, max(tol, POSITIVITY_TOL))
-    q_min = q_basis.conj().T @ q_op
-    u = _douglas(q_min, q_min @ t1.conj().T, tol, f"tail co-isometry at {lab1}")
-    a_next, x_next = [], []
-    for op, lab in zip(ops[1:], labels[1:]):
-        op_adj = np.asarray(op).conj().T
-        a_next.append(_douglas(d_min, d_min @ op_adj, tol, f"defect intertwiner {lab}"))
-        x_next.append(_douglas(q_min, q_min @ op_adj, tol, f"tail intertwiner {lab}"))
-    a_blocks = _recursive_blocks(a_next, weights[1:], labels[1:], d_min.shape[0], tol,
+    _, _, q_min, u = _tail_split(ops[0][0].mat, tol, f"tail co-isometry at {lab1}")
+    a_next = _lifts(d_min, ops[1:], labels[1:], tol, "defect intertwiner")
+    x_next = _lifts(q_min, ops[1:], labels[1:], tol, "tail intertwiner")
+    a_blocks = _recursive_blocks(_staged(a_next), weights[1:], labels[1:], d_min.shape[0], tol,
                                  diagnostics)
-    x_blocks = _recursive_blocks(x_next, weights[1:], labels[1:], q_min.shape[0], tol,
+    x_blocks = _recursive_blocks(_staged(x_next), weights[1:], labels[1:], q_min.shape[0], tol,
                                  diagnostics)
     out = []
     for lam, delta, v in a_blocks:
@@ -627,7 +630,7 @@ def _recursive_blocks(
         moved = u @ gram @ u.conj().T
         cond = hermitian_norm(moved - gram)
         scale = max(1.0, hermitian_norm(gram))
-        key = "lift_condition_" + "_".join(str(i) for i in (lab1,) + lam) if lam else f"lift_condition_{lab1}"
+        key = "lift_condition_" + "_".join(str(i) for i in (lab1,) + lam)
         diagnostics[key] = cond
         if cond > tol * 100 * scale:
             raise LiftConditionFailed((lab1,) + lam, cond)
@@ -643,9 +646,7 @@ def general_model(
     w: MultiWeightSpec,
     degrees: Sequence[int] | int | None = None,
     tol: float = LIMIT_TOL,
-    iso_tol: float = ISO_TOL,
     validate: bool = True,
-    max_model_dim: int = 8192,
 ) -> DilationResult:
     """Model of a (not necessarily pure) hypercontractive tuple.
 
@@ -666,13 +667,11 @@ def general_model(
     if validate:
         if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
             raise NotHypercontractive("tuple fails the weighted positivity tests")
-    if degrees is None:
-        degs = tuple(_pure_horizon(t[i].mat, w[i], tol) for i in range(t.n))
-    else:
-        degs = _normalize_degrees(degrees, t.n)
+    degs = _model_degrees(t, w, degrees, tol)
     diagnostics: dict[str, float] = {}
     raw = _recursive_blocks(
-        list(t.ops), list(w.weights), list(range(t.n)), t.dim, tol, diagnostics
+        [subtuple(t, (0,))] + list(t.ops[1:]), list(w.weights), list(range(t.n)), t.dim, tol,
+        diagnostics,
     )
     raw.sort(key=lambda item: sum(1 << i for i in item[0]))
     blocks: list[LambdaBlock] = []
@@ -687,12 +686,12 @@ def general_model(
         block = LambdaBlock(lam=lam, delta=delta, e_dim=e_dim, v=v, space=space)
         blocks.append(block)
         total_dim += block.block_dim
-        if total_dim > max_model_dim:
+        if total_dim > MAX_MODEL_DIM:
             raise BlockBudgetExceeded(
-                f"model dimension exceeds the budget {max_model_dim}"
+                f"model dimension exceeds the budget {MAX_MODEL_DIM}"
             )
     model_ops = [BlockDiagonal(tuple(_block_action(b, i) for b in blocks)) for i in range(t.n)]
-    star_stacks = [_power_stack(t[i].mat.conj().T, degs[i]) for i in range(t.n)]
+    star_stacks = [t.adjoint_stack(i, degs[i]) for i in range(t.n)]
     residuals = dict(diagnostics)
     with _map_memory(total_dim, t.dim):
         p = np.empty((total_dim, t.dim), dtype=complex)
@@ -734,7 +733,7 @@ def general_model(
                 )
         residuals[f"delta_intertwine_{tag}"] = worst_int
         residuals[f"v_coisometry_{tag}"] = worst_co
-    if residuals["isometry"] > iso_tol:
+    if residuals["isometry"] > ISO_TOL:
         raise IsometryResidualTooLarge(
             f"general model not isometric (residual {residuals['isometry']:.3e})"
         )
@@ -824,6 +823,21 @@ def model_colift(
 # structural identities of the lift
 # ---------------------------------------------------------------------------
 
+def _pulled_back(
+    lifts: list[np.ndarray], basis: np.ndarray, lam: tuple[int, ...], w, dim: int, tol: float
+) -> np.ndarray:
+    """``basis (vertex defect of the lifts at lam, weights w) basis*`` on the
+    ``dim``-space, and the identity for an empty ``lam``."""
+    if not lam:
+        return np.eye(dim, dtype=complex)
+    sel = tuple(lifts[i - 1] for i in lam)
+    defect = np.zeros((0, 0), dtype=complex)
+    if sel[0].shape[0] > 0:
+        lifted = OperatorTuple(sel, commutation_tol=LIFT_COMMUTATION_TOL)
+        defect = defect_limit(lifted, w, tol=tol).limit
+    return basis @ defect @ basis.conj().T
+
+
 def transport_identities_check(
     t: OperatorTuple,
     w: MultiWeightSpec,
@@ -848,37 +862,17 @@ def transport_identities_check(
     rest_w = w.subset(lam) if lam else None
 
     # (i): defect of the A-subtuple, lifted back to H coordinates
-    if lam:
-        a_sel = [lift.a_ops[i - 1] for i in lam]
-        if a_sel and a_sel[0].shape[0] > 0:
-            a_defect = defect_limit(
-                OperatorTuple(tuple(a_sel), commutation_tol=LIFT_COMMUTATION_TOL), rest_w,
-                tol=tol,
-            ).limit
-        else:
-            a_defect = np.zeros((0, 0), dtype=complex)
-        lifted = d_basis @ a_defect @ d_basis.conj().T
-    else:
-        lifted = np.eye(t.dim, dtype=complex)
+    lifted = _pulled_back(lift.a_ops, d_basis, lam, rest_w, t.dim, tol)
     lhs_i = d_full @ lifted @ d_full
     enlarged = (0,) + lam
     rhs_i = defect_limit(subtuple(t, enlarged), w.subset(enlarged), tol=tol).limit
     res_i = hermitian_norm(lhs_i - rhs_i)
 
     # (ii): tail-side identity
+    lifted_x = _pulled_back(lift.x_ops, q_basis, lam, rest_w, t.dim, tol)
     if lam:
-        x_sel = [lift.x_ops[i - 1] for i in lam]
-        if x_sel and x_sel[0].shape[0] > 0:
-            x_defect = defect_limit(
-                OperatorTuple(tuple(x_sel), commutation_tol=LIFT_COMMUTATION_TOL), rest_w,
-                tol=tol,
-            ).limit
-        else:
-            x_defect = np.zeros((0, 0), dtype=complex)
-        lifted_x = q_basis @ x_defect @ q_basis.conj().T
         sub_defect = defect_limit(subtuple(t, lam), rest_w, tol=tol).limit
     else:
-        lifted_x = np.eye(t.dim, dtype=complex)
         sub_defect = np.eye(t.dim, dtype=complex)
     lhs_ii = q_full @ lifted_x @ q_full
     rhs_ii, _, _ = conjugation_limit(sub_defect, t[0], tol)

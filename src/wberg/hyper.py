@@ -9,10 +9,14 @@ where ``c`` are the reciprocal coefficients of the associated function.  The
 series is separable across variables, so it is evaluated as a nested
 one-variable hereditary sum: each level is one batched pass
 ``X -> sum_k c_k T^k X T*^k``, and the innermost level, where ``X = I``, is
-one weighted sum of the Gram stack ``[T^k T*^k]_k``.  The power and Gram
-stacks live on the :class:`OperatorTuple`, one pair per variable, and grow
-only when a longer prefix is asked for; every swap-family member, grid point
-and vertex value of a tuple, and every classification run on it, reads them.
+one weighted sum of the Gram stack ``[T^k T*^k]_k``.
+
+The :class:`OperatorTuple` is the one owner of its entries' powers: the
+power, adjoint-power and Gram stacks, one set per variable, and the
+nilpotency orders are formed here and nowhere else in the package.  The
+stacks grow only when a longer prefix is asked for; every swap-family
+member, grid point and vertex value of a tuple, every classification run on
+it, and the dilations and characteristic functions built from it read them.
 Next to the stacks the tuple holds its classification reports, one per
 (weights, grid, tolerance, cutoffs, lattice) key, so a fact proved once is
 not proved again by a later pipeline step; the sub-tuple on every index is
@@ -71,7 +75,6 @@ __all__ = [
     "tail_operator",
     "conjugation_limit",
     "hereditary_apply",
-    "is_omega_hypercontraction",
     "is_W_hypercontraction",
     "is_pure",
     "delta_power",
@@ -82,7 +85,6 @@ __all__ = [
     "two_parameter_monotonicity_check",
     "dyadic_grid",
     "Witness",
-    "OmegaHyperReport",
     "WHyperReport",
     "GammaReport",
     "CrosscheckReport",
@@ -99,6 +101,12 @@ GRID_CAVEAT = (
 LIMIT_TOL = 1e-9
 COMMUTATION_TOL = 1e-10
 DEGREE_CAP = 256
+# Doublings of the power before a conjugation limit is given up as unconverged.
+MAX_DOUBLINGS = 60
+# Terms of the nonnegative expansion of a fractional power ``(1 - x)^d``.
+FRACTIONAL_TERMS = 200
+# Points ``r_j = 1 - 2^-j`` of the default classification grid.
+DYADIC_LEVELS = 3
 # Distance from an integer below which a real exponent counts as that integer.
 EXPONENT_SNAP = 1e-12
 
@@ -108,19 +116,19 @@ EXPONENT_SNAP = 1e-12
 # ---------------------------------------------------------------------------
 
 class _OperatorStacks:
-    """Power and Gram stacks of one matrix, built lazily and grown on demand.
+    """Power, adjoint-power and Gram stacks of one matrix, built lazily and grown on demand.
 
-    Both stacks only ever grow, and a request returns a read-only prefix, so
+    The stacks only ever grow, and a request returns a read-only prefix, so
     a short request after a long one gives the bits of a fresh build.  The
     nilpotency order is cached with the depth it was scanned to, and the
     norm of each power asked for by exponent.
     """
 
-    __slots__ = ("mat", "_powers", "_grams", "_nil", "_power_norms")
+    __slots__ = ("mat", "_powers", "_adjoints", "_grams", "_nil", "_power_norms")
 
     def __init__(self, mat: np.ndarray) -> None:
         self.mat = mat
-        self._powers = self._grams = None
+        self._powers = self._adjoints = self._grams = None
         self._nil: tuple[int, int | None] = (0, None)
         self._power_norms: dict[int, float] = {}
 
@@ -130,6 +138,14 @@ class _OperatorStacks:
             self._powers = _power_stack(self.mat, count, self._powers)
             self._powers.flags.writeable = False
         return self._powers[:count]
+
+    def adjoints(self, count: int) -> np.ndarray:
+        """``[I, T*, ..., T*^(count-1)]``, by sequential products with ``T*``
+        (conjugating :meth:`powers` instead would move the last bits)."""
+        if self._adjoints is None or len(self._adjoints) < count:
+            self._adjoints = _power_stack(self.mat.conj().T, count, self._adjoints)
+            self._adjoints.flags.writeable = False
+        return self._adjoints[:count]
 
     def grams(self, count: int) -> np.ndarray:
         """``[T^k T*^k for k < count]``."""
@@ -161,9 +177,10 @@ class OperatorTuple:
     """Commuting contractions on a shared finite-dimensional space.
 
     Entries are validated :class:`Operator` objects, so they are read-only;
-    an ``ndarray`` entry is wrapped here.  The tuple owns the power and Gram
-    stacks of its entries (see :meth:`power_stack`) and the reports of
-    :func:`is_W_hypercontraction` run on it.
+    an ``ndarray`` entry is wrapped here.  The tuple owns the power,
+    adjoint-power and Gram stacks and the nilpotency orders of its entries
+    (see :meth:`power_stack`) and the reports of :func:`is_W_hypercontraction`
+    run on it.
     """
 
     ops: tuple[Operator, ...]
@@ -214,6 +231,10 @@ class OperatorTuple:
     def power_stack(self, i: int, count: int) -> np.ndarray:
         """Read-only ``[I, T_i, ..., T_i^(count-1)]``, shared by every sum over this tuple."""
         return self._stacks[i].powers(count)
+
+    def adjoint_stack(self, i: int, count: int) -> np.ndarray:
+        """Read-only ``[I, T_i*, ..., T_i*^(count-1)]``, shared like :meth:`power_stack`."""
+        return self._stacks[i].adjoints(count)
 
     def gram_stack(self, i: int, count: int) -> np.ndarray:
         """Read-only ``[T_i^k T_i*^k for k < count]``, built from :meth:`power_stack`."""
@@ -289,9 +310,10 @@ def _hereditary_sum(
 def hereditary_apply(coeffs: np.ndarray, t, x: np.ndarray) -> np.ndarray:
     """One-variable hereditary sum ``sum_k coeffs[k] T^k X T*^k``.
 
-    This one-shot form builds the powers of ``T`` for this call alone; sums
-    over the entries of an :class:`OperatorTuple` read the tuple's stacks
-    through :func:`defect_series` instead.
+    This one-shot form builds the powers of ``T`` for this call alone and is
+    the reference the tuple's sums are tested against; sums over the entries
+    of an :class:`OperatorTuple` read the tuple's stacks through
+    :func:`defect_series` and :func:`delta_power` instead.
     """
     return _hereditary_sum(coeffs, _OperatorStacks(np.asarray(t, dtype=complex)), x)
 
@@ -306,9 +328,9 @@ def _nilpotency_order(mat: np.ndarray, cap: int) -> int | None:
     return None
 
 
-def _effective_degree(t: OperatorTuple, i: int, w: WeightSpec, cap: int) -> int:
+def _effective_degree(t: OperatorTuple, i: int, w: WeightSpec) -> int:
     """Truncation level for variable ``i``: coefficient support or nilpotency."""
-    cap = min(cap, w.max_terms or cap)
+    cap = min(DEGREE_CAP, w.max_terms or DEGREE_CAP)
     support = w.inverse_support(cap)
     nil = t.nilpotency_order(i, min(cap, t.dim))
     deg = support if nil is None else min(support, nil)
@@ -344,16 +366,14 @@ def _tail_estimate(
     return total
 
 
-def dyadic_grid(n: int, levels: int = 3) -> list[tuple[float, ...]]:
+def dyadic_grid(n: int) -> list[tuple[float, ...]]:
     """Diagonal grid ``r_j = 1 - 2^-j`` repeated across coordinates."""
-    return [((1.0 - 0.5**j),) * n for j in range(1, levels + 1)]
+    return [((1.0 - 0.5**j),) * n for j in range(1, DYADIC_LEVELS + 1)]
 
 
-def _resolve_degrees(
-    t: OperatorTuple, w: MultiWeightSpec, degrees, cap: int = DEGREE_CAP
-) -> tuple[int, ...]:
+def _resolve_degrees(t: OperatorTuple, w: MultiWeightSpec, degrees) -> tuple[int, ...]:
     if degrees is None:
-        return tuple(_effective_degree(t, i, w[i], cap) for i in range(t.n))
+        return tuple(_effective_degree(t, i, w[i]) for i in range(t.n))
     return _normalize_degrees(degrees, t.n)
 
 
@@ -442,9 +462,7 @@ def defect_operator(
     return psd_sqrt(res.limit, max(tol, POSITIVITY_TOL))
 
 
-def conjugation_limit(
-    s, t, tol: float = LIMIT_TOL, max_doublings: int = 60
-) -> tuple[np.ndarray, bool, int]:
+def conjugation_limit(s, t, tol: float = LIMIT_TOL) -> tuple[np.ndarray, bool, int]:
     """Limit of ``T^k S T*^k`` along doubling powers (monotone for contractions)."""
     s = np.asarray(s, dtype=complex)
     m = np.asarray(t, dtype=complex)
@@ -452,7 +470,7 @@ def conjugation_limit(
         return s.copy(), True, 0
     prev = m @ s @ m.conj().T
     steps = 1
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         m = m @ m
         cur = m @ s @ m.conj().T
         steps += 1
@@ -470,28 +488,23 @@ class TailResult:
     doublings: int
 
 
-def tail_operator(t, tol: float = LIMIT_TOL, max_doublings: int = 60) -> TailResult:
+def tail_operator(t, tol: float = LIMIT_TOL) -> TailResult:
     """PSD square root of ``lim_k T^k T*^k`` (zero exactly for pure contractions)."""
     t = np.asarray(t, dtype=complex)
     bound = 1.0 + max(tol, COMMUTATION_TOL)
     if threshold_norm(t, bound) > bound:
         raise NotContractive(f"tail operator needs a contraction, norm {spectral_norm(t):.6f}")
     eye = np.eye(t.shape[0], dtype=complex)
-    limit, converged, steps = conjugation_limit(eye, t, tol, max_doublings)
+    limit, converged, steps = conjugation_limit(eye, t, tol)
     q = psd_sqrt(limit, max(tol, POSITIVITY_TOL))
     return TailResult(q, limit, converged, steps)
 
 
-def is_pure(t, tol: float = LIMIT_TOL, max_doublings: int = 60) -> bool:
-    """True when every coordinate's tail limit vanishes within ``tol``.
-
-    ``t`` is an :class:`OperatorTuple` or a single matrix.
-    """
-    ops = t.ops if isinstance(t, OperatorTuple) else (t,)
-    for op in ops:
-        mat = np.asarray(op, dtype=complex)
-        eye = np.eye(mat.shape[0], dtype=complex)
-        limit, _, _ = conjugation_limit(eye, mat, tol, max_doublings)
+def is_pure(t: OperatorTuple, tol: float = LIMIT_TOL) -> bool:
+    """True when every coordinate's tail limit vanishes within ``tol``."""
+    eye = np.eye(t.dim, dtype=complex)
+    for op in t:
+        limit, _, _ = conjugation_limit(eye, op.mat, tol)
         if threshold_norm(limit, tol) > tol:
             return False
     return True
@@ -524,50 +537,11 @@ class Witness:
 
 
 @dataclass(frozen=True)
-class OmegaHyperReport:
-    verdict: bool
-    certificates: tuple[Witness, ...]
-    limit_min_eig: float | None
-    caveat: str = GRID_CAVEAT
-
-
-@dataclass(frozen=True)
 class WHyperReport:
     verdict: bool
     certificates: tuple[Witness, ...]
     first_failure: Witness | None
     caveat: str = GRID_CAVEAT
-
-
-def is_omega_hypercontraction(
-    t,
-    omega: WeightSpec,
-    r_grid: Sequence[float] | None = None,
-    tol: float = POSITIVITY_TOL,
-    degrees: int | None = None,
-) -> OmegaHyperReport:
-    """Grid test of ``sum_n c_n r^n T^n T*^n >= 0`` for a single contraction.
-
-    When the coefficient tail at ``r = 1`` is certified small the limit value
-    is checked too, which upgrades the grid test to the boundary criterion.
-    """
-    tup = OperatorTuple.of(t)
-    w = MultiWeightSpec.of(omega)
-    grid = [p[0] for p in dyadic_grid(1)] if r_grid is None else [float(r) for r in r_grid]
-    certs = []
-    ok = True
-    for r in grid:
-        value = defect_series(tup, w, (r,), degrees)
-        min_eig = psd_check(value, tol).min_eigenvalue
-        certs.append(Witness(1, "grid", (r,), min_eig))
-        ok = ok and min_eig >= -tol
-    limit_eig = None
-    lim = defect_limit(tup, w, tol, degrees)
-    if lim.converged:
-        limit_eig = psd_check(lim.limit, tol).min_eigenvalue
-        certs.append(Witness(1, "limit", (1.0,), limit_eig))
-        ok = ok and limit_eig >= -tol
-    return OmegaHyperReport(bool(ok), tuple(certs), limit_eig)
 
 
 def is_W_hypercontraction(
@@ -604,7 +578,6 @@ def is_W_hypercontraction(
         return held
     certs: list[Witness] = []
     failure = None
-    ok = True
     for mask, member in w.swap_family():
         degs = _resolve_degrees(t, member, degrees)
         for point in grid:
@@ -613,7 +586,6 @@ def is_W_hypercontraction(
             wit = Witness(mask, "grid", point, min_eig)
             certs.append(wit)
             if min_eig < -tol:
-                ok = False
                 failure = failure or wit
         lim = defect_limit(t, member, tol, degs)
         if lim.converged:
@@ -621,7 +593,6 @@ def is_W_hypercontraction(
             wit = Witness(mask, "limit", (1.0,) * t.n, min_eig)
             certs.append(wit)
             if min_eig < -tol:
-                ok = False
                 failure = failure or wit
     if lattice:
         eye = np.eye(t.dim, dtype=complex)
@@ -631,9 +602,8 @@ def is_W_hypercontraction(
             wit = Witness((1 << t.n) - 1, "lattice", beta, min_eig)
             certs.append(wit)
             if min_eig < -tol:
-                ok = False
                 failure = failure or wit
-    report = t._reports[key] = WHyperReport(bool(ok), tuple(certs), failure)
+    report = t._reports[key] = WHyperReport(failure is None, tuple(certs), failure)
     return report
 
 
@@ -645,15 +615,15 @@ def delta_power(
     t: OperatorTuple,
     beta: Sequence[float],
     x,
-    n_series: int = 200,
     tol: float = POSITIVITY_TOL,
 ) -> np.ndarray:
     """Apply ``prod_i (I - C_{T_i})^{beta_i}`` to a Hermitian ``X``.
 
     ``C_A(X) = A X A*``.  Integer exponents are applied exactly; a fractional
     remainder ``d`` uses the nonnegative-coefficient expansion
-    ``(1-x)^d = 1 - sum b_k x^k`` truncated at ``n_series`` (the dropped mass
-    is estimated and reported via :class:`SeriesTailTooLarge`).
+    ``(1-x)^d = 1 - sum b_k x^k`` truncated at ``FRACTIONAL_TERMS`` (the
+    dropped mass is estimated and reported via :class:`SeriesTailTooLarge`).
+    The fractional sum and its tail power read the tuple's power stacks.
     """
     beta = tuple(float(b) for b in beta)
     if len(beta) != t.n:
@@ -670,16 +640,16 @@ def delta_power(
         for _ in range(whole):
             mat = mat - ti @ mat @ ti.conj().T
         if frac:
-            bk = np.empty(n_series + 1)
+            bk = np.empty(FRACTIONAL_TERMS + 1)
             bk[0] = 0.0
             bk[1] = frac
-            for k in range(1, n_series):
+            for k in range(1, FRACTIONAL_TERMS):
                 bk[k + 1] = bk[k] * (k - frac) / (k + 1.0)
             coeffs = -bk
             coeffs[0] = 1.0
-            new = hereditary_apply(coeffs, t[i], mat)
+            new = _hereditary_sum(coeffs, t._stacks[i], mat)
             b_tail = 1.0 - float(np.sum(bk))
-            pk = np.linalg.matrix_power(ti, n_series)
+            pk = t.power_stack(i, FRACTIONAL_TERMS + 1)[FRACTIONAL_TERMS]
             last = pk @ mat @ pk.conj().T
             est = abs(b_tail) * hermitian_norm(last)
             if est > tol:
@@ -702,7 +672,6 @@ def is_gamma_contractive(
     t: OperatorTuple,
     gamma: Sequence[float],
     tol: float = POSITIVITY_TOL,
-    n_series: int = 200,
 ) -> GammaReport:
     """Check ``Delta^beta(I) >= 0`` over the finite exponent set below ``gamma``.
 
@@ -726,7 +695,7 @@ def is_gamma_contractive(
     verdict = True
     failure = None
     for beta in itertools.product(*axes):
-        value = delta_power(t, beta, eye, n_series=n_series, tol=tol)
+        value = delta_power(t, beta, eye, tol=tol)
         min_eig = psd_check(value, tol).min_eigenvalue
         witnesses.append((beta, min_eig))
         if min_eig < -tol:
@@ -828,7 +797,7 @@ def two_parameter_monotonicity_check(
         for bp in betas:
             left = np.eye(t.dim, dtype=complex)
             for idx, power in zip(comp, bp):
-                left = left @ np.linalg.matrix_power(t[idx].mat, power)
+                left = left @ t.power_stack(idx, power + 1)[power]
             values[(p, bp)] = left @ base @ left.conj().T
     min_gap = math.inf
     pairs = 0

@@ -23,8 +23,9 @@ bound <= F`` leaves the answer open.  Its value only serves comparisons with
 ``bound`` and is never reported.  It decides the hermiticity test of
 :func:`psd_check`, the contraction and commutation tests of
 ``hyper.OperatorTuple`` and ``hyper.tail_operator``, the convergence test of
-``hyper.conjugation_limit``, the purity tests of ``hyper.is_pure`` and of
-the multi-shift report, and the unitarity of the transition in
+``hyper.conjugation_limit``, the purity test of ``hyper.is_pure`` and the
+tail fallback of the multi-shift report (whose purity is first read from
+the nilpotency orders its shift tuple holds), and the unitarity of the transition in
 ``charfn.uniqueness_unitary`` and of the transports in
 ``charfn.coincidence_verify``; a rejection there quotes the exact
 :func:`hermitian_norm` residual.
@@ -274,13 +275,11 @@ def complete_to_unitary(x, tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
     return e_dim, q[:, cols:]
 
 
-def psd_root_pieces(
-    s, tol: float = POSITIVITY_TOL, rank_tol: float = RANK_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def psd_root_pieces(s, tol: float = POSITIVITY_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Square root plus range basis of a Hermitian PSD matrix.
 
     Rank is decided on the eigenvalues of ``S`` itself (threshold
-    ``rank_tol * max(1, lambda_max)``), not of the root: taking the root
+    ``RANK_TOL * max(1, lambda_max)``), not of the root: taking the root
     first would amplify eigenvalue noise ``eps`` to ``sqrt(eps)`` and
     manufacture spurious range directions.  Basis columns are ordered by
     descending eigenvalue.
@@ -294,7 +293,7 @@ def psd_root_pieces(
     herm = 0.5 * (s + s.conj().T)
     vals, vecs = np.linalg.eigh(herm)
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    cutoff = rank_tol * max(1.0, float(vals[0]) if vals.size else 0.0)
+    cutoff = RANK_TOL * max(1.0, float(vals[0]) if vals.size else 0.0)
     keep = vals > cutoff
     rank = int(np.sum(keep))
     cleaned = np.where(keep, vals, 0.0)

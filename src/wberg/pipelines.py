@@ -180,7 +180,7 @@ def run_monotonicity(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
     if not is_W_hypercontraction(t, case.weights, r_grid=case.r_grid, tol=case.tol).verdict:
         return True, {"verdict": True, "vacuous": True,
                       "note": "tuple is not hypercontractive; nothing to check"}
-    points = [p for p in dyadic_grid(t.n, 3)]
+    points = [p for p in dyadic_grid(t.n)]
     worst = 0.0
     for a, b in zip(points, points[1:]):
         gap = defect_series(t, case.weights, a) - defect_series(t, case.weights, b)

@@ -396,6 +396,55 @@ def test_run_charfn_computes_each_defect_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_char_function_builds_its_adjoint_stack_once(monkeypatch):
+    # the column map and every evaluation read the one stack [I, T*, ...]
+    # of the operator's tuple, built by the same sequential products
+    import wberg.hyper as hyper
+
+    t = nilpotent_commuting_tuple(3, 6, 1, radius=0.5)[0]
+    t_adj = t.mat.conj().T
+    builds = []
+    original = hyper._power_stack
+
+    def counting(mat, count, prefix=None):
+        if np.array_equal(mat, t_adj):
+            builds.append(count)
+        return original(mat, count, prefix)
+
+    monkeypatch.setattr(hyper, "_power_stack", counting)
+    cf = char_function(t, B2)
+    char_function_eval(cf, 0.3)
+    key_identity_check(cf, [0.1, 0.2j], [0.3])
+    partial_isometry_check(cf)
+    assert builds == [cf.n_terms]
+    assert np.array_equal(cf.star_powers, _power_stack(t_adj, cf.n_terms))
+
+
+def test_run_charfn_stacks_each_triple_once(monkeypatch):
+    # CharTriple.d_stack is formed once per triple: for T, for U T U* and for
+    # the transported triple, though block unitarity, the coefficients and
+    # the transition all read it
+    from wberg.config import parse_case
+    from wberg.corpus import corpus_cases
+    from wberg.pipelines import run_charfn
+
+    stacked = []
+    original = np.vstack
+
+    def counting(arrays, *args, **kwargs):
+        if isinstance(arrays, tuple):  # a triple's d_blocks; other stacks are lists
+            stacked.append(arrays)
+        return original(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "vstack", counting)
+    data = next(c for c in corpus_cases() if c["name"] == "charfn-nilpotent-bergman2")
+    case = parse_case(data, name=data["name"])
+    ok, report = run_charfn(case, case.build_tuple(None))
+    assert ok and report["coincidence"]
+    assert len(stacked) == 3
+    assert len({id(blocks) for blocks in stacked}) == 3
+
+
 def test_run_charfn_certifies_tau_once(monkeypatch):
     # tau* tau is formed once per case (by coincidence_verify, which consumes
     # the derived transport), and only the partial isometry takes an e-sized

@@ -211,13 +211,29 @@ def test_config_file_roundtrip(tmp_path, capsys):
     assert json.loads(out)["case"] == "case"
 
 
+SCALAR_CASE = {"weights": "hardy", "tuple": "scalars:[0.5]"}
+
+
 @pytest.mark.parametrize("cfg", [
     {"weights": "bergman:2,hardy", "tuple": "nilpotent:1:4:2:0.5", "r_grid": [[0.5]]},
     {"weights": "bergman:2,hardy", "tuple": "scalars:[0.5]"},
-], ids=["grid-point-arity", "tuple-arity"])
+    {**SCALAR_CASE, "weights": [2]},
+    {**SCALAR_CASE, "weights": 5},
+    {**SCALAR_CASE, "weights": ["hardy", 3]},
+    {**SCALAR_CASE, "weights": None},
+    {**SCALAR_CASE, "tol": None},
+    {**SCALAR_CASE, "seed": None},
+    {**SCALAR_CASE, "seed": [1]},
+    {**SCALAR_CASE, "gamma": 3},
+    {**SCALAR_CASE, "run": 5},
+    {**SCALAR_CASE, "tuple": "nilpotent:1"},
+], ids=["grid-point-arity", "tuple-arity", "weights-number-list", "weights-number",
+        "weights-mixed-list", "weights-null", "tol-null", "seed-null", "seed-list",
+        "gamma-number", "run-number", "tuple-short-generator"])
 def test_config_arity_mismatch_exit_2(tmp_path, capsys, cfg):
-    # a configuration whose grid or tuple does not match the weights is a
-    # usage error, not a failed verdict
+    # a configuration whose grid or tuple does not match the weights, or
+    # whose entries have the wrong type, is a usage error, not a failed
+    # verdict and not a traceback
     path = tmp_path / "case.json"
     path.write_text(json.dumps(cfg))
     code, _, err = run_cli(capsys, "check", "--config", str(path))

@@ -187,6 +187,24 @@ def test_pure_dilation_multishift_is_its_own_model():
     assert opnorm(gram @ gram - gram) < 1e-12
 
 
+def test_pure_dilation_scans_each_entry_once(monkeypatch):
+    # the classification scans each entry of t; the horizons and stage 0,
+    # the sub-tuple of T_1, read that scan, and the one lifted stage
+    # operator is scanned once when it is wrapped
+    import wberg.hyper as hyper
+
+    w = MultiWeightSpec.parse("bergman:2,bergman:2")
+    shifts = multishift_tuple(TruncatedSpace(w, (4, 4)))
+    scanned = []
+    original = hyper._nilpotency_order
+    monkeypatch.setattr(hyper, "_nilpotency_order",
+                        lambda mat, cap: scanned.append(mat) or original(mat, cap))
+    res = pure_dilation(shifts, w)
+    assert res.residuals["isometry"] < 1e-9
+    assert [sum(mat is op.mat for mat in scanned) for op in shifts] == [1, 1]
+    assert len(scanned) == shifts.n + 1
+
+
 def test_pure_dilation_nilpotent_pair_compression_recovery():
     t = nilpotent_commuting_tuple(33, 6, 2, radius=0.5)
     w = MultiWeightSpec.parse("hardy,hardy")
@@ -593,13 +611,15 @@ def test_map_that_does_not_fit_raises_block_budget(monkeypatch, build):
                          ids=["scalar", "triangular"])
 def test_pure_horizon_on_an_explicit_list_matches_its_preset(t):
     # the list is shorter than HORIZON_CAP but longer than the tail sum needs
-    horizon = _pure_horizon(t, B2, 1e-9)
+    t = OperatorTuple.of(t)
+    horizon = _pure_horizon(t, 0, B2, 1e-9)
     assert horizon < 200
-    assert _pure_horizon(t, bergman2_prefix(200), 1e-9) == horizon
+    assert _pure_horizon(t, 0, bergman2_prefix(200), 1e-9) == horizon
 
 
 def test_pure_horizon_refuses_a_list_that_ends_inside_the_tail():
     with pytest.raises(HorizonTooShort, match="12 entries"):
-        _pure_horizon(np.array([[0.5]]), bergman2_prefix(12), 1e-9)
+        _pure_horizon(OperatorTuple.of(np.array([[0.5]])), 0, bergman2_prefix(12), 1e-9)
     # a nilpotent operator needs only as many entries as its order
-    assert _pure_horizon(np.diag([0.5, 0.5], -1), bergman2_prefix(3), 1e-9) == 3
+    nilpotent = OperatorTuple.of(np.diag([0.5, 0.5], -1))
+    assert _pure_horizon(nilpotent, 0, bergman2_prefix(3), 1e-9) == 3

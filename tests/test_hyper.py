@@ -28,7 +28,6 @@ from wberg.hyper import (
     equivalence_crosscheck,
     hereditary_apply,
     is_gamma_contractive,
-    is_omega_hypercontraction,
     is_pure,
     is_W_hypercontraction,
     subtuple,
@@ -334,34 +333,47 @@ def test_is_pure():
 
 
 # ---------------------------------------------------------------------------
-# single-operator classification
+# single-operator classification: the one-tuple case of is_W_hypercontraction
 # ---------------------------------------------------------------------------
 
-def test_is_omega_zero_operator():
+def _one_variable(t, spec):
+    """Classify a single operator as ``one_var_dilation`` validates it."""
+    return is_W_hypercontraction(OperatorTuple.of(t), MultiWeightSpec.of(spec),
+                                 lattice_e_points=False)
+
+
+def _limit_min_eig(rep):
+    """The vertex-limit witness of the weight itself (mask 1), or None."""
+    return next((c.min_eig for c in rep.certificates if c.kind == "limit" and c.mask == 1),
+                None)
+
+
+def test_is_w_one_variable_zero_operator():
     for spec in (HARDY, B2, WeightSpec.bergman(1.5)):
-        assert is_omega_hypercontraction(Operator([[0.0]]), spec).verdict
+        assert _one_variable(Operator([[0.0]]), spec).verdict
 
 
-def test_is_omega_truncated_shift_with_own_weight():
+def test_is_w_one_variable_truncated_shift_with_own_weight():
     for spec in (HARDY, B2, B3):
         space = TruncatedSpace(MultiWeightSpec.of(spec), (6,))
         shift = multishift_tuple(space)[0]
-        rep = is_omega_hypercontraction(shift, spec)
+        rep = _one_variable(shift, spec)
         assert rep.verdict
-        assert rep.limit_min_eig is not None and rep.limit_min_eig >= -1e-10
+        limit = _limit_min_eig(rep)
+        assert limit is not None and limit >= -1e-10
 
 
-def test_is_omega_scalar_limit_value():
+def test_is_w_one_variable_scalar_limit_value():
     tval = 0.8
-    rep = is_omega_hypercontraction(Operator([[tval]]), B2)
+    rep = _one_variable(Operator([[tval]]), B2)
     assert rep.verdict
-    assert rep.limit_min_eig == pytest.approx((1 - tval**2) ** 2, rel=1e-10)
+    assert _limit_min_eig(rep) == pytest.approx((1 - tval**2) ** 2, rel=1e-10)
 
 
-def test_is_omega_failure_witness():
+def test_is_w_one_variable_failure_witness():
     # norm-0.9 nilpotent fails the quadratic-weight test
     t = nilpotent_commuting_tuple(1, 4, 1, radius=0.9)[0]
-    rep = is_omega_hypercontraction(t, B2)
+    rep = _one_variable(t, B2)
     assert not rep.verdict
     assert any(c.min_eig < -1e-8 for c in rep.certificates)
 

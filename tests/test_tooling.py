@@ -94,3 +94,28 @@ def test_module_imports_are_used():
         unused += [f"{path.name}:{line}: {name}" for name, line in _module_imports(tree)
                    if name not in used]
     assert not unused, f"module-level imports never used: {unused}"
+
+
+def _referenced_names(tree: ast.Module):
+    """``(name, line)`` of every name, attribute and imported name in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
+def test_powers_and_nilpotency_orders_are_formed_only_in_hyper():
+    # an OperatorTuple owns T^k, T*^k and the nilpotency orders of its
+    # entries; every other module reads them from a tuple
+    owned = {"_power_stack", "_nilpotency_order", "matrix_power"}
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "hyper.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stray += [f"{path.name}:{line}: {name}" for name, line in _referenced_names(tree)
+                  if name in owned]
+    assert not stray, f"powers or nilpotency orders formed outside hyper.py: {stray}"
