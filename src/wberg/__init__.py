@@ -40,7 +40,6 @@ from .dilation import (
 from .hyper import (
     DefectResult,
     OperatorTuple,
-    TailResult,
     two_parameter_monotonicity_check,
     defect_limit,
     defect_operator,
@@ -52,7 +51,6 @@ from .hyper import (
     is_W_hypercontraction,
     subtuple,
     subtuple_inheritance_check,
-    tail_operator,
 )
 from .linalg import (
     Operator,

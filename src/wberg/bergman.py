@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KernelConsistencyWarning, OutsideDisc
-from .hyper import COMMUTATION_TOL, OperatorTuple, defect_series, tail_operator
-from .linalg import Operator, hermitian_norm, threshold_norm
+from .hyper import OperatorTuple, defect_series, is_pure
+from .linalg import Operator, hermitian_norm
 from .series import MultiWeightSpec, _normalize_degrees, _normalize_grid, quotient_coeffs
 
 __all__ = [
@@ -315,13 +315,9 @@ def shift_matrix(space: TruncatedSpace, i: int) -> Operator:
     return Operator(space.shifts[i].to_matrix())
 
 
-def multishift_tuple(
-    space: TruncatedSpace, commutation_tol: float = COMMUTATION_TOL
-) -> OperatorTuple:
+def multishift_tuple(space: TruncatedSpace) -> OperatorTuple:
     """The tuple of coordinate shifts on a truncated space."""
-    return OperatorTuple(
-        tuple(shift_matrix(space, i) for i in range(space.n_vars)), commutation_tol
-    )
+    return OperatorTuple(tuple(shift_matrix(space, i) for i in range(space.n_vars)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +338,13 @@ def multishift_purity_and_positivity(
     space: TruncatedSpace,
     shifts: OperatorTuple,
     r_grid: Sequence,
-    tol: float = MULTISHIFT_TOL,
 ) -> MultishiftReport:
     """Verify the diagonal defect formula and purity of the truncated shifts.
 
     ``shifts`` is the caller's ``multishift_tuple(space)``, so the defect
     series are summed over the power stacks that tuple already holds and
-    purity is read from its nilpotency scans.  In the
+    purity is read from its nilpotency scans (a tuple that is not exactly
+    nilpotent falls back to :func:`~wberg.hyper.is_pure`).  In the
     weighted quadratic form the defect series acts diagonally on monomials
     with entries ``w_a^2 * a_a(1, r)`` built from the quotient coefficients;
     the truncated shifts are exactly nilpotent.
@@ -385,12 +381,12 @@ def multishift_purity_and_positivity(
     pure = all(
         shifts.nilpotency_order(i, space.degrees[i]) is not None for i in range(shifts.n)
     )
-    if not pure:  # fall back to the tail limit if exact nilpotency failed
-        pure = all(threshold_norm(tail_operator(s).q, tol) <= tol for s in shifts)
+    if not pure:  # fall back to the tail limits if exact nilpotency failed
+        pure = is_pure(shifts)
     return MultishiftReport(
-        diagonal_ok=bool(max_resid <= tol),
+        diagonal_ok=bool(max_resid <= MULTISHIFT_TOL),
         max_diagonal_residual=max_resid,
-        psd_ok=bool(min_eig >= -tol),
+        psd_ok=bool(min_eig >= -MULTISHIFT_TOL),
         min_eig=min_eig,
         pure=bool(pure),
         grid=grid,

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dilation import _pure_horizon, _defect_sqrt_pieces
+from .dilation import _defect_sqrt_pieces, _one_tuple, _pure_horizon
 from .errors import HorizonTooShort, NotPure, NotUnitaryInput
 from .hyper import OperatorTuple, is_pure
 from .linalg import complete_to_unitary, hermitian_norm, spectral_norm, threshold_norm
@@ -81,18 +81,22 @@ def rho_sequence(omega: WeightSpec, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CharTriple:
-    """Completion data ``(dim E, B, {D_n})`` of the stacked column isometry."""
+    """Completion data ``(dim E, B, {D_n})`` of the stacked column isometry.
+
+    ``d_stack`` holds the rows of the blocks ``D_0, D_1, ...`` once, stacked
+    into one column (for a completed triple, a view of the completion), and
+    :attr:`d_blocks` are its ``n_blocks`` views of equal height.
+    """
 
     e_dim: int
     b: np.ndarray
-    d_blocks: tuple[np.ndarray, ...]
+    d_stack: np.ndarray
+    n_blocks: int
 
-    @cached_property
-    def d_stack(self) -> np.ndarray:
-        """The blocks ``D_n`` stacked into one column, formed once per triple."""
-        if not self.d_blocks:
-            return np.zeros((0, self.e_dim), dtype=complex)
-        return np.vstack(self.d_blocks)
+    @property
+    def d_blocks(self) -> tuple[np.ndarray, ...]:
+        """The blocks ``D_n``, views of :attr:`d_stack`."""
+        return tuple(np.split(self.d_stack, self.n_blocks))
 
 
 @dataclass(frozen=True)
@@ -135,47 +139,45 @@ class CharFunction:
         return out
 
 
-def _resolve_terms(t: OperatorTuple, omega: WeightSpec, n_terms: int | None, tol: float) -> int:
+def _resolve_terms(t: OperatorTuple, omega: WeightSpec, n_terms: int | None) -> int:
     if n_terms is None:
         # an explicit weight list shorter than MIN_CHAR_TERMS lends all its entries
         floor = min(MIN_CHAR_TERMS, omega.max_terms or MIN_CHAR_TERMS)
-        return max(_pure_horizon(t, 0, omega, tol), floor)
+        return max(_pure_horizon(t, 0, omega), floor)
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     return n_terms
 
 
-def char_function(
-    t, omega: WeightSpec, n_terms: int | None = None, tol: float = CHAR_TOL
-) -> CharFunction:
-    """Characteristic function of a pure hypercontraction ``T``.
+def char_function(t, omega: WeightSpec, n_terms: int | None = None) -> CharFunction:
+    """Characteristic function of a pure hypercontraction ``T``, a matrix or a
+    one-entry tuple.
 
     The column contraction ``C h = (sqrt(rho_n) D T*^n h)_n`` is certified by
-    the exact identity ``I - C*C = T T*`` (a horizon too short to keep the
-    column mass raises :class:`HorizonTooShort`), then ``[T*; C]`` is
-    completed to a unitary, from which ``(E, B, {D_n})`` split off.
+    the exact identity ``I - C*C = T T*`` to ``10 CHAR_TOL`` (a horizon too
+    short to keep the column mass raises :class:`HorizonTooShort`), then
+    ``[T*; C]`` is completed to a unitary, from which ``(E, B, {D_n})`` split
+    off.
     """
-    tup = OperatorTuple.of(t)
+    tup = _one_tuple(t)
     mat = tup[0].mat
-    n_terms = _resolve_terms(tup, omega, n_terms, tol)
+    n_terms = _resolve_terms(tup, omega, n_terms)
     if not is_pure(tup):
         raise NotPure("tail operator does not vanish; no characteristic function")
-    _, basis, d_min = _defect_sqrt_pieces(tup, omega, tol)
+    _, basis, d_min = _defect_sqrt_pieces(tup, omega)
     rho = rho_sequence(omega, n_terms)
     t_adj = mat.conj().T
     stars = tup.adjoint_stack(0, n_terms)
     c = np.vstack([math.sqrt(rho[k]) * (d_min @ stars[k]) for k in range(n_terms)])
     d = mat.shape[0]
     res = hermitian_norm(np.eye(d) - c.conj().T @ c - mat @ t_adj)
-    if res > tol * 10:
+    if res > CHAR_TOL * 10:
         raise HorizonTooShort(
             f"truncation loses column mass (identity residual {res:.3e}); "
             "increase the number of terms"
         )
-    e_dim, y = complete_to_unitary(np.vstack([t_adj, c]), tol)
-    r = c.shape[0] // n_terms
-    blocks = tuple(y[d + k * r: d + (k + 1) * r, :] for k in range(n_terms))
-    triple = CharTriple(e_dim, y[:d, :], blocks)
+    e_dim, y = complete_to_unitary(np.vstack([t_adj, c]), CHAR_TOL)
+    triple = CharTriple(e_dim, y[:d, :], y[d:, :], n_terms)
     return CharFunction(mat, omega, n_terms, triple, d_min, basis, c, res, stars)
 
 
@@ -345,29 +347,29 @@ def _transition(t1: CharTriple, t2: CharTriple) -> np.ndarray:
     return y1.conj().T @ y2
 
 
-def _require_unitary(u: np.ndarray, tol: float, message: str) -> None:
-    """Raise :class:`NotUnitaryInput` unless ``||u* u - I|| <= 10 tol``.
+def _require_unitary(u: np.ndarray, message: str) -> None:
+    """Raise :class:`NotUnitaryInput` unless ``||u* u - I|| <= 10 CHAR_TOL``.
 
     The decision is :func:`threshold_norm`'s, from the Frobenius norm of the
     gap; the exact :func:`hermitian_norm` is taken only to quote the residual
     of a rejected input.
     """
     gap = u.conj().T @ u - np.eye(u.shape[1])
-    bound = tol * 10
+    bound = CHAR_TOL * 10
     if threshold_norm(gap, bound) > bound:
         raise NotUnitaryInput(f"{message} (residual {hermitian_norm(gap):.3e})")
 
 
-def uniqueness_unitary(t1: CharTriple, t2: CharTriple, tol: float = CHAR_TOL) -> np.ndarray:
+def uniqueness_unitary(t1: CharTriple, t2: CharTriple) -> np.ndarray:
     """Unitary ``U`` with ``B2 = B1 U`` and ``D2 = D1 U`` between two triples.
 
     Both completion columns are isometries with the same range, so the
     transition is just the Gram product of the two.  Its unitarity
-    (``||U* U - I|| <= 10 tol``) is decided by Frobenius bounds; a rejection
-    quotes the exact residual.
+    (``||U* U - I|| <= 10 CHAR_TOL``) is decided by Frobenius bounds; a
+    rejection quotes the exact residual.
     """
     u = _transition(t1, t2)
-    _require_unitary(u, tol, "triples are not related by a unitary")
+    _require_unitary(u, "triples are not related by a unitary")
     return u
 
 
@@ -377,11 +379,11 @@ def coincidence_verify(
     tau,
     tau_star,
     z_grid: Sequence[complex],
-    tol: float = CHAR_TOL,
 ) -> tuple[bool, float]:
     """Check ``theta2(z) = tau_star theta1(z) tau`` on a grid of disc points.
 
-    Both transports must be unitary within ``10 tol`` (decided by Frobenius
+    The identity holds when its residual is at most ``CHAR_TOL``.  Both
+    transports must be unitary within ``10 CHAR_TOL`` (decided by Frobenius
     bounds, as in :func:`uniqueness_unitary`) or :class:`NotUnitaryInput` is
     raised; this is the one unitarity certificate of a transport derived by
     ``pipelines.derive_coincidence_transports``.
@@ -391,10 +393,10 @@ def coincidence_verify(
     for u in (tau, tau_star):
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise NotUnitaryInput("coincidence unitaries must be square")
-        _require_unitary(u, tol, "coincidence transports must be unitary")
+        _require_unitary(u, "coincidence transports must be unitary")
     worst = 0.0
     for z in z_grid:
         lhs = char_function_eval(theta2, z)
         rhs = tau_star @ char_function_eval(theta1, z) @ tau
         worst = max(worst, spectral_norm(lhs - rhs))
-    return worst <= tol, worst
+    return worst <= CHAR_TOL, worst

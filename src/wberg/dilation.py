@@ -14,11 +14,12 @@ block ``A^2_{W_L}(E_L)`` whose defect map ``Delta_L`` solves a double limit
 (series limit inside ``L``, power conjugation outside).
 
 Each operator a one-variable step reads is an :class:`~wberg.hyper.OperatorTuple`:
-the first variable is the caller's sub-tuple, whose defect, adjoint powers
-and nilpotency order the classification already formed, and a lifted stage
-operator is wrapped once.  ``_tail_split`` (tail root and co-isometry
-``U* Q = Q T*``) and ``_lifts`` (``A* G = G T*``) are the one route for the
-rest of the split.
+the first variable is the caller's sub-tuple, whose defect, adjoint powers,
+nilpotency order and tail limit the classification and the purity test
+already formed, and a lifted stage operator is wrapped once.  ``_tail_split``
+(tail root and co-isometry ``U* Q = Q T*``, from the tuple's tail limit) and
+``_lifts`` (``A* G = G T*``) are the one route for the rest of the split.
+Limits, Douglas solves and lift conditions are all taken at ``LIMIT_TOL``.
 
 All model operators live in the orthonormalized graded-lex bases from
 :mod:`wberg.bergman`, and none is formed as a matrix: each is an action on
@@ -59,14 +60,13 @@ from .hyper import (
     subtuple,
 )
 from .linalg import (
-    POSITIVITY_TOL,
     Operator,
     douglas_solve,
     hermitian_norm,
     psd_root_pieces,
     spectral_norm,
 )
-from .series import MultiWeightSpec, WeightSpec, _normalize_degrees
+from .series import MultiWeightSpec, WeightSpec
 
 __all__ = [
     "LiftedAction",
@@ -258,15 +258,16 @@ class CommutantLift:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _pure_horizon(t: OperatorTuple, i: int, omega: WeightSpec, tol: float) -> int:
+def _pure_horizon(t: OperatorTuple, i: int, omega: WeightSpec) -> int:
     """Truncation level of variable ``i`` after which the dilation rows carry no mass.
 
     A nilpotent entry stops at its order, read from the tuple's scan.  Row
     norms scale like the square root of the dropped tail, so otherwise the
-    tail sum is pushed below ``tol**2`` to keep amplitude-level residuals
-    (intertwinings) within ``tol``.  An explicit weight list caps the sum
-    at its length, as it caps the classification's degrees; a list that
-    ends before the tail test is met raises :class:`HorizonTooShort`.
+    tail sum is pushed below ``LIMIT_TOL**2`` to keep amplitude-level
+    residuals (intertwinings) within ``LIMIT_TOL``.  An explicit weight
+    list caps the sum at its length, as it caps the classification's
+    degrees; a list that ends before the tail test is met raises
+    :class:`HorizonTooShort`.
     """
     cap = min(HORIZON_CAP, omega.max_terms or HORIZON_CAP)
     nil = t.nilpotency_order(i, min(cap, t.dim))
@@ -275,7 +276,7 @@ def _pure_horizon(t: OperatorTuple, i: int, omega: WeightSpec, tol: float) -> in
     horizon = cap
     sigma = spectral_norm(t[i].mat)
     if sigma < 1.0:
-        target = tol * tol
+        target = LIMIT_TOL * LIMIT_TOL
         inv_w = omega.inverse_weight_values(cap)
         total = 0.0
         for k in range(cap - 1, 0, -1):
@@ -293,40 +294,39 @@ def _pure_horizon(t: OperatorTuple, i: int, omega: WeightSpec, tol: float) -> in
     return horizon
 
 
-def _model_degrees(t: OperatorTuple, w: MultiWeightSpec, degrees, tol: float) -> tuple[int, ...]:
-    """The caller's cutoffs, or each variable's purity horizon."""
-    if degrees is None:
-        return tuple(_pure_horizon(t, i, w[i], tol) for i in range(t.n))
-    return _normalize_degrees(degrees, t.n)
-
-
-def _douglas(g: np.ndarray, f: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _douglas(g: np.ndarray, f: np.ndarray, what: str) -> np.ndarray:
     try:
-        return douglas_solve(g, f, tol)
+        return douglas_solve(g, f, LIMIT_TOL)
     except NotSubordinate as exc:
         raise DouglasPreconditionFailed(f"{what}: {exc}") from exc
 
 
-def _lifts(g: np.ndarray, ops, labels, tol: float, what: str) -> list[np.ndarray]:
+def _lifts(g: np.ndarray, ops, labels, what: str) -> list[np.ndarray]:
     """The contractions ``A`` with ``A* G = G T*``, one per operator ``T`` of ``ops``."""
-    return [_douglas(g, g @ np.asarray(op).conj().T, tol, f"{what} {lab}")
+    return [_douglas(g, g @ np.asarray(op).conj().T, f"{what} {lab}")
             for op, lab in zip(ops, labels)]
 
 
 def _staged(ops: list) -> list:
     """A lifted list with its first operator wrapped as the one-tuple the next
-    stage reads its defect, powers and horizon from."""
+    stage reads its defect, powers, horizon and tail from."""
     return [OperatorTuple.of(ops[0])] + ops[1:] if ops else []
 
 
-def _tail_split(t: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, ...]:
-    """Root ``Q`` of the tail ``lim T^k T*^k`` with its range basis and its
-    minimal coordinates ``Qmin``, and the co-isometry ``U`` on those
-    coordinates with ``U* Qmin = Qmin T*``."""
-    limit, _, _ = conjugation_limit(np.eye(t.shape[0], dtype=complex), t, tol)
-    q, q_basis = psd_root_pieces(limit, max(tol, POSITIVITY_TOL))
+def _one_tuple(t) -> OperatorTuple:
+    """A one-entry :class:`OperatorTuple` as it is, so that it lends its
+    stacks and tail limit, or a matrix wrapped as one."""
+    return t if isinstance(t, OperatorTuple) else OperatorTuple.of(t)
+
+
+def _tail_split(t: OperatorTuple, what: str) -> tuple[np.ndarray, ...]:
+    """Root ``Q`` of the one-tuple's tail ``lim T^k T*^k`` with its range
+    basis and its minimal coordinates ``Qmin``, and the co-isometry ``U`` on
+    those coordinates with ``U* Qmin = Qmin T*``."""
+    limit, _ = t.tail_limit(0)
+    q, q_basis = psd_root_pieces(limit)
     q_min = q_basis.conj().T @ q
-    return q, q_basis, q_min, _douglas(q_min, q_min @ t.conj().T, tol, what)
+    return q, q_basis, q_min, _douglas(q_min, q_min @ t[0].mat.conj().T, what)
 
 
 @contextmanager
@@ -372,13 +372,13 @@ def _fill_map_rows(
 
 
 def _defect_sqrt_pieces(
-    t: OperatorTuple, omega: WeightSpec, tol: float
+    t: OperatorTuple, omega: WeightSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Defect square root on ``H`` plus range basis and minimal coordinates
     of the one-tuple ``t``, whose stacks the defect limit sums over."""
-    limit = defect_limit(t, MultiWeightSpec.of(omega), tol=tol).limit
+    limit = defect_limit(t, MultiWeightSpec.of(omega)).limit
     try:
-        defect, basis = psd_root_pieces(limit, max(tol, POSITIVITY_TOL))
+        defect, basis = psd_root_pieces(limit)
     except NotPsd as exc:
         raise NotHypercontractive(f"defect limit is not positive: {exc}") from exc
     return defect, basis, basis.conj().T @ defect
@@ -392,19 +392,19 @@ def one_var_dilation(
     t,
     omega: WeightSpec,
     n_terms: int | None = None,
-    tol: float = LIMIT_TOL,
     validate: bool = True,
 ) -> OneVarDilation:
-    """Dilate a single hypercontraction onto ``A^2_w(defect) (+) tail``."""
-    tup, w = OperatorTuple.of(t), MultiWeightSpec.of(omega)
+    """Dilate a single hypercontraction, a matrix or a one-entry tuple, onto
+    ``A^2_w(defect) (+) tail``."""
+    tup, w = _one_tuple(t), MultiWeightSpec.of(omega)
     if validate and not is_W_hypercontraction(tup, w, lattice_e_points=False).verdict:
         raise NotHypercontractive("operator fails the weighted positivity test")
-    defect, d_basis, d_min = _defect_sqrt_pieces(tup, omega, tol)
+    defect, d_basis, d_min = _defect_sqrt_pieces(tup, omega)
     t = tup[0].mat
     t_adj = t.conj().T
     if n_terms is None:
-        n_terms = _pure_horizon(tup, 0, omega, tol)
-    q, q_basis, q_min, u = _tail_split(t, tol, "tail co-isometry")
+        n_terms = _pure_horizon(tup, 0, omega)
+    q, q_basis, q_min, u = _tail_split(tup, "tail co-isometry")
     dim = t.shape[0]
     space = TruncatedSpace(w, (n_terms,), coeff_dim=d_min.shape[0])
     inv_sqrt_w = 1.0 / np.sqrt(omega.values(n_terms))
@@ -447,13 +447,14 @@ def one_var_dilation(
 
 
 def isometry_identity_check(t, omega: WeightSpec, n_terms: int | None = None) -> float:
-    """Residual of ``|h|^2 = sum_k |D T*^k h|^2 / w_k + |Q h|^2`` over a basis."""
-    tup = OperatorTuple.of(t)
-    defect, _, _ = _defect_sqrt_pieces(tup, omega, LIMIT_TOL)
+    """Residual of ``|h|^2 = sum_k |D T*^k h|^2 / w_k + |Q h|^2`` over a basis
+    for a matrix or a one-entry tuple ``t``."""
+    tup = _one_tuple(t)
+    defect, _, _ = _defect_sqrt_pieces(tup, omega)
     dim = tup.dim
-    q2, _, _ = conjugation_limit(np.eye(dim, dtype=complex), tup[0].mat, LIMIT_TOL)
+    q2, _ = tup.tail_limit(0)
     if n_terms is None:
-        n_terms = _pure_horizon(tup, 0, omega, LIMIT_TOL)
+        n_terms = _pure_horizon(tup, 0, omega)
     inv_w = omega.inverse_weight_values(n_terms)
     stars = tup.adjoint_stack(0, n_terms)
     worst = 0.0
@@ -477,8 +478,6 @@ def isometry_identity_check(t, omega: WeightSpec, n_terms: int | None = None) ->
 def commutant_lift(
     t: OperatorTuple,
     w: MultiWeightSpec,
-    tol: float = LIMIT_TOL,
-    n_terms: int | None = None,
     validate: bool = True,
     classify_lifts: bool = True,
 ) -> CommutantLift:
@@ -496,11 +495,11 @@ def commutant_lift(
     if validate:
         if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
             raise NotHypercontractive("tuple fails the weighted positivity tests")
-    base = one_var_dilation(t[0], w[0], n_terms=n_terms, tol=tol, validate=False)
+    base = one_var_dilation(subtuple(t, (0,)), w[0], validate=False)
     d_min, q_min = base.defect_min, base.q_min
     rest, labels = t.ops[1:], range(1, t.n)
-    a_ops = _lifts(d_min, rest, labels, tol, "defect intertwiner")
-    x_ops = _lifts(q_min, rest, labels, tol, "tail intertwiner")
+    a_ops = _lifts(d_min, rest, labels, "defect intertwiner")
+    x_ops = _lifts(q_min, rest, labels, "tail intertwiner")
     v_ops = []
     residuals: dict[str, float] = dict(base.residuals)
     n_slots = base.n_terms
@@ -530,35 +529,29 @@ def commutant_lift(
 # pure multi-variable dilation
 # ---------------------------------------------------------------------------
 
-def pure_dilation(
-    t: OperatorTuple,
-    w: MultiWeightSpec,
-    degrees: Sequence[int] | int | None = None,
-    tol: float = LIMIT_TOL,
-    validate: bool = True,
-) -> DilationResult:
+def pure_dilation(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
     """Dilate a pure tuple onto the truncated multi-shift, one variable at a time.
 
-    The stages produce defect maps ``Dmin_j`` and lifted tuples; the rows of
-    the final isometry at multi-index ``a`` are
+    Each variable is truncated at its purity horizon.  The stages produce
+    defect maps ``Dmin_j`` and lifted tuples; the rows of the final isometry
+    at multi-index ``a`` are
 
         Dmin_n A_n*^{a_n} ... Dmin_2 A_2*^{a_2} Dmin_1 T_1*^{a_1} / sqrt(w_a).
     """
     if w.n != t.n:
         raise NotHypercontractive(f"weight arity {w.n} != tuple arity {t.n}")
-    if validate:
-        if not is_pure(t):
-            raise NotPure("tuple has a non-vanishing tail; use the general model")
-        if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
-            raise NotHypercontractive("tuple fails the weighted positivity tests")
-    degs = _model_degrees(t, w, degrees, tol)
+    if not is_pure(t):
+        raise NotPure("tuple has a non-vanishing tail; use the general model")
+    if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
+        raise NotHypercontractive("tuple fails the weighted positivity tests")
+    degs = tuple(_pure_horizon(t, i, w[i]) for i in range(t.n))
     # cascade of one-variable defects
     ops = [subtuple(t, (0,))] + list(t.ops[1:])
     stages: list[tuple[np.ndarray, OperatorTuple]] = []  # (Dmin_j, stage one-tuple)
     for j in range(t.n):
-        _, _, d_min = _defect_sqrt_pieces(ops[0], w[j], tol)
+        _, _, d_min = _defect_sqrt_pieces(ops[0], w[j])
         stages.append((d_min, ops[0]))
-        ops = _staged(_lifts(d_min, ops[1:], range(j + 1, t.n), tol, f"stage {j} lift"))
+        ops = _staged(_lifts(d_min, ops[1:], range(j + 1, t.n), f"stage {j} lift"))
     e_dim = stages[-1][0].shape[0]
     space = TruncatedSpace(w, degs, coeff_dim=e_dim)
     model_ops = list(space.shifts)
@@ -603,7 +596,6 @@ def _recursive_blocks(
     weights: list[WeightSpec],
     labels: list[int],
     dim: int,
-    tol: float,
     diagnostics: dict[str, float],
 ) -> list[tuple[tuple[int, ...], np.ndarray, dict[int, np.ndarray]]]:
     """Blocks ``(lam, delta, v)`` over subsets of ``labels`` on a ``dim``-space.
@@ -614,13 +606,13 @@ def _recursive_blocks(
     if not ops:
         return [((), np.eye(dim, dtype=complex), {})]
     lab1 = labels[0]
-    _, _, d_min = _defect_sqrt_pieces(ops[0], weights[0], tol)
-    _, _, q_min, u = _tail_split(ops[0][0].mat, tol, f"tail co-isometry at {lab1}")
-    a_next = _lifts(d_min, ops[1:], labels[1:], tol, "defect intertwiner")
-    x_next = _lifts(q_min, ops[1:], labels[1:], tol, "tail intertwiner")
-    a_blocks = _recursive_blocks(_staged(a_next), weights[1:], labels[1:], d_min.shape[0], tol,
+    _, _, d_min = _defect_sqrt_pieces(ops[0], weights[0])
+    _, _, q_min, u = _tail_split(ops[0], f"tail co-isometry at {lab1}")
+    a_next = _lifts(d_min, ops[1:], labels[1:], "defect intertwiner")
+    x_next = _lifts(q_min, ops[1:], labels[1:], "tail intertwiner")
+    a_blocks = _recursive_blocks(_staged(a_next), weights[1:], labels[1:], d_min.shape[0],
                                  diagnostics)
-    x_blocks = _recursive_blocks(_staged(x_next), weights[1:], labels[1:], q_min.shape[0], tol,
+    x_blocks = _recursive_blocks(_staged(x_next), weights[1:], labels[1:], q_min.shape[0],
                                  diagnostics)
     out = []
     for lam, delta, v in a_blocks:
@@ -632,26 +624,21 @@ def _recursive_blocks(
         scale = max(1.0, hermitian_norm(gram))
         key = "lift_condition_" + "_".join(str(i) for i in (lab1,) + lam)
         diagnostics[key] = cond
-        if cond > tol * 100 * scale:
+        if cond > LIMIT_TOL * 100 * scale:
             raise LiftConditionFailed((lab1,) + lam, cond)
-        w_lift = _douglas(delta, delta @ u.conj().T, tol, f"co-isometry lift at {lab1}")
+        w_lift = _douglas(delta, delta @ u.conj().T, f"co-isometry lift at {lab1}")
         v2 = dict(v)
         v2[lab1] = w_lift
         out.append((lam, delta @ q_min, v2))
     return out
 
 
-def general_model(
-    t: OperatorTuple,
-    w: MultiWeightSpec,
-    degrees: Sequence[int] | int | None = None,
-    tol: float = LIMIT_TOL,
-    validate: bool = True,
-) -> DilationResult:
+def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
     """Model of a (not necessarily pure) hypercontractive tuple.
 
     One block per coordinate subset: the block at ``lam`` is a truncated
-    Bergman space over the ``lam``-variables with coefficient space the range
+    Bergman space over the ``lam``-variables, each truncated at its purity
+    horizon, with coefficient space the range
     of the block defect ``Delta_lam``; coordinates outside ``lam`` act as
     lifted co-isometries, coordinates inside as shifts.
 
@@ -664,13 +651,12 @@ def general_model(
     """
     if w.n != t.n:
         raise NotHypercontractive(f"weight arity {w.n} != tuple arity {t.n}")
-    if validate:
-        if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
-            raise NotHypercontractive("tuple fails the weighted positivity tests")
-    degs = _model_degrees(t, w, degrees, tol)
+    if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
+        raise NotHypercontractive("tuple fails the weighted positivity tests")
+    degs = tuple(_pure_horizon(t, i, w[i]) for i in range(t.n))
     diagnostics: dict[str, float] = {}
     raw = _recursive_blocks(
-        [subtuple(t, (0,))] + list(t.ops[1:]), list(w.weights), list(range(t.n)), t.dim, tol,
+        [subtuple(t, (0,))] + list(t.ops[1:]), list(w.weights), list(range(t.n)), t.dim,
         diagnostics,
     )
     raw.sort(key=lambda item: sum(1 << i for i in item[0]))
@@ -716,7 +702,7 @@ def general_model(
     for block in blocks:
         tag = "_".join(str(i) for i in block.lam) if block.lam else "empty"
         delta = block.delta
-        brute = _double_limit(t, w, block.lam, degs, tol)
+        brute = _double_limit(t, w, block.lam, degs)
         residuals[f"delta_formula_{tag}"] = hermitian_norm(delta.conj().T @ delta - brute)
         worst_int = 0.0
         worst_co = 0.0
@@ -757,28 +743,26 @@ def _double_limit(
     w: MultiWeightSpec,
     lam: tuple[int, ...],
     degs: tuple[int, ...],
-    tol: float,
 ) -> np.ndarray:
     """Brute evaluation of the block defect: series limit inside ``lam``,
-    power-conjugation limit outside."""
+    power-conjugation limit outside (starting from the tail of ``T_0`` when
+    ``lam`` is empty)."""
+    outside = [i for i in range(t.n) if i not in lam]
     if lam:
         cur = defect_limit(
-            subtuple(t, lam), w.subset(lam), tol=tol,
+            subtuple(t, lam), w.subset(lam),
             degrees=tuple(degs[i] for i in lam),
         ).limit
     else:
-        cur = np.eye(t.dim, dtype=complex)
-    for i in range(t.n):
-        if i in lam:
-            continue
-        cur, _, _ = conjugation_limit(cur, t[i], tol)
+        cur, _ = t.tail_limit(outside.pop(0))
+    for i in outside:
+        cur, _, _ = conjugation_limit(cur, t[i])
     return cur
 
 
 def model_colift(
     v,
     model: DilationResult,
-    tol: float = LIMIT_TOL,
 ) -> tuple[BlockDiagonal, dict[str, float]]:
     """Lift a co-isometry commuting with the modeled tuple onto the model.
 
@@ -800,12 +784,12 @@ def model_colift(
         cond = hermitian_norm(moved - gram)
         tag = "_".join(str(i) for i in block.lam) if block.lam else "empty"
         residuals[f"lift_condition_{tag}"] = cond
-        if cond > tol * 100 * max(1.0, hermitian_norm(gram)):
+        if cond > LIMIT_TOL * 100 * max(1.0, hermitian_norm(gram)):
             raise LiftConditionFailed(block.lam, cond)
         if block.e_dim == 0:
             w_lam = np.zeros((0, 0), dtype=complex)
         else:
-            w_lam = _douglas(delta, delta @ v_adj, tol, f"colift {tag}")
+            w_lam = _douglas(delta, delta @ v_adj, f"colift {tag}")
         copies = 1 if block.space is None else len(block.space.indices)
         parts.append(LiftedAction(w_lam, copies))
         residuals[f"colift_intertwine_{tag}"] = spectral_norm(
@@ -824,7 +808,7 @@ def model_colift(
 # ---------------------------------------------------------------------------
 
 def _pulled_back(
-    lifts: list[np.ndarray], basis: np.ndarray, lam: tuple[int, ...], w, dim: int, tol: float
+    lifts: list[np.ndarray], basis: np.ndarray, lam: tuple[int, ...], w, dim: int
 ) -> np.ndarray:
     """``basis (vertex defect of the lifts at lam, weights w) basis*`` on the
     ``dim``-space, and the identity for an empty ``lam``."""
@@ -834,7 +818,7 @@ def _pulled_back(
     defect = np.zeros((0, 0), dtype=complex)
     if sel[0].shape[0] > 0:
         lifted = OperatorTuple(sel, commutation_tol=LIFT_COMMUTATION_TOL)
-        defect = defect_limit(lifted, w, tol=tol).limit
+        defect = defect_limit(lifted, w).limit
     return basis @ defect @ basis.conj().T
 
 
@@ -842,7 +826,6 @@ def transport_identities_check(
     t: OperatorTuple,
     w: MultiWeightSpec,
     lam: Sequence[int],
-    tol: float = LIMIT_TOL,
 ) -> tuple[float, float]:
     """Residuals of the two defect-transport identities of the commutant lift.
 
@@ -854,7 +837,7 @@ def transport_identities_check(
     lam = tuple(sorted(set(int(i) for i in lam)))
     if any(i <= 0 or i >= t.n for i in lam):
         raise ValueError("subset must avoid the first coordinate")
-    lift = commutant_lift(t, w, tol=tol, validate=False, classify_lifts=False)
+    lift = commutant_lift(t, w, validate=False, classify_lifts=False)
     d_full = lift.base.defect
     d_basis = lift.base.defect_basis
     q_full = lift.base.q
@@ -862,19 +845,19 @@ def transport_identities_check(
     rest_w = w.subset(lam) if lam else None
 
     # (i): defect of the A-subtuple, lifted back to H coordinates
-    lifted = _pulled_back(lift.a_ops, d_basis, lam, rest_w, t.dim, tol)
+    lifted = _pulled_back(lift.a_ops, d_basis, lam, rest_w, t.dim)
     lhs_i = d_full @ lifted @ d_full
     enlarged = (0,) + lam
-    rhs_i = defect_limit(subtuple(t, enlarged), w.subset(enlarged), tol=tol).limit
+    rhs_i = defect_limit(subtuple(t, enlarged), w.subset(enlarged)).limit
     res_i = hermitian_norm(lhs_i - rhs_i)
 
     # (ii): tail-side identity
-    lifted_x = _pulled_back(lift.x_ops, q_basis, lam, rest_w, t.dim, tol)
-    if lam:
-        sub_defect = defect_limit(subtuple(t, lam), rest_w, tol=tol).limit
-    else:
-        sub_defect = np.eye(t.dim, dtype=complex)
+    lifted_x = _pulled_back(lift.x_ops, q_basis, lam, rest_w, t.dim)
     lhs_ii = q_full @ lifted_x @ q_full
-    rhs_ii, _, _ = conjugation_limit(sub_defect, t[0], tol)
+    if lam:
+        sub_defect = defect_limit(subtuple(t, lam), rest_w).limit
+        rhs_ii, _, _ = conjugation_limit(sub_defect, t[0])
+    else:  # the conjugation limit of the identity is the tail of T_0
+        rhs_ii, _ = t.tail_limit(0)
     res_ii = hermitian_norm(lhs_ii - rhs_ii)
     return res_i, res_ii

@@ -12,11 +12,14 @@ one-variable hereditary sum: each level is one batched pass
 one weighted sum of the Gram stack ``[T^k T*^k]_k``.
 
 The :class:`OperatorTuple` is the one owner of its entries' powers: the
-power, adjoint-power and Gram stacks, one set per variable, and the
-nilpotency orders are formed here and nowhere else in the package.  The
-stacks grow only when a longer prefix is asked for; every swap-family
-member, grid point and vertex value of a tuple, every classification run on
-it, and the dilations and characteristic functions built from it read them.
+power, adjoint-power and Gram stacks, one set per variable, the nilpotency
+orders and the tail limits ``lim_k T_i^k T_i*^k`` are formed here and
+nowhere else in the package.  The stacks grow only when a longer prefix is
+asked for; every swap-family member, grid point and vertex value of a tuple,
+every classification run on it, and the dilations and characteristic
+functions built from it read them.  A tail limit is formed once, at
+``LIMIT_TOL``: the purity test, the tail split of a dilation and the joint
+tail of a check all read it.
 Next to the stacks the tuple holds its classification reports, one per
 (weights, grid, tolerance, cutoffs, lattice) key, so a fact proved once is
 not proved again by a later pipeline step; the sub-tuple on every index is
@@ -67,12 +70,10 @@ from .series import (
 __all__ = [
     "OperatorTuple",
     "DefectResult",
-    "TailResult",
     "GRID_CAVEAT",
     "defect_series",
     "defect_limit",
     "defect_operator",
-    "tail_operator",
     "conjugation_limit",
     "hereditary_apply",
     "is_W_hypercontraction",
@@ -120,15 +121,15 @@ class _OperatorStacks:
 
     The stacks only ever grow, and a request returns a read-only prefix, so
     a short request after a long one gives the bits of a fresh build.  The
-    nilpotency order is cached with the depth it was scanned to, and the
-    norm of each power asked for by exponent.
+    nilpotency order is cached with the depth it was scanned to, the norm of
+    each power asked for by exponent, and the tail limit once.
     """
 
-    __slots__ = ("mat", "_powers", "_adjoints", "_grams", "_nil", "_power_norms")
+    __slots__ = ("mat", "_powers", "_adjoints", "_grams", "_nil", "_power_norms", "_tail")
 
     def __init__(self, mat: np.ndarray) -> None:
         self.mat = mat
-        self._powers = self._adjoints = self._grams = None
+        self._powers = self._adjoints = self._grams = self._tail = None
         self._nil: tuple[int, int | None] = (0, None)
         self._power_norms: dict[int, float] = {}
 
@@ -171,6 +172,16 @@ class _OperatorStacks:
             self._power_norms[k] = spectral_norm(np.linalg.matrix_power(self.mat, k))
         return self._power_norms[k]
 
+    def tail(self) -> tuple[np.ndarray, bool]:
+        """Read-only ``lim T^k T*^k`` of :func:`conjugation_limit` and its
+        ``converged`` flag, formed once."""
+        if self._tail is None:
+            eye = np.eye(self.mat.shape[0], dtype=complex)
+            limit, converged, _ = conjugation_limit(eye, self.mat)
+            limit.flags.writeable = False
+            self._tail = (limit, converged)
+        return self._tail
+
 
 @dataclass(frozen=True)
 class OperatorTuple:
@@ -178,9 +189,9 @@ class OperatorTuple:
 
     Entries are validated :class:`Operator` objects, so they are read-only;
     an ``ndarray`` entry is wrapped here.  The tuple owns the power,
-    adjoint-power and Gram stacks and the nilpotency orders of its entries
-    (see :meth:`power_stack`) and the reports of :func:`is_W_hypercontraction`
-    run on it.
+    adjoint-power and Gram stacks, the nilpotency orders and the tail limits
+    of its entries (see :meth:`power_stack` and :meth:`tail_limit`) and the
+    reports of :func:`is_W_hypercontraction` run on it.
     """
 
     ops: tuple[Operator, ...]
@@ -211,8 +222,8 @@ class OperatorTuple:
                     )
 
     @staticmethod
-    def of(*ops, commutation_tol: float = COMMUTATION_TOL) -> "OperatorTuple":
-        return OperatorTuple(ops, commutation_tol)
+    def of(*ops) -> "OperatorTuple":
+        return OperatorTuple(ops)
 
     @property
     def n(self) -> int:
@@ -243,6 +254,11 @@ class OperatorTuple:
     def nilpotency_order(self, i: int, cap: int) -> int | None:
         """Smallest ``k <= cap`` with ``T_i^k = 0`` exactly, or None; scanned once."""
         return self._stacks[i].nilpotency_order(cap)
+
+    def tail_limit(self, i: int) -> tuple[np.ndarray, bool]:
+        """Read-only tail ``lim_k T_i^k T_i*^k`` (zero exactly for a pure
+        contraction) and whether its doublings converged; formed once."""
+        return self._stacks[i].tail()
 
 
 def subtuple(t: OperatorTuple, lam: Sequence[int]) -> OperatorTuple:
@@ -378,7 +394,7 @@ def _resolve_degrees(t: OperatorTuple, w: MultiWeightSpec, degrees) -> tuple[int
 
 
 # ---------------------------------------------------------------------------
-# defect series, limits, defect and tail operators
+# defect series, limits, defect operators and purity
 # ---------------------------------------------------------------------------
 
 def defect_series(
@@ -443,10 +459,9 @@ def defect_operator(
     t: OperatorTuple,
     w: MultiWeightSpec,
     tol: float = LIMIT_TOL,
-    degrees: Sequence[int] | int | None = None,
 ) -> np.ndarray:
     """PSD square root of the defect-series limit."""
-    res = defect_limit(t, w, tol=tol, degrees=degrees)
+    res = defect_limit(t, w, tol=tol)
     if not res.converged:
         warnings.warn(
             f"defect limit accuracy floor {res.tail_estimate:.1e} "
@@ -462,8 +477,9 @@ def defect_operator(
     return psd_sqrt(res.limit, max(tol, POSITIVITY_TOL))
 
 
-def conjugation_limit(s, t, tol: float = LIMIT_TOL) -> tuple[np.ndarray, bool, int]:
-    """Limit of ``T^k S T*^k`` along doubling powers (monotone for contractions)."""
+def conjugation_limit(s, t) -> tuple[np.ndarray, bool, int]:
+    """Limit of ``T^k S T*^k`` along doubling powers (monotone for contractions),
+    converged when a doubling moves it by less than ``LIMIT_TOL``."""
     s = np.asarray(s, dtype=complex)
     m = np.asarray(t, dtype=complex)
     if s.size == 0 or m.size == 0:
@@ -474,38 +490,16 @@ def conjugation_limit(s, t, tol: float = LIMIT_TOL) -> tuple[np.ndarray, bool, i
         m = m @ m
         cur = m @ s @ m.conj().T
         steps += 1
-        if threshold_norm(cur - prev, tol) < tol:
+        if threshold_norm(cur - prev, LIMIT_TOL) < LIMIT_TOL:
             return 0.5 * (cur + cur.conj().T), True, steps
         prev = cur
     return 0.5 * (prev + prev.conj().T), False, steps
 
 
-@dataclass(frozen=True)
-class TailResult:
-    q: np.ndarray
-    q_squared: np.ndarray
-    converged: bool
-    doublings: int
-
-
-def tail_operator(t, tol: float = LIMIT_TOL) -> TailResult:
-    """PSD square root of ``lim_k T^k T*^k`` (zero exactly for pure contractions)."""
-    t = np.asarray(t, dtype=complex)
-    bound = 1.0 + max(tol, COMMUTATION_TOL)
-    if threshold_norm(t, bound) > bound:
-        raise NotContractive(f"tail operator needs a contraction, norm {spectral_norm(t):.6f}")
-    eye = np.eye(t.shape[0], dtype=complex)
-    limit, converged, steps = conjugation_limit(eye, t, tol)
-    q = psd_sqrt(limit, max(tol, POSITIVITY_TOL))
-    return TailResult(q, limit, converged, steps)
-
-
-def is_pure(t: OperatorTuple, tol: float = LIMIT_TOL) -> bool:
-    """True when every coordinate's tail limit vanishes within ``tol``."""
-    eye = np.eye(t.dim, dtype=complex)
-    for op in t:
-        limit, _, _ = conjugation_limit(eye, op.mat, tol)
-        if threshold_norm(limit, tol) > tol:
+def is_pure(t: OperatorTuple) -> bool:
+    """True when every coordinate's tail limit vanishes within ``LIMIT_TOL``."""
+    for i in range(t.n):
+        if threshold_norm(t.tail_limit(i)[0], LIMIT_TOL) > LIMIT_TOL:
             return False
     return True
 
@@ -775,7 +769,6 @@ def two_parameter_monotonicity_check(
     r_points: Sequence,
     beta_points: Sequence[Sequence[int]],
     tol: float = POSITIVITY_TOL,
-    degrees: Sequence[int] | int | None = None,
 ) -> MonotonicityReport:
     """Two-parameter monotonicity of ``T_c^b D(r') T_c*^b`` on finite grids.
 
@@ -793,7 +786,7 @@ def two_parameter_monotonicity_check(
             raise ArityMismatch(f"exponent arity {len(bp)} != complement size {len(comp)}")
     values: dict[tuple, np.ndarray] = {}
     for p in points:
-        base = defect_series(t_sub, w_sub, p, degrees)
+        base = defect_series(t_sub, w_sub, p)
         for bp in betas:
             left = np.eye(t.dim, dtype=complex)
             for idx, power in zip(comp, bp):

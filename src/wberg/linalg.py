@@ -22,10 +22,11 @@ Frobenius norm, falling back to the SVD only when ``F / sqrt(min(shape)) <=
 bound <= F`` leaves the answer open.  Its value only serves comparisons with
 ``bound`` and is never reported.  It decides the hermiticity test of
 :func:`psd_check`, the contraction and commutation tests of
-``hyper.OperatorTuple`` and ``hyper.tail_operator``, the convergence test of
-``hyper.conjugation_limit``, the purity test of ``hyper.is_pure`` and the
-tail fallback of the multi-shift report (whose purity is first read from
-the nilpotency orders its shift tuple holds), and the unitarity of the transition in
+``hyper.OperatorTuple``, the convergence test of
+``hyper.conjugation_limit``, the purity test of ``hyper.is_pure`` on the
+tail limits ``hyper.OperatorTuple.tail_limit`` holds (also the fallback of
+the multi-shift report, whose purity is first read from the nilpotency
+orders its shift tuple holds), and the unitarity of the transition in
 ``charfn.uniqueness_unitary`` and of the transports in
 ``charfn.coincidence_verify``; a rejection there quotes the exact
 :func:`hermitian_norm` residual.
@@ -275,19 +276,20 @@ def complete_to_unitary(x, tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
     return e_dim, q[:, cols:]
 
 
-def psd_root_pieces(s, tol: float = POSITIVITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def psd_root_pieces(s) -> tuple[np.ndarray, np.ndarray]:
     """Square root plus range basis of a Hermitian PSD matrix.
 
-    Rank is decided on the eigenvalues of ``S`` itself (threshold
+    Eigenvalues down to ``-POSITIVITY_TOL`` are accepted.  Rank is decided
+    on the eigenvalues of ``S`` itself (threshold
     ``RANK_TOL * max(1, lambda_max)``), not of the root: taking the root
     first would amplify eigenvalue noise ``eps`` to ``sqrt(eps)`` and
     manufacture spurious range directions.  Basis columns are ordered by
     descending eigenvalue.
     """
     s = np.asarray(s, dtype=complex)
-    cert = psd_check(s, tol)
+    cert = psd_check(s)
     if not cert.verdict:
-        raise NotPsd(f"smallest eigenvalue {cert.min_eigenvalue:.3e} below -{tol:.1e}")
+        raise NotPsd(f"smallest eigenvalue {cert.min_eigenvalue:.3e} below -{POSITIVITY_TOL:.1e}")
     if s.size == 0:
         return s.copy(), np.zeros((s.shape[0], 0), dtype=complex)
     herm = 0.5 * (s + s.conj().T)

@@ -124,9 +124,9 @@ def run_check(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
         "witnesses": _witnesses_brief(rep),
         "certificates_checked": len(rep.certificates),
     }
-    # joint tail: the limit of T^b T*^b over all coordinates
-    joint = np.eye(t.dim, dtype=complex)
-    for op in t:
+    # joint tail: the limit of T^b T*^b over all coordinates, from the tail of T_0
+    joint, _ = t.tail_limit(0)
+    for op in t.ops[1:]:
         joint, _, _ = conjugation_limit(joint, op)
     out["q_tail"] = Operator(joint).to_dict()
     if rep.verdict:
@@ -258,7 +258,8 @@ def derive_coincidence_transports(
     transported = cf_mod.CharTriple(
         cf1.triple.e_dim,
         u @ cf1.triple.b,
-        tuple(tau_star @ blk for blk in cf1.triple.d_blocks),
+        np.vstack([tau_star @ blk for blk in cf1.triple.d_blocks]),
+        cf1.triple.n_blocks,
     )
     tau = cf_mod._transition(transported, cf2.triple)
     return cf2, tau, tau_star
@@ -268,7 +269,7 @@ def run_charfn(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
     if t.n != 1:
         return False, {"verdict": False, "error": "characteristic functions need arity 1"}
     op = t[0]
-    cf = cf_mod.char_function(op, case.weights[0])
+    cf = cf_mod.char_function(t, case.weights[0])
     grid = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
     pi_res = cf_mod.partial_isometry_check(cf)
     residuals = {

@@ -436,7 +436,6 @@ def check_properties(
     spec: MultiWeightSpec,
     r_grid: Sequence[Sequence[float] | float],
     degrees: Sequence[int] | int,
-    tol: float = PROPERTY_TOL,
 ) -> PropertyReport:
     """Check the positivity/boundedness properties of the associated function."""
     degs = _normalize_degrees(degrees, spec.n)
@@ -455,14 +454,14 @@ def check_properties(
         p2_bound = max(p2_bound, float(np.max(np.abs(prod_bwd))))
     abs_sums = [float(np.sum(np.abs(spec[i].inverse_coeffs(degs[i])))) for i in range(spec.n)]
     return PropertyReport(
-        p1_ok=bool(p1_min >= -tol),
+        p1_ok=bool(p1_min >= -PROPERTY_TOL),
         p1_min=p1_min,
         p2_bound=p2_bound,
         p3_abs_sum=float(np.prod(abs_sums)),
         liminf_assumed=any(w.is_explicit for w in spec),
         grid=grid,
         degrees=degs,
-        tol=tol,
+        tol=PROPERTY_TOL,
     )
 
 

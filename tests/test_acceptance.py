@@ -121,7 +121,7 @@ def test_criterion_3_multishift_classification():
     shifts = multishift_tuple(space)
     rep = is_W_hypercontraction(shifts, w)
     pure = is_pure(shifts)
-    ms = multishift_purity_and_positivity(space, shifts, [0.4, (0.8, 0.55), 0.95], tol=1e-10)
+    ms = multishift_purity_and_positivity(space, shifts, [0.4, (0.8, 0.55), 0.95])
     # independent diagonal oracle straight from the quotient coefficients
     worst = ms.max_diagonal_residual
     for r in (0.4, 0.95):
@@ -250,14 +250,14 @@ def test_criterion_8_characteristic_function_suite():
         rotated = CharTriple(
             cf.triple.e_dim,
             cf.triple.b @ u_e,
-            tuple(blk @ u_e for blk in cf.triple.d_blocks),
+            np.vstack([blk @ u_e for blk in cf.triple.d_blocks]), cf.triple.n_blocks,
         )
         solved = uniqueness_unitary(cf.triple, rotated)
         worst_uni = max(worst_uni, opnorm(solved - u_e))
         # unitary conjugation: derived transports make the functions coincide
         u = random_unitary(seed + 11, t.rows)
         cf2, tau, tau_star = derive_coincidence_transports(cf, u)
-        _, co_res = coincidence_verify(cf, cf2, tau, tau_star, grid[::4], tol=1e-9)
+        _, co_res = coincidence_verify(cf, cf2, tau, tau_star, grid[::4])
         worst_co = max(worst_co, co_res)
     ok = (
         worst_unit < 1e-9

@@ -269,7 +269,7 @@ def test_multiplier_block_placement():
 
 def test_multishift_diagonal_defect_hardy():
     space = TruncatedSpace(MultiWeightSpec.of(HARDY), (5,))
-    rep = multishift_purity_and_positivity(space, multishift_tuple(space), [0.5, 0.8], tol=1e-10)
+    rep = multishift_purity_and_positivity(space, multishift_tuple(space), [0.5, 0.8])
     assert rep.diagonal_ok and rep.psd_ok and rep.pure
     # with constant weights the quotient coefficients give 1-r beyond degree 0
     r = 0.5
@@ -286,7 +286,7 @@ def test_multishift_report(wtxt, dims):
     w = MultiWeightSpec.parse(wtxt)
     space = TruncatedSpace(w, dims)
     rep = multishift_purity_and_positivity(
-        space, multishift_tuple(space), [0.4, (0.9, 0.6)], tol=1e-10
+        space, multishift_tuple(space), [0.4, (0.9, 0.6)]
     )
     assert rep.diagonal_ok
     assert rep.psd_ok

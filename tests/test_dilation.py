@@ -205,6 +205,23 @@ def test_pure_dilation_scans_each_entry_once(monkeypatch):
     assert len(scanned) == shifts.n + 1
 
 
+def test_commutant_lift_scans_each_entry_once(monkeypatch):
+    # the classification scans each entry of t; the base dilation runs on
+    # the sub-tuple of T_1 and reads that scan (the lifted tuples it
+    # classifies are new operators)
+    import wberg.hyper as hyper
+
+    t = nilpotent_commuting_tuple(3, 6, 2, radius=0.4)
+    w = MultiWeightSpec.parse("bergman:2,hardy")
+    scanned = []
+    original = hyper._nilpotency_order
+    monkeypatch.setattr(hyper, "_nilpotency_order",
+                        lambda mat, cap: scanned.append(mat) or original(mat, cap))
+    lift = commutant_lift(t, w)
+    assert lift.base.residuals["isometry"] < 1e-9
+    assert [sum(np.array_equal(mat, op.mat) for mat in scanned) for op in t] == [1, 1]
+
+
 def test_pure_dilation_nilpotent_pair_compression_recovery():
     t = nilpotent_commuting_tuple(33, 6, 2, radius=0.5)
     w = MultiWeightSpec.parse("hardy,hardy")
@@ -612,14 +629,14 @@ def test_map_that_does_not_fit_raises_block_budget(monkeypatch, build):
 def test_pure_horizon_on_an_explicit_list_matches_its_preset(t):
     # the list is shorter than HORIZON_CAP but longer than the tail sum needs
     t = OperatorTuple.of(t)
-    horizon = _pure_horizon(t, 0, B2, 1e-9)
+    horizon = _pure_horizon(t, 0, B2)
     assert horizon < 200
-    assert _pure_horizon(t, 0, bergman2_prefix(200), 1e-9) == horizon
+    assert _pure_horizon(t, 0, bergman2_prefix(200)) == horizon
 
 
 def test_pure_horizon_refuses_a_list_that_ends_inside_the_tail():
     with pytest.raises(HorizonTooShort, match="12 entries"):
-        _pure_horizon(OperatorTuple.of(np.array([[0.5]])), 0, bergman2_prefix(12), 1e-9)
+        _pure_horizon(OperatorTuple.of(np.array([[0.5]])), 0, bergman2_prefix(12))
     # a nilpotent operator needs only as many entries as its order
     nilpotent = OperatorTuple.of(np.diag([0.5, 0.5], -1))
-    assert _pure_horizon(nilpotent, 0, bergman2_prefix(3), 1e-9) == 3
+    assert _pure_horizon(nilpotent, 0, bergman2_prefix(3)) == 3

@@ -21,6 +21,7 @@ from wberg.hyper import (
     _nilpotency_order,
     _power_stack,
     two_parameter_monotonicity_check,
+    conjugation_limit,
     defect_limit,
     defect_operator,
     defect_series,
@@ -32,9 +33,8 @@ from wberg.hyper import (
     is_W_hypercontraction,
     subtuple,
     subtuple_inheritance_check,
-    tail_operator,
 )
-from wberg.linalg import Operator, psd_check
+from wberg.linalg import Operator, psd_check, psd_sqrt
 from wberg.series import MultiWeightSpec, WeightSpec
 
 HARDY = WeightSpec.hardy()
@@ -308,21 +308,70 @@ def test_defect_operator_values():
 # tail operators and purity
 # ---------------------------------------------------------------------------
 
-def test_tail_operator_cases():
-    nil = nilpotent_commuting_tuple(2, 4, 1, radius=0.9)[0]
-    assert np.linalg.norm(tail_operator(nil).q, 2) < 1e-12
-    u = commuting_unitaries(8, 3, 1)[0]
-    res = tail_operator(u)
-    assert np.allclose(res.q, np.eye(3), atol=1e-10)
-    assert res.converged
-    mixed = np.diag([1.0, 0.5])
-    res = tail_operator(mixed)
-    assert np.allclose(res.q_squared, np.diag([1.0, 0.0]), atol=1e-12)
+def test_tail_limit_cases():
+    # the tail operator Q is the root of the tail limit Q^2 = lim T^k T*^k
+    nil = nilpotent_commuting_tuple(2, 4, 1, radius=0.9)
+    assert np.linalg.norm(psd_sqrt(nil.tail_limit(0)[0]), 2) < 1e-12
+    u = commuting_unitaries(8, 3, 1)
+    q_squared, converged = u.tail_limit(0)
+    assert np.allclose(psd_sqrt(q_squared), np.eye(3), atol=1e-10)
+    assert converged
+    mixed = OperatorTuple.of(np.diag([1.0, 0.5]))
+    q_squared, _ = mixed.tail_limit(0)
+    assert np.allclose(q_squared, np.diag([1.0, 0.0]), atol=1e-12)
 
 
-def test_tail_operator_rejects_expansive():
+def test_tail_limit_needs_a_contraction():
+    # a tail limit is only formed on a tuple, whose entries are contractions
     with pytest.raises(NotContractive):
-        tail_operator(np.array([[2.0]]))
+        OperatorTuple.of(np.array([[2.0]])).tail_limit(0)
+
+
+def test_tail_limit_is_the_conjugation_limit_formed_once():
+    t = unitary_times_nilpotent(11, 2, 2)
+    eye = np.eye(t.dim, dtype=complex)
+    for i in range(t.n):
+        limit, converged = t.tail_limit(i)
+        expected, expected_converged, _ = conjugation_limit(eye, t[i].mat)
+        assert np.array_equal(limit, expected)
+        assert converged is expected_converged
+        assert not limit.flags.writeable
+        with pytest.raises(ValueError):
+            limit[0, 0] = 0.0
+        assert t.tail_limit(i)[0] is limit
+        assert subtuple(t, (i,)).tail_limit(0)[0] is limit
+
+
+def test_each_coordinate_tail_is_formed_once_per_tuple(monkeypatch):
+    # check + dilate-general: the purity test, the joint tail, the first
+    # tail split and the empty block's double limit all read T_i's tail
+    import wberg.dilation as dilation
+    import wberg.hyper as hyper
+    import wberg.pipelines as pipelines
+    from wberg.config import parse_case
+    from wberg.corpus import corpus_cases
+    from wberg.pipelines import run_case
+
+    tails = []
+    original = hyper.conjugation_limit
+
+    def counting(s, t, *rest):
+        s = np.asarray(s)
+        if s.size and np.array_equal(s, np.eye(s.shape[0])):
+            tails.append(np.asarray(t))
+        return original(s, t, *rest)
+
+    for module in (hyper, dilation, pipelines):
+        monkeypatch.setattr(module, "conjugation_limit", counting)
+    data = next(c for c in corpus_cases() if c["name"] == "unitary-nilpotent-general")
+    case = parse_case(data, name=data["name"])
+    t = case.build_tuple(None)
+    monkeypatch.setattr(case, "build_tuple", lambda base_dir: t)
+    ok, report = run_case(case)
+    assert ok and not report["steps"]["check"]["pure"]
+    counts = [sum(np.array_equal(m, op.mat) for m in tails) for op in t]
+    # the purity test stops at T_0, whose tail does not vanish
+    assert counts[0] == 1 and max(counts) == 1
 
 
 def test_is_pure():

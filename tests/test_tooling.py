@@ -119,3 +119,113 @@ def test_powers_and_nilpotency_orders_are_formed_only_in_hyper():
         stray += [f"{path.name}:{line}: {name}" for name, line in _referenced_names(tree)
                   if name in owned]
     assert not stray, f"powers or nilpotency orders formed outside hyper.py: {stray}"
+
+
+# Defaulted parameters that no call inside the package sets, each with the
+# reason it stays a parameter.
+UNSET_PARAMETERS_ALLOWED = {
+    "linalg.Operator.__array__(dtype)": "numpy's array protocol passes it",
+    "linalg.Operator.__array__(copy)": "numpy's array protocol passes it",
+    "cli.main(argv)": "the console script calls main() and tests pass an argv",
+    "dilation.one_var_dilation(n_terms)": "tests fix the truncation of one-variable models",
+    "dilation.isometry_identity_check(n_terms)": "tests check the identity at a fixed depth",
+    "hyper.defect_operator(tol)": "tests ask for an accuracy floor the limit cannot meet",
+    "hyper.is_W_hypercontraction(degrees)": "tests classify at fixed cutoffs",
+    "bergman.TruncatedSpace.slot(p)": "tests address coefficient slots past the first",
+}
+
+
+def _functions(tree: ast.Module, module: str):
+    """``(qualified name, def node, implicit leading arguments)`` of every
+    module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node, 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield f"{module}.{node.name}.{item.name}", item, 0 if static else 1
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """``(position, name)`` of each defaulted parameter; keyword-only ones have no position."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+    out += [(None, arg.arg) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def _calls_with_callers(tree: ast.Module):
+    """``(call, enclosing function or None)`` for every call in a module."""
+    def visit(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            inner = child if isinstance(child, ast.FunctionDef) else enclosing
+            if isinstance(child, ast.Call):
+                yield child, enclosing
+            yield from visit(child, inner)
+    yield from visit(tree, None)
+
+
+def _unset_parameters() -> list[str]:
+    """Defaulted parameters of package functions that no call in the package sets.
+
+    Calls are matched to functions by name.  A call sets a parameter when it
+    passes it by keyword or position, or through ``*args`` or ``**kwargs``;
+    passing on a parameter of the calling function counts only once that
+    one is set itself, so a chain of unset defaults is unset all along.
+    """
+    params, calls = {}, defaultdict(list)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qual, fn, skip in _functions(tree, path.stem):
+            for index, name in _defaulted(fn):
+                params[f"{qual}({name})"] = (fn, skip, index, name)
+        for call, caller in _calls_with_callers(tree):
+            target = call.func
+            name = getattr(target, "id", None) or getattr(target, "attr", None)
+            calls[name].append((call, caller))
+    by_def = defaultdict(dict)
+    for key, (fn, _, _, name) in params.items():
+        by_def[fn][name] = key
+
+    def passed(call, skip, index, name):
+        values = [k.value for k in call.keywords if k.arg in (None, name)]
+        if index is not None:
+            if any(isinstance(arg, ast.Starred) for arg in call.args):
+                values.append(None)
+            elif len(call.args) > index - skip:
+                values.append(call.args[index - skip])
+        return values
+
+    set_keys: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for key, (fn, skip, index, name) in params.items():
+            if key in set_keys:
+                continue
+            for call, caller in calls[fn.name]:
+                for value in passed(call, skip, index, name):
+                    forwarded = (isinstance(value, ast.Name) and caller is not None
+                                 and by_def[caller].get(value.id))
+                    if not forwarded or forwarded in set_keys:
+                        set_keys.add(key)
+                        changed = True
+                        break
+                if key in set_keys:
+                    break
+    return sorted(set(params) - set_keys)
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    # a settable value that no call in the package sets is a constant; it
+    # belongs in a module-level name, not in every signature it passes
+    unset = _unset_parameters()
+    stale = sorted(set(UNSET_PARAMETERS_ALLOWED) - set(unset))
+    offenders = [key for key in unset if key not in UNSET_PARAMETERS_ALLOWED]
+    assert not offenders, f"defaulted parameters that no call sets: {offenders}"
+    assert not stale, f"allowed unset parameters that some call now sets: {stale}"
