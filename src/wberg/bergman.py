@@ -150,34 +150,6 @@ class TruncatedSpace:
     def slot(self, alpha: Sequence[int], p: int = 0) -> int:
         return self.index_position[tuple(alpha)] * self.coeff_dim + p
 
-    def from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Orthonormal-basis vector of a monomial coefficient array.
-
-        ``coeffs`` has shape ``(*degrees, coeff_dim)`` (or ``degrees`` when the
-        coefficient space is one-dimensional).
-        """
-        arr = np.asarray(coeffs, dtype=complex)
-        if arr.shape == self.degrees and self.coeff_dim == 1:
-            arr = arr[..., None]
-        if arr.shape != (*self.degrees, self.coeff_dim):
-            raise ValueError("coefficient array shape mismatch")
-        vec = np.empty(self.dim, dtype=complex)
-        for i, a in enumerate(self.indices):
-            vec[i * self.coeff_dim:(i + 1) * self.coeff_dim] = arr[a]
-        return vec * np.sqrt(self.weight_vector)
-
-    def to_coeffs(self, vec: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`from_coeffs`."""
-        vec = np.asarray(vec, dtype=complex) / np.sqrt(self.weight_vector)
-        arr = np.zeros((*self.degrees, self.coeff_dim), dtype=complex)
-        for i, a in enumerate(self.indices):
-            arr[a] = vec[i * self.coeff_dim:(i + 1) * self.coeff_dim]
-        return arr
-
-    def inner_coeffs(self, a: np.ndarray, b: np.ndarray) -> complex:
-        """Weighted inner product (linear in the first argument)."""
-        return complex(np.vdot(self.from_coeffs(b), self.from_coeffs(a)))
-
     def to_dict(self) -> dict:
         return {
             "weights": self.weights.text,

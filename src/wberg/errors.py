@@ -103,10 +103,6 @@ class HorizonTooShort(WbergError):
     """Truncation horizon loses mass of the column contraction."""
 
 
-class DegreeOverflow(WbergError):
-    """Multiplier product degree exceeds the target cutoff."""
-
-
 class OutsideDisc(WbergError):
     pass
 

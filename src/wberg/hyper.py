@@ -11,6 +11,17 @@ one-variable hereditary sum: each level is one batched pass
 ``X -> sum_k c_k T^k X T*^k``, and the innermost level, where ``X = I``, is
 one weighted sum of the Gram stack ``[T^k T*^k]_k``.
 
+Each variable's sum stops at the first of three cutoffs (see
+``_effective_degree``): the support of ``c`` (finite for integer ``beta`` and
+Hardy), the nilpotency order of ``T_i``, or the numerical support, the first
+of ``FIRST_CUT, 2 FIRST_CUT, ...`` below ``DEGREE_CAP`` whose remainder
+``||T_i^m||^2 sum_{k >= m} |c_k|`` is at most ``UNIT_ROUNDOFF * |c_0|``.  That
+remainder bounds every dropped term at every ``r <= 1`` and nesting level,
+since power norms of a contraction do not increase, and it is below the
+rounding the kept sum carries, so the cut changes no verdict.  The tail
+estimate of a defect limit reads the same remainder (``_remainder``) at the
+cut actually summed.
+
 The :class:`OperatorTuple` is the one owner of its entries' powers: the
 power, adjoint-power and Gram stacks, one set per variable, the nilpotency
 orders and the tail limits ``lim_k T_i^k T_i*^k`` are formed here and
@@ -101,7 +112,17 @@ GRID_CAVEAT = (
 
 LIMIT_TOL = 1e-9
 COMMUTATION_TOL = 1e-10
+# Longest one-variable defect series summed; the numerical-support search
+# usually stops well before it.
 DEGREE_CAP = 256
+# First cutoff the numerical-support search tries; it doubles from here.
+FIRST_CUT = 8
+# Unit roundoff of double precision: a certified remainder below
+# ``UNIT_ROUNDOFF * |c_0|`` is below the rounding the kept sum already carries.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# Deepest power whose norm bounds a remainder (with the dimension, when that is
+# larger): deep enough to see the decay of a strict contraction.
+NORM_DEPTH = 64
 # Doublings of the power before a conjugation limit is given up as unconverged.
 MAX_DOUBLINGS = 60
 # Terms of the nonnegative expansion of a fractional power ``(1 - x)^d``.
@@ -345,12 +366,46 @@ def _nilpotency_order(mat: np.ndarray, cap: int) -> int | None:
 
 
 def _effective_degree(t: OperatorTuple, i: int, w: WeightSpec) -> int:
-    """Truncation level for variable ``i``: coefficient support or nilpotency."""
+    """Truncation level for variable ``i``: the first of three cutoffs.
+
+    *Support*: ``c_k = 0`` from here on (integer ``beta``, Hardy, short
+    explicit lists), else ``DEGREE_CAP``.  *Nilpotency*: ``T_i^k = 0`` from
+    here on.  *Numerical support*: below those, the first ``m`` of
+    ``FIRST_CUT, 2 FIRST_CUT, ...`` whose remainder (:func:`_remainder`)
+    ``||T_i^m||^2 sum_{m <= k < deg} |c_k|`` is at most
+    ``UNIT_ROUNDOFF * |c_0|``.
+
+    That remainder bounds the dropped terms at every ``r <= 1``, and at each
+    nesting level the kept sum holds ``c_0 X``, so what is dropped is below
+    the a-priori rounding of the kept sum (Higham, ch. 4) and no verdict can
+    see the cut.  Supports and nilpotency orders of at most ``FIRST_CUT``
+    terms (integer ``beta <= 7``, Hardy) never enter the search.
+    """
     cap = min(DEGREE_CAP, w.max_terms or DEGREE_CAP)
     support = w.inverse_support(cap)
     nil = t.nilpotency_order(i, min(cap, t.dim))
-    deg = support if nil is None else min(support, nil)
-    return max(1, min(deg, cap))
+    deg = max(1, min(support if nil is None else min(support, nil), cap))
+    c = np.abs(w.inverse_coeffs(cap)[:deg])
+    m = FIRST_CUT
+    while m < deg:
+        if _remainder(t, i, float(np.sum(c[m:])), m) <= UNIT_ROUNDOFF * c[0]:
+            return m
+        m *= 2
+    return deg
+
+
+def _remainder(t: OperatorTuple, i: int, mass: float, m: int) -> float:
+    """Certified bound ``mass * ||T_i^p||^2`` on the terms ``k >= m`` of a
+    one-variable sum ``sum_k c_k r^k T_i^k X T_i*^k`` per unit of ``||X||``,
+    where ``mass`` bounds ``sum_{k >= m} |c_k| r^k``.
+
+    ``p = min(m, max(dim, NORM_DEPTH))``: power norms of a contraction do not
+    increase, so ``||T_i^p||`` bounds ``||T_i^k||`` for every ``k >= m``.  A
+    zero mass takes no power norm.
+    """
+    if mass == 0.0:
+        return 0.0
+    return mass * t._stacks[i].power_norm(min(m, max(t.dim, NORM_DEPTH))) ** 2
 
 
 def _tail_estimate(
@@ -364,14 +419,11 @@ def _tail_estimate(
         rp = np.asarray(r[i], dtype=float) ** np.arange(cap_i)
         weighted = c * rp
         deg = min(degrees[i], cap_i)
-        # power norms of contractions decrease, so any exponent <= deg bounds
-        # the dropped terms; 64 is deep enough to see strict-contraction decay
-        pk = t._stacks[i].power_norm(min(deg, max(t.dim, 64))) if deg > 0 else 1.0
-        tail = float(np.sum(weighted[deg:])) * pk**2
+        mass = float(np.sum(weighted[deg:]))
         if w[i].inverse_support(cap_i) >= cap_i and cap_i > 1:
-            tail += float(weighted[-1]) * cap_i * pk**2  # crude remainder beyond the cap
+            mass += float(weighted[-1]) * cap_i  # crude remainder beyond the cap
         sums.append(float(np.sum(weighted)))
-        tails.append(tail)
+        tails.append(_remainder(t, i, mass, deg))
     total = 0.0
     for i in range(t.n):
         rest = 1.0

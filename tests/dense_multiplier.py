@@ -11,7 +11,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from wberg.bergman import TruncatedSpace
-from wberg.errors import DegreeOverflow
+from wberg.errors import WbergError
+
+
+class DegreeOverflow(WbergError):
+    """Multiplier product degree exceeds the target cutoff."""
 
 
 def multiplier_matrix(

@@ -11,15 +11,42 @@ from wberg.bergman import (
     multishift_tuple,
     shift_matrix,
 )
-from wberg.errors import ArityMismatch, DegreeOverflow, OutsideDisc
+from wberg.errors import ArityMismatch, OutsideDisc
 from wberg.generators import Lcg
 from wberg.linalg import Operator, spectral_norm
 from wberg.series import MultiWeightSpec, WeightSpec, quotient_coeffs
 
-from dense_multiplier import multiplier_matrix
+from dense_multiplier import DegreeOverflow, multiplier_matrix
 
 HARDY = WeightSpec.hardy()
 B2 = WeightSpec.bergman(2)
+
+
+def from_coeffs(space, coeffs):
+    """Orthonormal-basis vector of a monomial coefficient array of shape
+    ``(*degrees, coeff_dim)``, or ``degrees`` for a one-dimensional coefficient space."""
+    arr = np.asarray(coeffs, dtype=complex)
+    if arr.shape == space.degrees and space.coeff_dim == 1:
+        arr = arr[..., None]
+    assert arr.shape == (*space.degrees, space.coeff_dim)
+    vec = np.empty(space.dim, dtype=complex)
+    for i, a in enumerate(space.indices):
+        vec[i * space.coeff_dim:(i + 1) * space.coeff_dim] = arr[a]
+    return vec * np.sqrt(space.weight_vector)
+
+
+def to_coeffs(space, vec):
+    """Inverse of :func:`from_coeffs`."""
+    vec = np.asarray(vec, dtype=complex) / np.sqrt(space.weight_vector)
+    arr = np.zeros((*space.degrees, space.coeff_dim), dtype=complex)
+    for i, a in enumerate(space.indices):
+        arr[a] = vec[i * space.coeff_dim:(i + 1) * space.coeff_dim]
+    return arr
+
+
+def inner_coeffs(space, a, b):
+    """Weighted inner product of two coefficient arrays (linear in the first)."""
+    return complex(np.vdot(from_coeffs(space, b), from_coeffs(space, a)))
 
 
 def test_graded_lex_order():
@@ -47,7 +74,7 @@ def test_inner_product_of_monomials():
     for alpha in space.indices:
         f = np.zeros((3, 3))
         f[alpha] = 1.0
-        val = space.inner_coeffs(f, f)
+        val = inner_coeffs(space, f, f)
         expected = np.prod([1.0 / (a + 1) for a in alpha])
         assert val.real == pytest.approx(expected)
         assert abs(val.imag) < 1e-15
@@ -112,7 +139,7 @@ def test_bergman_shift_adjoint_weighted_action():
     m = shift_matrix(space, 0)
     z2 = np.zeros(3)
     z2[2] = 1.0
-    coeffs = space.to_coeffs(m.mat.conj().T @ space.from_coeffs(z2))
+    coeffs = to_coeffs(space, m.mat.conj().T @ from_coeffs(space, z2))
     assert coeffs[1, 0] == pytest.approx((1 / 3) / (1 / 2))
     assert abs(coeffs[0, 0]) < 1e-15 and abs(coeffs[2, 0]) < 1e-15
 
@@ -219,7 +246,7 @@ def test_kernel_reproducing_property_truncated():
     kcoeffs = (np.conj(w0) ** np.arange(24)) * spec[0].inverse_weight_values(24)
     rng = Lcg(7)
     f = rng.complex_matrix(24, 1)[:, 0]
-    inner = space.inner_coeffs(f.reshape(-1), kcoeffs.reshape(-1))
+    inner = inner_coeffs(space, f.reshape(-1), kcoeffs.reshape(-1))
     pointval = np.sum(f * w0 ** np.arange(24))
     assert inner == pytest.approx(pointval, abs=1e-9)
 

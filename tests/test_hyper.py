@@ -17,9 +17,11 @@ from wberg.generators import (
 )
 from wberg.hyper import (
     DEGREE_CAP,
+    FIRST_CUT,
     OperatorTuple,
     _nilpotency_order,
     _power_stack,
+    _resolve_degrees,
     two_parameter_monotonicity_check,
     conjugation_limit,
     defect_limit,
@@ -131,13 +133,25 @@ EXPLICIT = WeightSpec.from_values([1.0, 0.5, 0.25, 0.125, 0.0625])
 
 
 def _reference_degrees(t, w):
-    """Cutoffs as the one-shot route chose them: support, else a fresh nilpotency scan."""
+    """Cutoffs from fresh scans: support, else nilpotency, then numerical
+    support, the first doubling ``m`` from 8 below that whose remainder
+    ``||T^m||^2 sum_{m <= k < deg} |c_k|`` is at most ``eps / 2 * |c_0|``
+    (the power taken no deeper than ``max(dim, 64)``)."""
     degs = []
     for i in range(t.n):
         cap = min(DEGREE_CAP, w[i].max_terms or DEGREE_CAP)
         nil = _nilpotency_order(t[i].mat, min(cap, t.dim))
         support = w[i].inverse_support(cap)
-        degs.append(max(1, min(support if nil is None else min(support, nil), cap)))
+        deg = max(1, min(support if nil is None else min(support, nil), cap))
+        c = np.abs(w[i].inverse_coeffs(deg))
+        m = 8
+        while m < deg:
+            power = np.linalg.matrix_power(t[i].mat, min(m, max(t.dim, 64)))
+            if np.linalg.norm(power, 2) ** 2 * np.sum(c[m:]) <= np.finfo(float).eps / 2 * c[0]:
+                deg = m
+                break
+            m *= 2
+        degs.append(deg)
     return degs
 
 
@@ -238,9 +252,102 @@ def test_tail_estimate_takes_each_power_norm_once(monkeypatch):
         subtuple_inheritance_check(t, w, (1,))
     assert defect_limit(t, w).tail_estimate == fresh
     keys = [(next(i for i in range(t.n) if mat is t[i].mat), k) for mat, k in calls]
-    # one exponent per cutoff: the two-term swapped weights cut at 2, the
-    # non-integer betas run to the cap and take the norm of T^64
-    assert sorted(keys) == [(0, 2), (0, 64), (1, 2), (1, 64)]
+    # one exponent per cutoff tried: the numerical-support search of each
+    # non-integer beta reads T^8, T^16, ... up to its cut (32 and 16 here),
+    # which the tail estimate then reads again from the cache; the two-term
+    # swapped weights drop no mass and take no norm
+    assert sorted(keys) == [(0, 8), (0, 16), (0, 32), (1, 8), (1, 16)]
+
+
+# ---------------------------------------------------------------------------
+# numerical-support cutoffs
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+# a decreasing explicit list whose reciprocal coefficients never vanish
+LONG_EXPLICIT = WeightSpec.from_values([(k + 1.0) ** -1.5 for k in range(48)])
+
+
+def _full_degree(spec):
+    return min(DEGREE_CAP, spec.max_terms or DEGREE_CAP)
+
+
+@pytest.mark.parametrize("spec", [WeightSpec.bergman(1.5), WeightSpec.bergman(2.5),
+                                  WeightSpec.bergman(3.7), LONG_EXPLICIT],
+                         ids=["bergman1.5", "bergman2.5", "bergman3.7", "explicit"])
+@pytest.mark.parametrize("radius", [0.3, 0.8, 0.95])
+def test_numerical_support_remainder_is_certified(radius, spec):
+    t = random_commuting_contractions(70, 4, 2, radius=radius)
+    w = MultiWeightSpec((spec, spec))
+    full = _full_degree(spec)
+    degs = _resolve_degrees(t, w, None)
+    c = np.abs(spec.inverse_coeffs(full))
+    norms = [np.linalg.norm(np.linalg.matrix_power(t[i].mat, min(degs[i], 64)), 2) ** 2
+             for i in range(t.n)]
+    for i in range(t.n):
+        if degs[i] < full:  # the certificate of the cut: below rounding per unit of X
+            assert norms[i] * np.sum(c[degs[i]:]) <= EPS / 2 * c[0]
+    if radius == 0.3:
+        assert max(degs) < 32
+    for r in (0.5, 0.9, 1.0):
+        weighted = c * r ** np.arange(full)
+        sums = [np.sum(weighted)] * t.n
+        tails = [norms[i] * np.sum(weighted[degs[i]:]) for i in range(t.n)]
+        # the nested sums differ by sum_i tail_i prod_{j != i} sum_j; each side
+        # carries the a-priori rounding of products of up to 2 * full factors
+        # and a sum of full terms per level, relative to prod_j sum_j
+        remainder = tails[0] * sums[1] + sums[0] * tails[1]
+        rounding = 2 * (2 * full + t.dim) * t.n * t.dim * EPS * np.prod(sums)
+        gap = defect_series(t, w, (r, r)) - defect_series(t, w, (r, r), full)
+        assert np.linalg.norm(gap, 2) <= remainder + rounding
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.5, 3.7, 4.5])
+@pytest.mark.parametrize("modulus", [0.3, 0.5, 0.7])
+def test_scalar_vertex_defect_at_numerical_support(modulus, beta):
+    t = scalar_tuple([modulus * np.exp(0.7j)])
+    w = MultiWeightSpec.parse(f"bergman:{beta}")
+    assert _resolve_degrees(t, w, None)[0] < DEGREE_CAP
+    vertex = defect_series(t, w, (1.0,))
+    assert np.array_equal(vertex, defect_series(t, w, (1.0,), DEGREE_CAP))
+    exact = (1.0 - modulus**2) ** beta
+    assert abs(vertex[0, 0] - exact) <= 1e-14 * exact
+
+
+def test_fractional_check_tuple_cuts_below_the_cap():
+    t = random_commuting_contractions(1, 16, 2, radius=0.3)
+    w = MultiWeightSpec.parse("bergman:1.5,bergman:2.5")
+    _, full_member = list(w.swap_family())[-1]
+    assert all(d < 64 for d in _resolve_degrees(t, full_member, None))
+
+
+@pytest.mark.parametrize("name", ["nilpotent-pair-bergman", "multishift-2d",
+                                  "random-pair-crosscheck"])
+def test_support_and_nilpotent_cutoffs_take_no_search(monkeypatch, name):
+    # integer beta, Hardy and nilpotent cutoffs stay at most FIRST_CUT terms,
+    # so they resolve their support and nilpotency degrees without a power norm
+    from wberg.config import parse_case
+    from wberg.corpus import corpus_cases
+
+    data = next(c for c in corpus_cases() if c["name"] == name)
+    case = parse_case(data, name=name)
+    t = case.build_tuple(None)
+    expected = []
+    for _, member in case.weights.swap_family():
+        degs = []
+        for i in range(t.n):
+            nil = _nilpotency_order(t[i].mat, t.dim)
+            support = member[i].inverse_support(DEGREE_CAP)
+            degs.append(support if nil is None else min(support, nil))
+        expected.append(tuple(degs))
+    assert max(max(d) for d in expected) <= FIRST_CUT
+    calls = []
+    original = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda mat, k: calls.append(k) or original(mat, k))
+    got = [_resolve_degrees(t, member, None) for _, member in case.weights.swap_family()]
+    assert got == expected
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
