@@ -31,7 +31,6 @@ from .dilation import (
     OneVarDilation,
     commutant_lift,
     general_model,
-    isometry_identity_check,
     model_colift,
     one_var_dilation,
     pure_dilation,
@@ -71,6 +70,7 @@ from .series import (
     check_properties,
     invert_series,
     quotient_coeffs,
+    reciprocal_series,
     weight_values,
 )
 

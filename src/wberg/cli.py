@@ -31,8 +31,7 @@ from .errors import (
 )
 from .linalg import POSITIVITY_TOL
 from .pipelines import run_case
-from .series import MultiWeightSpec, associated_series, check_properties, \
-    invert_series, quotient_coeffs
+from .series import MultiWeightSpec, check_properties, quotient_coeffs, reciprocal_series
 
 USAGE_ERRORS = (
     BlockBudgetExceeded,
@@ -170,7 +169,7 @@ def _case_from_args(args, default_run: tuple[str, ...]) -> tuple[CaseConfig, boo
 def _run_series(args) -> int:
     w = MultiWeightSpec.parse(args.weights)
     if args.series_command == "invert":
-        series = invert_series(associated_series(w, args.terms))
+        series = reciprocal_series(w, args.terms)
         _emit(series.to_dict(), args.out, args.format)
         return 0
     if args.series_command == "quotient":

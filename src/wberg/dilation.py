@@ -76,7 +76,6 @@ __all__ = [
     "CommutantLift",
     "LambdaBlock",
     "one_var_dilation",
-    "isometry_identity_check",
     "commutant_lift",
     "pure_dilation",
     "general_model",
@@ -375,10 +374,12 @@ def _defect_sqrt_pieces(
     t: OperatorTuple, omega: WeightSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Defect square root on ``H`` plus range basis and minimal coordinates
-    of the one-tuple ``t``, whose stacks the defect limit sums over."""
-    limit = defect_limit(t, MultiWeightSpec.of(omega)).limit
+    of the one-tuple ``t``, whose stacks the defect limit sums over; an
+    unconverged limit warns its accuracy floor."""
+    res = defect_limit(t, MultiWeightSpec.of(omega))
+    res.warn_unconverged(LIMIT_TOL)
     try:
-        defect, basis = psd_root_pieces(limit)
+        defect, basis = psd_root_pieces(res.limit)
     except NotPsd as exc:
         raise NotHypercontractive(f"defect limit is not positive: {exc}") from exc
     return defect, basis, basis.conj().T @ defect
@@ -395,7 +396,9 @@ def one_var_dilation(
     validate: bool = True,
 ) -> OneVarDilation:
     """Dilate a single hypercontraction, a matrix or a one-entry tuple, onto
-    ``A^2_w(defect) (+) tail``."""
+    ``A^2_w(defect) (+) tail``.  ``residuals["norm_identity"]`` is the largest diagonal
+    entry of ``Pi* Pi - I``, the identity ``|h|^2 = sum_k |D T*^k h|^2 / w_k + |Q h|^2``
+    on a basis."""
     tup, w = _one_tuple(t), MultiWeightSpec.of(omega)
     if validate and not is_W_hypercontraction(tup, w, lattice_e_points=False).verdict:
         raise NotHypercontractive("operator fails the weighted positivity test")
@@ -444,31 +447,6 @@ def one_var_dilation(
         u=u,
         space=space,
     )
-
-
-def isometry_identity_check(t, omega: WeightSpec, n_terms: int | None = None) -> float:
-    """Residual of ``|h|^2 = sum_k |D T*^k h|^2 / w_k + |Q h|^2`` over a basis
-    for a matrix or a one-entry tuple ``t``."""
-    tup = _one_tuple(t)
-    defect, _, _ = _defect_sqrt_pieces(tup, omega)
-    dim = tup.dim
-    q2, _ = tup.tail_limit(0)
-    if n_terms is None:
-        n_terms = _pure_horizon(tup, 0, omega)
-    inv_w = omega.inverse_weight_values(n_terms)
-    stars = tup.adjoint_stack(0, n_terms)
-    worst = 0.0
-    d2 = defect @ defect
-    for j in range(dim):
-        h = np.zeros(dim, dtype=complex)
-        h[j] = 1.0
-        acc = 0.0
-        for k in range(n_terms):
-            v = stars[k] @ h
-            acc += inv_w[k] * float(np.real(np.vdot(v, d2 @ v)))
-        acc += float(np.real(np.vdot(h, q2 @ h)))
-        worst = max(worst, abs(1.0 - acc))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ remainder bounds every dropped term at every ``r <= 1`` and nesting level,
 since power norms of a contraction do not increase, and it is below the
 rounding the kept sum carries, so the cut changes no verdict.  The tail
 estimate of a defect limit reads the same remainder (``_remainder``) at the
-cut actually summed.
+cut actually summed, with the exact dropped coefficient mass (``_abs_mass``).
 
 The :class:`OperatorTuple` is the one owner of its entries' powers: the
 power, adjoint-power and Gram stacks, one set per variable, the nilpotency
@@ -74,6 +74,7 @@ from .series import (
     MultiWeightSpec,
     WeightSpec,
     _normalize_degrees,
+    _one_minus_z_power,
     _normalize_grid,
     _normalize_point,
 )
@@ -408,30 +409,32 @@ def _remainder(t: OperatorTuple, i: int, mass: float, m: int) -> float:
     return mass * t._stacks[i].power_norm(min(m, max(t.dim, NORM_DEPTH))) ** 2
 
 
-def _tail_estimate(
-    t: OperatorTuple, w: MultiWeightSpec, r: Sequence[float], degrees: Sequence[int], cap: int
-) -> float:
-    """Upper estimate of the mass dropped beyond the per-variable cutoffs."""
-    sums, tails = [], []
-    for i in range(t.n):
-        cap_i = min(cap, w[i].max_terms or cap)
-        c = np.abs(w[i].inverse_coeffs(cap_i))
-        rp = np.asarray(r[i], dtype=float) ** np.arange(cap_i)
-        weighted = c * rp
-        deg = min(degrees[i], cap_i)
-        mass = float(np.sum(weighted[deg:]))
-        if w[i].inverse_support(cap_i) >= cap_i and cap_i > 1:
-            mass += float(weighted[-1]) * cap_i  # crude remainder beyond the cap
-        sums.append(float(np.sum(weighted)))
-        tails.append(_remainder(t, i, mass, deg))
-    total = 0.0
-    for i in range(t.n):
-        rest = 1.0
-        for j in range(t.n):
-            if j != i:
-                rest *= sums[j]
-        total += tails[i] * rest
-    return total
+def _abs_mass(w: WeightSpec, m: int) -> tuple[float, float]:
+    """``sum_{k >= m} |c_k|`` and ``sum_k |c_k|``, exact up to rounding.
+
+    For the presets ``c`` are the coefficients of ``(1 - z)^p``: from ``s =
+    floor(p) + 1`` on they share one sign and ``sum_k c_k = (1 - 1)^p = 0``,
+    so ``sum_{k >= j} |c_k| = |sum_{k < j} c_k|`` for ``j >= s``.  An
+    explicit list's reciprocal ends with the list.
+    """
+    if w.exponent is None:
+        c = np.abs(w.inverse_coeffs(w.max_terms))
+        return float(np.sum(c[m:])), float(np.sum(c))
+    s = int(math.floor(w.exponent)) + 1
+    c = w.inverse_coeffs(max(m, s))
+    a = np.abs(c)
+    tail = float(np.sum(a[m:])) + abs(float(np.sum(c)))
+    return tail, float(np.sum(a[:s])) + abs(float(np.sum(c[:s])))
+
+
+def _tail_estimate(t: OperatorTuple, w: MultiWeightSpec, degrees: Sequence[int]) -> float:
+    """Upper estimate of the mass dropped beyond the per-variable cutoffs at
+    ``r = 1``: each variable's remainder (:func:`_remainder`) times the
+    total absolute mass of the others."""
+    masses = [_abs_mass(w[i], degrees[i]) for i in range(t.n)]
+    return sum(_remainder(t, i, masses[i][0], degrees[i])
+               * math.prod(total for j, (_, total) in enumerate(masses) if j != i)
+               for i in range(t.n))
 
 
 def dyadic_grid(n: int) -> list[tuple[float, ...]]:
@@ -487,6 +490,13 @@ class DefectResult:
     converged: bool
     tail_estimate: float
 
+    def warn_unconverged(self, tol: float) -> None:
+        """Warn :class:`SeriesTailTooLarge` naming the floor when the limit,
+        asked for at ``tol``, did not converge."""
+        if not self.converged:
+            warnings.warn(f"defect limit accuracy floor {self.tail_estimate:.1e} exceeds the "
+                          f"requested tolerance {tol:.1e}", SeriesTailTooLarge, stacklevel=2)
+
 
 def defect_limit(
     t: OperatorTuple,
@@ -503,7 +513,7 @@ def defect_limit(
     degs = _resolve_degrees(t, w, degrees)
     ones = (1.0,) * t.n
     value = defect_series(t, w, ones, degs)
-    est = _tail_estimate(t, w, ones, degs, DEGREE_CAP)
+    est = _tail_estimate(t, w, degs)
     return DefectResult(value, ((1.0, 0.0),), est < tol, est)
 
 
@@ -514,12 +524,7 @@ def defect_operator(
 ) -> np.ndarray:
     """PSD square root of the defect-series limit."""
     res = defect_limit(t, w, tol=tol)
-    if not res.converged:
-        warnings.warn(
-            f"defect limit accuracy floor {res.tail_estimate:.1e} "
-            f"exceeds the requested tolerance {tol:.1e}",
-            SeriesTailTooLarge,
-        )
+    res.warn_unconverged(tol)
     cert = psd_check(res.limit, max(tol, POSITIVITY_TOL))
     if not cert.verdict:
         raise NotPsd(
@@ -667,8 +672,10 @@ def delta_power(
 
     ``C_A(X) = A X A*``.  Integer exponents are applied exactly; a fractional
     remainder ``d`` uses the nonnegative-coefficient expansion
-    ``(1-x)^d = 1 - sum b_k x^k`` truncated at ``FRACTIONAL_TERMS`` (the
-    dropped mass is estimated and reported via :class:`SeriesTailTooLarge`).
+    ``(1-x)^d = 1 - sum b_k x^k``, the coefficients of ``(1 - z)^d`` with
+    ``b_k = -c_k``, truncated at ``FRACTIONAL_TERMS`` (the dropped mass
+    ``sum_{k > FRACTIONAL_TERMS} b_k = |sum_{k <= FRACTIONAL_TERMS} c_k|`` is
+    reported via :class:`SeriesTailTooLarge`).
     The fractional sum and its tail power read the tuple's power stacks.
     """
     beta = tuple(float(b) for b in beta)
@@ -686,18 +693,12 @@ def delta_power(
         for _ in range(whole):
             mat = mat - ti @ mat @ ti.conj().T
         if frac:
-            bk = np.empty(FRACTIONAL_TERMS + 1)
-            bk[0] = 0.0
-            bk[1] = frac
-            for k in range(1, FRACTIONAL_TERMS):
-                bk[k + 1] = bk[k] * (k - frac) / (k + 1.0)
-            coeffs = -bk
-            coeffs[0] = 1.0
+            coeffs = _one_minus_z_power(frac, FRACTIONAL_TERMS + 1)
             new = _hereditary_sum(coeffs, t._stacks[i], mat)
-            b_tail = 1.0 - float(np.sum(bk))
             pk = t.power_stack(i, FRACTIONAL_TERMS + 1)[FRACTIONAL_TERMS]
             last = pk @ mat @ pk.conj().T
-            est = abs(b_tail) * hermitian_norm(last)
+            # the dropped b_k sum to (1 - 1)^frac minus the kept coefficients
+            est = abs(float(np.sum(coeffs))) * hermitian_norm(last)
             if est > tol:
                 warnings.warn(
                     f"fractional-power tail estimate {est:.3e} exceeds {tol:.1e}",

@@ -32,7 +32,7 @@ from .series import (
     TruncatedSeries,
     associated_series,
     check_properties,
-    invert_series,
+    reciprocal_series,
 )
 
 SERIES_RESID_TOL = 1e-12
@@ -60,33 +60,19 @@ CHARFN_BUDGETS = {
 # ---------------------------------------------------------------------------
 
 def inversion_residuals(w: MultiWeightSpec, degrees) -> dict[str, float]:
-    """Relative residuals of the convolution inverse and of separability."""
+    """Relative residual of ``k * (1/k) - 1``: the reciprocal checked against its definition."""
     k = associated_series(w, degrees)
-    c = invert_series(k)
+    conv = k.mul(reciprocal_series(w, k.degrees)) - TruncatedSeries.one(k.degrees)
     scale = max(1.0, k.max_abs())
-    delta = TruncatedSeries.one(k.degrees)
-    conv = k.mul(c) - delta
-    sep = c.coeffs.copy()
-    if w.n >= 1:
-        rows = [invert_series(TruncatedSeries(w[i].inverse_weight_values(k.degrees[i]))).coeffs
-                for i in range(w.n)]
-        outer = rows[0]
-        for row in rows[1:]:
-            outer = np.multiply.outer(outer, row)
-        sep = sep - outer
     return {
         "convolution_residual": float(np.max(np.abs(conv.coeffs))) / scale,
-        "separability_residual": float(np.max(np.abs(sep))) / scale,
         "scale": scale,
     }
 
 
 def run_series(case: CaseConfig) -> tuple[bool, dict]:
     res = inversion_residuals(case.weights, case.degrees)
-    ok = (
-        res["convolution_residual"] < SERIES_RESID_TOL
-        and res["separability_residual"] < SERIES_RESID_TOL
-    )
+    ok = res["convolution_residual"] < SERIES_RESID_TOL
     return ok, {"verdict": ok, **res}
 
 

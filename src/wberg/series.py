@@ -3,10 +3,16 @@
 A weight sequence is a positive decreasing sequence ``w_0 = 1 >= w_1 >= ...``
 whose associated function ``k(z) = sum_k z^k / w_k`` is the diagonal of a
 reproducing kernel.  This module generates the standard weight families,
-forms the associated series in one or several variables, inverts truncated
-series by recursive convolution division, and evaluates the quotient
-coefficients ``a_m(r, s)`` of ``k(r z) / k(s z)`` that drive every
-positivity test downstream.
+forms the associated series in one or several variables and its reciprocal,
+and evaluates the quotient coefficients ``a_m(r, s)`` of ``k(r z) / k(s z)``
+that drive every positivity test downstream.
+
+For the presets ``1/k = (1 - z)^p`` (Hardy ``p = 1``, ``bergman:beta``
+``p = beta``), formed by its forward-stable coefficient recurrence; convolution
+division, forward-unstable for non-integer ``beta`` (Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 8), is left to explicit lists.  In
+several variables ``k`` is a product, so ``1/k`` is the outer product of the
+one-variable rows (:func:`reciprocal_series`).
 
 All coefficients here are real.  Truncation is exact: a series of
 per-variable degree ``N_i`` carries every coefficient with multi-index below
@@ -37,6 +43,7 @@ __all__ = [
     "weight_values",
     "associated_series",
     "invert_series",
+    "reciprocal_series",
     "quotient_coeffs",
     "check_properties",
     "PropertyReport",
@@ -127,8 +134,9 @@ class WeightSpec:
         return "explicit:[" + ",".join(repr(v) for v in self.explicit) + "]"
 
     @property
-    def is_explicit(self) -> bool:
-        return self.kind == "explicit"
+    def exponent(self) -> float | None:
+        """``p`` with ``1/k = (1 - z)^p`` (Hardy ``p = 1``); None for an explicit list."""
+        return {"hardy": 1.0, "bergman": self.beta}.get(self.kind)
 
     @property
     def max_terms(self) -> int | None:
@@ -187,7 +195,7 @@ def _binomial_row(beta: float, n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _inverse_weights_cached(spec: WeightSpec, n: int) -> np.ndarray:
     # computed from the generator directly (not as 1/values) so integer
-    # binomial reciprocals are exact and the series recursion stays clean
+    # binomial reciprocals are exact
     if spec.kind == "hardy":
         out = np.ones(n)
     elif spec.kind == "bergman":
@@ -198,10 +206,26 @@ def _inverse_weights_cached(spec: WeightSpec, n: int) -> np.ndarray:
     return out
 
 
+def _one_minus_z_power(p: float, n: int) -> np.ndarray:
+    """First ``n`` coefficients of ``(1 - z)^p``: ``c_0 = 1``, ``c_k = c_{k-1} (k - 1 - p) / k``.
+
+    For integer ``p <= 50`` every intermediate is an integer below ``2^53``,
+    so the alternating binomials come out exactly, and the factor
+    ``k - 1 - p`` vanishes at ``k = p + 1``, so every later entry is zero.
+    """
+    out = np.empty(n)
+    out[0] = 1.0
+    for k in range(1, n):
+        out[k] = out[k - 1] * (k - 1 - p) / k
+    return out
+
+
 @lru_cache(maxsize=None)
 def _inverse_coeffs_cached(spec: WeightSpec, n: int) -> np.ndarray:
-    series = TruncatedSeries(_inverse_weights_cached(spec, n).copy())
-    out = invert_series(series).coeffs
+    if spec.exponent is None:
+        out = invert_series(TruncatedSeries(_inverse_weights_cached(spec, n))).coeffs
+    else:
+        out = _one_minus_z_power(spec.exponent, n)
     out.setflags(write=False)
     return out
 
@@ -259,15 +283,10 @@ class MultiWeightSpec:
 
     def integer_betas(self) -> tuple[int, ...] | None:
         """Per-variable binomial exponents when every weight is of that integer type."""
-        betas = []
-        for spec in self.weights:
-            if spec.kind == "hardy":
-                betas.append(1)
-            elif spec.kind == "bergman" and float(spec.beta).is_integer():
-                betas.append(int(spec.beta))
-            else:
-                return None
-        return tuple(betas)
+        betas = [spec.exponent for spec in self.weights]
+        if any(b is None or not float(b).is_integer() for b in betas):
+            return None
+        return tuple(int(b) for b in betas)
 
 
 def _split_weight_list(text: str) -> list[str]:
@@ -362,38 +381,46 @@ class TruncatedSeries:
         return f"TruncatedSeries(degrees={self.degrees})"
 
 
+def _outer(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Outer product ``rows[0] (x) rows[1] (x) ...`` as an n-dimensional array."""
+    out = rows[0]
+    for row in rows[1:]:
+        out = np.multiply.outer(out, row)
+    return out
+
+
 def associated_series(spec: MultiWeightSpec, degrees: Sequence[int] | int) -> TruncatedSeries:
     """The product series with coefficients ``1 / (w_{a_1} ... w_{a_n})``."""
     degs = _normalize_degrees(degrees, spec.n)
-    rows = [spec[i].inverse_weight_values(degs[i]) for i in range(spec.n)]
-    coeffs = rows[0]
-    for row in rows[1:]:
-        coeffs = np.multiply.outer(coeffs, row)
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(_outer([spec[i].inverse_weight_values(degs[i]) for i in range(spec.n)]))
+
+
+def reciprocal_series(spec: MultiWeightSpec, degrees: Sequence[int] | int) -> TruncatedSeries:
+    """Reciprocal of :func:`associated_series`: the outer product of the
+    one-variable rows ``inverse_coeffs``, since the associated series is a
+    product over the variables."""
+    degs = _normalize_degrees(degrees, spec.n)
+    return TruncatedSeries(_outer([spec[i].inverse_coeffs(degs[i]) for i in range(spec.n)]))
 
 
 def invert_series(s: TruncatedSeries) -> TruncatedSeries:
-    """Reciprocal of a truncated series by recursive convolution division.
+    """Reciprocal of a one-variable truncated series by convolution division.
 
     The defining property holds degree by degree: the truncated product of
-    the input with the result is exactly the constant series 1.
+    the input with the result is the constant series 1.  This is the route
+    of explicit weight lists; several variables go through
+    :func:`reciprocal_series`.
     """
     a = s.coeffs
-    c0 = a.flat[0]
-    if c0 == 0.0:
+    if a.ndim != 1:
+        raise ArityMismatch(f"convolution division takes one variable, not {a.ndim}")
+    if a[0] == 0.0:
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
     out = np.zeros_like(a)
-    out.flat[0] = 1.0 / c0
-    first = True
-    for idx in np.ndindex(*a.shape):
-        if first:  # skip the origin
-            first = False
-            continue
-        block = tuple(slice(0, i + 1) for i in idx)
-        rev = tuple(slice(i, None, -1) for i in idx)
-        # out[idx] is still zero, so the sum runs over strictly smaller indices
-        acc = np.sum(a[rev] * out[block])
-        out[idx] = -acc / c0
+    out[0] = 1.0 / a[0]
+    for k in range(1, len(a)):
+        # out[k] is still zero, so the sum runs over strictly smaller indices
+        out[k] = -np.sum(a[k::-1] * out[: k + 1]) / a[0]
     return TruncatedSeries(out)
 
 
@@ -445,20 +472,15 @@ def check_properties(
     for point in grid:
         fwd = [quotient_coeffs(spec[i], 1.0, point[i], degs[i]) for i in range(spec.n)]
         bwd = [quotient_coeffs(spec[i], point[i], 1.0, degs[i]) for i in range(spec.n)]
-        prod_fwd = fwd[0]
-        prod_bwd = bwd[0]
-        for i in range(1, spec.n):
-            prod_fwd = np.multiply.outer(prod_fwd, fwd[i])
-            prod_bwd = np.multiply.outer(prod_bwd, bwd[i])
-        p1_min = min(p1_min, float(np.min(prod_fwd)))
-        p2_bound = max(p2_bound, float(np.max(np.abs(prod_bwd))))
+        p1_min = min(p1_min, float(np.min(_outer(fwd))))
+        p2_bound = max(p2_bound, float(np.max(np.abs(_outer(bwd)))))
     abs_sums = [float(np.sum(np.abs(spec[i].inverse_coeffs(degs[i])))) for i in range(spec.n)]
     return PropertyReport(
         p1_ok=bool(p1_min >= -PROPERTY_TOL),
         p1_min=p1_min,
         p2_bound=p2_bound,
         p3_abs_sum=float(np.prod(abs_sums)),
-        liminf_assumed=any(w.is_explicit for w in spec),
+        liminf_assumed=any(w.exponent is None for w in spec),
         grid=grid,
         degrees=degs,
         tol=PROPERTY_TOL,

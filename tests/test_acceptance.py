@@ -24,7 +24,6 @@ from wberg.charfn import (
 from wberg.cli import main
 from wberg.dilation import (
     general_model,
-    isometry_identity_check,
     one_var_dilation,
     pure_dilation,
     transport_identities_check,
@@ -54,6 +53,7 @@ from wberg.series import (
     associated_series,
     invert_series,
     quotient_coeffs,
+    reciprocal_series,
 )
 
 
@@ -82,7 +82,7 @@ def test_criterion_1_series_inversion_oracle():
     for combo in combos:
         w = MultiWeightSpec.parse(",".join(combo))
         k = associated_series(w, 32)
-        c = invert_series(k)
+        c = reciprocal_series(w, 32)
         resid = np.max(np.abs((k.mul(c) - TruncatedSeries.one(k.degrees)).coeffs))
         worst = max(worst, resid / max(1.0, k.max_abs()))
     # integer reciprocals are alternating binomials, exactly
@@ -169,7 +169,7 @@ def test_criterion_5_one_variable_dilation():
                 worst,
                 d.residuals["isometry"],
                 d.residuals["intertwining"],
-                isometry_identity_check(t, w),
+                d.residuals["norm_identity"],
             )
             count += 1
     ok = worst < 1e-9 and count == 150

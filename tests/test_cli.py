@@ -27,7 +27,23 @@ def test_series_invert_bergman(capsys):
                            "--terms", "4")
     assert code == 0
     data = json.loads(out)
-    assert data["coeffs"] == [1.0, -2.0, 1.0, -0.0]
+    assert data["coeffs"] == [1.0, -2.0, 1.0, 0.0]
+
+
+def test_series_invert_two_variables_is_the_outer_product_of_rows(capsys):
+    rows = []
+    for text in ("bergman:1.5", "hardy"):
+        code, out, _ = run_cli(capsys, "series", "invert", "--weights", text, "--terms", "6")
+        assert code == 0
+        rows.append(json.loads(out)["coeffs"])
+    code, out, _ = run_cli(capsys, "series", "invert", "--weights", "bergman:1.5,hardy",
+                           "--terms", "6")
+    assert code == 0
+    data = json.loads(out)
+    outer = np.multiply.outer(rows[0], rows[1]).ravel()
+    assert data["degrees"] == [6, 6]
+    # bit for bit, signed zeros included
+    assert [v.hex() for v in data["coeffs"]] == [float(v).hex() for v in outer]
 
 
 def test_series_invert_hardy(capsys):
@@ -315,6 +331,16 @@ def test_check_default_run_includes_crosschecks(capsys):
     assert code == 0
     steps = json.loads(out)["steps"]
     assert set(steps) == {"check", "equivalence", "subtuple"}
+
+
+def test_check_near_the_circle_with_fractional_beta_passes(capsys):
+    # the vertex defect of bergman:3.7 at |t| = 0.999 is (1 - 0.999^2)^3.7,
+    # about 1e-10: positive, and resolved once the reciprocal coefficients
+    # carry no forward error
+    code, out, _ = run_cli(capsys, "check", "--weights", "bergman:3.7",
+                           "--tuple", "scalars:[0.999]")
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
 
 
 def test_check_classification_report_carries_matrices(capsys):

@@ -1,6 +1,7 @@
 """Dilation constructions: one variable, commutant lifts, pure and general models."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from wberg.dilation import (
     _pure_horizon,
     commutant_lift,
     general_model,
-    isometry_identity_check,
     model_colift,
     one_var_dilation,
     pure_dilation,
@@ -22,9 +22,11 @@ from wberg.dilation import (
 from wberg.errors import (
     BlockBudgetExceeded,
     HorizonTooShort,
+    IsometryResidualTooLarge,
     LiftConditionFailed,
     NotHypercontractive,
     NotPure,
+    SeriesTailTooLarge,
 )
 from wberg.generators import (
     commuting_unitaries,
@@ -104,17 +106,17 @@ def test_one_var_residuals_nilpotent_family(wtxt):
 
 def test_isometry_identity_nilpotent_exact():
     t = nilpotent_commuting_tuple(8, 5, 1, radius=0.8)[0]
-    assert isometry_identity_check(t, HARDY) < 1e-10
+    assert one_var_dilation(t, HARDY).residuals["norm_identity"] < 1e-10
 
 
 def test_isometry_identity_coisometry_all_tail():
     u = commuting_unitaries(17, 4, 1)[0]
-    assert isometry_identity_check(u, B2) < 1e-9
+    assert one_var_dilation(u, B2).residuals["norm_identity"] < 1e-9
 
 
 def test_isometry_identity_scalar_geometric():
     tval = 0.6
-    res = isometry_identity_check(Operator([[tval]]), HARDY, n_terms=64)
+    res = one_var_dilation(Operator([[tval]]), HARDY, n_terms=64).residuals["norm_identity"]
     # (1 - t^2) sum t^(2k) + lim t^(2k) = 1, truncated at 64 terms
     assert res < 1e-12
 
@@ -601,6 +603,17 @@ def test_pure_dilation_past_the_dense_cliff_stays_small():
     for key, value in res.residuals.items():
         assert value <= PURE_DILATION_BUDGETS[key.split("_")[0]], key
     assert peak < 64 * 2**20
+
+
+def test_unconverged_stage_defect_warns_before_the_isometry_failure():
+    # at |t| = 0.999 the 256-term defect of bergman:1.5 keeps an accuracy
+    # floor of 6e-5; the dilation says so before its isometry check fails
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(IsometryResidualTooLarge):
+            pure_dilation(scalar_tuple([0.999]), MultiWeightSpec.parse("bergman:1.5"))
+        floors = [w for w in seen if issubclass(w.category, SeriesTailTooLarge)]
+    assert floors and "accuracy floor" in str(floors[0].message)
 
 
 @pytest.mark.parametrize("build", [pure_dilation, general_model], ids=["pure", "general"])

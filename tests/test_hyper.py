@@ -19,6 +19,8 @@ from wberg.hyper import (
     DEGREE_CAP,
     FIRST_CUT,
     OperatorTuple,
+    FRACTIONAL_TERMS,
+    _abs_mass,
     _nilpotency_order,
     _power_stack,
     _resolve_degrees,
@@ -610,6 +612,46 @@ def test_delta_power_fractional_scalar():
     t = scalar_tuple([tval])
     out = delta_power(t, (1.5,), np.eye(1))
     assert out[0, 0] == pytest.approx((1 - tval**2) ** 1.5, rel=1e-9)
+
+
+def test_delta_power_fractional_coefficients_are_the_closed_form(monkeypatch):
+    import wberg.hyper as hyper
+    from wberg.series import _one_minus_z_power
+
+    seen = []
+    original = hyper._hereditary_sum
+    monkeypatch.setattr(hyper, "_hereditary_sum",
+                        lambda c, stacks, x: seen.append(c) or original(c, stacks, x))
+    delta_power(scalar_tuple([0.7]), (2.3,), np.eye(1))
+    (coeffs,) = seen
+    frac = 2.3 - 2
+    assert np.array_equal(coeffs, _one_minus_z_power(frac, FRACTIONAL_TERMS + 1))
+    # the nonnegative expansion 1 - sum b_k x^k, b_1 = d, b_(k+1) = b_k (k - d) / (k + 1)
+    bk = np.empty(FRACTIONAL_TERMS + 1)
+    bk[0], bk[1] = 0.0, frac
+    for k in range(1, FRACTIONAL_TERMS):
+        bk[k + 1] = bk[k] * (k - frac) / (k + 1.0)
+    assert np.array_equal(coeffs[1:], -bk[1:]) and coeffs[0] == 1.0
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.7, 4.5])
+@pytest.mark.parametrize("m", [1, 3, 8, 16, 64, 256])
+def test_abs_mass_is_the_exact_tail(beta, m):
+    # reference: the direct sum of |c_k| over 200 000 terms, whose own rest
+    # is below 2e-13 for beta >= 2.5
+    spec = WeightSpec.bergman(beta)
+    c = np.abs(spec.inverse_coeffs(200_000))
+    tail, total = _abs_mass(spec, m)
+    assert tail == pytest.approx(float(np.sum(c[m:])), rel=1e-9, abs=1e-12)
+    assert total == pytest.approx(float(np.sum(c)), rel=1e-12)
+
+
+@pytest.mark.parametrize("text", ["hardy", "bergman:2", "bergman:3"])
+def test_abs_mass_of_integer_presets_ends_with_the_support(text):
+    spec = WeightSpec.parse(text)
+    support = spec.inverse_support(DEGREE_CAP)
+    assert _abs_mass(spec, support) == (0.0, 2.0 ** (support - 1))
+    assert _abs_mass(spec, 1)[0] == 2.0 ** (support - 1) - 1
 
 
 def test_delta_power_fractional_exact_on_nilpotents():

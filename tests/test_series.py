@@ -2,11 +2,19 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wberg.errors import BadBeta, InvalidWeights, NonDecreasingWeights, ZeroConstantTerm
+from wberg.errors import (
+    ArityMismatch,
+    BadBeta,
+    InvalidWeights,
+    NonDecreasingWeights,
+    ZeroConstantTerm,
+)
+from wberg.hyper import DEGREE_CAP
 from wberg.series import (
     MultiWeightSpec,
     TruncatedSeries,
@@ -15,6 +23,7 @@ from wberg.series import (
     check_properties,
     invert_series,
     quotient_coeffs,
+    reciprocal_series,
     weight_values,
 )
 
@@ -112,7 +121,7 @@ def test_invert_bergman_two_gives_alternating_binomials():
 
 def test_invert_two_variable_hardy():
     w = MultiWeightSpec.of(WeightSpec.hardy(), WeightSpec.hardy())
-    inv = invert_series(associated_series(w, (3, 3)))
+    inv = reciprocal_series(w, (3, 3))
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
     expected[1, 0] = expected[0, 1] = -1.0
@@ -120,16 +129,10 @@ def test_invert_two_variable_hardy():
     assert np.allclose(inv.coeffs, expected, atol=0)
 
 
-def test_invert_matches_brute_convolution_oracle():
-    # a non-separable series: inversion must still satisfy the product rule
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(4, 5))
-    a[0, 0] = 2.0
-    inv = invert_series(TruncatedSeries(a))
-    prod = brute_truncated_product(a, inv.coeffs)
-    delta = np.zeros_like(a)
-    delta[0, 0] = 1.0
-    assert np.max(np.abs(prod - delta)) < 1e-12
+def test_invert_takes_one_variable_only():
+    # several variables are a product series, inverted by reciprocal_series
+    with pytest.raises(ArityMismatch):
+        invert_series(TruncatedSeries(np.ones((2, 3))))
 
 
 def test_truncated_multiply_against_oracle():
@@ -152,7 +155,7 @@ def test_invert_zero_constant_term():
 def test_convolution_inverse_residual(texts):
     w = MultiWeightSpec.parse(",".join(texts))
     k = associated_series(w, 16)
-    c = invert_series(k)
+    c = reciprocal_series(w, 16)
     prod = k.mul(c)
     delta = TruncatedSeries.one(k.degrees)
     resid = np.max(np.abs((prod - delta).coeffs)) / max(1.0, k.max_abs())
@@ -161,12 +164,75 @@ def test_convolution_inverse_residual(texts):
 
 def test_separability_of_multivariate_inverse():
     w = MultiWeightSpec.parse("bergman:1.5,bergman:2")
-    c = invert_series(associated_series(w, (12, 12))).coeffs
+    c = reciprocal_series(w, (12, 12)).coeffs
     rows = [invert_series(TruncatedSeries(w[i].inverse_weight_values(12))).coeffs
             for i in range(2)]
     outer = np.multiply.outer(rows[0], rows[1])
     scale = max(1.0, float(np.max(np.abs(associated_series(w, (12, 12)).coeffs))))
     assert np.max(np.abs(c - outer)) / scale < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# forward error of the reciprocal coefficients
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _exact_binomial_power(p: Fraction, n: int) -> list[Fraction]:
+    """``(1 - z)^p`` coefficients in exact rational arithmetic."""
+    out = [Fraction(1)]
+    for k in range(1, n):
+        out.append(out[-1] * (k - 1 - p) / k)
+    return out
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.5, 3.7, 4.5])
+def test_inverse_coeffs_forward_error_against_exact_recurrence(beta):
+    # the oracle runs on the double nearest beta, so only the recurrence's
+    # own rounding is measured: three roundings per step (the subtraction
+    # k - 1 - beta is exact or rounded once, then a product and a quotient)
+    got = WeightSpec.bergman(beta).inverse_coeffs(DEGREE_CAP)
+    exact = _exact_binomial_power(Fraction(beta), DEGREE_CAP)
+    assert got[0] == 1.0
+    for k in range(1, DEGREE_CAP):
+        rel = abs(Fraction(float(got[k])) - exact[k]) / abs(exact[k])
+        assert rel <= 2 * k * EPS, (k, float(rel))
+
+
+@pytest.mark.parametrize("text,m", [("hardy", 1), ("bergman:2", 2), ("bergman:3", 3)])
+def test_inverse_coeffs_integer_presets_are_alternating_binomials(text, m):
+    expected = np.zeros(DEGREE_CAP)
+    for j in range(m + 1):
+        expected[j] = (-1) ** j * math.comb(m, j)
+    got = WeightSpec.parse(text).inverse_coeffs(DEGREE_CAP)
+    assert np.array_equal(got, expected)
+    assert WeightSpec.parse(text).inverse_support(DEGREE_CAP) == m + 1
+
+
+def test_explicit_inverse_coeffs_against_exact_division():
+    spec = WeightSpec.from_values([(k + 1.0) ** -1.5 for k in range(48)])
+    a = [Fraction(float(v)) for v in spec.inverse_weight_values(48)]
+    exact = [1 / a[0]]
+    for k in range(1, 48):
+        exact.append(-sum(a[j] * exact[k - j] for j in range(1, k + 1)) / a[0])
+    got = spec.inverse_coeffs(48)
+    # a-priori bound of a triangular Toeplitz solve (Higham, Thm 8.5):
+    # |c - c^| <= gamma_48 |T^-1| |T| |c^|, with T the Toeplitz matrix of a
+    abs_c = np.abs(np.array([float(v) for v in exact]))
+    abs_a = np.abs(np.array([float(v) for v in a]))
+    bound = 48 * EPS * np.convolve(abs_c, np.convolve(abs_a, np.abs(got))[:48])[:48]
+    err = np.array([float(abs(Fraction(float(g)) - e)) for g, e in zip(got, exact)])
+    assert np.all(err <= bound)
+    division = invert_series(TruncatedSeries(spec.inverse_weight_values(48)))
+    assert np.array_equal(got, division.coeffs)
+
+
+def test_reciprocal_series_is_the_outer_product_of_rows():
+    w = MultiWeightSpec.parse("bergman:1.5,hardy,bergman:3.7")
+    got = reciprocal_series(w, (5, 3, 4)).coeffs
+    rows = [w[i].inverse_coeffs(n) for i, n in enumerate((5, 3, 4))]
+    assert np.array_equal(got, np.multiply.outer(np.multiply.outer(rows[0], rows[1]), rows[2]))
 
 
 def test_series_dict_roundtrip():

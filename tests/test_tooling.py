@@ -128,7 +128,6 @@ UNSET_PARAMETERS_ALLOWED = {
     "linalg.Operator.__array__(copy)": "numpy's array protocol passes it",
     "cli.main(argv)": "the console script calls main() and tests pass an argv",
     "dilation.one_var_dilation(n_terms)": "tests fix the truncation of one-variable models",
-    "dilation.isometry_identity_check(n_terms)": "tests check the identity at a fixed depth",
     "hyper.defect_operator(tol)": "tests ask for an accuracy floor the limit cannot meet",
     "hyper.is_W_hypercontraction(degrees)": "tests classify at fixed cutoffs",
     "bergman.TruncatedSpace.slot(p)": "tests address coefficient slots past the first",

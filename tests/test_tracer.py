@@ -84,3 +84,18 @@ def test_tracer_records_hereditary_spans():
     assert stats["hyper.hereditary_apply"]["calls"] == 1
     assert stats["hyper.hereditary_apply"]["terms"] == 3
     assert stats["hyper.hereditary_apply"]["flops"] > 0
+
+
+def test_tracer_records_series_product():
+    tracer = _load_tracer()()
+    cases = {c["name"]: c for c in corpus_cases()}
+    data = dict(cases["series-hardy-cube"], run=["series"])
+    tracer.install()
+    try:
+        ok, _ = run_case(parse_case(data, name=data["name"]))
+    finally:
+        tracer.uninstall()
+    assert ok
+    # the residual k * (1/k) - 1 is one patched method call
+    assert tracer.stats["series.TruncatedSeries.mul"]["calls"] == 1
+    assert tracer.stats["pipelines.run_series"]["calls"] == 1
