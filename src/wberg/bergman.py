@@ -331,7 +331,7 @@ def multishift_purity_and_positivity(
     max_resid = 0.0
     min_eig = math.inf
     for point in grid:
-        ds = defect_series(shifts, w, point, degrees=space.degrees)
+        ds = defect_series(shifts, w, point)
         eigs = np.linalg.eigvalsh(ds)
         min_eig = min(min_eig, float(eigs[0]))
         quot = [

@@ -265,7 +265,7 @@ def _pure_horizon(t: OperatorTuple, i: int, omega: WeightSpec) -> int:
     tail sum is pushed below ``LIMIT_TOL**2`` to keep amplitude-level
     residuals (intertwinings) within ``LIMIT_TOL``.  An explicit weight
     list caps the sum at its length, as it caps the classification's
-    degrees; a list that ends before the tail test is met raises
+    sums; a list that ends before the tail test is met raises
     :class:`HorizonTooShort`.
     """
     cap = min(HORIZON_CAP, omega.max_terms or HORIZON_CAP)
@@ -370,16 +370,21 @@ def _fill_map_rows(
         rows[at] = block / scale[at][:, None, None]
 
 
+def _vertex_defect(t: OperatorTuple, w: MultiWeightSpec) -> np.ndarray:
+    """The defect limit of ``t`` at ``w``; an unconverged limit warns its accuracy floor."""
+    res = defect_limit(t, w)
+    res.warn_unconverged(LIMIT_TOL)
+    return res.limit
+
+
 def _defect_sqrt_pieces(
     t: OperatorTuple, omega: WeightSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Defect square root on ``H`` plus range basis and minimal coordinates
     of the one-tuple ``t``, whose stacks the defect limit sums over; an
     unconverged limit warns its accuracy floor."""
-    res = defect_limit(t, MultiWeightSpec.of(omega))
-    res.warn_unconverged(LIMIT_TOL)
     try:
-        defect, basis = psd_root_pieces(res.limit)
+        defect, basis = psd_root_pieces(_vertex_defect(t, MultiWeightSpec.of(omega)))
     except NotPsd as exc:
         raise NotHypercontractive(f"defect limit is not positive: {exc}") from exc
     return defect, basis, basis.conj().T @ defect
@@ -680,7 +685,7 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
     for block in blocks:
         tag = "_".join(str(i) for i in block.lam) if block.lam else "empty"
         delta = block.delta
-        brute = _double_limit(t, w, block.lam, degs)
+        brute = _double_limit(t, w, block.lam)
         residuals[f"delta_formula_{tag}"] = hermitian_norm(delta.conj().T @ delta - brute)
         worst_int = 0.0
         worst_co = 0.0
@@ -716,21 +721,13 @@ def _block_action(block: LambdaBlock, i: int) -> ModelAction:
     return block.space.shifts[block.lam.index(i)]
 
 
-def _double_limit(
-    t: OperatorTuple,
-    w: MultiWeightSpec,
-    lam: tuple[int, ...],
-    degs: tuple[int, ...],
-) -> np.ndarray:
+def _double_limit(t: OperatorTuple, w: MultiWeightSpec, lam: tuple[int, ...]) -> np.ndarray:
     """Brute evaluation of the block defect: series limit inside ``lam``,
     power-conjugation limit outside (starting from the tail of ``T_0`` when
     ``lam`` is empty)."""
     outside = [i for i in range(t.n) if i not in lam]
     if lam:
-        cur = defect_limit(
-            subtuple(t, lam), w.subset(lam),
-            degrees=tuple(degs[i] for i in lam),
-        ).limit
+        cur = _vertex_defect(subtuple(t, lam), w.subset(lam))
     else:
         cur, _ = t.tail_limit(outside.pop(0))
     for i in outside:
@@ -796,7 +793,7 @@ def _pulled_back(
     defect = np.zeros((0, 0), dtype=complex)
     if sel[0].shape[0] > 0:
         lifted = OperatorTuple(sel, commutation_tol=LIFT_COMMUTATION_TOL)
-        defect = defect_limit(lifted, w).limit
+        defect = _vertex_defect(lifted, w)
     return basis @ defect @ basis.conj().T
 
 
@@ -826,14 +823,14 @@ def transport_identities_check(
     lifted = _pulled_back(lift.a_ops, d_basis, lam, rest_w, t.dim)
     lhs_i = d_full @ lifted @ d_full
     enlarged = (0,) + lam
-    rhs_i = defect_limit(subtuple(t, enlarged), w.subset(enlarged)).limit
+    rhs_i = _vertex_defect(subtuple(t, enlarged), w.subset(enlarged))
     res_i = hermitian_norm(lhs_i - rhs_i)
 
     # (ii): tail-side identity
     lifted_x = _pulled_back(lift.x_ops, q_basis, lam, rest_w, t.dim)
     lhs_ii = q_full @ lifted_x @ q_full
     if lam:
-        sub_defect = defect_limit(subtuple(t, lam), rest_w).limit
+        sub_defect = _vertex_defect(subtuple(t, lam), rest_w)
         rhs_ii, _, _ = conjugation_limit(sub_defect, t[0])
     else:  # the conjugation limit of the identity is the tail of T_0
         rhs_ii, _ = t.tail_limit(0)

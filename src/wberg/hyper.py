@@ -5,22 +5,30 @@ central object is the defect series
 
     D(r) = sum_a c_a r^a T^a T*^a,
 
-where ``c`` are the reciprocal coefficients of the associated function.  The
-series is separable across variables, so it is evaluated as a nested
-one-variable hereditary sum: each level is one batched pass
-``X -> sum_k c_k T^k X T*^k``, and the innermost level, where ``X = I``, is
-one weighted sum of the Gram stack ``[T^k T*^k]_k``.
+where ``c`` are the reciprocal coefficients of the associated function.  It
+is separable, so it is evaluated as one level per variable, nested from the
+last variable, whose level starts at ``X = I``, outwards (:func:`_level`).
+For the presets ``1/k = (1 - z)^p`` (``bergman:beta``, Hardy ``p = 1``) the
+calculus is multiplicative and the level is the factored ``(I - r
+C_{T_i})^p``, ``C_A(X) = A X A*``, as in :func:`delta_power`: with ``p =
+whole + f``, the fractional factor ``I - sum_{k>=1} b_k r^k C^k`` (``b_k >=
+0``, summing to 1) and then ``whole`` differences ``X - r T X T*``.  Neither
+cancels more than the defect itself, where the expanded sum ``sum_k c_k r^k
+T^k X T*^k`` loses ``eps * sum_k |c_k| ||T^k||^2`` per level (Higham, ch. 4);
+that sum is left to explicit weight lists and to the test reference
+:func:`hereditary_apply`.
 
-Each variable's sum stops at the first of three cutoffs (see
-``_effective_degree``): the support of ``c`` (finite for integer ``beta`` and
-Hardy), the nilpotency order of ``T_i``, or the numerical support, the first
-of ``FIRST_CUT, 2 FIRST_CUT, ...`` below ``DEGREE_CAP`` whose remainder
+Each expanded sum (a fractional factor or an explicit list) stops at the
+first of three cutoffs (see ``_effective_degree``): the support of its
+coefficients, the nilpotency order of ``T_i``, or the numerical support, the
+first of ``FIRST_CUT, 2 FIRST_CUT, ...`` below ``DEGREE_CAP`` whose remainder
 ``||T_i^m||^2 sum_{k >= m} |c_k|`` is at most ``UNIT_ROUNDOFF * |c_0|``.  That
 remainder bounds every dropped term at every ``r <= 1`` and nesting level,
 since power norms of a contraction do not increase, and it is below the
 rounding the kept sum carries, so the cut changes no verdict.  The tail
 estimate of a defect limit reads the same remainder (``_remainder``) at the
-cut actually summed, with the exact dropped coefficient mass (``_abs_mass``).
+cut actually summed, with the exact dropped mass (``_abs_mass``), times the
+norm bounds of the other levels.
 
 The :class:`OperatorTuple` is the one owner of its entries' powers: the
 power, adjoint-power and Gram stacks, one set per variable, the nilpotency
@@ -32,9 +40,9 @@ functions built from it read them.  A tail limit is formed once, at
 ``LIMIT_TOL``: the purity test, the tail split of a dilation and the joint
 tail of a check all read it.
 Next to the stacks the tuple holds its classification reports, one per
-(weights, grid, tolerance, cutoffs, lattice) key, so a fact proved once is
-not proved again by a later pipeline step; the sub-tuple on every index is
-the tuple itself and reads the same reports.
+(weights, grid, tolerance, lattice) key, so a fact proved once is not proved
+again by a later pipeline step; the sub-tuple on every index is the tuple
+itself and reads the same reports.
 
 Classification routines sample ``D(r)`` over an ``r``-grid (any finite grid
 under-approximates the continuum; reports say so), add the ``r -> 1`` limit
@@ -73,7 +81,6 @@ from .linalg import (
 from .series import (
     MultiWeightSpec,
     WeightSpec,
-    _normalize_degrees,
     _one_minus_z_power,
     _normalize_grid,
     _normalize_point,
@@ -121,13 +128,8 @@ FIRST_CUT = 8
 # Unit roundoff of double precision: a certified remainder below
 # ``UNIT_ROUNDOFF * |c_0|`` is below the rounding the kept sum already carries.
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
-# Deepest power whose norm bounds a remainder (with the dimension, when that is
-# larger): deep enough to see the decay of a strict contraction.
-NORM_DEPTH = 64
 # Doublings of the power before a conjugation limit is given up as unconverged.
 MAX_DOUBLINGS = 60
-# Terms of the nonnegative expansion of a fractional power ``(1 - x)^d``.
-FRACTIONAL_TERMS = 200
 # Points ``r_j = 1 - 2^-j`` of the default classification grid.
 DYADIC_LEVELS = 3
 # Distance from an integer below which a real exponent counts as that integer.
@@ -346,12 +348,14 @@ def _hereditary_sum(
 
 
 def hereditary_apply(coeffs: np.ndarray, t, x: np.ndarray) -> np.ndarray:
-    """One-variable hereditary sum ``sum_k coeffs[k] T^k X T*^k``.
+    """One-variable hereditary sum ``sum_k coeffs[k] T^k X T*^k``, expanded.
 
-    This one-shot form builds the powers of ``T`` for this call alone and is
-    the reference the tuple's sums are tested against; sums over the entries
-    of an :class:`OperatorTuple` read the tuple's stacks through
-    :func:`defect_series` and :func:`delta_power` instead.
+    This one-shot form builds the powers of ``T`` for this call alone.  It is
+    the reference the tuple's levels are tested against: with the
+    coefficients of an explicit weight list it is bit for bit the level
+    :func:`defect_series` sums, and with those of ``(1 - z)^p`` it is the
+    expanded form of the factored preset level, exact up to its cancellation
+    ``eps * sum_k |c_k| ||T^k||^2 ||X||``.
     """
     return _hereditary_sum(coeffs, _OperatorStacks(np.asarray(t, dtype=complex)), x)
 
@@ -366,75 +370,120 @@ def _nilpotency_order(mat: np.ndarray, cap: int) -> int | None:
     return None
 
 
-def _effective_degree(t: OperatorTuple, i: int, w: WeightSpec) -> int:
-    """Truncation level for variable ``i``: the first of three cutoffs.
+def _split(p: float) -> tuple[int, float]:
+    """``p = whole + frac``, ``frac`` in ``[0, 1)`` and 0 within ``EXPONENT_SNAP``."""
+    whole = int(math.floor(p + EXPONENT_SNAP))
+    frac = p - whole
+    return whole, frac if frac >= EXPONENT_SNAP else 0.0
 
-    *Support*: ``c_k = 0`` from here on (integer ``beta``, Hardy, short
-    explicit lists), else ``DEGREE_CAP``.  *Nilpotency*: ``T_i^k = 0`` from
-    here on.  *Numerical support*: below those, the first ``m`` of
-    ``FIRST_CUT, 2 FIRST_CUT, ...`` whose remainder (:func:`_remainder`)
-    ``||T_i^m||^2 sum_{m <= k < deg} |c_k|`` is at most
-    ``UNIT_ROUNDOFF * |c_0|``.
 
-    That remainder bounds the dropped terms at every ``r <= 1``, and at each
-    nesting level the kept sum holds ``c_0 X``, so what is dropped is below
-    the a-priori rounding of the kept sum (Higham, ch. 4) and no verdict can
-    see the cut.  Supports and nilpotency orders of at most ``FIRST_CUT``
-    terms (integer ``beta <= 7``, Hardy) never enter the search.
+def _levels(w: MultiWeightSpec) -> tuple:
+    """One level per variable: a preset's exponent, or an explicit weight list."""
+    return tuple(spec if spec.exponent is None else spec.exponent for spec in w)
+
+
+def _row(level) -> np.ndarray | None:
+    """Coefficients a level sums in expanded form: an explicit list's
+    reciprocal, or the fractional factor of an exponent, up to ``DEGREE_CAP``;
+    None for an integer exponent, whose level is differences only."""
+    if isinstance(level, WeightSpec):
+        return level.inverse_coeffs(min(DEGREE_CAP, level.max_terms))
+    frac = _split(level)[1]
+    return _one_minus_z_power(frac, DEGREE_CAP) if frac else None
+
+
+def _level(t: OperatorTuple, i: int, level, r: float, x: np.ndarray | None) -> np.ndarray:
+    """Apply variable ``i``'s level at radius ``r`` to ``X``; ``x=None`` means ``X = I``.
+
+    An exponent ``p = whole + f`` is the factored ``(I - r C_{T_i})^p``: the
+    fractional factor ``sum_k c_k(f) r^k T^k X T*^k`` (``c_0 = 1``, every
+    other ``c_k <= 0``), cut at :func:`_effective_degree`, then ``whole``
+    differences ``X - r T X T*``, the first read off the Gram stack when
+    ``X = I``.  An explicit list is its expanded sum, cut the same way.
     """
-    cap = min(DEGREE_CAP, w.max_terms or DEGREE_CAP)
-    support = w.inverse_support(cap)
-    nil = t.nilpotency_order(i, min(cap, t.dim))
-    deg = max(1, min(support if nil is None else min(support, nil), cap))
-    c = np.abs(w.inverse_coeffs(cap)[:deg])
+    stacks = t._stacks[i]
+    row = _row(level)
+    if row is not None:
+        c = row[:_effective_degree(t, i, row)]
+        x = _hereditary_sum(c * r ** np.arange(len(c)), stacks, x)
+    if isinstance(level, WeightSpec):
+        return x
+    for _ in range(_split(level)[0]):
+        if x is None:
+            x = np.eye(t.dim, dtype=complex) - r * stacks.grams(2)[1]
+        else:
+            x = x - r * (stacks.mat @ x @ stacks.mat.conj().T)
+    return x
+
+
+def _effective_degree(t: OperatorTuple, i: int, c: np.ndarray) -> int:
+    """Terms of the row ``c`` (its length the cap) that a sum over ``T_i`` keeps.
+
+    The first of three cutoffs.  *Support*: ``c_k = 0`` from here on (short
+    explicit lists).  *Nilpotency*: ``T_i^k = 0`` from here on.  *Numerical
+    support*: below those, the first ``m`` of ``FIRST_CUT, 2 FIRST_CUT, ...``
+    whose remainder (:func:`_remainder`) ``||T_i^m||^2 sum_{m <= k < deg}
+    |c_k|`` is at most ``UNIT_ROUNDOFF * |c_0|``.  At each nesting level the
+    kept sum holds ``c_0 X``, so what is dropped is below its a-priori
+    rounding (Higham, ch. 4) and no verdict can see the cut.
+    """
+    nz = np.flatnonzero(c)
+    deg = int(nz[-1]) + 1 if nz.size else 1
+    nil = t.nilpotency_order(i, min(len(c), t.dim))
+    if nil is not None:
+        deg = min(deg, nil)
+    a = np.abs(c[:deg])
     m = FIRST_CUT
     while m < deg:
-        if _remainder(t, i, float(np.sum(c[m:])), m) <= UNIT_ROUNDOFF * c[0]:
+        if _remainder(t, i, float(np.sum(a[m:])), m) <= UNIT_ROUNDOFF * a[0]:
             return m
         m *= 2
     return deg
 
 
 def _remainder(t: OperatorTuple, i: int, mass: float, m: int) -> float:
-    """Certified bound ``mass * ||T_i^p||^2`` on the terms ``k >= m`` of a
+    """Certified bound ``mass * ||T_i^m||^2`` on the terms ``k >= m`` of a
     one-variable sum ``sum_k c_k r^k T_i^k X T_i*^k`` per unit of ``||X||``,
-    where ``mass`` bounds ``sum_{k >= m} |c_k| r^k``.
-
-    ``p = min(m, max(dim, NORM_DEPTH))``: power norms of a contraction do not
-    increase, so ``||T_i^p||`` bounds ``||T_i^k||`` for every ``k >= m``.  A
-    zero mass takes no power norm.
+    where ``mass`` bounds ``sum_{k >= m} |c_k| r^k``: power norms of a
+    contraction do not increase.  A zero mass takes no power norm.
     """
     if mass == 0.0:
         return 0.0
-    return mass * t._stacks[i].power_norm(min(m, max(t.dim, NORM_DEPTH))) ** 2
+    return mass * t._stacks[i].power_norm(m) ** 2
 
 
-def _abs_mass(w: WeightSpec, m: int) -> tuple[float, float]:
-    """``sum_{k >= m} |c_k|`` and ``sum_k |c_k|``, exact up to rounding.
+def _abs_mass(level, m: int) -> tuple[float, float]:
+    """Mass a level drops beyond ``m`` expanded terms, and the level's norm bound.
 
-    For the presets ``c`` are the coefficients of ``(1 - z)^p``: from ``s =
-    floor(p) + 1`` on they share one sign and ``sum_k c_k = (1 - 1)^p = 0``,
-    so ``sum_{k >= j} |c_k| = |sum_{k < j} c_k|`` for ``j >= s``.  An
-    explicit list's reciprocal ends with the list.
+    For an exponent ``p = whole + f`` the fractional factor's ``c_k(f)``
+    share one sign from ``k = 1`` on and sum to ``(1 - 1)^f = 0``, so the
+    terms from ``m >= 1`` on sum to ``|sum_{k < m} c_k(f)|``; the ``whole``
+    differences after it scale that by at most ``2^whole``.  The factor and
+    each difference have norm at most 2, so the level's bound is
+    ``2^ceil(p)``, and an integer exponent drops nothing.  An explicit list
+    drops the rest of its reciprocal and is bounded by its absolute sum.
     """
-    if w.exponent is None:
-        c = np.abs(w.inverse_coeffs(w.max_terms))
+    if isinstance(level, WeightSpec):
+        c = np.abs(level.inverse_coeffs(level.max_terms))
         return float(np.sum(c[m:])), float(np.sum(c))
-    s = int(math.floor(w.exponent)) + 1
-    c = w.inverse_coeffs(max(m, s))
-    a = np.abs(c)
-    tail = float(np.sum(a[m:])) + abs(float(np.sum(c)))
-    return tail, float(np.sum(a[:s])) + abs(float(np.sum(c[:s])))
+    whole, frac = _split(level)
+    if not frac:
+        return 0.0, 2.0**whole
+    return 2.0**whole * abs(float(np.sum(_row(level)[:m]))), 2.0 ** (whole + 1)
 
 
-def _tail_estimate(t: OperatorTuple, w: MultiWeightSpec, degrees: Sequence[int]) -> float:
-    """Upper estimate of the mass dropped beyond the per-variable cutoffs at
-    ``r = 1``: each variable's remainder (:func:`_remainder`) times the
-    total absolute mass of the others."""
-    masses = [_abs_mass(w[i], degrees[i]) for i in range(t.n)]
-    return sum(_remainder(t, i, masses[i][0], degrees[i])
-               * math.prod(total for j, (_, total) in enumerate(masses) if j != i)
-               for i in range(t.n))
+def _tail_estimate(t: OperatorTuple, levels: Sequence) -> float:
+    """Upper estimate, per unit of ``||X||``, of the mass the levels drop
+    beyond their cutoffs at ``r = 1``: each level's remainder
+    (:func:`_remainder`) times the norm bounds of the other levels."""
+    parts = []
+    for i, level in enumerate(levels):
+        row = _row(level)
+        m = 0 if row is None else _effective_degree(t, i, row)
+        tail, bound = _abs_mass(level, m)
+        parts.append((_remainder(t, i, tail, m), bound))
+    return sum(rem * math.prod(bound for j, (_, bound) in enumerate(parts) if j != i)
+               for i, (rem, _) in enumerate(parts))
 
 
 def dyadic_grid(n: int) -> list[tuple[float, ...]]:
@@ -442,37 +491,33 @@ def dyadic_grid(n: int) -> list[tuple[float, ...]]:
     return [((1.0 - 0.5**j),) * n for j in range(1, DYADIC_LEVELS + 1)]
 
 
-def _resolve_degrees(t: OperatorTuple, w: MultiWeightSpec, degrees) -> tuple[int, ...]:
-    if degrees is None:
-        return tuple(_effective_degree(t, i, w[i]) for i in range(t.n))
-    return _normalize_degrees(degrees, t.n)
-
-
 # ---------------------------------------------------------------------------
 # defect series, limits, defect operators and purity
 # ---------------------------------------------------------------------------
 
-def defect_series(
-    t: OperatorTuple,
-    w: MultiWeightSpec,
-    r,
-    degrees: Sequence[int] | int | None = None,
-) -> np.ndarray:
-    """Finite hereditary sum ``sum_{a < degrees} c_a r^a T^a T*^a`` (Hermitian).
+def defect_series(t: OperatorTuple, w: MultiWeightSpec, r) -> np.ndarray:
+    """The defect ``D(r) = sum_a c_a r^a T^a T*^a`` (Hermitian), one level per variable.
 
-    The nesting runs from the last variable, whose level is a weighted sum of
-    the tuple's Gram stack, outwards through the tuple's power stacks; the
-    result equals nesting :func:`hereditary_apply` from ``X = I`` bit for bit.
+    The nesting runs from the last variable, whose level starts at ``X = I``
+    and reads the tuple's Gram stack, outwards through its power stacks
+    (:func:`_level`).  A preset variable takes the factored ``(I - r
+    C_{T_i})^p``, which rounds at about ``eps`` times its norm bound
+    ``2^ceil(p)``, where the expanded sum rounds at ``eps * sum_k |c_k|
+    ||T^k||^2``; at ``r = 1`` it is :func:`delta_power` of ``I`` bit for bit.
+    An explicit list takes its expanded sum, nesting :func:`hereditary_apply`.
     """
     if w.n != t.n:
         raise ArityMismatch(f"weight arity {w.n} != tuple arity {t.n}")
     point = _normalize_point(r, t.n)
-    degs = _resolve_degrees(t, w, degrees)
     x = None
-    for i in reversed(range(t.n)):
-        coeffs = w[i].inverse_coeffs(degs[i]) * point[i] ** np.arange(degs[i])
-        x = _hereditary_sum(coeffs, t._stacks[i], x)
+    for i, level in reversed(list(enumerate(_levels(w)))):
+        x = _level(t, i, level, point[i], x)
     return 0.5 * (x + x.conj().T)
+
+
+def _warn_floor(floor: float, tol: float) -> None:
+    warnings.warn(f"defect limit accuracy floor {floor:.1e} exceeds the requested "
+                  f"tolerance {tol:.1e}", SeriesTailTooLarge, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -494,26 +539,19 @@ class DefectResult:
         """Warn :class:`SeriesTailTooLarge` naming the floor when the limit,
         asked for at ``tol``, did not converge."""
         if not self.converged:
-            warnings.warn(f"defect limit accuracy floor {self.tail_estimate:.1e} exceeds the "
-                          f"requested tolerance {tol:.1e}", SeriesTailTooLarge, stacklevel=2)
+            _warn_floor(self.tail_estimate, tol)
 
 
-def defect_limit(
-    t: OperatorTuple,
-    w: MultiWeightSpec,
-    tol: float = LIMIT_TOL,
-    degrees: Sequence[int] | int | None = None,
-) -> DefectResult:
+def defect_limit(t: OperatorTuple, w: MultiWeightSpec, tol: float = LIMIT_TOL) -> DefectResult:
     """Evaluate ``lim_{r -> 1} D(r)``.
 
     At fixed cutoffs ``D(r)`` is a matrix polynomial in ``r``, so its limit
     at the vertex is its value there; the truncation error is reported as
-    the tail estimate.
+    the tail estimate.  Integer presets are exact finite differences, so
+    only fractional factors and explicit lists carry one.
     """
-    degs = _resolve_degrees(t, w, degrees)
-    ones = (1.0,) * t.n
-    value = defect_series(t, w, ones, degs)
-    est = _tail_estimate(t, w, degs)
+    value = defect_series(t, w, (1.0,) * t.n)
+    est = _tail_estimate(t, _levels(w))
     return DefectResult(value, ((1.0, 0.0),), est < tol, est)
 
 
@@ -600,7 +638,6 @@ def is_W_hypercontraction(
     w: MultiWeightSpec,
     r_grid: Sequence | None = None,
     tol: float = POSITIVITY_TOL,
-    degrees: Sequence[int] | int | None = None,
     lattice_e_points: bool | str = "auto",
 ) -> WHyperReport:
     """Test defect positivity for every member of the constant-swap family.
@@ -612,8 +649,8 @@ def is_W_hypercontraction(
     the equivalent finite criterion exactly.
 
     The report is held on ``t``, keyed by the weights, the normalized grid,
-    ``tol``, the normalized cutoffs and the resolved lattice flag (``"auto"``
-    becomes True or False), and a later call with the same key returns it.
+    ``tol`` and the resolved lattice flag (``"auto"`` becomes True or False),
+    and a later call with the same key returns it.
     """
     if w.n != t.n:
         raise ArityMismatch(f"weight arity {w.n} != tuple arity {t.n}")
@@ -622,38 +659,25 @@ def is_W_hypercontraction(
     lattice = lattice_e_points is True or (lattice_e_points == "auto" and gamma is not None)
     if lattice and gamma is None:
         raise ValueError("lattice points require integer binomial-type weights")
-    key = (w, grid, float(tol), None if degrees is None else _normalize_degrees(degrees, t.n),
-           lattice)
+    key = (w, grid, float(tol), lattice)
     held = t._reports.get(key)
     if held is not None:
         return held
     certs: list[Witness] = []
-    failure = None
     for mask, member in w.swap_family():
-        degs = _resolve_degrees(t, member, degrees)
         for point in grid:
-            value = defect_series(t, member, point, degs)
-            min_eig = psd_check(value, tol).min_eigenvalue
-            wit = Witness(mask, "grid", point, min_eig)
-            certs.append(wit)
-            if min_eig < -tol:
-                failure = failure or wit
-        lim = defect_limit(t, member, tol, degs)
+            value = defect_series(t, member, point)
+            certs.append(Witness(mask, "grid", point, psd_check(value, tol).min_eigenvalue))
+        lim = defect_limit(t, member, tol)
         if lim.converged:
             min_eig = psd_check(lim.limit, tol).min_eigenvalue
-            wit = Witness(mask, "limit", (1.0,) * t.n, min_eig)
-            certs.append(wit)
-            if min_eig < -tol:
-                failure = failure or wit
+            certs.append(Witness(mask, "limit", (1.0,) * t.n, min_eig))
     if lattice:
         eye = np.eye(t.dim, dtype=complex)
         for beta in itertools.product(*(range(g + 1) for g in gamma)):
-            value = delta_power(t, beta, eye)
-            min_eig = psd_check(value, tol).min_eigenvalue
-            wit = Witness((1 << t.n) - 1, "lattice", beta, min_eig)
-            certs.append(wit)
-            if min_eig < -tol:
-                failure = failure or wit
+            min_eig = psd_check(delta_power(t, beta, eye), tol).min_eigenvalue
+            certs.append(Witness((1 << t.n) - 1, "lattice", beta, min_eig))
+    failure = next((wit for wit in certs if wit.min_eig < -tol), None)
     report = t._reports[key] = WHyperReport(failure is None, tuple(certs), failure)
     return report
 
@@ -668,15 +692,12 @@ def delta_power(
     x,
     tol: float = POSITIVITY_TOL,
 ) -> np.ndarray:
-    """Apply ``prod_i (I - C_{T_i})^{beta_i}`` to a Hermitian ``X``.
+    """Apply ``prod_i (I - C_{T_i})^{beta_i}`` to a Hermitian ``X``, ``C_A(X) = A X A*``.
 
-    ``C_A(X) = A X A*``.  Integer exponents are applied exactly; a fractional
-    remainder ``d`` uses the nonnegative-coefficient expansion
-    ``(1-x)^d = 1 - sum b_k x^k``, the coefficients of ``(1 - z)^d`` with
-    ``b_k = -c_k``, truncated at ``FRACTIONAL_TERMS`` (the dropped mass
-    ``sum_{k > FRACTIONAL_TERMS} b_k = |sum_{k <= FRACTIONAL_TERMS} c_k|`` is
-    reported via :class:`SeriesTailTooLarge`).
-    The fractional sum and its tail power read the tuple's power stacks.
+    These are the factored levels of :func:`defect_series` at ``r = 1``, so
+    for preset weights ``delta_power(t, gamma, I)`` is ``defect_series(t, w,
+    1)`` bit for bit.  When ``||X||`` times the tail estimate of the
+    fractional factors reaches ``tol``, :class:`SeriesTailTooLarge` names it.
     """
     beta = tuple(float(b) for b in beta)
     if len(beta) != t.n:
@@ -684,27 +705,11 @@ def delta_power(
     if any(b < 0 for b in beta):
         raise ValueError("exponents must be nonnegative")
     mat = np.asarray(x, dtype=complex)
-    for i, b in enumerate(beta):
-        whole = int(math.floor(b + EXPONENT_SNAP))
-        frac = b - whole
-        if frac < EXPONENT_SNAP:
-            frac = 0.0
-        ti = t[i].mat
-        for _ in range(whole):
-            mat = mat - ti @ mat @ ti.conj().T
-        if frac:
-            coeffs = _one_minus_z_power(frac, FRACTIONAL_TERMS + 1)
-            new = _hereditary_sum(coeffs, t._stacks[i], mat)
-            pk = t.power_stack(i, FRACTIONAL_TERMS + 1)[FRACTIONAL_TERMS]
-            last = pk @ mat @ pk.conj().T
-            # the dropped b_k sum to (1 - 1)^frac minus the kept coefficients
-            est = abs(float(np.sum(coeffs))) * hermitian_norm(last)
-            if est > tol:
-                warnings.warn(
-                    f"fractional-power tail estimate {est:.3e} exceeds {tol:.1e}",
-                    SeriesTailTooLarge,
-                )
-            mat = new
+    floor = _tail_estimate(t, beta)
+    if floor and floor * hermitian_norm(mat) >= tol:
+        _warn_floor(floor * hermitian_norm(mat), tol)
+    for i in reversed(range(t.n)):
+        mat = _level(t, i, beta[i], 1.0, mat)
     return 0.5 * (mat + mat.conj().T)
 
 
@@ -733,10 +738,8 @@ def is_gamma_contractive(
         raise ValueError("gamma must be at least 1 in every coordinate")
     axes = []
     for g in gamma:
-        vals = [float(k) for k in range(int(math.floor(g + EXPONENT_SNAP)) + 1)]
-        if not float(g).is_integer():
-            vals.append(g)
-        axes.append(vals)
+        whole, frac = _split(g)
+        axes.append([float(k) for k in range(whole + 1)] + ([g] if frac else []))
     eye = np.eye(t.dim, dtype=complex)
     witnesses = []
     verdict = True

@@ -157,12 +157,6 @@ class WeightSpec:
         """Coefficients of the reciprocal ``1/k`` of the associated series."""
         return _inverse_coeffs_cached(self, n).copy()
 
-    def inverse_support(self, n: int) -> int:
-        """Length after trimming the exact trailing zeros of ``inverse_coeffs``."""
-        c = _inverse_coeffs_cached(self, n)
-        nz = np.nonzero(c)[0]
-        return int(nz[-1]) + 1 if nz.size else 1
-
 
 def weight_values(spec: WeightSpec, n: int) -> np.ndarray:
     """Generate ``w_0 .. w_{n-1}`` for a weight spec.
@@ -206,8 +200,10 @@ def _inverse_weights_cached(spec: WeightSpec, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
 def _one_minus_z_power(p: float, n: int) -> np.ndarray:
-    """First ``n`` coefficients of ``(1 - z)^p``: ``c_0 = 1``, ``c_k = c_{k-1} (k - 1 - p) / k``.
+    """Read-only first ``n`` coefficients of ``(1 - z)^p``, built once:
+    ``c_0 = 1``, ``c_k = c_{k-1} (k - 1 - p) / k``.
 
     For integer ``p <= 50`` every intermediate is an integer below ``2^53``,
     so the alternating binomials come out exactly, and the factor
@@ -217,15 +213,15 @@ def _one_minus_z_power(p: float, n: int) -> np.ndarray:
     out[0] = 1.0
     for k in range(1, n):
         out[k] = out[k - 1] * (k - 1 - p) / k
+    out.setflags(write=False)
     return out
 
 
 @lru_cache(maxsize=None)
 def _inverse_coeffs_cached(spec: WeightSpec, n: int) -> np.ndarray:
-    if spec.exponent is None:
-        out = invert_series(TruncatedSeries(_inverse_weights_cached(spec, n))).coeffs
-    else:
-        out = _one_minus_z_power(spec.exponent, n)
+    if spec.exponent is not None:
+        return _one_minus_z_power(spec.exponent, n)
+    out = invert_series(TruncatedSeries(_inverse_weights_cached(spec, n))).coeffs
     out.setflags(write=False)
     return out
 

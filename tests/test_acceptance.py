@@ -125,7 +125,7 @@ def test_criterion_3_multishift_classification():
     # independent diagonal oracle straight from the quotient coefficients
     worst = ms.max_diagonal_residual
     for r in (0.4, 0.95):
-        ds = defect_series(shifts, w, (r, r), degrees=(6, 6))
+        ds = defect_series(shifts, w, (r, r))
         quot = [quotient_coeffs(w[i], 1.0, r, 6) for i in range(2)]
         for idx, alpha in enumerate(space.indices):
             expected = space.monomial_weight(alpha) * quot[0][alpha[0]] * quot[1][alpha[1]]

@@ -1,6 +1,8 @@
 """Command-line front end: parsing, exit codes, determinism."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from wberg.cli import main
 from wberg.config import build_tuple, parse_case, report_json
 from wberg.corpus import corpus_cases
-from wberg.errors import ConfigError
+from wberg.errors import ConfigError, SeriesTailTooLarge
 from wberg.series import MultiWeightSpec
 
 
@@ -341,6 +343,21 @@ def test_check_near_the_circle_with_fractional_beta_passes(capsys):
                            "--tuple", "scalars:[0.999]")
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+def test_check_near_the_circle_warns_its_vertex_floor(capsys):
+    # at |t| = 0.999 the fractional factor of bergman:2.5 is cut at
+    # DEGREE_CAP: the reported vertex defect comes with a warning that names
+    # its floor, and the floor bounds the error against (1 - |t|^2)^2.5
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, "check", "--weights", "bergman:2.5",
+                               "--tuple", "scalars:[0.999]")
+    floors = [str(w.message) for w in seen if issubclass(w.category, SeriesTailTooLarge)]
+    assert code == 0 and floors
+    floor = float(re.search(r"accuracy floor (\S+) exceeds", floors[0]).group(1))
+    got = json.loads(out)["steps"]["check"]["defect_vertex_min_eig"]
+    assert abs(got - (1.0 - 0.999**2) ** 2.5) <= floor
 
 
 def test_check_classification_report_carries_matrices(capsys):

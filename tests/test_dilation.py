@@ -190,9 +190,9 @@ def test_pure_dilation_multishift_is_its_own_model():
 
 
 def test_pure_dilation_scans_each_entry_once(monkeypatch):
-    # the classification scans each entry of t; the horizons and stage 0,
-    # the sub-tuple of T_1, read that scan, and the one lifted stage
-    # operator is scanned once when it is wrapped
+    # the horizons scan each entry of t once; integer weights are classified
+    # by exact differences, which scan nothing, so neither stage 0, the
+    # sub-tuple of T_1, nor the one lifted stage operator is scanned again
     import wberg.hyper as hyper
 
     w = MultiWeightSpec.parse("bergman:2,bergman:2")
@@ -204,13 +204,13 @@ def test_pure_dilation_scans_each_entry_once(monkeypatch):
     res = pure_dilation(shifts, w)
     assert res.residuals["isometry"] < 1e-9
     assert [sum(mat is op.mat for mat in scanned) for op in shifts] == [1, 1]
-    assert len(scanned) == shifts.n + 1
+    assert len(scanned) == shifts.n
 
 
 def test_commutant_lift_scans_each_entry_once(monkeypatch):
-    # the classification scans each entry of t; the base dilation runs on
-    # the sub-tuple of T_1 and reads that scan (the lifted tuples it
-    # classifies are new operators)
+    # integer weights are classified by exact differences, which scan
+    # nothing; the base dilation's horizon scans T_1 once, and no step
+    # scans T_2
     import wberg.hyper as hyper
 
     t = nilpotent_commuting_tuple(3, 6, 2, radius=0.4)
@@ -221,7 +221,7 @@ def test_commutant_lift_scans_each_entry_once(monkeypatch):
                         lambda mat, cap: scanned.append(mat) or original(mat, cap))
     lift = commutant_lift(t, w)
     assert lift.base.residuals["isometry"] < 1e-9
-    assert [sum(np.array_equal(mat, op.mat) for mat in scanned) for op in t] == [1, 1]
+    assert [sum(np.array_equal(mat, op.mat) for mat in scanned) for op in t] == [1, 0]
 
 
 def test_pure_dilation_nilpotent_pair_compression_recovery():
@@ -591,14 +591,18 @@ def test_dilations_form_no_dense_model_operator(monkeypatch):
 def test_pure_dilation_past_the_dense_cliff_stays_small():
     # horizons (458, 243) give a model of dimension 111 294, whose dense
     # shifts would need 185 GiB each; the map is 111 294 x 1 (1.8 MB)
+    # its stage defects converge: no accuracy floor is reported
     t = scalar_tuple([0.95, 0.9])
     w = MultiWeightSpec.parse("bergman:1.5,bergman:2.5")
     tracemalloc.start()
     try:
-        res = pure_dilation(t, w)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            res = pure_dilation(t, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert not [w for w in seen if issubclass(w.category, SeriesTailTooLarge)]
     assert res.map.rows == 458 * 243
     for key, value in res.residuals.items():
         assert value <= PURE_DILATION_BUDGETS[key.split("_")[0]], key

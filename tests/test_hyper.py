@@ -1,5 +1,6 @@
 """Defect operators, tails, and the positivity classifications."""
 
+import decimal
 import itertools
 import math
 
@@ -17,13 +18,14 @@ from wberg.generators import (
 )
 from wberg.hyper import (
     DEGREE_CAP,
-    FIRST_CUT,
     OperatorTuple,
-    FRACTIONAL_TERMS,
     _abs_mass,
+    _effective_degree,
+    _levels,
     _nilpotency_order,
     _power_stack,
-    _resolve_degrees,
+    _row,
+    _split,
     two_parameter_monotonicity_check,
     conjugation_limit,
     defect_limit,
@@ -118,51 +120,63 @@ def test_defect_series_arity_mismatch():
         defect_series(t, MultiWeightSpec.parse("hardy,hardy"), (0.5, 0.5))
 
 
-def test_defect_series_rejects_bad_cutoffs():
-    t = scalar_tuple([0.5, 0.5])
-    w = MultiWeightSpec.parse("hardy,hardy")
-    with pytest.raises(ValueError):
-        defect_series(t, w, (0.5, 0.5), 0)
-    with pytest.raises(ArityMismatch):
-        defect_series(t, w, (0.5, 0.5), (4,))
-
-
 # ---------------------------------------------------------------------------
 # shared power and Gram stacks
 # ---------------------------------------------------------------------------
 
 EXPLICIT = WeightSpec.from_values([1.0, 0.5, 0.25, 0.125, 0.0625])
+EPS = np.finfo(float).eps
 
 
-def _reference_degrees(t, w):
-    """Cutoffs from fresh scans: support, else nilpotency, then numerical
-    support, the first doubling ``m`` from 8 below that whose remainder
-    ``||T^m||^2 sum_{m <= k < deg} |c_k|`` is at most ``eps / 2 * |c_0|``
-    (the power taken no deeper than ``max(dim, 64)``)."""
-    degs = []
-    for i in range(t.n):
-        cap = min(DEGREE_CAP, w[i].max_terms or DEGREE_CAP)
-        nil = _nilpotency_order(t[i].mat, min(cap, t.dim))
-        support = w[i].inverse_support(cap)
-        deg = max(1, min(support if nil is None else min(support, nil), cap))
-        c = np.abs(w[i].inverse_coeffs(deg))
-        m = 8
-        while m < deg:
-            power = np.linalg.matrix_power(t[i].mat, min(m, max(t.dim, 64)))
-            if np.linalg.norm(power, 2) ** 2 * np.sum(c[m:]) <= np.finfo(float).eps / 2 * c[0]:
-                deg = m
-                break
-            m *= 2
-        degs.append(deg)
-    return degs
+def _reference_cut(t, i, c):
+    """Cut of the row ``c`` from fresh scans: support, else nilpotency, then
+    numerical support, the first doubling ``m`` from 8 below that whose
+    remainder ``||T^m||^2 sum_{m <= k < deg} |c_k|`` is at most ``eps / 2 * |c_0|``."""
+    nz = np.flatnonzero(c)
+    deg = int(nz[-1]) + 1 if nz.size else 1
+    nil = _nilpotency_order(t[i].mat, min(len(c), t.dim))
+    deg = deg if nil is None else min(deg, nil)
+    a = np.abs(c[:deg])
+    m = 8
+    while m < deg:
+        power = np.linalg.matrix_power(t[i].mat, m)
+        if np.linalg.norm(power, 2) ** 2 * np.sum(a[m:]) <= np.finfo(float).eps / 2 * a[0]:
+            return m
+        m *= 2
+    return deg
 
 
-def _reference_defect_series(t, w, point, degs):
-    """Nest the public one-shot ``hereditary_apply`` from ``X = I``."""
+def _expanded_reference(t, w, point):
+    """Nest the public one-shot ``hereditary_apply`` from ``X = I`` over the
+    expanded rows ``1/k``, each cut at its reference cut, and return it with
+    the a-priori rounding bound of that route: per level, ``(cut + 2 dim) eps``
+    times the product over all levels of ``sum_k |c_k| r^k ||T^k||^2``."""
     x = np.eye(t.dim, dtype=complex)
+    masses, rounding = [], 0.0
     for i in reversed(range(t.n)):
-        coeffs = w[i].inverse_coeffs(degs[i]) * point[i] ** np.arange(degs[i])
+        row = w[i].inverse_coeffs(min(DEGREE_CAP, w[i].max_terms or DEGREE_CAP))
+        cut = _reference_cut(t, i, row)
+        coeffs = row[:cut] * point[i] ** np.arange(cut)
         x = hereditary_apply(coeffs, t[i], x)
+        norms = [np.linalg.norm(np.linalg.matrix_power(t[i].mat, k), 2) ** 2 for k in range(cut)]
+        masses.append(float(np.sum(np.abs(coeffs) * norms)))
+        rounding += (cut + 2 * t.dim) * EPS
+    return 0.5 * (x + x.conj().T), rounding * math.prod(masses)
+
+
+def _factored_reference(t, w, point, full=False):
+    """The levels of ``defect_series`` from ``hereditary_apply`` and explicit
+    differences ``X - r T X T*``, each expanded row cut at its effective
+    degree, or summed up to ``DEGREE_CAP`` with ``full``."""
+    x = np.eye(t.dim, dtype=complex)
+    for i, level in reversed(list(enumerate(_levels(w)))):
+        row = _row(level)
+        if row is not None:
+            m = len(row) if full else _effective_degree(t, i, row)
+            x = hereditary_apply(row[:m] * point[i] ** np.arange(m), t[i], x)
+        if not isinstance(level, WeightSpec):
+            for _ in range(_split(level)[0]):
+                x = x - point[i] * (t[i].mat @ x @ t[i].mat.conj().T)
     return 0.5 * (x + x.conj().T)
 
 
@@ -179,13 +193,20 @@ def test_defect_series_equals_hereditary_nesting(n, spec, kind):
     # one tuple serves every member, point and the vertex, so the later
     # sums read stacks that earlier sums grew
     for _, member in w.swap_family():
-        degs = _reference_degrees(t, member)
-        for point in [(0.5,) * n, (0.9,) * n, tuple(0.3 + 0.2 * i for i in range(n))]:
+        explicit = all(s.exponent is None for s in member)
+        for point in [(0.5,) * n, (0.9,) * n, tuple(0.3 + 0.2 * i for i in range(n)),
+                      (1.0,) * n]:
             got = defect_series(t, member, point)
-            assert np.array_equal(got, _reference_defect_series(t, member, point, degs))
-        vertex = _reference_defect_series(t, member, (1.0,) * n, degs)
+            expanded, bound = _expanded_reference(t, member, point)
+            if explicit:  # explicit lists sum the expanded route itself
+                assert np.array_equal(got, expanded)
+            else:  # presets agree with it within its cancellation bound
+                assert np.linalg.norm(got - expanded, 2) <= bound
+        vertex = defect_series(t, member, (1.0,) * n)
         assert np.array_equal(defect_limit(t, member).limit, vertex)
-        assert np.array_equal(defect_series(t, member, (1.0,) * n), vertex)
+        if all(s.exponent is not None for s in member):
+            exponents = [s.exponent for s in member]
+            assert np.array_equal(delta_power(t, exponents, np.eye(t.dim)), vertex)
 
 
 def test_stacks_are_prefix_stable():
@@ -235,10 +256,15 @@ def test_nilpotency_order_is_scanned_once_per_variable(monkeypatch):
     monkeypatch.setattr(hyper, "_nilpotency_order",
                         lambda op, cap: calls.append(cap) or original(op, cap))
     t = random_commuting_contractions(65, 6, 2, radius=0.5)
+    # integer exponents are exact differences and cut nothing
     is_W_hypercontraction(t, MultiWeightSpec.parse("bergman:2,hardy"))
+    assert calls == []
+    w = MultiWeightSpec.parse("bergman:2.5,bergman:1.5")
+    is_W_hypercontraction(t, w)
     assert calls == [t.dim, t.dim]
-    # the scan keeps no powers: only the sums, of at most 3 terms, grew the stacks
-    assert [len(t.power_stack(i, 1).base) for i in range(t.n)] == [3, 2]
+    # the scan keeps no powers: only the fractional sums grew the stacks, to their cuts
+    cuts = [_effective_degree(t, i, _row(level)) for i, level in enumerate(_levels(w))]
+    assert [len(t.power_stack(i, 1).base) for i in range(t.n)] == cuts
 
 
 def test_tail_estimate_takes_each_power_norm_once(monkeypatch):
@@ -255,9 +281,9 @@ def test_tail_estimate_takes_each_power_norm_once(monkeypatch):
     assert defect_limit(t, w).tail_estimate == fresh
     keys = [(next(i for i in range(t.n) if mat is t[i].mat), k) for mat, k in calls]
     # one exponent per cutoff tried: the numerical-support search of each
-    # non-integer beta reads T^8, T^16, ... up to its cut (32 and 16 here),
-    # which the tail estimate then reads again from the cache; the two-term
-    # swapped weights drop no mass and take no norm
+    # fractional factor reads T^8, T^16, ... up to its cut (32 and 16 here),
+    # which the tail estimate then reads again from the cache; the swapped
+    # Hardy levels are exact differences and take no norm
     assert sorted(keys) == [(0, 8), (0, 16), (0, 32), (1, 8), (1, 16)]
 
 
@@ -265,13 +291,8 @@ def test_tail_estimate_takes_each_power_norm_once(monkeypatch):
 # numerical-support cutoffs
 # ---------------------------------------------------------------------------
 
-EPS = np.finfo(float).eps
 # a decreasing explicit list whose reciprocal coefficients never vanish
 LONG_EXPLICIT = WeightSpec.from_values([(k + 1.0) ** -1.5 for k in range(48)])
-
-
-def _full_degree(spec):
-    return min(DEGREE_CAP, spec.max_terms or DEGREE_CAP)
 
 
 @pytest.mark.parametrize("spec", [WeightSpec.bergman(1.5), WeightSpec.bergman(2.5),
@@ -279,28 +300,33 @@ def _full_degree(spec):
                          ids=["bergman1.5", "bergman2.5", "bergman3.7", "explicit"])
 @pytest.mark.parametrize("radius", [0.3, 0.8, 0.95])
 def test_numerical_support_remainder_is_certified(radius, spec):
+    # a preset's expanded row is its fractional factor, followed by `whole`
+    # differences of norm at most 2; an explicit list's is its reciprocal
     t = random_commuting_contractions(70, 4, 2, radius=radius)
     w = MultiWeightSpec((spec, spec))
-    full = _full_degree(spec)
-    degs = _resolve_degrees(t, w, None)
-    c = np.abs(spec.inverse_coeffs(full))
-    norms = [np.linalg.norm(np.linalg.matrix_power(t[i].mat, min(degs[i], 64)), 2) ** 2
+    level = _levels(w)[0]
+    row = _row(level)
+    whole = 0 if spec.exponent is None else _split(level)[0]
+    full = len(row)
+    cuts = [_effective_degree(t, i, row) for i in range(t.n)]
+    c = np.abs(row)
+    norms = [np.linalg.norm(np.linalg.matrix_power(t[i].mat, cuts[i]), 2) ** 2
              for i in range(t.n)]
     for i in range(t.n):
-        if degs[i] < full:  # the certificate of the cut: below rounding per unit of X
-            assert norms[i] * np.sum(c[degs[i]:]) <= EPS / 2 * c[0]
+        if cuts[i] < full:  # the certificate of the cut: below rounding per unit of X
+            assert norms[i] * np.sum(c[cuts[i]:]) <= EPS / 2 * c[0]
     if radius == 0.3:
-        assert max(degs) < 32
+        assert max(cuts) < 32
     for r in (0.5, 0.9, 1.0):
         weighted = c * r ** np.arange(full)
-        sums = [np.sum(weighted)] * t.n
-        tails = [norms[i] * np.sum(weighted[degs[i]:]) for i in range(t.n)]
-        # the nested sums differ by sum_i tail_i prod_{j != i} sum_j; each side
-        # carries the a-priori rounding of products of up to 2 * full factors
-        # and a sum of full terms per level, relative to prod_j sum_j
+        sums = [2.0**whole * np.sum(weighted)] * t.n
+        tails = [2.0**whole * norms[i] * np.sum(weighted[cuts[i]:]) for i in range(t.n)]
+        # the nested levels differ by sum_i tail_i prod_{j != i} sum_j; each
+        # side carries the a-priori rounding of products of up to 2 * full
+        # factors and a sum of full terms per level, relative to prod_j sum_j
         remainder = tails[0] * sums[1] + sums[0] * tails[1]
         rounding = 2 * (2 * full + t.dim) * t.n * t.dim * EPS * np.prod(sums)
-        gap = defect_series(t, w, (r, r)) - defect_series(t, w, (r, r), full)
+        gap = defect_series(t, w, (r, r)) - _factored_reference(t, w, (r, r), full=True)
         assert np.linalg.norm(gap, 2) <= remainder + rounding
 
 
@@ -309,9 +335,9 @@ def test_numerical_support_remainder_is_certified(radius, spec):
 def test_scalar_vertex_defect_at_numerical_support(modulus, beta):
     t = scalar_tuple([modulus * np.exp(0.7j)])
     w = MultiWeightSpec.parse(f"bergman:{beta}")
-    assert _resolve_degrees(t, w, None)[0] < DEGREE_CAP
+    assert _effective_degree(t, 0, _row(beta)) < DEGREE_CAP
     vertex = defect_series(t, w, (1.0,))
-    assert np.array_equal(vertex, defect_series(t, w, (1.0,), DEGREE_CAP))
+    assert np.array_equal(vertex, _factored_reference(t, w, (1.0,), full=True))
     exact = (1.0 - modulus**2) ** beta
     assert abs(vertex[0, 0] - exact) <= 1e-14 * exact
 
@@ -319,37 +345,97 @@ def test_scalar_vertex_defect_at_numerical_support(modulus, beta):
 def test_fractional_check_tuple_cuts_below_the_cap():
     t = random_commuting_contractions(1, 16, 2, radius=0.3)
     w = MultiWeightSpec.parse("bergman:1.5,bergman:2.5")
-    _, full_member = list(w.swap_family())[-1]
-    assert all(d < 64 for d in _resolve_degrees(t, full_member, None))
+    assert all(_effective_degree(t, i, _row(level)) < 64 for i, level in enumerate(_levels(w)))
 
 
 @pytest.mark.parametrize("name", ["nilpotent-pair-bergman", "multishift-2d",
                                   "random-pair-crosscheck"])
 def test_support_and_nilpotent_cutoffs_take_no_search(monkeypatch, name):
-    # integer beta, Hardy and nilpotent cutoffs stay at most FIRST_CUT terms,
-    # so they resolve their support and nilpotency degrees without a power norm
+    # integer beta and Hardy are exact finite differences: classifying at
+    # them scans no nilpotency order, takes no power norm and drops nothing
+    import wberg.hyper as hyper
     from wberg.config import parse_case
     from wberg.corpus import corpus_cases
 
     data = next(c for c in corpus_cases() if c["name"] == name)
     case = parse_case(data, name=name)
+    assert case.weights.integer_betas() is not None
     t = case.build_tuple(None)
-    expected = []
-    for _, member in case.weights.swap_family():
-        degs = []
-        for i in range(t.n):
-            nil = _nilpotency_order(t[i].mat, t.dim)
-            support = member[i].inverse_support(DEGREE_CAP)
-            degs.append(support if nil is None else min(support, nil))
-        expected.append(tuple(degs))
-    assert max(max(d) for d in expected) <= FIRST_CUT
     calls = []
-    original = np.linalg.matrix_power
+    original_power, original_scan = np.linalg.matrix_power, hyper._nilpotency_order
     monkeypatch.setattr(np.linalg, "matrix_power",
-                        lambda mat, k: calls.append(k) or original(mat, k))
-    got = [_resolve_degrees(t, member, None) for _, member in case.weights.swap_family()]
-    assert got == expected
+                        lambda mat, k: calls.append(k) or original_power(mat, k))
+    monkeypatch.setattr(hyper, "_nilpotency_order",
+                        lambda mat, cap: calls.append(cap) or original_scan(mat, cap))
+    is_W_hypercontraction(t, case.weights)
+    for _, member in case.weights.swap_family():
+        res = defect_limit(t, member)
+        assert res.converged and res.tail_estimate == 0.0
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# closed forms of scalar defects
+# ---------------------------------------------------------------------------
+
+def _scalar_defect(values, betas, point):
+    """``prod_i (1 - r_i |t_i|^2)^beta_i`` in 50-digit decimal, from the binary values."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        out = decimal.Decimal(1)
+        for v, beta, r in zip(values, betas, point):
+            modulus2 = decimal.Decimal(v.real) ** 2 + decimal.Decimal(v.imag) ** 2
+            out *= (decimal.Decimal(beta) * (1 - decimal.Decimal(r) * modulus2).ln()).exp()
+        return out
+
+
+def _relative_error(got, exact):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return float(abs(decimal.Decimal(float(got)) - exact) / exact)
+
+
+@pytest.mark.parametrize("beta", [1, 1.5, 2, 2.5, 3.7, 4.5])
+@pytest.mark.parametrize("modulus", [0.3, 0.5, 0.9, 0.95])
+def test_scalar_defect_matches_its_closed_form(modulus, beta):
+    # the factored levels cancel no more than the defect itself; the expanded
+    # sum erred by up to 1.2e-10 here (beta 4.5 at 0.95)
+    t = scalar_tuple([modulus * np.exp(0.7j)])
+    w = MultiWeightSpec.parse(f"bergman:{beta}")
+    value = t[0].mat[0, 0]
+    for r in (0.5, 0.75, 0.875, 1.0):
+        got = defect_series(t, w, (r,))[0, 0]
+        assert got.imag == 0.0
+        assert _relative_error(got.real, _scalar_defect([value], [beta], [r])) <= 1e-12
+    lim = defect_limit(t, w)
+    assert lim.converged
+    assert _relative_error(lim.limit[0, 0].real, _scalar_defect([value], [beta], [1.0])) <= 1e-12
+
+
+@pytest.mark.parametrize("moduli", [(0.5, 0.9), (0.95, 0.3), (0.9, 0.95)])
+def test_scalar_pair_defect_matches_its_closed_form(moduli):
+    t = scalar_tuple([moduli[0] * np.exp(0.7j), moduli[1] * np.exp(-0.4j)])
+    w = MultiWeightSpec.parse("bergman:1.5,bergman:3.7")
+    values = [t[i].mat[0, 0] for i in range(t.n)]
+    for point in [(0.5, 0.5), (0.75, 0.875), (0.875, 0.5), (1.0, 1.0)]:
+        got = defect_series(t, w, point)[0, 0].real
+        assert _relative_error(got, _scalar_defect(values, [1.5, 3.7], point)) <= 1e-12
+    lim = defect_limit(t, w)
+    assert lim.converged
+    assert _relative_error(lim.limit[0, 0].real,
+                           _scalar_defect(values, [1.5, 3.7], (1.0, 1.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.5, 3.7, 4.5])
+@pytest.mark.parametrize("modulus", [0.99, 0.999])
+def test_scalar_defect_near_the_circle_reports_its_floor(modulus, beta):
+    # the fractional factor needs more than DEGREE_CAP terms here: the limit
+    # says it has not converged, and its floor bounds the actual error
+    t = scalar_tuple([modulus * np.exp(0.7j)])
+    lim = defect_limit(t, MultiWeightSpec.parse(f"bergman:{beta}"))
+    assert not lim.converged
+    exact = _scalar_defect([t[0].mat[0, 0]], [beta], [1.0])
+    assert abs(lim.limit[0, 0].real - float(exact)) <= lim.tail_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +711,13 @@ def test_delta_power_fractional_coefficients_are_the_closed_form(monkeypatch):
     delta_power(scalar_tuple([0.7]), (2.3,), np.eye(1))
     (coeffs,) = seen
     frac = 2.3 - 2
-    assert np.array_equal(coeffs, _one_minus_z_power(frac, FRACTIONAL_TERMS + 1))
+    # summed up to the numerical support of 0.7^2k: 64 terms
+    assert len(coeffs) == 64
+    assert np.array_equal(coeffs, _one_minus_z_power(frac, 64))
     # the nonnegative expansion 1 - sum b_k x^k, b_1 = d, b_(k+1) = b_k (k - d) / (k + 1)
-    bk = np.empty(FRACTIONAL_TERMS + 1)
+    bk = np.empty(64)
     bk[0], bk[1] = 0.0, frac
-    for k in range(1, FRACTIONAL_TERMS):
+    for k in range(1, 63):
         bk[k + 1] = bk[k] * (k - frac) / (k + 1.0)
     assert np.array_equal(coeffs[1:], -bk[1:]) and coeffs[0] == 1.0
 
@@ -637,21 +725,27 @@ def test_delta_power_fractional_coefficients_are_the_closed_form(monkeypatch):
 @pytest.mark.parametrize("beta", [2.5, 3.7, 4.5])
 @pytest.mark.parametrize("m", [1, 3, 8, 16, 64, 256])
 def test_abs_mass_is_the_exact_tail(beta, m):
-    # reference: the direct sum of |c_k| over 200 000 terms, whose own rest
-    # is below 2e-13 for beta >= 2.5
-    spec = WeightSpec.bergman(beta)
-    c = np.abs(spec.inverse_coeffs(200_000))
-    tail, total = _abs_mass(spec, m)
-    assert tail == pytest.approx(float(np.sum(c[m:])), rel=1e-9, abs=1e-12)
-    assert total == pytest.approx(float(np.sum(c)), rel=1e-12)
+    # the fractional factor of (1 - z)^beta drops sum_{k >= m} b_k =
+    # sum_{k < m} c_k(f), the coefficient of z^(m-1) in (1 - z)^(f-1), which
+    # is prod_{0 < j < m} (1 - f / j); reference in 50-digit decimal
+    whole, frac = _split(beta)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        f = decimal.Decimal(frac)
+        exact = math.prod((1 - f / j for j in range(1, m)), start=decimal.Decimal(1))
+    tail, bound = _abs_mass(beta, m)
+    assert tail == pytest.approx(2.0**whole * float(exact), rel=1e-12)
+    assert bound == 2.0 ** (whole + 1)
 
 
 @pytest.mark.parametrize("text", ["hardy", "bergman:2", "bergman:3"])
 def test_abs_mass_of_integer_presets_ends_with_the_support(text):
+    # integer exponents are exact differences: nothing is dropped at any cut,
+    # and p differences of norm at most 2 bound the level by 2^p
     spec = WeightSpec.parse(text)
-    support = spec.inverse_support(DEGREE_CAP)
-    assert _abs_mass(spec, support) == (0.0, 2.0 ** (support - 1))
-    assert _abs_mass(spec, 1)[0] == 2.0 ** (support - 1) - 1
+    support = np.flatnonzero(spec.inverse_coeffs(DEGREE_CAP))[-1] + 1
+    for m in (0, 1, support):
+        assert _abs_mass(spec.exponent, m) == (0.0, 2.0 ** (support - 1))
 
 
 def test_delta_power_fractional_exact_on_nilpotents():
@@ -842,18 +936,18 @@ def test_explicit_weight_list_flows_through_classification():
 def test_defect_operator_warns_on_unconverged_grid():
     import warnings as _warnings
 
-    from wberg.errors import NotPsd, SeriesTailTooLarge
+    from wberg.errors import SeriesTailTooLarge
 
     t = commuting_unitaries(3, 3, 1)
     w = MultiWeightSpec.of(WeightSpec.bergman(1.5))
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         # the tail of a non-integer weight on a unitary is not certified at
-        # the cap: the warning fires first, then the positivity check rejects
-        # the truncated vertex value, which sits below zero
-        with pytest.raises(NotPsd):
-            defect_operator(t, w, tol=1e-12)
+        # the cap, so the warning fires; the exact defect is 0, and the
+        # difference after the truncated fractional factor cancels it to rounding
+        root = defect_operator(t, w, tol=1e-12)
     assert any(issubclass(c.category, SeriesTailTooLarge) for c in caught)
+    assert np.linalg.norm(root @ root, 2) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -899,13 +993,12 @@ def test_held_report_key():
         is_W_hypercontraction(t, w, tol=1e-9),
         is_W_hypercontraction(t, w, r_grid=[0.5, 0.9]),
         is_W_hypercontraction(t, MultiWeightSpec.parse("bergman:2,hardy")),
-        is_W_hypercontraction(t, w, degrees=6),
         is_W_hypercontraction(t, w, lattice_e_points=False),
     ]
     assert all(rep is not base for rep in fresh)
     assert len({id(rep) for rep in fresh}) == len(fresh)
-    assert len(fresh[4].certificates) < len(base.certificates)
-    assert is_W_hypercontraction(t, w, degrees=(6, 6)) is fresh[3]
+    assert len(fresh[3].certificates) < len(base.certificates)
+    assert is_W_hypercontraction(t, w, r_grid=[(0.5, 0.5), (0.9, 0.9)]) is fresh[1]
 
 
 def test_held_report_auto_lattice_resolves_for_fractional_weights():
@@ -931,9 +1024,9 @@ def test_held_reports_equal_fresh_classifications():
     held_case.build_tuple = lambda base_dir=None: t
     _, report = run_case(held_case)
     assert len(t._reports) == 1
-    for (w, grid, tol, degrees, lattice), held in t._reports.items():
+    for (w, grid, tol, lattice), held in t._reports.items():
         again = is_W_hypercontraction(case.build_tuple(None), w, r_grid=grid, tol=tol,
-                                      degrees=degrees, lattice_e_points=lattice)
+                                      lattice_e_points=lattice)
         assert again == held and again is not held
     steps = {}
     for step in case.run:

@@ -207,7 +207,7 @@ def test_inverse_coeffs_integer_presets_are_alternating_binomials(text, m):
         expected[j] = (-1) ** j * math.comb(m, j)
     got = WeightSpec.parse(text).inverse_coeffs(DEGREE_CAP)
     assert np.array_equal(got, expected)
-    assert WeightSpec.parse(text).inverse_support(DEGREE_CAP) == m + 1
+    assert np.flatnonzero(got)[-1] + 1 == m + 1
 
 
 def test_explicit_inverse_coeffs_against_exact_division():

@@ -39,6 +39,24 @@ def test_each_tolerance_is_assigned_in_one_module():
     assert not duplicated, f"tolerances assigned in more than one module: {duplicated}"
 
 
+def test_every_module_constant_is_read():
+    # a module-level UPPER_CASE constant that no expression of the package
+    # reads has outlived the code it configured
+    assigned, read = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name in _module_level_names(tree):
+            if re.fullmatch(r"[A-Z][A-Z0-9_]*", name):
+                assigned[name] = path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = sorted(f"{module}.{name}" for name, module in assigned.items() if name not in read)
+    assert not unread, f"module constants that nothing reads: {unread}"
+
+
 def _module_assignment_lines(tree: ast.Module) -> set[int]:
     lines = set()
     for node in tree.body:
@@ -129,7 +147,6 @@ UNSET_PARAMETERS_ALLOWED = {
     "cli.main(argv)": "the console script calls main() and tests pass an argv",
     "dilation.one_var_dilation(n_terms)": "tests fix the truncation of one-variable models",
     "hyper.defect_operator(tol)": "tests ask for an accuracy floor the limit cannot meet",
-    "hyper.is_W_hypercontraction(degrees)": "tests classify at fixed cutoffs",
     "bergman.TruncatedSpace.slot(p)": "tests address coefficient slots past the first",
 }
 
