@@ -23,9 +23,14 @@ Each residual is computed at the size where it lives.  The unitarity of the
 completed block matrix is read off a ``(d + min(e, d))``-square matrix
 (:func:`block_unitarity`), the range orthogonality ``pi* M = 0`` off a
 ``d``-square Gram matrix (:func:`partial_isometry_check`), with ``d`` the
-operator's dimension and ``e`` the completion's.  Only the partial isometry
-``pi pi* + M M* = I`` is taken on the ``e``-sized truncated space: its
-residual has no low-rank structure, being the rounding of its own assembly.
+operator's dimension and ``e`` the completion's.  The transport ``tau``
+between the completions of ``T`` and ``u T u*`` is applied through its
+factors and certified unitary by a proved bound from a ``d``-square Gram
+matrix (:func:`coincidence_verify`); it is formed only when that bound cannot
+decide.  Only the partial isometry ``pi pi* + M M* = I`` is taken on the
+``e``-sized truncated space: its residual has no low-rank structure, being
+the rounding of its own assembly.  Evaluations take a whole point set at
+once: one Vandermonde product per coefficient stack.
 """
 
 from __future__ import annotations
@@ -40,7 +45,13 @@ import numpy as np
 from .dilation import _defect_sqrt_pieces, _one_tuple, _pure_horizon
 from .errors import HorizonTooShort, NotPure, NotUnitaryInput
 from .hyper import OperatorTuple, is_pure
-from .linalg import complete_to_unitary, hermitian_norm, spectral_norm, threshold_norm
+from .linalg import (
+    UNIT_ROUNDOFF,
+    complete_to_unitary,
+    completion_orthogonality,
+    hermitian_norm,
+    threshold_norm,
+)
 from .series import WeightSpec
 
 __all__ = [
@@ -195,7 +206,9 @@ def block_unitarity(cf: CharFunction) -> float:
     Algorithms*, 2nd ed., ch. 19) that says nothing about ``T``.  Write
     ``U* U - I = H + E`` with ``E = diag(0, Y* Y - I)``; by Weyl's
     inequality ``||U* U - I||`` and ``||H||`` differ by at most
-    ``||Y* Y - I||``, so ``||H||`` is returned.  With the thin QR
+    ``||Y* Y - I||``, so ``||H||`` is returned.  The a-priori bound of
+    :func:`linalg.completion_orthogonality` caps the difference; the
+    transport bound of :func:`coincidence_verify` adds it back.  With the thin QR
     ``Y* X = P S`` (``P`` of size ``e x k`` with orthonormal columns, ``S``
     of size ``k x d``, ``k = min(e, d)``),
 
@@ -216,51 +229,95 @@ def block_unitarity(cf: CharFunction) -> float:
     return hermitian_norm(small)
 
 
-def kernel_poly(omega: WeightSpec, z: complex, powers: np.ndarray) -> np.ndarray:
-    """Operator series ``sum_n z^n A^n / w_n`` over a power stack ``[I, A, A^2, ...]``."""
+def _vandermonde(z: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``[1, z, ..., z^(n-1)]`` of each point, by running products."""
+    out = np.empty((len(z), n), dtype=complex)
+    out[:, :1] = 1.0
+    out[:, 1:] = z[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
+def kernel_poly(omega: WeightSpec, points, powers: np.ndarray) -> np.ndarray:
+    """Operator series ``sum_n z^n A^n / w_n`` over a power stack ``[I, A, A^2, ...]``.
+
+    The values at every point ``z`` of ``points`` come from one Vandermonde
+    product with the stack, stacked along axis 0.
+    """
+    z = np.asarray(points, dtype=complex)
     n = len(powers)
-    return np.tensordot(omega.inverse_weight_values(n) * complex(z) ** np.arange(n), powers, 1)
+    vander = omega.inverse_weight_values(n) * _vandermonde(z, n)
+    return (vander @ powers.reshape(n, -1)).reshape(len(z), *powers.shape[1:])
 
 
-def _kernel_scalar(omega: WeightSpec, x: complex) -> complex:
-    """Scalar kernel value ``sum_n x^n / w_n`` summed to machine convergence.
+def _kernel_scalar(omega: WeightSpec, x) -> np.ndarray:
+    """Scalar kernel values ``sum_n x^n / w_n``, each summed to machine convergence.
 
-    Raises :class:`HorizonTooShort` when ``KERNEL_CAP`` terms do not converge, as
+    ``x`` is an array (or a number); every entry is summed by 64-term chunks
+    until a chunk is below ``KERNEL_CHUNK_RTOL`` relative to its running
+    total, and entries that have converged take no further chunk.  Raises
+    :class:`HorizonTooShort` when ``KERNEL_CAP`` terms do not converge, as
     they do not for ``|x|`` close to 1, instead of returning a partial sum.
     An explicit weight list caps the sum at its length.  No chunk follows
     the one its end cuts short, so there the sum is accepted when the last
     term alone passes the chunk test; otherwise the error names the list's
     length.
     """
+    x = np.asarray(x, dtype=complex)
+    flat = x.ravel()
     length = omega.max_terms
     cap = min(KERNEL_CAP, length or KERNEL_CAP)
-    total = 0.0 + 0.0j
+    total = np.zeros(flat.shape, dtype=complex)
+    unconverged = np.arange(flat.size)
     block = 64
     n0 = 0
-    while n0 < cap:
+    while unconverged.size and n0 < cap:
         n1 = min(n0 + block, cap)
-        terms = omega.inverse_weight_values(n1)[n0:] * x ** np.arange(n0, n1)
-        chunk = np.sum(terms)
-        total += chunk
-        small = KERNEL_CHUNK_RTOL * max(1.0, abs(total))
-        if abs(chunk) < small or (n1 == length and abs(terms[-1]) < small):
-            return complex(total)
+        terms = omega.inverse_weight_values(n1)[n0:] * flat[unconverged, None] ** np.arange(n0, n1)
+        chunk = terms.sum(axis=1)
+        total[unconverged] += chunk
+        small = KERNEL_CHUNK_RTOL * np.maximum(1.0, np.abs(total[unconverged]))
+        done = np.abs(chunk) < small
+        if n1 == length:
+            done |= np.abs(terms[:, -1]) < small
+        unconverged = unconverged[~done]
         n0 = n1
-    ending = f" at the end of the {length}-entry explicit weight list" if n0 == length else ""
-    raise HorizonTooShort(
-        f"scalar kernel at |x| = {abs(x):.6g} has not converged after {n0} terms{ending}"
-    )
+    if unconverged.size:
+        ending = f" at the end of the {length}-entry explicit weight list" if n0 == length else ""
+        raise HorizonTooShort(
+            f"scalar kernel at |x| = {np.max(np.abs(flat[unconverged])):.6g} has not "
+            f"converged after {n0} terms{ending}"
+        )
+    return total.reshape(x.shape)
 
 
-def char_function_eval(cf: CharFunction, z: complex) -> np.ndarray:
-    """Evaluate the characteristic function at a point of the open disc."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("evaluation point must lie in the open disc")
-    out = np.tensordot(z ** np.arange(cf.n_terms), cf.scaled_d_blocks, 1)
-    series = kernel_poly(cf.omega, z, cf.star_powers)
-    out += z * (cf.defect_min @ series @ cf.triple.b)
-    return out
+def _disc_points(points: Sequence[complex]) -> np.ndarray:
+    """The points as a complex array; ``ValueError`` unless each lies in the open disc."""
+    z = np.array([complex(p) for p in points], dtype=complex)
+    if np.any(np.abs(z) >= 1.0):
+        raise ValueError("evaluation points must lie in the open disc")
+    return z
+
+
+def _evaluate(cf: CharFunction, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``theta(z)`` and ``D K(z, T*)`` at each point, stacked as ``(P, r, e)`` and ``(P, r, d)``.
+
+    One Vandermonde product against ``scaled_d_blocks`` gives the Taylor
+    part, one against ``star_powers`` (:func:`kernel_poly`) the kernels.
+    """
+    n = cf.n_terms
+    theta = _vandermonde(z, n) @ cf.scaled_d_blocks.reshape(n, -1)
+    theta = theta.reshape(len(z), cf.defect_dim, cf.triple.e_dim)
+    dk = cf.defect_min @ kernel_poly(cf.omega, z, cf.star_powers)
+    theta += z[:, None, None] * (dk @ cf.triple.b)
+    return theta, dk
+
+
+def char_function_eval(cf: CharFunction, points: Sequence[complex]) -> np.ndarray:
+    """The function at each point of the open disc, stacked as ``(len(points), r, e)``.
+
+    A single point is a one-element list.
+    """
+    return _evaluate(cf, _disc_points(points))[0]
 
 
 def key_identity_check(
@@ -270,35 +327,34 @@ def key_identity_check(
 
     ``K(eta, zeta) I - theta(eta) theta(zeta)* / (1 - eta conj(zeta))``
     must equal ``D K(eta, T*) K(conj(zeta), T) D`` in the defect coordinates,
-    where ``K(conj(zeta), T) = K(zeta, T*)*``.  ``theta`` and ``K(., T*)`` are
-    evaluated once per distinct point of ``zetas`` and ``etas``; each pair
-    then costs a few products of defect-sized matrices, and the pair
-    residuals are normed together by one batched SVD.  A single pair is
-    checked by passing one-element lists.
+    where ``K(conj(zeta), T) = K(zeta, T*)*``.  ``theta`` and ``D K(., T*)``
+    are evaluated once, at the distinct points of ``zetas`` and ``etas``
+    together; all products ``theta(eta) theta(zeta)*`` come from one matrix
+    product of the stacked values, and so do all ``D K(eta, T*) (D K(zeta,
+    T*))*``.  The pair residuals are normed together by one batched SVD.  A
+    single pair is checked by passing one-element lists.
     """
-    zetas = [complex(z) for z in zetas]
-    etas = [complex(e) for e in etas]
-    if any(abs(p) >= 1.0 for p in zetas + etas):
-        raise ValueError("evaluation points must lie in the open disc")
+    zetas = _disc_points(zetas)
+    etas = _disc_points(etas)
     r = cf.defect_dim
-    if not r or not zetas or not etas:
+    if not r or not zetas.size or not etas.size:
         return 0.0
-    points = dict.fromkeys(zetas + etas)
-    theta = {p: char_function_eval(cf, p) for p in points}
-    kernel = {p: kernel_poly(cf.omega, p, cf.star_powers) for p in points}
-    dmin = cf.defect_min
-    eye = np.eye(r)
-    gaps = []
-    for zeta in zetas:
-        th_zeta_adj = theta[zeta].conj().T
-        k_right = kernel[zeta].conj().T
-        for eta in etas:
-            x = eta * np.conj(zeta)
-            k_scalar = _kernel_scalar(cf.omega, x)
-            lhs = k_scalar * eye - (theta[eta] @ th_zeta_adj) / (1.0 - x)
-            rhs = dmin @ kernel[eta] @ k_right @ dmin.conj().T
-            gaps.append(lhs - rhs)
-    return float(np.max(np.linalg.svd(np.stack(gaps), compute_uv=False)))
+    where = {p: i for i, p in enumerate(dict.fromkeys([*zetas, *etas]))}
+    theta, dk = _evaluate(cf, np.array(list(where), dtype=complex))
+    rows_e = [where[p] for p in etas]
+    rows_z = [where[p] for p in zetas]
+
+    def pair_products(stack: np.ndarray) -> np.ndarray:
+        """``stack[eta] stack[zeta]*`` of every pair, from one product, as ``(eta, r, zeta, r)``."""
+        left = stack[rows_e].reshape(len(etas) * r, -1)
+        right = stack[rows_z].reshape(len(zetas) * r, -1)
+        return (left @ right.conj().T).reshape(len(etas), r, len(zetas), r)
+
+    x = etas[:, None] * zetas.conj()[None, :]
+    k_scalar = _kernel_scalar(cf.omega, x)
+    gaps = (k_scalar[:, None, :, None] * np.eye(r)[None, :, None, :]
+            - pair_products(theta) / (1.0 - x)[:, None, :, None] - pair_products(dk))
+    return float(np.max(np.linalg.svd(gaps.transpose(0, 2, 1, 3), compute_uv=False)))
 
 
 def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
@@ -347,17 +403,20 @@ def _transition(t1: CharTriple, t2: CharTriple) -> np.ndarray:
     return y1.conj().T @ y2
 
 
-def _require_unitary(u: np.ndarray, message: str) -> None:
+def _require_unitary(u: np.ndarray, message: str) -> float:
     """Raise :class:`NotUnitaryInput` unless ``||u* u - I|| <= 10 CHAR_TOL``.
 
     The decision is :func:`threshold_norm`'s, from the Frobenius norm of the
     gap; the exact :func:`hermitian_norm` is taken only to quote the residual
-    of a rejected input.
+    of a rejected input.  An accepted input returns the decision's value,
+    which is at least the residual (the Frobenius norm or the SVD norm).
     """
     gap = u.conj().T @ u - np.eye(u.shape[1])
     bound = CHAR_TOL * 10
-    if threshold_norm(gap, bound) > bound:
+    value = threshold_norm(gap, bound)
+    if value > bound:
         raise NotUnitaryInput(f"{message} (residual {hermitian_norm(gap):.3e})")
+    return value
 
 
 def uniqueness_unitary(t1: CharTriple, t2: CharTriple) -> np.ndarray:
@@ -373,30 +432,106 @@ def uniqueness_unitary(t1: CharTriple, t2: CharTriple) -> np.ndarray:
     return u
 
 
+def _transport_bound(
+    theta1: CharFunction, theta2: CharFunction, bt: np.ndarray, dt: np.ndarray, eps: float
+) -> float:
+    """Upper bound on ``||tau* tau - I||`` for ``tau = Yt* Y2``, from d-sized work.
+
+    ``Yt = [bt; dt] = W Y1`` is the first completion transported by
+    ``W = diag(u, I (x) tau_*)``, ``X2 = [T2*; C2]`` and ``Y2`` the second
+    function's column isometry and completion, ``U2 = [X2 Y2]`` (square,
+    ``N = d + e``), and ``eps`` bounds ``||u* u - I||`` and
+    ``||tau_*^* tau_* - I||``.  ``tau`` is square, so ``tau* tau - I`` and
+    ``tau tau* - I`` have the same norm, and with ``Y2 Y2* = U2 U2* - X2 X2*``
+
+        tau tau* - I = -G* G + Yt* (U2 U2* - I) Yt + (Yt* Yt - I),
+        G = X2* Yt = T2 bt + C2* dt   (d x e).
+
+    Each term is bounded without an ``e``-square product:
+
+    - ``||G* G|| = ||G G*||``, a ``d``-square Gram matrix;
+    - ``||U2 U2* - I|| = ||U2* U2 - I|| <= beta2 + delta``, with ``beta2``
+      the :func:`block_unitarity` residual of ``theta2`` and ``delta`` the
+      a-priori orthogonality error ``||Y* Y - I||`` of a completion
+      (:func:`linalg.completion_orthogonality`), which ``block_unitarity``
+      leaves out by Weyl's inequality;
+    - ``Yt* Yt - I = (Y1* Y1 - I) + Y1* (W* W - I) Y1``, and ``W* W - I``
+      is ``diag(u* u - I, I (x) (tau_*^* tau_* - I))``, so
+      ``||Yt* Yt - I|| <= delta_t = delta + (1 + delta) eps``, and
+      ``||Yt||^2 <= 1 + delta_t``.
+
+    Together ``||tau* tau - I|| <= ||G||^2 + (1 + delta_t)(beta2 + delta) +
+    delta_t``.  Rounding: each formed product (``G``, ``Yt``, the gaps of
+    ``u``, ``tau_*`` and ``block_unitarity``) has inner dimension at most
+    ``N`` and factors of Frobenius norm at most ``sqrt(d)`` and ``sqrt(e)``
+    (up to ``1 + delta``), so it is off by at most
+    ``rho = gamma_N (d + sqrt(d e))``, ``gamma_N = N u / (1 - N u)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    section 3.5).  ``rho`` is added once to ``||G||``, to ``beta2``, to
+    ``eps`` and to ``delta_t``.  The eigenvalue solvers behind ``||G||^2``
+    and ``beta2`` are backward stable on matrices of norm far below 1, so
+    their errors sit below ``rho`` as well.
+    """
+    d, e = theta2.t.shape[0], theta2.triple.e_dim
+    rows = d + e
+    gamma = rows * UNIT_ROUNDOFF / (1.0 - rows * UNIT_ROUNDOFF)
+    rho = gamma * (d + math.sqrt(d * e))
+    delta = completion_orthogonality(rows, d)
+    g = theta2.t @ bt + theta2.column_map.conj().T @ dt
+    g_norm = math.sqrt(hermitian_norm(g @ g.conj().T)) + rho
+    delta_t = delta + (1.0 + delta) * (eps + rho) + rho
+    return g_norm**2 + (1.0 + delta_t) * (block_unitarity(theta2) + rho + delta) + delta_t
+
+
 def coincidence_verify(
     theta1: CharFunction,
     theta2: CharFunction,
-    tau,
-    tau_star,
+    u,
     z_grid: Sequence[complex],
 ) -> tuple[bool, float]:
-    """Check ``theta2(z) = tau_star theta1(z) tau`` on a grid of disc points.
+    """Check ``theta2(z) = tau_* theta1(z) tau`` on a grid of disc points,
+    for ``theta2`` the function of ``u T1 u*``.
 
-    The identity holds when its residual is at most ``CHAR_TOL``.  Both
-    transports must be unitary within ``10 CHAR_TOL`` (decided by Frobenius
-    bounds, as in :func:`uniqueness_unitary`) or :class:`NotUnitaryInput` is
-    raised; this is the one unitarity certificate of a transport derived by
-    ``pipelines.derive_coincidence_transports``.
+    The defect of ``u T1 u*`` is the conjugated defect, so the transport
+    between defect coordinates is ``tau_* = basis2* u basis1`` (r-sized),
+    and the first completion ``Y1 = [B1; D1]`` transported by
+    ``W = diag(u, I (x) tau_*)`` is ``Yt = W Y1``, which spans the
+    complement of the second column isometry.  The transport between the
+    completions is ``tau = Yt* Y2``, the transition of triple uniqueness;
+    it is never formed on the accepted path: the right-hand side is
+    ``tau_* ((theta1(z) Yt*) Y2)``, taken for all points at once.
+
+    ``u`` and ``tau_*`` must be unitary within ``10 CHAR_TOL`` (decided by
+    Frobenius bounds, as in :func:`uniqueness_unitary`) or
+    :class:`NotUnitaryInput` is raised.  The unitarity of ``tau`` is
+    accepted when the upper bound of :func:`_transport_bound`, from
+    ``d``-sized work, is at most ``10 CHAR_TOL``.  Otherwise ``tau`` is
+    formed and decided on its exact residual, which a rejection quotes, so
+    every decision is the one the formed ``tau`` would give.  The bound's
+    orthogonality term is the a-priori one of the Householder completion
+    that :func:`char_function` makes; a function whose triple was replaced
+    by other means is outside it.  The identity holds when its residual is
+    at most ``CHAR_TOL``.
     """
-    tau = np.asarray(tau, dtype=complex)
-    tau_star = np.asarray(tau_star, dtype=complex)
-    for u in (tau, tau_star):
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise NotUnitaryInput("coincidence unitaries must be square")
-        _require_unitary(u, "coincidence transports must be unitary")
-    worst = 0.0
-    for z in z_grid:
-        lhs = char_function_eval(theta2, z)
-        rhs = tau_star @ char_function_eval(theta1, z) @ tau
-        worst = max(worst, spectral_norm(lhs - rhs))
+    z = _disc_points(z_grid)
+    u = np.asarray(u, dtype=complex)
+    d, e, r = theta1.t.shape[0], theta1.triple.e_dim, theta1.defect_dim
+    if u.shape != (d, d) or theta2.t.shape != (d, d):
+        raise NotUnitaryInput("the conjugating map must be square, of the operators' size")
+    if theta2.triple.e_dim != e or theta2.defect_dim != r:
+        raise NotUnitaryInput("the functions have different defect or completion dimensions")
+    tau_star = theta2.defect_basis.conj().T @ u @ theta1.defect_basis
+    eps = max(_require_unitary(u, "the conjugating map must be unitary"),
+              _require_unitary(tau_star, "coincidence transports must be unitary"))
+    bt = u @ theta1.triple.b
+    dt = (tau_star @ theta1.triple.d_stack.reshape(-1, r, e)).reshape(-1, e)
+    b2, d2 = theta2.triple.b, theta2.triple.d_stack
+    if _transport_bound(theta1, theta2, bt, dt, eps) > CHAR_TOL * 10:
+        _require_unitary(bt.conj().T @ b2 + dt.conj().T @ d2,
+                         "coincidence transports must be unitary")
+    # theta1(z) Yt* as (Yt theta1(z)*)*, so that no e-square conjugate is copied
+    th1_adj = char_function_eval(theta1, z).reshape(-1, e).conj().T
+    right = (bt @ th1_adj).conj().T @ b2 + (dt @ th1_adj).conj().T @ d2
+    gap = char_function_eval(theta2, z) - tau_star @ right.reshape(len(z), r, e)
+    worst = float(np.max(np.linalg.svd(gap, compute_uv=False))) if gap.size else 0.0
     return worst <= CHAR_TOL, worst

@@ -71,6 +71,7 @@ from .errors import (
 )
 from .linalg import (
     POSITIVITY_TOL,
+    UNIT_ROUNDOFF,
     Operator,
     hermitian_norm,
     psd_check,
@@ -125,9 +126,6 @@ COMMUTATION_TOL = 1e-10
 DEGREE_CAP = 256
 # First cutoff the numerical-support search tries; it doubles from here.
 FIRST_CUT = 8
-# Unit roundoff of double precision: a certified remainder below
-# ``UNIT_ROUNDOFF * |c_0|`` is below the rounding the kept sum already carries.
-UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # Doublings of the power before a conjugation limit is given up as unconverged.
 MAX_DOUBLINGS = 60
 # Points ``r_j = 1 - 2^-j`` of the default classification grid.

@@ -26,14 +26,20 @@ bound <= F`` leaves the answer open.  Its value only serves comparisons with
 ``hyper.conjugation_limit``, the purity test of ``hyper.is_pure`` on the
 tail limits ``hyper.OperatorTuple.tail_limit`` holds (also the fallback of
 the multi-shift report, whose purity is first read from the nilpotency
-orders its shift tuple holds), and the unitarity of the transition in
-``charfn.uniqueness_unitary`` and of the transports in
-``charfn.coincidence_verify``; a rejection there quotes the exact
+orders its shift tuple holds), the unitarity of the transition in
+``charfn.uniqueness_unitary``, and in ``charfn.coincidence_verify`` the
+unitarity of the conjugating map and of the defect transport (whose values
+enter its transport bound) and, when that bound cannot decide, of the
+formed completion transport; a rejection there quotes the exact
 :func:`hermitian_norm` residual.
+
+:func:`completion_orthogonality` is the a-priori bound on how far the
+completion of :func:`complete_to_unitary` is from orthonormal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +54,13 @@ __all__ = [
     "psd_root_pieces",
     "douglas_solve",
     "complete_to_unitary",
+    "completion_orthogonality",
     "spectral_norm",
     "hermitian_norm",
     "threshold_norm",
     "POSITIVITY_TOL",
     "RANK_TOL",
+    "UNIT_ROUNDOFF",
 ]
 
 # Smallest eigenvalue a positivity verdict accepts is -POSITIVITY_TOL: the
@@ -60,6 +68,12 @@ __all__ = [
 POSITIVITY_TOL = 1e-8
 # Relative eigenvalue threshold below which a direction is outside the range.
 RANK_TOL = 1e-9
+
+# Unit roundoff ``u`` of double precision.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# The small integer constant ``c`` of Higham's ``gamma~_k = c k u / (1 - c k u)``
+# in the Householder error bounds, which his ch. 19 leaves open.
+HOUSEHOLDER_CONSTANT = 8
 
 # Relative slack, per unit of the smaller dimension, between a computed
 # Frobenius bound and ``bound`` before threshold_norm trusts it, so that a
@@ -274,6 +288,30 @@ def complete_to_unitary(x, tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
         return 0, np.zeros((rows, 0), dtype=complex)
     q, _ = np.linalg.qr(x, mode="complete")
     return e_dim, q[:, cols:]
+
+
+def completion_orthogonality(rows: int, cols: int) -> float:
+    """A-priori bound on ``||Y* Y - I||`` for the completion of :func:`complete_to_unitary`.
+
+    ``Y`` holds the trailing ``e = rows - cols`` columns of the complete
+    Householder QR factor of a ``rows x cols`` matrix, which LAPACK forms by
+    applying the ``cols`` computed reflectors to the identity.  By Higham
+    (*Accuracy and Stability of Numerical Algorithms*, 2nd ed., Lemma 19.3)
+    each computed column is ``Q (e_j + f_j)``, with ``Q`` the exactly unitary
+    product of the reflectors and ``||f_j|| <= cols gamma~_rows``.  So
+    ``Y = Q (E + F)`` with ``E* E = I`` and
+    ``||F|| <= ||F||_F <= eta = sqrt(e) cols gamma~_rows``, and
+
+        ||Y* Y - I|| = ||E* F + F* E + F* F|| <= 2 eta + eta^2.
+
+    Higham leaves the small integer ``c`` of ``gamma~`` open; it also absorbs
+    the factors of complex arithmetic (his section 3.6).  It is taken as
+    ``HOUSEHOLDER_CONSTANT``.  The tests compare the bound with the computed
+    orthogonality error of the completions they build.
+    """
+    ck = HOUSEHOLDER_CONSTANT * rows * UNIT_ROUNDOFF
+    eta = math.sqrt(rows - cols) * cols * ck / (1.0 - ck)
+    return 2.0 * eta + eta * eta
 
 
 def psd_root_pieces(s) -> tuple[np.ndarray, np.ndarray]:

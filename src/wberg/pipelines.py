@@ -142,7 +142,9 @@ def run_equivalence(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
     if gamma is None:
         gamma = case.weights.integer_betas()
         if gamma is None:
-            return False, {"verdict": False, "error": "equivalence needs integer weights"}
+            raise ConfigError(
+                f"equivalence needs integer weights or an explicit gamma, got {case.weights.text}"
+            )
     rep = equivalence_crosscheck(t, gamma, r_grid=case.r_grid, tol=case.tol)
     return rep.agree, {
         "verdict": rep.agree,
@@ -229,35 +231,9 @@ def run_dilate_general(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
 # characteristic function pipeline
 # ---------------------------------------------------------------------------
 
-def derive_coincidence_transports(
-    cf1: cf_mod.CharFunction, u
-) -> tuple[cf_mod.CharFunction, np.ndarray, np.ndarray]:
-    """Characteristic data of the conjugated operator plus ``(tau, tau_star)``.
-
-    The defect of ``U T U*`` is the conjugated defect, so ``tau_star`` is the
-    induced map between defect coordinates and ``tau`` is the transition of
-    triple uniqueness applied to the transported completion.  Neither is
-    certified here: :func:`charfn.coincidence_verify`, which consumes them,
-    decides the unitarity of both, so ``tau* tau`` is formed once per case.
-    """
-    u = np.asarray(u, dtype=complex)
-    t2 = u @ cf1.t @ u.conj().T
-    cf2 = cf_mod.char_function(t2, cf1.omega, cf1.n_terms)
-    tau_star = cf2.defect_basis.conj().T @ u @ cf1.defect_basis
-    transported = cf_mod.CharTriple(
-        cf1.triple.e_dim,
-        u @ cf1.triple.b,
-        np.vstack([tau_star @ blk for blk in cf1.triple.d_blocks]),
-        cf1.triple.n_blocks,
-    )
-    tau = cf_mod._transition(transported, cf2.triple)
-    return cf2, tau, tau_star
-
-
 def run_charfn(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
     if t.n != 1:
-        return False, {"verdict": False, "error": "characteristic functions need arity 1"}
-    op = t[0]
+        raise ConfigError(f"characteristic functions need arity 1, got {t.n}")
     cf = cf_mod.char_function(t, case.weights[0])
     grid = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
     pi_res = cf_mod.partial_isometry_check(cf)
@@ -268,11 +244,10 @@ def run_charfn(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
         "partial_isometry": pi_res["partial_isometry"],
         "range_orthogonality": pi_res["range_orthogonality"],
     }
-    u = random_unitary(case.seed + 17, op.rows)
-    cf2, tau, tau_star = derive_coincidence_transports(cf, u)
-    coincide, co_res = cf_mod.coincidence_verify(
-        cf, cf2, tau, tau_star, [0.3, -0.25 + 0.2j, 0.1j]
-    )
+    # the function of U T U* must coincide with that of T up to the transports
+    u = random_unitary(case.seed + 17, t.dim).mat
+    cf2 = cf_mod.char_function(u @ cf.t @ u.conj().T, cf.omega, cf.n_terms)
+    coincide, co_res = cf_mod.coincidence_verify(cf, cf2, u, [0.3, -0.25 + 0.2j, 0.1j])
     ok = coincide and all(residuals[key] < bound for key, bound in CHARFN_BUDGETS.items())
     return ok, {
         "verdict": ok,

@@ -45,7 +45,6 @@ from wberg.hyper import (
     subtuple,
 )
 from wberg.linalg import psd_check
-from wberg.pipelines import derive_coincidence_transports
 from wberg.series import (
     MultiWeightSpec,
     TruncatedSeries,
@@ -254,10 +253,10 @@ def test_criterion_8_characteristic_function_suite():
         )
         solved = uniqueness_unitary(cf.triple, rotated)
         worst_uni = max(worst_uni, opnorm(solved - u_e))
-        # unitary conjugation: derived transports make the functions coincide
-        u = random_unitary(seed + 11, t.rows)
-        cf2, tau, tau_star = derive_coincidence_transports(cf, u)
-        _, co_res = coincidence_verify(cf, cf2, tau, tau_star, grid[::4])
+        # unitary conjugation: the transports through u make the functions coincide
+        u = random_unitary(seed + 11, t.rows).mat
+        cf2 = char_function(u @ t.mat @ u.conj().T, omega, cf.n_terms)
+        _, co_res = coincidence_verify(cf, cf2, u, grid[::4])
         worst_co = max(worst_co, co_res)
     ok = (
         worst_unit < 1e-9

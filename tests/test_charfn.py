@@ -25,7 +25,6 @@ from wberg.errors import HorizonTooShort, NotPure, NotUnitaryInput
 from wberg.generators import commuting_unitaries, nilpotent_commuting_tuple, random_unitary
 from wberg.hyper import _power_stack
 from wberg.linalg import Operator, hermitian_norm
-from wberg.pipelines import derive_coincidence_transports
 from wberg.series import MultiWeightSpec, WeightSpec
 
 from dense_multiplier import multiplier_matrix
@@ -37,6 +36,11 @@ B3 = WeightSpec.bergman(3)
 
 def opnorm(mat):
     return float(np.linalg.norm(mat, 2)) if mat.size else 0.0
+
+
+def conjugated(cf, u):
+    """The characteristic function of ``u T u*`` at the truncation of ``cf``."""
+    return char_function(u @ cf.t @ u.conj().T, cf.omega, cf.n_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +172,7 @@ def test_uniqueness_rejects_unrelated_triples():
 def test_eval_at_zero_is_first_block():
     t = nilpotent_commuting_tuple(14, 4, 1, radius=0.5)[0]
     cf = char_function(t, B2, 8)
-    assert np.allclose(char_function_eval(cf, 0.0), cf.triple.d_blocks[0])
+    assert np.allclose(char_function_eval(cf, [0.0])[0], cf.triple.d_blocks[0])
 
 
 def test_zero_operator_function_is_multiplication_by_z():
@@ -176,15 +180,16 @@ def test_zero_operator_function_is_multiplication_by_z():
     b_dir = cf.triple.b.conj().T  # the completion direction reaching H
     b_dir = b_dir / np.linalg.norm(b_dir)
     for z in (0.25, -0.4 + 0.3j):
-        val = char_function_eval(cf, z) @ b_dir
+        val = char_function_eval(cf, [z])[0] @ b_dir
         assert np.linalg.norm(val) == pytest.approx(abs(z), rel=1e-12)
-    assert opnorm(char_function_eval(cf, 0.0) @ b_dir) < 1e-14
+    assert opnorm(char_function_eval(cf, [0.0])[0] @ b_dir) < 1e-14
 
 
 def test_kernel_poly_terminates_on_nilpotent():
     t = nilpotent_commuting_tuple(15, 4, 1, radius=0.5)[0]
-    full = kernel_poly(B2, 0.5, _power_stack(t.mat.conj().T, 32))
-    short = kernel_poly(B2, 0.5, _power_stack(t.mat.conj().T, 4))
+    full = kernel_poly(B2, [0.5], _power_stack(t.mat.conj().T, 32))
+    short = kernel_poly(B2, [0.5], _power_stack(t.mat.conj().T, 4))
+    assert full.shape == short.shape == (1, 4, 4)
     assert np.allclose(full, short)
 
 
@@ -224,15 +229,41 @@ def test_key_identity_grid_is_the_max_over_single_pairs(monkeypatch):
     t = nilpotent_commuting_tuple(18, 6, 1, radius=0.5)[0]
     cf = char_function(t, B2)
     grid = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
-    single = max(key_identity_check(cf, [z], [w]) for z in grid for w in grid[:5])
     evaluated = []
-    original = charfn.char_function_eval
-    monkeypatch.setattr(charfn, "char_function_eval",
+    original = charfn._evaluate
+    monkeypatch.setattr(charfn, "_evaluate",
                         lambda f, z: evaluated.append(z) or original(f, z))
-    assert key_identity_check(cf, grid, grid[:5]) == single
-    # grid[:5] lies inside grid: 25 distinct points, each evaluated once
-    assert sorted(evaluated, key=lambda z: (z.real, z.imag)) == sorted(
+    worst = key_identity_check(cf, grid, grid[:5])
+    # grid[:5] lies inside grid: one stacked evaluation of the 25 distinct points
+    [points] = evaluated
+    assert sorted(points, key=lambda z: (z.real, z.imag)) == sorted(
         grid, key=lambda z: (z.real, z.imag))
+    # the residual of each pair, cut from the stacked pair products (one
+    # product of the stacked values each, as the check forms them) and
+    # normed one by one
+    theta, dk = original(cf, points)
+    where = {p: i for i, p in enumerate(points)}
+    r, e = cf.defect_dim, cf.triple.e_dim
+    zetas, etas = [where[p] for p in grid], [where[p] for p in grid[:5]]
+    outer = theta[etas].reshape(-1, e) @ theta[zetas].reshape(-1, e).conj().T
+    defect = dk[etas].reshape(-1, t.rows) @ dk[zetas].reshape(-1, t.rows).conj().T
+    # eta conj(zeta) for all pairs at once: an array product may round
+    # differently from a scalar one
+    products = np.array(grid[:5])[:, None] * np.conj(grid)[None, :]
+    single = own_products = 0.0
+    for j, zeta in enumerate(grid):
+        for i, eta in enumerate(grid[:5]):
+            x = products[i, j]
+            block = np.s_[i * r:(i + 1) * r, j * r:(j + 1) * r]
+            gap = _kernel_scalar(cf.omega, x) * np.eye(r) - outer[block] / (1.0 - x) - defect[block]
+            single = max(single, opnorm(gap))
+            # the same pair from its own products, which round differently
+            th_eta, th_zeta = theta[where[eta]], theta[where[zeta]]
+            own = (_kernel_scalar(cf.omega, x) * np.eye(r) - (th_eta @ th_zeta.conj().T) / (1.0 - x)
+                   - dk[where[eta]] @ dk[where[zeta]].conj().T)
+            own_products = max(own_products, opnorm(own))
+    assert worst == single
+    assert abs(own_products - single) <= 64 * np.finfo(float).eps
 
 
 def test_kernel_scalar_matches_the_closed_form():
@@ -344,9 +375,7 @@ def test_partial_isometry_matches_dense_multiplier(op, spec):
 def test_coincidence_trivial():
     t = nilpotent_commuting_tuple(23, 5, 1, radius=0.5)[0]
     cf = char_function(t, B2)
-    eye_e = np.eye(cf.triple.e_dim)
-    eye_d = np.eye(cf.defect_dim)
-    ok, res = coincidence_verify(cf, cf, eye_e, eye_d, [0.2, 0.3j])
+    ok, res = coincidence_verify(cf, cf, np.eye(t.rows), [0.2, 0.3j])
     assert ok and res < 1e-14
 
 
@@ -354,28 +383,124 @@ def test_coincidence_under_unitary_conjugation():
     t = nilpotent_commuting_tuple(24, 5, 1, radius=0.5)[0]
     for spec in (HARDY, B2):
         cf = char_function(t, spec)
-        u = random_unitary(88, t.rows)
-        cf2, tau, tau_star = derive_coincidence_transports(cf, u)
-        ok, res = coincidence_verify(
-            cf, cf2, tau, tau_star, [0.25, -0.2 + 0.35j, 0.45j]
-        )
+        u = random_unitary(88, t.rows).mat
+        ok, res = coincidence_verify(cf, conjugated(cf, u), u, [0.25, -0.2 + 0.35j, 0.45j])
         assert ok, res
 
 
 def test_coincidence_detects_perturbation():
     t = nilpotent_commuting_tuple(25, 5, 1, radius=0.5)[0]
     cf = char_function(t, B2)
-    u = random_unitary(89, t.rows)
-    cf2, tau, tau_star = derive_coincidence_transports(cf, u)
-    noisy = tau + 1e-3 * np.eye(tau.shape[0])
-    with pytest.raises(NotUnitaryInput):
-        coincidence_verify(cf, cf2, noisy, tau_star, [0.3])
-    # unitary but wrong transport: the residual must show it
-    from wberg.generators import random_unitary as ru
-
-    wrong = ru(4242, tau.shape[0])
-    ok, res = coincidence_verify(cf, cf2, wrong, tau_star, [0.3])
+    u = random_unitary(89, t.rows).mat
+    cf2 = conjugated(cf, u)
+    noisy = u + 1e-3 * np.eye(t.rows)
+    with pytest.raises(NotUnitaryInput, match="conjugating map must be unitary"):
+        coincidence_verify(cf, cf2, noisy, [0.3])
+    # certified transports but a wrong function: the residual must show it
+    v = random_unitary(4242, cf2.defect_dim).mat
+    wrong = dataclasses.replace(cf2, defect_min=v @ cf2.defect_min)
+    ok, res = coincidence_verify(cf, wrong, u, [0.3])
     assert not ok and res > 1e-3
+
+
+def test_coincidence_rejects_a_unitary_that_does_not_conjugate():
+    # u and tau_* are unitary (the defect has full rank), but the transported
+    # completion misses the second one: the bound cannot decide, and the
+    # formed tau is rejected on its exact residual
+    import wberg.charfn as charfn
+
+    t = nilpotent_commuting_tuple(25, 5, 1, radius=0.5)[0]
+    cf = char_function(t, B2)
+    cf2 = conjugated(cf, random_unitary(89, t.rows).mat)
+    assert cf.defect_dim == t.rows
+    other = random_unitary(4242, t.rows).mat
+    sizes = []
+    original = charfn._require_unitary
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charfn, "_require_unitary",
+                   lambda m, *a: sizes.append(m.shape[1]) or original(m, *a))
+        with pytest.raises(NotUnitaryInput, match="coincidence transports must be unitary"):
+            coincidence_verify(cf, cf2, other, [0.3])
+    assert sizes == [t.rows, cf.defect_dim, cf.triple.e_dim]
+
+
+def test_coincidence_takes_the_exact_route_when_the_bound_cannot_decide(monkeypatch):
+    # u off unitary by just under the threshold: the a-priori completion
+    # terms lift the transport bound above it, and the formed tau, whose
+    # residual is just under it too, is accepted on that exact value (the
+    # coincidence residual then carries the perturbation)
+    import wberg.charfn as charfn
+
+    bound = 10 * CHAR_TOL
+    t = nilpotent_commuting_tuple(25, 5, 1, radius=0.5)[0]
+    cf = char_function(t, B2)
+    u = random_unitary(89, t.rows).mat
+    cf2 = conjugated(cf, u)
+    off = _off_unitary(u, (1 - 1e-4) * bound, "rank-one")
+    transport, exact = transport_bound_and_exact(cf, cf2, off)
+    assert transport > bound >= exact
+    sizes = []
+    original = charfn._require_unitary
+    monkeypatch.setattr(charfn, "_require_unitary",
+                        lambda m, *a: sizes.append(m.shape[1]) or original(m, *a))
+    _, res = coincidence_verify(cf, cf2, off, [0.3, 0.1j])
+    assert sizes == [t.rows, cf.defect_dim, cf.triple.e_dim]
+    assert res < 1e-7
+
+
+def test_coincidence_on_empty_point_lists():
+    t = nilpotent_commuting_tuple(23, 5, 1, radius=0.5)[0]
+    cf = char_function(t, B2)
+    u = random_unitary(7, t.rows).mat
+    assert coincidence_verify(cf, conjugated(cf, u), u, []) == (True, 0.0)
+    assert key_identity_check(cf, [], [0.3]) == 0.0
+    assert key_identity_check(cf, [0.3], []) == 0.0
+    assert char_function_eval(cf, []).shape == (0, cf.defect_dim, cf.triple.e_dim)
+
+
+def test_evaluation_points_are_each_validated():
+    cf = char_function(np.array([[0.5]]), B2)
+    for points in ([1.0], [0.2, -1.0], [0.3, 0.6 + 0.8j]):
+        with pytest.raises(ValueError, match="open disc"):
+            char_function_eval(cf, points)
+        with pytest.raises(ValueError, match="open disc"):
+            key_identity_check(cf, [0.1], points)
+        with pytest.raises(ValueError, match="open disc"):
+            coincidence_verify(cf, cf, np.eye(1), points)
+
+
+@pytest.mark.parametrize("op,spec", [
+    (np.array([[0.95 * np.exp(0.3j)]]), WeightSpec.bergman(2.5)),
+    (nilpotent_commuting_tuple(18, 6, 1, radius=0.5)[0].mat, B2),
+    (nilpotent_commuting_tuple(3, 8, 1, radius=0.5)[0].mat, HARDY),
+], ids=["bergman2.5-scalar0.95", "nil6-bergman2", "nil8-hardy"])
+def test_batched_evaluation_matches_each_point(op, spec):
+    # each slice of the stacked values is the function at its point, summed
+    # term by term as a single evaluation does
+    cf = char_function(op, spec)
+    points = [0.0, 0.3, -0.25 + 0.2j, 0.1j, 0.45 - 0.45j]
+    stacked = char_function_eval(cf, points)
+    assert stacked.shape == (len(points), cf.defect_dim, cf.triple.e_dim)
+    scale = max(1.0, opnorm(cf.triple.d_stack))
+    n = cf.n_terms
+    for z, value in zip(points, stacked):
+        kernel = np.tensordot(cf.omega.inverse_weight_values(n) * z ** np.arange(n),
+                              cf.star_powers, 1)
+        ref = np.tensordot(z ** np.arange(n), cf.scaled_d_blocks, 1)
+        ref += z * (cf.defect_min @ kernel @ cf.triple.b)
+        assert opnorm(value - ref) <= 1e-14 * scale, z
+        assert opnorm(char_function_eval(cf, [z])[0] - value) <= 1e-14 * scale, z
+
+
+def test_kernel_scalar_of_an_array_is_each_entry_summed_alone():
+    x = np.array([[0.0, 0.5, -0.3 + 0.4j], [0.9, 0.02j, -0.6]])
+    for spec in (HARDY, B2, WeightSpec.bergman(2.5)):
+        values = _kernel_scalar(spec, x)
+        assert values.shape == x.shape
+        for index, v in np.ndenumerate(x):
+            assert values[index] == _kernel_scalar(spec, v)
+    with pytest.raises(HorizonTooShort, match=r"\|x\| = 0.9999 "):
+        _kernel_scalar(B2, np.array([0.5, 0.9999, 0.2]))
 
 
 def test_run_charfn_computes_each_defect_once(monkeypatch):
@@ -414,7 +539,7 @@ def test_char_function_builds_its_adjoint_stack_once(monkeypatch):
 
     monkeypatch.setattr(hyper, "_power_stack", counting)
     cf = char_function(t, B2)
-    char_function_eval(cf, 0.3)
+    char_function_eval(cf, [0.3])
     key_identity_check(cf, [0.1, 0.2j], [0.3])
     partial_isometry_check(cf)
     assert builds == [cf.n_terms]
@@ -446,9 +571,9 @@ def test_charfn_case_scans_each_operator_once(monkeypatch, name):
 def test_run_charfn_stacks_each_triple_once(monkeypatch):
     # a completed triple (for T and for U T U*) holds the rows of its D
     # blocks as a view of the completion and its blocks as views of those
-    # rows, so only the transported triple, built block by block, stacks its
-    # blocks, once, though block unitarity, the coefficients and the
-    # transition all read the stacks
+    # rows, and the transport applies tau_* to the first triple's rows in
+    # one batched product, so no triple stacks its blocks, though block
+    # unitarity, the coefficients and the transport all read the stacks
     import wberg.charfn as charfn
     from wberg.config import parse_case
     from wberg.corpus import corpus_cases
@@ -480,21 +605,25 @@ def test_run_charfn_stacks_each_triple_once(monkeypatch):
         assert triple.d_stack.shape[1] == report["e_dim"]
         assert triple.d_stack.base is not None and triple.d_stack.base is triple.b.base
         assert all(np.shares_memory(blk, triple.d_stack) for blk in triple.d_blocks)
-    assert stacked.count(triples[0].d_stack.shape) == 1
+    assert stacked.count(triples[0].d_stack.shape) == 0
 
 
 def test_run_charfn_certifies_tau_once(monkeypatch):
-    # tau* tau is formed once per case (by coincidence_verify, which consumes
-    # the derived transport), and only the partial isometry takes an e-sized
-    # eigvalsh: block unitarity is read off a (d + k)-square matrix
+    # tau is certified by its d-sized bound, never formed: run_charfn calls
+    # no _transition, decides the unitarity of u (d) and tau_* (r) only, and
+    # only the partial isometry takes an e-sized eigvalsh (block unitarity
+    # is read off a (d + k)-square matrix, ||G||^2 off a d-square one)
     import wberg.charfn as charfn
     from wberg.config import parse_case
     from wberg.corpus import corpus_cases
     from wberg.pipelines import run_charfn
 
-    unitary_sizes, eig_sizes = [], []
+    transitions, unitary_sizes, eig_sizes = [], [], []
+    original_transition = charfn._transition
     original_require = charfn._require_unitary
     original_eig = np.linalg.eigvalsh
+    monkeypatch.setattr(charfn, "_transition",
+                        lambda *a: transitions.append(1) or original_transition(*a))
     monkeypatch.setattr(charfn, "_require_unitary",
                         lambda u, *r: unitary_sizes.append(u.shape[1]) or original_require(u, *r))
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -506,7 +635,8 @@ def test_run_charfn_certifies_tau_once(monkeypatch):
     e_dim = report["e_dim"]
     assert ok and report["coincidence"]
     assert e_dim > t.dim
-    assert unitary_sizes.count(e_dim) == 1
+    assert transitions == []
+    assert unitary_sizes == [t.dim, t.dim]  # the defect of this case has full rank
     assert [size for size in eig_sizes if size >= e_dim] == [e_dim]
 
 
@@ -584,25 +714,100 @@ def test_uniqueness_unitary_threshold_matches_hermitian_norm(factor, shape):
 
 @pytest.mark.parametrize("shape", ["rank-one", "scalar"])
 @pytest.mark.parametrize("factor", [0.5, 2.0])
-@pytest.mark.parametrize("which", ["tau", "tau_star"])
+@pytest.mark.parametrize("which", ["u", "tau_star"])
 def test_coincidence_unitarity_threshold_matches_hermitian_norm(which, factor, shape):
     bound = 10 * CHAR_TOL
     t = nilpotent_commuting_tuple(25, 5, 1, radius=0.5)[0]
     cf = char_function(t, B2)
-    cf2, tau, tau_star = derive_coincidence_transports(cf, random_unitary(89, t.rows))
-    transports = {"tau": tau, "tau_star": tau_star}
-    transports[which] = _off_unitary(transports[which], factor * bound, shape)
-    res = _gap_norm(transports[which])
+    u = random_unitary(89, t.rows).mat
+    cf2 = conjugated(cf, u)
+    if which == "u":
+        u = _off_unitary(u, factor * bound, shape)
+        off = u
+    else:
+        # tau_* = basis2* u basis1 takes on a perturbation of the first basis
+        basis = _off_unitary(cf.defect_basis, factor * bound, shape)
+        cf = dataclasses.replace(cf, defect_basis=basis)
+        off = cf2.defect_basis.conj().T @ u @ basis
+    res = _gap_norm(off)
     assert abs(res - factor * bound) < 1e-3 * bound
-    args = (cf, cf2, transports["tau"], transports["tau_star"], [0.3])
     if res <= bound:
-        _, co_res = coincidence_verify(*args)
+        # the transport bound decides tau alone, and the exact value agrees
+        transport, exact = transport_bound_and_exact(cf, cf2, u)
+        assert exact <= transport <= bound
+        _, co_res = coincidence_verify(cf, cf2, u, [0.3])
         assert co_res < 1e-6
     else:
         with pytest.raises(NotUnitaryInput) as err:
-            coincidence_verify(*args)
+            coincidence_verify(cf, cf2, u, [0.3])
         assert f"(residual {res:.3e})" in str(err.value)
     assert (res <= bound) == (factor < 1)
+
+
+def transport_bound_and_exact(cf, cf2, u) -> tuple[float, float]:
+    """The d-sized bound on ``||tau* tau - I||`` that ``coincidence_verify``
+    decides on, here with the exact residuals of ``u`` and ``tau_*``, and the
+    e-sized value of the formed ``tau = Yt* Y2``."""
+    import wberg.charfn as charfn
+
+    r, e = cf.defect_dim, cf.triple.e_dim
+    tau_star = cf2.defect_basis.conj().T @ u @ cf.defect_basis
+    bt = u @ cf.triple.b
+    dt = (tau_star @ cf.triple.d_stack.reshape(-1, r, e)).reshape(-1, e)
+    eps = max(_gap_norm(u), _gap_norm(tau_star))
+    tau = bt.conj().T @ cf2.triple.b + dt.conj().T @ cf2.triple.d_stack
+    return charfn._transport_bound(cf, cf2, bt, dt, eps), _gap_norm(tau)
+
+
+TRANSPORT_FAMILIES = {
+    "scalar0.5-hardy": lambda: (np.array([[0.5]]), HARDY),
+    "scalar0.9j-bergman2": lambda: (np.array([[0.9j]]), B2),
+    "scalar0.95-bergman2.5": lambda: (np.array([[0.95 * np.exp(1j)]]), WeightSpec.bergman(2.5)),
+    "scalar-0.6-bergman1.5": lambda: (np.array([[-0.6]]), WeightSpec.bergman(1.5)),
+    "nil3-hardy": lambda: (nilpotent_commuting_tuple(31, 3, 1, radius=0.5)[0].mat, HARDY),
+    "nil6-bergman2": lambda: (nilpotent_commuting_tuple(32, 6, 1, radius=0.5)[0].mat, B2),
+    "nil10-bergman3": lambda: (nilpotent_commuting_tuple(33, 10, 1, radius=0.4)[0].mat, B3),
+    "nil16-bergman2": lambda: (nilpotent_commuting_tuple(34, 16, 1, radius=0.5)[0].mat, B2),
+    "nil8-bergman1.5": lambda: (nilpotent_commuting_tuple(35, 8, 1, radius=0.5)[0].mat,
+                                WeightSpec.bergman(1.5)),
+}
+
+
+@pytest.mark.parametrize("name", ["charfn-nilpotent-bergman2", "charfn-nilpotent-hardy",
+                                  *TRANSPORT_FAMILIES])
+def test_transport_bound_covers_the_formed_tau(name):
+    bound = 10 * CHAR_TOL
+    if name in TRANSPORT_FAMILIES:
+        op, spec = TRANSPORT_FAMILIES[name]()
+        cf = char_function(op, spec)
+    else:
+        cf = _corpus_function(name)
+    u = random_unitary(sum(map(ord, name)), cf.t.shape[0]).mat
+    cf2 = conjugated(cf, u)
+    transport, exact = transport_bound_and_exact(cf, cf2, u)
+    # the bound holds, leaves the rounding of the formed tau far below the
+    # threshold and so takes the same decision
+    assert exact <= transport <= bound
+    ok, res = coincidence_verify(cf, cf2, u, [0.3, -0.25 + 0.2j])
+    assert ok and res < 1e-12
+    # and off the rounding level: a transport off unitary by 1e-6, which
+    # both the bound and the formed tau reject
+    off = _off_unitary(u, 1e-6, "scalar")
+    transport, exact = transport_bound_and_exact(cf, cf2, off)
+    assert bound < exact <= transport
+
+
+@pytest.mark.parametrize("name", ["charfn-nilpotent-bergman2", "bergman2.5-scalar0.95",
+                                  "bergman2-nil16"])
+def test_completion_orthogonality_bounds_the_computed_completion(name):
+    from wberg.linalg import completion_orthogonality
+
+    cf = reference_function(name)
+    y = np.vstack([cf.triple.b, cf.triple.d_stack])
+    d = cf.t.shape[0]
+    computed = _gap_norm(y)
+    assert computed <= completion_orthogonality(d + cf.triple.e_dim, d)
+    assert completion_orthogonality(d + cf.triple.e_dim, d) < CHAR_TOL
 
 
 # ---------------------------------------------------------------------------

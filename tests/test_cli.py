@@ -169,6 +169,33 @@ def test_charfn_non_pure_exit_1(capsys):
     assert "NotPure" in err
 
 
+def test_charfn_on_a_pair_exit_2(capsys):
+    # characteristic functions are one-variable: a pair is a usage error,
+    # not a failed verdict
+    code, out, err = run_cli(capsys, "charfn", "--weights", "hardy,hardy",
+                             "--tuple", "scalars:[0.5,0.3]")
+    assert code == 2 and out == ""
+    error = json.loads(err.splitlines()[0])
+    assert error["error"] == "ConfigError" and "arity 1" in error["message"]
+
+
+def test_equivalence_without_integer_weights_or_gamma_exit_2(tmp_path, capsys):
+    # the lattice criterion needs integer exponents: without them and
+    # without a gamma the step cannot run, which is a usage error
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"weights": "bergman:1.5", "tuple": "scalars:[0.5]",
+                                "run": ["equivalence"]}))
+    code, out, err = run_cli(capsys, "check", "--config", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(err.splitlines()[0])
+    assert error["error"] == "ConfigError" and "gamma" in error["message"]
+    # an explicit gamma runs the step
+    path.write_text(json.dumps({"weights": "bergman:1.5", "tuple": "scalars:[0.5]",
+                                "gamma": [1], "run": ["equivalence"]}))
+    code, out, _ = run_cli(capsys, "check", "--config", str(path))
+    assert code == 0 and json.loads(out)["steps"]["equivalence"]["gamma"] == [1]
+
+
 def bergman2_prefix(length: int) -> str:
     """The first ``length`` weights ``w_k = 1/(k+1)`` of ``bergman:2`` as an explicit list."""
     return "explicit:[" + ",".join(repr(1 / (k + 1)) for k in range(length)) + "]"

@@ -245,3 +245,17 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     offenders = [key for key in unset if key not in UNSET_PARAMETERS_ALLOWED]
     assert not offenders, f"defaulted parameters that no call sets: {offenders}"
     assert not stale, f"allowed unset parameters that some call now sets: {stale}"
+
+
+def test_only_uniqueness_unitary_forms_the_transition():
+    # the e-square transition Y1* Y2 belongs to triple uniqueness alone; the
+    # coincidence check certifies its transport through d-sized factors, so
+    # no pipeline path may form it again
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for call, caller in _calls_with_callers(tree):
+            target = call.func
+            if (getattr(target, "id", None) or getattr(target, "attr", None)) == "_transition":
+                callers.append(f"{path.stem}.{caller.name if caller else '<module>'}")
+    assert callers == ["charfn.uniqueness_unitary"]

@@ -46,10 +46,11 @@ def test_tracer_records_dilation_and_charfn_spans():
     assert stats["linalg.Operator.init"]["bytes"] > 0
     assert stats["dilation.pure_dilation"]["calls"] == 1
     assert stats["charfn.partial_isometry_check"]["calls"] == 1
-    # the key identity is one grid call that evaluates each of its 25 distinct
-    # points once; coincidence_verify adds 3 points for each of 2 functions
+    # the key identity is one grid call that evaluates its 25 distinct points
+    # in one stacked evaluation of its own; coincidence_verify evaluates its
+    # 3 points once for each of the 2 functions
     assert stats["charfn.key_identity_check"]["calls"] == 1
-    assert stats["charfn.char_function_eval"]["calls"] == 31
+    assert stats["charfn.char_function_eval"]["calls"] == 2
     assert stats["linalg.Operator.is_hermitian"]["calls"] == 1
     # uninstall restores the originals
     from wberg import hyper
