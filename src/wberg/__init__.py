@@ -28,11 +28,9 @@ from .dilation import (
     CommutantLift,
     DilationResult,
     LambdaBlock,
-    OneVarDilation,
     commutant_lift,
     general_model,
     model_colift,
-    one_var_dilation,
     pure_dilation,
     transport_identities_check,
 )

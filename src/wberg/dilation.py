@@ -1,25 +1,28 @@
 """Dilations of hypercontractive tuples onto truncated weighted Bergman models.
 
-The one-variable dilation embeds ``H`` isometrically into
-``A^2_w(defect space) (+) tail space`` by
+The general model keeps, for every subset ``L`` of coordinates, a block
+``A^2_{W_L}(E_L)`` whose defect map ``Delta_L`` solves a double limit (series
+limit inside ``L``, power conjugation outside).  For one variable its two
+blocks are the tail space and ``A^2_w(defect space)``, and the map is
+Olofsson's
 
-    h  |->  ( sum_k (D T*^k h / w_k) z^k ,  Q h ),
+    h  |->  ( Q h ,  sum_k (D T*^k h / w_k) z^k ),
 
-intertwining ``T*`` with the adjoint of ``shift (+) U`` where ``U`` is the
+intertwining ``T*`` with the adjoint of ``U (+) shift`` where ``U`` is the
 co-isometry with ``U* Q = Q T*``.  The commutant lift transports the other
-coordinates onto the model, one Douglas solve per coordinate.  Iterating the
-pure branch variable by variable produces the multi-shift model of a pure
-tuple; the general model keeps, for every subset ``L`` of coordinates, a
-block ``A^2_{W_L}(E_L)`` whose defect map ``Delta_L`` solves a double limit
-(series limit inside ``L``, power conjugation outside).
+coordinates onto that one-variable model, one Douglas solve per coordinate.
+Iterating the pure branch variable by variable produces the multi-shift
+model of a pure tuple.
 
 Each operator a one-variable step reads is an :class:`~wberg.hyper.OperatorTuple`:
 the first variable is the caller's sub-tuple, whose defect, adjoint powers,
 nilpotency order and tail limit the classification and the purity test
 already formed, and a lifted stage operator is wrapped once.  ``_tail_split``
-(tail root and co-isometry ``U* Q = Q T*``, from the tuple's tail limit) and
-``_lifts`` (``A* G = G T*``) are the one route for the rest of the split.
-Limits, Douglas solves and lift conditions are all taken at ``LIMIT_TOL``.
+(tail root and co-isometry ``U* Q = Q T*``, from the tuple's tail limit),
+``_lifts`` (``A* G = G T*``) and ``_colift`` (the lift condition and the
+co-lift ``W* Delta = Delta V*`` of a co-isometry) are the one route for the
+rest of the split.  Limits, Douglas solves and lift conditions are all taken
+at ``LIMIT_TOL``.
 
 All model operators live in the orthonormalized graded-lex bases from
 :mod:`wberg.bergman`, and none is formed as a matrix: each is an action on
@@ -72,10 +75,8 @@ __all__ = [
     "LiftedAction",
     "BlockDiagonal",
     "DilationResult",
-    "OneVarDilation",
     "CommutantLift",
     "LambdaBlock",
-    "one_var_dilation",
     "commutant_lift",
     "pure_dilation",
     "general_model",
@@ -85,8 +86,6 @@ __all__ = [
 
 ISO_TOL = 1e-8
 HORIZON_CAP = 512
-# Largest general model, in rows of its dilation map, that is assembled.
-MAX_MODEL_DIM = 8192
 # Commutation slack of the lifted tuples ``(A_i)`` and ``(X_i)``, which carry
 # the rounding of a Douglas solve and commute only to that accuracy.
 LIFT_COMMUTATION_TOL = 1e-8
@@ -216,6 +215,15 @@ class LambdaBlock:
     def block_dim(self) -> int:
         return self.e_dim if self.space is None else self.space.dim
 
+    @property
+    def copies(self) -> int:
+        """Copies of the coefficient space a lifted operator ``I (x) V`` acts on."""
+        return 1 if self.space is None else len(self.space.indices)
+
+    @property
+    def tag(self) -> str:
+        return "_".join(str(i) for i in self.lam) if self.lam else "empty"
+
 
 @dataclass
 class DilationResult:
@@ -231,22 +239,8 @@ class DilationResult:
 
 
 @dataclass
-class OneVarDilation(DilationResult):
-    omega: WeightSpec | None = None
-    n_terms: int = 0
-    defect: np.ndarray | None = None          # PSD square root on H
-    defect_basis: np.ndarray | None = None    # columns span ran(defect)
-    defect_min: np.ndarray | None = None      # coordinates H -> defect space
-    q: np.ndarray | None = None
-    q_basis: np.ndarray | None = None
-    q_min: np.ndarray | None = None
-    u: np.ndarray | None = None               # co-isometry on the tail coordinates
-    space: TruncatedSpace | None = None
-
-
-@dataclass
 class CommutantLift:
-    base: OneVarDilation
+    base: DilationResult  # the general model of T_1: tail block, then function block
     a_ops: list[np.ndarray]  # on the defect coordinates
     x_ops: list[np.ndarray]  # on the tail coordinates
     v_ops: list[BlockDiagonal]  # on the model space
@@ -391,120 +385,43 @@ def _defect_sqrt_pieces(
 
 
 # ---------------------------------------------------------------------------
-# one-variable dilation
-# ---------------------------------------------------------------------------
-
-def one_var_dilation(
-    t,
-    omega: WeightSpec,
-    n_terms: int | None = None,
-    validate: bool = True,
-) -> OneVarDilation:
-    """Dilate a single hypercontraction, a matrix or a one-entry tuple, onto
-    ``A^2_w(defect) (+) tail``.  ``residuals["norm_identity"]`` is the largest diagonal
-    entry of ``Pi* Pi - I``, the identity ``|h|^2 = sum_k |D T*^k h|^2 / w_k + |Q h|^2``
-    on a basis."""
-    tup, w = _one_tuple(t), MultiWeightSpec.of(omega)
-    if validate and not is_W_hypercontraction(tup, w, lattice_e_points=False).verdict:
-        raise NotHypercontractive("operator fails the weighted positivity test")
-    defect, d_basis, d_min = _defect_sqrt_pieces(tup, omega)
-    t = tup[0].mat
-    t_adj = t.conj().T
-    if n_terms is None:
-        n_terms = _pure_horizon(tup, 0, omega)
-    q, q_basis, q_min, u = _tail_split(tup, "tail co-isometry")
-    dim = t.shape[0]
-    space = TruncatedSpace(w, (n_terms,), coeff_dim=d_min.shape[0])
-    inv_sqrt_w = 1.0 / np.sqrt(omega.values(n_terms))
-    stars = tup.adjoint_stack(0, n_terms)
-    pi = (inv_sqrt_w[:, None, None] * (d_min @ stars)).reshape(-1, dim)
-    full_map = np.vstack([pi, q_min])
-    model_op = BlockDiagonal((space.shifts[0], LiftedAction(u)))
-    eye = np.eye(dim)
-    gram = full_map.conj().T @ full_map
-    iso_res = hermitian_norm(gram - eye)
-    inter_res = spectral_norm(full_map @ t_adj - model_op.adjoint_apply(full_map))
-    u_coiso = hermitian_norm(u @ u.conj().T - np.eye(q_min.shape[0]))
-    omega_iso = float(np.max(np.abs(np.diag(gram - eye)))) if dim else 0.0
-    if iso_res > ISO_TOL:
-        raise IsometryResidualTooLarge(
-            f"dilation map is not isometric (residual {iso_res:.3e}); "
-            "raise the truncation level"
-        )
-    return OneVarDilation(
-        map=Operator(full_map),
-        model_ops=[model_op],
-        residuals={
-            "isometry": iso_res,
-            "intertwining": inter_res,
-            "tail_coisometry": u_coiso,
-            "norm_identity": omega_iso,
-        },
-        block_layout=None,
-        omega=omega,
-        n_terms=n_terms,
-        defect=defect,
-        defect_basis=d_basis,
-        defect_min=d_min,
-        q=q,
-        q_basis=q_basis,
-        q_min=q_min,
-        u=u,
-        space=space,
-    )
-
-
-# ---------------------------------------------------------------------------
 # commutant lift
 # ---------------------------------------------------------------------------
 
-def commutant_lift(
-    t: OperatorTuple,
-    w: MultiWeightSpec,
-    validate: bool = True,
-    classify_lifts: bool = True,
-) -> CommutantLift:
-    """Lift the remaining coordinates through the first variable's dilation.
+def commutant_lift(t: OperatorTuple, w: MultiWeightSpec) -> CommutantLift:
+    """Lift the remaining coordinates through the first variable's model.
 
-    Produces commuting contractions ``A_i`` on the defect coordinates with
+    The base is the general model of ``T_1``: a tail block on the coordinates
+    ``Q`` and a function block over the defect coordinates ``D``.  Produces
+    commuting contractions ``A_i`` on the defect coordinates with
     ``A_i* D = D T_i*`` and ``X_i`` on the tail coordinates with
-    ``X_i* Q = Q T_i*``, then ``V_i = (I (x) A_i) (+) X_i`` on the model with
+    ``X_i* Q = Q T_i*``, then ``V_i = X_i (+) (I (x) A_i)`` on the model with
     ``Pi T_i* = V_i* Pi``.  ``V_i`` commutes with the model operator
-    ``S (+) U`` exactly on the shift block, so ``model_commute_i`` is the
+    ``U (+) S`` exactly on the shift block, so ``model_commute_i`` is the
     tail block's ``||X_i U - U X_i||``.
     """
     if w.n != t.n:
         raise DouglasPreconditionFailed(f"weight arity {w.n} != tuple arity {t.n}")
-    if validate:
-        if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
-            raise NotHypercontractive("tuple fails the weighted positivity tests")
-    base = one_var_dilation(subtuple(t, (0,)), w[0], validate=False)
-    d_min, q_min = base.defect_min, base.q_min
+    if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
+        raise NotHypercontractive("tuple fails the weighted positivity tests")
+    base = general_model(subtuple(t, (0,)), w.subset((0,)))
+    tail, function = base.block_layout
+    d_min, q_min = function.delta, tail.delta
     rest, labels = t.ops[1:], range(1, t.n)
     a_ops = _lifts(d_min, rest, labels, "defect intertwiner")
     x_ops = _lifts(q_min, rest, labels, "tail intertwiner")
     v_ops = []
     residuals: dict[str, float] = dict(base.residuals)
-    n_slots = base.n_terms
     pi, model_op = base.map.mat, base.model_ops[0]
     for i, a_i, x_i in zip(labels, a_ops, x_ops):
         t_adj = t[i].mat.conj().T
-        v_i = BlockDiagonal((LiftedAction(a_i, n_slots), LiftedAction(x_i)))
+        v_i = BlockDiagonal((LiftedAction(x_i), LiftedAction(a_i, function.copies)))
         residuals[f"defect_intertwine_{i}"] = spectral_norm(
             a_i.conj().T @ d_min - d_min @ t_adj)
         residuals[f"tail_intertwine_{i}"] = spectral_norm(x_i.conj().T @ q_min - q_min @ t_adj)
         residuals[f"model_intertwine_{i}"] = spectral_norm(pi @ t_adj - v_i.adjoint_apply(pi))
         residuals[f"model_commute_{i}"] = _commutator_norm(v_i, model_op)
         v_ops.append(v_i)
-    if classify_lifts and t.n > 1:
-        rest_w = w.subset(labels)
-        for name, ops in (("a", a_ops), ("x", x_ops)):
-            if ops[0].shape[0] > 0:
-                lifted = OperatorTuple(tuple(ops), commutation_tol=LIFT_COMMUTATION_TOL)
-                rep = is_W_hypercontraction(lifted, rest_w, lattice_e_points=False)
-                residuals[f"{name}_tuple_hyper_min_eig"] = min(
-                    (c.min_eig for c in rep.certificates), default=0.0
-                )
     return CommutantLift(base, a_ops, x_ops, v_ops, residuals)
 
 
@@ -597,23 +514,28 @@ def _recursive_blocks(
                                  diagnostics)
     x_blocks = _recursive_blocks(_staged(x_next), weights[1:], labels[1:], q_min.shape[0],
                                  diagnostics)
-    out = []
-    for lam, delta, v in a_blocks:
-        out.append(((lab1,) + lam, delta @ d_min, dict(v)))
+    out = [((lab1,) + lam, delta @ d_min, dict(v)) for lam, delta, v in a_blocks]
     for lam, delta, v in x_blocks:
-        gram = delta.conj().T @ delta
-        moved = u @ gram @ u.conj().T
-        cond = hermitian_norm(moved - gram)
-        scale = max(1.0, hermitian_norm(gram))
-        key = "lift_condition_" + "_".join(str(i) for i in (lab1,) + lam)
-        diagnostics[key] = cond
-        if cond > LIMIT_TOL * 100 * scale:
-            raise LiftConditionFailed((lab1,) + lam, cond)
-        w_lift = _douglas(delta, delta @ u.conj().T, f"co-isometry lift at {lab1}")
-        v2 = dict(v)
-        v2[lab1] = w_lift
-        out.append((lam, delta @ q_min, v2))
+        lifted = (lab1,) + lam
+        w_lift, diagnostics["lift_condition_" + "_".join(map(str, lifted))] = _colift(
+            delta, u, lifted, f"co-isometry lift at {lab1}")
+        out.append((lam, delta @ q_min, {**v, lab1: w_lift}))
     return out
+
+
+def _colift(
+    delta: np.ndarray, v: np.ndarray, lam: tuple[int, ...], what: str
+) -> tuple[np.ndarray, float]:
+    """The co-lift ``W`` with ``W* Delta = Delta V*`` of a co-isometry ``V``
+    through a block defect map ``Delta``, and the residual of the lift
+    condition ``V Delta* Delta V* = Delta* Delta``; a residual above
+    ``100 LIMIT_TOL max(1, ||Delta* Delta||)`` raises
+    :class:`LiftConditionFailed` for the block ``lam``."""
+    gram = delta.conj().T @ delta
+    cond = hermitian_norm(v @ gram @ v.conj().T - gram)
+    if cond > LIMIT_TOL * 100 * max(1.0, hermitian_norm(gram)):
+        raise LiftConditionFailed(lam, cond)
+    return _douglas(delta, delta @ v.conj().T, what), cond
 
 
 def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
@@ -644,7 +566,6 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
     )
     raw.sort(key=lambda item: sum(1 << i for i in item[0]))
     blocks: list[LambdaBlock] = []
-    total_dim = 0
     for lam, delta, v in raw:
         e_dim = delta.shape[0]
         space = None
@@ -652,13 +573,8 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
             space = TruncatedSpace(
                 w.subset(lam), tuple(degs[i] for i in lam), coeff_dim=e_dim
             )
-        block = LambdaBlock(lam=lam, delta=delta, e_dim=e_dim, v=v, space=space)
-        blocks.append(block)
-        total_dim += block.block_dim
-        if total_dim > MAX_MODEL_DIM:
-            raise BlockBudgetExceeded(
-                f"model dimension exceeds the budget {MAX_MODEL_DIM}"
-            )
+        blocks.append(LambdaBlock(lam=lam, delta=delta, e_dim=e_dim, v=v, space=space))
+    total_dim = sum(block.block_dim for block in blocks)
     model_ops = [BlockDiagonal(tuple(_block_action(b, i) for b in blocks)) for i in range(t.n)]
     star_stacks = [t.adjoint_stack(i, degs[i]) for i in range(t.n)]
     residuals = dict(diagnostics)
@@ -683,8 +599,7 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
             residuals[f"intertwining_{i}"] = spectral_norm(resid)
             residuals[f"model_norm_{i}"] = op.norm()
     for block in blocks:
-        tag = "_".join(str(i) for i in block.lam) if block.lam else "empty"
-        delta = block.delta
+        tag, delta = block.tag, block.delta
         brute = _double_limit(t, w, block.lam)
         residuals[f"delta_formula_{tag}"] = hermitian_norm(delta.conj().T @ delta - brute)
         worst_int = 0.0
@@ -714,8 +629,7 @@ def _block_action(block: LambdaBlock, i: int) -> ModelAction:
     """Coordinate ``i`` of the general model on one block: the block shift
     when ``i`` is in ``lam``, else the lifted co-isometry ``I (x) v[i]``."""
     if i not in block.lam:
-        copies = 1 if block.space is None else len(block.space.indices)
-        return LiftedAction(block.v[i], copies)
+        return LiftedAction(block.v[i], block.copies)
     if block.space is None:  # an empty block
         return LiftedAction(np.zeros((0, 0), dtype=complex))
     return block.space.shifts[block.lam.index(i)]
@@ -753,20 +667,10 @@ def model_colift(
     parts = []
     residuals: dict[str, float] = {}
     for block in model.block_layout:
-        delta = block.delta
-        gram = delta.conj().T @ delta
-        moved = v @ gram @ v_adj
-        cond = hermitian_norm(moved - gram)
-        tag = "_".join(str(i) for i in block.lam) if block.lam else "empty"
-        residuals[f"lift_condition_{tag}"] = cond
-        if cond > LIMIT_TOL * 100 * max(1.0, hermitian_norm(gram)):
-            raise LiftConditionFailed(block.lam, cond)
-        if block.e_dim == 0:
-            w_lam = np.zeros((0, 0), dtype=complex)
-        else:
-            w_lam = _douglas(delta, delta @ v_adj, f"colift {tag}")
-        copies = 1 if block.space is None else len(block.space.indices)
-        parts.append(LiftedAction(w_lam, copies))
+        tag, delta = block.tag, block.delta
+        w_lam, residuals[f"lift_condition_{tag}"] = _colift(delta, v, block.lam,
+                                                            f"colift {tag}")
+        parts.append(LiftedAction(w_lam, block.copies))
         residuals[f"colift_intertwine_{tag}"] = spectral_norm(
             w_lam.conj().T @ delta - delta @ v_adj
         )
@@ -809,25 +713,27 @@ def transport_identities_check(
     (ii) ``Q (defect of the tail-lifted tuple) Q`` equals the power-conjugated
          limit of the subtuple defect.
     """
+    if w.n != t.n:
+        raise DouglasPreconditionFailed(f"weight arity {w.n} != tuple arity {t.n}")
     lam = tuple(sorted(set(int(i) for i in lam)))
     if any(i <= 0 or i >= t.n for i in lam):
         raise ValueError("subset must avoid the first coordinate")
-    lift = commutant_lift(t, w, validate=False, classify_lifts=False)
-    d_full = lift.base.defect
-    d_basis = lift.base.defect_basis
-    q_full = lift.base.q
-    q_basis = lift.base.q_basis
+    first, rest, labels = subtuple(t, (0,)), t.ops[1:], range(1, t.n)
+    d_full, d_basis, d_min = _defect_sqrt_pieces(first, w[0])
+    q_full, q_basis, q_min, _ = _tail_split(first, "tail co-isometry")
+    a_ops = _lifts(d_min, rest, labels, "defect intertwiner")
+    x_ops = _lifts(q_min, rest, labels, "tail intertwiner")
     rest_w = w.subset(lam) if lam else None
 
     # (i): defect of the A-subtuple, lifted back to H coordinates
-    lifted = _pulled_back(lift.a_ops, d_basis, lam, rest_w, t.dim)
+    lifted = _pulled_back(a_ops, d_basis, lam, rest_w, t.dim)
     lhs_i = d_full @ lifted @ d_full
     enlarged = (0,) + lam
     rhs_i = _vertex_defect(subtuple(t, enlarged), w.subset(enlarged))
     res_i = hermitian_norm(lhs_i - rhs_i)
 
     # (ii): tail-side identity
-    lifted_x = _pulled_back(lift.x_ops, q_basis, lam, rest_w, t.dim)
+    lifted_x = _pulled_back(x_ops, q_basis, lam, rest_w, t.dim)
     lhs_ii = q_full @ lifted_x @ q_full
     if lam:
         sub_defect = _vertex_defect(subtuple(t, lam), rest_w)

@@ -93,8 +93,8 @@ class LiftConditionFailed(WbergError):
 
 
 class BlockBudgetExceeded(WbergError):
-    """A model too large to build: the general model's dimension exceeds its
-    budget, or a dilation map and its residuals do not fit in memory."""
+    """A model too large to build: a dilation map and a residual of its size
+    do not fit in memory."""
 
 
 # --- characteristic function errors ------------------------------------------

@@ -502,7 +502,8 @@ def defect_series(t: OperatorTuple, w: MultiWeightSpec, r) -> np.ndarray:
     C_{T_i})^p``, which rounds at about ``eps`` times its norm bound
     ``2^ceil(p)``, where the expanded sum rounds at ``eps * sum_k |c_k|
     ||T^k||^2``; at ``r = 1`` it is :func:`delta_power` of ``I`` bit for bit.
-    An explicit list takes its expanded sum, nesting :func:`hereditary_apply`.
+    An explicit list takes its expanded sum, nesting :func:`_hereditary_sum`;
+    :func:`hereditary_apply` is only the reference tests compare a level with.
     """
     if w.n != t.n:
         raise ArityMismatch(f"weight arity {w.n} != tuple arity {t.n}")

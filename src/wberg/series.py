@@ -150,12 +150,14 @@ class WeightSpec:
         return weight_values(self, n)
 
     def inverse_weight_values(self, n: int) -> np.ndarray:
-        """Return ``1/w_0 .. 1/w_{n-1}``; these are the associated-series coefficients."""
-        return _inverse_weights_cached(self, n).copy()
+        """Return ``1/w_0 .. 1/w_{n-1}``, the associated-series coefficients,
+        as the cached read-only array."""
+        return _inverse_weights_cached(self, n)
 
     def inverse_coeffs(self, n: int) -> np.ndarray:
-        """Coefficients of the reciprocal ``1/k`` of the associated series."""
-        return _inverse_coeffs_cached(self, n).copy()
+        """Coefficients of the reciprocal ``1/k`` of the associated series, as
+        the cached read-only array."""
+        return _inverse_coeffs_cached(self, n)
 
 
 def weight_values(spec: WeightSpec, n: int) -> np.ndarray:

@@ -129,6 +129,14 @@ def test_dilate_general_mixed(capsys):
     assert len(blocks) == 4
 
 
+def test_dilate_general_as_large_as_the_pure_dilation(capsys):
+    code, out, _ = run_cli(capsys, "dilate", "--general", "--weights", "bergman:2,bergman:2",
+                           "--tuple", "scalars:[0.8,0.8]")
+    assert code == 0
+    step = json.loads(out)["steps"]["dilate-general"]
+    assert step["verdict"] is True and step["model_dim"] == 11236
+
+
 def test_dilate_non_hypercontractive_exit_1(capsys):
     code, _, err = run_cli(capsys, "dilate", "--pure", "--weights",
                            "bergman:2,bergman:2", "--tuple", "nilpotent:1:4:2:0.9")

@@ -9,18 +9,22 @@ import pytest
 import wberg.bergman as bergman
 from wberg.bergman import ShiftAction, TruncatedSpace, multishift_tuple
 from wberg.dilation import (
+    ISO_TOL,
+    LIFT_COMMUTATION_TOL,
     BlockDiagonal,
     LiftedAction,
+    _defect_sqrt_pieces,
     _pure_horizon,
+    _tail_split,
     commutant_lift,
     general_model,
     model_colift,
-    one_var_dilation,
     pure_dilation,
     transport_identities_check,
 )
 from wberg.errors import (
     BlockBudgetExceeded,
+    DouglasPreconditionFailed,
     HorizonTooShort,
     IsometryResidualTooLarge,
     LiftConditionFailed,
@@ -35,8 +39,8 @@ from wberg.generators import (
     unitary_times_nilpotent,
 )
 from wberg.hyper import OperatorTuple, defect_series, is_W_hypercontraction, subtuple
-from wberg.linalg import Operator
-from wberg.pipelines import PURE_DILATION_BUDGETS
+from wberg.linalg import Operator, hermitian_norm, spectral_norm
+from wberg.pipelines import GENERAL_MODEL_BUDGET, PURE_DILATION_BUDGETS
 from wberg.series import MultiWeightSpec, WeightSpec
 
 HARDY = WeightSpec.hardy()
@@ -53,40 +57,102 @@ def opnorm(mat):
 
 
 # ---------------------------------------------------------------------------
-# one-variable dilation
+# one-variable dilation: the general model of a one-entry tuple
 # ---------------------------------------------------------------------------
 
+def one_var_model(t, omega: WeightSpec):
+    """The general model of the one-entry tuple of ``t`` and its blocks by label."""
+    res = general_model(OperatorTuple.of(t), MultiWeightSpec.of(omega))
+    return res, {b.lam: b for b in res.block_layout}
+
+
+def norm_identity(res) -> float:
+    """Largest diagonal entry of ``Pi* Pi - I``: the norm identity
+    ``|h|^2 = sum_k |D T*^k h|^2 / w_k + |Q h|^2`` on a basis."""
+    pi = res.map.mat
+    return float(np.max(np.abs(np.diag(pi.conj().T @ pi - np.eye(pi.shape[1])))))
+
+
+def olofsson_reference(t, omega: WeightSpec) -> dict:
+    """The one-variable dilation assembled by hand: rows ``Dmin T*^k / sqrt(w_k)``
+    up to the purity horizon, stacked over the tail coordinates ``Qmin``, with
+    the co-isometry ``U* Qmin = Qmin T*`` and the residuals of the map."""
+    tup = OperatorTuple.of(t)
+    _, _, d_min = _defect_sqrt_pieces(tup, omega)
+    _, _, q_min, u = _tail_split(tup, "tail co-isometry")
+    n_terms = _pure_horizon(tup, 0, omega)
+    space = TruncatedSpace(MultiWeightSpec.of(omega), (n_terms,), coeff_dim=d_min.shape[0])
+    inv_sqrt_w = 1.0 / np.sqrt(omega.values(n_terms))
+    pi = (inv_sqrt_w[:, None, None] * (d_min @ tup.adjoint_stack(0, n_terms))).reshape(
+        -1, tup.dim)
+    full_map = np.vstack([pi, q_min])
+    model_op = BlockDiagonal((space.shifts[0], LiftedAction(u)))
+    return {
+        "pi": pi, "d_min": d_min, "q_min": q_min, "u": u,
+        "isometry": hermitian_norm(full_map.conj().T @ full_map - np.eye(tup.dim)),
+        "intertwining": spectral_norm(
+            full_map @ tup[0].mat.conj().T - model_op.adjoint_apply(full_map)),
+    }
+
+
+@pytest.mark.parametrize("t,wtxt", [
+    (nilpotent_commuting_tuple(7, 5, 1, radius=0.6)[0].mat, "bergman:2"),
+    (np.diag([1.0, 0.5]), "hardy"),
+    (commuting_unitaries(31, 3, 1)[0].mat, "hardy"),
+    (np.array([[0.7]]), "bergman:2.5"),
+    (np.zeros((1, 1)), "hardy"),
+], ids=["nilpotent-5", "diag-1-0.5", "unitary-3", "scalar-0.7", "zero"])
+def test_one_entry_general_model_is_the_olofsson_dilation(t, wtxt):
+    omega = WeightSpec.parse(wtxt)
+    ref = olofsson_reference(t, omega)
+    res, _ = one_var_model(t, omega)
+    tail, function = res.block_layout
+    assert (tail.lam, function.lam) == ((), (0,))
+    # the same map rows, tail first, and the same coordinates and co-isometry
+    q_rows = ref["q_min"].shape[0]
+    assert np.array_equal(res.map.mat[:q_rows], ref["q_min"])
+    assert np.array_equal(res.map.mat[q_rows:], ref["pi"])
+    assert np.array_equal(function.delta, ref["d_min"])
+    assert np.array_equal(tail.delta, ref["q_min"])
+    assert np.array_equal(tail.v[0], ref["u"])
+    assert res.residuals["isometry"] == pytest.approx(ref["isometry"], rel=0, abs=1e-15)
+    assert res.residuals["intertwining_0"] == pytest.approx(ref["intertwining"], rel=0,
+                                                            abs=1e-15)
+
+
 def test_one_var_zero_operator_embeds_constants():
-    d = one_var_dilation(Operator([[0.0]]), HARDY, n_terms=4)
+    d, _ = one_var_model(Operator([[0.0]]), HARDY)
     # the map sends h to the constant function h: one unit row, rest zero
     assert np.allclose(d.map.mat, np.array([[1], [0], [0], [0], [0]])[: d.map.rows])
     assert d.residuals["isometry"] < 1e-14
     # model operator restricted to the function block is the truncated shift
-    assert np.allclose(d.model_ops[0].to_matrix()[:4, :4], np.diag([1.0] * 3, -1))
+    m = d.model_ops[0].to_matrix()
+    assert np.allclose(m, np.diag([1.0] * (m.shape[0] - 1), -1))
 
 
 def test_one_var_pure_branch_reduces_to_shift_intertwining():
     t = nilpotent_commuting_tuple(12, 6, 1, radius=0.7)[0]
-    d = one_var_dilation(t, HARDY)
-    assert d.q_min.shape[0] == 0  # no tail block for a pure operator
+    d, layout = one_var_model(t, HARDY)
+    assert layout[()].e_dim == 0  # no tail block for a pure operator
     assert d.residuals["isometry"] < 1e-12
-    assert d.residuals["intertwining"] < 1e-12
+    assert d.residuals["intertwining_0"] < 1e-12
 
 
 def test_one_var_unitary_is_all_tail():
     u = commuting_unitaries(31, 3, 1)[0]
-    d = one_var_dilation(u, HARDY)
-    assert d.defect_min.shape[0] == 0
-    assert d.q_min.shape[0] == 3
+    d, layout = one_var_model(u, HARDY)
+    assert layout[(0,)].e_dim == 0
+    tail = layout[()]
+    assert tail.e_dim == 3
     # U satisfies U* Q = Q T*; with Q = I this is U = T
-    assert opnorm(d.u.conj().T @ d.q_min - d.q_min @ u.mat.conj().T) < 1e-10
+    assert opnorm(tail.v[0].conj().T @ tail.delta - tail.delta @ u.mat.conj().T) < 1e-10
     assert d.residuals["isometry"] < 1e-10
 
 
 def test_one_var_rejects_non_hypercontractive():
     t = nilpotent_commuting_tuple(1, 4, 1, radius=0.9)[0]
     with pytest.raises(NotHypercontractive):
-        one_var_dilation(t, B2)
+        one_var_model(t, B2)
 
 
 @pytest.mark.parametrize("wtxt", ["hardy", "bergman:2", "bergman:3"])
@@ -94,10 +160,10 @@ def test_one_var_residuals_nilpotent_family(wtxt):
     w = WeightSpec.parse(wtxt)
     for seed in (3, 14, 27):
         t = nilpotent_commuting_tuple(seed, 8, 1, radius=0.5)[0]
-        d = one_var_dilation(t, w)
+        d, _ = one_var_model(t, w)
         assert d.residuals["isometry"] < 1e-9
-        assert d.residuals["intertwining"] < 1e-9
-        assert d.residuals["tail_coisometry"] < 1e-9
+        assert d.residuals["intertwining_0"] < 1e-9
+        assert d.residuals["v_coisometry_empty"] < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -106,18 +172,18 @@ def test_one_var_residuals_nilpotent_family(wtxt):
 
 def test_isometry_identity_nilpotent_exact():
     t = nilpotent_commuting_tuple(8, 5, 1, radius=0.8)[0]
-    assert one_var_dilation(t, HARDY).residuals["norm_identity"] < 1e-10
+    assert norm_identity(one_var_model(t, HARDY)[0]) < 1e-10
 
 
 def test_isometry_identity_coisometry_all_tail():
     u = commuting_unitaries(17, 4, 1)[0]
-    assert one_var_dilation(u, B2).residuals["norm_identity"] < 1e-9
+    assert norm_identity(one_var_model(u, B2)[0]) < 1e-9
 
 
 def test_isometry_identity_scalar_geometric():
     tval = 0.6
-    res = one_var_dilation(Operator([[tval]]), HARDY, n_terms=64).residuals["norm_identity"]
-    # (1 - t^2) sum t^(2k) + lim t^(2k) = 1, truncated at 64 terms
+    res = norm_identity(one_var_model(Operator([[tval]]), HARDY)[0])
+    # (1 - t^2) sum t^(2k) + lim t^(2k) = 1, truncated at the purity horizon
     assert res < 1e-12
 
 
@@ -136,13 +202,14 @@ def test_commutant_lift_pure_first_coordinate_has_no_tail_part():
     t = nilpotent_commuting_tuple(9, 5, 2, radius=0.5)
     w = MultiWeightSpec.parse("hardy,bergman:2")
     lift = commutant_lift(t, w)
-    assert lift.base.q_min.shape[0] == 0
+    tail, function = lift.base.block_layout
+    assert tail.e_dim == 0
     for i in (1,):
         assert lift.residuals[f"model_intertwine_{i}"] < 1e-10
         assert lift.residuals[f"model_commute_{i}"] < 1e-10
     # V_i = I (x) A_i exactly: compare blocks
     v = lift.v_ops[0].to_matrix()
-    n_slots = lift.base.n_terms
+    n_slots = function.copies
     expected = np.kron(np.eye(n_slots), lift.a_ops[0])
     assert np.allclose(v[: expected.shape[0], : expected.shape[1]], expected)
 
@@ -160,7 +227,9 @@ def test_commutant_lift_keeps_lifted_tuples_hypercontractive():
     t = nilpotent_commuting_tuple(22, 5, 2, radius=0.45)
     w = MultiWeightSpec.parse("bergman:2,bergman:2")
     lift = commutant_lift(t, w)
-    assert lift.residuals["a_tuple_hyper_min_eig"] >= -1e-8
+    lifted = OperatorTuple(tuple(lift.a_ops), commutation_tol=LIFT_COMMUTATION_TOL)
+    rep = is_W_hypercontraction(lifted, w.subset((1,)), lattice_e_points=False)
+    assert min((c.min_eig for c in rep.certificates), default=0.0) >= -1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +335,20 @@ def test_general_model_single_variable_blocks():
     assert np.allclose(d.delta.conj().T @ d.delta, np.diag([0.0, 0.75]), atol=1e-10)
     assert np.allclose(q.delta.conj().T @ q.delta, np.diag([1.0, 0.0]), atol=1e-10)
     assert res.residuals["isometry"] < 1e-9
+
+
+def test_general_model_has_no_size_limit_but_memory():
+    # 106 x 106 rows, as many as the pure dilation of the same pair
+    t = scalar_tuple([0.8, 0.8])
+    w = MultiWeightSpec.parse("bergman:2,bergman:2")
+    res = general_model(t, w)
+    assert res.map.rows == pure_dilation(t, w).map.rows == 11236
+    assert res.residuals["isometry"] <= ISO_TOL
+    for key, value in res.residuals.items():
+        if key.startswith("model_norm"):
+            assert value <= 1.0 + 1e-8
+        else:
+            assert value <= GENERAL_MODEL_BUDGET, key
 
 
 def test_general_model_pure_tuple_lives_in_full_block():
@@ -393,6 +476,22 @@ def test_model_colift_reproduces_tail_coisometry():
         assert value < 1e-8, key
 
 
+def test_model_colift_on_the_one_variable_model():
+    # a diagonal unitary commutes with diag(1, 0.5) and keeps both defect lines
+    t = np.diag([1.0, 0.5])
+    model, layout = one_var_model(t, HARDY)
+    v = np.diag(np.exp([0.3j, -1.1j]))
+    lifted, residuals = model_colift(v, model)
+    assert set(residuals) >= {"lift_condition_empty", "lift_condition_0", "map_intertwine"}
+    for key, value in residuals.items():
+        assert value < 1e-9, key
+    # on the tail block (the unitary line) the co-lift is the unitary's entry
+    tail = lifted.blocks[0].to_matrix()
+    assert layout[()].e_dim == 1 and abs(abs(tail[0, 0]) - 1.0) < 1e-12
+    big = lifted.to_matrix()
+    assert opnorm(model.map.mat @ v.conj().T - big.conj().T @ model.map.mat) < 1e-9
+
+
 def test_model_colift_condition_failure():
     t = OperatorTuple.of(Operator(np.diag([1.0, 0.5])))
     model = general_model(t, MultiWeightSpec.of(HARDY))
@@ -411,6 +510,12 @@ def test_useful_lemma_empty_subset_exact():
     res_i, res_ii = transport_identities_check(t, w, ())
     assert res_i < 1e-10
     assert res_ii < 1e-10
+
+
+def test_transport_identities_refuse_a_weight_of_another_arity():
+    t = nilpotent_commuting_tuple(71, 4, 2, radius=0.5)
+    with pytest.raises(DouglasPreconditionFailed, match="arity"):
+        transport_identities_check(t, MultiWeightSpec.parse("hardy"), ())
 
 
 def test_useful_lemma_nilpotent_pair():
@@ -462,10 +567,10 @@ def test_general_model_scalar_pair_block_content():
 
 def test_one_var_dilation_mixed_diagonal():
     t = Operator(np.diag([1.0, 0.5]))
-    d = one_var_dilation(t, HARDY)
-    assert d.defect_min.shape[0] == 1 and d.q_min.shape[0] == 1
+    d, layout = one_var_model(t, HARDY)
+    assert layout[(0,)].e_dim == 1 and layout[()].e_dim == 1
     assert d.residuals["isometry"] < 1e-9
-    assert d.residuals["intertwining"] < 1e-9
+    assert d.residuals["intertwining_0"] < 1e-9
 
 
 def test_pure_dilation_bitwise_deterministic():
@@ -516,11 +621,11 @@ def test_general_model_residuals_match_dense_route(make, wtxt):
 
 def test_one_var_dilation_residual_matches_dense_route():
     t = Operator(np.diag([1.0, 0.5]))
-    d = one_var_dilation(t, HARDY)
+    d, _ = one_var_model(t, HARDY)
     m = d.model_ops[0].to_matrix()
     pi = d.map.mat
     dense = opnorm(pi @ t.mat.conj().T - m.conj().T @ pi)
-    assert abs(d.residuals["intertwining"] - dense) <= DENSE_ROUTE_TOL
+    assert abs(d.residuals["intertwining_0"] - dense) <= DENSE_ROUTE_TOL
 
 
 def test_commutant_lift_residuals_match_dense_route():
@@ -529,7 +634,7 @@ def test_commutant_lift_residuals_match_dense_route():
     lift = commutant_lift(t, MultiWeightSpec.parse("hardy,hardy"))
     pi = lift.base.map.mat
     model = lift.base.model_ops[0].to_matrix()
-    assert lift.base.defect_min.shape[0] > 0 and lift.base.q_min.shape[0] > 0
+    assert all(block.e_dim > 0 for block in lift.base.block_layout)
     v = lift.v_ops[0].to_matrix()
     dense_int = opnorm(pi @ t[1].mat.conj().T - v.conj().T @ pi)
     dense_comm = opnorm(v @ model - model @ v)

@@ -581,7 +581,7 @@ def test_is_pure():
 # ---------------------------------------------------------------------------
 
 def _one_variable(t, spec):
-    """Classify a single operator as ``one_var_dilation`` validates it."""
+    """Classify a single operator as the general model of its one-entry tuple validates it."""
     return is_W_hypercontraction(OperatorTuple.of(t), MultiWeightSpec.of(spec),
                                  lattice_e_points=False)
 

@@ -145,7 +145,6 @@ UNSET_PARAMETERS_ALLOWED = {
     "linalg.Operator.__array__(dtype)": "numpy's array protocol passes it",
     "linalg.Operator.__array__(copy)": "numpy's array protocol passes it",
     "cli.main(argv)": "the console script calls main() and tests pass an argv",
-    "dilation.one_var_dilation(n_terms)": "tests fix the truncation of one-variable models",
     "hyper.defect_operator(tol)": "tests ask for an accuracy floor the limit cannot meet",
     "bergman.TruncatedSpace.slot(p)": "tests address coefficient slots past the first",
 }
@@ -259,3 +258,16 @@ def test_only_uniqueness_unitary_forms_the_transition():
             if (getattr(target, "id", None) or getattr(target, "attr", None)) == "_transition":
                 callers.append(f"{path.stem}.{caller.name if caller else '<module>'}")
     assert callers == ["charfn.uniqueness_unitary"]
+
+
+def test_only_colift_raises_the_lift_condition():
+    # the lift condition V Delta* Delta V* = Delta* Delta and its tolerance
+    # have one owner, shared by the general model and the co-isometry lift
+    raisers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for call, caller in _calls_with_callers(tree):
+            target = call.func
+            if (getattr(target, "id", None) or getattr(target, "attr", None)) == "LiftConditionFailed":
+                raisers.append(f"{path.stem}.{caller.name if caller else '<module>'}")
+    assert raisers == ["dilation._colift"]
