@@ -216,13 +216,14 @@ def block_unitarity(cf: CharFunction) -> float:
 
     ``V`` is an isometry, so the nonzero eigenvalues of ``H`` are those of
     the ``(d + k)``-square Hermitian ``K``, and ``||H|| = ||K||``.  The cost
-    is the two ``e x d`` products of ``Y* X = B* T* + D* C`` and one thin
-    QR; no ``N``-square matrix is formed.
+    is ``Y* X``, formed as the adjoint of ``X* Y = T B + C* D`` so that only
+    the ``d``-wide factors are conjugated, and one thin QR; no ``N``-square
+    matrix is formed.
     """
     t_adj = cf.t.conj().T
     c = cf.column_map
     gap = cf.t @ t_adj + c.conj().T @ c - np.eye(cf.t.shape[0])
-    cross = cf.triple.b.conj().T @ t_adj + cf.triple.d_stack.conj().T @ c
+    cross = (cf.t @ cf.triple.b + c.conj().T @ cf.triple.d_stack).conj().T
     s = np.linalg.qr(cross, mode="r")
     k = s.shape[0]
     small = np.block([[gap, s.conj().T], [s, np.zeros((k, k))]])

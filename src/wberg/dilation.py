@@ -11,8 +11,11 @@ Olofsson's
 intertwining ``T*`` with the adjoint of ``U (+) shift`` where ``U`` is the
 co-isometry with ``U* Q = Q T*``.  The commutant lift transports the other
 coordinates onto that one-variable model, one Douglas solve per coordinate.
-Iterating the pure branch variable by variable produces the multi-shift
-model of a pure tuple.
+The blocks come from iterating that split variable by variable, and every
+block's rows are the stage cascade ``Dmin_n S_n*^{a_n} ... Dmin_1 T_1*^{a_1}
+/ sqrt(w_a)`` of the lifted stage operators, the tail maps ``Qmin`` folded
+in.  A pure tuple keeps only the full block, and its model is the
+multi-shift dilation (:func:`pure_dilation`).
 
 Each operator a one-variable step reads is an :class:`~wberg.hyper.OperatorTuple`:
 the first variable is the caller's sub-tuple, whose defect, adjoint powers,
@@ -228,14 +231,15 @@ class LambdaBlock:
 @dataclass
 class DilationResult:
     """The dilation map as an :class:`Operator`, the model operators as
-    actions (:class:`ShiftAction` for a pure dilation, :class:`BlockDiagonal`
-    otherwise; ``to_matrix()`` gives the dense reference), and the residual of
-    every identity the construction promises."""
+    block-diagonal actions (``to_matrix()`` gives the dense reference), the
+    residual of every identity the construction promises, and the blocks,
+    one per coordinate subset in mask order (a pure tuple's are empty but
+    the full one)."""
 
     map: Operator
-    model_ops: list[ShiftAction | BlockDiagonal]
+    model_ops: list[BlockDiagonal]
     residuals: dict[str, float]
-    block_layout: list[LambdaBlock] | None = None
+    block_layout: list[LambdaBlock]
 
 
 @dataclass
@@ -337,29 +341,26 @@ def _map_memory(rows: int, cols: int) -> Iterator[None]:
 
 
 def _fill_map_rows(
-    out: np.ndarray, space: TruncatedSpace, stacks: Sequence[np.ndarray], on_left: bool
+    out: np.ndarray, space: TruncatedSpace, stacks: Sequence[np.ndarray]
 ) -> None:
     """Write the rows of a dilation map on ``space`` into ``out`` in place.
 
-    The row block of the multi-index ``a`` is the chain ``stacks[0][a_0]``,
-    ``stacks[1][a_1]``, ... (each later factor multiplied on the left when
-    ``on_left``, else on the right) divided by ``sqrt(w_a)``.  The chains over
-    all variables but the last are batched products over the index box; the
-    last variable's factors are applied one slice at a time and written
-    straight to their rows, so no second map-sized array is formed.
+    The row block of the multi-index ``a`` is the chain ``... stacks[1][a_1]
+    stacks[0][a_0]`` (each later factor multiplied on the left) divided by
+    ``sqrt(w_a)``.  The chains over all variables but the last are batched
+    products over the index box; the last variable's factors are applied one
+    slice at a time and written straight to their rows, so no second
+    map-sized array is formed.
     """
     rows = out.reshape(len(space.indices), space.coeff_dim, out.shape[1])
     scale = np.sqrt(space.index_weights)
     *head, last = stacks
     prefix = head[0] if head else None
     for stack in head[1:]:
-        pairs = stack[None] @ prefix[:, None] if on_left else prefix[:, None] @ stack[None]
+        pairs = stack[None] @ prefix[:, None]
         prefix = pairs.reshape(-1, *pairs.shape[2:])
     for k in range(len(last)):
-        if prefix is None:
-            block = last[k][None]
-        else:
-            block = last[k] @ prefix if on_left else prefix @ last[k]
+        block = last[k][None] if prefix is None else last[k] @ prefix
         at = space.position_box[..., k].ravel()
         rows[at] = block / scale[at][:, None, None]
 
@@ -426,100 +427,54 @@ def commutant_lift(t: OperatorTuple, w: MultiWeightSpec) -> CommutantLift:
 
 
 # ---------------------------------------------------------------------------
-# pure multi-variable dilation
+# the 2^n-block model
 # ---------------------------------------------------------------------------
 
 def pure_dilation(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
-    """Dilate a pure tuple onto the truncated multi-shift, one variable at a time.
-
-    Each variable is truncated at its purity horizon.  The stages produce
-    defect maps ``Dmin_j`` and lifted tuples; the rows of the final isometry
-    at multi-index ``a`` are
-
-        Dmin_n A_n*^{a_n} ... Dmin_2 A_2*^{a_2} Dmin_1 T_1*^{a_1} / sqrt(w_a).
-    """
+    """Dilate a pure tuple onto the truncated multi-shift: its general
+    model, whose only nonempty block is the full one, acted on by shifts."""
     if w.n != t.n:
         raise NotHypercontractive(f"weight arity {w.n} != tuple arity {t.n}")
     if not is_pure(t):
         raise NotPure("tuple has a non-vanishing tail; use the general model")
-    if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
-        raise NotHypercontractive("tuple fails the weighted positivity tests")
-    degs = tuple(_pure_horizon(t, i, w[i]) for i in range(t.n))
-    # cascade of one-variable defects
-    ops = [subtuple(t, (0,))] + list(t.ops[1:])
-    stages: list[tuple[np.ndarray, OperatorTuple]] = []  # (Dmin_j, stage one-tuple)
-    for j in range(t.n):
-        _, _, d_min = _defect_sqrt_pieces(ops[0], w[j])
-        stages.append((d_min, ops[0]))
-        ops = _staged(_lifts(d_min, ops[1:], range(j + 1, t.n), f"stage {j} lift"))
-    e_dim = stages[-1][0].shape[0]
-    space = TruncatedSpace(w, degs, coeff_dim=e_dim)
-    model_ops = list(space.shifts)
-    with _map_memory(space.dim, t.dim):
-        # the map and one residual of its size, both reserved before any is written
-        p = np.empty((space.dim, t.dim), dtype=complex)
-        resid = np.empty_like(p)
-        _fill_map_rows(p, space, [
-            d_min @ op.adjoint_stack(0, degs[j]) for j, (d_min, op) in enumerate(stages)
-        ], on_left=True)
-        residuals = {"isometry": hermitian_norm(p.conj().T @ p - np.eye(t.dim))}
-        for i, shift in enumerate(model_ops):
-            (residuals[f"intertwining_{i}"],
-             residuals[f"compression_{i}"]) = _shift_residuals(p, t[i].mat, shift, resid)
-    if residuals["isometry"] > ISO_TOL:
-        raise IsometryResidualTooLarge(
-            f"pure dilation not isometric (residual {residuals['isometry']:.3e})"
-        )
-    return DilationResult(map=Operator(p), model_ops=model_ops, residuals=residuals,
-                          block_layout=None)
+    return general_model(t, w)
 
-
-def _shift_residuals(
-    p: np.ndarray, ti: np.ndarray, shift: ShiftAction, resid: np.ndarray
-) -> tuple[float, float]:
-    """``||p T_i* - S_i* p||`` and ``||(S_i* p)* p - T_i||``; ``resid`` is
-    scratch of the map's shape, and ``S_i* p`` is conjugated in place."""
-    moved = shift.adjoint_apply(p)
-    np.matmul(p, ti.conj().T, out=resid)
-    resid -= moved
-    intertwining = spectral_norm(resid)
-    np.conjugate(moved, out=moved)
-    return intertwining, spectral_norm(moved.T @ p - ti)
-
-
-# ---------------------------------------------------------------------------
-# the general 2^n-block model
-# ---------------------------------------------------------------------------
 
 def _recursive_blocks(
-    ops: list,
-    weights: list[WeightSpec],
-    labels: list[int],
-    dim: int,
-    diagnostics: dict[str, float],
-) -> list[tuple[tuple[int, ...], np.ndarray, dict[int, np.ndarray]]]:
-    """Blocks ``(lam, delta, v)`` over subsets of ``labels`` on a ``dim``-space.
+    ops: list, weights: list[WeightSpec], labels: list[int], degs: list[int], dim: int
+) -> list[tuple]:
+    """Blocks ``(lam, delta, v, cond, stacks)`` over subsets of ``labels`` on a ``dim``-space.
 
-    ``ops[0]`` is the one-tuple of the first operator; the others are
-    :class:`Operator` entries at the top level and lifted arrays below.
+    ``ops[0]`` is the one-tuple of the first stage operator ``S``; the others
+    are :class:`Operator` entries at the top level and lifted arrays below.
+    The defect branch lifts the rest through ``Dmin``, the tail branch
+    through ``Qmin``, and co-lifts the tail co-isometry ``U`` onto each of
+    its blocks (``v[lab]``, with ``cond[lab]`` the residual of the lift
+    condition).  ``stacks`` holds the block's row chain, one stack
+    ``Dmin S*^k``, ``k < degs``, per coordinate of ``lam``; each ``Qmin`` is
+    folded into the stack of the next coordinate of ``lam`` (on its right),
+    or after the last one into the last stack (on its left).
     """
     if not ops:
-        return [((), np.eye(dim, dtype=complex), {})]
-    lab1 = labels[0]
+        return [((), np.eye(dim, dtype=complex), {}, {}, [])]
+    lab, rest = labels[0], labels[1:]
     _, _, d_min = _defect_sqrt_pieces(ops[0], weights[0])
-    _, _, q_min, u = _tail_split(ops[0], f"tail co-isometry at {lab1}")
-    a_next = _lifts(d_min, ops[1:], labels[1:], "defect intertwiner")
-    x_next = _lifts(q_min, ops[1:], labels[1:], "tail intertwiner")
-    a_blocks = _recursive_blocks(_staged(a_next), weights[1:], labels[1:], d_min.shape[0],
-                                 diagnostics)
-    x_blocks = _recursive_blocks(_staged(x_next), weights[1:], labels[1:], q_min.shape[0],
-                                 diagnostics)
-    out = [((lab1,) + lam, delta @ d_min, dict(v)) for lam, delta, v in a_blocks]
-    for lam, delta, v in x_blocks:
-        lifted = (lab1,) + lam
-        w_lift, diagnostics["lift_condition_" + "_".join(map(str, lifted))] = _colift(
-            delta, u, lifted, f"co-isometry lift at {lab1}")
-        out.append((lam, delta @ q_min, {**v, lab1: w_lift}))
+    _, _, q_min, u = _tail_split(ops[0], f"tail co-isometry at {lab}")
+    a_next = _lifts(d_min, ops[1:], rest, "defect intertwiner")
+    x_next = _lifts(q_min, ops[1:], rest, "tail intertwiner")
+    star = ops[0].adjoint_stack(0, degs[0])
+    head = d_min @ star if rest else None
+    out = []
+    for lam, delta, v, cond, stacks in _recursive_blocks(
+            _staged(a_next), weights[1:], rest, degs[1:], d_min.shape[0]):
+        delta = delta @ d_min
+        out.append(((lab,) + lam, delta, v, cond, [head] + stacks if stacks else [delta @ star]))
+    for lam, delta, v, cond, stacks in _recursive_blocks(
+            _staged(x_next), weights[1:], rest, degs[1:], q_min.shape[0]):
+        w_lift, cond_lab = _colift(delta, u, (lab,) + lam, f"co-isometry lift at {lab}")
+        if stacks:
+            stacks = [stacks[0] @ q_min] + stacks[1:]
+        out.append((lam, delta @ q_min, {**v, lab: w_lift}, {**cond, lab: cond_lab}, stacks))
     return out
 
 
@@ -545,7 +500,8 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
     Bergman space over the ``lam``-variables, each truncated at its purity
     horizon, with coefficient space the range
     of the block defect ``Delta_lam``; coordinates outside ``lam`` act as
-    lifted co-isometries, coordinates inside as shifts.
+    lifted co-isometries, coordinates inside as shifts.  ``compression_i`` is
+    ``||Pi* M_i Pi - T_i||``, read from the ``M_i* Pi`` of ``intertwining_i``.
 
     ``residuals["model_norm_i"]`` is the spectral norm of ``model_ops[i]``,
     taken from its blocks without an SVD of a shift: the norm of a block
@@ -558,15 +514,13 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
         raise NotHypercontractive(f"weight arity {w.n} != tuple arity {t.n}")
     if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
         raise NotHypercontractive("tuple fails the weighted positivity tests")
-    degs = tuple(_pure_horizon(t, i, w[i]) for i in range(t.n))
-    diagnostics: dict[str, float] = {}
-    raw = _recursive_blocks(
-        [subtuple(t, (0,))] + list(t.ops[1:]), list(w.weights), list(range(t.n)), t.dim,
-        diagnostics,
-    )
+    degs = [_pure_horizon(t, i, w[i]) for i in range(t.n)]
+    raw = _recursive_blocks([subtuple(t, (0,))] + list(t.ops[1:]), list(w.weights),
+                            list(range(t.n)), degs, t.dim)
     raw.sort(key=lambda item: sum(1 << i for i in item[0]))
     blocks: list[LambdaBlock] = []
-    for lam, delta, v in raw:
+    residuals: dict[str, float] = {}
+    for lam, delta, v, cond, _ in raw:
         e_dim = delta.shape[0]
         space = None
         if lam and e_dim > 0:
@@ -574,29 +528,36 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
                 w.subset(lam), tuple(degs[i] for i in lam), coeff_dim=e_dim
             )
         blocks.append(LambdaBlock(lam=lam, delta=delta, e_dim=e_dim, v=v, space=space))
+        for i, value in cond.items():
+            residuals[f"lift_condition_{blocks[-1].tag}_at_{i}"] = value
     total_dim = sum(block.block_dim for block in blocks)
     model_ops = [BlockDiagonal(tuple(_block_action(b, i) for b in blocks)) for i in range(t.n)]
-    star_stacks = [t.adjoint_stack(i, degs[i]) for i in range(t.n)]
-    residuals = dict(diagnostics)
     with _map_memory(total_dim, t.dim):
+        # the map and one residual of its size, both reserved before any is written
         p = np.empty((total_dim, t.dim), dtype=complex)
         resid = np.empty_like(p)
         lo = 0
-        for block in blocks:
+        for block, (*_, stacks) in zip(blocks, raw):
             rows = p[lo:lo + block.block_dim]
             lo += block.block_dim
             if block.space is None:
                 rows[...] = block.delta
             else:
-                first = block.delta @ star_stacks[block.lam[0]]
-                _fill_map_rows(rows, block.space,
-                               [first] + [star_stacks[i] for i in block.lam[1:]],
-                               on_left=False)
+                _fill_map_rows(rows, block.space, stacks)
+        del raw  # free the row stacks before the residuals
         residuals["isometry"] = hermitian_norm(p.conj().T @ p - np.eye(t.dim))
+        if residuals["isometry"] > ISO_TOL:
+            raise IsometryResidualTooLarge(
+                f"general model not isometric (residual {residuals['isometry']:.3e})"
+            )
         for i, op in enumerate(model_ops):
+            # ``M_i* p``, then its conjugate for the compression ``p* M_i p``
+            moved = op.adjoint_apply(p)
             np.matmul(p, t[i].mat.conj().T, out=resid)
-            resid -= op.adjoint_apply(p)
+            resid -= moved
             residuals[f"intertwining_{i}"] = spectral_norm(resid)
+            np.conjugate(moved, out=moved)
+            residuals[f"compression_{i}"] = spectral_norm(moved.T @ p - t[i].mat)
             residuals[f"model_norm_{i}"] = op.norm()
     for block in blocks:
         tag, delta = block.tag, block.delta
@@ -617,10 +578,6 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
                 )
         residuals[f"delta_intertwine_{tag}"] = worst_int
         residuals[f"v_coisometry_{tag}"] = worst_co
-    if residuals["isometry"] > ISO_TOL:
-        raise IsometryResidualTooLarge(
-            f"general model not isometric (residual {residuals['isometry']:.3e})"
-        )
     return DilationResult(map=Operator(p), model_ops=model_ops, residuals=residuals,
                           block_layout=blocks)
 
@@ -638,8 +595,11 @@ def _block_action(block: LambdaBlock, i: int) -> ModelAction:
 def _double_limit(t: OperatorTuple, w: MultiWeightSpec, lam: tuple[int, ...]) -> np.ndarray:
     """Brute evaluation of the block defect: series limit inside ``lam``,
     power-conjugation limit outside (starting from the tail of ``T_0`` when
-    ``lam`` is empty)."""
+    ``lam`` is empty).  An outside coordinate whose tail is exactly zero, as
+    a scanned nilpotent entry's is, makes the limit exactly zero."""
     outside = [i for i in range(t.n) if i not in lam]
+    if any(not np.any(t.tail_limit(i)[0]) for i in outside):
+        return np.zeros((t.dim, t.dim), dtype=complex)
     if lam:
         cur = _vertex_defect(subtuple(t, lam), w.subset(lam))
     else:
@@ -660,8 +620,6 @@ def model_colift(
     and it commutes with each model operator block by block (exactly on the
     shift blocks).
     """
-    if model.block_layout is None:
-        raise ValueError("model colift needs a block layout from the general model")
     v = np.asarray(v, dtype=complex)
     v_adj = v.conj().T
     parts = []

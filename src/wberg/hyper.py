@@ -40,9 +40,9 @@ functions built from it read them.  A tail limit is formed once, at
 ``LIMIT_TOL``: the purity test, the tail split of a dilation and the joint
 tail of a check all read it.
 Next to the stacks the tuple holds its classification reports, one per
-(weights, grid, tolerance, lattice) key, so a fact proved once is not proved
-again by a later pipeline step; the sub-tuple on every index is the tuple
-itself and reads the same reports.
+(weights, grid, tolerance, lattice) key, and its defect limits, one per
+weights, so a fact proved once is not proved again by a later pipeline step;
+the sub-tuple on every index is the tuple itself and reads the same reports.
 
 Classification routines sample ``D(r)`` over an ``r``-grid (any finite grid
 under-approximates the continuum; reports say so), add the ``r -> 1`` limit
@@ -196,10 +196,14 @@ class _OperatorStacks:
 
     def tail(self) -> tuple[np.ndarray, bool]:
         """Read-only ``lim T^k T*^k`` of :func:`conjugation_limit` and its
-        ``converged`` flag, formed once."""
+        ``converged`` flag, formed once; after a scan has found a nilpotency
+        order it is exactly zero, with no doubling."""
         if self._tail is None:
-            eye = np.eye(self.mat.shape[0], dtype=complex)
-            limit, converged, _ = conjugation_limit(eye, self.mat)
+            if self._nil[1] is not None:
+                limit, converged = np.zeros(self.mat.shape, dtype=complex), True
+            else:
+                eye = np.eye(self.mat.shape[0], dtype=complex)
+                limit, converged, _ = conjugation_limit(eye, self.mat)
             limit.flags.writeable = False
             self._tail = (limit, converged)
         return self._tail
@@ -212,14 +216,16 @@ class OperatorTuple:
     Entries are validated :class:`Operator` objects, so they are read-only;
     an ``ndarray`` entry is wrapped here.  The tuple owns the power,
     adjoint-power and Gram stacks, the nilpotency orders and the tail limits
-    of its entries (see :meth:`power_stack` and :meth:`tail_limit`) and the
-    reports of :func:`is_W_hypercontraction` run on it.
+    of its entries (see :meth:`power_stack` and :meth:`tail_limit`), the
+    reports of :func:`is_W_hypercontraction` run on it and its
+    :func:`defect_limit` values.
     """
 
     ops: tuple[Operator, ...]
     commutation_tol: float = COMMUTATION_TOL
     _stacks: tuple[_OperatorStacks, ...] = field(init=False, repr=False, compare=False)
     _reports: dict = field(init=False, repr=False, compare=False)
+    _limits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ops:
@@ -228,6 +234,7 @@ class OperatorTuple:
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "_stacks", tuple(_OperatorStacks(t.mat) for t in ops))
         object.__setattr__(self, "_reports", {})
+        object.__setattr__(self, "_limits", {})
         d = ops[0].rows
         bound = 1.0 + self.commutation_tol
         for t in ops:
@@ -278,8 +285,9 @@ class OperatorTuple:
         return self._stacks[i].nilpotency_order(cap)
 
     def tail_limit(self, i: int) -> tuple[np.ndarray, bool]:
-        """Read-only tail ``lim_k T_i^k T_i*^k`` (zero exactly for a pure
-        contraction) and whether its doublings converged; formed once."""
+        """Read-only tail ``lim_k T_i^k T_i*^k`` and whether its doublings
+        converged; formed once, and exactly zero for an entry a scan has
+        found nilpotent."""
         return self._stacks[i].tail()
 
 
@@ -547,10 +555,16 @@ def defect_limit(t: OperatorTuple, w: MultiWeightSpec, tol: float = LIMIT_TOL) -
     At fixed cutoffs ``D(r)`` is a matrix polynomial in ``r``, so its limit
     at the vertex is its value there; the truncation error is reported as
     the tail estimate.  Integer presets are exact finite differences, so
-    only fractional factors and explicit lists carry one.
+    only fractional factors and explicit lists carry one.  The read-only
+    value and its estimate are held on ``t`` per weights, like the
+    classification reports.
     """
-    value = defect_series(t, w, (1.0,) * t.n)
-    est = _tail_estimate(t, _levels(w))
+    held = t._limits.get(w)
+    if held is None:
+        value = defect_series(t, w, (1.0,) * t.n)
+        value.flags.writeable = False
+        held = t._limits[w] = (value, _tail_estimate(t, _levels(w)))
+    value, est = held
     return DefectResult(value, ((1.0, 0.0),), est < tol, est)
 
 

@@ -89,7 +89,7 @@ def hermitian_norm(h: np.ndarray) -> float:
     stability of ``eigvalsh`` puts the value within ``O(n eps ||H||)`` of the
     SVD norm at a fraction of its cost.
     """
-    if h.size == 0:
+    if not h.any():  # empty or zero
         return 0.0
     sym = h + h.conj().T
     sym *= 0.5
@@ -214,7 +214,7 @@ def psd_check(a, tol: float = POSITIVITY_TOL) -> PsdCertificate:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian("psd check needs a square operator")
-    if a.size == 0:
+    if not a.any():  # empty or zero
         return PsdCertificate(0.0, tol, True)
     if not _is_hermitian(a, tol):
         raise NotHermitian("operator is not Hermitian within tolerance")
@@ -252,6 +252,8 @@ def douglas_solve(g, f, tol: float = RANK_TOL) -> np.ndarray:
     f = np.asarray(f, dtype=complex)
     if g.shape[1] != f.shape[1]:
         raise ValueError("douglas solve needs maps with a common domain")
+    if f.shape[0] == 0:  # F* F = 0 is below any G* G
+        return np.zeros((g.shape[0], 0), dtype=complex)
     gram_g = g.conj().T @ g
     gram_f = f.conj().T @ f
     gap = gram_g - gram_f
@@ -328,8 +330,8 @@ def psd_root_pieces(s) -> tuple[np.ndarray, np.ndarray]:
     cert = psd_check(s)
     if not cert.verdict:
         raise NotPsd(f"smallest eigenvalue {cert.min_eigenvalue:.3e} below -{POSITIVITY_TOL:.1e}")
-    if s.size == 0:
-        return s.copy(), np.zeros((s.shape[0], 0), dtype=complex)
+    if not s.any():  # empty or zero: no range
+        return np.zeros_like(s), np.zeros((s.shape[0], 0), dtype=complex)
     herm = 0.5 * (s + s.conj().T)
     vals, vecs = np.linalg.eigh(herm)
     vals, vecs = vals[::-1], vecs[:, ::-1]

@@ -8,13 +8,19 @@ import pytest
 
 import wberg.bergman as bergman
 from wberg.bergman import ShiftAction, TruncatedSpace, multishift_tuple
+import wberg.dilation as dilation
+import wberg.hyper as hyper
+from wberg.config import build_tuple
 from wberg.dilation import (
     ISO_TOL,
     LIFT_COMMUTATION_TOL,
     BlockDiagonal,
     LiftedAction,
     _defect_sqrt_pieces,
+    _double_limit,
+    _lifts,
     _pure_horizon,
+    _staged,
     _tail_split,
     commutant_lift,
     general_model,
@@ -40,7 +46,7 @@ from wberg.generators import (
 )
 from wberg.hyper import OperatorTuple, defect_series, is_W_hypercontraction, subtuple
 from wberg.linalg import Operator, hermitian_norm, spectral_norm
-from wberg.pipelines import GENERAL_MODEL_BUDGET, PURE_DILATION_BUDGETS
+from wberg.pipelines import GENERAL_MODEL_BUDGET, MODEL_NORM_SLACK, PURE_DILATION_BUDGETS
 from wberg.series import MultiWeightSpec, WeightSpec
 
 HARDY = WeightSpec.hardy()
@@ -233,8 +239,57 @@ def test_commutant_lift_keeps_lifted_tuples_hypercontractive():
 
 
 # ---------------------------------------------------------------------------
-# pure multi-variable dilation
+# pure multi-variable dilation: the general model of a pure tuple
 # ---------------------------------------------------------------------------
+
+def pure_reference(t: OperatorTuple, w: MultiWeightSpec) -> dict:
+    """The pure dilation assembled stage by stage: defect coordinates
+    ``Dmin_j`` of each stage operator, the rest lifted through them, and the
+    row of the multi-index ``a`` the left-nested chain ``Dmin_n S_n*^{a_n} ...
+    Dmin_1 T_1*^{a_1} / sqrt(w_a)``, with the residuals of the map against the
+    truncated multi-shift."""
+    degs = tuple(_pure_horizon(t, i, w[i]) for i in range(t.n))
+    ops = [subtuple(t, (0,))] + list(t.ops[1:])
+    stacks = []
+    for j in range(t.n):
+        _, _, d_min = _defect_sqrt_pieces(ops[0], w[j])
+        stacks.append(d_min @ ops[0].adjoint_stack(0, degs[j]))
+        ops = _staged(_lifts(d_min, ops[1:], range(j + 1, t.n), f"stage {j} lift"))
+    e_dim = stacks[-1].shape[1]
+    space = TruncatedSpace(w, degs, coeff_dim=e_dim)
+    pi = np.empty((space.dim, t.dim), dtype=complex)
+    for pos, a in enumerate(space.indices):
+        row = stacks[0][a[0]]
+        for j in range(1, t.n):
+            row = stacks[j][a[j]] @ row
+        pi[pos * e_dim:(pos + 1) * e_dim] = row / np.sqrt(space.monomial_weight(a))
+    out = {"pi": pi, "isometry": hermitian_norm(pi.conj().T @ pi - np.eye(t.dim))}
+    for i, shift in enumerate(space.shifts):
+        moved = shift.adjoint_apply(pi)
+        ti = t[i].mat
+        out[f"intertwining_{i}"] = spectral_norm(pi @ ti.conj().T - moved)
+        out[f"compression_{i}"] = spectral_norm(moved.conj().T @ pi - ti)
+    return out
+
+
+@pytest.mark.parametrize("spec,wtxt", [
+    ("multishift:4x4", "bergman:2,bergman:2"),
+    ("multishift:3x3x3", "bergman:2,bergman:2,bergman:2"),
+    ("nilpotent:1:4:2:0.6", "hardy,hardy"),
+    ("scalars:[0.5,0.4]", "bergman:2,bergman:3"),
+])
+def test_pure_dilation_is_the_stage_cascade(spec, wtxt):
+    w = MultiWeightSpec.parse(wtxt)
+    t = build_tuple(spec, w, (4,) * w.n)
+    ref = pure_reference(t, w)
+    res = pure_dilation(t, w)
+    # every block but the full one is empty, and the map is the cascade bit for bit
+    assert [b.lam for b in res.block_layout if b.e_dim] == [tuple(range(t.n))]
+    assert np.array_equal(res.map.mat, ref["pi"])
+    for key in ["isometry"] + [f"{f}_{i}" for f in ("intertwining", "compression")
+                               for i in range(t.n)]:
+        assert res.residuals[key] == ref[key], key
+
 
 def test_pure_dilation_single_variable_matches_one_var():
     t = OperatorTuple.of(nilpotent_commuting_tuple(7, 5, 1, radius=0.6)[0])
@@ -551,6 +606,42 @@ def test_general_model_three_variables_eight_blocks():
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("make,wtxt", [
+    (lambda: unitary_times_nilpotent(401, 2, 3), "bergman:2,hardy"),
+    (lambda: OperatorTuple.of(
+        Operator(np.kron(commuting_unitaries(9, 2, 1)[0].mat, np.eye(3))),
+        *(Operator(np.kron(np.eye(2), op.mat))
+          for op in nilpotent_commuting_tuple(10, 3, 2, radius=0.5))),
+     "bergman:2,hardy,hardy"),
+], ids=["unitary-times-nilpotent", "three-variables"])
+def test_general_model_reports_every_lift_condition(monkeypatch, make, wtxt):
+    # one key per co-lift, named by the final block and the lifted coordinate
+    calls = []
+    original = dilation._colift
+    monkeypatch.setattr(dilation, "_colift",
+                        lambda *a: calls.append(a[2]) or original(*a))
+    res = general_model(make(), MultiWeightSpec.parse(wtxt))
+    keys = [k for k in res.residuals if k.startswith("lift_condition")]
+    assert len(keys) == len(calls)
+    n = len(res.model_ops)
+    assert len(calls) == sum(n - len(b.lam) for b in res.block_layout)
+    assert set(keys) == {f"lift_condition_{b.tag}_at_{i}" for b in res.block_layout
+                         for i in range(n) if i not in b.lam}
+
+
+def test_double_limit_outside_a_nilpotent_coordinate_is_exactly_zero(monkeypatch):
+    # the scans of the horizons find T_2 nilpotent, so a block that leaves
+    # it outside needs no power conjugation
+    t = unitary_times_nilpotent(401, 2, 3)
+    w = MultiWeightSpec.parse("bergman:2,hardy")
+    general_model(t, w)
+    for name in ("conjugation_limit", "defect_limit"):
+        monkeypatch.setattr(dilation, name, lambda *a, **k: pytest.fail("recomputed"))
+    for lam in [(), (0,)]:
+        limit = _double_limit(t, w, lam)
+        assert limit.shape == (t.dim, t.dim) and not np.any(limit)
+
+
 def test_general_model_scalar_pair_block_content():
     t = scalar_tuple([1.0, 0.5])
     w = MultiWeightSpec.parse("hardy,hardy")
@@ -594,7 +685,8 @@ def test_pure_dilation_residuals_match_dense_route():
     res = pure_dilation(t, MultiWeightSpec.parse("bergman:2,hardy"))
     p = res.map.mat
     for i, op in enumerate(res.model_ops):
-        assert isinstance(op, ShiftAction)
+        # the full block's shift, beside empty blocks
+        assert [type(b) for b in op.blocks if b.dim] == [ShiftAction]
         m, ti = op.to_matrix(), t[i].mat
         dense_int = opnorm(p @ ti.conj().T - m.conj().T @ p)
         dense_comp = opnorm(p.conj().T @ m @ p - ti)
@@ -710,7 +802,13 @@ def test_pure_dilation_past_the_dense_cliff_stays_small():
     assert not [w for w in seen if issubclass(w.category, SeriesTailTooLarge)]
     assert res.map.rows == 458 * 243
     for key, value in res.residuals.items():
-        assert value <= PURE_DILATION_BUDGETS[key.split("_")[0]], key
+        family = key.split("_")[0]
+        if family in PURE_DILATION_BUDGETS:
+            assert value <= PURE_DILATION_BUDGETS[family], key
+        elif family == "model":
+            assert value <= 1.0 + MODEL_NORM_SLACK, key
+        else:
+            assert value <= GENERAL_MODEL_BUDGET, key
     assert peak < 64 * 2**20
 
 

@@ -267,6 +267,20 @@ def test_nilpotency_order_is_scanned_once_per_variable(monkeypatch):
     assert [len(t.power_stack(i, 1).base) for i in range(t.n)] == cuts
 
 
+def test_defect_limit_is_held_per_weights():
+    t = random_commuting_contractions(66, 5, 2, radius=0.5)
+    w = MultiWeightSpec.parse("bergman:1.5,bergman:2.5")
+    first = defect_limit(t, w)
+    again = defect_limit(t, w, tol=1.0)
+    # the value and its floor are held; the verdict on them is per tolerance
+    assert again.limit is first.limit and not first.limit.flags.writeable
+    assert again.tail_estimate == first.tail_estimate and again.converged
+    fresh = defect_limit(OperatorTuple(t.ops), w)
+    assert np.array_equal(fresh.limit, first.limit) and fresh.limit is not first.limit
+    other = defect_limit(t, MultiWeightSpec.parse("bergman:2.5,bergman:1.5"))
+    assert other.limit is not first.limit
+
+
 def test_tail_estimate_takes_each_power_norm_once(monkeypatch):
     t = random_commuting_contractions(66, 5, 2, radius=0.5)
     w = MultiWeightSpec.parse("bergman:1.5,bergman:2.5")
@@ -535,6 +549,24 @@ def test_tail_limit_is_the_conjugation_limit_formed_once():
             limit[0, 0] = 0.0
         assert t.tail_limit(i)[0] is limit
         assert subtuple(t, (i,)).tail_limit(0)[0] is limit
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nilpotent_commuting_tuple(2, 4, 1, radius=0.9),
+    lambda: unitary_times_nilpotent(11, 2, 2),
+], ids=["nilpotent", "unitary-times-nilpotent"])
+def test_nilpotent_entry_tail_is_exactly_zero_without_doublings(monkeypatch, make):
+    import wberg.hyper as hyper
+
+    t = make()
+    i = t.n - 1
+    assert t.nilpotency_order(i, t.dim) is not None
+    monkeypatch.setattr(hyper, "conjugation_limit",
+                        lambda *a: pytest.fail("a nilpotent tail took doublings"))
+    limit, converged = t.tail_limit(i)
+    assert converged and limit.shape == (t.dim, t.dim) and not np.any(limit)
+    assert not limit.flags.writeable
+    assert is_pure(subtuple(t, (i,)))
 
 
 def test_each_coordinate_tail_is_formed_once_per_tuple(monkeypatch):

@@ -235,6 +235,15 @@ def test_douglas_zero():
     assert spectral_norm(a) == 0.0
 
 
+def test_douglas_without_rows_returns_its_zero_block_at_once(monkeypatch):
+    # F* F = 0 is below any G* G, so no Gram matrix or eigenvalue is formed
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("decided"))
+    a = douglas_solve(random_matrix(2, 4, 3), np.zeros((0, 3)))
+    assert a.shape == (4, 0)
+    with pytest.raises(ValueError):
+        douglas_solve(np.eye(3), np.zeros((0, 2)))
+
+
 def test_douglas_defect_instance_against_lstsq_oracle():
     # the canonical use: D T* = A* D for the defect of a pure pair
     pair = nilpotent_commuting_tuple(21, 6, 2, radius=0.5)
@@ -340,9 +349,10 @@ def test_spectral_primitives_bitwise_deterministic():
 
 @pytest.mark.parametrize("name,expected", [
     # 2 generator entries; 2 report matrices of `check` (q_tail, defect);
-    # `dilate-pure`: the lifted entry of the second stage's one-variable
-    # tuple and the dilation map (the model shifts are index maps)
-    ("nilpotent-pair-hardy", 2 + 2 + 1 + 1),
+    # `dilate-pure`, the general model of the pair: the lifted entries of
+    # the second stage's one-variable tuples on the defect and the (empty)
+    # tail side, and the dilation map (the model shifts are index maps)
+    ("nilpotent-pair-hardy", 2 + 2 + 2 + 1),
     # 1 generator entry; 2 report matrices of `check`; `charfn`: the random
     # unitary and the entry of the conjugated operator's tuple
     ("charfn-nilpotent-bergman2", 1 + 2 + 1 + 1),

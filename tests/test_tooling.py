@@ -271,3 +271,16 @@ def test_only_colift_raises_the_lift_condition():
             if (getattr(target, "id", None) or getattr(target, "attr", None)) == "LiftConditionFailed":
                 raisers.append(f"{path.stem}.{caller.name if caller else '<module>'}")
     assert raisers == ["dilation._colift"]
+
+
+def test_only_general_model_fills_map_rows():
+    # every dilation map, the pure one included, is the general model's: its
+    # rows are filled in one place, from the stage cascade of each block
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for call, caller in _calls_with_callers(tree):
+            target = call.func
+            if (getattr(target, "id", None) or getattr(target, "attr", None)) == "_fill_map_rows":
+                callers.append(f"{path.stem}.{caller.name if caller else '<module>'}")
+    assert callers == ["dilation.general_model"]
