@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import KernelConsistencyWarning, OutsideDisc
 from .hyper import OperatorTuple, defect_series, is_pure
-from .linalg import Operator, hermitian_norm
+from .linalg import Operator, _eigvalsh, hermitian_norm
 from .series import MultiWeightSpec, _normalize_degrees, _normalize_grid, quotient_coeffs
 
 __all__ = [
@@ -332,7 +332,7 @@ def multishift_purity_and_positivity(
     min_eig = math.inf
     for point in grid:
         ds = defect_series(shifts, w, point)
-        eigs = np.linalg.eigvalsh(ds)
+        eigs = _eigvalsh(ds)
         min_eig = min(min_eig, float(eigs[0]))
         quot = [
             quotient_coeffs(w[i], 1.0, point[i], space.degrees[i])

@@ -255,6 +255,12 @@ class CommutantLift:
 # helpers
 # ---------------------------------------------------------------------------
 
+def _horizon_cap(omega: WeightSpec) -> int:
+    """Longest purity horizon of a variable with weight ``omega``, the
+    depth of its nilpotency scan."""
+    return min(HORIZON_CAP, omega.max_terms or HORIZON_CAP)
+
+
 def _pure_horizon(t: OperatorTuple, i: int, omega: WeightSpec) -> int:
     """Truncation level of variable ``i`` after which the dilation rows carry no mass.
 
@@ -266,7 +272,7 @@ def _pure_horizon(t: OperatorTuple, i: int, omega: WeightSpec) -> int:
     sums; a list that ends before the tail test is met raises
     :class:`HorizonTooShort`.
     """
-    cap = min(HORIZON_CAP, omega.max_terms or HORIZON_CAP)
+    cap = _horizon_cap(omega)
     nil = t.nilpotency_order(i, min(cap, t.dim))
     if nil is not None:
         return nil
@@ -432,9 +438,16 @@ def commutant_lift(t: OperatorTuple, w: MultiWeightSpec) -> CommutantLift:
 
 def pure_dilation(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
     """Dilate a pure tuple onto the truncated multi-shift: its general
-    model, whose only nonempty block is the full one, acted on by shifts."""
+    model, whose only nonempty block is the full one, acted on by shifts.
+
+    Each entry's nilpotency scan runs first, to the depth the horizons of
+    :func:`general_model` scan to, so the purity test reads the tail of a
+    nilpotent entry as an exact zero instead of forming it by doublings.
+    """
     if w.n != t.n:
         raise NotHypercontractive(f"weight arity {w.n} != tuple arity {t.n}")
+    for i in range(t.n):
+        t.nilpotency_order(i, min(_horizon_cap(w[i]), t.dim))
     if not is_pure(t):
         raise NotPure("tuple has a non-vanishing tail; use the general model")
     return general_model(t, w)

@@ -73,6 +73,8 @@ from .linalg import (
     POSITIVITY_TOL,
     UNIT_ROUNDOFF,
     Operator,
+    _eigvalsh,
+    _is_diagonal,
     hermitian_norm,
     psd_check,
     psd_sqrt,
@@ -405,7 +407,8 @@ def _level(t: OperatorTuple, i: int, level, r: float, x: np.ndarray | None) -> n
     fractional factor ``sum_k c_k(f) r^k T^k X T*^k`` (``c_0 = 1``, every
     other ``c_k <= 0``), cut at :func:`_effective_degree`, then ``whole``
     differences ``X - r T X T*``, the first read off the Gram stack when
-    ``X = I``.  An explicit list is its expanded sum, cut the same way.
+    ``X = I``, each later one by :func:`_conjugate`.  An explicit list is its
+    expanded sum, cut the same way.
     """
     stacks = t._stacks[i]
     row = _row(level)
@@ -418,8 +421,24 @@ def _level(t: OperatorTuple, i: int, level, r: float, x: np.ndarray | None) -> n
         if x is None:
             x = np.eye(t.dim, dtype=complex) - r * stacks.grams(2)[1]
         else:
-            x = x - r * (stacks.mat @ x @ stacks.mat.conj().T)
+            x = x - r * _conjugate(stacks.mat, x)
     return x
+
+
+def _conjugate(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``T X T*``, in one product ``(T * diag(X)) @ T*`` when ``X`` is
+    diagonal with an exactly real diagonal.
+
+    Each entry of ``T X`` is then the one nonzero term of its sum, a complex
+    times a real number, so the product has the bits of the two-product
+    form.  A diagonal with a nonzero imaginary part keeps both products:
+    each term is then a full complex product, which BLAS and numpy's
+    elementwise product need not round alike.
+    """
+    d = np.diagonal(x)
+    if _is_diagonal(x) and not d.imag.any():
+        return (t * d.real) @ t.conj().T
+    return t @ x @ t.conj().T
 
 
 def _effective_degree(t: OperatorTuple, i: int, c: np.ndarray) -> int:
@@ -869,7 +888,7 @@ def two_parameter_monotonicity_check(
                 continue
             if all(a <= b for a, b in zip(p1, p2)) and all(a <= b for a, b in zip(b1, b2)):
                 gap = v1 - v2  # smaller parameters dominate
-                eig = float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))[0])
+                eig = float(_eigvalsh(gap)[0])
                 min_gap = min(min_gap, eig)
                 pairs += 1
     if pairs == 0:

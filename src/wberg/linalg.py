@@ -12,7 +12,10 @@ Hermitian eigendecomposition is the spectral primitive for square roots and
 their ranges, the pseudo-inverse for Douglas solves and a complete QR for
 completions.  Rank decisions are relative with ``RANK_TOL``: to ``max(1,
 lambda_max)`` for ranges, to ``sigma_max`` in the pseudo-inverse.  Positivity
-verdicts allow eigenvalues down to ``-POSITIVITY_TOL``.
+verdicts allow eigenvalues down to ``-POSITIVITY_TOL``.  Eigenvalues alone
+come from one helper, ``_eigvalsh``, the eigenvalues of the Hermitian part of
+a matrix: it reads a diagonal matrix (every defect of a multi-shift in its
+monomial basis) off its diagonal and sends any other, symmetrized, to LAPACK.
 
 Norms have two primitives besides the SVD norm of :func:`spectral_norm`:
 :func:`hermitian_norm` reads the norm of a Hermitian matrix (every reported
@@ -84,17 +87,56 @@ _FRO_SLACK = 16 * np.finfo(float).eps
 def hermitian_norm(h: np.ndarray) -> float:
     """Spectral norm of a Hermitian matrix, ``max(|lambda_min|, |lambda_max|)``.
 
-    The matrix is symmetrized first, as :func:`psd_check` does, so rounding
-    that breaks exact hermiticity does not reach the eigensolver.  Backward
-    stability of ``eigvalsh`` puts the value within ``O(n eps ||H||)`` of the
-    SVD norm at a fraction of its cost.
+    The eigenvalues are those of the Hermitian part (:func:`_eigvalsh`), as
+    in :func:`psd_check`, so rounding that breaks exact hermiticity does not
+    reach the eigensolver, and a diagonal matrix, the zero matrix included,
+    is read off its diagonal.  Backward stability of ``eigvalsh`` puts the
+    value within ``O(n eps ||H||)`` of the SVD norm at a fraction of its
+    cost.
     """
-    if not h.any():  # empty or zero
+    if h.size == 0:
         return 0.0
+    eigs = _eigvalsh(h)
+    return float(max(abs(eigs[0]), abs(eigs[-1])))
+
+
+def _is_diagonal(mat: np.ndarray) -> bool:
+    """True when the square ``mat`` has no nonzero entry off its diagonal.
+
+    The entry below the first diagonal one is read first, so a dense matrix
+    is rejected at once; only a matrix that passes is scanned in full.  In
+    the flattened matrix, C- or Fortran-ordered, the off-diagonal entries
+    are the first ``n`` of each run of ``n + 1`` after the first diagonal
+    entry.
+    """
+    n = mat.shape[0]
+    if n < 2:
+        return True
+    if mat[1, 0] != 0:
+        return False
+    return not mat.ravel(order="K")[1:].reshape(n - 1, n + 1)[:, :n].any()
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part ``(H + H*) / 2`` of a square matrix.
+
+    The one route to ``np.linalg.eigvalsh`` in the package.  A diagonal
+    ``H`` (:func:`_is_diagonal`), the zero matrix included, skips the
+    symmetrization and the eigensolve: the eigenvalues are the real parts of
+    its diagonal, sorted, the values LAPACK returns for it.  Signed zeros:
+    the sort is stable, so tied values keep their order along the diagonal,
+    and a ``-0.0`` that comes before a ``+0.0`` there comes before it in the
+    result.  LAPACK sorts the same way up to 20 eigenvalues (insertion sort)
+    but may order tied signed zeros otherwise above that (quicksort).
+    LAPACK also rescales a matrix whose largest entry lies outside about
+    ``[1e-146, 1e146]``, which can move its last bits; the diagonal is
+    returned exactly.
+    """
+    if _is_diagonal(h):
+        return np.sort(np.diagonal(h).real, kind="stable")
     sym = h + h.conj().T
     sym *= 0.5
-    eigs = np.linalg.eigvalsh(sym)
-    return float(max(abs(eigs[0]), abs(eigs[-1])))
+    return np.linalg.eigvalsh(sym)
 
 
 def threshold_norm(mat: np.ndarray, bound: float) -> float:
@@ -208,19 +250,18 @@ class PsdCertificate:
 def psd_check(a, tol: float = POSITIVITY_TOL) -> PsdCertificate:
     """Certify positive semidefiniteness of a Hermitian matrix.
 
-    The verdict compares the smallest eigenvalue of the Hermitian
-    symmetrization against ``-tol``.
+    The verdict compares the smallest eigenvalue of the Hermitian part
+    against ``-tol``; a diagonal matrix, the zero matrix included, gives its
+    smallest diagonal entry with no eigensolve (:func:`_eigvalsh`).
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian("psd check needs a square operator")
-    if not a.any():  # empty or zero
+    if a.size == 0:
         return PsdCertificate(0.0, tol, True)
     if not _is_hermitian(a, tol):
         raise NotHermitian("operator is not Hermitian within tolerance")
-    herm = 0.5 * (a + a.conj().T)
-    eigs = np.linalg.eigvalsh(herm)
-    min_eig = float(eigs[0])
+    min_eig = float(_eigvalsh(a)[0])
     return PsdCertificate(min_eig, tol, min_eig >= -tol)
 
 
@@ -246,7 +287,9 @@ def douglas_solve(g, f, tol: float = RANK_TOL) -> np.ndarray:
     ``tol`` (relative to ``||G* G||``); otherwise :class:`NotSubordinate` is
     raised.  ``A*`` agrees with ``F`` composed with the pseudo-inverse of
     ``G`` on ``ran G`` and vanishes on the orthogonal complement, which pins
-    ``||A|| <= 1`` up to the tolerance.
+    ``||A|| <= 1`` up to the tolerance.  The subordination gap ``G* G - F*
+    F`` takes its smallest eigenvalue from :func:`_eigvalsh`, so a diagonal
+    gap needs no eigensolve.
     """
     g = np.asarray(g, dtype=complex)
     f = np.asarray(f, dtype=complex)
@@ -259,7 +302,7 @@ def douglas_solve(g, f, tol: float = RANK_TOL) -> np.ndarray:
     gap = gram_g - gram_f
     scale = max(1.0, hermitian_norm(gram_g))
     if gap.size:
-        min_eig = float(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))[0])
+        min_eig = float(_eigvalsh(gap)[0])
         if min_eig < -tol * scale:
             raise NotSubordinate(
                 f"subordination failed: min eig {min_eig:.3e} < -{tol:.1e} * {scale:.3e}"

@@ -331,6 +331,30 @@ def test_pure_dilation_scans_each_entry_once(monkeypatch):
     assert len(scanned) == shifts.n
 
 
+@pytest.mark.parametrize("make, wtxt", [
+    (lambda: multishift_tuple(TruncatedSpace(MultiWeightSpec.parse("bergman:2,bergman:2"),
+                                             (4, 4))), "bergman:2,bergman:2"),
+    (lambda: nilpotent_commuting_tuple(1, 4, 2, radius=0.6), "hardy,hardy"),
+], ids=["multishift-4x4", "nilpotent-pair"])
+def test_pure_dilation_of_nilpotent_entries_takes_no_doublings(monkeypatch, make, wtxt):
+    # the scans run before the purity test, so every tail of an entry of t
+    # is the exact zero of a nilpotent entry; the stage operators the
+    # recursion lifts are not scanned, and their tails still take doublings
+    t = make()
+    original = hyper.conjugation_limit
+
+    def entries_fail(s, m):
+        if any(m is op.mat for op in t):
+            pytest.fail("a nilpotent tail took doublings")
+        return original(s, m)
+
+    for module in (hyper, dilation):
+        monkeypatch.setattr(module, "conjugation_limit", entries_fail)
+    res = pure_dilation(t, MultiWeightSpec.parse(wtxt))
+    assert res.residuals["isometry"] < 1e-9
+    assert all(t.nilpotency_order(i, t.dim) is not None for i in range(t.n))
+
+
 def test_commutant_lift_scans_each_entry_once(monkeypatch):
     # integer weights are classified by exact differences, which scan
     # nothing; the base dilation's horizon scans T_1 once, and no step

@@ -10,6 +10,7 @@ import pytest
 from wberg.bergman import TruncatedSpace, multishift_tuple
 from wberg.errors import ArityMismatch, NotCommuting, NotContractive
 from wberg.generators import (
+    Lcg,
     commuting_unitaries,
     nilpotent_commuting_tuple,
     random_commuting_contractions,
@@ -20,6 +21,7 @@ from wberg.hyper import (
     DEGREE_CAP,
     OperatorTuple,
     _abs_mass,
+    _conjugate,
     _effective_degree,
     _levels,
     _nilpotency_order,
@@ -100,6 +102,37 @@ def test_defect_series_coisometries(wtxt):
             for spec in member:
                 expected /= closed_kernel_value(spec, r)
             assert np.linalg.norm(val - expected * np.eye(4), 2) < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 5, 7, 16])
+def test_conjugation_by_a_real_diagonal_is_the_two_product_form(d):
+    # each entry of T X is the one nonzero term of its sum, so the one
+    # product (T * diag X) @ T* has the bits of T @ X @ T*
+    t = Lcg(d).complex_matrix(d, d)
+    values = Lcg(d + 100).complex_matrix(d, 1)[:, 0].real
+    values[::3] = 0.0
+    for x in (np.diag(values).astype(complex), np.eye(d, dtype=complex)):
+        assert np.array_equal(_conjugate(t, x), t @ x @ t.conj().T)
+    # a complex diagonal takes both products, so it keeps their bits too
+    x = np.diag(Lcg(d + 200).complex_matrix(d, 1)[:, 0])
+    assert np.array_equal(_conjugate(t, x), t @ x @ t.conj().T)
+    # and so does a matrix off the diagonal
+    x = Lcg(d + 300).complex_matrix(d, d)
+    assert np.array_equal(_conjugate(t, x), t @ x @ t.conj().T)
+
+
+def test_multishift_classification_takes_no_eigensolve(monkeypatch):
+    # every defect, level and lattice value of a multi-shift is diagonal in
+    # the monomial basis, so each certificate reads its diagonal
+    from wberg.bergman import multishift_purity_and_positivity
+
+    w = MultiWeightSpec.parse("bergman:2,bergman:2")
+    space = TruncatedSpace(w, (4, 4))
+    shifts = multishift_tuple(space)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigensolve"))
+    report = is_W_hypercontraction(shifts, w)
+    assert report.verdict and len(report.certificates) == 4 * 4 + 9
+    assert multishift_purity_and_positivity(space, shifts, [0.5, 0.9]).psd_ok
 
 
 def test_defect_series_truncated_shift_explicit():

@@ -7,6 +7,8 @@ from wberg.errors import NotHermitian, NotIsometry, NotPsd, NotSubordinate
 from wberg.generators import Lcg, nilpotent_commuting_tuple, random_unitary
 from wberg.linalg import (
     Operator,
+    _eigvalsh,
+    _is_diagonal,
     complete_to_unitary,
     douglas_solve,
     hermitian_norm,
@@ -160,6 +162,69 @@ def test_hermitian_norm_edge_sizes():
     assert str(hermitian_norm(np.zeros((1, 1), dtype=complex))) == "0.0"
     # the negative end of the spectrum counts as much as the positive one
     assert hermitian_norm(np.diag([0.5, -4.0, 1.0])) == 4.0
+
+
+def _diagonal_cases():
+    rng = np.random.default_rng(17)
+    yield "1x1", np.array([-2.5])
+    yield "empty", np.zeros(0)
+    yield "repeated", np.array([0.75, 2.0, 0.75, 0.75, 2.0])
+    yield "negative", -np.abs(rng.standard_normal(6))
+    yield "exact-zeros", np.array([0.0, 3.0, 0.0, -1.0, 0.0])
+    yield "144", rng.standard_normal(144) * 10.0 ** rng.integers(-8, 8, size=144)
+
+
+@pytest.mark.parametrize("values", [v for _, v in _diagonal_cases()],
+                         ids=[k for k, _ in _diagonal_cases()])
+def test_eigvalsh_reads_a_diagonal_matrix_off_its_diagonal(monkeypatch, values):
+    # the values, sorted, are what LAPACK returns for the matrix, bit for bit
+    h = np.diag(values).astype(complex)
+    expected = np.linalg.eigvalsh(h)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigensolve"))
+    got = _eigvalsh(h)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    # the public routes read the same values
+    if values.size:
+        assert psd_check(h).min_eigenvalue == expected[0]
+        assert hermitian_norm(h) == max(abs(expected[0]), abs(expected[-1]))
+
+
+def test_eigvalsh_keeps_tied_signed_zeros_in_diagonal_order():
+    # the documented rule: a stable sort, so -0.0 precedes +0.0 exactly when
+    # it precedes it on the diagonal
+    first = _eigvalsh(np.diag([2.0, 1.0, -0.0, 0.0]).astype(complex))
+    assert first.tolist() == [0.0, 0.0, 1.0, 2.0]
+    assert np.signbit(first).tolist() == [True, False, False, False]
+    second = _eigvalsh(np.diag([2.0, 0.0, -0.0, 1.0]).astype(complex))
+    assert np.signbit(second).tolist() == [False, True, False, False]
+    # the zero matrix is diagonal too: its smallest eigenvalue keeps its sign
+    assert str(psd_check(np.zeros((3, 3), dtype=complex)).min_eigenvalue) == "0.0"
+
+
+def test_eigvalsh_sends_a_non_diagonal_matrix_to_lapack(monkeypatch):
+    # a single nonzero entry anywhere off the diagonal makes a matrix dense,
+    # whether or not it is the entry read first
+    for i, j in [(i, j) for i in range(4) for j in range(4) if i != j]:
+        m = np.eye(4, dtype=complex)
+        m[i, j] = 1e-300
+        assert not _is_diagonal(m)
+    assert _is_diagonal(np.diag([1.0, -0.0, 2.0]).astype(complex))
+    assert _is_diagonal(np.zeros((0, 0), dtype=complex))
+    assert _is_diagonal(np.array([[5.0 + 1j]]))
+    assert _is_diagonal(np.eye(5, dtype=complex)[:, ::-1][::-1])  # a strided view
+
+    calls = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or original(h))
+    band = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    band[3, 2] = band[2, 3] = 0.5  # the entry read first, below (0, 0), is zero
+    for h in (band, _hermitian(3, 6)):
+        assert np.array_equal(_eigvalsh(h), original(h))
+    # a matrix that is not Hermitian gives the eigenvalues of its Hermitian part
+    m = random_matrix(4, 5, 5)
+    assert np.array_equal(_eigvalsh(m), original(0.5 * (m + m.conj().T)))
+    assert len(calls) == 3
 
 
 def _threshold_cases():

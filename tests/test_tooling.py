@@ -139,6 +139,20 @@ def test_powers_and_nilpotency_orders_are_formed_only_in_hyper():
     assert not stray, f"powers or nilpotency orders formed outside hyper.py: {stray}"
 
 
+def test_only_the_linalg_helper_calls_eigvalsh():
+    # Hermitian eigenvalues have one route, which reads a diagonal matrix
+    # off its diagonal before any eigensolve; a direct call would skip it
+    users = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, caller in _nodes_with_callers(tree):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or (node.name if isinstance(node, ast.alias) else None))
+            if name == "eigvalsh":
+                users.append(f"{path.stem}.{caller.name if caller else '<module>'}")
+    assert users == ["linalg._eigvalsh"]
+
+
 # Defaulted parameters that no call inside the package sets, each with the
 # reason it stays a parameter.
 UNSET_PARAMETERS_ALLOWED = {
@@ -174,15 +188,19 @@ def _defaulted(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
     return out
 
 
-def _calls_with_callers(tree: ast.Module):
-    """``(call, enclosing function or None)`` for every call in a module."""
+def _nodes_with_callers(tree: ast.Module):
+    """``(node, enclosing function or None)`` for every node in a module."""
     def visit(node, enclosing):
         for child in ast.iter_child_nodes(node):
-            inner = child if isinstance(child, ast.FunctionDef) else enclosing
-            if isinstance(child, ast.Call):
-                yield child, enclosing
-            yield from visit(child, inner)
+            yield child, enclosing
+            yield from visit(child, child if isinstance(child, ast.FunctionDef) else enclosing)
     yield from visit(tree, None)
+
+
+def _calls_with_callers(tree: ast.Module):
+    """``(call, enclosing function or None)`` for every call in a module."""
+    return ((node, caller) for node, caller in _nodes_with_callers(tree)
+            if isinstance(node, ast.Call))
 
 
 def _unset_parameters() -> list[str]:
