@@ -11,9 +11,11 @@ Operator matrices are expressed in the orthonormalized monomial basis
 adjoint.  Basis vectors are ordered graded-lexicographically in ``a`` with
 the coefficient index fastest; converters to and from raw monomial
 coefficient arrays are provided for tests against the weighted formulas.
-The coordinate shifts are held as index maps (:class:`ShiftAction`) that act
-on row-stacked maps without forming their ``dim x dim`` matrices;
-:func:`shift_matrix` is the dense copy of the same map.
+The coordinate shifts are held as index maps (:class:`~wberg.hyper.ShiftAction`,
+re-exported here) that act on row-stacked maps without forming their ``dim x
+dim`` matrices; :func:`shift_matrix` is the dense copy of the same map, and an
+:class:`~wberg.hyper.OperatorTuple` of such copies recognises them as
+weighted shifts and multiplies them by the same gather.
 
 Truncation makes the coordinate shifts jointly nilpotent, which is the
 canonical pure example: every hereditary series on these spaces is a finite
@@ -31,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KernelConsistencyWarning, OutsideDisc
-from .hyper import OperatorTuple, defect_series, is_pure
+from .hyper import OperatorTuple, ShiftAction, defect_series, is_pure
 from .linalg import Operator, _eigvalsh, hermitian_norm
 from .series import MultiWeightSpec, _normalize_degrees, _normalize_grid, quotient_coeffs
 
@@ -213,66 +215,6 @@ def kernel_eval(
 # ---------------------------------------------------------------------------
 # shifts
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ShiftAction:
-    """Multiplication by ``z_i`` on a truncated space, held as an index map.
-
-    The shift sends the basis block of the multi-index at position ``src[k]``
-    to that of its successor in variable ``i``, at position ``dst[k]``, scaled
-    by ``ratio[k] = sqrt(w_{a_i+1} / w_{a_i})``; blocks at the top degree in
-    variable ``i`` map to zero.  The actions take a row-stacked map ``x`` of
-    ``n_idx * coeff_dim`` rows, viewed as ``(n_idx, coeff_dim, cols)``, with
-    one gather and one scale and no ``dim x dim`` matrix.
-    """
-
-    n_idx: int
-    coeff_dim: int
-    src: np.ndarray
-    dst: np.ndarray
-    ratio: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.n_idx * self.coeff_dim
-
-    def _moved(self, x: np.ndarray, frm: np.ndarray, to: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        blocks = x.reshape(self.n_idx, self.coeff_dim, x.shape[1])
-        out = np.zeros(blocks.shape, dtype=np.result_type(x.dtype, self.ratio.dtype))
-        moved = blocks[frm].astype(out.dtype, copy=False)
-        moved *= self.ratio[:, None, None]
-        out[to] = moved
-        return out.reshape(x.shape)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """``S x``."""
-        return self._moved(x, self.src, self.dst)
-
-    def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
-        """``S* x``."""
-        return self._moved(x, self.dst, self.src)
-
-    def norm(self) -> float:
-        """Spectral norm, exactly: the largest ratio.
-
-        Every column of ``S`` holds at most one nonzero and distinct columns
-        have theirs in distinct rows (``a -> a + e_i`` is injective), so
-        ``S* S`` is diagonal with entries ``ratio**2`` (and zeros), and
-        ``||S||^2 = ||S* S||`` is the largest of them.
-        """
-        return float(self.ratio.max()) if self.ratio.size else 0.0
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense ``dim x dim`` copy: what :func:`shift_matrix` returns, and the
-        reference the actions are tested against."""
-        e = self.coeff_dim
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        p = np.arange(e)
-        mat[(self.dst[:, None] * e + p).ravel(), (self.src[:, None] * e + p).ravel()] = (
-            np.repeat(self.ratio, e))
-        return mat
-
 
 def shift_matrix(space: TruncatedSpace, i: int) -> Operator:
     """Multiplication by ``z_i`` on the truncated basis, as a dense matrix.

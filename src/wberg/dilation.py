@@ -30,7 +30,7 @@ at ``LIMIT_TOL``.
 All model operators live in the orthonormalized graded-lex bases from
 :mod:`wberg.bergman`, and none is formed as a matrix: each is an action on
 row-stacked maps, a block diagonal (:class:`BlockDiagonal`) of weighted shifts
-(:class:`wberg.bergman.ShiftAction`, an index map), lifted parts ``I (x) V``
+(:class:`wberg.hyper.ShiftAction`, an index map), lifted parts ``I (x) V``
 (:class:`LiftedAction`, one batched product over the copies) and small dense
 tail blocks.  Every identity the construction promises is re-verified
 numerically from these actions; the residuals travel with the result.
@@ -44,7 +44,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bergman import ShiftAction, TruncatedSpace
+from .bergman import TruncatedSpace
 from .errors import (
     BlockBudgetExceeded,
     DouglasPreconditionFailed,
@@ -59,6 +59,7 @@ from .errors import (
 from .hyper import (
     LIMIT_TOL,
     OperatorTuple,
+    ShiftAction,
     conjugation_limit,
     defect_limit,
     is_pure,
@@ -566,12 +567,13 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
         for i, op in enumerate(model_ops):
             # ``M_i* p``, then its conjugate for the compression ``p* M_i p``
             moved = op.adjoint_apply(p)
-            np.matmul(p, t[i].mat.conj().T, out=resid)
+            t.times_adjoint(i, p, resid)
             resid -= moved
             residuals[f"intertwining_{i}"] = spectral_norm(resid)
             np.conjugate(moved, out=moved)
             residuals[f"compression_{i}"] = spectral_norm(moved.T @ p - t[i].mat)
             residuals[f"model_norm_{i}"] = op.norm()
+            del moved  # before the next ``M_i* p``, so that two are never held
     for block in blocks:
         tag, delta = block.tag, block.delta
         brute = _double_limit(t, w, block.lam)
@@ -591,7 +593,7 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
                 )
         residuals[f"delta_intertwine_{tag}"] = worst_int
         residuals[f"v_coisometry_{tag}"] = worst_co
-    return DilationResult(map=Operator(p), model_ops=model_ops, residuals=residuals,
+    return DilationResult(map=Operator._adopt(p), model_ops=model_ops, residuals=residuals,
                           block_layout=blocks)
 
 

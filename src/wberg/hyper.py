@@ -38,7 +38,10 @@ asked for; every swap-family member, grid point and vertex value of a tuple,
 every classification run on it, and the dilations and characteristic
 functions built from it read them.  A tail limit is formed once, at
 ``LIMIT_TOL``: the purity test, the tail split of a dilation and the joint
-tail of a check all read it.
+tail of a check all read it.  An entry that is a weighted shift (each
+coordinate shift of a multi-shift) is held with its index map
+(:class:`ShiftAction`) and multiplied by gather and scale, with the bits of
+the dense products.
 Next to the stacks the tuple holds its classification reports, one per
 (weights, grid, tolerance, lattice) key, and its defect limits, one per
 weights, so a fact proved once is not proved again by a later pipeline step;
@@ -91,6 +94,7 @@ from .series import (
 
 __all__ = [
     "OperatorTuple",
+    "ShiftAction",
     "DefectResult",
     "GRID_CAVEAT",
     "defect_series",
@@ -140,6 +144,96 @@ EXPONENT_SNAP = 1e-12
 # operator tuples
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class ShiftAction:
+    """A weighted shift held as an index map: a real matrix with at most one
+    nonzero in every row and every column.
+
+    The shift sends the basis block at position ``src[k]`` to the one at
+    position ``dst[k]``, scaled by ``ratio[k]``; blocks not in ``src`` map
+    to zero.  The actions take a row-stacked map ``x`` of ``n_idx *
+    coeff_dim`` rows, viewed as ``(n_idx, coeff_dim, cols)``, with one
+    gather and one scale (:meth:`_moved`) and no ``dim x dim`` matrix.
+
+    Multiplication by ``z_i`` on a truncated Bergman space is one
+    (``wberg.bergman.TruncatedSpace.shifts``): the block of a multi-index
+    goes to that of its successor in variable ``i``, scaled by ``sqrt(w_{a_i
+    + 1} / w_{a_i})``.  An :class:`OperatorTuple` entry that is a weighted
+    shift (:func:`_weighted_shift`, with ``coeff_dim = 1``) is multiplied
+    through one as well.
+    """
+
+    n_idx: int
+    coeff_dim: int
+    src: np.ndarray
+    dst: np.ndarray
+    ratio: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.n_idx * self.coeff_dim
+
+    def _moved(self, x: np.ndarray, frm: np.ndarray, to: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        blocks = x.reshape(self.n_idx, self.coeff_dim, x.shape[1])
+        out = np.zeros(blocks.shape, dtype=np.result_type(x.dtype, self.ratio.dtype))
+        moved = blocks[frm].astype(out.dtype, copy=False)
+        moved *= self.ratio[:, None, None]
+        out[to] = moved
+        return out.reshape(x.shape)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``S x``."""
+        return self._moved(x, self.src, self.dst)
+
+    def adjoint_apply(self, x: np.ndarray) -> np.ndarray:
+        """``S* x``."""
+        return self._moved(x, self.dst, self.src)
+
+    def adjoint(self) -> "ShiftAction":
+        """``S*``, the same map read backwards: a real ``S`` has ``S* = S^T``."""
+        return ShiftAction(self.n_idx, self.coeff_dim, self.dst, self.src, self.ratio)
+
+    def norm(self) -> float:
+        """Spectral norm, exactly: the largest ratio in modulus.
+
+        Every column of ``S`` holds at most one nonzero and distinct columns
+        have theirs in distinct rows, so ``S* S`` is diagonal with entries
+        ``ratio**2`` (and zeros), and ``||S||^2 = ||S* S||`` is the largest
+        of them.
+        """
+        return float(np.abs(self.ratio).max()) if self.ratio.size else 0.0
+
+    def to_matrix(self) -> np.ndarray:
+        """Dense ``dim x dim`` copy: what ``wberg.bergman.shift_matrix``
+        returns, and the reference the actions are tested against."""
+        e = self.coeff_dim
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        p = np.arange(e)
+        mat[(self.dst[:, None] * e + p).ravel(), (self.src[:, None] * e + p).ravel()] = (
+            np.repeat(self.ratio, e))
+        return mat
+
+
+def _weighted_shift(mat: np.ndarray) -> ShiftAction | None:
+    """The index map of ``mat`` when it is a weighted shift, else None.
+
+    A weighted shift here is a square matrix of at least two rows whose
+    entries are exactly real, with at most one nonzero in every row and every
+    column.  Row 0 is counted first, so a dense matrix is rejected after
+    ``O(d)`` work; only a matrix that passes is scanned in full.  Smaller
+    matrices gain nothing from the index map and keep the dense route.
+    """
+    d = mat.shape[0]
+    if d < 2 or np.count_nonzero(mat[0]) > 1 or mat.imag.any():
+        return None
+    re = mat.real
+    if np.count_nonzero(re, axis=0).max() > 1 or np.count_nonzero(re, axis=1).max() > 1:
+        return None
+    dst, src = np.nonzero(re)
+    return ShiftAction(d, 1, src, dst, re[dst, src])
+
+
 class _OperatorStacks:
     """Power, adjoint-power and Gram stacks of one matrix, built lazily and grown on demand.
 
@@ -147,20 +241,42 @@ class _OperatorStacks:
     a short request after a long one gives the bits of a fresh build.  The
     nilpotency order is cached with the depth it was scanned to, the norm of
     each power asked for by exponent, and the tail limit once.
+
+    Whether the matrix is a weighted shift (:func:`_weighted_shift`) is
+    observed once, on first use, and held as its index map.  A weighted
+    shift ``T`` is multiplied by gather and scale, never by a dense product:
+    each power and adjoint power by :func:`_power_stack`, the Gram stack
+    ``T^k T*^k`` read as a diagonal, ``T X T*`` with a real diagonal ``X``
+    in ``O(d)`` (:func:`_conjugate`) and ``A T*`` by :meth:`times_adjoint`.
+    Every sum of these products has one nonzero term, so each nonzero entry
+    has the bits of the dense product.  Every zero is written as ``+0``
+    (``0.0`` is added as the result is stored), the sign a BLAS sum started
+    from ``+0`` gives it; on a multi-shift, whose weights are positive, the
+    dense route signs no zero otherwise.
     """
 
-    __slots__ = ("mat", "_powers", "_adjoints", "_grams", "_nil", "_power_norms", "_tail")
+    __slots__ = ("mat", "_shift", "_powers", "_adjoints", "_grams", "_nil", "_power_norms",
+                 "_tail")
 
     def __init__(self, mat: np.ndarray) -> None:
         self.mat = mat
+        self._shift: ShiftAction | None | bool = False  # False: not observed yet
         self._powers = self._adjoints = self._grams = self._tail = None
         self._nil: tuple[int, int | None] = (0, None)
         self._power_norms: dict[int, float] = {}
 
+    @property
+    def shift(self) -> ShiftAction | None:
+        """The index map of a weighted-shift matrix, or None; observed once."""
+        if self._shift is False:
+            self._shift = _weighted_shift(self.mat)
+        return self._shift
+
     def powers(self, count: int) -> np.ndarray:
         """``[I, T, ..., T^(count-1)]``."""
         if self._powers is None or len(self._powers) < count:
-            self._powers = _power_stack(self.mat, count, self._powers)
+            factor = self.mat if self.shift is None else self.shift
+            self._powers = _power_stack(factor, count, self._powers)
             self._powers.flags.writeable = False
         return self._powers[:count]
 
@@ -168,19 +284,35 @@ class _OperatorStacks:
         """``[I, T*, ..., T*^(count-1)]``, by sequential products with ``T*``
         (conjugating :meth:`powers` instead would move the last bits)."""
         if self._adjoints is None or len(self._adjoints) < count:
-            self._adjoints = _power_stack(self.mat.conj().T, count, self._adjoints)
+            factor = self.mat.conj().T if self.shift is None else self.shift.adjoint()
+            self._adjoints = _power_stack(factor, count, self._adjoints)
             self._adjoints.flags.writeable = False
         return self._adjoints[:count]
 
     def grams(self, count: int) -> np.ndarray:
-        """``[T^k T*^k for k < count]``."""
+        """``[T^k T*^k for k < count]``; diagonal for a weighted shift, whose
+        ``T^k`` holds at most one nonzero per row, ``|.|^2`` of which is the
+        one term of each diagonal entry."""
         have = 0 if self._grams is None else len(self._grams)
         if have < count:
             new = self.powers(count)[have:]
-            new = new @ new.conj().transpose(0, 2, 1)
+            if self.shift is None:
+                new = new @ new.conj().transpose(0, 2, 1)
+            else:
+                rows = new.real.sum(axis=2)
+                new = np.zeros(new.shape, dtype=complex)
+                diag = np.arange(new.shape[1])
+                new[:, diag, diag] = rows * rows + 0.0
             self._grams = new if have == 0 else np.concatenate([self._grams, new])
             self._grams.flags.writeable = False
         return self._grams[:count]
+
+    def times_adjoint(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``A T*`` written into ``out``; one gather for a weighted shift."""
+        if self.shift is None:
+            return np.matmul(a, self.mat.conj().T, out=out)
+        # ``A T* = (T A^T)^T`` for a real ``T``
+        return np.add(self.shift.apply(a.T).T, 0.0, out=out)
 
     def nilpotency_order(self, cap: int) -> int | None:
         """Smallest ``k <= cap`` with ``T^k = 0`` exactly, or None."""
@@ -286,6 +418,11 @@ class OperatorTuple:
         """Smallest ``k <= cap`` with ``T_i^k = 0`` exactly, or None; scanned once."""
         return self._stacks[i].nilpotency_order(cap)
 
+    def times_adjoint(self, i: int, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``A T_i*`` written into ``out``, by gather and scale when ``T_i`` is
+        a weighted shift (see :class:`_OperatorStacks`)."""
+        return self._stacks[i].times_adjoint(a, out)
+
     def tail_limit(self, i: int) -> tuple[np.ndarray, bool]:
         """Read-only tail ``lim_k T_i^k T_i*^k`` and whether its doublings
         converged; formed once, and exactly zero for an entry a scan has
@@ -319,13 +456,21 @@ def _check_subset(lam: Sequence[int], n: int) -> tuple[int, ...]:
 # hereditary evaluation
 # ---------------------------------------------------------------------------
 
-def _power_stack(mat: np.ndarray, count: int, prefix: np.ndarray | None = None) -> np.ndarray:
+def _power_stack(mat, count: int, prefix: np.ndarray | None = None) -> np.ndarray:
     """Stack ``[I, T, T^2, ...]`` with ``count`` entries.
 
-    A shorter ``prefix`` of the same stack is copied and continued with the
-    same sequential products, so a grown stack has the bits of a fresh one.
+    ``mat`` is the matrix ``T``, or the :class:`ShiftAction` of a weighted
+    shift (what :class:`_OperatorStacks` passes for one).  A matrix is
+    multiplied by dense products ``T^k = T^(k-1) @ T``.  An index map forms
+    the same product by one gather and one scale, ``A T = (T^T A^T)^T =
+    (T* A^T)^T``: column ``src[j]`` of ``A T`` is column ``dst[j]`` of ``A``
+    times ``ratio[j]``, the one nonzero term of the dense sum, so the entries
+    have the dense product's bits (zeros written as ``+0``, as BLAS sums
+    them).  A shorter ``prefix`` of the same stack is copied and continued
+    with the same sequential products, so a grown stack has the bits of a
+    fresh one.
     """
-    d = mat.shape[0]
+    d = mat.dim if isinstance(mat, ShiftAction) else mat.shape[0]
     out = np.empty((count, d, d), dtype=complex)
     if prefix is None:
         out[0] = np.eye(d)
@@ -334,7 +479,10 @@ def _power_stack(mat: np.ndarray, count: int, prefix: np.ndarray | None = None) 
         start = len(prefix)
         out[:start] = prefix
     for k in range(start, count):
-        out[k] = out[k - 1] @ mat
+        if isinstance(mat, ShiftAction):
+            np.add(mat.adjoint_apply(out[k - 1].T).T, 0.0, out=out[k])
+        else:
+            out[k] = out[k - 1] @ mat
     return out
 
 
@@ -369,7 +517,24 @@ def hereditary_apply(coeffs: np.ndarray, t, x: np.ndarray) -> np.ndarray:
 
 
 def _nilpotency_order(mat: np.ndarray, cap: int) -> int | None:
-    """Smallest ``k <= cap`` with ``T^k = 0`` exactly, or None."""
+    """Smallest ``k <= cap`` with ``T^k = 0`` exactly, or None.
+
+    The scan forms ``T^k = T^(k-1) @ T`` and stops at the first exact zero.
+    For a weighted shift (:func:`_weighted_shift`, observed here on the
+    matrix the scan is handed) every column of ``T^k`` holds at most one
+    nonzero, so the row vector ``1^T T^k`` of column sums holds exactly those
+    values, and ``1^T T^k = (1^T T^(k-1)) T`` is one gather and one scale of
+    a ``d``-vector: each value is the product the dense step rounds, so the
+    first zero power is the same.
+    """
+    shift = _weighted_shift(mat)
+    if shift is not None:
+        sums = np.ones((shift.dim, 1))
+        for k in range(1, cap + 1):
+            sums = shift.adjoint_apply(sums)  # transposed: T^T sums, and T^T = T* here
+            if not sums.any():
+                return k
+        return None
     p = np.eye(mat.shape[0], dtype=complex)
     for k in range(1, cap + 1):
         p = p @ mat
@@ -421,23 +586,32 @@ def _level(t: OperatorTuple, i: int, level, r: float, x: np.ndarray | None) -> n
         if x is None:
             x = np.eye(t.dim, dtype=complex) - r * stacks.grams(2)[1]
         else:
-            x = x - r * _conjugate(stacks.mat, x)
+            x = x - r * _conjugate(stacks.mat, x, stacks.shift)
     return x
 
 
-def _conjugate(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _conjugate(t: np.ndarray, x: np.ndarray, shift: ShiftAction | None = None) -> np.ndarray:
     """``T X T*``, in one product ``(T * diag(X)) @ T*`` when ``X`` is
-    diagonal with an exactly real diagonal.
+    diagonal with an exactly real diagonal, and read off as a diagonal when
+    ``shift`` is also the index map of the weighted shift ``T``.
 
     Each entry of ``T X`` is then the one nonzero term of its sum, a complex
     times a real number, so the product has the bits of the two-product
     form.  A diagonal with a nonzero imaginary part keeps both products:
     each term is then a full complex product, which BLAS and numpy's
-    elementwise product need not round alike.
+    elementwise product need not round alike.  For a weighted shift, row
+    ``dst[j]`` of ``T X`` holds the one nonzero ``ratio[j] x[src[j]]`` and
+    ``T X T*`` is diagonal with entries ``(ratio[j] x[src[j]]) ratio[j]``,
+    the rounding of the one-product form, formed in ``O(d)`` (zeros ``+0``,
+    as BLAS sums them).
     """
     d = np.diagonal(x)
     if _is_diagonal(x) and not d.imag.any():
-        return (t * d.real) @ t.conj().T
+        if shift is None:
+            return (t * d.real) @ t.conj().T
+        out = np.zeros(x.shape, dtype=complex)
+        out[shift.dst, shift.dst] = shift.ratio * d.real[shift.src] * shift.ratio + 0.0
+        return out
     return t @ x @ t.conj().T
 
 
@@ -578,11 +752,19 @@ def defect_limit(t: OperatorTuple, w: MultiWeightSpec, tol: float = LIMIT_TOL) -
     value and its estimate are held on ``t`` per weights, like the
     classification reports.
     """
+    res = _vertex_limit(t, w, tol)
+    t._limits[w] = (res.limit, res.tail_estimate)
+    return res
+
+
+def _vertex_limit(t: OperatorTuple, w: MultiWeightSpec, tol: float) -> DefectResult:
+    """The value of :func:`defect_limit`, read from ``t`` when held there
+    and otherwise formed without being held."""
     held = t._limits.get(w)
     if held is None:
         value = defect_series(t, w, (1.0,) * t.n)
         value.flags.writeable = False
-        held = t._limits[w] = (value, _tail_estimate(t, _levels(w)))
+        held = (value, _tail_estimate(t, _levels(w)))
     value, est = held
     return DefectResult(value, ((1.0, 0.0),), est < tol, est)
 
@@ -682,7 +864,9 @@ def is_W_hypercontraction(
 
     The report is held on ``t``, keyed by the weights, the normalized grid,
     ``tol`` and the resolved lattice flag (``"auto"`` becomes True or False),
-    and a later call with the same key returns it.
+    and a later call with the same key returns it.  Of the vertex limits
+    only the weights' own is held (:func:`defect_limit`); each other
+    member's serves its certificate and is dropped.
     """
     if w.n != t.n:
         raise ArityMismatch(f"weight arity {w.n} != tuple arity {t.n}")
@@ -696,11 +880,18 @@ def is_W_hypercontraction(
     if held is not None:
         return held
     certs: list[Witness] = []
+    # only the weights' own limit is held on ``t``, where checks and models
+    # read it again; a member that recurs (a constant weight swapped for
+    # itself) reads its limit here for the length of the call
+    limits: dict[MultiWeightSpec, DefectResult] = {}
     for mask, member in w.swap_family():
         for point in grid:
             value = defect_series(t, member, point)
             certs.append(Witness(mask, "grid", point, psd_check(value, tol).min_eigenvalue))
-        lim = defect_limit(t, member, tol)
+        lim = limits.get(member)
+        if lim is None:
+            lim = defect_limit(t, w, tol) if member == w else _vertex_limit(t, member, tol)
+            limits[member] = lim
         if lim.converged:
             min_eig = psd_check(lim.limit, tol).min_eigenvalue
             certs.append(Witness(mask, "limit", (1.0,) * t.n, min_eig))

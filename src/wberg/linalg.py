@@ -168,18 +168,23 @@ class Operator:
     it is a finite matrix and stores it read-only.  ``np.asarray(op)`` returns
     that array without a copy, so every function that takes a matrix accepts
     an ``Operator`` or an ``ndarray`` alike; computed results are plain arrays.
+    A matrix the package built itself and hands over (a dilation map) enters
+    through :meth:`_adopt`, checked and frozen the same way but not copied.
     """
 
     __slots__ = ("mat",)
 
     def __init__(self, mat) -> None:
-        arr = np.array(mat, dtype=complex, copy=True, order="C")
-        if arr.ndim != 2:
-            raise ValueError(f"operator entries must form a matrix, got ndim={arr.ndim}")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("operator entries must be finite")
-        arr.flags.writeable = False
-        self.mat = arr
+        self.mat = _frozen_matrix(np.array(mat, dtype=complex, copy=True, order="C"))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Operator":
+        """An operator on ``arr`` itself, a C-ordered complex array the
+        package built and hands over: checked and made read-only as the
+        constructor's copy is, but not copied."""
+        op = cls.__new__(cls)
+        op.mat = _frozen_matrix(arr)
+        return op
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy or (dtype is not None and np.dtype(dtype) != self.mat.dtype):
@@ -219,6 +224,16 @@ class Operator:
 
     def __repr__(self) -> str:
         return f"Operator({self.rows}x{self.cols})"
+
+
+def _frozen_matrix(arr: np.ndarray) -> np.ndarray:
+    """``arr``, checked to be a finite matrix, made read-only."""
+    if arr.ndim != 2:
+        raise ValueError(f"operator entries must form a matrix, got ndim={arr.ndim}")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValueError("operator entries must be finite")
+    arr.flags.writeable = False
+    return arr
 
 
 def spectral_norm(mat: np.ndarray) -> float:

@@ -331,6 +331,59 @@ def test_pure_dilation_scans_each_entry_once(monkeypatch):
     assert len(scanned) == shifts.n
 
 
+def test_multishift_classification_and_dilation_take_no_dense_entry_product():
+    # the entries of a multi-shift are weighted shifts, multiplied by gather
+    # and scale: no product of an entry, or of its adjoint, with a matrix of
+    # d rows and columns runs while the tuple is classified and dilated
+    w = MultiWeightSpec.parse("bergman:2,bergman:2")
+    t = multishift_tuple(TruncatedSpace(w, (12, 12)))
+    d = t.dim
+    products = []
+
+    class Counted(np.ndarray):
+        """An entry that records its dense products; its conjugate, and so
+        its adjoint view, is counted too."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+            if "out" in kwargs:
+                kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, Counted) else o
+                                      for o in kwargs["out"])
+            if ufunc is np.matmul and all(min(np.shape(x)[-2:]) >= d for x in inputs):
+                products.append([np.shape(x) for x in inputs])
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            return result.view(Counted) if ufunc is np.conjugate else result
+
+    for op, stacks in zip(t.ops, t._stacks):
+        op.mat = stacks.mat = op.mat.view(Counted)
+    _ = t[0].mat @ t[1].mat.conj().T  # the counter sees a product with an adjoint
+    assert len(products) == 1
+    products.clear()
+    assert is_W_hypercontraction(t, w).verdict
+    res = pure_dilation(t, w)
+    assert res.residuals["isometry"] < 1e-9
+    assert products == []
+
+
+def test_pure_dilation_holds_no_second_map():
+    # the map is handed to its Operator without a copy, and each M_i* p is
+    # freed before the next is formed; the traced peak is the map, one
+    # residual and one M_i* p with its transients, five map sizes and the
+    # small arrays, where a copied map and two held M_i* p made it six
+    t = nilpotent_commuting_tuple(5, 24, 2, radius=0.3)
+    w = MultiWeightSpec.parse("bergman:2,bergman:2")
+    pure_dilation(nilpotent_commuting_tuple(5, 24, 2, radius=0.3), w)
+    tracemalloc.start()
+    try:
+        res = pure_dilation(t, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    map_bytes = res.map.mat.nbytes
+    assert res.map.mat.shape == (13824, 24) and not res.map.mat.flags.writeable
+    assert peak < 5.5 * map_bytes
+
+
 @pytest.mark.parametrize("make, wtxt", [
     (lambda: multishift_tuple(TruncatedSpace(MultiWeightSpec.parse("bergman:2,bergman:2"),
                                              (4, 4))), "bergman:2,bergman:2"),

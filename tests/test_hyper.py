@@ -28,6 +28,7 @@ from wberg.hyper import (
     _power_stack,
     _row,
     _split,
+    _weighted_shift,
     two_parameter_monotonicity_check,
     conjugation_limit,
     defect_limit,
@@ -119,6 +120,121 @@ def test_conjugation_by_a_real_diagonal_is_the_two_product_form(d):
     # and so does a matrix off the diagonal
     x = Lcg(d + 300).complex_matrix(d, d)
     assert np.array_equal(_conjugate(t, x), t @ x @ t.conj().T)
+
+
+def _same_bits(a, b):
+    """Equal entries, and equal sign bits of the real and imaginary parts, so
+    that a ``-0.0`` is told from a ``+0.0``."""
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+def _dense_stack(mat, count):
+    """``[I, T, ..., T^(count-1)]`` by dense products, the reference route."""
+    out = [np.eye(mat.shape[0], dtype=complex)]
+    for _ in range(1, count):
+        out.append(out[-1] @ mat)
+    return np.array(out)
+
+
+MULTISHIFTS = [
+    ("bergman:2", (9,)),
+    ("bergman:2.5", (9,)),
+    ("bergman:2,hardy", (4, 5)),
+    ("bergman:1.5,bergman:3", (4, 4)),
+    ("bergman:2,bergman:2,bergman:2", (3, 3, 3)),
+    ("bergman:2.5,hardy,bergman:1.5", (2, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("wtxt, degrees", MULTISHIFTS)
+def test_weighted_shift_stacks_have_the_dense_bits(wtxt, degrees):
+    # each entry of a multi-shift is a weighted shift, multiplied by gather
+    # and scale; every sum of the dense route has one nonzero term, so the
+    # stacks, scans and conjugations carry its bits, signed zeros included
+    t = multishift_tuple(TruncatedSpace(MultiWeightSpec.parse(wtxt), degrees))
+    count = t.dim + 2
+    for i in range(t.n):
+        mat = t[i].mat
+        assert t._stacks[i].shift is not None
+        powers = _dense_stack(mat, count)
+        assert _same_bits(t.power_stack(i, count), powers)
+        assert _same_bits(t.adjoint_stack(i, count), _dense_stack(mat.conj().T, count))
+        assert _same_bits(t.gram_stack(i, count), powers @ powers.conj().transpose(0, 2, 1))
+        for cap in (1, degrees[i] - 1, degrees[i], t.dim):
+            dense = next((k for k in range(1, cap + 1) if not powers[k].any()), None)
+            assert t.nilpotency_order(i, cap) == _nilpotency_order(mat, cap) == dense
+        values = Lcg(t.dim + i).complex_matrix(t.dim, 1)[:, 0].real
+        values[::3] = 0.0
+        assert (values < 0).any()
+        for x in (np.diag(values).astype(complex), np.eye(t.dim, dtype=complex),
+                  np.zeros((t.dim, t.dim), dtype=complex)):
+            got = _conjugate(mat, x, t._stacks[i].shift)
+            assert _same_bits(got, _conjugate(mat, x))
+            assert _same_bits(got, mat @ x @ mat.conj().T)
+        # a complex or full middle factor keeps the dense products
+        x = np.diag(Lcg(t.dim + 50).complex_matrix(t.dim, 1)[:, 0])
+        assert _same_bits(_conjugate(mat, x, t._stacks[i].shift), mat @ x @ mat.conj().T)
+
+
+@pytest.mark.parametrize("wtxt, degrees", MULTISHIFTS)
+def test_multishift_defects_do_not_depend_on_the_route(wtxt, degrees):
+    # the same classification with the index maps withheld, so that every
+    # product is dense, gives the same bits at every point, limit and lattice
+    w = MultiWeightSpec.parse(wtxt)
+    space = TruncatedSpace(w, degrees)
+    fast, dense = multishift_tuple(space), multishift_tuple(space)
+    for stacks in dense._stacks:
+        stacks._shift = None
+    points = [(0.5,) * fast.n, (0.875,) * fast.n, tuple(0.3 + 0.2 * j for j in range(fast.n))]
+    for _, member in w.swap_family():
+        for point in points:
+            assert _same_bits(defect_series(fast, member, point),
+                              defect_series(dense, member, point))
+        assert _same_bits(defect_limit(fast, member).limit, defect_limit(dense, member).limit)
+    beta = [float(spec.exponent) for spec in w]
+    eye = np.eye(fast.dim, dtype=complex)
+    assert _same_bits(delta_power(fast, beta, eye), delta_power(dense, beta, eye))
+    assert is_W_hypercontraction(fast, w) == is_W_hypercontraction(dense, w)
+
+
+@pytest.mark.parametrize("make", [
+    # a complex weight
+    lambda: np.diag([0.5, 0.5j], -1),
+    # two nonzeros in one column
+    lambda: np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.25, 0.0, 0.0]]),
+    # two nonzeros in one row (not the first, which is counted before the rest)
+    lambda: np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.25], [0.0, 0.0, 0.0]]),
+    # a dense nilpotent
+    lambda: nilpotent_commuting_tuple(5, 6, 1, radius=0.5)[0].mat,
+    lambda: np.zeros((0, 0)),
+    lambda: np.array([[0.5]]),
+], ids=["complex-weight", "two-in-a-column", "two-in-a-row", "dense-nilpotent", "0x0", "1x1"])
+def test_other_matrices_take_the_dense_route(make):
+    mat = np.asarray(make(), dtype=complex)
+    assert _weighted_shift(mat) is None
+    t = OperatorTuple.of(mat)
+    assert t._stacks[0].shift is None
+    count = 4
+    assert np.array_equal(t.power_stack(0, count), _power_stack(mat, count))
+    assert np.array_equal(t.power_stack(0, count), _dense_stack(mat, count))
+    assert np.array_equal(t.adjoint_stack(0, count), _dense_stack(mat.conj().T, count))
+
+
+def test_a_real_weighted_shift_is_an_index_map():
+    # negative and unequal weights, and a cycle: still a weighted shift
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[1, 0], mat[0, 1], mat[3, 2] = -0.75, 0.5, 0.25
+    shift = _weighted_shift(mat)
+    assert shift is not None
+    assert np.array_equal(shift.to_matrix(), mat)
+    assert shift.norm() == 0.75
+    assert np.array_equal(shift.adjoint().to_matrix(), mat.conj().T)
+    t = OperatorTuple.of(mat)
+    assert np.array_equal(t.power_stack(0, 6), _dense_stack(mat, 6))
+    assert np.array_equal(t.adjoint_stack(0, 6), _dense_stack(mat.conj().T, 6))
+    assert t.nilpotency_order(0, 4) is None
 
 
 def test_multishift_classification_takes_no_eigensolve(monkeypatch):
@@ -298,6 +414,17 @@ def test_nilpotency_order_is_scanned_once_per_variable(monkeypatch):
     # the scan keeps no powers: only the fractional sums grew the stacks, to their cuts
     cuts = [_effective_degree(t, i, _row(level)) for i, level in enumerate(_levels(w))]
     assert [len(t.power_stack(i, 1).base) for i in range(t.n)] == cuts
+
+
+def test_classification_holds_only_the_limit_of_its_weights():
+    # every swap-family member's vertex value serves its certificate; only
+    # the weights' own is held for the checks and models that read it again
+    t = random_commuting_contractions(66, 4, 2, radius=0.6)
+    w = MultiWeightSpec.parse("bergman:2.5,bergman:2")
+    report = is_W_hypercontraction(t, w)
+    assert sum(c.kind == "limit" for c in report.certificates) == 4
+    assert list(t._limits) == [w]
+    assert defect_limit(t, w).limit is t._limits[w][0]
 
 
 def test_defect_limit_is_held_per_weights():

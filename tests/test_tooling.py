@@ -127,8 +127,10 @@ def _referenced_names(tree: ast.Module):
 
 def test_powers_and_nilpotency_orders_are_formed_only_in_hyper():
     # an OperatorTuple owns T^k, T*^k and the nilpotency orders of its
-    # entries; every other module reads them from a tuple
-    owned = {"_power_stack", "_nilpotency_order", "matrix_power"}
+    # entries, and multiplies a weighted-shift entry through its index map;
+    # every other module reads them from a tuple and multiplies no entry by
+    # a gather of its own
+    owned = {"_power_stack", "_nilpotency_order", "matrix_power", "_weighted_shift", "_moved"}
     stray = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "hyper.py":
