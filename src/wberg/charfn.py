@@ -21,16 +21,19 @@ level and the checks below return the residuals.
 
 Each residual is computed at the size where it lives.  The unitarity of the
 completed block matrix is read off a ``(d + min(e, d))``-square matrix
-(:func:`block_unitarity`), the range orthogonality ``pi* M = 0`` off a
-``d``-square Gram matrix (:func:`partial_isometry_check`), with ``d`` the
-operator's dimension and ``e`` the completion's.  The transport ``tau``
-between the completions of ``T`` and ``u T u*`` is applied through its
-factors and certified unitary by a proved bound from a ``d``-square Gram
-matrix (:func:`coincidence_verify`); it is formed only when that bound cannot
-decide.  Only the partial isometry ``pi pi* + M M* = I`` is taken on the
-``e``-sized truncated space: its residual has no low-rank structure, being
-the rounding of its own assembly.  Evaluations take a whole point set at
-once: one Vandermonde product per coefficient stack.
+(:func:`block_unitarity`, held on the function), the range orthogonality
+``pi* M = 0`` off a ``d``-square Gram matrix, with ``d`` the operator's
+dimension and ``e`` the completion's.  The split ``pi pi* + M M* = I``
+factors exactly through ``U U* - I`` of the completed block matrix ``U``, so
+it is certified by a proved bound from the block unitarity, the
+``e``-square Gram matrix of the completion and the ``d``-sized blocks
+``D T*^j`` (:func:`partial_isometry_check`); no eigensolve runs on the
+completion space, and the split is assembled only when that bound cannot
+decide.  The transport ``tau`` between the completions of ``T`` and
+``u T u*`` is applied through its factors and certified unitary by a proved
+bound from a ``d``-square Gram matrix (:func:`coincidence_verify`); it is
+formed only when that bound cannot decide.  Evaluations take a whole point
+set at once: one Vandermonde product per coefficient stack.
 """
 
 from __future__ import annotations
@@ -134,6 +137,19 @@ class CharFunction:
         return self.defect_min.shape[0]
 
     @cached_property
+    def block_unitarity(self) -> float:
+        """The residual of :func:`block_unitarity`, formed once per function
+        (the reduction is proved there) and read by every check."""
+        t_adj = self.t.conj().T
+        c = self.column_map
+        gap = self.t @ t_adj + c.conj().T @ c - np.eye(self.t.shape[0])
+        cross = (self.t @ self.triple.b + c.conj().T @ self.triple.d_stack).conj().T
+        s = np.linalg.qr(cross, mode="r")
+        k = s.shape[0]
+        small = np.block([[gap, s.conj().T], [s, np.zeros((k, k))]])
+        return hermitian_norm(small)
+
+    @cached_property
     def scaled_d_blocks(self) -> np.ndarray:
         """``sqrt(rho_n) D_n`` stacked as ``(n_terms, defect_dim, e_dim)``."""
         rho = rho_sequence(self.omega, self.n_terms)
@@ -218,16 +234,12 @@ def block_unitarity(cf: CharFunction) -> float:
     the ``(d + k)``-square Hermitian ``K``, and ``||H|| = ||K||``.  The cost
     is ``Y* X``, formed as the adjoint of ``X* Y = T B + C* D`` so that only
     the ``d``-wide factors are conjugated, and one thin QR; no ``N``-square
-    matrix is formed.
+    matrix is formed.  The value is held on the function
+    (:attr:`CharFunction.block_unitarity`), so the report,
+    :func:`partial_isometry_check` and :func:`coincidence_verify` read one
+    factorization.
     """
-    t_adj = cf.t.conj().T
-    c = cf.column_map
-    gap = cf.t @ t_adj + c.conj().T @ c - np.eye(cf.t.shape[0])
-    cross = (cf.t @ cf.triple.b + c.conj().T @ cf.triple.d_stack).conj().T
-    s = np.linalg.qr(cross, mode="r")
-    k = s.shape[0]
-    small = np.block([[gap, s.conj().T], [s, np.zeros((k, k))]])
-    return hermitian_norm(small)
+    return cf.block_unitarity
 
 
 def _vandermonde(z: np.ndarray, n: int) -> np.ndarray:
@@ -358,41 +370,140 @@ def key_identity_check(
     return float(np.max(np.linalg.svd(gaps.transpose(0, 2, 1, 3), compute_uv=False)))
 
 
-def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
-    """Check that the multiplier and the dilation map split the identity.
+def _product_rounding(d: int, e: int) -> tuple[float, float]:
+    """``gamma_N = N u / (1 - N u)`` for ``N = d + e``, and ``rho = gamma_N (d + sqrt(d e))``.
 
-    Both maps go into the weighted Bergman space of the defect truncated at
-    ``n_terms``: the dilation map ``pi`` with block rows ``D T*^b / sqrt(w_b)``,
-    and the multiplier ``M`` of the function from the equally truncated Hardy
-    space of ``E``, which is block Toeplitz: ``M[b, a] = sqrt(w_b) Theta_{b-a}``.
-    So ``M M*`` is the Gram matrix of the coefficient blocks summed along
-    block diagonals and rescaled by ``sqrt(w_b w_b')``, and block column ``a``
-    of ``pi* M`` is the correlation ``sum_(j < n - a) T^(a+j) D* Theta_j``, in
-    which the weights cancel.  Factoring out ``T^a``, it is
-    ``T^a P_(n-1-a)`` with the prefix sums ``P_m = sum_(j <= m) T^j D* Theta_j``,
-    so all ``n`` blocks come from one batched product, one ``cumsum`` and one
-    batched product with the powers.  The ``d x n e`` matrix ``pi* M`` has
-    the norm ``sqrt(lambda_max)`` of its ``d``-square Gram matrix
-    ``sum_a block_a block_a*``; a largest singular value taken from the Gram
-    matrix carries a relative error of about ``eps``.  Returns the residuals
-    of ``pi pi* + M M* = I`` and of the range orthogonality ``pi* M = 0``.
+    ``gamma_N`` bounds the relative rounding of a product with inner
+    dimension at most ``N`` entrywise (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 3.5); ``rho`` bounds the
+    rounding, in norm, of such a product of factors with Frobenius norms at
+    most ``sqrt(d)`` and ``sqrt(e)``, as the ``d``- and ``e``-wide blocks of
+    a completed block matrix have.
     """
+    rows = d + e
+    gamma = rows * UNIT_ROUNDOFF / (1.0 - rows * UNIT_ROUNDOFF)
+    return gamma, gamma * (d + math.sqrt(d * e))
+
+
+def _psi2(cf: CharFunction, rows: np.ndarray) -> float:
+    """Upper bound on ``||Psi||^2`` from the stack ``rows`` of ``R_j = D T*^j``:
+    the smaller of the Frobenius and block-shift bounds of
+    :func:`partial_isometry_check`."""
+    w = cf.omega.values(cf.n_terms)
+    v = cf.omega.inverse_weight_values(cf.n_terms)
+    tail_sums, tail_max = np.cumsum(w[::-1])[::-1], np.maximum.accumulate(w[::-1])[::-1]
+    frobenius = np.sum(v**2 * np.sum(np.abs(rows) ** 2, axis=(1, 2)) * tail_sums)
+    spectral = np.linalg.svd(rows, compute_uv=False)[:, 0]
+    shift = np.sum(v * spectral * np.sqrt(tail_max)) ** 2
+    return float(min(frobenius, shift))
+
+
+def _split_bound(cf: CharFunction, rows: np.ndarray) -> tuple[float, float]:
+    """``(1 + psi2) (beta + ||Y* Y - I||_F)``, the bound on ``||pi pi* + M M* - I||``
+    of :func:`partial_isometry_check`, and the same bound with the rounding
+    of its formed parts added; ``rows`` is the stack of ``R_j = D T*^j``."""
+    d, e = cf.t.shape[0], cf.triple.e_dim
+    scale = 1.0 + _psi2(cf, rows)
+    b, d_stack = cf.triple.b, cf.triple.d_stack
+    gram = b.conj().T @ b + d_stack.conj().T @ d_stack
+    gram_trace = float(np.trace(gram).real)
+    gram[np.diag_indices(e)] -= 1.0
+    measured = cf.block_unitarity + float(np.linalg.norm(gram))
+    gamma, rho = _product_rounding(d, e)
+    return scale * measured, scale * (measured + rho + gamma * gram_trace)
+
+
+def _formed_split(cf: CharFunction, theta: np.ndarray, rows: np.ndarray) -> float:
+    """``||pi pi* + M M* - I||`` from the assembled ``n r``-square matrix."""
     n, r = cf.n_terms, cf.defect_dim
-    theta = cf.coefficients()[:n]  # Theta_n only reaches degrees beyond the cutoff
     flat = theta.reshape(n * r, -1)
     gram = (flat @ flat.conj().T).reshape(n, r, n, r)
     for b in range(1, n):
         gram[b, :, 1:] += gram[b - 1, :, :-1]
     sqrt_w = np.repeat(np.sqrt(cf.omega.values(n)), r)
     mm = sqrt_w[:, None] * gram.reshape(n * r, n * r) * sqrt_w[None, :]
-    rows = cf.defect_min @ cf.star_powers
     pi = (rows / sqrt_w.reshape(n, r, 1)).reshape(n * r, -1)
     total = pi @ pi.conj().T + mm
-    res = hermitian_norm(total - np.eye(n * r))
+    return hermitian_norm(total - np.eye(n * r))
+
+
+def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
+    """Check that the multiplier and the dilation map split the identity.
+
+    Both maps go into the weighted Bergman space of the defect truncated at
+    ``n = n_terms``: the dilation map ``pi`` with block rows
+    ``R_b / sqrt(w_b)``, ``R_b = D T*^b``, and the multiplier ``M`` of the
+    function from the equally truncated Hardy space of ``E``, which is block
+    Toeplitz: ``M[b, a] = sqrt(w_b) Theta_(b-a)``.  Returns the residuals of
+    ``pi pi* + M M* = I`` and of the range orthogonality ``pi* M = 0``.
+
+    The split is certified through the unitarity of the completed block
+    matrix ``U = [X Y]``, ``X = [T*; C]``, ``Y = [B; D-stack]`` (``N = d + e``
+    rows), and not assembled.  With ``v_j = 1 / w_j``, each coefficient is
+    ``Theta_j = Phi_j Y``, ``Phi_j = [v_(j-1) R_(j-1) | sqrt(rho_j) E_j]``,
+    where ``E_j`` picks block ``j`` of the D-stack and the ``R`` term is
+    absent for ``j = 0``; ``rho_j = v_j - v_(j-1)`` gives
+    ``Phi_j X = v_j R_j``.  Let ``S_a`` (``n r x N``) have block row
+    ``sqrt(w_b) Phi_(b-a)`` for ``b >= a`` and zeros above, so that
+    ``M M* = sum_a S_a Y Y* S_a*``, and put ``Y Y* = I - X X* + (U U* - I)``.
+    Then ``sum_a S_a X X* S_a* = Psi Psi*`` with block
+    ``Psi[b, a] = sqrt(w_b) v_(b-a) R_(b-a)``.  In ``sum_a S_a S_a*`` the
+    ``E`` blocks, orthogonal for distinct ``j``, telescope to
+    ``w_b sum_(j <= b) rho_j = w_b v_b = 1`` on the diagonal, and the ``R``
+    blocks are the terms of ``Psi Psi*`` shifted by one step of ``a``, short
+    of its ``a = 0`` term, which is ``pi pi*``.  So, exactly at the
+    truncation and with no tail term,
+
+        sum_a S_a S_a* = I - pi pi* + Psi Psi*,
+        pi pi* + M M* - I = sum_a S_a (U U* - I) S_a*.
+
+    As ``pi pi* >= 0`` and ``||U U* - I|| = ||U* U - I||`` for square ``U``,
+
+        ||pi pi* + M M* - I|| <= (1 + ||Psi||^2) ||U* U - I||,
+        ||U* U - I|| <= beta + ||Y* Y - I||_F,
+
+    with ``beta`` the :func:`block_unitarity` residual and the second step
+    Weyl's inequality, as proved there.  ``||Psi||^2`` is bounded by the
+    smaller of the Frobenius bound
+    ``sum_j v_j^2 ||R_j||_F^2 sum_(b >= j) w_b`` and the block-shift bound
+    ``(sum_j v_j ||R_j|| max_(b >= j) sqrt(w_b))^2``: ``Psi`` is the sum over
+    ``j`` of its ``j``-th block diagonal, a block shift of norm at most
+    ``v_j ||R_j|| max_(b >= j) sqrt(w_b)``, which is ``sqrt(v_j) ||R_j||``
+    for nonincreasing weights.  The work is the ``e``-square Gram matrix
+    ``Y* Y = B* B + D* D``, its Frobenius norm and the norms of the ``n``
+    ``r x d`` blocks ``R_j``; no eigensolve runs on the completion space.
+
+    The residual reported is the bound ``(1 + psi2) (beta + ||Y* Y - I||_F)``
+    when, with the worst-case rounding of its formed parts added, it stays
+    below ``10 CHAR_TOL``: ``rho`` for ``beta``, as in
+    :func:`_transport_bound`, and ``gamma_N ||Y||_F^2`` for the Gram matrix
+    (:func:`_product_rounding`).  The norms, the subtraction of ``I`` and
+    ``psi2`` carry only relative errors, of order ``N^2 u`` at most; on a
+    bound near ``10 CHAR_TOL`` that is far below the allowance, which is at
+    least ``gamma_N e``.  Otherwise the split is formed: the Gram matrix of
+    the coefficient blocks summed along block diagonals and rescaled by
+    ``sqrt(w_b w_b')``, plus ``pi pi*``, and its residual, read off its
+    extreme eigenvalues, is reported, so every verdict is the one the formed
+    residual gives.
+
+    Block column ``a`` of ``pi* M`` is the correlation
+    ``sum_(j < n - a) T^(a+j) D* Theta_j``, in which the weights cancel.
+    Factoring out ``T^a``, it is ``T^a P_(n-1-a)`` with the prefix sums
+    ``P_m = sum_(j <= m) T^j D* Theta_j``, so all ``n`` blocks come from one
+    batched product, one ``cumsum`` and one batched product with the powers.
+    The ``d x n e`` matrix ``pi* M`` has the norm ``sqrt(lambda_max)`` of its
+    ``d``-square Gram matrix ``sum_a block_a block_a*``; a largest singular
+    value taken from the Gram matrix carries a relative error of about
+    ``eps``.
+    """
+    theta = cf.coefficients()[:cf.n_terms]  # Theta_n only reaches degrees beyond the cutoff
+    rows = cf.defect_min @ cf.star_powers
+    bound, proved = _split_bound(cf, rows)
+    split = bound if proved < CHAR_TOL * 10 else _formed_split(cf, theta, rows)
     prefix = np.cumsum(rows.conj().transpose(0, 2, 1) @ theta, axis=0)
     blocks = cf.star_powers.conj().transpose(0, 2, 1) @ prefix[::-1]
     gram_cross = np.tensordot(blocks, blocks.conj(), axes=([0, 2], [0, 2]))
-    return {"partial_isometry": res, "range_orthogonality": math.sqrt(hermitian_norm(gram_cross))}
+    return {"partial_isometry": split, "range_orthogonality": math.sqrt(hermitian_norm(gram_cross))}
 
 
 def _transition(t1: CharTriple, t2: CharTriple) -> np.ndarray:
@@ -474,14 +585,12 @@ def _transport_bound(
     their errors sit below ``rho`` as well.
     """
     d, e = theta2.t.shape[0], theta2.triple.e_dim
-    rows = d + e
-    gamma = rows * UNIT_ROUNDOFF / (1.0 - rows * UNIT_ROUNDOFF)
-    rho = gamma * (d + math.sqrt(d * e))
-    delta = completion_orthogonality(rows, d)
+    _, rho = _product_rounding(d, e)
+    delta = completion_orthogonality(d + e, d)
     g = theta2.t @ bt + theta2.column_map.conj().T @ dt
     g_norm = math.sqrt(hermitian_norm(g @ g.conj().T)) + rho
     delta_t = delta + (1.0 + delta) * (eps + rho) + rho
-    return g_norm**2 + (1.0 + delta_t) * (block_unitarity(theta2) + rho + delta) + delta_t
+    return g_norm**2 + (1.0 + delta_t) * (theta2.block_unitarity + rho + delta) + delta_t
 
 
 def coincidence_verify(

@@ -433,13 +433,20 @@ class OperatorTuple:
 def subtuple(t: OperatorTuple, lam: Sequence[int]) -> OperatorTuple:
     """Sub-tuple at the (0-based) sorted index subset ``lam``; it shares the parent's stacks.
 
-    The subset of every index gives ``t`` itself, with its held reports.
+    The entries were validated as part of ``t`` (square on one space,
+    contractive, pairwise commuting), and each property passes to a subset,
+    so the sub-tuple is assembled without ``__post_init__``'s checks.  The
+    subset of every index gives ``t`` itself, with its held reports.
     """
     lam = _check_subset(lam, t.n)
     if len(lam) == t.n:
         return t
-    sub = OperatorTuple(tuple(t.ops[i] for i in lam), t.commutation_tol)
-    object.__setattr__(sub, "_stacks", tuple(t._stacks[i] for i in lam))
+    sub = object.__new__(OperatorTuple)
+    for name, value in (("ops", tuple(t.ops[i] for i in lam)),
+                        ("commutation_tol", t.commutation_tol),
+                        ("_stacks", tuple(t._stacks[i] for i in lam)),
+                        ("_reports", {}), ("_limits", {})):
+        object.__setattr__(sub, name, value)
     return sub
 
 
@@ -825,10 +832,6 @@ class Witness:
     kind: str  # "grid" | "limit" | "lattice"
     point: tuple
     min_eig: float
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.min_eig >= -POSITIVITY_TOL)
 
     def to_dict(self) -> dict:
         return {

@@ -96,10 +96,12 @@ def run_props(case: CaseConfig) -> tuple[bool, dict]:
 # classification pipelines
 # ---------------------------------------------------------------------------
 
-def _witnesses_brief(report) -> list[dict]:
+def _witnesses_brief(report, tol: float) -> list[dict]:
+    """The certificates that fail at ``tol``, the tolerance the verdict was
+    decided at, or the first certificate when none fails."""
     if not report.certificates:
         return []
-    failing = [w.to_dict() for w in report.certificates if not w.ok]
+    failing = [w.to_dict() for w in report.certificates if w.min_eig < -tol]
     return failing if failing else [report.certificates[0].to_dict()]
 
 
@@ -110,7 +112,7 @@ def run_check(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
         "verdict": rep.verdict,
         "pure": pure,
         "caveat": rep.caveat,
-        "witnesses": _witnesses_brief(rep),
+        "witnesses": _witnesses_brief(rep, case.tol),
         "certificates_checked": len(rep.certificates),
     }
     # joint tail: the limit of T^b T*^b over all coordinates, from the tail of T_0
@@ -242,7 +244,7 @@ def run_charfn(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
     grid = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
     pi_res = cf_mod.partial_isometry_check(cf)
     residuals = {
-        "block_unitarity": cf_mod.block_unitarity(cf),
+        "block_unitarity": cf.block_unitarity,
         "column_identity": cf.column_identity,
         "key_identity_max": cf_mod.key_identity_check(cf, grid, grid[:5]),
         "partial_isometry": pi_res["partial_isometry"],

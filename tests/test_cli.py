@@ -1,6 +1,7 @@
 """Command-line front end: parsing, exit codes, determinism."""
 
 import json
+import math
 import re
 import warnings
 
@@ -360,6 +361,33 @@ def test_verify_all_runs_clean(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     body = json.loads(out1.read_text())
     assert body["verdict"] is True and body["cases"] == 12
+
+
+_EDGE = math.sqrt(0.50000005)  # 1 - 2 a^2 = -1e-7: bergman:2 fails at the vertex by 1e-7
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6])
+@pytest.mark.parametrize("weights,spec,verdicts", [
+    ("hardy", "scalars:[1.00000000005]", (False, True, True)),
+    ("bergman:2", {"kind": "explicit", "matrices": [
+        {"rows": 2, "cols": 2, "re": [0.0, _EDGE, 0.0, 0.0], "im": [0.0] * 4}]},
+     (False, False, True)),
+], ids=["hardy-scalar-past-1", "bergman2-shift-past-the-vertex"])
+def test_check_witnesses_agree_with_the_verdict(tol, weights, spec, verdicts):
+    # the witnesses are filtered at the tolerance the verdict is decided at:
+    # a false verdict lists only failing witnesses, a true one a passing one
+    from wberg.pipelines import run_case
+
+    data = {"name": "edge", "weights": weights, "tuple": spec, "degrees": [8], "tol": tol,
+            "run": ["check"]}
+    ok, report = run_case(parse_case(data, name="edge"))
+    step = report["steps"]["check"]
+    assert step["verdict"] is ok is verdicts[[1e-12, 1e-8, 1e-6].index(tol)]
+    listed = step["witnesses"]
+    if ok:
+        assert len(listed) == 1 and listed[0]["min_eig"] >= -tol
+    else:
+        assert listed and all(w["min_eig"] < -tol for w in listed)
 
 
 def test_check_default_run_includes_crosschecks(capsys):

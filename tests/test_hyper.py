@@ -1020,6 +1020,36 @@ def test_subtuple_full_set_is_identity():
     assert sub is t and subtuple(t, range(t.n)) is t and subtuple(t, (1, 0, 1)) is t
 
 
+@pytest.mark.parametrize("make", [
+    lambda: multishift_tuple(TruncatedSpace(MultiWeightSpec.parse("bergman:2,hardy,bergman:1.5"),
+                                            (3, 4, 3))),
+    lambda: random_commuting_contractions(63, 4, 3, radius=0.8),
+], ids=["multishift-3x4x3", "random-contraction-3"])
+def test_subtuple_of_a_validated_tuple_is_not_validated_again(monkeypatch, make):
+    # contractivity and commutation pass to a subset of validated entries, so
+    # the sub-tuple takes no SVD, no norm decision and no commutator product
+    import wberg.hyper as hyper
+
+    t = make()
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd"))
+    monkeypatch.setattr(hyper, "threshold_norm", lambda *a: calls.append("threshold_norm"))
+    monkeypatch.setattr(hyper, "spectral_norm", lambda *a: calls.append("spectral_norm"))
+    monkeypatch.setattr(OperatorTuple, "__post_init__", lambda self: calls.append("validate"))
+    lams = [(0,), (1, 2), (2, 0)]
+    subs = [subtuple(t, lam) for lam in lams]
+    monkeypatch.undo()
+    assert calls == []
+    for lam, sub in zip(lams, subs):
+        lam = tuple(sorted(lam))
+        fresh = OperatorTuple(tuple(t.ops[i] for i in lam), t.commutation_tol)
+        assert sub == fresh and vars(sub).keys() == vars(fresh).keys()
+        assert all(a is t.ops[i] for a, i in zip(sub.ops, lam))
+        assert all(s is t._stacks[i] for s, i in zip(sub._stacks, lam))
+        assert sub._reports == {} and sub._limits == {}
+        assert sub._reports is not t._reports and sub._limits is not t._limits
+
+
 def test_subtuple_inheritance_coisometries():
     t = commuting_unitaries(29, 3, 3)
     w = MultiWeightSpec.parse("bergman:2,hardy,bergman:1.5")
