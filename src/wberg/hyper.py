@@ -42,10 +42,12 @@ tail of a check all read it.  An entry that is a weighted shift (each
 coordinate shift of a multi-shift) is held with its index map
 (:class:`ShiftAction`) and multiplied by gather and scale, with the bits of
 the dense products.
-Next to the stacks the tuple holds its classification reports, one per
-(weights, grid, tolerance, lattice) key, and its defect limits, one per
-weights, so a fact proved once is not proved again by a later pipeline step;
-the sub-tuple on every index is the tuple itself and reads the same reports.
+A tuple and its sub-tuples share one store of classification facts
+(:func:`_held`), keyed by the root indices of the entries they are about: the
+defect certificates per weight levels (:func:`_levels`), grid and tolerance,
+the lattice report per ``gamma`` and tolerance, and the vertex value per
+weight levels.  A fact proved once is read by every later pipeline step and
+every sub-tuple on the same entries.
 
 Classification routines sample ``D(r)`` over an ``r``-grid (any finite grid
 under-approximates the continuum; reports say so), add the ``r -> 1`` limit
@@ -350,16 +352,15 @@ class OperatorTuple:
     Entries are validated :class:`Operator` objects, so they are read-only;
     an ``ndarray`` entry is wrapped here.  The tuple owns the power,
     adjoint-power and Gram stacks, the nilpotency orders and the tail limits
-    of its entries (see :meth:`power_stack` and :meth:`tail_limit`), the
-    reports of :func:`is_W_hypercontraction` run on it and its
-    :func:`defect_limit` values.
+    of its entries (see :meth:`power_stack` and :meth:`tail_limit`), and
+    the store of classification facts it shares with its sub-tuples.
     """
 
     ops: tuple[Operator, ...]
     commutation_tol: float = COMMUTATION_TOL
     _stacks: tuple[_OperatorStacks, ...] = field(init=False, repr=False, compare=False)
-    _reports: dict = field(init=False, repr=False, compare=False)
-    _limits: dict = field(init=False, repr=False, compare=False)
+    _facts: dict = field(init=False, repr=False, compare=False)
+    _index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ops:
@@ -367,8 +368,8 @@ class OperatorTuple:
         ops = tuple(t if isinstance(t, Operator) else Operator(t) for t in self.ops)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "_stacks", tuple(_OperatorStacks(t.mat) for t in ops))
-        object.__setattr__(self, "_reports", {})
-        object.__setattr__(self, "_limits", {})
+        object.__setattr__(self, "_facts", {})
+        object.__setattr__(self, "_index", tuple(range(len(ops))))
         d = ops[0].rows
         bound = 1.0 + self.commutation_tol
         for t in ops:
@@ -431,12 +432,14 @@ class OperatorTuple:
 
 
 def subtuple(t: OperatorTuple, lam: Sequence[int]) -> OperatorTuple:
-    """Sub-tuple at the (0-based) sorted index subset ``lam``; it shares the parent's stacks.
+    """Sub-tuple at the (0-based) sorted index subset ``lam``; it shares the
+    parent's stacks and its store of classification facts.
 
     The entries were validated as part of ``t`` (square on one space,
     contractive, pairwise commuting), and each property passes to a subset,
-    so the sub-tuple is assembled without ``__post_init__``'s checks.  The
-    subset of every index gives ``t`` itself, with its held reports.
+    so the sub-tuple is assembled without ``__post_init__``'s checks.  Its
+    ``_index`` holds the root indices of its entries, so a subset reached
+    twice reads one fact.  The subset of every index gives ``t`` itself.
     """
     lam = _check_subset(lam, t.n)
     if len(lam) == t.n:
@@ -445,9 +448,21 @@ def subtuple(t: OperatorTuple, lam: Sequence[int]) -> OperatorTuple:
     for name, value in (("ops", tuple(t.ops[i] for i in lam)),
                         ("commutation_tol", t.commutation_tol),
                         ("_stacks", tuple(t._stacks[i] for i in lam)),
-                        ("_reports", {}), ("_limits", {})):
+                        ("_facts", t._facts), ("_index", tuple(t._index[i] for i in lam))):
         object.__setattr__(sub, name, value)
     return sub
+
+
+def _held(t: OperatorTuple, key: tuple, make, hold: bool = True):
+    """The fact ``key`` about ``t``'s entries, read from the family's store,
+    or formed by ``make()`` and held there when ``hold`` is set."""
+    key = (t._index, *key)
+    fact = t._facts.get(key)
+    if fact is None:
+        fact = make()
+        if hold:
+            t._facts[key] = fact
+    return fact
 
 
 def _check_subset(lam: Sequence[int], n: int) -> tuple[int, ...]:
@@ -756,24 +771,18 @@ def defect_limit(t: OperatorTuple, w: MultiWeightSpec, tol: float = LIMIT_TOL) -
     at the vertex is its value there; the truncation error is reported as
     the tail estimate.  Integer presets are exact finite differences, so
     only fractional factors and explicit lists carry one.  The read-only
-    value and its estimate are held on ``t`` per weights, like the
-    classification reports.
+    value and its estimate are held in ``t``'s store (:func:`_held`);
+    ``converged`` is judged at each ``tol``.
     """
-    res = _vertex_limit(t, w, tol)
-    t._limits[w] = (res.limit, res.tail_estimate)
-    return res
-
-
-def _vertex_limit(t: OperatorTuple, w: MultiWeightSpec, tol: float) -> DefectResult:
-    """The value of :func:`defect_limit`, read from ``t`` when held there
-    and otherwise formed without being held."""
-    held = t._limits.get(w)
-    if held is None:
-        value = defect_series(t, w, (1.0,) * t.n)
-        value.flags.writeable = False
-        held = (value, _tail_estimate(t, _levels(w)))
-    value, est = held
+    value, est = _held(t, ("limit", _levels(w)), lambda: _vertex_value(t, w))
     return DefectResult(value, ((1.0, 0.0),), est < tol, est)
+
+
+def _vertex_value(t: OperatorTuple, w: MultiWeightSpec) -> tuple[np.ndarray, float]:
+    """Read-only ``D(1)`` and its tail estimate."""
+    value = defect_series(t, w, (1.0,) * t.n)
+    value.flags.writeable = False
+    return value, _tail_estimate(t, _levels(w))
 
 
 def defect_operator(
@@ -855,57 +864,50 @@ def is_W_hypercontraction(
     w: MultiWeightSpec,
     r_grid: Sequence | None = None,
     tol: float = POSITIVITY_TOL,
-    lattice_e_points: bool | str = "auto",
+    lattice_e_points: bool = True,
 ) -> WHyperReport:
     """Test defect positivity for every member of the constant-swap family.
 
     Every grid point is checked for all ``2^n`` members.  Vertex limits are
     added per member when the coefficient tail certifies them.  For integer
     binomial-type weights the implied lattice of alternating-sum conditions
-    is checked as well (``lattice_e_points="auto"``), so the verdict matches
-    the equivalent finite criterion exactly.
-
-    The report is held on ``t``, keyed by the weights, the normalized grid,
-    ``tol`` and the resolved lattice flag (``"auto"`` becomes True or False),
-    and a later call with the same key returns it.  Of the vertex limits
-    only the weights' own is held (:func:`defect_limit`); each other
-    member's serves its certificate and is dropped.
+    (:func:`is_gamma_contractive`, with integer points) is checked as well
+    unless ``lattice_e_points`` is False, so the verdict matches the
+    equivalent finite criterion exactly.  The defect certificates and the
+    lattice report are separate facts of ``t``'s store (:func:`_held`), so a
+    report with the lattice also answers the query without it.  Of the
+    vertex limits only the weights' own is held.
     """
     if w.n != t.n:
         raise ArityMismatch(f"weight arity {w.n} != tuple arity {t.n}")
     grid = _normalize_grid(dyadic_grid(t.n) if r_grid is None else r_grid, t.n)
+    certs = _held(t, ("defect", _levels(w), grid, float(tol)),
+                  lambda: _defect_certificates(t, w, grid, tol))
     gamma = w.integer_betas()
-    lattice = lattice_e_points is True or (lattice_e_points == "auto" and gamma is not None)
-    if lattice and gamma is None:
-        raise ValueError("lattice points require integer binomial-type weights")
-    key = (w, grid, float(tol), lattice)
-    held = t._reports.get(key)
-    if held is not None:
-        return held
+    if lattice_e_points and gamma is not None:
+        certs += tuple(Witness((1 << t.n) - 1, "lattice", tuple(map(int, beta)), min_eig)
+                       for beta, min_eig in is_gamma_contractive(t, gamma, tol).witnesses)
+    failure = next((wit for wit in certs if wit.min_eig < -tol), None)
+    return WHyperReport(failure is None, certs, failure)
+
+
+def _defect_certificates(t: OperatorTuple, w: MultiWeightSpec, grid, tol: float) -> tuple:
+    """Grid and vertex-limit certificates of every swap-family member of ``w``."""
     certs: list[Witness] = []
-    # only the weights' own limit is held on ``t``, where checks and models
-    # read it again; a member that recurs (a constant weight swapped for
-    # itself) reads its limit here for the length of the call
-    limits: dict[MultiWeightSpec, DefectResult] = {}
+    # a member that recurs (a constant weight swapped for itself) reads its vertex value here
+    limits: dict[tuple, tuple[np.ndarray, float]] = {}
     for mask, member in w.swap_family():
         for point in grid:
             value = defect_series(t, member, point)
             certs.append(Witness(mask, "grid", point, psd_check(value, tol).min_eigenvalue))
-        lim = limits.get(member)
-        if lim is None:
-            lim = defect_limit(t, w, tol) if member == w else _vertex_limit(t, member, tol)
-            limits[member] = lim
-        if lim.converged:
-            min_eig = psd_check(lim.limit, tol).min_eigenvalue
-            certs.append(Witness(mask, "limit", (1.0,) * t.n, min_eig))
-    if lattice:
-        eye = np.eye(t.dim, dtype=complex)
-        for beta in itertools.product(*(range(g + 1) for g in gamma)):
-            min_eig = psd_check(delta_power(t, beta, eye), tol).min_eigenvalue
-            certs.append(Witness((1 << t.n) - 1, "lattice", beta, min_eig))
-    failure = next((wit for wit in certs if wit.min_eig < -tol), None)
-    report = t._reports[key] = WHyperReport(failure is None, tuple(certs), failure)
-    return report
+        levels = _levels(member)
+        if levels not in limits:
+            limits[levels] = _held(t, ("limit", levels), lambda: _vertex_value(t, member),
+                                   levels == _levels(w))
+        value, est = limits[levels]
+        if est < tol:
+            certs.append(Witness(mask, "limit", (1.0,) * t.n, psd_check(value, tol).min_eigenvalue))
+    return tuple(certs)
 
 
 # ---------------------------------------------------------------------------
@@ -955,29 +957,28 @@ def is_gamma_contractive(
 
     Integer ``gamma`` scans the full lattice ``0 <= beta <= gamma``.  Real
     ``gamma`` scans the integer lattice of the floor plus the fractional
-    corner values ``gamma_i`` themselves.
+    corner values ``gamma_i`` themselves.  This is the one lattice loop; its
+    report is held in ``t``'s store (:func:`_held`).
     """
     gamma = tuple(float(g) for g in gamma)
     if len(gamma) != t.n:
         raise ArityMismatch(f"gamma arity {len(gamma)} != tuple arity {t.n}")
     if any(g < 1.0 for g in gamma):
         raise ValueError("gamma must be at least 1 in every coordinate")
+    return _held(t, ("lattice", gamma, float(tol)), lambda: _lattice_report(t, gamma, tol))
+
+
+def _lattice_report(t: OperatorTuple, gamma: tuple[float, ...], tol: float) -> GammaReport:
+    """Smallest eigenvalue of ``Delta^beta(I)`` at each ``beta`` of the set below ``gamma``."""
     axes = []
     for g in gamma:
         whole, frac = _split(g)
         axes.append([float(k) for k in range(whole + 1)] + ([g] if frac else []))
     eye = np.eye(t.dim, dtype=complex)
-    witnesses = []
-    verdict = True
-    failure = None
-    for beta in itertools.product(*axes):
-        value = delta_power(t, beta, eye, tol=tol)
-        min_eig = psd_check(value, tol).min_eigenvalue
-        witnesses.append((beta, min_eig))
-        if min_eig < -tol:
-            verdict = False
-            failure = failure or beta
-    return GammaReport(bool(verdict), tuple(witnesses), failure)
+    witnesses = tuple((beta, psd_check(delta_power(t, beta, eye, tol=tol), tol).min_eigenvalue)
+                      for beta in itertools.product(*axes))
+    failure = next((beta for beta, min_eig in witnesses if min_eig < -tol), None)
+    return GammaReport(failure is None, witnesses, failure)
 
 
 @dataclass(frozen=True)
@@ -995,11 +996,9 @@ def equivalence_crosscheck(
 ) -> CrosscheckReport:
     """Run both equivalent finite criteria and insist the verdicts match."""
     gamma = tuple(int(g) for g in gamma)
-    if any(g < 1 for g in gamma):
-        raise ValueError("gamma must be at least 1 in every coordinate")
-    w = MultiWeightSpec(tuple(WeightSpec.bergman(g) for g in gamma))
     gr = is_gamma_contractive(t, gamma, tol=tol)
-    wr = is_W_hypercontraction(t, w, r_grid=r_grid, tol=tol, lattice_e_points=True)
+    w = MultiWeightSpec(tuple(WeightSpec.bergman(g) for g in gamma))
+    wr = is_W_hypercontraction(t, w, r_grid=r_grid, tol=tol)
     agree = gr.verdict == wr.verdict
     if not agree:
         raise EquivalenceViolation(

@@ -16,7 +16,6 @@ from .dilation import ISO_TOL, general_model, pure_dilation
 from .errors import ConfigError
 from .generators import random_unitary
 from .hyper import (
-    LIMIT_TOL,
     OperatorTuple,
     two_parameter_monotonicity_check,
     conjugation_limit,
@@ -121,9 +120,10 @@ def run_check(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
         joint, _, _ = conjugation_limit(joint, op)
     out["q_tail"] = Operator(joint).to_dict()
     if rep.verdict:
-        # the vertex value is exactly Hermitian; an unconverged limit warns its floor
-        vertex = defect_limit(t, case.weights)
-        vertex.warn_unconverged(LIMIT_TOL)
+        # the vertex value is exactly Hermitian; a limit unconverged at the
+        # tolerance of the verdict warns its floor
+        vertex = defect_limit(t, case.weights, case.tol)
+        vertex.warn_unconverged(case.tol)
         out["defect_vertex_min_eig"] = psd_check(vertex.limit, case.tol).min_eigenvalue
         out["defect"] = Operator(psd_sqrt(vertex.limit, case.tol)).to_dict()
     if case.tuple_spec and isinstance(case.tuple_spec, str) and case.tuple_spec.startswith(

@@ -423,8 +423,9 @@ def test_classification_holds_only_the_limit_of_its_weights():
     w = MultiWeightSpec.parse("bergman:2.5,bergman:2")
     report = is_W_hypercontraction(t, w)
     assert sum(c.kind == "limit" for c in report.certificates) == 4
-    assert list(t._limits) == [w]
-    assert defect_limit(t, w).limit is t._limits[w][0]
+    limits = [key for key in t._facts if key[1] == "limit"]
+    assert limits == [((0, 1), "limit", _levels(w))]
+    assert defect_limit(t, w).limit is t._facts[limits[0]][0]
 
 
 def test_defect_limit_is_held_per_weights():
@@ -1046,8 +1047,34 @@ def test_subtuple_of_a_validated_tuple_is_not_validated_again(monkeypatch, make)
         assert sub == fresh and vars(sub).keys() == vars(fresh).keys()
         assert all(a is t.ops[i] for a, i in zip(sub.ops, lam))
         assert all(s is t._stacks[i] for s, i in zip(sub._stacks, lam))
-        assert sub._reports == {} and sub._limits == {}
-        assert sub._reports is not t._reports and sub._limits is not t._limits
+        # one store of facts per family, keyed by the entries' root indices
+        assert sub._facts is t._facts and sub._index == lam
+        assert fresh._facts is not t._facts and fresh._index == tuple(range(len(lam)))
+    assert subtuple(subs[1], (1,))._index == (2,) and subtuple(subs[1], (1,))._facts is t._facts
+
+
+def test_a_subset_reached_twice_reads_one_fact(monkeypatch):
+    # a sub-tuple of a sub-tuple, or the same subset taken again, reads the
+    # classification, lattice and vertex limit its entries already have
+    t = random_commuting_contractions(63, 4, 3, radius=0.5)
+    w = MultiWeightSpec.parse("bergman:2,hardy,bergman:2")
+    first = is_W_hypercontraction(subtuple(t, (0, 2)), w.subset((0, 2)))
+    lattice = is_gamma_contractive(subtuple(t, (0, 2)), (2, 2))
+    limit = defect_limit(subtuple(t, (0, 2)), w.subset((0, 2)))
+    held = dict(t._facts)
+    calls = []
+    original = MultiWeightSpec.swap_family
+    monkeypatch.setattr(MultiWeightSpec, "swap_family",
+                        lambda self: calls.append(self.n) or original(self))
+    again = subtuple(subtuple(t, (0, 2)), (0, 1))
+    assert again is not t and again._index == (0, 2)
+    assert is_W_hypercontraction(again, w.subset((0, 2))) == first
+    assert is_gamma_contractive(subtuple(t, [2, 0]), (2.0, 2.0)) is lattice
+    assert defect_limit(subtuple(t, (2, 0)), w.subset((0, 2))).limit is limit.limit
+    assert calls == [] and t._facts == held
+    # another subset on the same weights is a fact of its own
+    is_W_hypercontraction(subtuple(t, (0, 1)), w.subset((0, 2)))
+    assert calls == [2] and len(t._facts) > len(held)
 
 
 def test_subtuple_inheritance_coisometries():
@@ -1180,56 +1207,127 @@ FRACTIONAL_PAIR = {"weights": "bergman:1.5,bergman:2.5",
                    "tuple": "random-contraction:5:4:2:0.4", "degrees": [8, 8]}
 
 
-def _fractional_case(run):
+# integer weights join the lattice; the equivalence step classifies at the
+# weights bergman:1,bergman:2 it builds from gamma, which are these levels
+INTEGER_PAIR = {"weights": "hardy,bergman:2", "tuple": "random-contraction:5:4:2:0.4",
+                "degrees": [8, 8], "gamma": [1, 2]}
+
+
+def _pair_case(run, pair=FRACTIONAL_PAIR):
     from wberg.config import parse_case
 
-    return parse_case({**FRACTIONAL_PAIR, "name": "held-" + "-".join(run), "run": run})
+    return parse_case({**pair, "name": "held-" + "-".join(run), "run": run})
 
 
-@pytest.mark.parametrize("run, arities", [
-    (["check", "subtuple"], [1, 2]),
-    (["check", "dilate-pure"], [2]),
-    (["check", "monotonicity"], [2]),
-])
-def test_run_case_classifies_each_tuple_once(monkeypatch, run, arities):
+@pytest.mark.parametrize("pair, run, arities, points", [
+    (FRACTIONAL_PAIR, ["check", "subtuple"], [1, 2], 0),
+    (FRACTIONAL_PAIR, ["check", "dilate-pure"], [2], 0),
+    (FRACTIONAL_PAIR, ["check", "monotonicity"], [2], 0),
+    (INTEGER_PAIR, ["check", "dilate-general"], [2], 6),
+    (INTEGER_PAIR, ["check", "equivalence", "dilate-pure"], [2], 6),
+    # the sub-tuple of the first entry adds its own lattice 0 <= beta <= 1
+    (INTEGER_PAIR, ["equivalence", "subtuple", "monotonicity"], [1, 2], 8),
+], ids=[f"run{i}-arities{i}" for i in range(6)])
+def test_run_case_classifies_each_tuple_once(monkeypatch, pair, run, arities, points):
     # the swap family is walked once per classification body, so its calls
-    # count the classifications that were actually computed, by arity
+    # count the classifications that were actually computed, by arity; with
+    # integer weights each lattice point is formed once as well
+    import wberg.hyper as hyper
     from wberg.pipelines import run_case
 
-    calls = []
+    calls, lattice = [], []
     original = MultiWeightSpec.swap_family
     monkeypatch.setattr(MultiWeightSpec, "swap_family",
                         lambda self: calls.append(self.n) or original(self))
-    ok, _ = run_case(_fractional_case(run))
+    power = hyper.delta_power
+    monkeypatch.setattr(hyper, "delta_power", lambda t, beta, *a, **k: (
+        lattice.append(tuple(beta)) or power(t, beta, *a, **k)))
+    ok, _ = run_case(_pair_case(run, pair))
     assert ok
     assert sorted(calls) == arities
+    assert len(lattice) == len(set(lattice)) == points
+
+
+@pytest.mark.parametrize("name, series_calls, lattice_calls", [
+    ("scalar-pair-bergman", 21, 12),
+    ("random-pair-crosscheck", 16, 9),
+])
+def test_corpus_case_forms_each_sum_once(monkeypatch, name, series_calls, lattice_calls):
+    # check and equivalence share the lattice and the defect certificates, so
+    # the lattice 0 <= beta <= gamma is formed once per case
+    import wberg.hyper as hyper
+    from wberg.config import parse_case
+    from wberg.corpus import corpus_cases
+    from wberg.pipelines import run_case
+
+    counts = {"defect_series": 0, "delta_power": 0}
+    for fn in counts:
+        original = getattr(hyper, fn)
+        monkeypatch.setattr(hyper, fn, lambda *a, _fn=fn, _o=original, **k: (
+            counts.__setitem__(_fn, counts[_fn] + 1) or _o(*a, **k)))
+    data = next(c for c in corpus_cases() if c["name"] == name)
+    ok, _ = run_case(parse_case(dict(data), name=name))
+    assert ok
+    assert counts["defect_series"] <= series_calls
+    assert counts["delta_power"] == lattice_calls
 
 
 def test_held_report_key():
     t = nilpotent_commuting_tuple(17, 5, 2, radius=0.45)
     w = MultiWeightSpec.parse("bergman:2,bergman:2")
-    base = is_W_hypercontraction(t, w)
-    assert is_W_hypercontraction(t, w, r_grid=[(0.5, 0.5), (0.75, 0.75), (0.875, 0.875)]) is base
-    assert is_W_hypercontraction(t, w, tol=1e-8, lattice_e_points=True) is base
+
+    def formed(query):
+        # the report a query gives and the keys of the facts it formed
+        before = set(t._facts)
+        rep = query()
+        return rep, {key[1:] for key in set(t._facts) - before}
+
+    grid = ((0.5, 0.5), (0.75, 0.75), (0.875, 0.875))
+    base, new = formed(lambda: is_W_hypercontraction(t, w))
+    assert new == {("defect", (2.0, 2.0), grid, 1e-8), ("lattice", (2.0, 2.0), 1e-8),
+                   ("limit", (2.0, 2.0))}
+    defect = t._facts[((0, 1), "defect", (2.0, 2.0), grid, 1e-8)]
+    # the same grid written out or the same tolerance: no new fact
+    for query in (lambda: is_W_hypercontraction(t, w, r_grid=list(grid)),
+                  lambda: is_W_hypercontraction(t, w, tol=1e-8)):
+        rep, new = formed(query)
+        assert rep == base and rep.certificates[:len(defect)] == defect and not new
+    # the report without the lattice is the held defect certificates alone
+    without, new = formed(lambda: is_W_hypercontraction(t, w, lattice_e_points=False))
+    assert without.certificates is defect and not new
+    assert len(without.certificates) < len(base.certificates)
+    assert base.certificates[len(defect):] == tuple(
+        c for c in base.certificates if c.kind == "lattice")
     fresh = [
-        is_W_hypercontraction(t, w, tol=1e-9),
-        is_W_hypercontraction(t, w, r_grid=[0.5, 0.9]),
-        is_W_hypercontraction(t, MultiWeightSpec.parse("bergman:2,hardy")),
-        is_W_hypercontraction(t, w, lattice_e_points=False),
+        (lambda: is_W_hypercontraction(t, w, tol=1e-9),
+         {("defect", (2.0, 2.0), grid, 1e-9), ("lattice", (2.0, 2.0), 1e-9)}),
+        (lambda: is_W_hypercontraction(t, w, r_grid=[0.5, 0.9]),
+         {("defect", (2.0, 2.0), ((0.5, 0.5), (0.9, 0.9)), 1e-8)}),
+        (lambda: is_W_hypercontraction(t, MultiWeightSpec.parse("bergman:2,hardy")),
+         {("defect", (2.0, 1.0), grid, 1e-8), ("lattice", (2.0, 1.0), 1e-8),
+          ("limit", (2.0, 1.0))}),
     ]
-    assert all(rep is not base for rep in fresh)
-    assert len({id(rep) for rep in fresh}) == len(fresh)
-    assert len(fresh[3].certificates) < len(base.certificates)
-    assert is_W_hypercontraction(t, w, r_grid=[(0.5, 0.5), (0.9, 0.9)]) is fresh[1]
+    reports = []
+    for query, keys in fresh:
+        rep, new = formed(query)
+        assert new == keys and rep.certificates is not base.certificates
+        reports.append(rep)
+    rep, new = formed(lambda: is_W_hypercontraction(t, w, r_grid=[(0.5, 0.5), (0.9, 0.9)]))
+    assert rep == reports[1] and not new
+    # Hardy and bergman:1 are one level, so the same weights under other names
+    renamed = MultiWeightSpec.parse("bergman:2,bergman:1")
+    rep, new = formed(lambda: is_W_hypercontraction(t, renamed))
+    assert rep == reports[2] and not new
 
 
 def test_held_report_auto_lattice_resolves_for_fractional_weights():
     t = nilpotent_commuting_tuple(17, 5, 2, radius=0.45)
     w = MultiWeightSpec.parse("bergman:1.5,bergman:2.5")
     auto = is_W_hypercontraction(t, w)
-    assert is_W_hypercontraction(t, w, lattice_e_points=False) is auto
-    with pytest.raises(ValueError):
-        is_W_hypercontraction(t, w, lattice_e_points=True)
+    without = is_W_hypercontraction(t, w, lattice_e_points=False)
+    assert without == auto and without.certificates is auto.certificates
+    assert not any(c.kind == "lattice" for c in auto.certificates)
+    assert sorted(key[1] for key in t._facts) == ["defect", "limit"]
 
 
 def test_held_reports_equal_fresh_classifications():
@@ -1240,16 +1338,27 @@ def test_held_reports_equal_fresh_classifications():
     from wberg.config import report_json
     from wberg.pipelines import run_case
 
-    case = _fractional_case(["check", "subtuple"])
+    case = _pair_case(["check", "subtuple"])
     t = case.build_tuple(None)
     held_case = dataclasses.replace(case)
     held_case.build_tuple = lambda base_dir=None: t
     _, report = run_case(held_case)
-    assert len(t._reports) == 1
-    for (w, grid, tol, lattice), held in t._reports.items():
-        again = is_W_hypercontraction(case.build_tuple(None), w, r_grid=grid, tol=tol,
-                                      lattice_e_points=lattice)
-        assert again == held and again is not held
+    # check classifies the pair, and subtuple adds the first entry alone
+    assert sorted(key[:2] for key in t._facts) == [
+        ((0,), "defect"), ((0,), "limit"), ((0, 1), "defect"), ((0, 1), "limit")]
+    for (index, kind, levels, *rest), held in t._facts.items():
+        fresh = subtuple(case.build_tuple(None), index)
+        w = case.weights.subset(index)
+        assert _levels(w) == levels
+        if kind == "defect":
+            grid, tol = rest
+            again = is_W_hypercontraction(fresh, w, r_grid=grid, tol=tol,
+                                          lattice_e_points=False).certificates
+            assert again == held and again is not held
+        else:
+            again = defect_limit(fresh, w)
+            assert np.array_equal(again.limit, held[0]) and again.limit is not held[0]
+            assert again.tail_estimate == held[1]
     steps = {}
     for step in case.run:
         _, one = run_case(dataclasses.replace(case, run=(step,)))

@@ -141,6 +141,21 @@ def test_powers_and_nilpotency_orders_are_formed_only_in_hyper():
     assert not stray, f"powers or nilpotency orders formed outside hyper.py: {stray}"
 
 
+def test_the_fact_store_is_read_and_written_only_in_hyper():
+    # a tuple family's classification facts have one holder, keyed by the
+    # root indices of its entries; another module that read or filled the
+    # store would hold a second copy of a fact or miss the key's rules
+    owned = {"_facts", "_index", "_held"}
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "hyper.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stray += [f"{path.name}:{line}: {name}" for name, line in _referenced_names(tree)
+                  if name in owned]
+    assert not stray, f"classification facts read or written outside hyper.py: {stray}"
+
+
 def test_only_the_linalg_helper_calls_eigvalsh():
     # Hermitian eigenvalues have one route, which reads a diagonal matrix
     # off its diagonal before any eigensolve; a direct call would skip it
