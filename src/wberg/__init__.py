@@ -52,6 +52,7 @@ from .hyper import (
 from .linalg import (
     Operator,
     PsdCertificate,
+    complement_columns,
     complete_to_unitary,
     douglas_solve,
     hermitian_norm,

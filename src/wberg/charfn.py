@@ -19,21 +19,33 @@ Bergman space of the defect, complementary to the dilation map, and a
 complete unitary invariant.  Every identity is checkable at the truncation
 level and the checks below return the residuals.
 
-Each residual is computed at the size where it lives.  The unitarity of the
-completed block matrix is read off a ``(d + min(e, d))``-square matrix
+The completion ``Y = [B; D]`` is held as the compact WY factors of the
+Householder QR of ``X = [T*; C]``: ``Y = E - V S W*`` with ``E = [0; I_e]``
+and ``W`` the last ``e`` rows of ``V`` (:class:`CharTriple`), an identity
+plus a term of rank ``d``, the operator's dimension, where ``e`` is the
+completion's dimension and far larger.  Each residual is computed at the
+size where it lives, from ``r x e`` and ``d x e`` arrays at most (``r`` the
+defect's dimension); no ``e``-square matrix is formed on the accepting
+path.  The coefficients are ``Theta_k = sqrt(rho_k) J_k + Lambda_k W*``,
+with ``J_k`` the selector of block ``k`` and ``Lambda_k`` of size ``r x
+d``, so ``theta(z) = kron(a(z), I_r) + L(z) W*``.  The orthogonality defect
+``Y* Y - I = W Delta W*`` is read off ``d``-square products
+(:attr:`CharTriple.orthogonality`).  The unitarity of the completed block
+matrix is read off a ``(d + min(e, d))``-square matrix
 (:func:`block_unitarity`, held on the function), the range orthogonality
-``pi* M = 0`` off a ``d``-square Gram matrix, with ``d`` the operator's
-dimension and ``e`` the completion's.  The split ``pi pi* + M M* = I``
-factors exactly through ``U U* - I`` of the completed block matrix ``U``, so
-it is certified by a proved bound from the block unitarity, the
-``e``-square Gram matrix of the completion and the ``d``-sized blocks
-``D T*^j`` (:func:`partial_isometry_check`); no eigensolve runs on the
-completion space, and the split is assembled only when that bound cannot
-decide.  The transport ``tau`` between the completions of ``T`` and
-``u T u*`` is applied through its factors and certified unitary by a proved
-bound from a ``d``-square Gram matrix (:func:`coincidence_verify`); it is
-formed only when that bound cannot decide.  Evaluations take a whole point
-set at once: one Vandermonde product per coefficient stack.
+``pi* M = 0`` off a ``d``-square Gram matrix.  The split ``pi pi* + M M* =
+I`` factors exactly through ``U U* - I`` of the completed block matrix
+``U``, so it is certified by a proved bound from the block unitarity, the
+orthogonality defect and the ``d``-sized blocks ``D T*^j``
+(:func:`partial_isometry_check`); no eigensolve runs on the completion
+space, and the split is assembled only when that bound cannot decide.  The
+transport ``tau`` between the completions of ``T`` and ``u T u*`` is
+applied through its factors and certified unitary by a proved bound from a
+``d``-square Gram matrix and both orthogonality defects
+(:func:`coincidence_verify`); it is formed only when that bound cannot
+decide.  Every bound carries a rounding allowance derived from the sizes of
+its formed products (:func:`_gamma`).  Evaluations take a whole point set
+at once: one Vandermonde product per coefficient stack.
 """
 
 from __future__ import annotations
@@ -50,8 +62,8 @@ from .errors import HorizonTooShort, NotPure, NotUnitaryInput
 from .hyper import OperatorTuple, is_pure
 from .linalg import (
     UNIT_ROUNDOFF,
+    complement_columns,
     complete_to_unitary,
-    completion_orthogonality,
     hermitian_norm,
     threshold_norm,
 )
@@ -93,24 +105,129 @@ def rho_sequence(omega: WeightSpec, n: int) -> np.ndarray:
     return out
 
 
+def _gamma(n: int) -> float:
+    """``gamma_n = n u / (1 - n u)``: the relative rounding of an inner product
+    of ``n`` real terms, entrywise for a matrix product of inner dimension
+    ``n`` (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., sections 3.1 and 3.5).  A complex product of inner dimension ``n``
+    counts as ``n + 2``, since a complex multiplication is exact to ``sqrt(2)
+    gamma_2 <= gamma_3`` (section 3.6), and a sum or difference as 1.  A
+    chain of these is within ``gamma`` of the summed counts, times the
+    product of the absolute values, as ``gamma_a + gamma_b + gamma_a gamma_b
+    <= gamma_(a + b)``."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
 @dataclass(frozen=True)
 class CharTriple:
-    """Completion data ``(dim E, B, {D_n})`` of the stacked column isometry.
+    """Completion data ``(dim E, B, {D_n})``, held as the factors of ``Y = [B; D]``.
 
-    ``d_stack`` holds the rows of the blocks ``D_0, D_1, ...`` once, stacked
-    into one column (for a completed triple, a view of the completion), and
-    :attr:`d_blocks` are its ``n_blocks`` views of equal height.
+    ``Y = E - V S W*`` (``N x e``, ``e = e_dim``) with ``E = [0; I_e]``,
+    ``V`` of size ``N x k``, ``S`` of size ``k x k`` and ``W`` the last
+    ``e`` rows of ``V``: ``B = -V_top S W*`` is the first ``d = N - e`` rows
+    and ``D = I_e - W S W*`` the rest, stacked from the ``n_blocks`` blocks
+    ``D_n`` of equal height.  A completed triple holds the Householder
+    factors of :func:`linalg.complete_to_unitary` (``k = d``), so no
+    ``e``-square matrix is held; the same form holds any ``N x e`` matrix
+    ``Y``, for instance with ``V = I_N`` and ``S = [0 | E - Y]``.
+    :meth:`completion` forms ``Y``.
     """
 
     e_dim: int
-    b: np.ndarray
-    d_stack: np.ndarray
+    v: np.ndarray
+    s: np.ndarray
     n_blocks: int
 
     @property
-    def d_blocks(self) -> tuple[np.ndarray, ...]:
-        """The blocks ``D_n``, views of :attr:`d_stack`."""
-        return tuple(np.split(self.d_stack, self.n_blocks))
+    def v_top(self) -> np.ndarray:
+        """The first ``N - e`` rows of ``V``, from which ``B`` is made."""
+        return self.v[:self.v.shape[0] - self.e_dim]
+
+    @property
+    def w(self) -> np.ndarray:
+        """``W``, the last ``e`` rows of ``V``."""
+        return self.v[self.v.shape[0] - self.e_dim:]
+
+    def completion(self) -> np.ndarray:
+        """``Y = [B; D]``, formed (:func:`linalg.complement_columns`).
+
+        The one route to the dense blocks; only the routes that form an
+        ``e``-square matrix read it: the transition of
+        :func:`uniqueness_unitary` and the formed transport of
+        :func:`coincidence_verify`.
+        """
+        return complement_columns(self.v, self.s, self.e_dim)
+
+    @cached_property
+    def orthogonality(self) -> tuple[float, float]:
+        """``||Y* Y - I||_F`` of the held ``Y``, from ``k``-square products,
+        and a bound on how far rounding can have moved it.
+
+        Expanding ``Y* Y`` with ``E* V = W`` gives, exactly,
+
+            Y* Y - I = W Delta W*,   Delta = S* G S - S - S*,   G = V* V,
+
+        so ``||Y* Y - I||_F^2 = tr(Delta K Delta* K)`` with ``K = W* W``.
+        ``Delta`` is a rounding-level residual; it is formed before it is
+        normed, so its size is not lost in a Gram of ``O(1)`` pieces.
+
+        Rounding (:func:`_gamma`): ``G`` has inner dimension ``N``, the
+        products of ``Delta`` inner dimension ``k``, and two subtractions
+        follow, so the formed ``Delta~`` is within ``gamma_(N + 2k + 8)
+        (|S|^T |V|^T |V| |S| + |S| + |S|^T)`` of ``Delta``, entrywise.  That
+        moves ``||W Delta W*||_F`` by at most ``||K||`` times its Frobenius
+        norm, with ``||K|| <= ||K~|| + gamma_(e+2) ||W||_F^2`` for the
+        formed ``K~``.  The trace, a chain of inner dimensions ``e``, ``k``,
+        ``k`` and ``k^2``, is off by at most ``4 gamma_(e + 2k + k^2 + 8)
+        ||Delta~||_F^2 ||W||_F^4``, which its square root turns into ``2
+        sqrt(gamma) ||Delta~||_F ||W||_F^2``: a relative error on
+        ``Delta~``'s own size.  The allowance is the sum of both terms.
+        """
+        v, s, w = self.v, self.s, self.w
+        rows, k = v.shape
+        e = self.e_dim
+        g = v.conj().T @ v
+        k_w = w.conj().T @ w
+        delta = s.conj().T @ g @ s - s - s.conj().T
+        value = math.sqrt(max(np.vdot(k_w @ delta, delta @ k_w).real, 0.0))
+        w_fro2 = float(np.linalg.norm(w)) ** 2
+        k_norm = hermitian_norm(k_w) + _gamma(e + 2) * w_fro2
+        abs_s = np.abs(s)
+        size = float(np.linalg.norm(np.abs(v) @ abs_s)) ** 2 + 2.0 * float(np.linalg.norm(abs_s))
+        trace = 2.0 * math.sqrt(_gamma(e + 2 * k + k * k + 8)) * w_fro2
+        trace *= float(np.linalg.norm(delta))
+        return value, k_norm * _gamma(rows + 2 * k + 8) * size + trace
+
+
+def _cross(triple: CharTriple, top: np.ndarray, bottom: np.ndarray) -> tuple[np.ndarray, float]:
+    """``Y* x`` for ``x = [top; bottom]`` (``N x d``), formed from the
+    factors as ``bottom - W S* (V* x)``, ``e x d``, and a bound on the
+    Frobenius norm of its rounding.
+
+    The products have inner dimensions ``N``, ``k`` and ``k``, and one
+    subtraction follows, so entrywise the formed value is within
+    ``gamma_(N + 2k + 7) (|bottom| + |W| |S|^T |V|^T |x|)`` of the exact one
+    (:func:`_gamma`); the bound is that matrix's Frobenius norm, formed in
+    real arithmetic from the right.  No ``e``-square product is taken.
+    """
+    v_top, w, s = triple.v_top, triple.w, triple.s
+    vx = v_top.conj().T @ top + w.conj().T @ bottom
+    cross = bottom - w @ (s.conj().T @ vx)
+    abs_w = np.abs(w)
+    size = np.abs(v_top).T @ np.abs(top) + abs_w.T @ np.abs(bottom)
+    size = np.abs(bottom) + abs_w @ (np.abs(s).T @ size)
+    rows, k = triple.v.shape
+    return cross, _gamma(rows + 2 * k + 7) * float(np.linalg.norm(size))
+
+
+def _add_selectors(theta: np.ndarray, a: np.ndarray) -> None:
+    """Add ``kron(a[p], I_r)`` to each ``r x n r`` slice ``theta[p]``, in place.
+
+    ``a`` is ``(P, n)``: ``a[p, j]`` goes on the diagonal of block ``j``.
+    """
+    p, r, e = theta.shape
+    diag = np.arange(r)
+    theta.reshape(p, r, e // r, r)[:, diag, :, diag] += a
 
 
 @dataclass(frozen=True)
@@ -137,32 +254,58 @@ class CharFunction:
         return self.defect_min.shape[0]
 
     @cached_property
-    def block_unitarity(self) -> float:
-        """The residual of :func:`block_unitarity`, formed once per function
-        (the reduction is proved there) and read by every check."""
+    def rows(self) -> np.ndarray:
+        """The blocks ``R_j = D T*^j``, stacked as ``(n_terms, defect_dim, d)``."""
+        return self.defect_min @ self.star_powers
+
+    @cached_property
+    def unitarity(self) -> tuple[float, float]:
+        """The residual of :func:`block_unitarity` and a bound on its
+        rounding, formed once per function (the reduction is proved there)
+        and read by every check."""
         t_adj = self.t.conj().T
         c = self.column_map
-        gap = self.t @ t_adj + c.conj().T @ c - np.eye(self.t.shape[0])
-        cross = (self.t @ self.triple.b + c.conj().T @ self.triple.d_stack).conj().T
+        d = self.t.shape[0]
+        gap = self.t @ t_adj + c.conj().T @ c - np.eye(d)
+        cross, cross_rounding = _cross(self.triple, t_adj, c)
         s = np.linalg.qr(cross, mode="r")
         k = s.shape[0]
         small = np.block([[gap, s.conj().T], [s, np.zeros((k, k))]])
-        return hermitian_norm(small)
+        size = float(np.linalg.norm(self.t)) ** 2 + float(np.linalg.norm(c)) ** 2 + math.sqrt(d)
+        return hermitian_norm(small), _gamma(d + self.triple.e_dim + 6) * size + cross_rounding
+
+    @property
+    def block_unitarity(self) -> float:
+        """The residual of :func:`block_unitarity`."""
+        return self.unitarity[0]
 
     @cached_property
-    def scaled_d_blocks(self) -> np.ndarray:
-        """``sqrt(rho_n) D_n`` stacked as ``(n_terms, defect_dim, e_dim)``."""
-        rho = rho_sequence(self.omega, self.n_terms)
-        d = self.triple.d_stack.reshape(self.n_terms, self.defect_dim, self.triple.e_dim)
-        return np.sqrt(rho)[:, None, None] * d
+    def coefficient_factors(self) -> np.ndarray:
+        """``Lambda_j`` of ``Theta_j = sqrt(rho_j) J_j + Lambda_j W*``, ``j = 0 .. n_terms``,
+        stacked as ``(n_terms + 1, defect_dim, k)``.
+
+        ``Theta_j = sqrt(rho_j) D_j + v_(j-1) R_(j-1) B`` with ``D_j = J_j -
+        W_j S W*``, ``B = -V_top S W*`` and ``v_j = 1 / w_j`` gives
+        ``Lambda_j = -(sqrt(rho_j) W_j + v_(j-1) R_(j-1) V_top) S``; the
+        ``W_j`` term is absent for ``j = n_terms`` and the ``R`` term for
+        ``j = 0``.
+        """
+        n, r = self.n_terms, self.defect_dim
+        triple = self.triple
+        k = triple.s.shape[0]
+        lam = np.zeros((n + 1, r, k), dtype=complex)
+        lam[:n] = np.sqrt(rho_sequence(self.omega, n))[:, None, None] * triple.w.reshape(n, r, k)
+        lam[1:] += self.omega.inverse_weight_values(n)[:, None, None] * (self.rows @ triple.v_top)
+        return -(lam @ triple.s)
 
     def coefficients(self) -> np.ndarray:
-        """Polynomial coefficients of degree 0 .. n_terms, stacked along axis 0."""
-        inv_w = self.omega.inverse_weight_values(self.n_terms)
-        kernel_part = self.defect_min @ self.star_powers @ self.triple.b
-        out = np.zeros((self.n_terms + 1, self.defect_dim, self.triple.e_dim), dtype=complex)
-        out[:-1] = self.scaled_d_blocks
-        out[1:] += inv_w[:, None, None] * kernel_part
+        """Polynomial coefficients of degree 0 .. n_terms, formed from their
+        factors and stacked along axis 0: ``(n_terms + 1)`` blocks of size
+        ``defect_dim x e_dim``, which only the formed split reads."""
+        n, r = self.n_terms, self.defect_dim
+        lam = self.coefficient_factors
+        out = (lam.reshape((n + 1) * r, -1) @ self.triple.w.conj().T).reshape(n + 1, r, -1)
+        _add_selectors(out[:n], np.diag(np.sqrt(rho_sequence(self.omega, n))))
         return out
 
 
@@ -195,16 +338,16 @@ def char_function(t, omega: WeightSpec, n_terms: int | None = None) -> CharFunct
     rho = rho_sequence(omega, n_terms)
     t_adj = mat.conj().T
     stars = tup.adjoint_stack(0, n_terms)
-    c = np.vstack([math.sqrt(rho[k]) * (d_min @ stars[k]) for k in range(n_terms)])
     d = mat.shape[0]
+    c = (np.sqrt(rho)[:, None, None] * (d_min @ stars)).reshape(-1, d)
     res = hermitian_norm(np.eye(d) - c.conj().T @ c - mat @ t_adj)
     if res > CHAR_TOL * 10:
         raise HorizonTooShort(
             f"truncation loses column mass (identity residual {res:.3e}); "
             "increase the number of terms"
         )
-    e_dim, y = complete_to_unitary(np.vstack([t_adj, c]), CHAR_TOL)
-    triple = CharTriple(e_dim, y[:d, :], y[d:, :], n_terms)
+    v, s = complete_to_unitary(np.vstack([t_adj, c]), CHAR_TOL)
+    triple = CharTriple(c.shape[0], v, s, n_terms)
     return CharFunction(mat, omega, n_terms, triple, d_min, basis, c, res, stars)
 
 
@@ -216,28 +359,32 @@ def block_unitarity(cf: CharFunction) -> float:
 
         U* U - I = [[X* X - I, (Y* X)*], [Y* X, Y* Y - I]].
 
-    ``Y`` is the trailing block of the complete Householder QR of ``X``, so
-    ``Y* Y - I`` is only that factorization's orthogonality error, a
-    rounding-level quantity (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., ch. 19) that says nothing about ``T``.  Write
-    ``U* U - I = H + E`` with ``E = diag(0, Y* Y - I)``; by Weyl's
+    ``Y = E - V S W*`` is held as the Householder factors of ``X``, so
+    ``Y* Y - I = W Delta W*`` is only that factorization's orthogonality
+    error, a rounding-level quantity (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 19) that says nothing about ``T``.
+    Write ``U* U - I = H + F`` with ``F = diag(0, Y* Y - I)``; by Weyl's
     inequality ``||U* U - I||`` and ``||H||`` differ by at most
-    ``||Y* Y - I||``, so ``||H||`` is returned.  The a-priori bound of
-    :func:`linalg.completion_orthogonality` caps the difference; the
-    transport bound of :func:`coincidence_verify` adds it back.  With the thin QR
-    ``Y* X = P S`` (``P`` of size ``e x k`` with orthonormal columns, ``S``
-    of size ``k x d``, ``k = min(e, d)``),
+    ``||Y* Y - I||``, so ``||H||`` is returned.  The held defect
+    :attr:`CharTriple.orthogonality` caps the difference;
+    :func:`partial_isometry_check` and the transport bound of
+    :func:`coincidence_verify` add it back.  With the thin QR ``Y* X = P R``
+    (``P`` of size ``e x k`` with orthonormal columns, ``R`` of size ``k x
+    d``, ``k = min(e, d)``),
 
-        H = V K V*,   V = diag(I_d, P),   K = [[X* X - I, S*], [S, 0]].
+        H = Q K Q*,   Q = diag(I_d, P),   K = [[X* X - I, R*], [R, 0]].
 
-    ``V`` is an isometry, so the nonzero eigenvalues of ``H`` are those of
+    ``Q`` is an isometry, so the nonzero eigenvalues of ``H`` are those of
     the ``(d + k)``-square Hermitian ``K``, and ``||H|| = ||K||``.  The cost
-    is ``Y* X``, formed as the adjoint of ``X* Y = T B + C* D`` so that only
-    the ``d``-wide factors are conjugated, and one thin QR; no ``N``-square
-    matrix is formed.  The value is held on the function
-    (:attr:`CharFunction.block_unitarity`), so the report,
-    :func:`partial_isometry_check` and :func:`coincidence_verify` read one
-    factorization.
+    is ``Y* X = C - W S* (V* X)``, formed ``e x d`` from the factors with
+    products of inner dimension ``d`` past ``V* X``, and one thin QR; no
+    ``N``-square matrix is formed.  The value is held on the function
+    (:attr:`CharFunction.unitarity`, with the rounding allowance
+    ``gamma_(N+6) (||T||_F^2 + ||C||_F^2 + sqrt(d))`` of ``X* X - I`` plus
+    that of the cross term, :func:`_gamma`), so the report, :func:`partial_isometry_check`
+    and :func:`coincidence_verify` read one factorization.  The eigenvalue
+    solver and the QR are backward stable on matrices of norm far below 1,
+    so their errors sit below that allowance.
     """
     return cf.block_unitarity
 
@@ -314,14 +461,18 @@ def _disc_points(points: Sequence[complex]) -> np.ndarray:
 def _evaluate(cf: CharFunction, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``theta(z)`` and ``D K(z, T*)`` at each point, stacked as ``(P, r, e)`` and ``(P, r, d)``.
 
-    One Vandermonde product against ``scaled_d_blocks`` gives the Taylor
-    part, one against ``star_powers`` (:func:`kernel_poly`) the kernels.
+    ``theta(z) = kron(a(z), I_r) + L(z) W*`` with ``a(z)_j = sqrt(rho_j)
+    z^j`` and ``L(z) = sum_j z^j Lambda_j`` (:attr:`CharFunction.coefficient_factors`):
+    one Vandermonde product against the ``Lambda`` stack and one product
+    with ``W*`` give the values, one against ``star_powers``
+    (:func:`kernel_poly`) the kernels.
     """
-    n = cf.n_terms
-    theta = _vandermonde(z, n) @ cf.scaled_d_blocks.reshape(n, -1)
-    theta = theta.reshape(len(z), cf.defect_dim, cf.triple.e_dim)
+    n, r = cf.n_terms, cf.defect_dim
+    lam = cf.coefficient_factors
+    factor = (_vandermonde(z, n + 1) @ lam.reshape(n + 1, -1)).reshape(len(z) * r, lam.shape[2])
+    theta = (factor @ cf.triple.w.conj().T).reshape(len(z), r, cf.triple.e_dim)
+    _add_selectors(theta, np.sqrt(rho_sequence(cf.omega, n)) * _vandermonde(z, n))
     dk = cf.defect_min @ kernel_poly(cf.omega, z, cf.star_powers)
-    theta += z[:, None, None] * (dk @ cf.triple.b)
     return theta, dk
 
 
@@ -370,21 +521,6 @@ def key_identity_check(
     return float(np.max(np.linalg.svd(gaps.transpose(0, 2, 1, 3), compute_uv=False)))
 
 
-def _product_rounding(d: int, e: int) -> tuple[float, float]:
-    """``gamma_N = N u / (1 - N u)`` for ``N = d + e``, and ``rho = gamma_N (d + sqrt(d e))``.
-
-    ``gamma_N`` bounds the relative rounding of a product with inner
-    dimension at most ``N`` entrywise (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., section 3.5); ``rho`` bounds the
-    rounding, in norm, of such a product of factors with Frobenius norms at
-    most ``sqrt(d)`` and ``sqrt(e)``, as the ``d``- and ``e``-wide blocks of
-    a completed block matrix have.
-    """
-    rows = d + e
-    gamma = rows * UNIT_ROUNDOFF / (1.0 - rows * UNIT_ROUNDOFF)
-    return gamma, gamma * (d + math.sqrt(d * e))
-
-
 def _psi2(cf: CharFunction, rows: np.ndarray) -> float:
     """Upper bound on ``||Psi||^2`` from the stack ``rows`` of ``R_j = D T*^j``:
     the smaller of the Frobenius and block-shift bounds of
@@ -401,16 +537,13 @@ def _psi2(cf: CharFunction, rows: np.ndarray) -> float:
 def _split_bound(cf: CharFunction, rows: np.ndarray) -> tuple[float, float]:
     """``(1 + psi2) (beta + ||Y* Y - I||_F)``, the bound on ``||pi pi* + M M* - I||``
     of :func:`partial_isometry_check`, and the same bound with the rounding
-    of its formed parts added; ``rows`` is the stack of ``R_j = D T*^j``."""
-    d, e = cf.t.shape[0], cf.triple.e_dim
+    allowances of ``beta`` and of the orthogonality defect added; ``rows`` is
+    the stack of ``R_j = D T*^j``."""
     scale = 1.0 + _psi2(cf, rows)
-    b, d_stack = cf.triple.b, cf.triple.d_stack
-    gram = b.conj().T @ b + d_stack.conj().T @ d_stack
-    gram_trace = float(np.trace(gram).real)
-    gram[np.diag_indices(e)] -= 1.0
-    measured = cf.block_unitarity + float(np.linalg.norm(gram))
-    gamma, rho = _product_rounding(d, e)
-    return scale * measured, scale * (measured + rho + gamma * gram_trace)
+    beta, beta_rounding = cf.unitarity
+    defect, defect_rounding = cf.triple.orthogonality
+    measured = beta + defect
+    return scale * measured, scale * (measured + beta_rounding + defect_rounding)
 
 
 def _formed_split(cf: CharFunction, theta: np.ndarray, rows: np.ndarray) -> float:
@@ -469,50 +602,73 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
     ``(sum_j v_j ||R_j|| max_(b >= j) sqrt(w_b))^2``: ``Psi`` is the sum over
     ``j`` of its ``j``-th block diagonal, a block shift of norm at most
     ``v_j ||R_j|| max_(b >= j) sqrt(w_b)``, which is ``sqrt(v_j) ||R_j||``
-    for nonincreasing weights.  The work is the ``e``-square Gram matrix
-    ``Y* Y = B* B + D* D``, its Frobenius norm and the norms of the ``n``
-    ``r x d`` blocks ``R_j``; no eigensolve runs on the completion space.
+    for nonincreasing weights.  The work is the orthogonality defect of the
+    triple, from ``d``-square products (:attr:`CharTriple.orthogonality`),
+    and the norms of the ``n`` ``r x d`` blocks ``R_j``; no eigensolve runs
+    on the completion space and no ``e``-square matrix is formed.
 
-    The residual reported is the bound ``(1 + psi2) (beta + ||Y* Y - I||_F)``
-    when, with the worst-case rounding of its formed parts added, it stays
-    below ``10 CHAR_TOL``: ``rho`` for ``beta``, as in
-    :func:`_transport_bound`, and ``gamma_N ||Y||_F^2`` for the Gram matrix
-    (:func:`_product_rounding`).  The norms, the subtraction of ``I`` and
-    ``psi2`` carry only relative errors, of order ``N^2 u`` at most; on a
-    bound near ``10 CHAR_TOL`` that is far below the allowance, which is at
-    least ``gamma_N e``.  Otherwise the split is formed: the Gram matrix of
-    the coefficient blocks summed along block diagonals and rescaled by
+    The residual reported is the bound ``(1 + psi2) (beta + ||Y* Y -
+    I||_F)`` when, with the rounding allowances of its formed parts added,
+    it stays below ``10 CHAR_TOL``: that of ``beta`` (:func:`block_unitarity`)
+    and that of the orthogonality defect, both derived from the sizes of
+    the formed products (:func:`_gamma`).  The norms and ``psi2`` carry only
+    relative errors, of order ``N^2 u`` at most; on a bound near ``10
+    CHAR_TOL`` that is far below the allowance, which is at least
+    ``gamma_N d``.  Otherwise the split is formed: the Gram matrix of the
+    coefficient blocks summed along block diagonals and rescaled by
     ``sqrt(w_b w_b')``, plus ``pi pi*``, and its residual, read off its
     extreme eigenvalues, is reported, so every verdict is the one the formed
     residual gives.
 
-    Block column ``a`` of ``pi* M`` is the correlation
-    ``sum_(j < n - a) T^(a+j) D* Theta_j``, in which the weights cancel.
-    Factoring out ``T^a``, it is ``T^a P_(n-1-a)`` with the prefix sums
-    ``P_m = sum_(j <= m) T^j D* Theta_j``, so all ``n`` blocks come from one
-    batched product, one ``cumsum`` and one batched product with the powers.
-    The ``d x n e`` matrix ``pi* M`` has the norm ``sqrt(lambda_max)`` of its
-    ``d``-square Gram matrix ``sum_a block_a block_a*``; a largest singular
-    value taken from the Gram matrix carries a relative error of about
-    ``eps``.
+    Block column ``a`` of ``pi* M`` is the correlation ``sum_(j < n - a)
+    T^(a+j) D* Theta_j``, in which the weights cancel: ``T^a P_(n-1-a)``
+    with the prefix sums ``P_m = sum_(j <= m) R_j* Theta_j``.  Through the
+    factors, ``P_m = A_m + Q_m W*`` with ``A_m`` holding ``sqrt(rho_j)
+    R_j*`` in block column ``j <= m`` and ``Q_m = sum_(j <= m) R_j*
+    Lambda_j`` (``d x d``), and ``T^a A_m`` holds ``sqrt(rho_j)
+    R_(a+j)*``.  So block ``a`` is formed, ``d x e``, from the ``R`` stack,
+    one ``cumsum`` of the ``Q_m`` and one product with ``W*``; the blocks
+    are a residual and are formed before they are normed.  They are taken
+    in runs of about ``sqrt(n)``, so that both the memory held and the
+    number of batched products grow like ``sqrt(n)``.  The ``d x n e``
+    matrix ``pi* M`` has the norm ``sqrt(lambda_max)`` of its ``d``-square
+    Gram matrix ``sum_a block_a block_a*``; a largest singular value taken
+    from the Gram matrix carries a relative error of about ``eps``.
     """
-    theta = cf.coefficients()[:cf.n_terms]  # Theta_n only reaches degrees beyond the cutoff
-    rows = cf.defect_min @ cf.star_powers
+    rows = cf.rows
     bound, proved = _split_bound(cf, rows)
-    split = bound if proved < CHAR_TOL * 10 else _formed_split(cf, theta, rows)
-    prefix = np.cumsum(rows.conj().transpose(0, 2, 1) @ theta, axis=0)
-    blocks = cf.star_powers.conj().transpose(0, 2, 1) @ prefix[::-1]
-    gram_cross = np.tensordot(blocks, blocks.conj(), axes=([0, 2], [0, 2]))
-    return {"partial_isometry": split, "range_orthogonality": math.sqrt(hermitian_norm(gram_cross))}
+    split = (bound if proved < CHAR_TOL * 10
+             else _formed_split(cf, cf.coefficients()[:cf.n_terms], rows))
+    return {"partial_isometry": split, "range_orthogonality": _range_orthogonality(cf)}
+
+
+def _range_orthogonality(cf: CharFunction) -> float:
+    """``||pi* M||`` from its blocks ``T^a P_(n-1-a)``, formed run by run
+    (:func:`partial_isometry_check`)."""
+    n, r, d = cf.n_terms, cf.defect_dim, cf.t.shape[0]
+    r_adj = cf.rows.conj().transpose(0, 2, 1)  # R_j*
+    # Theta_n only reaches degrees beyond the cutoff
+    q = np.cumsum(r_adj @ cf.coefficient_factors[:n], axis=0)
+    tq = cf.star_powers.conj().transpose(0, 2, 1) @ q[::-1]  # T^a Q_(n-1-a)
+    padded = np.concatenate([r_adj, np.zeros_like(r_adj[:1])])  # R_(a+j)* is zero past the stack
+    sqrt_rho = np.sqrt(rho_sequence(cf.omega, n))[None, None, :, None]
+    w_adj = cf.triple.w.conj().T
+    j = np.arange(n)
+    gram = np.zeros((d, d), dtype=complex)
+    step = math.isqrt(n - 1) + 1
+    for start in range(0, n, step):
+        a = np.arange(start, min(start + step, n))
+        blocks = (tq[a] @ w_adj).reshape(len(a), d, n, r)
+        blocks += sqrt_rho * padded[np.minimum(a[:, None] + j, n)].transpose(0, 2, 1, 3)
+        gram += np.tensordot(blocks, blocks.conj(), axes=([0, 2, 3], [0, 2, 3]))
+    return math.sqrt(hermitian_norm(gram))
 
 
 def _transition(t1: CharTriple, t2: CharTriple) -> np.ndarray:
-    """Gram product ``Y1* Y2`` of the two completion columns ``[B; D-stack]``."""
+    """Gram product ``Y1* Y2`` of the two completions ``[B; D-stack]``, formed."""
     if t1.e_dim != t2.e_dim:
         raise NotUnitaryInput("triples have different completion dimensions")
-    y1 = np.vstack([t1.b, t1.d_stack])
-    y2 = np.vstack([t2.b, t2.d_stack])
-    return y1.conj().T @ y2
+    return t1.completion().conj().T @ t2.completion()
 
 
 def _require_unitary(u: np.ndarray, message: str) -> float:
@@ -534,10 +690,11 @@ def _require_unitary(u: np.ndarray, message: str) -> float:
 def uniqueness_unitary(t1: CharTriple, t2: CharTriple) -> np.ndarray:
     """Unitary ``U`` with ``B2 = B1 U`` and ``D2 = D1 U`` between two triples.
 
-    Both completion columns are isometries with the same range, so the
-    transition is just the Gram product of the two.  Its unitarity
-    (``||U* U - I|| <= 10 CHAR_TOL``) is decided by Frobenius bounds; a
-    rejection quotes the exact residual.
+    Both completions are isometries with the same range, so the transition
+    is just the Gram product of the two, formed from their dense blocks
+    (:meth:`CharTriple.completion`).  Its unitarity (``||U* U - I|| <= 10
+    CHAR_TOL``) is decided by Frobenius bounds; a rejection quotes the exact
+    residual.
     """
     u = _transition(t1, t2)
     _require_unitary(u, "triples are not related by a unitary")
@@ -545,52 +702,66 @@ def uniqueness_unitary(t1: CharTriple, t2: CharTriple) -> np.ndarray:
 
 
 def _transport_bound(
-    theta1: CharFunction, theta2: CharFunction, bt: np.ndarray, dt: np.ndarray, eps: float
+    theta1: CharFunction, theta2: CharFunction, u: np.ndarray, tau_star: np.ndarray, eps: float
 ) -> float:
     """Upper bound on ``||tau* tau - I||`` for ``tau = Yt* Y2``, from d-sized work.
 
-    ``Yt = [bt; dt] = W Y1`` is the first completion transported by
-    ``W = diag(u, I (x) tau_*)``, ``X2 = [T2*; C2]`` and ``Y2`` the second
-    function's column isometry and completion, ``U2 = [X2 Y2]`` (square,
-    ``N = d + e``), and ``eps`` bounds ``||u* u - I||`` and
-    ``||tau_*^* tau_* - I||``.  ``tau`` is square, so ``tau* tau - I`` and
-    ``tau tau* - I`` have the same norm, and with ``Y2 Y2* = U2 U2* - X2 X2*``
+    ``Yt = W Y1`` is the first completion transported by ``W = diag(u, I (x)
+    tau_*)``, ``X2 = [T2*; C2]`` and ``Y2`` the second function's column
+    isometry and completion, ``U2 = [X2 Y2]`` (square, ``N = d + e``), and
+    ``eps`` bounds ``||u* u - I||`` and ``||tau_*^* tau_* - I||``.  ``tau``
+    is square, so ``tau* tau - I`` and ``tau tau* - I`` have the same norm,
+    and with ``Y2 Y2* = U2 U2* - X2 X2*``
 
         tau tau* - I = -G* G + Yt* (U2 U2* - I) Yt + (Yt* Yt - I),
-        G = X2* Yt = T2 bt + C2* dt   (d x e).
+        G = X2* Yt = (W* X2)* Y1   (d x e).
 
     Each term is bounded without an ``e``-square product:
 
-    - ``||G* G|| = ||G G*||``, a ``d``-square Gram matrix;
-    - ``||U2 U2* - I|| = ||U2* U2 - I|| <= beta2 + delta``, with ``beta2``
-      the :func:`block_unitarity` residual of ``theta2`` and ``delta`` the
-      a-priori orthogonality error ``||Y* Y - I||`` of a completion
-      (:func:`linalg.completion_orthogonality`), which ``block_unitarity``
-      leaves out by Weyl's inequality;
+    - ``||G* G|| = ||G G*||``, a ``d``-square Gram matrix; ``G*`` is the
+      cross of the first completion with ``W* X2 = [u* T2*; (I (x)
+      tau_*^*) C2]``, formed from the factors ``e x d`` (:func:`_cross`);
+    - ``||U2 U2* - I|| = ||U2* U2 - I|| <= beta2 + delta2``, with ``beta2``
+      the :func:`block_unitarity` residual of ``theta2`` and ``delta2`` the
+      held orthogonality defect ``||Y2* Y2 - I||_F`` of its completion
+      (:attr:`CharTriple.orthogonality`), which ``block_unitarity`` leaves
+      out by Weyl's inequality;
     - ``Yt* Yt - I = (Y1* Y1 - I) + Y1* (W* W - I) Y1``, and ``W* W - I``
       is ``diag(u* u - I, I (x) (tau_*^* tau_* - I))``, so
-      ``||Yt* Yt - I|| <= delta_t = delta + (1 + delta) eps``, and
+      ``||Yt* Yt - I|| <= delta_t = delta1 + (1 + delta1) eps``, and
       ``||Yt||^2 <= 1 + delta_t``.
 
-    Together ``||tau* tau - I|| <= ||G||^2 + (1 + delta_t)(beta2 + delta) +
-    delta_t``.  Rounding: each formed product (``G``, ``Yt``, the gaps of
-    ``u``, ``tau_*`` and ``block_unitarity``) has inner dimension at most
-    ``N`` and factors of Frobenius norm at most ``sqrt(d)`` and ``sqrt(e)``
-    (up to ``1 + delta``), so it is off by at most
-    ``rho = gamma_N (d + sqrt(d e))``, ``gamma_N = N u / (1 - N u)``
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    section 3.5).  ``rho`` is added once to ``||G||``, to ``beta2``, to
-    ``eps`` and to ``delta_t``.  The eigenvalue solvers behind ``||G||^2``
-    and ``beta2`` are backward stable on matrices of norm far below 1, so
-    their errors sit below ``rho`` as well.
+    Together ``||tau* tau - I|| <= ||G||^2 + (1 + delta_t)(beta2 + delta2) +
+    delta_t``.  Both defects are a-posteriori, each with its own rounding
+    allowance.  Rounding of the rest (:func:`_gamma`): ``G`` carries that of
+    :func:`_cross` plus, through ``||Y1|| <= sqrt(1 + delta1)``, that of
+    ``W* X2`` (inner dimensions ``d`` and ``r``, so at most
+    ``gamma_(max(d, r) + 2) (||u||_F ||T2||_F + ||tau_*||_F ||C2||_F)``);
+    ``beta2`` carries its held allowance; the gaps of ``u`` and ``tau_*``
+    carry ``gamma_(m+3) (||x||_F^2 + sqrt(m))`` each, ``m`` their size.  The
+    eigenvalue solvers behind ``||G||^2`` and ``beta2`` are backward stable
+    on matrices of norm far below 1, so their errors sit below those
+    allowances.
     """
-    d, e = theta2.t.shape[0], theta2.triple.e_dim
-    _, rho = _product_rounding(d, e)
-    delta = completion_orthogonality(d + e, d)
-    g = theta2.t @ bt + theta2.column_map.conj().T @ dt
-    g_norm = math.sqrt(hermitian_norm(g @ g.conj().T)) + rho
-    delta_t = delta + (1.0 + delta) * (eps + rho) + rho
-    return g_norm**2 + (1.0 + delta_t) * (theta2.block_unitarity + rho + delta) + delta_t
+    d, r = theta2.t.shape[0], tau_star.shape[0]
+    c2 = theta2.column_map
+    top = u.conj().T @ theta2.t.conj().T
+    bottom = (tau_star.conj().T @ c2.reshape(-1, r, d)).reshape(c2.shape)
+    g_adj, cross_rounding = _cross(theta1.triple, top, bottom)
+    delta1 = sum(theta1.triple.orthogonality)
+    delta2 = sum(theta2.triple.orthogonality)
+    beta2, beta_rounding = theta2.unitarity
+
+    def fro(x: np.ndarray) -> float:
+        return float(np.linalg.norm(x))
+
+    formed = _gamma(max(d, r) + 2) * (fro(u) * fro(theta2.t) + fro(tau_star) * fro(c2))
+    g_norm = math.sqrt(hermitian_norm(g_adj.conj().T @ g_adj)) + cross_rounding
+    g_norm += math.sqrt(1.0 + delta1) * formed
+    gaps = (_gamma(d + 3) * (fro(u) ** 2 + math.sqrt(d))
+            + _gamma(r + 3) * (fro(tau_star) ** 2 + math.sqrt(r)))
+    delta_t = delta1 + (1.0 + delta1) * (eps + gaps)
+    return g_norm**2 + (1.0 + delta_t) * (beta2 + beta_rounding + delta2) + delta_t
 
 
 def coincidence_verify(
@@ -607,21 +778,23 @@ def coincidence_verify(
     and the first completion ``Y1 = [B1; D1]`` transported by
     ``W = diag(u, I (x) tau_*)`` is ``Yt = W Y1``, which spans the
     complement of the second column isometry.  The transport between the
-    completions is ``tau = Yt* Y2``, the transition of triple uniqueness;
-    it is never formed on the accepted path: the right-hand side is
-    ``tau_* ((theta1(z) Yt*) Y2)``, taken for all points at once.
+    completions is ``tau = Yt* Y2 = Y1* W* Y2``, the transition of triple
+    uniqueness; it is never formed on the accepted path.  The right-hand
+    side is ``tau_* ((theta1(z) Y1*) W* Y2)``, taken for all points at once
+    through the factors: ``theta1(z) Y1* = [0 | theta1(z)] - (theta1(z) W1)
+    S1* V1*`` is ``r x N``, ``W*`` acts on its blocks, and ``Y2 = E - V2 S2
+    W2*`` is applied as its factors, so no ``e``-square product is taken.
 
     ``u`` and ``tau_*`` must be unitary within ``10 CHAR_TOL`` (decided by
     Frobenius bounds, as in :func:`uniqueness_unitary`) or
     :class:`NotUnitaryInput` is raised.  The unitarity of ``tau`` is
     accepted when the upper bound of :func:`_transport_bound`, from
-    ``d``-sized work, is at most ``10 CHAR_TOL``.  Otherwise ``tau`` is
-    formed and decided on its exact residual, which a rejection quotes, so
-    every decision is the one the formed ``tau`` would give.  The bound's
-    orthogonality term is the a-priori one of the Householder completion
-    that :func:`char_function` makes; a function whose triple was replaced
-    by other means is outside it.  The identity holds when its residual is
-    at most ``CHAR_TOL``.
+    ``d``-sized work and the held orthogonality defects of both completions,
+    is at most ``10 CHAR_TOL``.  Otherwise ``tau`` is formed from the dense
+    completions (:meth:`CharTriple.completion`) and decided on its exact
+    residual, which a rejection quotes, so every decision is the one the
+    formed ``tau`` would give.  The identity holds when its residual is at
+    most ``CHAR_TOL``.
     """
     z = _disc_points(z_grid)
     u = np.asarray(u, dtype=complex)
@@ -633,15 +806,22 @@ def coincidence_verify(
     tau_star = theta2.defect_basis.conj().T @ u @ theta1.defect_basis
     eps = max(_require_unitary(u, "the conjugating map must be unitary"),
               _require_unitary(tau_star, "coincidence transports must be unitary"))
-    bt = u @ theta1.triple.b
-    dt = (tau_star @ theta1.triple.d_stack.reshape(-1, r, e)).reshape(-1, e)
-    b2, d2 = theta2.triple.b, theta2.triple.d_stack
-    if _transport_bound(theta1, theta2, bt, dt, eps) > CHAR_TOL * 10:
-        _require_unitary(bt.conj().T @ b2 + dt.conj().T @ d2,
+    t1, t2 = theta1.triple, theta2.triple
+    if _transport_bound(theta1, theta2, u, tau_star, eps) > CHAR_TOL * 10:
+        y1, y2 = t1.completion(), t2.completion()
+        bt = u @ y1[:d]
+        dt = (tau_star @ y1[d:].reshape(-1, r, e)).reshape(-1, e)
+        _require_unitary(bt.conj().T @ y2[:d] + dt.conj().T @ y2[d:],
                          "coincidence transports must be unitary")
-    # theta1(z) Yt* as (Yt theta1(z)*)*, so that no e-square conjugate is copied
-    th1_adj = char_function_eval(theta1, z).reshape(-1, e).conj().T
-    right = (bt @ th1_adj).conj().T @ b2 + (dt @ th1_adj).conj().T @ d2
+    # theta1(z) Y1* as [top | bottom], r x d and r x e per point
+    th1 = char_function_eval(theta1, z).reshape(-1, e)
+    lead = (th1 @ t1.w) @ t1.s.conj().T
+    top = -(lead @ t1.v_top.conj().T)
+    bottom = th1 - lead @ t1.w.conj().T
+    # times W* = diag(u*, I (x) tau_*^*), then times Y2 = E - V2 S2 W2*
+    top = top @ u.conj().T
+    bottom = (bottom.reshape(-1, r) @ tau_star.conj().T).reshape(bottom.shape)
+    right = bottom - ((top @ t2.v_top + bottom @ t2.w) @ t2.s) @ t2.w.conj().T
     gap = char_function_eval(theta2, z) - tau_star @ right.reshape(len(z), r, e)
     worst = float(np.max(np.linalg.svd(gap, compute_uv=False))) if gap.size else 0.0
     return worst <= CHAR_TOL, worst

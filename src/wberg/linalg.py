@@ -9,10 +9,11 @@ bases, Douglas-type factorization solves, and completion of an isometry to a
 unitary.
 
 Hermitian eigendecomposition is the spectral primitive for square roots and
-their ranges, the pseudo-inverse for Douglas solves and a complete QR for
-completions.  Rank decisions are relative with ``RANK_TOL``: to ``max(1,
-lambda_max)`` for ranges, to ``sigma_max`` in the pseudo-inverse.  Positivity
-verdicts allow eigenvalues down to ``-POSITIVITY_TOL``.  Eigenvalues alone
+their ranges, the pseudo-inverse for Douglas solves and a Householder QR,
+held as its compact WY factors, for completions.  Rank decisions are
+relative with ``RANK_TOL``: to ``max(1, lambda_max)`` for ranges, to
+``sigma_max`` in the pseudo-inverse.  Positivity verdicts allow eigenvalues
+down to ``-POSITIVITY_TOL``.  Eigenvalues alone
 come from one helper, ``_eigvalsh``, the eigenvalues of the Hermitian part of
 a matrix: it reads a diagonal matrix (every defect of a multi-shift in its
 monomial basis) off its diagonal and sends any other, symmetrized, to LAPACK.
@@ -36,13 +37,13 @@ enter its transport bound) and, when that bound cannot decide, of the
 formed completion transport; a rejection there quotes the exact
 :func:`hermitian_norm` residual.
 
-:func:`completion_orthogonality` is the a-priori bound on how far the
-completion of :func:`complete_to_unitary` is from orthonormal.
+:func:`complete_to_unitary` returns the complement of an isometry's range as
+the factors ``(V, S)`` of ``Y = E - V S W*``; :func:`complement_columns` is
+the one route that forms ``Y``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ __all__ = [
     "psd_root_pieces",
     "douglas_solve",
     "complete_to_unitary",
-    "completion_orthogonality",
+    "complement_columns",
     "spectral_norm",
     "hermitian_norm",
     "threshold_norm",
@@ -74,9 +75,6 @@ RANK_TOL = 1e-9
 
 # Unit roundoff ``u`` of double precision.
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
-# The small integer constant ``c`` of Higham's ``gamma~_k = c k u / (1 - c k u)``
-# in the Householder error bounds, which his ch. 19 leaves open.
-HOUSEHOLDER_CONSTANT = 8
 
 # Relative slack, per unit of the smaller dimension, between a computed
 # Frobenius bound and ``bound`` before threshold_norm trusts it, so that a
@@ -328,12 +326,24 @@ def douglas_solve(g, f, tol: float = RANK_TOL) -> np.ndarray:
     return a_adj.conj().T
 
 
-def complete_to_unitary(x, tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
-    """Extend an isometry ``X`` to a unitary ``[X Y]``.
+def complete_to_unitary(x, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Extend an isometry ``X`` (``rows x cols``) to a unitary ``[X Y]``, ``Y`` held as factors.
 
-    Returns ``(e_dim, Y)`` where the ``e_dim = rows - cols`` columns of ``Y``
-    form an orthonormal basis of the orthogonal complement of ``ran X``: the
-    trailing columns of the complete QR factor of ``X``.
+    Returns ``(V, S)``, the compact WY form ``Q = I - V S V*`` of the
+    Householder QR of ``X`` (Schreiber & Van Loan, *SIAM J. Sci. Stat.
+    Comput.* 10, 1989): ``V`` is the ``rows x cols`` unit lower trapezoidal
+    matrix of the reflectors of ``np.linalg.qr(x, mode="raw")`` and ``S``
+    the upper triangular ``cols``-square matrix of LAPACK's ``zlarft``
+    recurrence over ``G = V* V`` and the reflector scalars ``tau``:
+    ``S[i, i] = tau_i`` and ``S[:i, i] = -tau_i S[:i, :i] G[:i, i]``.  The
+    trailing ``e = rows - cols`` columns of ``Q``,
+
+        Y = E - V S W*,   E = [0; I_e],   W = V[cols:],
+
+    are an orthonormal basis of the orthogonal complement of ``ran X``: the
+    columns a complete QR would return, never formed here
+    (:func:`complement_columns` forms them).  The cost is the ``cols``-wide
+    QR and ``G``; no ``rows``-square matrix is made.
     """
     x = np.asarray(x, dtype=complex)
     rows, cols = x.shape
@@ -343,35 +353,30 @@ def complete_to_unitary(x, tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
     res = hermitian_norm(gram - np.eye(cols))
     if res > tol:
         raise NotIsometry(f"columns are not orthonormal (residual {res:.3e})")
-    e_dim = rows - cols
-    if e_dim == 0:
-        return 0, np.zeros((rows, 0), dtype=complex)
-    q, _ = np.linalg.qr(x, mode="complete")
-    return e_dim, q[:, cols:]
+    h, tau = np.linalg.qr(x, mode="raw")
+    v = np.tril(h.T, -1)  # h is LAPACK's array, transposed
+    v[np.diag_indices(cols)] = 1.0
+    g = v.conj().T @ v
+    s = np.zeros((cols, cols), dtype=complex)
+    for i in range(cols):
+        s[i, i] = tau[i]
+        s[:i, i] = -tau[i] * (s[:i, :i] @ g[:i, i])
+    return v, s
 
 
-def completion_orthogonality(rows: int, cols: int) -> float:
-    """A-priori bound on ``||Y* Y - I||`` for the completion of :func:`complete_to_unitary`.
+def complement_columns(v: np.ndarray, s: np.ndarray, e_dim: int) -> np.ndarray:
+    """The ``rows x e_dim`` matrix ``Y = E - V S W*`` of factors ``(V, S)``, formed.
 
-    ``Y`` holds the trailing ``e = rows - cols`` columns of the complete
-    Householder QR factor of a ``rows x cols`` matrix, which LAPACK forms by
-    applying the ``cols`` computed reflectors to the identity.  By Higham
-    (*Accuracy and Stability of Numerical Algorithms*, 2nd ed., Lemma 19.3)
-    each computed column is ``Q (e_j + f_j)``, with ``Q`` the exactly unitary
-    product of the reflectors and ``||f_j|| <= cols gamma~_rows``.  So
-    ``Y = Q (E + F)`` with ``E* E = I`` and
-    ``||F|| <= ||F||_F <= eta = sqrt(e) cols gamma~_rows``, and
-
-        ||Y* Y - I|| = ||E* F + F* E + F* F|| <= 2 eta + eta^2.
-
-    Higham leaves the small integer ``c`` of ``gamma~`` open; it also absorbs
-    the factors of complex arithmetic (his section 3.6).  It is taken as
-    ``HOUSEHOLDER_CONSTANT``.  The tests compare the bound with the computed
-    orthogonality error of the completions they build.
+    ``E = [0; I_e]`` and ``W`` is the last ``e_dim`` rows of ``V``; for the
+    factors of :func:`complete_to_unitary` this is the orthonormal
+    complement it stands for.  The identity is added on the diagonal of the
+    trailing block, so no ``e``-square identity is made.
     """
-    ck = HOUSEHOLDER_CONSTANT * rows * UNIT_ROUNDOFF
-    eta = math.sqrt(rows - cols) * cols * ck / (1.0 - ck)
-    return 2.0 * eta + eta * eta
+    rows = v.shape[0]
+    w = v[rows - e_dim:]
+    y = -(v @ (s @ w.conj().T))
+    y[np.arange(rows - e_dim, rows), np.arange(e_dim)] += 1.0
+    return y
 
 
 def psd_root_pieces(s) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,11 @@
-"""Dense multiplier matrices: the reference the block-Toeplitz checks are compared against.
+"""Dense references: the multiplier matrices the block-Toeplitz checks are
+compared against, and triples that hold a given dense completion.
 
 `charfn.partial_isometry_check` takes `M M*` and `pi* M` from the coefficient
 blocks of a characteristic function without forming its multiplier; the tests
-build the multiplier here, entry by entry, and compare.
+build the multiplier here, entry by entry, and compare.  A `charfn.CharTriple`
+holds its completion as factors; `dense_triple` makes one whose factors
+reproduce any given completion, rotated or perturbed.
 """
 
 import math
@@ -11,6 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from wberg.bergman import TruncatedSpace
+from wberg.charfn import CharTriple
 from wberg.errors import WbergError
 
 
@@ -59,3 +63,14 @@ def multiplier_matrix(
     if dropped and strict:
         raise DegreeOverflow("polynomial multiplication exceeds the target cutoff")
     return mat
+
+
+def dense_triple(y: np.ndarray, n_blocks: int) -> CharTriple:
+    """A triple whose completion is the ``N x e`` matrix ``y``: ``V = I_N``
+    and ``S = [0 | E - y]``, so that ``E - V S W* = y`` (up to the rounding
+    of ``1 - (1 - y_ii)`` on the diagonal of the trailing block)."""
+    rows, e = y.shape
+    s = np.zeros((rows, rows), dtype=complex)
+    s[:, rows - e:] = -y
+    s[rows - e:, rows - e:] += np.eye(e)
+    return CharTriple(e, np.eye(rows, dtype=complex), s, n_blocks)

@@ -14,7 +14,6 @@ import pytest
 
 from wberg.bergman import TruncatedSpace, multishift_purity_and_positivity, multishift_tuple
 from wberg.charfn import (
-    CharTriple,
     char_function,
     coincidence_verify,
     key_identity_check,
@@ -54,6 +53,8 @@ from wberg.series import (
     quotient_coeffs,
     reciprocal_series,
 )
+
+from dense_multiplier import dense_triple
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -230,7 +231,7 @@ def test_criterion_8_characteristic_function_suite():
         omega = WeightSpec.parse(wtxt)
         cf = char_function(t, omega)
         c = cf.column_map
-        big = np.block([[t.mat.conj().T, cf.triple.b], [c, cf.triple.d_stack]])
+        big = np.hstack([np.vstack([t.mat.conj().T, c]), cf.triple.completion()])
         eye = np.eye(big.shape[0])
         worst_unit = max(
             worst_unit,
@@ -248,11 +249,7 @@ def test_criterion_8_characteristic_function_suite():
         worst_pi = max(worst_pi, res["partial_isometry"], res["range_orthogonality"])
         # triple uniqueness: an independently rotated completion is solved back
         u_e = random_unitary(seed + 5, cf.triple.e_dim).mat
-        rotated = CharTriple(
-            cf.triple.e_dim,
-            cf.triple.b @ u_e,
-            np.vstack([blk @ u_e for blk in cf.triple.d_blocks]), cf.triple.n_blocks,
-        )
+        rotated = dense_triple(cf.triple.completion() @ u_e, cf.triple.n_blocks)
         solved = uniqueness_unitary(cf.triple, rotated)
         worst_uni = max(worst_uni, opnorm(solved - u_e))
         # unitary conjugation: the transports through u make the functions coincide

@@ -12,6 +12,7 @@ from wberg.charfn import (
     CHAR_TOL,
     CharTriple,
     _formed_split,
+    _gamma,
     _kernel_scalar,
     _psi2,
     _split_bound,
@@ -31,7 +32,7 @@ from wberg.hyper import _power_stack
 from wberg.linalg import Operator, hermitian_norm
 from wberg.series import MultiWeightSpec, WeightSpec
 
-from dense_multiplier import multiplier_matrix
+from dense_multiplier import dense_triple, multiplier_matrix
 
 HARDY = WeightSpec.hardy()
 B2 = WeightSpec.bergman(2)
@@ -46,6 +47,23 @@ def opnorm(mat):
 def conjugated(cf, u):
     """The characteristic function of ``u T u*`` at the truncation of ``cf``."""
     return char_function(u @ cf.t @ u.conj().T, cf.omega, cf.n_terms)
+
+
+def blocks(triple):
+    """``(B, D-stack)`` of a triple, read through its one materialiser."""
+    y = triple.completion()
+    d = y.shape[0] - triple.e_dim
+    return y[:d], y[d:]
+
+
+def d_blocks(triple):
+    """The blocks ``D_n`` of a triple, views of its formed ``D``-stack."""
+    return np.split(blocks(triple)[1], triple.n_blocks)
+
+
+def rotated(triple, u):
+    """The triple ``(B U, D U)``: an equally valid completion."""
+    return dense_triple(triple.completion() @ u, triple.n_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +155,9 @@ def test_triple_zero_operator_dimensions():
     triple = char_function(np.zeros((1, 1)), HARDY, n).triple
     assert triple.e_dim == n
     # one completion column reaches the operator space with unit weight
-    assert np.sum(np.abs(triple.b) > 0.5) == 1
-    assert opnorm(triple.b @ triple.b.conj().T) == pytest.approx(1.0, abs=1e-12)
+    b, _ = blocks(triple)
+    assert np.sum(np.abs(b) > 0.5) == 1
+    assert opnorm(b @ b.conj().T) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_triple_block_unitarity():
@@ -153,12 +172,12 @@ def test_triple_uniqueness_under_recompletion():
     t1 = char_function(t, B2, 12).triple
     # rotate the completion by an arbitrary unitary: an equally valid triple
     u = random_unitary(123, t1.e_dim).mat
-    t2 = CharTriple(t1.e_dim, t1.b @ u, np.vstack([blk @ u for blk in t1.d_blocks]),
-                    t1.n_blocks)
+    t2 = rotated(t1, u)
     solved = uniqueness_unitary(t1, t2)
+    (b1, d1), (b2, d2) = blocks(t1), blocks(t2)
     assert opnorm(solved - u) < 1e-10
-    assert opnorm(t1.b @ solved - t2.b) < 1e-10
-    assert opnorm(t1.d_stack @ solved - t2.d_stack) < 1e-10
+    assert opnorm(b1 @ solved - b2) < 1e-10
+    assert opnorm(d1 @ solved - d2) < 1e-10
 
 
 def test_uniqueness_rejects_unrelated_triples():
@@ -177,12 +196,12 @@ def test_uniqueness_rejects_unrelated_triples():
 def test_eval_at_zero_is_first_block():
     t = nilpotent_commuting_tuple(14, 4, 1, radius=0.5)[0]
     cf = char_function(t, B2, 8)
-    assert np.allclose(char_function_eval(cf, [0.0])[0], cf.triple.d_blocks[0])
+    assert np.allclose(char_function_eval(cf, [0.0])[0], d_blocks(cf.triple)[0])
 
 
 def test_zero_operator_function_is_multiplication_by_z():
     cf = char_function(np.zeros((1, 1)), HARDY, 6)
-    b_dir = cf.triple.b.conj().T  # the completion direction reaching H
+    b_dir = blocks(cf.triple)[0].conj().T  # the completion direction reaching H
     b_dir = b_dir / np.linalg.norm(b_dir)
     for z in (0.25, -0.4 + 0.3j):
         val = char_function_eval(cf, [z])[0] @ b_dir
@@ -207,7 +226,7 @@ def test_key_identity_at_origin_is_first_column_unitarity():
     cf = char_function(t, B2)
     assert key_identity_check(cf, [0.0], [0.0]) < 1e-12
     # the identity at 0 reduces to I = D0 D0* + Dmin Dmin*
-    d0 = cf.triple.d_blocks[0]
+    d0 = d_blocks(cf.triple)[0]
     lhs = np.eye(cf.defect_dim) - d0 @ d0.conj().T
     rhs = cf.defect_min @ cf.defect_min.conj().T
     assert opnorm(lhs - rhs) < 1e-12
@@ -364,12 +383,9 @@ def test_partial_isometry_matches_dense_multiplier(op, spec):
     # cannot decide and both routes must agree: tiny residuals alone cannot
     # tell the routes apart
     rng = np.random.default_rng(7)
-    b = cf.triple.b
-    noisy = CharTriple(
-        cf.triple.e_dim,
-        b + 0.3 * rng.standard_normal(b.shape),
-        np.vstack([1.2 * blk for blk in cf.triple.d_blocks]), cf.triple.n_blocks,
-    )
+    b, d_stack = blocks(cf.triple)
+    noisy = dense_triple(np.vstack([b + 0.3 * rng.standard_normal(b.shape), 1.2 * d_stack]),
+                         cf.triple.n_blocks)
     bad = dataclasses.replace(cf, triple=noisy)
     got = partial_isometry_check(bad)
     ref = dense_partial_isometry_residuals(bad)
@@ -386,7 +402,8 @@ def perturbed(cf, scale: float, seed: int = 5):
     def noisy(a):
         return a + scale * (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
 
-    moved = CharTriple(triple.e_dim, noisy(triple.b), noisy(triple.d_stack), triple.n_blocks)
+    b, d_stack = blocks(triple)
+    moved = dense_triple(np.vstack([noisy(b), noisy(d_stack)]), triple.n_blocks)
     return dataclasses.replace(cf, triple=moved)
 
 
@@ -401,8 +418,7 @@ def factored_split(cf) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     v = 1.0 / w
     rho = rho_sequence(cf.omega, n)
     rows = cf.defect_min @ _power_stack(cf.t.conj().T, n)
-    u = np.hstack([np.vstack([cf.t.conj().T, cf.column_map]),
-                   np.vstack([cf.triple.b, cf.triple.d_stack])])
+    u = np.hstack([np.vstack([cf.t.conj().T, cf.column_map]), cf.triple.completion()])
     phi = np.zeros((n, r, d + e), dtype=complex)
     for j in range(n):
         if j:
@@ -467,7 +483,12 @@ def test_split_bound_dominates_the_formed_residual(name, scale):
     if scale:
         cf = perturbed(cf, scale)
     bound, proved = _split_bound(cf, cf.defect_min @ cf.star_powers)
-    assert opnorm(dense_split(cf)[0]) <= bound <= proved
+    ref = opnorm(dense_split(cf)[0])
+    assert bound <= proved and ref <= proved
+    # the bound is that of the held factors in exact arithmetic; the dense
+    # reference carries its own rounding, which shows on an unperturbed
+    # completion only
+    assert ref <= (bound if scale else bound + 64 * EPS)
     if not scale:
         # the accepting path reports the bound itself
         assert partial_isometry_check(cf)["partial_isometry"] == bound < 1e-8
@@ -551,10 +572,11 @@ def test_coincidence_rejects_a_unitary_that_does_not_conjugate():
 
 
 def test_coincidence_takes_the_exact_route_when_the_bound_cannot_decide(monkeypatch):
-    # u off unitary by just under the threshold: the a-priori completion
-    # terms lift the transport bound above it, and the formed tau, whose
-    # residual is just under it too, is accepted on that exact value (the
-    # coincidence residual then carries the perturbation)
+    # u off unitary by just under the threshold: the orthogonality defects
+    # and the rounding allowances (together about 8e-13 here) lift the
+    # transport bound above it, and the formed tau, whose residual is just
+    # under it too, is accepted on that exact value (the coincidence
+    # residual then carries the perturbation)
     import wberg.charfn as charfn
 
     bound = 10 * CHAR_TOL
@@ -562,7 +584,7 @@ def test_coincidence_takes_the_exact_route_when_the_bound_cannot_decide(monkeypa
     cf = char_function(t, B2)
     u = random_unitary(89, t.rows).mat
     cf2 = conjugated(cf, u)
-    off = _off_unitary(u, (1 - 1e-4) * bound, "rank-one")
+    off = _off_unitary(u, (1 - 1e-5) * bound, "rank-one")
     transport, exact = transport_bound_and_exact(cf, cf2, off)
     assert transport > bound >= exact
     sizes = []
@@ -607,13 +629,16 @@ def test_batched_evaluation_matches_each_point(op, spec):
     points = [0.0, 0.3, -0.25 + 0.2j, 0.1j, 0.45 - 0.45j]
     stacked = char_function_eval(cf, points)
     assert stacked.shape == (len(points), cf.defect_dim, cf.triple.e_dim)
-    scale = max(1.0, opnorm(cf.triple.d_stack))
+    b, d_stack = blocks(cf.triple)
+    scale = max(1.0, opnorm(d_stack))
     n = cf.n_terms
+    sqrt_rho = np.sqrt(rho_sequence(cf.omega, n))
+    scaled_d_blocks = sqrt_rho[:, None, None] * np.stack(d_blocks(cf.triple))
     for z, value in zip(points, stacked):
         kernel = np.tensordot(cf.omega.inverse_weight_values(n) * z ** np.arange(n),
                               cf.star_powers, 1)
-        ref = np.tensordot(z ** np.arange(n), cf.scaled_d_blocks, 1)
-        ref += z * (cf.defect_min @ kernel @ cf.triple.b)
+        ref = np.tensordot(z ** np.arange(n), scaled_d_blocks, 1)
+        ref += z * (cf.defect_min @ kernel @ b)
         assert opnorm(value - ref) <= 1e-14 * scale, z
         assert opnorm(char_function_eval(cf, [z])[0] - value) <= 1e-14 * scale, z
 
@@ -695,18 +720,19 @@ def test_charfn_case_scans_each_operator_once(monkeypatch, name):
 
 
 def test_run_charfn_stacks_each_triple_once(monkeypatch):
-    # a completed triple (for T and for U T U*) holds the rows of its D
-    # blocks as a view of the completion and its blocks as views of those
-    # rows, and the transport applies tau_* to the first triple's rows in
-    # one batched product, so no triple stacks its blocks, though block
-    # unitarity, the coefficients and the transport all read the stacks
+    # a completed triple (for T and for U T U*) holds its completion as
+    # factors, which block unitarity, the coefficients and the transport all
+    # read, so run_charfn neither forms a completion nor stacks D blocks;
+    # formed on demand, B and the rows of the D blocks are views of the one
+    # completion and the blocks are views of those rows
     import wberg.charfn as charfn
     from wberg.config import parse_case
     from wberg.corpus import corpus_cases
     from wberg.pipelines import run_charfn
 
-    stacked, triples = [], []
+    stacked, triples, formed = [], [], []
     original_stack, original_char_function = np.vstack, charfn.char_function
+    original_completion = CharTriple.completion
 
     def counting(arrays, *args, **kwargs):
         out = original_stack(arrays, *args, **kwargs)
@@ -720,18 +746,25 @@ def test_run_charfn_stacks_each_triple_once(monkeypatch):
 
     monkeypatch.setattr(np, "vstack", counting)
     monkeypatch.setattr(charfn, "char_function", recording)
+    monkeypatch.setattr(CharTriple, "completion",
+                        lambda triple: formed.append(1) or original_completion(triple))
     data = next(c for c in corpus_cases() if c["name"] == "charfn-nilpotent-bergman2")
     case = parse_case(data, name=data["name"])
     t = case.build_tuple(None)
     ok, report = run_charfn(case, t)
     assert ok and report["coincidence"] and report["e_dim"] != t.dim
     assert len(triples) == 2
+    assert formed == []
+    e = report["e_dim"]
+    assert all(shape[-1] != e for shape in stacked)
     for triple in triples:
         assert triple.n_blocks == report["n_terms"]
-        assert triple.d_stack.shape[1] == report["e_dim"]
-        assert triple.d_stack.base is not None and triple.d_stack.base is triple.b.base
-        assert all(np.shares_memory(blk, triple.d_stack) for blk in triple.d_blocks)
-    assert stacked.count(triples[0].d_stack.shape) == 0
+        assert triple.v.shape == (t.dim + e, t.dim) and triple.s.shape == (t.dim, t.dim)
+        b, d_stack = blocks(triple)
+        assert d_stack.shape[1] == report["e_dim"]
+        assert d_stack.base is not None and d_stack.base is b.base
+        assert all(np.shares_memory(blk, d_stack) for blk in np.split(d_stack, triple.n_blocks))
+    assert stacked.count(blocks(triples[0])[1].shape) == 0
 
 
 def test_run_charfn_certifies_tau_once(monkeypatch):
@@ -894,9 +927,8 @@ def test_uniqueness_unitary_threshold_matches_hermitian_norm(factor, shape):
     t = nilpotent_commuting_tuple(10, 5, 1, radius=0.5)[0]
     t1 = char_function(t, B2, 12).triple
     u = _off_unitary(random_unitary(123, t1.e_dim).mat, factor * bound, shape)
-    t2 = CharTriple(t1.e_dim, t1.b @ u, np.vstack([blk @ u for blk in t1.d_blocks]),
-                    t1.n_blocks)
-    transition = np.vstack([t1.b, t1.d_stack]).conj().T @ np.vstack([t2.b, t2.d_stack])
+    t2 = rotated(t1, u)
+    transition = t1.completion().conj().T @ t2.completion()
     res = _gap_norm(transition)
     assert abs(res - factor * bound) < 1e-3 * bound
     if res <= bound:
@@ -949,11 +981,13 @@ def transport_bound_and_exact(cf, cf2, u) -> tuple[float, float]:
 
     r, e = cf.defect_dim, cf.triple.e_dim
     tau_star = cf2.defect_basis.conj().T @ u @ cf.defect_basis
-    bt = u @ cf.triple.b
-    dt = (tau_star @ cf.triple.d_stack.reshape(-1, r, e)).reshape(-1, e)
+    b, d_stack = blocks(cf.triple)
+    bt = u @ b
+    dt = (tau_star @ d_stack.reshape(-1, r, e)).reshape(-1, e)
     eps = max(_gap_norm(u), _gap_norm(tau_star))
-    tau = bt.conj().T @ cf2.triple.b + dt.conj().T @ cf2.triple.d_stack
-    return charfn._transport_bound(cf, cf2, bt, dt, eps), _gap_norm(tau)
+    b2, d2 = blocks(cf2.triple)
+    tau = bt.conj().T @ b2 + dt.conj().T @ d2
+    return charfn._transport_bound(cf, cf2, u, tau_star, eps), _gap_norm(tau)
 
 
 TRANSPORT_FAMILIES = {
@@ -994,17 +1028,132 @@ def test_transport_bound_covers_the_formed_tau(name):
     assert bound < exact <= transport
 
 
+def extended_defect(triple) -> float:
+    """``||W Delta W*||_F`` of the held factors in extended precision, the
+    reference for the double-precision defect: ``Delta = S* G S - S - S*``,
+    ``G = V* V`` and ``W Delta W*`` formed in ``clongdouble``."""
+    v = triple.v.astype(np.clongdouble)
+    s = triple.s.astype(np.clongdouble)
+    w = triple.w.astype(np.clongdouble)
+    delta = s.conj().T @ (v.conj().T @ v) @ s - s - s.conj().T
+    return float(np.linalg.norm((w @ delta @ w.conj().T).astype(complex)))
+
+
 @pytest.mark.parametrize("name", ["charfn-nilpotent-bergman2", "bergman2.5-scalar0.95",
                                   "bergman2-nil16"])
 def test_completion_orthogonality_bounds_the_computed_completion(name):
-    from wberg.linalg import completion_orthogonality
-
+    # the held defect ||Y* Y - I||_F of Y = E - V S W*, read off d-square
+    # products, is within its rounding allowance of the same defect taken
+    # in extended precision, stays far below CHAR_TOL, and with the rounding
+    # of forming Y and its e-square Gram added bounds the formed defect
     cf = reference_function(name)
-    y = np.vstack([cf.triple.b, cf.triple.d_stack])
-    d = cf.t.shape[0]
-    computed = _gap_norm(y)
-    assert computed <= completion_orthogonality(d + cf.triple.e_dim, d)
-    assert completion_orthogonality(d + cf.triple.e_dim, d) < CHAR_TOL
+    triple = cf.triple
+    value, allowance = triple.orthogonality
+    assert abs(value - extended_defect(triple)) <= allowance
+    assert value + allowance < 1e-2 * CHAR_TOL
+    y = triple.completion()
+    rows, k = triple.v.shape
+    e = triple.e_dim
+    formed = float(np.linalg.norm(y.conj().T @ y - np.eye(e)))
+    size = np.linalg.norm(np.abs(triple.v) @ np.abs(triple.s)) * np.linalg.norm(triple.w)
+    forming = _gamma(2 * k + 5) * (size + math.sqrt(e))
+    gram = _gamma(rows + 3) * (np.linalg.norm(y) ** 2 + math.sqrt(e))
+    assert formed <= value + allowance + 2.0 * (1.0 + forming) * forming + gram
+
+
+FACTOR_WEIGHTS = {
+    "hardy": HARDY,
+    "bergman2": B2,
+    "bergman2.5": WeightSpec.bergman(2.5),
+    "explicit": WeightSpec.from_values(1.0 / (k + 1) ** 1.5 for k in range(40)),
+}
+
+
+@functools.cache
+def factor_function(weight: str, d: int):
+    op = (np.array([[0.3 * np.exp(0.7j)]]) if d == 1
+          else nilpotent_commuting_tuple(40 + d, d, 1, radius=0.5)[0].mat)
+    return char_function(op, FACTOR_WEIGHTS[weight])
+
+
+@pytest.mark.parametrize("d", [1, 5, 16])
+@pytest.mark.parametrize("weight", FACTOR_WEIGHTS)
+def test_completion_factors_match_the_complete_qr(weight, d):
+    # Y = E - V S W* of the held factors is the trailing block of the
+    # complete QR factor of X = [T*; C], and its defect from d-square
+    # products is within its allowance of the extended-precision one
+    cf = factor_function(weight, d)
+    x = np.vstack([cf.t.conj().T, cf.column_map])
+    reference = np.linalg.qr(x, mode="complete")[0][:, d:]
+    assert cf.triple.v.shape == (x.shape[0], d) and cf.triple.e_dim == x.shape[0] - d
+    assert np.max(np.abs(cf.triple.completion() - reference)) <= 1e-14
+    value, allowance = cf.triple.orthogonality
+    assert abs(value - extended_defect(cf.triple)) <= allowance < 1e-2 * CHAR_TOL
+
+
+def dense_coefficients(cf) -> np.ndarray:
+    """``Theta_k = sqrt(rho_k) D_k + v_(k-1) R_(k-1) B`` from the formed
+    completion, ``k = 0 .. n_terms``."""
+    n = cf.n_terms
+    b, _ = blocks(cf.triple)
+    out = np.zeros((n + 1, cf.defect_dim, cf.triple.e_dim), dtype=complex)
+    out[:n] = np.sqrt(rho_sequence(cf.omega, n))[:, None, None] * np.stack(d_blocks(cf.triple))
+    out[1:] += cf.omega.inverse_weight_values(n)[:, None, None] * (cf.rows @ b)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 5, 16])
+@pytest.mark.parametrize("weight", FACTOR_WEIGHTS)
+def test_structured_coefficients_match_the_dense_ones(weight, d):
+    # Theta_k = sqrt(rho_k) J_k + Lambda_k W* and theta(z) = kron(a(z), I_r)
+    # + L(z) W* agree with the coefficients formed from the dense completion,
+    # with their multiplier matrices and with the function summed from them
+    cf = factor_function(weight, d)
+    structured, dense = cf.coefficients(), dense_coefficients(cf)
+    assert np.max(np.abs(structured - dense)) <= 1e-13
+    points = [0.0, 0.3, -0.25 + 0.2j, 0.45j]
+    values = char_function_eval(cf, points)
+    for z, value in zip(points, values):
+        summed = np.tensordot(z ** np.arange(cf.n_terms + 1), dense, 1)
+        assert np.max(np.abs(value - summed)) <= 1e-13
+    n, r, e = cf.n_terms, cf.defect_dim, cf.triple.e_dim
+    if n * e <= 4000:  # the dense multiplier has n e columns
+        target = TruncatedSpace(MultiWeightSpec.of(cf.omega), (n,), coeff_dim=r)
+        source = TruncatedSpace(MultiWeightSpec.of(HARDY), (n,), coeff_dim=e)
+        m_structured = multiplier_matrix(list(structured), source, target)
+        m_dense = multiplier_matrix(list(dense), source, target)
+        assert np.max(np.abs(m_structured - m_dense)) <= 1e-13
+
+
+def test_run_charfn_forms_no_completion_square(monkeypatch):
+    # bergman:2.5 at 0.95 completes at e = 507 from d = 1: the case holds no
+    # e-square array at any time and makes no complete QR
+    import tracemalloc
+
+    from wberg.config import parse_case
+    from wberg.pipelines import run_charfn
+
+    modes = []
+    original = np.linalg.qr
+
+    def qr(a, mode="reduced"):
+        modes.append(mode)
+        return original(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    case = parse_case({"weights": "bergman:2.5", "tuple": "scalars:[0.95]", "degrees": [8],
+                       "seed": 1, "run": ["charfn"]}, name="guard")
+    t = case.build_tuple(None)
+    tracemalloc.start()
+    try:
+        ok, report = run_charfn(case, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    e = report["e_dim"]
+    assert ok and e == 507
+    assert peak < e * e * 16, peak
+    assert modes and "complete" not in modes
 
 
 # ---------------------------------------------------------------------------
@@ -1042,7 +1191,7 @@ def reference_function(name: str):
 def dense_block_unitarity(cf) -> tuple[float, float, float]:
     """Reference route: ``||U* U - I||`` and ``||U U* - I||`` of the assembled
     square ``U = [[T*, B], [C, D]]``, and ``||Y* Y - I||`` of ``Y = [B; D]``."""
-    y = np.vstack([cf.triple.b, cf.triple.d_stack])
+    y = cf.triple.completion()
     u = np.hstack([np.vstack([cf.t.conj().T, cf.column_map]), y])
     assert u.shape[0] == u.shape[1]
     eye = np.eye(u.shape[0])

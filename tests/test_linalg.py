@@ -6,9 +6,11 @@ import pytest
 from wberg.errors import NotHermitian, NotIsometry, NotPsd, NotSubordinate
 from wberg.generators import Lcg, nilpotent_commuting_tuple, random_unitary
 from wberg.linalg import (
+    RANK_TOL,
     Operator,
     _eigvalsh,
     _is_diagonal,
+    complement_columns,
     complete_to_unitary,
     douglas_solve,
     hermitian_norm,
@@ -345,22 +347,29 @@ def test_douglas_rejects_unsubordinated():
 # completion to a unitary
 # ---------------------------------------------------------------------------
 
+def completed(x, tol=RANK_TOL):
+    """``(e_dim, Y)`` of the completion of ``x``, ``Y`` formed from its factors."""
+    v, s = complete_to_unitary(x, tol)
+    e_dim = v.shape[0] - v.shape[1]
+    return e_dim, complement_columns(v, s, e_dim)
+
+
 def test_complete_first_column():
     x = np.eye(2)[:, :1]
-    e_dim, y = complete_to_unitary(x)
+    e_dim, y = completed(x)
     assert e_dim == 1
     assert abs(abs(y[1, 0]) - 1.0) < 1e-12
 
 
 def test_complete_square_unitary():
     u = random_unitary(4, 5)
-    e_dim, y = complete_to_unitary(u)
+    e_dim, y = completed(u)
     assert e_dim == 0 and y.shape[1] == 0
 
 
 def test_complete_middle_vector_spans_complement():
     x = np.array([[0.0], [1.0], [0.0]])
-    e_dim, y = complete_to_unitary(x)
+    e_dim, y = completed(x)
     assert e_dim == 2
     # span check, not basis check: the complement misses the middle coordinate
     proj = y @ y.conj().T
@@ -373,7 +382,7 @@ def test_completion_is_unitary(rows, cols):
     m = random_matrix(rows * 11 + cols, rows, cols)
     q, _ = np.linalg.qr(m)
     x = q[:, :cols]
-    e_dim, y = complete_to_unitary(x, tol=1e-9)
+    e_dim, y = completed(x, tol=1e-9)
     full = np.hstack([x, y])
     eye = np.eye(rows)
     assert e_dim == rows - cols
@@ -390,9 +399,23 @@ def test_complete_rejects_non_isometry():
 
 def test_completion_deterministic():
     x = np.linalg.qr(random_matrix(77, 6, 2))[0][:, :2]
-    _, y1 = complete_to_unitary(x)
-    _, y2 = complete_to_unitary(x)
+    _, y1 = completed(x)
+    _, y2 = completed(x)
     assert np.array_equal(y1, y2)
+
+
+@pytest.mark.parametrize("rows,cols", [(5, 2), (9, 1), (40, 5), (300, 16), (12, 12)])
+def test_completion_factors_are_the_complete_qr(rows, cols):
+    # the factored complement is the trailing block of the complete QR
+    # factor, which LAPACK forms from the same reflectors
+    x = np.linalg.qr(random_matrix(rows + 3 * cols, rows, cols))[0][:, :cols]
+    v, s = complete_to_unitary(x)
+    assert v.shape == (rows, cols) and s.shape == (cols, cols)
+    assert np.array_equal(np.triu(v, 1), np.zeros_like(v)) and np.all(np.diag(v) == 1.0)
+    assert np.array_equal(np.tril(s, -1), np.zeros_like(s))
+    y = complement_columns(v, s, rows - cols)
+    reference = np.linalg.qr(x, mode="complete")[0][:, cols:]
+    assert np.max(np.abs(y - reference), initial=0.0) <= 1e-14
 
 
 def test_spectral_primitives_bitwise_deterministic():

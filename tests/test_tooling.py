@@ -295,6 +295,20 @@ def test_only_uniqueness_unitary_forms_the_transition():
     assert callers == ["charfn.uniqueness_unitary"]
 
 
+def test_no_complete_qr_in_the_package():
+    # a completion is held as its Householder factors; the complete QR would
+    # form the (d + e)-square factor that the factors stand for
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg == "mode":
+                value = node.value
+                if isinstance(value, ast.Constant) and value.value == "complete":
+                    found.append(f"{path.stem}:{node.value.lineno}")
+    assert found == []
+
+
 def test_only_colift_raises_the_lift_condition():
     # the lift condition V Delta* Delta V* = Delta* Delta and its tolerance
     # have one owner, shared by the general model and the co-isometry lift
