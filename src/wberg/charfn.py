@@ -125,9 +125,10 @@ class CharTriple:
     ``Y = E - V S W*`` (``N x e``, ``e = e_dim``) with ``E = [0; I_e]``,
     ``V`` of size ``N x k``, ``S`` of size ``k x k`` and ``W`` the last
     ``e`` rows of ``V``: ``B = -V_top S W*`` is the first ``d = N - e`` rows
-    and ``D = I_e - W S W*`` the rest, stacked from the ``n_blocks`` blocks
-    ``D_n`` of equal height.  A completed triple holds the Householder
-    factors of :func:`linalg.complete_to_unitary` (``k = d``), so no
+    and ``D = I_e - W S W*`` the rest, stacked from the blocks ``D_n`` of
+    equal height, one per term (:attr:`CharFunction.n_terms`).  A completed
+    triple holds the Householder factors of
+    :func:`linalg.complete_to_unitary` (``k = d``), so no
     ``e``-square matrix is held; the same form holds any ``N x e`` matrix
     ``Y``, for instance with ``V = I_N`` and ``S = [0 | E - Y]``.
     :meth:`completion` forms ``Y``.
@@ -136,7 +137,6 @@ class CharTriple:
     e_dim: int
     v: np.ndarray
     s: np.ndarray
-    n_blocks: int
 
     @property
     def v_top(self) -> np.ndarray:
@@ -274,11 +274,6 @@ class CharFunction:
         size = float(np.linalg.norm(self.t)) ** 2 + float(np.linalg.norm(c)) ** 2 + math.sqrt(d)
         return hermitian_norm(small), _gamma(d + self.triple.e_dim + 6) * size + cross_rounding
 
-    @property
-    def block_unitarity(self) -> float:
-        """The residual of :func:`block_unitarity`."""
-        return self.unitarity[0]
-
     @cached_property
     def coefficient_factors(self) -> np.ndarray:
         """``Lambda_j`` of ``Theta_j = sqrt(rho_j) J_j + Lambda_j W*``, ``j = 0 .. n_terms``,
@@ -347,7 +342,7 @@ def char_function(t, omega: WeightSpec, n_terms: int | None = None) -> CharFunct
             "increase the number of terms"
         )
     v, s = complete_to_unitary(np.vstack([t_adj, c]), CHAR_TOL)
-    triple = CharTriple(c.shape[0], v, s, n_terms)
+    triple = CharTriple(c.shape[0], v, s)
     return CharFunction(mat, omega, n_terms, triple, d_min, basis, c, res, stars)
 
 
@@ -386,7 +381,7 @@ def block_unitarity(cf: CharFunction) -> float:
     solver and the QR are backward stable on matrices of norm far below 1,
     so their errors sit below that allowance.
     """
-    return cf.block_unitarity
+    return cf.unitarity[0]
 
 
 def _vandermonde(z: np.ndarray, n: int) -> np.ndarray:

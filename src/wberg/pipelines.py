@@ -244,7 +244,7 @@ def run_charfn(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
     grid = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
     pi_res = cf_mod.partial_isometry_check(cf)
     residuals = {
-        "block_unitarity": cf.block_unitarity,
+        "block_unitarity": cf_mod.block_unitarity(cf),
         "column_identity": cf.column_identity,
         "key_identity_max": cf_mod.key_identity_check(cf, grid, grid[:5]),
         "partial_isometry": pi_res["partial_isometry"],

@@ -65,7 +65,7 @@ def multiplier_matrix(
     return mat
 
 
-def dense_triple(y: np.ndarray, n_blocks: int) -> CharTriple:
+def dense_triple(y: np.ndarray) -> CharTriple:
     """A triple whose completion is the ``N x e`` matrix ``y``: ``V = I_N``
     and ``S = [0 | E - y]``, so that ``E - V S W* = y`` (up to the rounding
     of ``1 - (1 - y_ii)`` on the diagonal of the trailing block)."""
@@ -73,4 +73,4 @@ def dense_triple(y: np.ndarray, n_blocks: int) -> CharTriple:
     s = np.zeros((rows, rows), dtype=complex)
     s[:, rows - e:] = -y
     s[rows - e:, rows - e:] += np.eye(e)
-    return CharTriple(e, np.eye(rows, dtype=complex), s, n_blocks)
+    return CharTriple(e, np.eye(rows, dtype=complex), s)

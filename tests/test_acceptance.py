@@ -249,7 +249,7 @@ def test_criterion_8_characteristic_function_suite():
         worst_pi = max(worst_pi, res["partial_isometry"], res["range_orthogonality"])
         # triple uniqueness: an independently rotated completion is solved back
         u_e = random_unitary(seed + 5, cf.triple.e_dim).mat
-        rotated = dense_triple(cf.triple.completion() @ u_e, cf.triple.n_blocks)
+        rotated = dense_triple(cf.triple.completion() @ u_e)
         solved = uniqueness_unitary(cf.triple, rotated)
         worst_uni = max(worst_uni, opnorm(solved - u_e))
         # unitary conjugation: the transports through u make the functions coincide

@@ -56,14 +56,14 @@ def blocks(triple):
     return y[:d], y[d:]
 
 
-def d_blocks(triple):
-    """The blocks ``D_n`` of a triple, views of its formed ``D``-stack."""
-    return np.split(blocks(triple)[1], triple.n_blocks)
+def d_blocks(cf):
+    """The blocks ``D_n`` of a function's triple, views of its formed ``D``-stack."""
+    return np.split(blocks(cf.triple)[1], cf.n_terms)
 
 
 def rotated(triple, u):
     """The triple ``(B U, D U)``: an equally valid completion."""
-    return dense_triple(triple.completion() @ u, triple.n_blocks)
+    return dense_triple(triple.completion() @ u)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_uniqueness_rejects_unrelated_triples():
 def test_eval_at_zero_is_first_block():
     t = nilpotent_commuting_tuple(14, 4, 1, radius=0.5)[0]
     cf = char_function(t, B2, 8)
-    assert np.allclose(char_function_eval(cf, [0.0])[0], d_blocks(cf.triple)[0])
+    assert np.allclose(char_function_eval(cf, [0.0])[0], d_blocks(cf)[0])
 
 
 def test_zero_operator_function_is_multiplication_by_z():
@@ -226,7 +226,7 @@ def test_key_identity_at_origin_is_first_column_unitarity():
     cf = char_function(t, B2)
     assert key_identity_check(cf, [0.0], [0.0]) < 1e-12
     # the identity at 0 reduces to I = D0 D0* + Dmin Dmin*
-    d0 = d_blocks(cf.triple)[0]
+    d0 = d_blocks(cf)[0]
     lhs = np.eye(cf.defect_dim) - d0 @ d0.conj().T
     rhs = cf.defect_min @ cf.defect_min.conj().T
     assert opnorm(lhs - rhs) < 1e-12
@@ -375,8 +375,9 @@ def test_partial_isometry_matches_dense_multiplier(op, spec):
     cf = char_function(op, spec)
     got = partial_isometry_check(cf)
     ref = dense_partial_isometry_residuals(cf)
-    # the split is accepted on its bound, which dominates the formed residual
-    assert ref["partial_isometry"] <= got["partial_isometry"] < 1e-8
+    # the split is accepted on its bound, which dominates the residual of the
+    # same data (split_bound_holds)
+    assert got["partial_isometry"] == split_bound_holds(cf, ref["partial_isometry"]) < 1e-8
     assert abs(got["range_orthogonality"] - ref["range_orthogonality"]) < 1e-13
     assert got["range_orthogonality"] < 1e-8
     # a perturbed triple gives residuals of order one, on which the bound
@@ -384,14 +385,80 @@ def test_partial_isometry_matches_dense_multiplier(op, spec):
     # tell the routes apart
     rng = np.random.default_rng(7)
     b, d_stack = blocks(cf.triple)
-    noisy = dense_triple(np.vstack([b + 0.3 * rng.standard_normal(b.shape), 1.2 * d_stack]),
-                         cf.triple.n_blocks)
+    noisy = dense_triple(np.vstack([b + 0.3 * rng.standard_normal(b.shape), 1.2 * d_stack]))
     bad = dataclasses.replace(cf, triple=noisy)
     got = partial_isometry_check(bad)
     ref = dense_partial_isometry_residuals(bad)
     for key in ("partial_isometry", "range_orthogonality"):
         assert ref[key] > 1e-2
         assert abs(got[key] - ref[key]) < 1e-13 * ref[key], (key, got[key], ref[key])
+
+
+def extended_completion(triple) -> np.ndarray:
+    """``Y = E - V S W*`` of the held factors, formed in ``clongdouble``."""
+    v, s, w = (a.astype(np.clongdouble) for a in (triple.v, triple.s, triple.w))
+    y = -(v @ s) @ w.conj().T
+    y[len(y) - triple.e_dim:] += np.eye(triple.e_dim)
+    return y
+
+
+def extended_split(cf) -> float:
+    """``||pi pi* + M M* - I||`` of the held data (``T``, ``C``, the ``R``
+    stack and the factors of ``Y``) with every product and the cancellation
+    in ``clongdouble``: ``M M*`` is the Gram matrix of the coefficients
+    ``Theta_j = sqrt(rho_j) D_j + v_(j-1) R_(j-1) B`` summed along block
+    diagonals and rescaled by ``sqrt(w_b w_b')``."""
+    n, r, d, e = cf.n_terms, cf.defect_dim, cf.t.shape[0], cf.triple.e_dim
+    y = extended_completion(cf.triple)
+    rows = cf.rows.astype(np.clongdouble)
+    rho = rho_sequence(cf.omega, n).astype(np.longdouble)
+    v = cf.omega.inverse_weight_values(n).astype(np.longdouble)
+    theta = np.sqrt(rho)[:, None, None] * y[d:].reshape(n, r, e)
+    theta[1:] += v[:-1, None, None] * (rows[:-1] @ y[:d])
+    flat = theta.reshape(n * r, e)
+    gram = (flat @ flat.conj().T).reshape(n, r, n, r)
+    for b in range(1, n):
+        gram[b, :, 1:] += gram[b - 1, :, :-1]
+    sqrt_w = np.repeat(np.sqrt(cf.omega.values(n).astype(np.longdouble)), r)
+    pi = (rows / sqrt_w.reshape(n, r, 1)).reshape(n * r, d)
+    total = pi @ pi.conj().T + sqrt_w[:, None] * gram.reshape(n * r, n * r) * sqrt_w[None, :]
+    return opnorm((total - np.eye(n * r)).astype(complex))
+
+
+def extended_split_bound(cf) -> float:
+    """``(1 + psi2) (beta + ||Y* Y - I||_F)`` with ``beta`` and the defect of
+    the held data taken in extended precision: ``beta = ||H||``, ``H = [[X*
+    X - I, (Y* X)*], [Y* X, 0]]`` (:func:`block_unitarity`), formed in
+    ``clongdouble`` and cast down after the cancellation."""
+    y = extended_completion(cf.triple)
+    x = np.vstack([cf.t.conj().T, cf.column_map]).astype(np.clongdouble)
+    d = x.shape[1]
+    h = np.zeros((len(x), len(x)), dtype=np.clongdouble)
+    h[:d, :d] = x.conj().T @ x - np.eye(d)
+    h[d:, :d] = y.conj().T @ x
+    h[:d, d:] = h[d:, :d].conj().T
+    beta = hermitian_norm(h.astype(complex))
+    return (1.0 + _psi2(cf, cf.rows)) * (beta + extended_defect(cf.triple))
+
+
+def split_bound_holds(cf, formed: float) -> float:
+    """Assert that the split bound dominates the residual, comparing like
+    with like, and return the bound.
+
+    The bound ``(1 + psi2) (beta + ||Y* Y - I||_F)`` is proved for exact
+    arithmetic on the held data, so it is compared with the residual of
+    that data in extended precision, both sides taken the same way
+    (:func:`extended_split`, :func:`extended_split_bound`); the computed
+    bound is within its rounding allowance of the extended one.  The
+    residual ``formed`` by a double-precision route carries that route's
+    own rounding, which the bound with its allowances covers.
+    """
+    bound, proved = _split_bound(cf, cf.rows)
+    exact = extended_split_bound(cf)
+    assert extended_split(cf) <= exact
+    assert bound <= proved and abs(bound - exact) <= proved - bound, (bound, exact, proved)
+    assert formed <= proved
+    return bound
 
 
 def perturbed(cf, scale: float, seed: int = 5):
@@ -403,7 +470,7 @@ def perturbed(cf, scale: float, seed: int = 5):
         return a + scale * (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
 
     b, d_stack = blocks(triple)
-    moved = dense_triple(np.vstack([noisy(b), noisy(d_stack)]), triple.n_blocks)
+    moved = dense_triple(np.vstack([noisy(b), noisy(d_stack)]))
     return dataclasses.replace(cf, triple=moved)
 
 
@@ -482,17 +549,11 @@ def test_split_bound_dominates_the_formed_residual(name, scale):
     cf = split_function(name)
     if scale:
         cf = perturbed(cf, scale)
-    bound, proved = _split_bound(cf, cf.defect_min @ cf.star_powers)
-    ref = opnorm(dense_split(cf)[0])
-    assert bound <= proved and ref <= proved
-    # the bound is that of the held factors in exact arithmetic; the dense
-    # reference carries its own rounding, which shows on an unperturbed
-    # completion only
-    assert ref <= (bound if scale else bound + 64 * EPS)
+    bound = split_bound_holds(cf, opnorm(dense_split(cf)[0]))
     if not scale:
         # the accepting path reports the bound itself
         assert partial_isometry_check(cf)["partial_isometry"] == bound < 1e-8
-        assert proved < 10 * CHAR_TOL
+        assert _split_bound(cf, cf.rows)[1] < 10 * CHAR_TOL
 
 
 def test_split_past_the_budget_is_formed_and_decided_as_before():
@@ -572,11 +633,13 @@ def test_coincidence_rejects_a_unitary_that_does_not_conjugate():
 
 
 def test_coincidence_takes_the_exact_route_when_the_bound_cannot_decide(monkeypatch):
-    # u off unitary by just under the threshold: the orthogonality defects
-    # and the rounding allowances (together about 8e-13 here) lift the
-    # transport bound above it, and the formed tau, whose residual is just
-    # under it too, is accepted on that exact value (the coincidence
-    # residual then carries the perturbation)
+    # u off unitary by just under the threshold: the transport bound at a
+    # unitary u is its surplus over the gap (the orthogonality defects and
+    # the rounding allowances), so a gap of the threshold less half that
+    # surplus lifts the bound above the threshold, whatever the allowances
+    # are, and the formed tau, whose residual is that gap, is accepted on
+    # that exact value (the coincidence residual then carries the
+    # perturbation)
     import wberg.charfn as charfn
 
     bound = 10 * CHAR_TOL
@@ -584,7 +647,9 @@ def test_coincidence_takes_the_exact_route_when_the_bound_cannot_decide(monkeypa
     cf = char_function(t, B2)
     u = random_unitary(89, t.rows).mat
     cf2 = conjugated(cf, u)
-    off = _off_unitary(u, (1 - 1e-5) * bound, "rank-one")
+    surplus, _ = transport_bound_and_exact(cf, cf2, u)
+    assert 0.0 < surplus < 1e-3 * bound
+    off = _off_unitary(u, bound - surplus / 2, "rank-one")
     transport, exact = transport_bound_and_exact(cf, cf2, off)
     assert transport > bound >= exact
     sizes = []
@@ -633,7 +698,7 @@ def test_batched_evaluation_matches_each_point(op, spec):
     scale = max(1.0, opnorm(d_stack))
     n = cf.n_terms
     sqrt_rho = np.sqrt(rho_sequence(cf.omega, n))
-    scaled_d_blocks = sqrt_rho[:, None, None] * np.stack(d_blocks(cf.triple))
+    scaled_d_blocks = sqrt_rho[:, None, None] * np.stack(d_blocks(cf))
     for z, value in zip(points, stacked):
         kernel = np.tensordot(cf.omega.inverse_weight_values(n) * z ** np.arange(n),
                               cf.star_powers, 1)
@@ -758,12 +823,12 @@ def test_run_charfn_stacks_each_triple_once(monkeypatch):
     e = report["e_dim"]
     assert all(shape[-1] != e for shape in stacked)
     for triple in triples:
-        assert triple.n_blocks == report["n_terms"]
+        assert e % report["n_terms"] == 0
         assert triple.v.shape == (t.dim + e, t.dim) and triple.s.shape == (t.dim, t.dim)
         b, d_stack = blocks(triple)
         assert d_stack.shape[1] == report["e_dim"]
         assert d_stack.base is not None and d_stack.base is b.base
-        assert all(np.shares_memory(blk, d_stack) for blk in np.split(d_stack, triple.n_blocks))
+        assert all(np.shares_memory(blk, d_stack) for blk in np.split(d_stack, report["n_terms"]))
     assert stacked.count(blocks(triples[0])[1].shape) == 0
 
 
@@ -852,7 +917,7 @@ def test_run_charfn_factors_each_completion_cross_once(monkeypatch):
     assert shapes == [(report["e_dim"], t.dim)] * 2
     cf = char_function(t, case.weights[0])
     shapes.clear()
-    assert block_unitarity(cf) == cf.block_unitarity
+    assert block_unitarity(cf) == cf.unitarity[0]
     partial_isometry_check(cf)
     assert block_unitarity(cf) == report["block_unitarity"]
     assert len(shapes) == 1
@@ -1097,7 +1162,7 @@ def dense_coefficients(cf) -> np.ndarray:
     n = cf.n_terms
     b, _ = blocks(cf.triple)
     out = np.zeros((n + 1, cf.defect_dim, cf.triple.e_dim), dtype=complex)
-    out[:n] = np.sqrt(rho_sequence(cf.omega, n))[:, None, None] * np.stack(d_blocks(cf.triple))
+    out[:n] = np.sqrt(rho_sequence(cf.omega, n))[:, None, None] * np.stack(d_blocks(cf))
     out[1:] += cf.omega.inverse_weight_values(n)[:, None, None] * (cf.rows @ b)
     return out
 
