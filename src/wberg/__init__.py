@@ -8,7 +8,6 @@ for every structural identity.
 
 from .bergman import (
     TruncatedSpace,
-    kernel_eval,
     multishift_purity_and_positivity,
     multishift_tuple,
     shift_matrix,
@@ -25,21 +24,16 @@ from .charfn import (
     uniqueness_unitary,
 )
 from .dilation import (
-    CommutantLift,
     DilationResult,
     LambdaBlock,
-    commutant_lift,
     general_model,
-    model_colift,
     pure_dilation,
-    transport_identities_check,
 )
 from .hyper import (
     DefectResult,
     OperatorTuple,
     two_parameter_monotonicity_check,
     defect_limit,
-    defect_operator,
     defect_series,
     delta_power,
     equivalence_crosscheck,

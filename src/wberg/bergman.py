@@ -25,22 +25,19 @@ sum.  Edge effects live only in the top-degree rows.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import KernelConsistencyWarning, OutsideDisc
 from .hyper import OperatorTuple, ShiftAction, defect_series, is_pure
 from .linalg import Operator, _eigvalsh, hermitian_norm
-from .series import MultiWeightSpec, _normalize_degrees, _normalize_grid, quotient_coeffs
+from .series import MultiWeightSpec, _normalize_grid, quotient_coeffs
 
 __all__ = [
     "TruncatedSpace",
     "ShiftAction",
-    "kernel_eval",
     "shift_matrix",
     "multishift_tuple",
     "multishift_purity_and_positivity",
@@ -48,12 +45,6 @@ __all__ = [
     "graded_indices",
 ]
 
-# Relative gap between a truncated kernel sum and its closed form that is
-# tolerated on top of the dropped-tail bound before a warning is raised.
-KERNEL_CLOSED_FORM_RTOL = 1e-10
-# Floor of ``1 - |z w|`` in the geometric tail bound, so a point on the
-# boundary of the disc gives a huge bound instead of a division by zero.
-_GEOMETRIC_GAP_FLOOR = 1e-300
 # Bound on the diagonal-formula residual and on the negative eigenvalues of
 # the defect series in the multishift check.
 MULTISHIFT_TOL = 1e-10
@@ -158,58 +149,6 @@ class TruncatedSpace:
             "degrees": list(self.degrees),
             "coeff_dim": self.coeff_dim,
         }
-
-
-# ---------------------------------------------------------------------------
-# kernel
-# ---------------------------------------------------------------------------
-
-def kernel_eval(
-    w: MultiWeightSpec,
-    z: Sequence[complex],
-    wpt: Sequence[complex],
-    degrees: Sequence[int] | int,
-) -> complex:
-    """Truncated kernel sum ``sum_a (z wbar)^a / w_a``.
-
-    For binomial-type presets the value is cross-checked against the closed
-    product form; disagreement beyond the dropped-tail bound raises a
-    consistency warning.
-    """
-    z = tuple(complex(v) for v in z)
-    wpt = tuple(complex(v) for v in wpt)
-    if len(z) != w.n or len(wpt) != w.n:
-        raise OutsideDisc(f"points must have arity {w.n}")
-    if any(abs(v) >= 1.0 for v in z) or any(abs(v) >= 1.0 for v in wpt):
-        raise OutsideDisc("kernel arguments must lie in the open polydisc")
-    degrees = _normalize_degrees(degrees, w.n)
-    total = 1.0 + 0.0j
-    tail_bound = 0.0
-    closed = 1.0 + 0.0j
-    closed_known = True
-    for i in range(w.n):
-        x = z[i] * np.conj(wpt[i])
-        inv_w = w[i].inverse_weight_values(degrees[i])
-        powers = x ** np.arange(degrees[i])
-        total *= complex(np.sum(inv_w * powers))
-        # geometric bound on the dropped one-variable tail
-        last = abs(inv_w[-1] * powers[-1]) if degrees[i] > 1 else 0.0
-        ratio = abs(x)
-        tail_bound += last * ratio / max(_GEOMETRIC_GAP_FLOOR, 1.0 - ratio) * 4.0
-        if w[i].kind == "hardy":
-            closed *= 1.0 / (1.0 - x)
-        elif w[i].kind == "bergman":
-            closed *= (1.0 - x) ** (-w[i].beta)
-        else:
-            closed_known = False
-    if closed_known:
-        if abs(total - closed) > max(tail_bound, KERNEL_CLOSED_FORM_RTOL * abs(closed)):
-            warnings.warn(
-                f"truncated kernel {total} vs closed form {closed} "
-                f"(tail bound {tail_bound:.3e})",
-                KernelConsistencyWarning,
-            )
-    return complex(total)
 
 
 # ---------------------------------------------------------------------------

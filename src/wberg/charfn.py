@@ -329,7 +329,7 @@ def char_function(t, omega: WeightSpec, n_terms: int | None = None) -> CharFunct
     n_terms = _resolve_terms(tup, omega, n_terms)
     if not is_pure(tup):
         raise NotPure("tail operator does not vanish; no characteristic function")
-    _, basis, d_min = _defect_sqrt_pieces(tup, omega)
+    basis, d_min = _defect_sqrt_pieces(tup, omega)
     rho = rho_sequence(omega, n_terms)
     t_adj = mat.conj().T
     stars = tup.adjoint_stack(0, n_terms)

@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON case configuration")
         p.add_argument("--weights")
         p.add_argument("--tuple", dest="tuple_spec")
-        p.add_argument("--degrees", help="comma-separated per-variable cutoffs")
         p.add_argument("--tol", type=float, default=POSITIVITY_TOL)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=Path)
@@ -159,8 +158,6 @@ def _case_from_args(args, default_run: tuple[str, ...]) -> tuple[CaseConfig, boo
             "seed": args.seed}
     if args.tuple_spec:
         data["tuple"] = args.tuple_spec
-    if args.degrees:
-        data["degrees"] = [int(v) for v in args.degrees.split(",")]
     if getattr(args, "gamma", None):
         data["gamma"] = [int(v) for v in args.gamma.split(",")]
     return parse_case(data, name="cli"), False

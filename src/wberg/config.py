@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -83,8 +84,11 @@ def parse_case(data: dict, name: str = "case") -> CaseConfig:
         weights = MultiWeightSpec.parse(weights)
     except (WbergError, ValueError) as exc:
         raise ConfigError(f"bad weights: {exc}") from exc
+    degrees = data.get("degrees", 32)
+    degrees = (_integer_list(degrees, "degrees") if isinstance(degrees, list)
+               else _integer(degrees, "degrees"))
     try:
-        degrees = _normalize_degrees(data.get("degrees", 32), weights.n)
+        degrees = _normalize_degrees(degrees, weights.n)
     except (WbergError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad degrees for weight arity {weights.n}: {exc}") from exc
     run = _converted(data, "run", tuple, ("check",))
@@ -102,7 +106,7 @@ def parse_case(data: dict, name: str = "case") -> CaseConfig:
             raise ConfigError(f"bad r_grid for weight arity {weights.n}: {exc}") from exc
     gamma = data.get("gamma")
     if gamma is not None:
-        gamma = _converted(data, "gamma", lambda g: tuple(int(v) for v in g), None)
+        gamma = _integer_list(gamma, "gamma")
         if len(gamma) != weights.n or any(g < 1 for g in gamma):
             raise ConfigError(f"gamma {gamma} must match arity with entries >= 1")
     return CaseConfig(
@@ -111,7 +115,7 @@ def parse_case(data: dict, name: str = "case") -> CaseConfig:
         tuple_spec=data.get("tuple"),
         degrees=degrees,
         tol=tol,
-        seed=_converted(data, "seed", int, 0),
+        seed=_integer(data.get("seed", 0), "seed"),
         r_grid=r_grid,
         run=run,
         gamma=gamma,
@@ -124,6 +128,23 @@ def _converted(data: dict, key: str, convert, default):
         return convert(data.get(key, default))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {key!r} entry {data.get(key)!r}: {exc}") from exc
+
+
+def _integer(value, key: str) -> int:
+    """``value`` as an int: a bool, a string or a number with a fractional
+    part is a :class:`ConfigError`, not truncated."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"bad {key!r} entry {value!r}: not an integer")
+    return int(value)
+
+
+def _integer_list(value, key: str) -> tuple[int, ...]:
+    """A list of integers, each read by :func:`_integer`."""
+    if not isinstance(value, list):
+        raise ConfigError(f"bad {key!r} entry {value!r}: not a list of integers")
+    return tuple(_integer(v, key) for v in value)
 
 
 def build_tuple(

@@ -9,22 +9,23 @@ Olofsson's
     h  |->  ( Q h ,  sum_k (D T*^k h / w_k) z^k ),
 
 intertwining ``T*`` with the adjoint of ``U (+) shift`` where ``U`` is the
-co-isometry with ``U* Q = Q T*``.  The commutant lift transports the other
-coordinates onto that one-variable model, one Douglas solve per coordinate.
-The blocks come from iterating that split variable by variable, and every
-block's rows are the stage cascade ``Dmin_n S_n*^{a_n} ... Dmin_1 T_1*^{a_1}
-/ sqrt(w_a)`` of the lifted stage operators, the tail maps ``Qmin`` folded
-in.  A pure tuple keeps only the full block, and its model is the
-multi-shift dilation (:func:`pure_dilation`).
+co-isometry with ``U* Q = Q T*``.  The other coordinates are lifted through
+the defect and tail coordinates of that one-variable model (the commutant
+lift), one Douglas solve per coordinate, and each tail co-isometry is
+co-lifted onto every block it meets.  The blocks come from iterating that
+split variable by variable, and every block's rows are the stage cascade
+``Dmin_n S_n*^{a_n} ... Dmin_1 T_1*^{a_1} / sqrt(w_a)`` of the lifted stage
+operators, the tail maps ``Qmin`` folded in.  A pure tuple keeps only the
+full block, and its model is the multi-shift dilation (:func:`pure_dilation`).
 
 Each operator a one-variable step reads is an :class:`~wberg.hyper.OperatorTuple`:
 the first variable is the caller's sub-tuple, whose defect, adjoint powers,
 nilpotency order and tail limit the classification and the purity test
 already formed, and a lifted stage operator is wrapped once.  ``_tail_split``
-(tail root and co-isometry ``U* Q = Q T*``, from the tuple's tail limit),
-``_lifts`` (``A* G = G T*``) and ``_colift`` (the lift condition and the
-co-lift ``W* Delta = Delta V*`` of a co-isometry) are the one route for the
-rest of the split.  Limits, Douglas solves and lift conditions are all taken
+(tail coordinates and co-isometry ``U* Q = Q T*``, from the tuple's tail
+limit), ``_lifts`` (``A* G = G T*``) and ``_colift`` (the lift condition and
+the co-lift ``W* Delta = Delta V*`` of a co-isometry) are the one route for
+the rest of the split.  Limits, Douglas solves and lift conditions are all taken
 at ``LIMIT_TOL``.
 
 All model operators live in the orthonormalized graded-lex bases from
@@ -79,20 +80,13 @@ __all__ = [
     "LiftedAction",
     "BlockDiagonal",
     "DilationResult",
-    "CommutantLift",
     "LambdaBlock",
-    "commutant_lift",
     "pure_dilation",
     "general_model",
-    "model_colift",
-    "transport_identities_check",
 ]
 
 ISO_TOL = 1e-8
 HORIZON_CAP = 512
-# Commutation slack of the lifted tuples ``(A_i)`` and ``(X_i)``, which carry
-# the rounding of a Douglas solve and commute only to that accuracy.
-LIFT_COMMUTATION_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +171,6 @@ class BlockDiagonal:
         return out
 
 
-def _commutator_norm(lift: BlockDiagonal, model: BlockDiagonal) -> float:
-    """``||L M - M L||`` for a block diagonal ``L`` of lifts ``I (x) A`` and a
-    model operator ``M`` on the same blocks.
-
-    On a shift block ``S (x) I`` the two commute exactly (each entry of either
-    product is the single term ``s_kl a_pq``); on a lift block ``I (x) B`` the
-    commutator is ``I (x) (A B - B A)``, of norm ``||A B - B A||``.
-    """
-    worst = 0.0
-    for a, m in zip(lift.blocks, model.blocks):
-        if isinstance(m, LiftedAction):
-            worst = max(worst, spectral_norm(a.v @ m.v - m.v @ a.v))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # results
 # ---------------------------------------------------------------------------
@@ -241,15 +220,6 @@ class DilationResult:
     model_ops: list[BlockDiagonal]
     residuals: dict[str, float]
     block_layout: list[LambdaBlock]
-
-
-@dataclass
-class CommutantLift:
-    base: DilationResult  # the general model of T_1: tail block, then function block
-    a_ops: list[np.ndarray]  # on the defect coordinates
-    x_ops: list[np.ndarray]  # on the tail coordinates
-    v_ops: list[BlockDiagonal]  # on the model space
-    residuals: dict[str, float]
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +293,14 @@ def _one_tuple(t) -> OperatorTuple:
     return t if isinstance(t, OperatorTuple) else OperatorTuple.of(t)
 
 
-def _tail_split(t: OperatorTuple, what: str) -> tuple[np.ndarray, ...]:
-    """Root ``Q`` of the one-tuple's tail ``lim T^k T*^k`` with its range
-    basis and its minimal coordinates ``Qmin``, and the co-isometry ``U`` on
-    those coordinates with ``U* Qmin = Qmin T*``."""
+def _tail_split(t: OperatorTuple, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal coordinates ``Qmin`` of the root of the one-tuple's tail
+    ``lim T^k T*^k``, and the co-isometry ``U`` on those coordinates with
+    ``U* Qmin = Qmin T*``."""
     limit, _ = t.tail_limit(0)
     q, q_basis = psd_root_pieces(limit)
     q_min = q_basis.conj().T @ q
-    return q, q_basis, q_min, _douglas(q_min, q_min @ t[0].mat.conj().T, what)
+    return q_min, _douglas(q_min, q_min @ t[0].mat.conj().T, what)
 
 
 @contextmanager
@@ -379,58 +349,15 @@ def _vertex_defect(t: OperatorTuple, w: MultiWeightSpec) -> np.ndarray:
     return res.limit
 
 
-def _defect_sqrt_pieces(
-    t: OperatorTuple, omega: WeightSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Defect square root on ``H`` plus range basis and minimal coordinates
-    of the one-tuple ``t``, whose stacks the defect limit sums over; an
-    unconverged limit warns its accuracy floor."""
+def _defect_sqrt_pieces(t: OperatorTuple, omega: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Range basis and minimal coordinates of the defect square root of the
+    one-tuple ``t``, whose stacks the defect limit sums over; an unconverged
+    limit warns its accuracy floor."""
     try:
         defect, basis = psd_root_pieces(_vertex_defect(t, MultiWeightSpec.of(omega)))
     except NotPsd as exc:
         raise NotHypercontractive(f"defect limit is not positive: {exc}") from exc
-    return defect, basis, basis.conj().T @ defect
-
-
-# ---------------------------------------------------------------------------
-# commutant lift
-# ---------------------------------------------------------------------------
-
-def commutant_lift(t: OperatorTuple, w: MultiWeightSpec) -> CommutantLift:
-    """Lift the remaining coordinates through the first variable's model.
-
-    The base is the general model of ``T_1``: a tail block on the coordinates
-    ``Q`` and a function block over the defect coordinates ``D``.  Produces
-    commuting contractions ``A_i`` on the defect coordinates with
-    ``A_i* D = D T_i*`` and ``X_i`` on the tail coordinates with
-    ``X_i* Q = Q T_i*``, then ``V_i = X_i (+) (I (x) A_i)`` on the model with
-    ``Pi T_i* = V_i* Pi``.  ``V_i`` commutes with the model operator
-    ``U (+) S`` exactly on the shift block, so ``model_commute_i`` is the
-    tail block's ``||X_i U - U X_i||``.
-    """
-    if w.n != t.n:
-        raise DouglasPreconditionFailed(f"weight arity {w.n} != tuple arity {t.n}")
-    if not is_W_hypercontraction(t, w, lattice_e_points=False).verdict:
-        raise NotHypercontractive("tuple fails the weighted positivity tests")
-    base = general_model(subtuple(t, (0,)), w.subset((0,)))
-    tail, function = base.block_layout
-    d_min, q_min = function.delta, tail.delta
-    rest, labels = t.ops[1:], range(1, t.n)
-    a_ops = _lifts(d_min, rest, labels, "defect intertwiner")
-    x_ops = _lifts(q_min, rest, labels, "tail intertwiner")
-    v_ops = []
-    residuals: dict[str, float] = dict(base.residuals)
-    pi, model_op = base.map.mat, base.model_ops[0]
-    for i, a_i, x_i in zip(labels, a_ops, x_ops):
-        t_adj = t[i].mat.conj().T
-        v_i = BlockDiagonal((LiftedAction(x_i), LiftedAction(a_i, function.copies)))
-        residuals[f"defect_intertwine_{i}"] = spectral_norm(
-            a_i.conj().T @ d_min - d_min @ t_adj)
-        residuals[f"tail_intertwine_{i}"] = spectral_norm(x_i.conj().T @ q_min - q_min @ t_adj)
-        residuals[f"model_intertwine_{i}"] = spectral_norm(pi @ t_adj - v_i.adjoint_apply(pi))
-        residuals[f"model_commute_{i}"] = _commutator_norm(v_i, model_op)
-        v_ops.append(v_i)
-    return CommutantLift(base, a_ops, x_ops, v_ops, residuals)
+    return basis, basis.conj().T @ defect
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +399,8 @@ def _recursive_blocks(
     if not ops:
         return [((), np.eye(dim, dtype=complex), {}, {}, [])]
     lab, rest = labels[0], labels[1:]
-    _, _, d_min = _defect_sqrt_pieces(ops[0], weights[0])
-    _, _, q_min, u = _tail_split(ops[0], f"tail co-isometry at {lab}")
+    _, d_min = _defect_sqrt_pieces(ops[0], weights[0])
+    q_min, u = _tail_split(ops[0], f"tail co-isometry at {lab}")
     a_next = _lifts(d_min, ops[1:], rest, "defect intertwiner")
     x_next = _lifts(q_min, ops[1:], rest, "tail intertwiner")
     star = ops[0].adjoint_stack(0, degs[0])
@@ -622,96 +549,3 @@ def _double_limit(t: OperatorTuple, w: MultiWeightSpec, lam: tuple[int, ...]) ->
     for i in outside:
         cur, _, _ = conjugation_limit(cur, t[i])
     return cur
-
-
-def model_colift(
-    v,
-    model: DilationResult,
-) -> tuple[BlockDiagonal, dict[str, float]]:
-    """Lift a co-isometry commuting with the modeled tuple onto the model.
-
-    Requires ``V Delta* Delta V* = Delta* Delta`` for every block; the lifted
-    operator is blockwise ``I (x) W_lam`` with ``W_lam* Delta = Delta V*``,
-    and it commutes with each model operator block by block (exactly on the
-    shift blocks).
-    """
-    v = np.asarray(v, dtype=complex)
-    v_adj = v.conj().T
-    parts = []
-    residuals: dict[str, float] = {}
-    for block in model.block_layout:
-        tag, delta = block.tag, block.delta
-        w_lam, residuals[f"lift_condition_{tag}"] = _colift(delta, v, block.lam,
-                                                            f"colift {tag}")
-        parts.append(LiftedAction(w_lam, block.copies))
-        residuals[f"colift_intertwine_{tag}"] = spectral_norm(
-            w_lam.conj().T @ delta - delta @ v_adj
-        )
-    lifted = BlockDiagonal(tuple(parts))
-    pi = model.map.mat
-    residuals["map_intertwine"] = spectral_norm(pi @ v_adj - lifted.adjoint_apply(pi))
-    for i, r_i in enumerate(model.model_ops):
-        residuals[f"commute_{i}"] = _commutator_norm(lifted, r_i)
-    return lifted, residuals
-
-
-# ---------------------------------------------------------------------------
-# structural identities of the lift
-# ---------------------------------------------------------------------------
-
-def _pulled_back(
-    lifts: list[np.ndarray], basis: np.ndarray, lam: tuple[int, ...], w, dim: int
-) -> np.ndarray:
-    """``basis (vertex defect of the lifts at lam, weights w) basis*`` on the
-    ``dim``-space, and the identity for an empty ``lam``."""
-    if not lam:
-        return np.eye(dim, dtype=complex)
-    sel = tuple(lifts[i - 1] for i in lam)
-    defect = np.zeros((0, 0), dtype=complex)
-    if sel[0].shape[0] > 0:
-        lifted = OperatorTuple(sel, commutation_tol=LIFT_COMMUTATION_TOL)
-        defect = _vertex_defect(lifted, w)
-    return basis @ defect @ basis.conj().T
-
-
-def transport_identities_check(
-    t: OperatorTuple,
-    w: MultiWeightSpec,
-    lam: Sequence[int],
-) -> tuple[float, float]:
-    """Residuals of the two defect-transport identities of the commutant lift.
-
-    (i)  ``D (defect of the lifted tuple at the vertex) D`` equals the defect
-         of the enlarged subtuple at the vertex.
-    (ii) ``Q (defect of the tail-lifted tuple) Q`` equals the power-conjugated
-         limit of the subtuple defect.
-    """
-    if w.n != t.n:
-        raise DouglasPreconditionFailed(f"weight arity {w.n} != tuple arity {t.n}")
-    lam = tuple(sorted(set(int(i) for i in lam)))
-    if any(i <= 0 or i >= t.n for i in lam):
-        raise ValueError("subset must avoid the first coordinate")
-    first, rest, labels = subtuple(t, (0,)), t.ops[1:], range(1, t.n)
-    d_full, d_basis, d_min = _defect_sqrt_pieces(first, w[0])
-    q_full, q_basis, q_min, _ = _tail_split(first, "tail co-isometry")
-    a_ops = _lifts(d_min, rest, labels, "defect intertwiner")
-    x_ops = _lifts(q_min, rest, labels, "tail intertwiner")
-    rest_w = w.subset(lam) if lam else None
-
-    # (i): defect of the A-subtuple, lifted back to H coordinates
-    lifted = _pulled_back(a_ops, d_basis, lam, rest_w, t.dim)
-    lhs_i = d_full @ lifted @ d_full
-    enlarged = (0,) + lam
-    rhs_i = _vertex_defect(subtuple(t, enlarged), w.subset(enlarged))
-    res_i = hermitian_norm(lhs_i - rhs_i)
-
-    # (ii): tail-side identity
-    lifted_x = _pulled_back(x_ops, q_basis, lam, rest_w, t.dim)
-    lhs_ii = q_full @ lifted_x @ q_full
-    if lam:
-        sub_defect = _vertex_defect(subtuple(t, lam), rest_w)
-        rhs_ii, _, _ = conjugation_limit(sub_defect, t[0])
-    else:  # the conjugation limit of the identity is the tail of T_0
-        rhs_ii, _ = t.tail_limit(0)
-    res_ii = hermitian_norm(lhs_ii - rhs_ii)
-    return res_i, res_ii

@@ -103,10 +103,6 @@ class HorizonTooShort(WbergError):
     """Truncation horizon loses mass of the column contraction."""
 
 
-class OutsideDisc(WbergError):
-    pass
-
-
 # --- CLI ----------------------------------------------------------------------
 
 class ConfigError(WbergError):
@@ -118,6 +114,3 @@ class ConfigError(WbergError):
 class SeriesTailTooLarge(UserWarning):
     """Reported when a truncated fractional-power series has a non-negligible tail."""
 
-
-class KernelConsistencyWarning(UserWarning):
-    """Truncated kernel sum disagrees with the closed form beyond the tail bound."""

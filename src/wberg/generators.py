@@ -36,9 +36,6 @@ _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
 # Floor of the Box-Muller uniform, so that its logarithm is finite.
 _UNIFORM_FLOOR = 1e-300
-# Commutation slack of the unitaries built as ``V diag V*``, which commute
-# only up to the rounding of those products.
-UNITARY_COMMUTATION_TOL = 1e-9
 
 
 class Lcg:
@@ -145,7 +142,7 @@ def commuting_unitaries(seed: int, dim: int, n: int) -> OperatorTuple:
     for _ in range(n):
         phases = np.exp(2j * np.pi * np.array([rng.uniform() for _ in range(dim)]))
         ops.append(Operator(v @ np.diag(phases) @ v.conj().T))
-    return OperatorTuple(tuple(ops), commutation_tol=UNITARY_COMMUTATION_TOL)
+    return OperatorTuple(tuple(ops))
 
 
 def unitary_times_nilpotent(seed: int, udim: int, ndim: int) -> OperatorTuple:

@@ -71,7 +71,6 @@ from .errors import (
     EquivalenceViolation,
     NotCommuting,
     NotContractive,
-    NotPsd,
     SeriesTailTooLarge,
 )
 from .linalg import (
@@ -82,7 +81,6 @@ from .linalg import (
     _is_diagonal,
     hermitian_norm,
     psd_check,
-    psd_sqrt,
     spectral_norm,
     threshold_norm,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "GRID_CAVEAT",
     "defect_series",
     "defect_limit",
-    "defect_operator",
     "conjugation_limit",
     "hereditary_apply",
     "is_W_hypercontraction",
@@ -128,6 +125,7 @@ GRID_CAVEAT = (
 )
 
 LIMIT_TOL = 1e-9
+# Slack of the contractivity and commutation checks of a tuple's entries.
 COMMUTATION_TOL = 1e-10
 # Longest one-variable defect series summed; the numerical-support search
 # usually stops well before it.
@@ -357,7 +355,6 @@ class OperatorTuple:
     """
 
     ops: tuple[Operator, ...]
-    commutation_tol: float = COMMUTATION_TOL
     _stacks: tuple[_OperatorStacks, ...] = field(init=False, repr=False, compare=False)
     _facts: dict = field(init=False, repr=False, compare=False)
     _index: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -371,7 +368,7 @@ class OperatorTuple:
         object.__setattr__(self, "_facts", {})
         object.__setattr__(self, "_index", tuple(range(len(ops))))
         d = ops[0].rows
-        bound = 1.0 + self.commutation_tol
+        bound = 1.0 + COMMUTATION_TOL
         for t in ops:
             if t.rows != t.cols or t.rows != d:
                 raise ArityMismatch("tuple entries must be square on a shared space")
@@ -380,7 +377,7 @@ class OperatorTuple:
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
                 comm = ops[i].mat @ ops[j].mat - ops[j].mat @ ops[i].mat
-                if threshold_norm(comm, self.commutation_tol) > self.commutation_tol:
+                if threshold_norm(comm, COMMUTATION_TOL) > COMMUTATION_TOL:
                     raise NotCommuting(
                         f"entries {i} and {j} fail to commute (norm {spectral_norm(comm):.3e})"
                     )
@@ -446,7 +443,6 @@ def subtuple(t: OperatorTuple, lam: Sequence[int]) -> OperatorTuple:
         return t
     sub = object.__new__(OperatorTuple)
     for name, value in (("ops", tuple(t.ops[i] for i in lam)),
-                        ("commutation_tol", t.commutation_tol),
                         ("_stacks", tuple(t._stacks[i] for i in lam)),
                         ("_facts", t._facts), ("_index", tuple(t._index[i] for i in lam))):
         object.__setattr__(sub, name, value)
@@ -783,23 +779,6 @@ def _vertex_value(t: OperatorTuple, w: MultiWeightSpec) -> tuple[np.ndarray, flo
     value = defect_series(t, w, (1.0,) * t.n)
     value.flags.writeable = False
     return value, _tail_estimate(t, _levels(w))
-
-
-def defect_operator(
-    t: OperatorTuple,
-    w: MultiWeightSpec,
-    tol: float = LIMIT_TOL,
-) -> np.ndarray:
-    """PSD square root of the defect-series limit."""
-    res = defect_limit(t, w, tol=tol)
-    res.warn_unconverged(tol)
-    cert = psd_check(res.limit, max(tol, POSITIVITY_TOL))
-    if not cert.verdict:
-        raise NotPsd(
-            f"defect limit has eigenvalue {cert.min_eigenvalue:.3e}; tuple is not "
-            "hypercontractive at this weight"
-        )
-    return psd_sqrt(res.limit, max(tol, POSITIVITY_TOL))
 
 
 def conjugation_limit(s, t) -> tuple[np.ndarray, bool, int]:

@@ -1,4 +1,4 @@
-"""Truncated weighted Bergman spaces: kernels, shifts, multipliers."""
+"""Truncated weighted Bergman spaces: the reproducing kernel, shifts, multipliers."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,10 @@ import pytest
 from wberg.bergman import (
     TruncatedSpace,
     graded_indices,
-    kernel_eval,
     multishift_purity_and_positivity,
     multishift_tuple,
     shift_matrix,
 )
-from wberg.errors import ArityMismatch, OutsideDisc
 from wberg.generators import Lcg
 from wberg.linalg import Operator, spectral_norm
 from wberg.series import MultiWeightSpec, WeightSpec, quotient_coeffs
@@ -78,48 +76,6 @@ def test_inner_product_of_monomials():
         expected = np.prod([1.0 / (a + 1) for a in alpha])
         assert val.real == pytest.approx(expected)
         assert abs(val.imag) < 1e-15
-
-
-# ---------------------------------------------------------------------------
-# kernel evaluation
-# ---------------------------------------------------------------------------
-
-def test_kernel_at_origin():
-    w = MultiWeightSpec.parse("bergman:2,hardy")
-    assert kernel_eval(w, (0, 0), (0.3, 0.5), (8, 8)) == pytest.approx(1.0)
-    assert kernel_eval(w, (0.3, 0.5), (0, 0), (8, 8)) == pytest.approx(1.0)
-
-
-def test_kernel_hardy_square():
-    w = MultiWeightSpec.parse("hardy,hardy")
-    val = kernel_eval(w, (0.5, 0.5), (0.5, 0.5), (48, 48))
-    assert val == pytest.approx(16 / 9, rel=1e-10)
-
-
-def test_kernel_bergman_closed_form():
-    w = MultiWeightSpec.parse("bergman:2,hardy")
-    z = (0.4 + 0.1j, 0.3j)
-    wpt = (0.2 - 0.3j, 0.25)
-    val = kernel_eval(w, z, wpt, (64, 64))
-    expected = 1.0
-    for i, beta in enumerate((2.0, 1.0)):
-        x = z[i] * np.conj(wpt[i])
-        expected *= (1 - x) ** (-beta)
-    assert val == pytest.approx(expected, rel=1e-12)
-
-
-def test_kernel_outside_disc():
-    w = MultiWeightSpec.of(HARDY)
-    with pytest.raises(OutsideDisc):
-        kernel_eval(w, (1.0,), (0.5,), 8)
-
-
-def test_kernel_rejects_bad_cutoffs():
-    w = MultiWeightSpec.parse("hardy,hardy")
-    with pytest.raises(ArityMismatch):
-        kernel_eval(w, (0.1, 0.1), (0.1, 0.1), [4])
-    with pytest.raises(ValueError):
-        kernel_eval(w, (0.1, 0.1), (0.1, 0.1), (4, 0))
 
 
 # ---------------------------------------------------------------------------

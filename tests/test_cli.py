@@ -281,13 +281,21 @@ SCALAR_CASE = {"weights": "hardy", "tuple": "scalars:[0.5]"}
     {**SCALAR_CASE, "gamma": 3},
     {**SCALAR_CASE, "run": 5},
     {**SCALAR_CASE, "tuple": "nilpotent:1"},
+    {**SCALAR_CASE, "gamma": [2.5]},
+    {**SCALAR_CASE, "gamma": [True]},
+    {**SCALAR_CASE, "degrees": [8.5]},
+    {**SCALAR_CASE, "degrees": True},
+    {**SCALAR_CASE, "seed": 2.5},
+    {**SCALAR_CASE, "seed": False},
 ], ids=["grid-point-arity", "tuple-arity", "weights-number-list", "weights-number",
         "weights-mixed-list", "weights-null", "tol-null", "seed-null", "seed-list",
-        "gamma-number", "run-number", "tuple-short-generator"])
+        "gamma-number", "run-number", "tuple-short-generator", "gamma-fraction",
+        "gamma-bool", "degrees-fraction", "degrees-bool", "seed-fraction", "seed-bool"])
 def test_config_arity_mismatch_exit_2(tmp_path, capsys, cfg):
     # a configuration whose grid or tuple does not match the weights, or
     # whose entries have the wrong type, is a usage error, not a failed
-    # verdict and not a traceback
+    # verdict and not a traceback; an integer entry with a fractional part,
+    # or a bool, is refused rather than truncated
     path = tmp_path / "case.json"
     path.write_text(json.dumps(cfg))
     code, _, err = run_cli(capsys, "check", "--config", str(path))
@@ -440,11 +448,22 @@ def test_text_format_output(capsys):
     assert "coeffs:" in out and "{" not in out
 
 
-def test_degrees_flag(capsys):
-    code, out, _ = run_cli(capsys, "check", "--weights", "hardy,hardy",
-                           "--tuple", "nilpotent:2:4:2:0.5", "--degrees", "6,6")
+@pytest.mark.parametrize("command", [["check"], ["dilate", "--pure"], ["charfn"]])
+def test_case_commands_refuse_the_degrees_flag(capsys, command):
+    # the cutoffs of these commands come from the tuple and the weights; a
+    # configuration's "degrees" entry is read by the series steps only
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--weights", "hardy", "--tuple", "scalars:[0.5]", "--degrees", "6"])
+    assert exc.value.code == 2
+    assert "--degrees" in capsys.readouterr().err
+
+
+def test_config_integral_float_entries_are_accepted(tmp_path, capsys):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({**SCALAR_CASE, "degrees": [8.0], "seed": 3.0}))
+    code, out, _ = run_cli(capsys, "check", "--config", str(path))
     assert code == 0
-    assert json.loads(out)["degrees"] == [6, 6]
+    assert json.loads(out)["degrees"] == [8]
 
 
 def test_missing_generator_is_config_error(capsys):

@@ -1,4 +1,4 @@
-"""Dilation constructions: one variable, commutant lifts, pure and general models."""
+"""Dilation constructions: one variable, pure and general models, co-lifts."""
 
 import tracemalloc
 import warnings
@@ -13,24 +13,20 @@ import wberg.hyper as hyper
 from wberg.config import build_tuple
 from wberg.dilation import (
     ISO_TOL,
-    LIFT_COMMUTATION_TOL,
     BlockDiagonal,
     LiftedAction,
+    _colift,
     _defect_sqrt_pieces,
     _double_limit,
     _lifts,
     _pure_horizon,
     _staged,
     _tail_split,
-    commutant_lift,
     general_model,
-    model_colift,
     pure_dilation,
-    transport_identities_check,
 )
 from wberg.errors import (
     BlockBudgetExceeded,
-    DouglasPreconditionFailed,
     HorizonTooShort,
     IsometryResidualTooLarge,
     LiftConditionFailed,
@@ -84,8 +80,8 @@ def olofsson_reference(t, omega: WeightSpec) -> dict:
     up to the purity horizon, stacked over the tail coordinates ``Qmin``, with
     the co-isometry ``U* Qmin = Qmin T*`` and the residuals of the map."""
     tup = OperatorTuple.of(t)
-    _, _, d_min = _defect_sqrt_pieces(tup, omega)
-    _, _, q_min, u = _tail_split(tup, "tail co-isometry")
+    _, d_min = _defect_sqrt_pieces(tup, omega)
+    q_min, u = _tail_split(tup, "tail co-isometry")
     n_terms = _pure_horizon(tup, 0, omega)
     space = TruncatedSpace(MultiWeightSpec.of(omega), (n_terms,), coeff_dim=d_min.shape[0])
     inv_sqrt_w = 1.0 / np.sqrt(omega.values(n_terms))
@@ -194,51 +190,6 @@ def test_isometry_identity_scalar_geometric():
 
 
 # ---------------------------------------------------------------------------
-# commutant lift
-# ---------------------------------------------------------------------------
-
-def test_commutant_lift_single_variable_is_base_only():
-    t = OperatorTuple.of(nilpotent_commuting_tuple(5, 4, 1, radius=0.6)[0])
-    lift = commutant_lift(t, MultiWeightSpec.of(HARDY))
-    assert lift.a_ops == [] and lift.v_ops == []
-    assert lift.residuals["isometry"] < 1e-12
-
-
-def test_commutant_lift_pure_first_coordinate_has_no_tail_part():
-    t = nilpotent_commuting_tuple(9, 5, 2, radius=0.5)
-    w = MultiWeightSpec.parse("hardy,bergman:2")
-    lift = commutant_lift(t, w)
-    tail, function = lift.base.block_layout
-    assert tail.e_dim == 0
-    for i in (1,):
-        assert lift.residuals[f"model_intertwine_{i}"] < 1e-10
-        assert lift.residuals[f"model_commute_{i}"] < 1e-10
-    # V_i = I (x) A_i exactly: compare blocks
-    v = lift.v_ops[0].to_matrix()
-    n_slots = function.copies
-    expected = np.kron(np.eye(n_slots), lift.a_ops[0])
-    assert np.allclose(v[: expected.shape[0], : expected.shape[1]], expected)
-
-
-def test_commutant_lift_scalar_pair():
-    t = scalar_tuple([0.5, 0.7])
-    w = MultiWeightSpec.parse("bergman:2,hardy")
-    lift = commutant_lift(t, w)
-    # the defect intertwiner of a scalar pair is multiplication by the scalar
-    assert lift.a_ops[0][0, 0] == pytest.approx(0.7, rel=1e-12)
-    assert lift.residuals["model_intertwine_1"] < 1e-9
-
-
-def test_commutant_lift_keeps_lifted_tuples_hypercontractive():
-    t = nilpotent_commuting_tuple(22, 5, 2, radius=0.45)
-    w = MultiWeightSpec.parse("bergman:2,bergman:2")
-    lift = commutant_lift(t, w)
-    lifted = OperatorTuple(tuple(lift.a_ops), commutation_tol=LIFT_COMMUTATION_TOL)
-    rep = is_W_hypercontraction(lifted, w.subset((1,)), lattice_e_points=False)
-    assert min((c.min_eig for c in rep.certificates), default=0.0) >= -1e-8
-
-
-# ---------------------------------------------------------------------------
 # pure multi-variable dilation: the general model of a pure tuple
 # ---------------------------------------------------------------------------
 
@@ -252,7 +203,7 @@ def pure_reference(t: OperatorTuple, w: MultiWeightSpec) -> dict:
     ops = [subtuple(t, (0,))] + list(t.ops[1:])
     stacks = []
     for j in range(t.n):
-        _, _, d_min = _defect_sqrt_pieces(ops[0], w[j])
+        _, d_min = _defect_sqrt_pieces(ops[0], w[j])
         stacks.append(d_min @ ops[0].adjoint_stack(0, degs[j]))
         ops = _staged(_lifts(d_min, ops[1:], range(j + 1, t.n), f"stage {j} lift"))
     e_dim = stacks[-1].shape[1]
@@ -408,10 +359,10 @@ def test_pure_dilation_of_nilpotent_entries_takes_no_doublings(monkeypatch, make
     assert all(t.nilpotency_order(i, t.dim) is not None for i in range(t.n))
 
 
-def test_commutant_lift_scans_each_entry_once(monkeypatch):
+def test_general_model_scans_each_entry_once(monkeypatch):
     # integer weights are classified by exact differences, which scan
-    # nothing; the base dilation's horizon scans T_1 once, and no step
-    # scans T_2
+    # nothing; the horizons scan each entry of t once, and no step scans
+    # again, the lifted stage operators included
     import wberg.hyper as hyper
 
     t = nilpotent_commuting_tuple(3, 6, 2, radius=0.4)
@@ -420,9 +371,10 @@ def test_commutant_lift_scans_each_entry_once(monkeypatch):
     original = hyper._nilpotency_order
     monkeypatch.setattr(hyper, "_nilpotency_order",
                         lambda mat, cap: scanned.append(mat) or original(mat, cap))
-    lift = commutant_lift(t, w)
-    assert lift.base.residuals["isometry"] < 1e-9
-    assert [sum(np.array_equal(mat, op.mat) for mat in scanned) for op in t] == [1, 0]
+    res = general_model(t, w)
+    assert res.residuals["isometry"] < 1e-9
+    assert [sum(np.array_equal(mat, op.mat) for mat in scanned) for op in t] == [1, 1]
+    assert len(scanned) == t.n
 
 
 def test_pure_dilation_nilpotent_pair_compression_recovery():
@@ -467,6 +419,13 @@ def test_general_model_single_variable_blocks():
     assert np.allclose(d.delta.conj().T @ d.delta, np.diag([0.0, 0.75]), atol=1e-10)
     assert np.allclose(q.delta.conj().T @ q.delta, np.diag([1.0, 0.0]), atol=1e-10)
     assert res.residuals["isometry"] < 1e-9
+
+
+def test_general_model_refuses_a_weight_of_another_arity():
+    t = nilpotent_commuting_tuple(71, 4, 2, radius=0.5)
+    for build in (general_model, pure_dilation):
+        with pytest.raises(NotHypercontractive, match="arity"):
+            build(t, MultiWeightSpec.parse("hardy"))
 
 
 def test_general_model_has_no_size_limit_but_memory():
@@ -589,81 +548,15 @@ def test_double_limit_matches_long_horizon_brute_force():
 # co-isometry lift
 # ---------------------------------------------------------------------------
 
-def test_model_colift_identity():
-    t = unitary_times_nilpotent(61, 2, 2)
-    w = MultiWeightSpec.parse("hardy,hardy")
-    model = general_model(t, w)
-    lifted, residuals = model_colift(np.eye(t.dim), model)
-    assert opnorm(lifted.to_matrix() - np.eye(model.map.rows)) < 1e-9
-    assert residuals["map_intertwine"] < 1e-9
-
-
-def test_model_colift_reproduces_tail_coisometry():
-    # base case: lifting T itself over the one-variable model reproduces U
-    u = commuting_unitaries(67, 3, 1)[0]
-    model = general_model(OperatorTuple.of(u), MultiWeightSpec.of(HARDY))
-    lifted, residuals = model_colift(u, model)
-    assert residuals["map_intertwine"] < 1e-9
-    for key, value in residuals.items():
-        assert value < 1e-8, key
-
-
-def test_model_colift_on_the_one_variable_model():
-    # a diagonal unitary commutes with diag(1, 0.5) and keeps both defect lines
-    t = np.diag([1.0, 0.5])
-    model, layout = one_var_model(t, HARDY)
-    v = np.diag(np.exp([0.3j, -1.1j]))
-    lifted, residuals = model_colift(v, model)
-    assert set(residuals) >= {"lift_condition_empty", "lift_condition_0", "map_intertwine"}
-    for key, value in residuals.items():
-        assert value < 1e-9, key
-    # on the tail block (the unitary line) the co-lift is the unitary's entry
-    tail = lifted.blocks[0].to_matrix()
-    assert layout[()].e_dim == 1 and abs(abs(tail[0, 0]) - 1.0) < 1e-12
-    big = lifted.to_matrix()
-    assert opnorm(model.map.mat @ v.conj().T - big.conj().T @ model.map.mat) < 1e-9
-
-
 def test_model_colift_condition_failure():
+    # a unitary that commutes with T = diag(1, 0.5) but swaps its two defect
+    # lines cannot be co-lifted onto either block of the model
     t = OperatorTuple.of(Operator(np.diag([1.0, 0.5])))
     model = general_model(t, MultiWeightSpec.of(HARDY))
-    bad = Operator(np.array([[0.0, 1.0], [1.0, 0.0]]))  # swaps the two defect lines
-    with pytest.raises(LiftConditionFailed):
-        model_colift(bad, model)
-
-
-# ---------------------------------------------------------------------------
-# transport identities
-# ---------------------------------------------------------------------------
-
-def test_useful_lemma_empty_subset_exact():
-    t = nilpotent_commuting_tuple(71, 4, 2, radius=0.5)
-    w = MultiWeightSpec.parse("hardy,hardy")
-    res_i, res_ii = transport_identities_check(t, w, ())
-    assert res_i < 1e-10
-    assert res_ii < 1e-10
-
-
-def test_transport_identities_refuse_a_weight_of_another_arity():
-    t = nilpotent_commuting_tuple(71, 4, 2, radius=0.5)
-    with pytest.raises(DouglasPreconditionFailed, match="arity"):
-        transport_identities_check(t, MultiWeightSpec.parse("hardy"), ())
-
-
-def test_useful_lemma_nilpotent_pair():
-    t = nilpotent_commuting_tuple(73, 5, 2, radius=0.5)
-    w = MultiWeightSpec.parse("bergman:2,hardy")
-    res_i, res_ii = transport_identities_check(t, w, (1,))
-    assert res_i < 1e-9
-    assert res_ii < 1e-9  # pure first coordinate: both sides vanish
-
-
-def test_useful_lemma_mixed_pair():
-    t = unitary_times_nilpotent(79, 2, 2)
-    w = MultiWeightSpec.parse("hardy,bergman:2")
-    res_i, res_ii = transport_identities_check(t, w, (1,))
-    assert res_i < 1e-8
-    assert res_ii < 1e-8
+    bad = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for block in model.block_layout:
+        with pytest.raises(LiftConditionFailed):
+            _colift(block.delta, bad, block.lam, f"colift {block.tag}")
 
 
 def test_general_model_three_variables_eight_blocks():
@@ -774,10 +667,19 @@ def test_pure_dilation_residuals_match_dense_route():
 @pytest.mark.parametrize("make,wtxt", [
     (lambda: unitary_times_nilpotent(401, 2, 3), "bergman:2,hardy"),
     (lambda: scalar_tuple([1.0, 0.5]), "hardy,hardy"),
-], ids=["unitary-times-nilpotent", "scalars-hardy"])
+    (lambda: nilpotent_commuting_tuple(71, 4, 2, radius=0.5), "hardy,hardy"),
+    (lambda: nilpotent_commuting_tuple(73, 5, 2, radius=0.5), "bergman:2,hardy"),
+    (lambda: unitary_times_nilpotent(79, 2, 2), "bergman:2,hardy"),
+], ids=["unitary-times-nilpotent", "scalars-hardy", "transport-nilpotent-hardy",
+        "transport-nilpotent-bergman", "transport-unitary-times-nilpotent"])
 def test_general_model_residuals_match_dense_route(make, wtxt):
     t = make()
     res = general_model(t, MultiWeightSpec.parse(wtxt))
+    # the defect-transport identities: each block's Delta* Delta is its
+    # double limit, the lifted defect inside lam conjugated by the powers
+    # outside it
+    for block in res.block_layout:
+        assert res.residuals[f"delta_formula_{block.tag}"] < 1e-9, block.tag
     p = res.map.mat
     for i, op in enumerate(res.model_ops):
         m = op.to_matrix()
@@ -795,40 +697,6 @@ def test_one_var_dilation_residual_matches_dense_route():
     pi = d.map.mat
     dense = opnorm(pi @ t.mat.conj().T - m.conj().T @ pi)
     assert abs(d.residuals["intertwining_0"] - dense) <= DENSE_ROUTE_TOL
-
-
-def test_commutant_lift_residuals_match_dense_route():
-    # the first coordinate has a unitary and a pure part
-    t = OperatorTuple.of(Operator(np.diag([1.0, 0.5])), Operator(np.diag([0.6, 0.3j])))
-    lift = commutant_lift(t, MultiWeightSpec.parse("hardy,hardy"))
-    pi = lift.base.map.mat
-    model = lift.base.model_ops[0].to_matrix()
-    assert all(block.e_dim > 0 for block in lift.base.block_layout)
-    v = lift.v_ops[0].to_matrix()
-    dense_int = opnorm(pi @ t[1].mat.conj().T - v.conj().T @ pi)
-    dense_comm = opnorm(v @ model - model @ v)
-    assert abs(lift.residuals["model_intertwine_1"] - dense_int) <= DENSE_ROUTE_TOL
-    assert abs(lift.residuals["model_commute_1"] - dense_comm) <= DENSE_ROUTE_TOL
-
-
-@pytest.mark.parametrize("make,wtxt,lift_of", [
-    (lambda: unitary_times_nilpotent(61, 2, 2), "hardy,hardy", lambda t: t[0].mat),
-    (lambda: OperatorTuple.of(commuting_unitaries(67, 3, 1)[0]), "hardy",
-     lambda t: t[0].mat),
-    (lambda: scalar_tuple([1.0, 0.5]), "hardy,hardy", lambda t: 1j * np.eye(1)),
-], ids=["unitary-times-nilpotent", "unitary", "scalars"])
-def test_model_colift_residuals_match_dense_route(make, wtxt, lift_of):
-    t = make()
-    model = general_model(t, MultiWeightSpec.parse(wtxt))
-    v = lift_of(t)
-    lifted, residuals = model_colift(v, model)
-    big = lifted.to_matrix()
-    pi = model.map.mat
-    dense_int = opnorm(pi @ v.conj().T - big.conj().T @ pi)
-    assert abs(residuals["map_intertwine"] - dense_int) <= DENSE_ROUTE_TOL
-    for i, op in enumerate(model.model_ops):
-        m = op.to_matrix()
-        assert abs(residuals[f"commute_{i}"] - opnorm(big @ m - m @ big)) <= DENSE_ROUTE_TOL
 
 
 def test_lifted_and_block_actions_equal_their_matrices():

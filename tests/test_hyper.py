@@ -32,7 +32,6 @@ from wberg.hyper import (
     two_parameter_monotonicity_check,
     conjugation_limit,
     defect_limit,
-    defect_operator,
     defect_series,
     delta_power,
     equivalence_crosscheck,
@@ -43,7 +42,7 @@ from wberg.hyper import (
     subtuple,
     subtuple_inheritance_check,
 )
-from wberg.linalg import Operator, psd_check, psd_sqrt
+from wberg.linalg import POSITIVITY_TOL, Operator, psd_check, psd_sqrt
 from wberg.series import MultiWeightSpec, WeightSpec
 
 HARDY = WeightSpec.hardy()
@@ -659,18 +658,26 @@ def test_defect_limit_scalar_closed_form():
     assert res.tail_estimate >= 0.0
 
 
-def test_defect_operator_values():
+def defect_root(t, w, tol=POSITIVITY_TOL):
+    """The defect root as ``run_check`` forms it: the vertex limit, the
+    warning of its floor, and its PSD square root."""
+    res = defect_limit(t, w, tol)
+    res.warn_unconverged(tol)
+    return psd_sqrt(res.limit, tol)
+
+
+def test_defect_root_values():
     t0 = OperatorTuple.of(Operator([[0.0]]))
-    assert defect_operator(t0, MultiWeightSpec.of(HARDY))[0, 0] == pytest.approx(1.0)
+    assert defect_root(t0, MultiWeightSpec.of(HARDY))[0, 0] == pytest.approx(1.0)
     # single contraction, constant weights: the classical defect
     tri = nilpotent_commuting_tuple(4, 4, 1, radius=0.7)
-    d = defect_operator(tri, MultiWeightSpec.of(HARDY))
+    d = defect_root(tri, MultiWeightSpec.of(HARDY))
     oracle = np.eye(4) - tri[0].mat @ tri[0].mat.conj().T
     assert np.allclose(d @ d, oracle, atol=1e-12)
     # scalar with quadratic weights
     tval = 0.6 + 0.2j
     ts = scalar_tuple([tval])
-    d2 = defect_operator(ts, MultiWeightSpec.of(B2))
+    d2 = defect_root(ts, MultiWeightSpec.of(B2))
     assert (d2 @ d2)[0, 0] == pytest.approx((1 - abs(tval) ** 2) ** 2, rel=1e-12)
 
 
@@ -1043,7 +1050,7 @@ def test_subtuple_of_a_validated_tuple_is_not_validated_again(monkeypatch, make)
     assert calls == []
     for lam, sub in zip(lams, subs):
         lam = tuple(sorted(lam))
-        fresh = OperatorTuple(tuple(t.ops[i] for i in lam), t.commutation_tol)
+        fresh = OperatorTuple(tuple(t.ops[i] for i in lam))
         assert sub == fresh and vars(sub).keys() == vars(fresh).keys()
         assert all(a is t.ops[i] for a, i in zip(sub.ops, lam))
         assert all(s is t._stacks[i] for s, i in zip(sub._stacks, lam))
@@ -1182,7 +1189,7 @@ def test_explicit_weight_list_flows_through_classification():
     )
 
 
-def test_defect_operator_warns_on_unconverged_grid():
+def test_defect_root_warns_on_unconverged_grid():
     import warnings as _warnings
 
     from wberg.errors import SeriesTailTooLarge
@@ -1194,7 +1201,7 @@ def test_defect_operator_warns_on_unconverged_grid():
         # the tail of a non-integer weight on a unitary is not certified at
         # the cap, so the warning fires; the exact defect is 0, and the
         # difference after the truncated fractional factor cancels it to rounding
-        root = defect_operator(t, w, tol=1e-12)
+        root = defect_root(t, w, tol=1e-12)
     assert any(issubclass(c.category, SeriesTailTooLarge) for c in caught)
     assert np.linalg.norm(root @ root, 2) < 1e-14
 

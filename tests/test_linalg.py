@@ -318,7 +318,7 @@ def test_douglas_defect_instance_against_lstsq_oracle():
     from wberg.dilation import _defect_sqrt_pieces
     from wberg.hyper import subtuple
 
-    _, _, dmin = _defect_sqrt_pieces(subtuple(pair, (0,)), WeightSpec.hardy())
+    _, dmin = _defect_sqrt_pieces(subtuple(pair, (0,)), WeightSpec.hardy())
     f = dmin @ pair[1].mat.conj().T
     a = douglas_solve(dmin, f)
     assert spectral_norm(a) <= 1.0 + 1e-9

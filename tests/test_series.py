@@ -135,6 +135,14 @@ def test_invert_takes_one_variable_only():
         invert_series(TruncatedSeries(np.ones((2, 3))))
 
 
+def test_series_rejects_bad_cutoffs():
+    w = MultiWeightSpec.parse("hardy,hardy")
+    with pytest.raises(ArityMismatch):
+        reciprocal_series(w, [4])
+    with pytest.raises(ValueError):
+        reciprocal_series(w, (4, 0))
+
+
 def test_truncated_multiply_against_oracle():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 4, 2))

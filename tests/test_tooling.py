@@ -176,7 +176,6 @@ UNSET_PARAMETERS_ALLOWED = {
     "linalg.Operator.__array__(dtype)": "numpy's array protocol passes it",
     "linalg.Operator.__array__(copy)": "numpy's array protocol passes it",
     "cli.main(argv)": "the console script calls main() and tests pass an argv",
-    "hyper.defect_operator(tol)": "tests ask for an accuracy floor the limit cannot meet",
     "bergman.TruncatedSpace.slot(p)": "tests address coefficient slots past the first",
 }
 
@@ -333,3 +332,60 @@ def test_only_general_model_fills_map_rows():
             if (getattr(target, "id", None) or getattr(target, "attr", None)) == "_fill_map_rows":
                 callers.append(f"{path.stem}.{caller.name if caller else '<module>'}")
     assert callers == ["dilation.general_model"]
+
+
+# Public functions, classes and methods that nothing in the package refers
+# to, each with the reason it stays.
+UNREFERENCED_ALLOWED = {
+    "hyper.hereditary_apply": "the reference of the hereditary sums in tests; "
+                              "perfbench/tracer.py counts its calls",
+    "linalg.Operator.is_hermitian": "perfbench/tracer.py wraps it through Operator.__dict__",
+    "hyper.OperatorTuple.gram_stack": "tests read the held Gram stack through it",
+    "bergman.TruncatedSpace.weight_vector": "tests read the held basis weights through it",
+    "bergman.TruncatedSpace.slot": "tests address basis positions through it",
+    "generators.commuting_unitaries": "a test generator of unitary and mixed tuples",
+    "charfn.uniqueness_unitary": "the uniqueness of the characteristic triple up to a "
+                                 "unitary, which acceptance criterion 8 checks",
+}
+
+
+def _public_definitions(tree: ast.Module, module: str):
+    """``(qualified name, def node)`` of every public module-level function and
+    class and every public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def _references_outside(tree: ast.Module, skip: ast.AST, name: str) -> bool:
+    """Whether a name or attribute ``name`` occurs in ``tree`` outside ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if (isinstance(node, ast.Name) and node.id == name) or (
+                isinstance(node, ast.Attribute) and node.attr == name):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_every_public_name_is_referenced_in_the_package():
+    # a public function, class or method that no code of the package refers
+    # to (its own body, __all__ and the package __init__ do not count) is a
+    # second route or a leftover; it goes, or the allow-list says why not
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    unreferenced = sorted(
+        qual for module, tree in trees.items() for qual, node in _public_definitions(tree, module)
+        if not any(_references_outside(other, node, qual.rsplit(".", 1)[1])
+                   for other in trees.values()))
+    offenders = [qual for qual in unreferenced if qual not in UNREFERENCED_ALLOWED]
+    stale = sorted(set(UNREFERENCED_ALLOWED) - set(unreferenced))
+    assert not offenders, f"public names that nothing in the package refers to: {offenders}"
+    assert not stale, f"allowed unreferenced names that the package now refers to: {stale}"
