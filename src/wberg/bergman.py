@@ -196,8 +196,8 @@ def multishift_purity_and_positivity(
 
     ``shifts`` is the caller's ``multishift_tuple(space)``, so the defect
     series are summed over the power stacks that tuple already holds and
-    purity is read from its nilpotency scans (a tuple that is not exactly
-    nilpotent falls back to :func:`~wberg.hyper.is_pure`).  In the
+    purity is its :func:`~wberg.hyper.is_pure`, whose tails of the
+    nilpotent shifts are exact zeros from their scans.  In the
     weighted quadratic form the defect series acts diagonally on monomials
     with entries ``w_a^2 * a_a(1, r)`` built from the quotient coefficients;
     the truncated shifts are exactly nilpotent.
@@ -231,16 +231,11 @@ def multishift_purity_and_positivity(
                 max_resid = max(max_resid, abs(got - expected))
         off = ds - np.diag(np.diag(ds))
         max_resid = max(max_resid, hermitian_norm(off))
-    pure = all(
-        shifts.nilpotency_order(i, space.degrees[i]) is not None for i in range(shifts.n)
-    )
-    if not pure:  # fall back to the tail limits if exact nilpotency failed
-        pure = is_pure(shifts)
     return MultishiftReport(
         diagonal_ok=bool(max_resid <= MULTISHIFT_TOL),
         max_diagonal_residual=max_resid,
         psd_ok=bool(min_eig >= -MULTISHIFT_TOL),
         min_eig=min_eig,
-        pure=bool(pure),
+        pure=is_pure(shifts),
         grid=grid,
     )

@@ -61,10 +61,10 @@ from .hyper import (
     LIMIT_TOL,
     OperatorTuple,
     ShiftAction,
-    conjugation_limit,
     defect_limit,
     is_pure,
     is_W_hypercontraction,
+    joint_tail,
     subtuple,
 )
 from .linalg import (
@@ -226,12 +226,6 @@ class DilationResult:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _horizon_cap(omega: WeightSpec) -> int:
-    """Longest purity horizon of a variable with weight ``omega``, the
-    depth of its nilpotency scan."""
-    return min(HORIZON_CAP, omega.max_terms or HORIZON_CAP)
-
-
 def _pure_horizon(t: OperatorTuple, i: int, omega: WeightSpec) -> int:
     """Truncation level of variable ``i`` after which the dilation rows carry no mass.
 
@@ -243,7 +237,7 @@ def _pure_horizon(t: OperatorTuple, i: int, omega: WeightSpec) -> int:
     sums; a list that ends before the tail test is met raises
     :class:`HorizonTooShort`.
     """
-    cap = _horizon_cap(omega)
+    cap = min(HORIZON_CAP, omega.max_terms or HORIZON_CAP)
     nil = t.nilpotency_order(i, min(cap, t.dim))
     if nil is not None:
         return nil
@@ -296,9 +290,8 @@ def _one_tuple(t) -> OperatorTuple:
 def _tail_split(t: OperatorTuple, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Minimal coordinates ``Qmin`` of the root of the one-tuple's tail
     ``lim T^k T*^k``, and the co-isometry ``U`` on those coordinates with
-    ``U* Qmin = Qmin T*``."""
-    limit, _ = t.tail_limit(0)
-    q, q_basis = psd_root_pieces(limit)
+    ``U* Qmin = Qmin T*``; an unconverged tail warns ``TailUnconverged``."""
+    q, q_basis = psd_root_pieces(joint_tail(t, (0,)))
     q_min = q_basis.conj().T @ q
     return q_min, _douglas(q_min, q_min @ t[0].mat.conj().T, what)
 
@@ -368,14 +361,12 @@ def pure_dilation(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
     """Dilate a pure tuple onto the truncated multi-shift: its general
     model, whose only nonempty block is the full one, acted on by shifts.
 
-    Each entry's nilpotency scan runs first, to the depth the horizons of
-    :func:`general_model` scan to, so the purity test reads the tail of a
-    nilpotent entry as an exact zero instead of forming it by doublings.
+    Purity is the tuple's :func:`~wberg.hyper.is_pure`, on the tails the
+    tuple holds: exactly zero for a nilpotent entry, whichever step asked
+    first (see ``OperatorTuple.tail_limit``).
     """
     if w.n != t.n:
         raise NotHypercontractive(f"weight arity {w.n} != tuple arity {t.n}")
-    for i in range(t.n):
-        t.nilpotency_order(i, min(_horizon_cap(w[i]), t.dim))
     if not is_pure(t):
         raise NotPure("tuple has a non-vanishing tail; use the general model")
     return general_model(t, w)
@@ -536,16 +527,7 @@ def _block_action(block: LambdaBlock, i: int) -> ModelAction:
 
 def _double_limit(t: OperatorTuple, w: MultiWeightSpec, lam: tuple[int, ...]) -> np.ndarray:
     """Brute evaluation of the block defect: series limit inside ``lam``,
-    power-conjugation limit outside (starting from the tail of ``T_0`` when
-    ``lam`` is empty).  An outside coordinate whose tail is exactly zero, as
-    a scanned nilpotent entry's is, makes the limit exactly zero."""
-    outside = [i for i in range(t.n) if i not in lam]
-    if any(not np.any(t.tail_limit(i)[0]) for i in outside):
-        return np.zeros((t.dim, t.dim), dtype=complex)
-    if lam:
-        cur = _vertex_defect(subtuple(t, lam), w.subset(lam))
-    else:
-        cur, _ = t.tail_limit(outside.pop(0))
-    for i in outside:
-        cur, _, _ = conjugation_limit(cur, t[i])
-    return cur
+    the joint tail (:func:`~wberg.hyper.joint_tail`) outside, exactly zero
+    when an outside tail is."""
+    start = (lambda: _vertex_defect(subtuple(t, lam), w.subset(lam))) if lam else None
+    return joint_tail(t, [i for i in range(t.n) if i not in lam], start)

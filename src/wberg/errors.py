@@ -114,3 +114,7 @@ class ConfigError(WbergError):
 class SeriesTailTooLarge(UserWarning):
     """Reported when a truncated fractional-power series has a non-negligible tail."""
 
+
+class TailUnconverged(UserWarning):
+    """Reported when a tail limit ``lim T^k S T*^k`` read by a purity test,
+    a tail split or a joint tail stopped before its doublings converged."""

@@ -37,9 +37,13 @@ nowhere else in the package.  The stacks grow only when a longer prefix is
 asked for; every swap-family member, grid point and vertex value of a tuple,
 every classification run on it, and the dilations and characteristic
 functions built from it read them.  A tail limit is formed once, at
-``LIMIT_TOL``: the purity test, the tail split of a dilation and the joint
-tail of a check all read it.  An entry that is a weighted shift (each
-coordinate shift of a multi-shift) is held with its index map
+``LIMIT_TOL``, by one route that the entry alone decides: a weighted shift
+is scanned and a nilpotent one's tail is exactly zero, any other entry
+doubles (:func:`conjugation_limit`, which stops at its first exactly zero
+power).  The purity test, the tail split of a dilation, the joint tail of a
+check and the block defects of a model read it through :func:`joint_tail`,
+which warns of an unconverged limit.  An entry that is a weighted shift
+(each coordinate shift of a multi-shift) is held with its index map
 (:class:`ShiftAction`) and multiplied by gather and scale, with the bits of
 the dense products.
 A tuple and its sub-tuples share one store of classification facts
@@ -72,6 +76,7 @@ from .errors import (
     NotCommuting,
     NotContractive,
     SeriesTailTooLarge,
+    TailUnconverged,
 )
 from .linalg import (
     POSITIVITY_TOL,
@@ -103,6 +108,7 @@ __all__ = [
     "hereditary_apply",
     "is_W_hypercontraction",
     "is_pure",
+    "joint_tail",
     "delta_power",
     "is_gamma_contractive",
     "equivalence_crosscheck",
@@ -240,12 +246,14 @@ class _OperatorStacks:
     The stacks only ever grow, and a request returns a read-only prefix, so
     a short request after a long one gives the bits of a fresh build.  The
     nilpotency order is cached with the depth it was scanned to, the norm of
-    each power asked for by exponent, and the tail limit once.
+    each power asked for by exponent (read from the power stack, which then
+    holds one power past it), and the tail limit once (:meth:`tail`).
 
     Whether the matrix is a weighted shift (:func:`_weighted_shift`) is
     observed once, on first use, and held as its index map.  A weighted
     shift ``T`` is multiplied by gather and scale, never by a dense product:
-    each power and adjoint power by :func:`_power_stack`, the Gram stack
+    each power and adjoint power by :func:`_power_stack`, the nilpotency
+    scan by :func:`_nilpotency_order` on the held index map, the Gram stack
     ``T^k T*^k`` read as a diagonal, ``T X T*`` with a real diagonal ``X``
     in ``O(d)`` (:func:`_conjugate`) and ``A T*`` by :meth:`times_adjoint`.
     Every sum of these products has one nonzero term, so each nonzero entry
@@ -318,26 +326,31 @@ class _OperatorStacks:
         """Smallest ``k <= cap`` with ``T^k = 0`` exactly, or None."""
         depth, order = self._nil
         if order is None and depth < cap:
-            order = _nilpotency_order(self.mat, cap)
+            order = _nilpotency_order(self.mat if self.shift is None else self.shift, cap)
             self._nil = (cap, order)
         return order if order is not None and order <= cap else None
 
     def power_norm(self, k: int) -> float:
-        """``||T^k||``, computed once per exponent."""
+        """``||T^k||`` of the power stack, computed once per exponent."""
         if k not in self._power_norms:
-            self._power_norms[k] = spectral_norm(np.linalg.matrix_power(self.mat, k))
+            self._power_norms[k] = spectral_norm(self.powers(k + 1)[k])
         return self._power_norms[k]
 
     def tail(self) -> tuple[np.ndarray, bool]:
-        """Read-only ``lim T^k T*^k`` of :func:`conjugation_limit` and its
-        ``converged`` flag, formed once; after a scan has found a nilpotency
-        order it is exactly zero, with no doubling."""
+        """Read-only ``lim T^k T*^k`` and its ``converged`` flag, formed once.
+
+        A weighted shift is scanned to its dimension first, at ``O(d)`` per
+        power, and a nilpotent one has the exact zero tail; any other matrix
+        doubles in :func:`conjugation_limit`, which stops at an exact zero
+        at its first exactly zero power.  The route depends on the matrix
+        alone, so the tail has the same bits whichever step asks first.
+        """
         if self._tail is None:
-            if self._nil[1] is not None:
-                limit, converged = np.zeros(self.mat.shape, dtype=complex), True
+            d = self.mat.shape[0]
+            if self.shift is not None and self.nilpotency_order(d) is not None:
+                limit, converged = np.zeros((d, d), dtype=complex), True
             else:
-                eye = np.eye(self.mat.shape[0], dtype=complex)
-                limit, converged, _ = conjugation_limit(eye, self.mat)
+                limit, converged, _ = conjugation_limit(np.eye(d, dtype=complex), self.mat)
             limit.flags.writeable = False
             self._tail = (limit, converged)
         return self._tail
@@ -423,8 +436,7 @@ class OperatorTuple:
 
     def tail_limit(self, i: int) -> tuple[np.ndarray, bool]:
         """Read-only tail ``lim_k T_i^k T_i*^k`` and whether its doublings
-        converged; formed once, and exactly zero for an entry a scan has
-        found nilpotent."""
+        converged; formed once, by the route of :meth:`_OperatorStacks.tail`."""
         return self._stacks[i].tail()
 
 
@@ -534,22 +546,22 @@ def hereditary_apply(coeffs: np.ndarray, t, x: np.ndarray) -> np.ndarray:
     return _hereditary_sum(coeffs, _OperatorStacks(np.asarray(t, dtype=complex)), x)
 
 
-def _nilpotency_order(mat: np.ndarray, cap: int) -> int | None:
+def _nilpotency_order(mat, cap: int) -> int | None:
     """Smallest ``k <= cap`` with ``T^k = 0`` exactly, or None.
 
-    The scan forms ``T^k = T^(k-1) @ T`` and stops at the first exact zero.
-    For a weighted shift (:func:`_weighted_shift`, observed here on the
-    matrix the scan is handed) every column of ``T^k`` holds at most one
-    nonzero, so the row vector ``1^T T^k`` of column sums holds exactly those
-    values, and ``1^T T^k = (1^T T^(k-1)) T`` is one gather and one scale of
-    a ``d``-vector: each value is the product the dense step rounds, so the
-    first zero power is the same.
+    ``mat`` is the matrix ``T``, or the :class:`ShiftAction` of a weighted
+    shift, as for :func:`_power_stack`.  The scan of a matrix forms ``T^k =
+    T^(k-1) @ T`` and stops at the first exact zero.  Every column of a
+    weighted shift's ``T^k`` holds at most one nonzero, so the row vector
+    ``1^T T^k`` of column sums holds exactly those values, and ``1^T T^k =
+    (1^T T^(k-1)) T`` is one gather and one scale of a ``d``-vector: each
+    value is the product the dense step rounds, so the first zero power is
+    the same.
     """
-    shift = _weighted_shift(mat)
-    if shift is not None:
-        sums = np.ones((shift.dim, 1))
+    if isinstance(mat, ShiftAction):
+        sums = np.ones((mat.dim, 1))
         for k in range(1, cap + 1):
-            sums = shift.adjoint_apply(sums)  # transposed: T^T sums, and T^T = T* here
+            sums = mat.adjoint_apply(sums)  # transposed: T^T sums, and T^T = T* here
             if not sums.any():
                 return k
         return None
@@ -783,15 +795,20 @@ def _vertex_value(t: OperatorTuple, w: MultiWeightSpec) -> tuple[np.ndarray, flo
 
 def conjugation_limit(s, t) -> tuple[np.ndarray, bool, int]:
     """Limit of ``T^k S T*^k`` along doubling powers (monotone for contractions),
-    converged when a doubling moves it by less than ``LIMIT_TOL``."""
+    converged when a doubling moves it by less than ``LIMIT_TOL``, and the
+    number of conjugations formed.  A zero ``S``, or a power ``T^(2^j)``
+    that is exactly zero, gives the exact zero limit at once, with no
+    further product."""
     s = np.asarray(s, dtype=complex)
     m = np.asarray(t, dtype=complex)
-    if s.size == 0 or m.size == 0:
-        return s.copy(), True, 0
+    if not (s.any() and m.any()):
+        return np.zeros(s.shape, dtype=complex), True, 0
     prev = m @ s @ m.conj().T
     steps = 1
     for _ in range(MAX_DOUBLINGS):
         m = m @ m
+        if not m.any():
+            return np.zeros(s.shape, dtype=complex), True, steps
         cur = m @ s @ m.conj().T
         steps += 1
         if threshold_norm(cur - prev, LIMIT_TOL) < LIMIT_TOL:
@@ -800,12 +817,39 @@ def conjugation_limit(s, t) -> tuple[np.ndarray, bool, int]:
     return 0.5 * (prev + prev.conj().T), False, steps
 
 
+def _read(limit: tuple[np.ndarray, bool], what: str) -> np.ndarray:
+    """A limit's value; an unconverged one warns :class:`TailUnconverged`."""
+    if not limit[1]:
+        warnings.warn(f"{what} did not converge in {MAX_DOUBLINGS} doublings",
+                      TailUnconverged, stacklevel=3)
+    return limit[0]
+
+
+def joint_tail(t: OperatorTuple, outside: Sequence[int], start=None) -> np.ndarray:
+    """``lim_b T^b X T*^b`` over the entries ``outside``, one entry at a time.
+
+    ``X`` is ``start()``; with no ``start`` it is ``I``, whose limit over
+    the first outside entry is that entry's held tail (:meth:`OperatorTuple.tail_limit`).
+    An outside tail that is exactly zero makes the limit exactly zero, with
+    ``start`` never called and no product formed: for Hermitian ``X`` and
+    commuting contractions, ``-||X|| P <= T^b X T*^b <= ||X|| P`` with ``P =
+    T_i^(b_i) T_i*^(b_i)``.
+    Each tail or limit read unconverged warns :class:`TailUnconverged`.
+    """
+    outside = list(outside)
+    for i in outside:
+        if not _read(t.tail_limit(i), f"the tail of entry {i}").any():
+            return np.zeros((t.dim, t.dim), dtype=complex)
+    cur = t.tail_limit(outside.pop(0))[0] if start is None else start()
+    for i in outside:
+        cur = _read(conjugation_limit(cur, t[i])[:2], f"the limit through entry {i}")
+    return cur
+
+
 def is_pure(t: OperatorTuple) -> bool:
-    """True when every coordinate's tail limit vanishes within ``LIMIT_TOL``."""
-    for i in range(t.n):
-        if threshold_norm(t.tail_limit(i)[0], LIMIT_TOL) > LIMIT_TOL:
-            return False
-    return True
+    """True when every coordinate's tail limit vanishes within ``LIMIT_TOL``;
+    an unconverged tail warns :class:`TailUnconverged`."""
+    return all(threshold_norm(joint_tail(t, (i,)), LIMIT_TOL) <= LIMIT_TOL for i in range(t.n))
 
 
 # ---------------------------------------------------------------------------

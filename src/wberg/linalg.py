@@ -28,9 +28,8 @@ bound <= F`` leaves the answer open.  Its value only serves comparisons with
 :func:`psd_check`, the contraction and commutation tests of
 ``hyper.OperatorTuple``, the convergence test of
 ``hyper.conjugation_limit``, the purity test of ``hyper.is_pure`` on the
-tail limits ``hyper.OperatorTuple.tail_limit`` holds (also the fallback of
-the multi-shift report, whose purity is first read from the nilpotency
-orders its shift tuple holds), the unitarity of the transition in
+tail limits ``hyper.OperatorTuple.tail_limit`` holds (the multi-shift
+report's purity too), the unitarity of the transition in
 ``charfn.uniqueness_unitary``, and in ``charfn.coincidence_verify`` the
 unitarity of the conjugating map and of the defect transport (whose values
 enter its transport bound) and, when that bound cannot decide, of the

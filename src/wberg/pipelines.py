@@ -18,13 +18,13 @@ from .generators import random_unitary
 from .hyper import (
     OperatorTuple,
     two_parameter_monotonicity_check,
-    conjugation_limit,
     defect_limit,
     defect_series,
     dyadic_grid,
     equivalence_crosscheck,
     is_pure,
     is_W_hypercontraction,
+    joint_tail,
     subtuple_inheritance_check,
 )
 from .linalg import Operator, psd_check, psd_sqrt
@@ -114,11 +114,8 @@ def run_check(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
         "witnesses": _witnesses_brief(rep, case.tol),
         "certificates_checked": len(rep.certificates),
     }
-    # joint tail: the limit of T^b T*^b over all coordinates, from the tail of T_0
-    joint, _ = t.tail_limit(0)
-    for op in t.ops[1:]:
-        joint, _, _ = conjugation_limit(joint, op)
-    out["q_tail"] = Operator(joint).to_dict()
+    # joint tail: the limit of T^b T*^b over all coordinates
+    out["q_tail"] = Operator(joint_tail(t, range(t.n))).to_dict()
     if rep.verdict:
         # the vertex value is exactly Hermitian; a limit unconverged at the
         # tolerance of the verdict warns its floor

@@ -1,5 +1,6 @@
 """Dilation constructions: one variable, pure and general models, co-lifts."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -33,6 +34,7 @@ from wberg.errors import (
     NotHypercontractive,
     NotPure,
     SeriesTailTooLarge,
+    TailUnconverged,
 )
 from wberg.generators import (
     commuting_unitaries,
@@ -265,9 +267,11 @@ def test_pure_dilation_multishift_is_its_own_model():
 
 
 def test_pure_dilation_scans_each_entry_once(monkeypatch):
-    # the horizons scan each entry of t once; integer weights are classified
-    # by exact differences, which scan nothing, so neither stage 0, the
-    # sub-tuple of T_1, nor the one lifted stage operator is scanned again
+    # integer weights are classified by exact differences, which scan
+    # nothing; the purity test scans each weighted-shift entry of t once,
+    # through its index map, and the horizons read those scans.  The one
+    # lifted stage operator is a weighted shift too, scanned once by its
+    # own tail; no matrix is scanned twice
     import wberg.hyper as hyper
 
     w = MultiWeightSpec.parse("bergman:2,bergman:2")
@@ -278,8 +282,10 @@ def test_pure_dilation_scans_each_entry_once(monkeypatch):
                         lambda mat, cap: scanned.append(mat) or original(mat, cap))
     res = pure_dilation(shifts, w)
     assert res.residuals["isometry"] < 1e-9
-    assert [sum(mat is op.mat for mat in scanned) for op in shifts] == [1, 1]
-    assert len(scanned) == shifts.n
+    maps = [stacks.shift for stacks in shifts._stacks]
+    assert [sum(mat is m for mat in scanned) for m in maps] == [1, 1]
+    assert all(isinstance(mat, ShiftAction) for mat in scanned)
+    assert len({id(mat) for mat in scanned}) == len(scanned) == shifts.n + 1
 
 
 def test_multishift_classification_and_dilation_take_no_dense_entry_product():
@@ -341,22 +347,29 @@ def test_pure_dilation_holds_no_second_map():
     (lambda: nilpotent_commuting_tuple(1, 4, 2, radius=0.6), "hardy,hardy"),
 ], ids=["multishift-4x4", "nilpotent-pair"])
 def test_pure_dilation_of_nilpotent_entries_takes_no_doublings(monkeypatch, make, wtxt):
-    # the scans run before the purity test, so every tail of an entry of t
-    # is the exact zero of a nilpotent entry; the stage operators the
-    # recursion lifts are not scanned, and their tails still take doublings
+    # every tail of an entry of t is the exact zero of a nilpotent entry,
+    # with no scan asked for first: a weighted shift's scan takes no
+    # doubling, and a dense entry of order p doubles once per nonzero power
+    # T^(2^k), ceil(log2 p) conjugations, and not past its first zero power
     t = make()
+    calls = []
     original = hyper.conjugation_limit
 
-    def entries_fail(s, m):
-        if any(m is op.mat for op in t):
-            pytest.fail("a nilpotent tail took doublings")
-        return original(s, m)
+    def recorded(s, m):
+        calls.append((m, original(s, m)))
+        return calls[-1][1]
 
-    for module in (hyper, dilation):
-        monkeypatch.setattr(module, "conjugation_limit", entries_fail)
+    monkeypatch.setattr(hyper, "conjugation_limit", recorded)
     res = pure_dilation(t, MultiWeightSpec.parse(wtxt))
     assert res.residuals["isometry"] < 1e-9
-    assert all(t.nilpotency_order(i, t.dim) is not None for i in range(t.n))
+    for i, op in enumerate(t):
+        limit, converged = t.tail_limit(i)
+        assert converged and not np.any(limit)
+        steps = [result[2] for m, result in calls if m is op.mat]
+        if t._stacks[i].shift is not None:
+            assert steps == []
+        else:
+            assert steps == [math.ceil(math.log2(t.nilpotency_order(i, t.dim)))]
 
 
 def test_general_model_scans_each_entry_once(monkeypatch):
@@ -600,16 +613,41 @@ def test_general_model_reports_every_lift_condition(monkeypatch, make, wtxt):
 
 
 def test_double_limit_outside_a_nilpotent_coordinate_is_exactly_zero(monkeypatch):
-    # the scans of the horizons find T_2 nilpotent, so a block that leaves
-    # it outside needs no power conjugation
+    # the model's tails hold T_2's exact zero tail, so a block that leaves
+    # it outside needs no power conjugation and no defect limit
     t = unitary_times_nilpotent(401, 2, 3)
     w = MultiWeightSpec.parse("bergman:2,hardy")
     general_model(t, w)
-    for name in ("conjugation_limit", "defect_limit"):
-        monkeypatch.setattr(dilation, name, lambda *a, **k: pytest.fail("recomputed"))
+    monkeypatch.setattr(hyper, "conjugation_limit", lambda *a: pytest.fail("recomputed"))
+    monkeypatch.setattr(dilation, "defect_limit", lambda *a, **k: pytest.fail("recomputed"))
     for lam in [(), (0,)]:
         limit = _double_limit(t, w, lam)
         assert limit.shape == (t.dim, t.dim) and not np.any(limit)
+
+
+@pytest.mark.parametrize("read", [
+    lambda t, w: hyper.is_pure(t),
+    lambda t, w: _tail_split(t, "tail co-isometry"),
+    lambda t, w: hyper.joint_tail(t, (0,)),
+    lambda t, w: _double_limit(t, w, ()),
+], ids=["is_pure", "tail_split", "joint_tail", "double_limit"])
+def test_an_unconverged_tail_warns(monkeypatch, read):
+    # with one doubling allowed, the tail of 0.9 stops at 0.9^4 unconverged;
+    # every reader of a tail says so
+    monkeypatch.setattr(hyper, "MAX_DOUBLINGS", 1)
+    t = scalar_tuple([0.9])
+    with pytest.warns(TailUnconverged, match="did not converge"):
+        read(t, MultiWeightSpec.parse("hardy"))
+    assert t.tail_limit(0)[1] is False
+
+
+def test_an_unconverged_tail_warns_through_the_check(monkeypatch, capsys):
+    from wberg.cli import main
+
+    monkeypatch.setattr(hyper, "MAX_DOUBLINGS", 1)
+    with pytest.warns(TailUnconverged):
+        main(["check", "--weights", "hardy", "--tuple", "scalars:[0.9]"])
+    capsys.readouterr()
 
 
 def test_general_model_scalar_pair_block_content():

@@ -164,6 +164,7 @@ def test_weighted_shift_stacks_have_the_dense_bits(wtxt, degrees):
         for cap in (1, degrees[i] - 1, degrees[i], t.dim):
             dense = next((k for k in range(1, cap + 1) if not powers[k].any()), None)
             assert t.nilpotency_order(i, cap) == _nilpotency_order(mat, cap) == dense
+            assert _nilpotency_order(t._stacks[i].shift, cap) == dense
         values = Lcg(t.dim + i).complex_matrix(t.dim, 1)[:, 0].real
         values[::3] = 0.0
         assert (values < 0).any()
@@ -234,6 +235,26 @@ def test_a_real_weighted_shift_is_an_index_map():
     assert np.array_equal(t.power_stack(0, 6), _dense_stack(mat, 6))
     assert np.array_equal(t.adjoint_stack(0, 6), _dense_stack(mat.conj().T, 6))
     assert t.nilpotency_order(0, 4) is None
+
+
+def test_each_entry_is_observed_as_a_weighted_shift_once(monkeypatch, capsys):
+    # the index map of an entry is observed once and held; the nilpotency
+    # scan reads the held map instead of observing the matrix again
+    import collections
+
+    import wberg.hyper as hyper
+    from wberg.cli import main
+
+    seen = []
+    original = hyper._weighted_shift
+    monkeypatch.setattr(hyper, "_weighted_shift", lambda mat: seen.append(mat) or original(mat))
+    for argv in (["check"], ["dilate", "--pure"]):
+        seen.clear()
+        assert main(argv + ["--weights", "bergman:2,bergman:2", "--tuple", "multishift:4x4"]) == 0
+        # the two entries, and for the dilation its lifted stage operators
+        assert len(seen) == (2 if argv == ["check"] else 4)
+        assert set(collections.Counter(id(mat) for mat in seen).values()) == {1}
+    capsys.readouterr()
 
 
 def test_multishift_classification_takes_no_eigensolve(monkeypatch):
@@ -410,9 +431,10 @@ def test_nilpotency_order_is_scanned_once_per_variable(monkeypatch):
     w = MultiWeightSpec.parse("bergman:2.5,bergman:1.5")
     is_W_hypercontraction(t, w)
     assert calls == [t.dim, t.dim]
-    # the scan keeps no powers: only the fractional sums grew the stacks, to their cuts
+    # the scan keeps no powers: only the fractional sums grew the stacks, to
+    # their cuts, and the remainder of each cut read T^m one power past it
     cuts = [_effective_degree(t, i, _row(level)) for i, level in enumerate(_levels(w))]
-    assert [len(t.power_stack(i, 1).base) for i in range(t.n)] == cuts
+    assert [len(t.power_stack(i, 1).base) for i in range(t.n)] == [m + 1 for m in cuts]
 
 
 def test_classification_holds_only_the_limit_of_its_weights():
@@ -442,23 +464,28 @@ def test_defect_limit_is_held_per_weights():
 
 
 def test_tail_estimate_takes_each_power_norm_once(monkeypatch):
+    import wberg.hyper as hyper
+
     t = random_commuting_contractions(66, 5, 2, radius=0.5)
     w = MultiWeightSpec.parse("bergman:1.5,bergman:2.5")
     fresh = defect_limit(OperatorTuple(t.ops), w).tail_estimate
-    calls = []
-    original = np.linalg.matrix_power
-    monkeypatch.setattr(np.linalg, "matrix_power",
-                        lambda mat, k: calls.append((mat, k)) or original(mat, k))
+    norms = []
+    original = hyper.spectral_norm
+    monkeypatch.setattr(hyper, "spectral_norm", lambda a: norms.append(a) or original(a))
     for _ in range(2):
         is_W_hypercontraction(t, w)
         subtuple_inheritance_check(t, w, (1,))
     assert defect_limit(t, w).tail_estimate == fresh
-    keys = [(next(i for i in range(t.n) if mat is t[i].mat), k) for mat, k in calls]
+    held = sorted((i, k) for i in range(t.n) for k in t._stacks[i]._power_norms)
     # one exponent per cutoff tried: the numerical-support search of each
     # fractional factor reads T^8, T^16, ... up to its cut (32 and 16 here),
     # which the tail estimate then reads again from the cache; the swapped
     # Hardy levels are exact differences and take no norm
-    assert sorted(keys) == [(0, 8), (0, 16), (0, 32), (1, 8), (1, 16)]
+    assert held == [(0, 8), (0, 16), (0, 32), (1, 8), (1, 16)]
+    assert len(norms) == len(held)
+    # each is the norm of T^k as the power stack holds it
+    for i, k in held:
+        assert t._stacks[i]._power_norms[k] == original(t.power_stack(i, k + 1)[k])
 
 
 # ---------------------------------------------------------------------------
@@ -720,29 +747,69 @@ def test_tail_limit_is_the_conjugation_limit_formed_once():
 
 
 @pytest.mark.parametrize("make", [
+    lambda: multishift_tuple(TruncatedSpace(MultiWeightSpec.parse("bergman:2,hardy"), (4, 5))),
+    lambda: nilpotent_commuting_tuple(2, 4, 2, radius=0.9),
+    lambda: unitary_times_nilpotent(11, 2, 2),
+    lambda: random_commuting_contractions(67, 5, 2, radius=0.8),
+], ids=["multishift", "nilpotent", "unitary-times-nilpotent", "random-contraction"])
+def test_tail_limit_does_not_depend_on_an_earlier_scan(make):
+    scanned, fresh = make(), make()
+    for i in range(scanned.n):
+        scanned.nilpotency_order(i, scanned.dim)
+    for i in range(fresh.n):
+        limit, converged = fresh.tail_limit(i)
+        expected, expected_converged = scanned.tail_limit(i)
+        assert _same_bits(limit, expected) and converged is expected_converged
+
+
+@pytest.mark.parametrize("make", [
     lambda: nilpotent_commuting_tuple(2, 4, 1, radius=0.9),
     lambda: unitary_times_nilpotent(11, 2, 2),
 ], ids=["nilpotent", "unitary-times-nilpotent"])
 def test_nilpotent_entry_tail_is_exactly_zero_without_doublings(monkeypatch, make):
+    # a dense nilpotent entry of order p doubles only up to its first
+    # exactly zero power T^(2^j): one conjugation for each nonzero power T,
+    # T^2, ..., T^(2^(j-1)), ceil(log2 p) in all, no doubling past it, and
+    # the exact zero tail (+0 entries) without a scan before it
     import wberg.hyper as hyper
 
     t = make()
     i = t.n - 1
-    assert t.nilpotency_order(i, t.dim) is not None
+    calls = []
+    original = hyper.conjugation_limit
     monkeypatch.setattr(hyper, "conjugation_limit",
-                        lambda *a: pytest.fail("a nilpotent tail took doublings"))
+                        lambda *a: calls.append(original(*a)) or calls[-1])
     limit, converged = t.tail_limit(i)
-    assert converged and limit.shape == (t.dim, t.dim) and not np.any(limit)
+    assert converged and _same_bits(limit, np.zeros((t.dim, t.dim), dtype=complex))
     assert not limit.flags.writeable
-    assert is_pure(subtuple(t, (i,)))
+    order = t.nilpotency_order(i, t.dim)
+    assert order is not None and len(calls) == 1
+    assert calls[0][2] == math.ceil(math.log2(order))
+    assert is_pure(subtuple(t, (i,))) and len(calls) == 1
+
+
+def test_multishift_check_takes_no_doublings(monkeypatch, capsys):
+    # every entry of a multi-shift is a nilpotent weighted shift, whose tail
+    # its O(d) scan makes the exact zero: the purity tests and the joint
+    # tail of a check take no doubling
+    import json
+
+    import wberg.hyper as hyper
+    from wberg.cli import main
+
+    monkeypatch.setattr(hyper, "conjugation_limit",
+                        lambda *a: pytest.fail("a tail took doublings"))
+    assert main(["check", "--weights", "bergman:2,bergman:2",
+                 "--tuple", "multishift:12x12"]) == 0
+    body = json.loads(capsys.readouterr().out)["steps"]["check"]
+    assert body["pure"] and body["multishift_pure"]
+    assert not any(body["q_tail"]["re"]) and not any(body["q_tail"]["im"])
 
 
 def test_each_coordinate_tail_is_formed_once_per_tuple(monkeypatch):
     # check + dilate-general: the purity test, the joint tail, the first
     # tail split and the empty block's double limit all read T_i's tail
-    import wberg.dilation as dilation
     import wberg.hyper as hyper
-    import wberg.pipelines as pipelines
     from wberg.config import parse_case
     from wberg.corpus import corpus_cases
     from wberg.pipelines import run_case
@@ -756,8 +823,7 @@ def test_each_coordinate_tail_is_formed_once_per_tuple(monkeypatch):
             tails.append(np.asarray(t))
         return original(s, t, *rest)
 
-    for module in (hyper, dilation, pipelines):
-        monkeypatch.setattr(module, "conjugation_limit", counting)
+    monkeypatch.setattr(hyper, "conjugation_limit", counting)
     data = next(c for c in corpus_cases() if c["name"] == "unitary-nilpotent-general")
     case = parse_case(data, name=data["name"])
     t = case.build_tuple(None)
@@ -765,8 +831,9 @@ def test_each_coordinate_tail_is_formed_once_per_tuple(monkeypatch):
     ok, report = run_case(case)
     assert ok and not report["steps"]["check"]["pure"]
     counts = [sum(np.array_equal(m, op.mat) for m in tails) for op in t]
-    # the purity test stops at T_0, whose tail does not vanish
-    assert counts[0] == 1 and max(counts) == 1
+    # the purity test stops at T_0, whose tail does not vanish; the joint
+    # tail reads it again and forms T_1's, each once
+    assert counts == [1, 1]
 
 
 def test_is_pure():
