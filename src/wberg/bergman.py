@@ -24,15 +24,14 @@ sum.  Edge effects live only in the top-degree rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .hyper import OperatorTuple, ShiftAction, defect_series, is_pure
-from .linalg import Operator, _eigvalsh, hermitian_norm
+from .hyper import OperatorTuple, ShiftAction, defect_series
+from .linalg import Operator, hermitian_norm
 from .series import MultiWeightSpec, _normalize_grid, quotient_coeffs
 
 __all__ = [
@@ -45,8 +44,8 @@ __all__ = [
     "graded_indices",
 ]
 
-# Bound on the diagonal-formula residual and on the negative eigenvalues of
-# the defect series in the multishift check.
+# Bound on the diagonal-formula residual of the defect series in the
+# multishift check.
 MULTISHIFT_TOL = 1e-10
 
 
@@ -143,13 +142,6 @@ class TruncatedSpace:
     def slot(self, alpha: Sequence[int], p: int = 0) -> int:
         return self.index_position[tuple(alpha)] * self.coeff_dim + p
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.text,
-            "degrees": list(self.degrees),
-            "coeff_dim": self.coeff_dim,
-        }
-
 
 # ---------------------------------------------------------------------------
 # shifts
@@ -181,10 +173,6 @@ def multishift_tuple(space: TruncatedSpace) -> OperatorTuple:
 class MultishiftReport:
     diagonal_ok: bool
     max_diagonal_residual: float
-    psd_ok: bool
-    min_eig: float
-    pure: bool
-    grid: tuple[tuple[float, ...], ...]
 
 
 def multishift_purity_and_positivity(
@@ -192,15 +180,15 @@ def multishift_purity_and_positivity(
     shifts: OperatorTuple,
     r_grid: Sequence,
 ) -> MultishiftReport:
-    """Verify the diagonal defect formula and purity of the truncated shifts.
+    """Verify the diagonal defect formula of the truncated shifts.
 
     ``shifts`` is the caller's ``multishift_tuple(space)``, so the defect
-    series are summed over the power stacks that tuple already holds and
-    purity is its :func:`~wberg.hyper.is_pure`, whose tails of the
-    nilpotent shifts are exact zeros from their scans.  In the
-    weighted quadratic form the defect series acts diagonally on monomials
-    with entries ``w_a^2 * a_a(1, r)`` built from the quotient coefficients;
-    the truncated shifts are exactly nilpotent.
+    series are summed over the power stacks that tuple already holds.  In
+    the weighted quadratic form the defect series acts diagonally on
+    monomials with entries ``w_a^2 * a_a(1, r)`` built from the quotient
+    coefficients.  Grid positivity is what
+    :func:`~wberg.hyper.is_W_hypercontraction` certifies and purity is
+    :func:`~wberg.hyper.is_pure`; the caller reads both there.
     """
     if shifts.n != space.n_vars or shifts.dim != space.dim:
         raise ValueError(
@@ -208,13 +196,9 @@ def multishift_purity_and_positivity(
             f"a space of {space.n_vars} variables and dimension {space.dim}"
         )
     w = space.weights
-    grid = _normalize_grid(r_grid, space.n_vars)
     max_resid = 0.0
-    min_eig = math.inf
-    for point in grid:
+    for point in _normalize_grid(r_grid, space.n_vars):
         ds = defect_series(shifts, w, point)
-        eigs = _eigvalsh(ds)
-        min_eig = min(min_eig, float(eigs[0]))
         quot = [
             quotient_coeffs(w[i], 1.0, point[i], space.degrees[i])
             for i in range(space.n_vars)
@@ -234,8 +218,4 @@ def multishift_purity_and_positivity(
     return MultishiftReport(
         diagonal_ok=bool(max_resid <= MULTISHIFT_TOL),
         max_diagonal_residual=max_resid,
-        psd_ok=bool(min_eig >= -MULTISHIFT_TOL),
-        min_eig=min_eig,
-        pure=is_pure(shifts),
-        grid=grid,
     )

@@ -46,6 +46,11 @@ applied through its factors and certified unitary by a proved bound from a
 decide.  Every bound carries a rounding allowance derived from the sizes of
 its formed products (:func:`_gamma`).  Evaluations take a whole point set
 at once: one Vandermonde product per coefficient stack.
+
+The rows ``R_j = D T*^j`` are formed once, by one right multiplication by
+``T*`` per term (``OperatorTuple.row_chain``).  The column map, the
+coefficients, the kernel term ``D K(z, T*)`` and the split bound all read
+them, and no stack of ``T*^j`` is formed.
 """
 
 from __future__ import annotations
@@ -234,29 +239,29 @@ def _add_selectors(theta: np.ndarray, a: np.ndarray) -> None:
 class CharFunction:
     """A characteristic triple bound to its operator, weight and truncation.
 
-    It keeps the defect coordinates, their range basis and the column map
-    it was completed from, with the residual ``||I - C*C - T T*||`` that
-    certified the map, so nothing downstream recomputes either.
+    It keeps the defect coordinates, their range basis, the rows ``R_j = D
+    T*^j`` and the column map ``C = (sqrt(rho_j) R_j)_j`` it was completed
+    from, with the residual ``||I - C*C - T T*||`` that certified the map,
+    so nothing downstream recomputes any of them.
     """
 
-    t: np.ndarray
+    tup: OperatorTuple  # the one-entry tuple of T, whose power stack holds T^a
     omega: WeightSpec
     n_terms: int
     triple: CharTriple
     defect_min: np.ndarray  # H -> defect-space coordinates
     defect_basis: np.ndarray  # columns span ran(D)
-    column_map: np.ndarray  # the stacked contraction C
+    rows: np.ndarray  # R_j = D T*^j, (n_terms, defect_dim, d), which every evaluation sums over
+    column_map: np.ndarray  # the stacked contraction C, sqrt(rho_j) R_j
     column_identity: float  # ||I - C*C - T T*||
-    star_powers: np.ndarray  # [I, T*, ..., T*^(n_terms - 1)], which every evaluation sums over
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.tup[0].mat
 
     @property
     def defect_dim(self) -> int:
         return self.defect_min.shape[0]
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The blocks ``R_j = D T*^j``, stacked as ``(n_terms, defect_dim, d)``."""
-        return self.defect_min @ self.star_powers
 
     @cached_property
     def unitarity(self) -> tuple[float, float]:
@@ -332,9 +337,9 @@ def char_function(t, omega: WeightSpec, n_terms: int | None = None) -> CharFunct
     basis, d_min = _defect_sqrt_pieces(tup, omega)
     rho = rho_sequence(omega, n_terms)
     t_adj = mat.conj().T
-    stars = tup.adjoint_stack(0, n_terms)
+    rows = tup.row_chain(0, d_min, n_terms)
     d = mat.shape[0]
-    c = (np.sqrt(rho)[:, None, None] * (d_min @ stars)).reshape(-1, d)
+    c = (np.sqrt(rho)[:, None, None] * rows).reshape(-1, d)
     res = hermitian_norm(np.eye(d) - c.conj().T @ c - mat @ t_adj)
     if res > CHAR_TOL * 10:
         raise HorizonTooShort(
@@ -343,7 +348,7 @@ def char_function(t, omega: WeightSpec, n_terms: int | None = None) -> CharFunct
         )
     v, s = complete_to_unitary(np.vstack([t_adj, c]), CHAR_TOL)
     triple = CharTriple(c.shape[0], v, s)
-    return CharFunction(mat, omega, n_terms, triple, d_min, basis, c, res, stars)
+    return CharFunction(tup, omega, n_terms, triple, d_min, basis, rows, c, res)
 
 
 def block_unitarity(cf: CharFunction) -> float:
@@ -392,16 +397,18 @@ def _vandermonde(z: np.ndarray, n: int) -> np.ndarray:
     return np.cumprod(out, axis=1, out=out)
 
 
-def kernel_poly(omega: WeightSpec, points, powers: np.ndarray) -> np.ndarray:
-    """Operator series ``sum_n z^n A^n / w_n`` over a power stack ``[I, A, A^2, ...]``.
+def kernel_poly(omega: WeightSpec, points, stack: np.ndarray) -> np.ndarray:
+    """Series ``sum_n z^n X_n / w_n`` over a stack ``[X_0, X_1, ...]``.
 
-    The values at every point ``z`` of ``points`` come from one Vandermonde
-    product with the stack, stacked along axis 0.
+    Over the powers ``X_n = A^n`` it is the kernel ``K(z, A)``, and over the
+    rows ``R_n = D T*^n`` of a function it is ``D K(z, T*)``.  The values at
+    every point ``z`` of ``points`` come from one Vandermonde product with
+    the stack, stacked along axis 0.
     """
     z = np.asarray(points, dtype=complex)
-    n = len(powers)
+    n = len(stack)
     vander = omega.inverse_weight_values(n) * _vandermonde(z, n)
-    return (vander @ powers.reshape(n, -1)).reshape(len(z), *powers.shape[1:])
+    return (vander @ stack.reshape(n, -1)).reshape(len(z), *stack.shape[1:])
 
 
 def _kernel_scalar(omega: WeightSpec, x) -> np.ndarray:
@@ -459,15 +466,16 @@ def _evaluate(cf: CharFunction, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``theta(z) = kron(a(z), I_r) + L(z) W*`` with ``a(z)_j = sqrt(rho_j)
     z^j`` and ``L(z) = sum_j z^j Lambda_j`` (:attr:`CharFunction.coefficient_factors`):
     one Vandermonde product against the ``Lambda`` stack and one product
-    with ``W*`` give the values, one against ``star_powers``
-    (:func:`kernel_poly`) the kernels.
+    with ``W*`` give the values, and one against the rows ``R_j = D T*^j``
+    (:func:`kernel_poly`) the kernels ``D K(z, T*) = sum_j z^j R_j / w_j``,
+    with no ``d x d`` kernel formed.
     """
     n, r = cf.n_terms, cf.defect_dim
     lam = cf.coefficient_factors
     factor = (_vandermonde(z, n + 1) @ lam.reshape(n + 1, -1)).reshape(len(z) * r, lam.shape[2])
     theta = (factor @ cf.triple.w.conj().T).reshape(len(z), r, cf.triple.e_dim)
     _add_selectors(theta, np.sqrt(rho_sequence(cf.omega, n)) * _vandermonde(z, n))
-    dk = cf.defect_min @ kernel_poly(cf.omega, z, cf.star_powers)
+    dk = kernel_poly(cf.omega, z, cf.rows)
     return theta, dk
 
 
@@ -639,12 +647,12 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
 
 def _range_orthogonality(cf: CharFunction) -> float:
     """``||pi* M||`` from its blocks ``T^a P_(n-1-a)``, formed run by run
-    (:func:`partial_isometry_check`)."""
+    (:func:`partial_isometry_check`), with ``T^a`` from the tuple's power stack."""
     n, r, d = cf.n_terms, cf.defect_dim, cf.t.shape[0]
     r_adj = cf.rows.conj().transpose(0, 2, 1)  # R_j*
     # Theta_n only reaches degrees beyond the cutoff
     q = np.cumsum(r_adj @ cf.coefficient_factors[:n], axis=0)
-    tq = cf.star_powers.conj().transpose(0, 2, 1) @ q[::-1]  # T^a Q_(n-1-a)
+    tq = cf.tup.power_stack(0, n) @ q[::-1]  # T^a Q_(n-1-a)
     padded = np.concatenate([r_adj, np.zeros_like(r_adj[:1])])  # R_(a+j)* is zero past the stack
     sqrt_rho = np.sqrt(rho_sequence(cf.omega, n))[None, None, :, None]
     w_adj = cf.triple.w.conj().T

@@ -220,7 +220,8 @@ def _build_from_object(spec: dict, base_dir: Path | None) -> OperatorTuple:
 
 def _sanitize(value):
     if isinstance(value, dict):
-        return {str(k): _sanitize(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+        # key order is left to ``json.dumps(sort_keys=True)`` and ``cli.render_text``
+        return {str(k): _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
     if isinstance(value, (np.floating, float)):

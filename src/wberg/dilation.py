@@ -19,14 +19,16 @@ operators, the tail maps ``Qmin`` folded in.  A pure tuple keeps only the
 full block, and its model is the multi-shift dilation (:func:`pure_dilation`).
 
 Each operator a one-variable step reads is an :class:`~wberg.hyper.OperatorTuple`:
-the first variable is the caller's sub-tuple, whose defect, adjoint powers,
-nilpotency order and tail limit the classification and the purity test
-already formed, and a lifted stage operator is wrapped once.  ``_tail_split``
-(tail coordinates and co-isometry ``U* Q = Q T*``, from the tuple's tail
-limit), ``_lifts`` (``A* G = G T*``) and ``_colift`` (the lift condition and
-the co-lift ``W* Delta = Delta V*`` of a co-isometry) are the one route for
-the rest of the split.  Limits, Douglas solves and lift conditions are all taken
-at ``LIMIT_TOL``.
+the first variable is the caller's sub-tuple, whose defect, nilpotency order
+and tail limit the classification and the purity test already formed, and a
+lifted stage operator is wrapped once.  The rows ``Dmin S*^k`` and ``Delta
+S*^k`` are the stage tuple's row chains (``OperatorTuple.row_chain``), one
+right multiplication by ``S*`` per power, so no stack of ``S*^k`` is
+formed.  ``_tail_split`` (tail coordinates and co-isometry ``U* Q = Q
+T*``, from the tuple's tail limit), ``_lifts`` (``A* G = G T*``) and
+``_colift`` (the lift condition and the co-lift ``W* Delta = Delta V*`` of
+a co-isometry) are the one route for the rest of the split.  Limits,
+Douglas solves and lift conditions are all taken at ``LIMIT_TOL``.
 
 All model operators live in the orthonormalized graded-lex bases from
 :mod:`wberg.bergman`, and none is formed as a matrix: each is an action on
@@ -382,10 +384,12 @@ def _recursive_blocks(
     The defect branch lifts the rest through ``Dmin``, the tail branch
     through ``Qmin``, and co-lifts the tail co-isometry ``U`` onto each of
     its blocks (``v[lab]``, with ``cond[lab]`` the residual of the lift
-    condition).  ``stacks`` holds the block's row chain, one stack
-    ``Dmin S*^k``, ``k < degs``, per coordinate of ``lam``; each ``Qmin`` is
-    folded into the stack of the next coordinate of ``lam`` (on its right),
-    or after the last one into the last stack (on its left).
+    condition).  ``stacks`` holds the block's row chains, one per coordinate
+    of ``lam``: ``Dmin S*^k``, ``k < degs``, for each coordinate but the
+    last, and ``Delta S*^k`` of the block defect ``Delta`` for the last,
+    each by :meth:`~wberg.hyper.OperatorTuple.row_chain`; each ``Qmin`` is
+    folded into the chain of the next coordinate of ``lam`` (on its right),
+    or after the last one into the last chain (on its left).
     """
     if not ops:
         return [((), np.eye(dim, dtype=complex), {}, {}, [])]
@@ -394,13 +398,13 @@ def _recursive_blocks(
     q_min, u = _tail_split(ops[0], f"tail co-isometry at {lab}")
     a_next = _lifts(d_min, ops[1:], rest, "defect intertwiner")
     x_next = _lifts(q_min, ops[1:], rest, "tail intertwiner")
-    star = ops[0].adjoint_stack(0, degs[0])
-    head = d_min @ star if rest else None
+    head = ops[0].row_chain(0, d_min, degs[0]) if rest else None
     out = []
     for lam, delta, v, cond, stacks in _recursive_blocks(
             _staged(a_next), weights[1:], rest, degs[1:], d_min.shape[0]):
         delta = delta @ d_min
-        out.append(((lab,) + lam, delta, v, cond, [head] + stacks if stacks else [delta @ star]))
+        stacks = [head] + stacks if stacks else [ops[0].row_chain(0, delta, degs[0])]
+        out.append(((lab,) + lam, delta, v, cond, stacks))
     for lam, delta, v, cond, stacks in _recursive_blocks(
             _staged(x_next), weights[1:], rest, degs[1:], q_min.shape[0]):
         w_lift, cond_lab = _colift(delta, u, (lab,) + lam, f"co-isometry lift at {lab}")

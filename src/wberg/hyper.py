@@ -31,12 +31,15 @@ cut actually summed, with the exact dropped mass (``_abs_mass``), times the
 norm bounds of the other levels.
 
 The :class:`OperatorTuple` is the one owner of its entries' powers: the
-power, adjoint-power and Gram stacks, one set per variable, the nilpotency
-orders and the tail limits ``lim_k T_i^k T_i*^k`` are formed here and
-nowhere else in the package.  The stacks grow only when a longer prefix is
-asked for; every swap-family member, grid point and vertex value of a tuple,
-every classification run on it, and the dilations and characteristic
-functions built from it read them.  A tail limit is formed once, at
+power and Gram stacks, one pair per variable, the nilpotency orders and the
+tail limits ``lim_k T_i^k T_i*^k`` are formed here and nowhere else in the
+package.  The stacks grow only when a longer prefix is asked for; every
+swap-family member, grid point and vertex value of a tuple, every
+classification run on it, and the dilations and characteristic functions
+built from it read them.  No stack of adjoint powers is formed: a sum reads
+``T*^k`` as ``(T^k)*``, and the rows ``A T*^k`` of a dilation map or a
+column map are a row chain (:meth:`OperatorTuple.row_chain`), one right
+multiplication by ``T*`` per power.  A tail limit is formed once, at
 ``LIMIT_TOL``, by one route that the entry alone decides: a weighted shift
 is scanned and a nilpotent one's tail is exactly zero, any other entry
 doubles (:func:`conjugation_limit`, which stops at its first exactly zero
@@ -196,10 +199,6 @@ class ShiftAction:
         """``S* x``."""
         return self._moved(x, self.dst, self.src)
 
-    def adjoint(self) -> "ShiftAction":
-        """``S*``, the same map read backwards: a real ``S`` has ``S* = S^T``."""
-        return ShiftAction(self.n_idx, self.coeff_dim, self.dst, self.src, self.ratio)
-
     def norm(self) -> float:
         """Spectral norm, exactly: the largest ratio in modulus.
 
@@ -241,7 +240,7 @@ def _weighted_shift(mat: np.ndarray) -> ShiftAction | None:
 
 
 class _OperatorStacks:
-    """Power, adjoint-power and Gram stacks of one matrix, built lazily and grown on demand.
+    """Power and Gram stacks of one matrix, built lazily and grown on demand.
 
     The stacks only ever grow, and a request returns a read-only prefix, so
     a short request after a long one gives the bits of a fresh build.  The
@@ -252,10 +251,11 @@ class _OperatorStacks:
     Whether the matrix is a weighted shift (:func:`_weighted_shift`) is
     observed once, on first use, and held as its index map.  A weighted
     shift ``T`` is multiplied by gather and scale, never by a dense product:
-    each power and adjoint power by :func:`_power_stack`, the nilpotency
-    scan by :func:`_nilpotency_order` on the held index map, the Gram stack
-    ``T^k T*^k`` read as a diagonal, ``T X T*`` with a real diagonal ``X``
-    in ``O(d)`` (:func:`_conjugate`) and ``A T*`` by :meth:`times_adjoint`.
+    each power by :func:`_power_stack`, the nilpotency scan by
+    :func:`_nilpotency_order` on the held index map, the Gram stack ``T^k
+    T*^k`` read as a diagonal, ``T X T*`` with a real diagonal ``X`` in
+    ``O(d)`` (:func:`_conjugate`) and ``A T*`` by :meth:`adjoint_step`,
+    which forms each power of a row chain (:meth:`OperatorTuple.row_chain`).
     Every sum of these products has one nonzero term, so each nonzero entry
     has the bits of the dense product.  Every zero is written as ``+0``
     (``0.0`` is added as the result is stored), the sign a BLAS sum started
@@ -263,13 +263,12 @@ class _OperatorStacks:
     dense route signs no zero otherwise.
     """
 
-    __slots__ = ("mat", "_shift", "_powers", "_adjoints", "_grams", "_nil", "_power_norms",
-                 "_tail")
+    __slots__ = ("mat", "_shift", "_powers", "_grams", "_nil", "_power_norms", "_tail")
 
     def __init__(self, mat: np.ndarray) -> None:
         self.mat = mat
         self._shift: ShiftAction | None | bool = False  # False: not observed yet
-        self._powers = self._adjoints = self._grams = self._tail = None
+        self._powers = self._grams = self._tail = None
         self._nil: tuple[int, int | None] = (0, None)
         self._power_norms: dict[int, float] = {}
 
@@ -287,15 +286,6 @@ class _OperatorStacks:
             self._powers = _power_stack(factor, count, self._powers)
             self._powers.flags.writeable = False
         return self._powers[:count]
-
-    def adjoints(self, count: int) -> np.ndarray:
-        """``[I, T*, ..., T*^(count-1)]``, by sequential products with ``T*``
-        (conjugating :meth:`powers` instead would move the last bits)."""
-        if self._adjoints is None or len(self._adjoints) < count:
-            factor = self.mat.conj().T if self.shift is None else self.shift.adjoint()
-            self._adjoints = _power_stack(factor, count, self._adjoints)
-            self._adjoints.flags.writeable = False
-        return self._adjoints[:count]
 
     def grams(self, count: int) -> np.ndarray:
         """``[T^k T*^k for k < count]``; diagonal for a weighted shift, whose
@@ -315,12 +305,14 @@ class _OperatorStacks:
             self._grams.flags.writeable = False
         return self._grams[:count]
 
-    def times_adjoint(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``A T*`` written into ``out``; one gather for a weighted shift."""
+    def adjoint_step(self):
+        """The step ``(A, out) -> A T*``, written into ``out``, with ``T*``
+        taken once: a dense product, or one gather for a weighted shift."""
         if self.shift is None:
-            return np.matmul(a, self.mat.conj().T, out=out)
+            t_adj = self.mat.conj().T
+            return lambda a, out: np.matmul(a, t_adj, out=out)
         # ``A T* = (T A^T)^T`` for a real ``T``
-        return np.add(self.shift.apply(a.T).T, 0.0, out=out)
+        return lambda a, out: np.add(self.shift.apply(a.T).T, 0.0, out=out)
 
     def nilpotency_order(self, cap: int) -> int | None:
         """Smallest ``k <= cap`` with ``T^k = 0`` exactly, or None."""
@@ -361,10 +353,11 @@ class OperatorTuple:
     """Commuting contractions on a shared finite-dimensional space.
 
     Entries are validated :class:`Operator` objects, so they are read-only;
-    an ``ndarray`` entry is wrapped here.  The tuple owns the power,
-    adjoint-power and Gram stacks, the nilpotency orders and the tail limits
-    of its entries (see :meth:`power_stack` and :meth:`tail_limit`), and
-    the store of classification facts it shares with its sub-tuples.
+    an ``ndarray`` entry is wrapped here.  The tuple owns the power and Gram
+    stacks, the nilpotency orders and the tail limits of its entries (see
+    :meth:`power_stack` and :meth:`tail_limit`), forms the row chains ``A
+    T_i*^k`` (:meth:`row_chain`), and holds the store of classification
+    facts it shares with its sub-tuples.
     """
 
     ops: tuple[Operator, ...]
@@ -417,10 +410,6 @@ class OperatorTuple:
         """Read-only ``[I, T_i, ..., T_i^(count-1)]``, shared by every sum over this tuple."""
         return self._stacks[i].powers(count)
 
-    def adjoint_stack(self, i: int, count: int) -> np.ndarray:
-        """Read-only ``[I, T_i*, ..., T_i*^(count-1)]``, shared like :meth:`power_stack`."""
-        return self._stacks[i].adjoints(count)
-
     def gram_stack(self, i: int, count: int) -> np.ndarray:
         """Read-only ``[T_i^k T_i*^k for k < count]``, built from :meth:`power_stack`."""
         return self._stacks[i].grams(count)
@@ -432,7 +421,18 @@ class OperatorTuple:
     def times_adjoint(self, i: int, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``A T_i*`` written into ``out``, by gather and scale when ``T_i`` is
         a weighted shift (see :class:`_OperatorStacks`)."""
-        return self._stacks[i].times_adjoint(a, out)
+        return self._stacks[i].adjoint_step()(a, out)
+
+    def row_chain(self, i: int, a: np.ndarray, count: int) -> np.ndarray:
+        """``[A, A T_i*, ..., A T_i*^(count-1)]`` as ``(count, *A.shape)``,
+        ``count >= 1``: one :meth:`_OperatorStacks.adjoint_step` per power, a
+        gather for a weighted shift, with ``T_i*`` taken once."""
+        step = self._stacks[i].adjoint_step()
+        out = np.empty((count, *a.shape), dtype=complex)
+        out[0] = a
+        for k in range(1, count):
+            step(out[k - 1], out[k])
+        return out
 
     def tail_limit(self, i: int) -> tuple[np.ndarray, bool]:
         """Read-only tail ``lim_k T_i^k T_i*^k`` and whether its doublings
@@ -487,7 +487,9 @@ def _check_subset(lam: Sequence[int], n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _power_stack(mat, count: int, prefix: np.ndarray | None = None) -> np.ndarray:
-    """Stack ``[I, T, T^2, ...]`` with ``count`` entries.
+    """Stack ``[I, T, T^2, ...]`` with ``count`` entries; the one stack of
+    powers, as adjoint powers are read off it or chained onto rows
+    (:meth:`OperatorTuple.row_chain`).
 
     ``mat`` is the matrix ``T``, or the :class:`ShiftAction` of a weighted
     shift (what :class:`_OperatorStacks` passes for one).  A matrix is

@@ -208,8 +208,8 @@ class Operator:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "re": [float(v) for v in self.mat.real.ravel(order="C")],
-            "im": [float(v) for v in self.mat.imag.ravel(order="C")],
+            "re": self.mat.real.ravel(order="C").tolist(),
+            "im": self.mat.imag.ravel(order="C").tolist(),
         }
 
     @staticmethod

@@ -339,9 +339,6 @@ class TruncatedSeries:
         arr.flat[0] = 1.0
         return TruncatedSeries(arr)
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs + other.coeffs)
-
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return TruncatedSeries(self.coeffs - other.coeffs)
 
@@ -366,7 +363,7 @@ class TruncatedSeries:
         return {
             "n_vars": self.n_vars,
             "degrees": list(self.degrees),
-            "coeffs": [float(v) for v in self.coeffs.ravel(order="C")],
+            "coeffs": self.coeffs.ravel(order="C").tolist(),
         }
 
     @staticmethod

@@ -1,5 +1,6 @@
 """Dense references: the multiplier matrices the block-Toeplitz checks are
-compared against, and triples that hold a given dense completion.
+compared against, triples that hold a given dense completion, and row chains
+``A T*^k`` formed by dense products.
 
 `charfn.partial_isometry_check` takes `M M*` and `pi* M` from the coefficient
 blocks of a characteristic function without forming its multiplier; the tests
@@ -74,3 +75,12 @@ def dense_triple(y: np.ndarray) -> CharTriple:
     s[:, rows - e:] = -y
     s[rows - e:, rows - e:] += np.eye(e)
     return CharTriple(e, np.eye(rows, dtype=complex), s)
+
+
+def dense_row_chain(a: np.ndarray, t: np.ndarray, count: int) -> np.ndarray:
+    """``[A, A T*, ..., A T*^(count-1)]`` by dense products, the reference the
+    row chains of `wberg.hyper.OperatorTuple.row_chain` are compared against."""
+    out = [np.asarray(a, dtype=complex)]
+    for _ in range(1, count):
+        out.append(out[-1] @ np.asarray(t).conj().T)
+    return np.array(out)

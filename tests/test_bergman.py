@@ -11,6 +11,7 @@ from wberg.bergman import (
     shift_matrix,
 )
 from wberg.generators import Lcg
+from wberg.hyper import is_pure, is_W_hypercontraction
 from wberg.linalg import Operator, spectral_norm
 from wberg.series import MultiWeightSpec, WeightSpec, quotient_coeffs
 
@@ -252,8 +253,11 @@ def test_multiplier_block_placement():
 
 def test_multishift_diagonal_defect_hardy():
     space = TruncatedSpace(MultiWeightSpec.of(HARDY), (5,))
-    rep = multishift_purity_and_positivity(space, multishift_tuple(space), [0.5, 0.8])
-    assert rep.diagonal_ok and rep.psd_ok and rep.pure
+    shifts = multishift_tuple(space)
+    rep = multishift_purity_and_positivity(space, shifts, [0.5, 0.8])
+    # grid positivity is what the classification certifies, and purity is is_pure
+    positive = is_W_hypercontraction(shifts, space.weights, r_grid=[0.5, 0.8])
+    assert rep.diagonal_ok and positive.verdict and is_pure(shifts)
     # with constant weights the quotient coefficients give 1-r beyond degree 0
     r = 0.5
     a = quotient_coeffs(HARDY, 1.0, r, 5)
@@ -268,12 +272,11 @@ def test_multishift_diagonal_defect_hardy():
 def test_multishift_report(wtxt, dims):
     w = MultiWeightSpec.parse(wtxt)
     space = TruncatedSpace(w, dims)
-    rep = multishift_purity_and_positivity(
-        space, multishift_tuple(space), [0.4, (0.9, 0.6)]
-    )
+    shifts = multishift_tuple(space)
+    rep = multishift_purity_and_positivity(space, shifts, [0.4, (0.9, 0.6)])
     assert rep.diagonal_ok
-    assert rep.psd_ok
-    assert rep.pure
+    assert is_W_hypercontraction(shifts, w, r_grid=[0.4, (0.9, 0.6)]).verdict
+    assert is_pure(shifts)
     assert rep.max_diagonal_residual < 1e-10
 
 

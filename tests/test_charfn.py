@@ -32,7 +32,7 @@ from wberg.hyper import _power_stack
 from wberg.linalg import Operator, hermitian_norm
 from wberg.series import MultiWeightSpec, WeightSpec
 
-from dense_multiplier import dense_triple, multiplier_matrix
+from dense_multiplier import dense_row_chain, dense_triple, multiplier_matrix
 
 HARDY = WeightSpec.hardy()
 B2 = WeightSpec.bergman(2)
@@ -539,8 +539,7 @@ def test_split_factors_through_the_completion_unitarity(name):
     assert np.max(np.abs(split - factored)) < 64 * EPS, np.max(np.abs(split - factored))
     eye = np.eye(len(gram))
     assert np.max(np.abs(gram - (eye - pi @ pi.conj().T + psi @ psi.conj().T))) < 64 * EPS
-    rows = cf.defect_min @ cf.star_powers
-    assert opnorm(psi) ** 2 <= _psi2(cf, rows) * (1.0 + 1e-12)
+    assert opnorm(psi) ** 2 <= _psi2(cf, cf.rows) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-6, 1e-4])
@@ -566,11 +565,10 @@ def test_split_past_the_budget_is_formed_and_decided_as_before():
     base = char_function(nilpotent_commuting_tuple(1, 6, 1, radius=0.5)[0], HARDY, 8)
     for scale, passes in ((3e-10, True), (1e-6, False)):
         cf = perturbed(base, scale)
-        rows = cf.defect_min @ cf.star_powers
-        _, proved = _split_bound(cf, rows)
+        _, proved = _split_bound(cf, cf.rows)
         assert proved >= 10 * CHAR_TOL
         got = partial_isometry_check(cf)["partial_isometry"]
-        assert got == _formed_split(cf, cf.coefficients()[:cf.n_terms], rows)
+        assert got == _formed_split(cf, cf.coefficients()[:cf.n_terms], cf.rows)
         ref = opnorm(dense_split(cf)[0])
         assert abs(got - ref) < 1e-13 * max(1.0, ref), (got, ref)
         assert (got < CHARFN_BUDGETS["partial_isometry"]) is passes
@@ -604,9 +602,10 @@ def test_coincidence_detects_perturbation():
     noisy = u + 1e-3 * np.eye(t.rows)
     with pytest.raises(NotUnitaryInput, match="conjugating map must be unitary"):
         coincidence_verify(cf, cf2, noisy, [0.3])
-    # certified transports but a wrong function: the residual must show it
+    # certified transports but a wrong function: the residual must show it.
+    # The rows R_j = D T*^j are held, so the fault goes into them as well
     v = random_unitary(4242, cf2.defect_dim).mat
-    wrong = dataclasses.replace(cf2, defect_min=v @ cf2.defect_min)
+    wrong = dataclasses.replace(cf2, defect_min=v @ cf2.defect_min, rows=v @ cf2.rows)
     ok, res = coincidence_verify(cf, wrong, u, [0.3])
     assert not ok and res > 1e-3
 
@@ -700,10 +699,11 @@ def test_batched_evaluation_matches_each_point(op, spec):
     sqrt_rho = np.sqrt(rho_sequence(cf.omega, n))
     scaled_d_blocks = sqrt_rho[:, None, None] * np.stack(d_blocks(cf))
     for z, value in zip(points, stacked):
+        # D K(z, T*) = sum_j z^j R_j / w_j over the held rows R_j = D T*^j
         kernel = np.tensordot(cf.omega.inverse_weight_values(n) * z ** np.arange(n),
-                              cf.star_powers, 1)
+                              cf.rows, 1)
         ref = np.tensordot(z ** np.arange(n), scaled_d_blocks, 1)
-        ref += z * (cf.defect_min @ kernel @ b)
+        ref += z * (kernel @ b)
         assert opnorm(value - ref) <= 1e-14 * scale, z
         assert opnorm(char_function_eval(cf, [z])[0] - value) <= 1e-14 * scale, z
 
@@ -738,28 +738,61 @@ def test_run_charfn_computes_each_defect_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_char_function_builds_its_adjoint_stack_once(monkeypatch):
-    # the column map and every evaluation read the one stack [I, T*, ...]
-    # of the operator's tuple, built by the same sequential products
+def test_char_function_forms_its_rows_once(monkeypatch):
+    # the column map and every evaluation read the one row chain
+    # [D, D T*, ...] of the operator's tuple, built by the same sequential
+    # products as the dense chain
     import wberg.hyper as hyper
 
     t = nilpotent_commuting_tuple(3, 6, 1, radius=0.5)[0]
-    t_adj = t.mat.conj().T
-    builds = []
-    original = hyper._power_stack
+    chains = []
+    original = hyper.OperatorTuple.row_chain
 
-    def counting(mat, count, prefix=None):
-        if np.array_equal(mat, t_adj):
-            builds.append(count)
-        return original(mat, count, prefix)
+    def counting(self, i, a, count):
+        chains.append(count)
+        return original(self, i, a, count)
 
-    monkeypatch.setattr(hyper, "_power_stack", counting)
+    monkeypatch.setattr(hyper.OperatorTuple, "row_chain", counting)
     cf = char_function(t, B2)
     char_function_eval(cf, [0.3])
     key_identity_check(cf, [0.1, 0.2j], [0.3])
     partial_isometry_check(cf)
-    assert builds == [cf.n_terms]
-    assert np.array_equal(cf.star_powers, _power_stack(t_adj, cf.n_terms))
+    assert chains == [cf.n_terms]
+    assert np.array_equal(cf.rows, dense_row_chain(cf.defect_min, t.mat, cf.n_terms))
+
+
+@pytest.mark.parametrize("op", [
+    nilpotent_commuting_tuple(3, 6, 1, radius=0.5)[0].mat,
+    np.array([[0.5 + 0.3j]]),
+], ids=["nil6", "scalar"])
+def test_char_function_rows_take_one_product_per_term_and_no_adjoint_stack(monkeypatch, op):
+    # R_j = R_(j-1) T* is one product with T* per term past the first, and
+    # no stack of T*^j is formed or held
+    import wberg.hyper as hyper
+
+    t_adj = op.conj().T
+    products = []
+    matmul = np.matmul
+
+    def counting(a, b, *args, **kwargs):
+        if b.shape == t_adj.shape and np.array_equal(b, t_adj):
+            products.append(a.shape)
+        return matmul(a, b, *args, **kwargs)
+
+    stacked = []
+    original = hyper._power_stack
+    monkeypatch.setattr(hyper, "_power_stack",
+                        lambda mat, count, prefix=None: stacked.append(mat)
+                        or original(mat, count, prefix))
+    monkeypatch.setattr(np, "matmul", counting)
+    cf = char_function(op, B2)
+    monkeypatch.undo()
+    assert len(products) == cf.n_terms - 1
+    assert all(shape == (cf.defect_dim, op.shape[0]) for shape in products)
+    assert not any(np.array_equal(mat, t_adj) for mat in stacked)
+    assert not hasattr(cf, "star_powers")
+    assert not hasattr(hyper._OperatorStacks, "adjoints")
+    assert cf.rows.shape == (cf.n_terms, cf.defect_dim, op.shape[0])
 
 
 @pytest.mark.parametrize("name", ["charfn-nilpotent-bergman2", "charfn-nilpotent-hardy"])
@@ -932,7 +965,6 @@ def test_charfn_accepting_path_takes_no_completion_sized_eigensolve(monkeypatch,
     # on the accepting path every eigensolve is at most (d + min(e, d))-square,
     # the size block_unitarity reads its residual off; the split is certified
     # by its bound and never assembled
-    import wberg.bergman as bergman
     import wberg.hyper as hyper
     import wberg.linalg as linalg
     from wberg.config import parse_case
@@ -952,7 +984,8 @@ def test_charfn_accepting_path_takes_no_completion_sized_eigensolve(monkeypatch,
         sizes.append(np.shape(a)[-1])
         return original_eigh(a, *args, **kwargs)
 
-    for module in (linalg, hyper, bergman):
+    # the multishift check of bergman runs no eigensolve of its own
+    for module in (linalg, hyper):
         monkeypatch.setattr(module, "_eigvalsh", eigvalsh)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     case = parse_case(dict(data), name=data["name"])
@@ -1271,7 +1304,7 @@ def concatenated_range_orthogonality(cf) -> float:
     """Reference route: the SVD norm of ``pi* M`` with block ``a`` summed term by term."""
     n = cf.n_terms
     theta = cf.coefficients()[:n]
-    adj = (cf.defect_min @ cf.star_powers).conj().transpose(0, 2, 1)
+    adj = cf.rows.conj().transpose(0, 2, 1)
     cross = np.concatenate(
         [np.tensordot(adj[a:], theta[:n - a], axes=([0, 2], [0, 1])) for a in range(n)], axis=1
     )

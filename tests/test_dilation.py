@@ -47,6 +47,8 @@ from wberg.linalg import Operator, hermitian_norm, spectral_norm
 from wberg.pipelines import GENERAL_MODEL_BUDGET, MODEL_NORM_SLACK, PURE_DILATION_BUDGETS
 from wberg.series import MultiWeightSpec, WeightSpec
 
+from dense_multiplier import dense_row_chain
+
 HARDY = WeightSpec.hardy()
 B2 = WeightSpec.bergman(2)
 
@@ -87,7 +89,7 @@ def olofsson_reference(t, omega: WeightSpec) -> dict:
     n_terms = _pure_horizon(tup, 0, omega)
     space = TruncatedSpace(MultiWeightSpec.of(omega), (n_terms,), coeff_dim=d_min.shape[0])
     inv_sqrt_w = 1.0 / np.sqrt(omega.values(n_terms))
-    pi = (inv_sqrt_w[:, None, None] * (d_min @ tup.adjoint_stack(0, n_terms))).reshape(
+    pi = (inv_sqrt_w[:, None, None] * dense_row_chain(d_min, tup[0].mat, n_terms)).reshape(
         -1, tup.dim)
     full_map = np.vstack([pi, q_min])
     model_op = BlockDiagonal((space.shifts[0], LiftedAction(u)))
@@ -206,7 +208,7 @@ def pure_reference(t: OperatorTuple, w: MultiWeightSpec) -> dict:
     stacks = []
     for j in range(t.n):
         _, d_min = _defect_sqrt_pieces(ops[0], w[j])
-        stacks.append(d_min @ ops[0].adjoint_stack(0, degs[j]))
+        stacks.append(dense_row_chain(d_min, ops[0][0].mat, degs[j]))
         ops = _staged(_lifts(d_min, ops[1:], range(j + 1, t.n), f"stage {j} lift"))
     e_dim = stacks[-1].shape[1]
     space = TruncatedSpace(w, degs, coeff_dim=e_dim)
@@ -242,6 +244,23 @@ def test_pure_dilation_is_the_stage_cascade(spec, wtxt):
     for key in ["isometry"] + [f"{f}_{i}" for f in ("intertwining", "compression")
                                for i in range(t.n)]:
         assert res.residuals[key] == ref[key], key
+
+
+def test_pure_multishift_dilation_forms_no_power_stack_past_the_gram(monkeypatch, capsys):
+    # the rows D S*^k of every stage are row chains, so no stage operator
+    # forms a stack of its powers; only the defect's first difference reads
+    # [I, S] through the Gram stack
+    from wberg.cli import main
+
+    counts = []
+    original = hyper._power_stack
+    monkeypatch.setattr(hyper, "_power_stack",
+                        lambda mat, count, prefix=None: counts.append(count)
+                        or original(mat, count, prefix))
+    main(["dilate", "--pure", "--weights", "bergman:2,bergman:2",
+          "--tuple", "multishift:8x8"])
+    assert '"verdict": true' in capsys.readouterr().out
+    assert counts and max(counts) <= 2
 
 
 def test_pure_dilation_single_variable_matches_one_var():

@@ -45,6 +45,8 @@ from wberg.hyper import (
 from wberg.linalg import POSITIVITY_TOL, Operator, psd_check, psd_sqrt
 from wberg.series import MultiWeightSpec, WeightSpec
 
+from dense_multiplier import dense_row_chain
+
 HARDY = WeightSpec.hardy()
 B2 = WeightSpec.bergman(2)
 B3 = WeightSpec.bergman(3)
@@ -159,7 +161,8 @@ def test_weighted_shift_stacks_have_the_dense_bits(wtxt, degrees):
         assert t._stacks[i].shift is not None
         powers = _dense_stack(mat, count)
         assert _same_bits(t.power_stack(i, count), powers)
-        assert _same_bits(t.adjoint_stack(i, count), _dense_stack(mat.conj().T, count))
+        eye = np.eye(t.dim, dtype=complex)
+        assert _same_bits(t.row_chain(i, eye, count), _dense_stack(mat.conj().T, count))
         assert _same_bits(t.gram_stack(i, count), powers @ powers.conj().transpose(0, 2, 1))
         for cap in (1, degrees[i] - 1, degrees[i], t.dim):
             dense = next((k for k in range(1, cap + 1) if not powers[k].any()), None)
@@ -219,7 +222,35 @@ def test_other_matrices_take_the_dense_route(make):
     count = 4
     assert np.array_equal(t.power_stack(0, count), _power_stack(mat, count))
     assert np.array_equal(t.power_stack(0, count), _dense_stack(mat, count))
-    assert np.array_equal(t.adjoint_stack(0, count), _dense_stack(mat.conj().T, count))
+    eye = np.eye(mat.shape[0], dtype=complex)
+    assert np.array_equal(t.row_chain(0, eye, count), _dense_stack(mat.conj().T, count))
+    rows = Lcg(7).complex_matrix(3, mat.shape[0])
+    assert _same_bits(t.row_chain(0, rows, count), dense_row_chain(rows, mat, count))
+
+
+@pytest.mark.parametrize("wtxt, degrees", MULTISHIFTS)
+def test_a_weighted_shift_row_chain_has_the_dense_chain_bits(wtxt, degrees):
+    # each power of a held weighted shift's row chain A T*^k is one gather of
+    # the last, with the bits of the dense chain A @ T^H; its zeros are +0,
+    # where the sign BLAS gives a zero of a complex A depends on the kernel
+    t = multishift_tuple(TruncatedSpace(MultiWeightSpec.parse(wtxt), degrees))
+    count = t.dim + 2
+    for i in range(t.n):
+        assert t._stacks[i].shift is not None
+        for rows in (3, t.dim):
+            a = Lcg(rows + 10 * i).complex_matrix(rows, t.dim)
+            a[:, ::4] = 0.0
+            a[::2, 1::4] = -a[::2, 1::4].real
+            chain = t.row_chain(i, a, count)
+            assert chain.shape == (count, rows, t.dim)
+            assert np.array_equal(chain, dense_row_chain(a, t[i].mat, count))
+            for part in (chain[1:].real, chain[1:].imag):
+                assert not (np.signbit(part) & (part == 0)).any()
+        # nonnegative rows, as the defect coordinates of a multi-shift: the
+        # dense chain signs no zero either, so every bit agrees
+        a = np.abs(Lcg(5 + i).complex_matrix(3, t.dim)).astype(complex)
+        a[:, ::4] = 0.0
+        assert _same_bits(t.row_chain(i, a, count), dense_row_chain(a, t[i].mat, count))
 
 
 def test_a_real_weighted_shift_is_an_index_map():
@@ -230,10 +261,11 @@ def test_a_real_weighted_shift_is_an_index_map():
     assert shift is not None
     assert np.array_equal(shift.to_matrix(), mat)
     assert shift.norm() == 0.75
-    assert np.array_equal(shift.adjoint().to_matrix(), mat.conj().T)
+    eye = np.eye(4, dtype=complex)
+    assert np.array_equal(shift.adjoint_apply(eye), mat.conj().T)
     t = OperatorTuple.of(mat)
     assert np.array_equal(t.power_stack(0, 6), _dense_stack(mat, 6))
-    assert np.array_equal(t.adjoint_stack(0, 6), _dense_stack(mat.conj().T, 6))
+    assert np.array_equal(t.row_chain(0, eye, 6), _dense_stack(mat.conj().T, 6))
     assert t.nilpotency_order(0, 4) is None
 
 
@@ -268,7 +300,8 @@ def test_multishift_classification_takes_no_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("eigensolve"))
     report = is_W_hypercontraction(shifts, w)
     assert report.verdict and len(report.certificates) == 4 * 4 + 9
-    assert multishift_purity_and_positivity(space, shifts, [0.5, 0.9]).psd_ok
+    assert is_W_hypercontraction(shifts, w, r_grid=[0.5, 0.9]).verdict
+    assert multishift_purity_and_positivity(space, shifts, [0.5, 0.9]).diagonal_ok
 
 
 def test_defect_series_truncated_shift_explicit():
