@@ -247,6 +247,24 @@ def test_key_identity_zero_operator_reduces_to_kernel_difference():
         assert key_identity_check(cf, [z], [z]) < 1e-10
 
 
+def formed_key_gaps(cf, zetas, etas):
+    """The pair residuals of the kernel identity from the formed values
+    ``theta(z)`` (``r x e``), with pair products of inner dimension ``e``, as
+    ``(eta, zeta, r, r)``."""
+    theta = char_function_eval(cf, zetas + etas)
+    dk = kernel_poly(cf.omega, zetas + etas, cf.rows)
+    r = cf.defect_dim
+    gaps = np.empty((len(etas), len(zetas), r, r), dtype=complex)
+    for i, eta in enumerate(etas):
+        for j, zeta in enumerate(zetas):
+            x = eta * np.conj(zeta)
+            th_eta, th_zeta = theta[len(zetas) + i], theta[j]
+            gaps[i, j] = (_kernel_scalar(cf.omega, x) * np.eye(r)
+                          - (th_eta @ th_zeta.conj().T) / (1.0 - x)
+                          - dk[len(zetas) + i] @ dk[j].conj().T)
+    return gaps
+
+
 def test_key_identity_grid_is_the_max_over_single_pairs(monkeypatch):
     import wberg.charfn as charfn
 
@@ -254,40 +272,79 @@ def test_key_identity_grid_is_the_max_over_single_pairs(monkeypatch):
     cf = char_function(t, B2)
     grid = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
     evaluated = []
-    original = charfn._evaluate
-    monkeypatch.setattr(charfn, "_evaluate",
+    original = charfn._factors_at
+    monkeypatch.setattr(charfn, "_factors_at",
                         lambda f, z: evaluated.append(z) or original(f, z))
     worst = key_identity_check(cf, grid, grid[:5])
     # grid[:5] lies inside grid: one stacked evaluation of the 25 distinct points
     [points] = evaluated
     assert sorted(points, key=lambda z: (z.real, z.imag)) == sorted(
         grid, key=lambda z: (z.real, z.imag))
-    # the residual of each pair, cut from the stacked pair products (one
-    # product of the stacked values each, as the check forms them) and
-    # normed one by one
-    theta, dk = original(cf, points)
-    where = {p: i for i, p in enumerate(points)}
-    r, e = cf.defect_dim, cf.triple.e_dim
-    zetas, etas = [where[p] for p in grid], [where[p] for p in grid[:5]]
-    outer = theta[etas].reshape(-1, e) @ theta[zetas].reshape(-1, e).conj().T
-    defect = dk[etas].reshape(-1, t.rows) @ dk[zetas].reshape(-1, t.rows).conj().T
-    # eta conj(zeta) for all pairs at once: an array product may round
-    # differently from a scalar one
-    products = np.array(grid[:5])[:, None] * np.conj(grid)[None, :]
-    single = own_products = 0.0
-    for j, zeta in enumerate(grid):
-        for i, eta in enumerate(grid[:5]):
-            x = products[i, j]
-            block = np.s_[i * r:(i + 1) * r, j * r:(j + 1) * r]
-            gap = _kernel_scalar(cf.omega, x) * np.eye(r) - outer[block] / (1.0 - x) - defect[block]
-            single = max(single, opnorm(gap))
-            # the same pair from its own products, which round differently
-            th_eta, th_zeta = theta[where[eta]], theta[where[zeta]]
-            own = (_kernel_scalar(cf.omega, x) * np.eye(r) - (th_eta @ th_zeta.conj().T) / (1.0 - x)
-                   - dk[where[eta]] @ dk[where[zeta]].conj().T)
-            own_products = max(own_products, opnorm(own))
-    assert worst == single
-    assert abs(own_products - single) <= 64 * np.finfo(float).eps
+    # the value reported is the largest Frobenius norm of a pair residual,
+    # each cut from the stacked pair products
+    gaps, allowance = charfn._key_gaps(cf, np.array(grid), np.array(grid[:5]))
+    assert gaps.shape == (5, 25, t.rows, t.rows)
+    assert worst == max(np.linalg.norm(gaps[i, j]) for i in range(5) for j in range(25))
+    # each pair checked on its own rounds differently, within the allowance
+    single = max(key_identity_check(cf, [zeta], [eta]) for zeta in grid for eta in grid[:5])
+    assert abs(single - worst) <= allowance
+    # and every pair residual agrees with the one formed from the values
+    # theta(z) themselves
+    formed = formed_key_gaps(cf, grid, grid[:5])
+    assert np.max(np.linalg.norm(gaps - formed, axis=(2, 3))) <= allowance
+
+
+@pytest.mark.parametrize("op,spec", [
+    (nilpotent_commuting_tuple(3, 8, 1, radius=0.5)[0].mat, HARDY),
+    (nilpotent_commuting_tuple(1, 16, 1, radius=0.5)[0].mat, B2),
+    (np.array([[0.95 * np.exp(0.3j)]]), WeightSpec.bergman(2.5)),
+    (nilpotent_commuting_tuple(4, 6, 1, radius=0.5)[0].mat, WeightSpec.bergman(2.5)),
+], ids=["hardy-nil8", "bergman2-nil16", "bergman2.5-scalar0.95", "bergman2.5-nil6"])
+def test_factored_key_identity_agrees_with_the_formed_one(op, spec):
+    # the residuals through the r x d factors differ from the ones formed
+    # with pair products of inner dimension e by rounding only, within the
+    # allowance the check adds to their Frobenius norms
+    import wberg.charfn as charfn
+
+    cf = char_function(op, spec)
+    grid = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
+    gaps, allowance = charfn._key_gaps(cf, np.array(grid), np.array(grid[:5]))
+    formed = formed_key_gaps(cf, grid, grid[:5])
+    assert np.max(np.linalg.norm(gaps - formed, axis=(2, 3))) <= allowance
+    assert allowance < 0.1 * CHAR_TOL
+    spectral = float(np.max(np.linalg.svd(formed, compute_uv=False)))
+    reported = key_identity_check(cf, grid, grid[:5])
+    assert spectral <= reported <= math.sqrt(cf.defect_dim) * spectral + allowance
+
+
+def test_key_identity_forms_no_value_stack_completion_or_svd(monkeypatch):
+    # bergman:2 nilpotent:1:16:1:0.5: the accepting path reads the r x d
+    # factors and K = W* W only
+    import tracemalloc
+
+    import wberg.charfn as charfn
+
+    cf = char_function(nilpotent_commuting_tuple(1, 16, 1, radius=0.5)[0], B2)
+    grid = [0.1 * (i - 2) + 0.1j * (j - 2) for i in range(5) for j in range(5)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the accepting path took a formed route")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(CharTriple, "completion", refuse)
+    monkeypatch.setattr(charfn, "char_function_eval", refuse)
+    monkeypatch.setattr(type(cf), "coefficients", refuse)
+    tracemalloc.start()
+    try:
+        worst = key_identity_check(cf, grid, grid[:5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert worst < 1e-12
+    # one (P, r, e) stack of complex values for the 25 points would take
+    # 25 * 16 * 384 * 16 bytes; the whole check stays below that
+    assert (cf.defect_dim, cf.triple.e_dim) == (16, 384)
+    assert peak < 25 * 16 * 384 * 16
 
 
 def test_kernel_scalar_matches_the_closed_form():
@@ -316,6 +373,13 @@ def test_kernel_scalar_on_an_explicit_list():
 def test_key_identity_near_the_circle_raises_instead_of_a_spurious_residual():
     cf = char_function(np.array([[0.5]]), B2)
     assert key_identity_check(cf, [0.5], [0.5]) < 1e-9
+    # the 33-term function is cut where the scalar kernel is not: a residual
+    # formed at these points is the truncation's (3.1e-6, 2.6e-2, 3.56 and
+    # 1.3e3), not a failed identity
+    assert cf.n_terms == 33
+    for z in (0.8, 0.9, 0.95, 0.99):
+        with pytest.raises(HorizonTooShort, match="past the function's 33 terms"):
+            key_identity_check(cf, [z], [z])
     z = 0.999**0.5  # eta conj(zeta) = 0.999: the kernel sum needs ~30k terms
     with pytest.raises(HorizonTooShort):
         key_identity_check(cf, [z], [z])
