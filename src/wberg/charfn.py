@@ -1,13 +1,15 @@
 """Characteristic triples and characteristic functions of pure hypercontractions.
 
-For a pure hypercontraction ``T`` with defect square root ``D`` the column map
+For a pure hypercontraction ``T`` with defect square root ``D`` the column
+map
 
     C h = ( sqrt(rho_n) D T*^n h )_{n >= 0},   rho_0 = 1,
     rho_n = 1/w_n - 1/w_{n-1},
 
 stacks with ``T*`` into an isometry; completing that isometry to a unitary
 block matrix ``[[T*, B], [C, D-blocks]]`` yields a characteristic triple
-``(E, B, {D_n})``, unique up to a right unitary.  Its characteristic function
+``(E, B, {D_n})``, unique up to a right unitary.  The characteristic
+function
 
     theta(z) = sum_n sqrt(rho_n) D_n z^n + z D K(z, T*) B,
     K(z, A) = sum_n z^n A^n / w_n,
@@ -19,22 +21,39 @@ level and the checks below return the residuals.
 
 The completion ``Y = [B; D]`` is held as the compact WY factors of the
 Householder QR of ``X = [T*; C]``: ``Y = E - V S W*`` with ``E = [0; I_e]``
-and ``W`` the last ``e`` rows of ``V`` (:class:`CharTriple`), where ``d`` is
-the operator's dimension, ``r`` the defect's and ``e`` the completion's, far
-the largest.  The coefficients are ``Theta_k = sqrt(rho_k) J_k + Lambda_k
-W*``, ``J_k`` the selector of block ``k`` and ``Lambda_k`` of size ``r x
-d``, so ``theta(z) = kron(a(z), I_r) + L(z) W*``.  The rows ``R_j = D
-T*^j`` are formed once, by one right multiplication by ``T*`` per term
-(``OperatorTuple.row_chain``), and no stack of ``T*^j`` is formed.
+and ``W`` the last ``e`` rows of ``V`` (:class:`CharTriple`), an identity
+plus a term of rank ``d``, the operator's dimension, where ``e`` is the
+completion's dimension and far larger.  Each residual is computed at the
+size where it lives, from ``r x e`` and ``d x e`` arrays at most (``r`` the
+defect's dimension); no ``e``-square matrix is formed on the accepting
+path.  The coefficients are ``Theta_k = sqrt(rho_k) J_k + Lambda_k W*``,
+with ``J_k`` the selector of block ``k`` and ``Lambda_k`` of size ``r x
+d``, so ``theta(z) = kron(a(z), I_r) + L(z) W*``.  The orthogonality defect
+``Y* Y - I = W Delta W*`` is read off ``d``-square products
+(:attr:`CharTriple.orthogonality`).  The unitarity of the completed block
+matrix is read off a ``(d + min(e, d))``-square matrix
+(:func:`block_unitarity`, held on the function), the range orthogonality
+``pi* M = 0`` off a ``d``-square Gram matrix.  The split ``pi pi* + M M* =
+I`` factors exactly through ``U U* - I`` of the completed block matrix
+``U``, so it is certified by a proved bound from the block unitarity, the
+orthogonality defect and the ``d``-sized blocks ``D T*^j``
+(:func:`partial_isometry_check`); no eigensolve runs on the completion
+space, and the split is assembled only when that bound cannot decide.  The
+transport ``tau`` between the completions of ``T`` and ``u T u*`` is
+applied through its factors and certified unitary by a proved bound from a
+``d``-square Gram matrix and both orthogonality defects
+(:func:`coincidence_verify`); it is formed only when that bound cannot
+decide.  Every bound carries a rounding allowance derived from the sizes of
+its formed products (:func:`_gamma`).  Evaluations take a whole point set
+at once: one Vandermonde product per coefficient stack.  The kernel identity
+is read off the factors ``a(z)``, ``L(z)`` and ``K = W* W``, with no value
+``theta(z)`` formed and no product of inner dimension ``e`` beyond ``K``
+(:func:`key_identity_check`).
 
-Each check works at the size where its residual lives, from ``r x e`` and
-``d x e`` arrays at most, so no ``e``-square matrix is formed on the
-accepting path: the kernel identity, for one, reads the ``r x d`` factors of
-each pair product and ``K = W* W`` (:func:`key_identity_check`).  Each
-decision is a bound with a rounding allowance derived from the sizes of its
-formed products (:func:`_gamma`), and the dense quantity is formed only when
-the bound cannot decide.  Evaluations take a whole point set at once: one
-Vandermonde product per coefficient stack.
+The rows ``R_j = D T*^j`` are formed once, by one right multiplication by
+``T*`` per term (``OperatorTuple.row_chain``).  The column map, the
+coefficients, the kernel term ``D K(z, T*)`` and the split bound all read
+them, and no stack of ``T*^j`` is formed.
 """
 
 from __future__ import annotations
@@ -116,10 +135,11 @@ class CharTriple:
     ``e`` rows of ``V``: ``B = -V_top S W*`` is the first ``d = N - e`` rows
     and ``D = I_e - W S W*`` the rest, stacked from the blocks ``D_n`` of
     equal height, one per term (:attr:`CharFunction.n_terms`).  A completed
-    triple holds the Householder factors of :func:`linalg.complete_to_unitary`
-    (``k = d``), so no ``e``-square matrix is held; the same form holds any
-    ``N x e`` matrix ``Y``, for instance with ``V = I_N`` and ``S = [0 | E -
-    Y]``.  :meth:`completion` forms ``Y``.
+    triple holds the Householder factors of
+    :func:`linalg.complete_to_unitary` (``k = d``), so no
+    ``e``-square matrix is held; the same form holds any ``N x e`` matrix
+    ``Y``, for instance with ``V = I_N`` and ``S = [0 | E - Y]``.
+    :meth:`completion` forms ``Y``.
     """
 
     e_dim: int
@@ -142,10 +162,13 @@ class CharTriple:
         return self.w.conj().T @ self.w
 
     def completion(self) -> np.ndarray:
-        """``Y = [B; D]``, formed (:func:`linalg.complement_columns`): the one
-        route to the dense blocks, read only where an ``e``-square matrix is
-        formed, by :func:`uniqueness_unitary` and the formed transport of
-        :func:`coincidence_verify`."""
+        """``Y = [B; D]``, formed (:func:`linalg.complement_columns`).
+
+        The one route to the dense blocks; only the routes that form an
+        ``e``-square matrix read it: the transition of
+        :func:`uniqueness_unitary` and the formed transport of
+        :func:`coincidence_verify`.
+        """
         return complement_columns(self.v, self.s, self.e_dim)
 
     @cached_property
@@ -173,9 +196,11 @@ class CharTriple:
         sqrt(gamma) ||Delta~||_F ||W||_F^2``: a relative error on
         ``Delta~``'s own size.  The allowance is the sum of both terms.
         """
-        v, s, w, k_w, e = self.v, self.s, self.w, self.gram, self.e_dim
+        v, s, w = self.v, self.s, self.w
         rows, k = v.shape
+        e = self.e_dim
         g = v.conj().T @ v
+        k_w = self.gram
         delta = s.conj().T @ g @ s - s - s.conj().T
         value = math.sqrt(max(np.vdot(k_w @ delta, delta @ k_w).real, 0.0))
         w_fro2 = float(np.linalg.norm(w)) ** 2
@@ -209,8 +234,10 @@ def _cross(triple: CharTriple, top: np.ndarray, bottom: np.ndarray) -> tuple[np.
 
 
 def _add_selectors(theta: np.ndarray, a: np.ndarray) -> None:
-    """Add ``kron(a[p], I_r)`` to each ``r x n r`` slice ``theta[p]``, in
-    place: ``a`` is ``(P, n)`` and ``a[p, j]`` goes on the diagonal of block ``j``."""
+    """Add ``kron(a[p], I_r)`` to each ``r x n r`` slice ``theta[p]``, in place.
+
+    ``a`` is ``(P, n)``: ``a[p, j]`` goes on the diagonal of block ``j``.
+    """
     p, r, e = theta.shape
     diag = np.arange(r)
     theta.reshape(p, r, e // r, r)[:, diag, :, diag] += a
@@ -268,9 +295,11 @@ class CharFunction:
         ``Theta_j = sqrt(rho_j) D_j + v_(j-1) R_(j-1) B`` with ``D_j = J_j -
         W_j S W*``, ``B = -V_top S W*`` and ``v_j = 1 / w_j`` gives
         ``Lambda_j = -(sqrt(rho_j) W_j + v_(j-1) R_(j-1) V_top) S``; the
-        ``W_j`` term is absent for ``j = n_terms``, the ``R`` term for ``j = 0``.
+        ``W_j`` term is absent for ``j = n_terms`` and the ``R`` term for
+        ``j = 0``.
         """
-        n, r, triple = self.n_terms, self.defect_dim, self.triple
+        n, r = self.n_terms, self.defect_dim
+        triple = self.triple
         k = triple.s.shape[0]
         lam = np.zeros((n + 1, r, k), dtype=complex)
         lam[:n] = np.sqrt(rho_sequence(self.omega, n))[:, None, None] * triple.w.reshape(n, r, k)
@@ -281,7 +310,8 @@ class CharFunction:
         """Polynomial coefficients of degree 0 .. n_terms, formed from their
         factors and stacked along axis 0: ``(n_terms + 1)`` blocks of size
         ``defect_dim x e_dim``, which only the formed split reads."""
-        n, r, lam = self.n_terms, self.defect_dim, self.coefficient_factors
+        n, r = self.n_terms, self.defect_dim
+        lam = self.coefficient_factors
         out = (lam.reshape((n + 1) * r, -1) @ self.triple.w.conj().T).reshape(n + 1, r, -1)
         _add_selectors(out[:n], np.diag(np.sqrt(rho_sequence(self.omega, n))))
         return out
@@ -304,7 +334,8 @@ def char_function(t, omega: WeightSpec, n_terms: int | None = None) -> CharFunct
     The column contraction ``C h = (sqrt(rho_n) D T*^n h)_n`` is certified by
     the exact identity ``I - C*C = T T*`` to ``10 CHAR_TOL`` (a horizon too
     short to keep the column mass raises :class:`HorizonTooShort`), then
-    ``[T*; C]`` is completed to a unitary, whence ``(E, B, {D_n})``.
+    ``[T*; C]`` is completed to a unitary, from which ``(E, B, {D_n})`` split
+    off.
     """
     tup = _one_tuple(t)
     mat = tup[0].mat
@@ -377,9 +408,10 @@ def _vandermonde(z: np.ndarray, n: int) -> np.ndarray:
 def kernel_poly(omega: WeightSpec, points, stack: np.ndarray) -> np.ndarray:
     """Series ``sum_n z^n X_n / w_n`` over a stack ``[X_0, X_1, ...]``.
 
-    Over the powers ``X_n = A^n`` it is the kernel ``K(z, A)``, over the rows
-    ``R_n = D T*^n`` of a function ``D K(z, T*)``; the values at all
-    ``points`` come from one Vandermonde product, stacked along axis 0.
+    Over the powers ``X_n = A^n`` it is the kernel ``K(z, A)``, and over the
+    rows ``R_n = D T*^n`` of a function it is ``D K(z, T*)``.  The values at
+    every point ``z`` of ``points`` come from one Vandermonde product with
+    the stack, stacked along axis 0.
     """
     z = np.asarray(points, dtype=complex)
     n = len(stack)
@@ -395,9 +427,10 @@ def _kernel_scalar(omega: WeightSpec, x) -> np.ndarray:
     total, and entries that have converged take no further chunk.  Raises
     :class:`HorizonTooShort` when ``KERNEL_CAP`` terms do not converge, as
     they do not for ``|x|`` close to 1, instead of returning a partial sum.
-    An explicit weight list caps the sum at its length; no chunk follows the
-    one its end cuts short, so there the sum is accepted when the last term
-    alone passes the chunk test, and otherwise the error names the length.
+    An explicit weight list caps the sum at its length.  No chunk follows
+    the one its end cuts short, so there the sum is accepted when the last
+    term alone passes the chunk test; otherwise the error names the list's
+    length.
     """
     x = np.asarray(x, dtype=complex)
     flat = x.ravel()
@@ -436,48 +469,62 @@ def _disc_points(points: Sequence[complex]) -> np.ndarray:
 
 
 def _factors_at(cf: CharFunction, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a(z)_j = sqrt(rho_j) z^j`` and ``L(z) = sum_j z^j Lambda_j`` at each
-    point, ``(P, n)`` and ``(P, r, d)``, from one Vandermonde matrix."""
-    n, lam = cf.n_terms, cf.coefficient_factors
+    """``a(z)`` and ``L(z)`` at each point, stacked as ``(P, n)`` and ``(P, r, d)``.
+
+    ``a(z)_j = sqrt(rho_j) z^j`` and ``L(z) = sum_j z^j Lambda_j``
+    (:attr:`CharFunction.coefficient_factors`), from one Vandermonde matrix,
+    so that ``theta(z) = kron(a(z), I_r) + L(z) W*``.
+    """
+    n = cf.n_terms
+    lam = cf.coefficient_factors
     vander = _vandermonde(z, n + 1)
-    return (np.sqrt(rho_sequence(cf.omega, n)) * vander[:, :n],
-            (vander @ lam.reshape(n + 1, -1)).reshape(len(z), *lam.shape[1:]))
+    a = np.sqrt(rho_sequence(cf.omega, n)) * vander[:, :n]
+    big_l = (vander @ lam.reshape(n + 1, -1)).reshape(len(z), *lam.shape[1:])
+    return a, big_l
 
 
 def char_function_eval(cf: CharFunction, points: Sequence[complex]) -> np.ndarray:
-    """The function at each point of the open disc, stacked as ``(len(points),
-    r, e)``: ``theta(z) = kron(a(z), I_r) + L(z) W*`` (:func:`_factors_at`),
-    with one product with ``W*``.  A single point is a one-element list."""
+    """The function at each point of the open disc, stacked as ``(len(points), r, e)``.
+
+    ``theta(z) = kron(a(z), I_r) + L(z) W*`` from the factors
+    (:func:`_factors_at`) and one product with ``W*``.  A single point is a
+    one-element list.
+    """
     a, big_l = _factors_at(cf, _disc_points(points))
-    theta = big_l.reshape(-1, big_l.shape[2]) @ cf.triple.w.conj().T
+    theta = (big_l.reshape(-1, big_l.shape[2]) @ cf.triple.w.conj().T)
     theta = theta.reshape(len(a), cf.defect_dim, cf.triple.e_dim)
     _add_selectors(theta, a)
     return theta
 
 
 def _key_gaps(cf: CharFunction, zetas: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, float]:
-    """The pair residuals of :func:`key_identity_check`, through the factors
-    and stacked as ``(eta, zeta, r, r)``, and their rounding allowance."""
-    n, r, e, k = cf.n_terms, cf.defect_dim, cf.triple.e_dim, cf.triple.s.shape[0]
-    v, lam, w = cf.omega.inverse_weight_values(n), cf.coefficient_factors, cf.triple.w
+    """The pair residuals of :func:`key_identity_check`, stacked as ``(eta,
+    zeta, r, r)``, and their rounding allowance, formed from the factors."""
+    n, r, e = cf.n_terms, cf.defect_dim, cf.triple.e_dim
+    k = cf.triple.s.shape[0]
+    v = cf.omega.inverse_weight_values(n)
+    lam, w = cf.coefficient_factors, cf.triple.w
     x = etas[:, None] * zetas.conj()[None, :]
     t = float(np.max(np.abs(x)))
     kernel = float(_kernel_scalar(cf.omega, t).real)
-    tail = kernel - float(v @ t ** np.arange(n))
+    tail = kernel - float(v @ t ** np.arange(n)) - v[n - 1] * t**n / (1.0 - t)
     if tail > CHAR_TOL:
         raise HorizonTooShort(f"scalar kernel tail {tail:.3e} at |eta zeta| = {t:.6g} past the "
                               f"function's {n} terms; increase the number of terms")
     where = {p: i for i, p in enumerate(dict.fromkeys([*zetas, *etas]))}
-    z, ie, iz = np.array(list(where)), [where[p] for p in etas], [where[p] for p in zetas]
+    z = np.array(list(where), dtype=complex)
+    rows_e = [where[p] for p in etas]
+    rows_z = [where[p] for p in zetas]
     a, big_l = _factors_at(cf, z)
     big_a = (a @ w.reshape(n, -1)).reshape(big_l.shape)
-    left = np.concatenate([big_a, big_l], axis=2)[ie].reshape(-1, 2 * k)
-    right = np.concatenate([big_l, big_a + big_l @ cf.triple.gram], axis=2)[iz].reshape(-1, 2 * k)
-    dk = kernel_poly(cf.omega, z, cf.rows)
-    gaps = (left @ right.conj().T).reshape(len(etas), r, len(zetas), r)
-    _add_selectors(gaps.reshape(len(etas), r, -1), a[ie] @ a[iz].conj().T)  # theta theta*
+    # theta(eta) theta(zeta)* = <a(eta), a(zeta)> I + [A | L](eta) [L | A + L K](zeta)*
+    left = np.concatenate([big_a, big_l], axis=2)[rows_e].reshape(-1, 2 * k)
+    right = np.concatenate([big_l, big_a + big_l @ cf.triple.gram], axis=2)[rows_z]
+    gaps = (left @ right.reshape(-1, 2 * k).conj().T).reshape(len(etas), r, len(zetas), r)
+    _add_selectors(gaps.reshape(len(etas), r, -1), a[rows_e] @ a[rows_z].conj().T)
     gaps /= (x - 1.0)[:, None, :, None]
-    gaps -= (dk[ie].reshape(-1, k) @ dk[iz].reshape(-1, k).conj().T).reshape(gaps.shape)
+    dk = kernel_poly(cf.omega, z, cf.rows)
+    gaps -= (dk[rows_e].reshape(-1, k) @ dk[rows_z].reshape(-1, k).conj().T).reshape(gaps.shape)
     _add_selectors(gaps.reshape(len(etas), r, -1), _kernel_scalar(cf.omega, x))
     # Frobenius bounds of the absolute-value chains at rho = max |z|
     powers = float(np.max(np.abs(z))) ** np.arange(n + 1)
@@ -496,34 +543,40 @@ def key_identity_check(
     """Largest residual of the kernel identity over all pairs ``(zeta, eta)``.
 
     ``K(eta, zeta) I - theta(eta) theta(zeta)* / (1 - eta conj(zeta))``
-    must equal ``D K(eta, T*) K(conj(zeta), T) D`` in the defect coordinates
-    (``K(conj(zeta), T) = K(zeta, T*)*``); one pair is checked by passing
-    one-element lists.  The function and ``D K(z, T*)`` stop at ``n =
-    n_terms`` terms, so at ``t = max |eta conj(zeta)|`` a scalar-kernel tail
-    ``k(t) - sum_(j < n) t^j / w_j`` above ``CHAR_TOL``, ``k(t) = sum_j t^j /
-    w_j``, is a truncation, not a failed identity, and raises
-    :class:`HorizonTooShort` before any pair is formed.  With ``A(z) = sum_j
-    a_j(z) W_j`` (``r x d``) and ``K = W* W`` (:attr:`CharTriple.gram`),
-    ``theta(z) = kron(a(z), I_r) + L(z) W*`` (:func:`char_function_eval`)
-    gives ``theta(eta) theta(zeta)* = <a(eta), a(zeta)> I + A(eta) L(zeta)* +
-    L(eta) (A(zeta) + L(zeta) K)*``: every product has inner dimension ``n +
-    1``, ``2d`` or ``d``.
+    must equal ``D K(eta, T*) K(conj(zeta), T) D`` in the defect coordinates,
+    where ``K(conj(zeta), T) = K(zeta, T*)*``.  With ``A(z) = sum_j a_j(z)
+    W_j`` (``r x d``) and ``K = W* W`` (:attr:`CharTriple.gram`), ``theta(z)
+    = kron(a(z), I_r) + L(z) W*`` gives ``theta(eta) theta(zeta)* = <a(eta),
+    a(zeta)> I + A(eta) L(zeta)* + L(eta) (A(zeta) + L(zeta) K)*``.  The
+    factors are evaluated once, at the distinct points of ``zetas`` and
+    ``etas`` together (:func:`_factors_at`); all pair products come from one
+    matrix product of inner dimension ``2d``, and all ``D K(eta, T*) (D
+    K(zeta, T*))*`` from one of inner dimension ``d``.  A single pair is
+    checked by passing one-element lists.
+
+    With ``x = eta conj(zeta)`` and ``n = n_terms``, ``<a(eta), a(zeta)> /
+    (1 - x) = sum_k x^k / w_min(k, n-1)``, so the function misses ``sum_(k
+    >= n) (1/w_k - 1/w_(n-1)) x^k`` of the scalar kernel (nothing for Hardy
+    weights).  That tail, taken at ``t = max |x|``, is a truncation, not a
+    failed identity: above ``CHAR_TOL`` it raises :class:`HorizonTooShort`
+    before any pair is formed.
 
     The largest Frobenius norm of a pair residual is reported when, with the
     allowance ``gamma_m (s_theta^2 / (1 - t) + s_D^2) + gamma_(4 KERNEL_CAP)
-    sqrt(r) k(t)`` (:func:`_gamma`) added, it is below ``CHAR_TOL``;
-    otherwise one batched SVD norms the residuals and the largest is
-    reported.  At ``rho = max |z|``, the absolute-value chains of ``theta``
-    and ``D K`` have Frobenius norms at most ``s_theta = sqrt(r sum_j rho_j
-    rho^(2j)) + ||W||_F sum_j rho^j ||Lambda_j||_F`` and ``s_D = sum_j rho^j
-    ||R_j||_F / w_j``; ``m = 8n + e + 3d + 32 + 3 / (1 - t)`` sums the counts
-    along a chain (``3n`` Vandermonde rows, ``n + 3`` per factor, ``e + 2``
-    for ``K``, ``d + 2`` and ``2d + 2`` for the products, ``11 + 3 / (1 -
-    t)`` for the division (Higham, section 3.6), 2 for the subtractions); the
+    sqrt(r) k(t)`` (:func:`_gamma`, ``k(t) = sum_k t^k / w_k``) added, it is
+    below ``CHAR_TOL``; otherwise one batched SVD norms the residuals and
+    the largest is reported.  At ``rho = max |z|``, ``s_theta = sqrt(r sum_j
+    rho_j rho^(2j)) + ||W||_F sum_j rho^j ||Lambda_j||_F`` and ``s_D = sum_j
+    rho^j ||R_j||_F / w_j`` bound the absolute-value chains of ``theta`` and
+    ``D K``; ``m = 8n + e + 3d + 32 + 3 / (1 - t)`` sums the counts along a
+    chain (``3n`` Vandermonde rows, ``n + 3`` per factor, ``e + 2`` for
+    ``K``, ``d + 2`` and ``2d + 2`` for the products, ``11 + 3 / (1 - t)``
+    for the division (Higham, section 3.6), 2 for the subtractions), and the
     scalar kernel counts ``KERNEL_CAP`` terms of at most ``3 KERNEL_CAP``
     products each.
     """
-    zetas, etas = _disc_points(zetas), _disc_points(etas)
+    zetas = _disc_points(zetas)
+    etas = _disc_points(etas)
     if not cf.defect_dim or not zetas.size or not etas.size:
         return 0.0
     gaps, allowance = _key_gaps(cf, zetas, etas)
@@ -587,16 +640,17 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
     rows), and not assembled.  With ``v_j = 1 / w_j``, each coefficient is
     ``Theta_j = Phi_j Y``, ``Phi_j = [v_(j-1) R_(j-1) | sqrt(rho_j) E_j]``,
     where ``E_j`` picks block ``j`` of the D-stack and the ``R`` term is
-    absent for ``j = 0``; ``rho_j = v_j - v_(j-1)`` gives ``Phi_j X = v_j
-    R_j``.  Let ``S_a`` (``n r x N``) have block row ``sqrt(w_b) Phi_(b-a)``
-    for ``b >= a`` and zeros above, so that ``M M* = sum_a S_a Y Y* S_a*``,
-    and put ``Y Y* = I - X X* + (U U* - I)``.  Then ``sum_a S_a X X* S_a* =
-    Psi Psi*`` with block ``Psi[b, a] = sqrt(w_b) v_(b-a) R_(b-a)``.  In
-    ``sum_a S_a S_a*`` the ``E`` blocks, orthogonal for distinct ``j``,
-    telescope to ``w_b sum_(j <= b) rho_j = w_b v_b = 1`` on the diagonal,
-    and the ``R`` blocks are the terms of ``Psi Psi*`` shifted by one step of
-    ``a``, short of its ``a = 0`` term, which is ``pi pi*``.  So, exactly at
-    the truncation and with no tail term,
+    absent for ``j = 0``; ``rho_j = v_j - v_(j-1)`` gives
+    ``Phi_j X = v_j R_j``.  Let ``S_a`` (``n r x N``) have block row
+    ``sqrt(w_b) Phi_(b-a)`` for ``b >= a`` and zeros above, so that
+    ``M M* = sum_a S_a Y Y* S_a*``, and put ``Y Y* = I - X X* + (U U* - I)``.
+    Then ``sum_a S_a X X* S_a* = Psi Psi*`` with block
+    ``Psi[b, a] = sqrt(w_b) v_(b-a) R_(b-a)``.  In ``sum_a S_a S_a*`` the
+    ``E`` blocks, orthogonal for distinct ``j``, telescope to
+    ``w_b sum_(j <= b) rho_j = w_b v_b = 1`` on the diagonal, and the ``R``
+    blocks are the terms of ``Psi Psi*`` shifted by one step of ``a``, short
+    of its ``a = 0`` term, which is ``pi pi*``.  So, exactly at the
+    truncation and with no tail term,
 
         sum_a S_a S_a* = I - pi pi* + Psi Psi*,
         pi pi* + M M* - I = sum_a S_a (U U* - I) S_a*.
@@ -608,27 +662,28 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
 
     with ``beta`` the :func:`block_unitarity` residual and the second step
     Weyl's inequality, as proved there.  ``||Psi||^2`` is bounded by the
-    smaller of the Frobenius bound ``sum_j v_j^2 ||R_j||_F^2 sum_(b >= j)
-    w_b`` and the block-shift bound ``(sum_j v_j ||R_j|| max_(b >= j)
-    sqrt(w_b))^2``: ``Psi`` is the sum over ``j`` of its ``j``-th block
-    diagonal, a block shift of norm at most ``v_j ||R_j|| max_(b >= j)
-    sqrt(w_b)``, which is ``sqrt(v_j) ||R_j||`` for nonincreasing weights.
-    The work is the orthogonality defect of the triple, from ``d``-square
-    products (:attr:`CharTriple.orthogonality`), and the norms of the ``n``
-    ``r x d`` blocks ``R_j``; no eigensolve runs on the completion space and
-    no ``e``-square matrix is formed.
+    smaller of the Frobenius bound
+    ``sum_j v_j^2 ||R_j||_F^2 sum_(b >= j) w_b`` and the block-shift bound
+    ``(sum_j v_j ||R_j|| max_(b >= j) sqrt(w_b))^2``: ``Psi`` is the sum over
+    ``j`` of its ``j``-th block diagonal, a block shift of norm at most
+    ``v_j ||R_j|| max_(b >= j) sqrt(w_b)``, which is ``sqrt(v_j) ||R_j||``
+    for nonincreasing weights.  The work is the orthogonality defect of the
+    triple, from ``d``-square products (:attr:`CharTriple.orthogonality`),
+    and the norms of the ``n`` ``r x d`` blocks ``R_j``; no eigensolve runs
+    on the completion space and no ``e``-square matrix is formed.
 
     The residual reported is the bound ``(1 + psi2) (beta + ||Y* Y -
     I||_F)`` when, with the rounding allowances of its formed parts added,
     it stays below ``10 CHAR_TOL``: that of ``beta`` (:func:`block_unitarity`)
-    and that of the orthogonality defect, both derived from the sizes of the
-    formed products (:func:`_gamma`).  The norms and ``psi2`` carry only
+    and that of the orthogonality defect, both derived from the sizes of
+    the formed products (:func:`_gamma`).  The norms and ``psi2`` carry only
     relative errors, of order ``N^2 u`` at most; on a bound near ``10
-    CHAR_TOL`` that is far below the allowance, which is at least ``gamma_N
-    d``.  Otherwise the split is formed: the Gram matrix of the coefficient
-    blocks summed along block diagonals and rescaled by ``sqrt(w_b w_b')``,
-    plus ``pi pi*``, and its residual, read off its extreme eigenvalues, is
-    reported, so every verdict is the one the formed residual gives.
+    CHAR_TOL`` that is far below the allowance, which is at least
+    ``gamma_N d``.  Otherwise the split is formed: the Gram matrix of the
+    coefficient blocks summed along block diagonals and rescaled by
+    ``sqrt(w_b w_b')``, plus ``pi pi*``, and its residual, read off its
+    extreme eigenvalues, is reported, so every verdict is the one the formed
+    residual gives.
 
     Block column ``a`` of ``pi* M`` is the correlation ``sum_(j < n - a)
     T^(a+j) D* Theta_j``, in which the weights cancel: ``T^a P_(n-1-a)``
@@ -731,13 +786,15 @@ def _transport_bound(
     - ``||G* G|| = ||G G*||``, a ``d``-square Gram matrix; ``G*`` is the
       cross of the first completion with ``W* X2 = [u* T2*; (I (x)
       tau_*^*) C2]``, formed from the factors ``e x d`` (:func:`_cross`);
-    - ``||U2 U2* - I|| = ||U2* U2 - I|| <= beta2 + delta2``: the
-      :func:`block_unitarity` residual of ``theta2`` and the held
-      orthogonality defect ``||Y2* Y2 - I||_F`` of its completion
-      (:attr:`CharTriple.orthogonality`), which it leaves out by Weyl;
-    - ``Yt* Yt - I = (Y1* Y1 - I) + Y1* (W* W - I) Y1`` with ``W* W - I =
-      diag(u* u - I, I (x) (tau_*^* tau_* - I))``, so ``||Yt* Yt - I|| <=
-      delta_t = delta1 + (1 + delta1) eps`` and ``||Yt||^2 <= 1 + delta_t``.
+    - ``||U2 U2* - I|| = ||U2* U2 - I|| <= beta2 + delta2``, with ``beta2``
+      the :func:`block_unitarity` residual of ``theta2`` and ``delta2`` the
+      held orthogonality defect ``||Y2* Y2 - I||_F`` of its completion
+      (:attr:`CharTriple.orthogonality`), which ``block_unitarity`` leaves
+      out by Weyl's inequality;
+    - ``Yt* Yt - I = (Y1* Y1 - I) + Y1* (W* W - I) Y1``, and ``W* W - I``
+      is ``diag(u* u - I, I (x) (tau_*^* tau_* - I))``, so
+      ``||Yt* Yt - I|| <= delta_t = delta1 + (1 + delta1) eps``, and
+      ``||Yt||^2 <= 1 + delta_t``.
 
     Together ``||tau* tau - I|| <= ||G||^2 + (1 + delta_t)(beta2 + delta2) +
     delta_t``.  Both defects are a-posteriori, each with its own rounding
@@ -747,8 +804,9 @@ def _transport_bound(
     ``gamma_(max(d, r) + 2) (||u||_F ||T2||_F + ||tau_*||_F ||C2||_F)``);
     ``beta2`` carries its held allowance; the gaps of ``u`` and ``tau_*``
     carry ``gamma_(m+3) (||x||_F^2 + sqrt(m))`` each, ``m`` their size.  The
-    eigenvalue solvers behind ``||G||^2`` and ``beta2`` are backward stable on
-    matrices of norm far below 1, so their errors sit below those allowances.
+    eigenvalue solvers behind ``||G||^2`` and ``beta2`` are backward stable
+    on matrices of norm far below 1, so their errors sit below those
+    allowances.
     """
     d, r = theta2.t.shape[0], tau_star.shape[0]
     c2 = theta2.column_map
@@ -781,26 +839,27 @@ def coincidence_verify(
     for ``theta2`` the function of ``u T1 u*``.
 
     The defect of ``u T1 u*`` is the conjugated defect, so the transport
-    between defect coordinates is ``tau_* = basis2* u basis1`` (r-sized), and
-    the first completion ``Y1 = [B1; D1]`` transported by ``W = diag(u, I (x)
-    tau_*)`` is ``Yt = W Y1``, which spans the complement of the second
-    column isometry.  The transport between the completions is ``tau = Yt*
-    Y2 = Y1* W* Y2``, the transition of triple uniqueness; it is never formed
-    on the accepted path.  The right-hand side is ``tau_* ((theta1(z) Y1*)
-    W* Y2)``, taken for all points at once through the factors: ``theta1(z)
-    Y1* = [0 | theta1(z)] - (theta1(z) W1) S1* V1*`` is ``r x N``, ``W*``
-    acts on its blocks, and ``Y2 = E - V2 S2 W2*`` is applied as its
-    factors, so no ``e``-square product is taken.
+    between defect coordinates is ``tau_* = basis2* u basis1`` (r-sized),
+    and the first completion ``Y1 = [B1; D1]`` transported by
+    ``W = diag(u, I (x) tau_*)`` is ``Yt = W Y1``, which spans the
+    complement of the second column isometry.  The transport between the
+    completions is ``tau = Yt* Y2 = Y1* W* Y2``, the transition of triple
+    uniqueness; it is never formed on the accepted path.  The right-hand
+    side is ``tau_* ((theta1(z) Y1*) W* Y2)``, taken for all points at once
+    through the factors: ``theta1(z) Y1* = [0 | theta1(z)] - (theta1(z) W1)
+    S1* V1*`` is ``r x N``, ``W*`` acts on its blocks, and ``Y2 = E - V2 S2
+    W2*`` is applied as its factors, so no ``e``-square product is taken.
 
     ``u`` and ``tau_*`` must be unitary within ``10 CHAR_TOL`` (decided by
     Frobenius bounds, as in :func:`uniqueness_unitary`) or
-    :class:`NotUnitaryInput` is raised.  The unitarity of ``tau`` is accepted
-    when the upper bound of :func:`_transport_bound`, from ``d``-sized work
-    and the held orthogonality defects of both completions, is at most ``10
-    CHAR_TOL``.  Otherwise ``tau`` is formed from the dense completions
-    (:meth:`CharTriple.completion`) and decided on its exact residual, which
-    a rejection quotes, so every decision is the one the formed ``tau`` would
-    give.  The identity holds when its residual is at most ``CHAR_TOL``.
+    :class:`NotUnitaryInput` is raised.  The unitarity of ``tau`` is
+    accepted when the upper bound of :func:`_transport_bound`, from
+    ``d``-sized work and the held orthogonality defects of both completions,
+    is at most ``10 CHAR_TOL``.  Otherwise ``tau`` is formed from the dense
+    completions (:meth:`CharTriple.completion`) and decided on its exact
+    residual, which a rejection quotes, so every decision is the one the
+    formed ``tau`` would give.  The identity holds when its residual is at
+    most ``CHAR_TOL``.
     """
     z = _disc_points(z_grid)
     u = np.asarray(u, dtype=complex)

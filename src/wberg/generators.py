@@ -117,7 +117,8 @@ def random_commuting_contractions(
     if not (0.0 < radius <= 1.0):
         raise ValueError("radius must lie in (0, 1]")
     rng = Lcg(seed)
-    base = _scaled(rng.complex_matrix(dim, dim), 1.0)
+    base = rng.complex_matrix(dim, dim)
+    base = _scaled(base, 1.0)
     ops = []
     for coeffs in rng.complex_matrix(n, 3):
         mat = coeffs[0] * np.eye(dim) + coeffs[1] * base + coeffs[2] * (base @ base)
@@ -127,8 +128,10 @@ def random_commuting_contractions(
 
 def random_unitary(seed: int, dim: int) -> Operator:
     """Haar-style random unitary with a deterministic phase convention."""
-    q, r = np.linalg.qr(Lcg(seed).complex_matrix(dim, dim))
-    phases = np.diag(r) / np.abs(np.diag(r))
+    rng = Lcg(seed)
+    q, r = np.linalg.qr(rng.complex_matrix(dim, dim))
+    phases = np.diag(r).copy()
+    phases = phases / np.abs(phases)
     return Operator(q * phases)
 
 
@@ -147,4 +150,6 @@ def unitary_times_nilpotent(seed: int, udim: int, ndim: int) -> OperatorTuple:
     """Mixed pair ``(U (x) I, I (x) N)``: one unitary and one nilpotent coordinate."""
     u = random_unitary(seed, udim)
     nil = nilpotent_commuting_tuple(seed + 1, ndim, 1)[0]
-    return OperatorTuple.of(np.kron(u.mat, np.eye(ndim)), np.kron(np.eye(udim), nil.mat))
+    t1 = np.kron(u.mat, np.eye(ndim))
+    t2 = np.kron(np.eye(udim), nil.mat)
+    return OperatorTuple.of(t1, t2)

@@ -252,8 +252,8 @@ def test_explicit_list_too_short_for_its_sum_exit_2(capsys, command, tuple_spec)
 
 
 def test_charfn_kernel_tail_past_the_truncation_exit_2(capsys):
-    # w_k = 6^-k: at |eta zeta| = 0.08 the scalar kernel leaves 4.3e-8 past
-    # the function's 24 terms, a truncation the identity cannot meet; it is a
+    # w_k = 6^-k: at |eta zeta| = 0.08 the function's 24 terms miss 3.9e-8 of
+    # the scalar kernel, a truncation the identity cannot meet; it is a
     # HorizonTooShort, not a failed verdict with a truncation residual
     weights = "explicit:[" + ",".join(repr(6.0**-k) for k in range(100)) + "]"
     code, out, err = run_cli(capsys, "charfn", "--weights", weights,
@@ -262,7 +262,7 @@ def test_charfn_kernel_tail_past_the_truncation_exit_2(capsys):
     error = json.loads(err.splitlines()[0])
     assert error["error"] == "HorizonTooShort"
     assert "past the function's 24 terms" in error["message"]
-    # w_k = 5^-k leaves 4.7e-10 there: the identity is checked and holds
+    # w_k = 5^-k misses 4.1e-10 there: the identity is checked and holds
     weights = "explicit:[" + ",".join(repr(5.0**-k) for k in range(100)) + "]"
     code, out, _ = run_cli(capsys, "charfn", "--weights", weights,
                            "--tuple", "nilpotent:3:5:1:0.3")
