@@ -48,7 +48,9 @@ its formed products (:func:`_gamma`).  Evaluations take a whole point set
 at once: one Vandermonde product per coefficient stack.  The kernel identity
 is read off the factors ``a(z)``, ``L(z)`` and ``K = W* W``, with no value
 ``theta(z)`` formed and no product of inner dimension ``e`` beyond ``K``
-(:func:`key_identity_check`).
+(:func:`key_identity_check`).  Its scalar kernel ``k(eta conj(zeta))`` is,
+for a preset weight, the closed form ``(1 - x)^-p``, and for an explicit
+list the whole list's sum (:func:`_kernel_scalar`).
 
 The rows ``R_j = D T*^j`` are formed once, by one right multiplication by
 ``T*`` per term (``OperatorTuple.row_chain``).  The column map, the
@@ -97,11 +99,9 @@ CHAR_TOL = 1e-9
 # function decays like (|eta zeta|)^n_terms, so two dozen terms push it to
 # machine level on grids of radius up to ~0.6.
 MIN_CHAR_TERMS = 24
-# A chunk of the scalar kernel sum this small relative to the running total
-# ends the sum: later chunks are smaller still for a point inside the disc.
+# The last term of an explicit list's scalar kernel sum must be this small
+# relative to the sum: the list ends there, and no later term can be added.
 KERNEL_CHUNK_RTOL = 1e-18
-# Most terms of the scalar kernel sum before it is declared unconverged.
-KERNEL_CAP = 4096
 
 
 def rho_sequence(omega: WeightSpec, n: int) -> np.ndarray:
@@ -420,42 +420,29 @@ def kernel_poly(omega: WeightSpec, points, stack: np.ndarray) -> np.ndarray:
 
 
 def _kernel_scalar(omega: WeightSpec, x) -> np.ndarray:
-    """Scalar kernel values ``sum_n x^n / w_n``, each summed to machine convergence.
+    """Scalar kernel values ``k(x) = sum_n x^n / w_n`` of an array (or a number) of points.
 
-    ``x`` is an array (or a number); every entry is summed by 64-term chunks
-    until a chunk is below ``KERNEL_CHUNK_RTOL`` relative to its running
-    total, and entries that have converged take no further chunk.  Raises
-    :class:`HorizonTooShort` when ``KERNEL_CAP`` terms do not converge, as
-    they do not for ``|x|`` close to 1, instead of returning a partial sum.
-    An explicit weight list caps the sum at its length.  No chunk follows
-    the one its end cuts short, so there the sum is accepted when the last
-    term alone passes the chunk test; otherwise the error names the list's
-    length.
+    A preset weight takes its closed form ``k(x) = (1 - x)^-p``, ``p`` its
+    exponent (:attr:`WeightSpec.exponent`), as ``exp(-p log(1 - x))``.  An
+    explicit list is summed whole, as one product of the points' Vandermonde
+    rows with its inverse weights; a sum whose last term is not below
+    ``KERNEL_CHUNK_RTOL`` relative to it (at least 1) raises
+    :class:`HorizonTooShort`, naming the list's length and the largest such
+    ``|x|``, instead of returning a partial sum.
     """
     x = np.asarray(x, dtype=complex)
-    flat = x.ravel()
+    p = omega.exponent
+    if p is not None:
+        return np.exp(-p * np.log(1.0 - x))
     length = omega.max_terms
-    cap = min(KERNEL_CAP, length or KERNEL_CAP)
-    total = np.zeros(flat.shape, dtype=complex)
-    unconverged = np.arange(flat.size)
-    block = 64
-    n0 = 0
-    while unconverged.size and n0 < cap:
-        n1 = min(n0 + block, cap)
-        terms = omega.inverse_weight_values(n1)[n0:] * flat[unconverged, None] ** np.arange(n0, n1)
-        chunk = terms.sum(axis=1)
-        total[unconverged] += chunk
-        small = KERNEL_CHUNK_RTOL * np.maximum(1.0, np.abs(total[unconverged]))
-        done = np.abs(chunk) < small
-        if n1 == length:
-            done |= np.abs(terms[:, -1]) < small
-        unconverged = unconverged[~done]
-        n0 = n1
-    if unconverged.size:
-        ending = f" at the end of the {length}-entry explicit weight list" if n0 == length else ""
+    v = omega.inverse_weight_values(length)
+    vander = _vandermonde(x.ravel(), length)
+    total = vander @ v
+    short = np.abs(v[-1] * vander[:, -1]) >= KERNEL_CHUNK_RTOL * np.maximum(1.0, np.abs(total))
+    if np.any(short):
         raise HorizonTooShort(
-            f"scalar kernel at |x| = {np.max(np.abs(flat[unconverged])):.6g} has not "
-            f"converged after {n0} terms{ending}"
+            f"scalar kernel at |x| = {np.max(np.abs(x.ravel()[short])):.6g} has not "
+            f"converged at the end of the {length}-entry explicit weight list"
         )
     return total.reshape(x.shape)
 
@@ -532,7 +519,9 @@ def _key_gaps(cf: CharFunction, zetas: np.ndarray, etas: np.ndarray) -> tuple[np
                + float(powers @ np.linalg.norm(lam, axis=(1, 2))) * float(np.linalg.norm(w)))
     s_d = float(v * powers[:n] @ np.linalg.norm(cf.rows, axis=(1, 2)))
     m = 8 * n + e + 3 * k + 32 + math.ceil(3.0 / (1.0 - t))
-    allowance = (_gamma(4 * KERNEL_CAP) * math.sqrt(r) * kernel
+    p = cf.omega.exponent
+    c = 7 * cf.omega.max_terms + 2 if p is None else p * (20 - 5 * math.log1p(-t) + 3 / (1 - t)) + 4
+    allowance = (_gamma(math.ceil(c)) * math.sqrt(r) * kernel
                  + _gamma(m) * (s_theta**2 / (1.0 - t) + s_d**2))
     return gaps.transpose(0, 2, 1, 3), allowance
 
@@ -562,18 +551,33 @@ def key_identity_check(
     before any pair is formed.
 
     The largest Frobenius norm of a pair residual is reported when, with the
-    allowance ``gamma_m (s_theta^2 / (1 - t) + s_D^2) + gamma_(4 KERNEL_CAP)
-    sqrt(r) k(t)`` (:func:`_gamma`, ``k(t) = sum_k t^k / w_k``) added, it is
-    below ``CHAR_TOL``; otherwise one batched SVD norms the residuals and
-    the largest is reported.  At ``rho = max |z|``, ``s_theta = sqrt(r sum_j
+    allowance ``gamma_m (s_theta^2 / (1 - t) + s_D^2) + gamma_c sqrt(r)
+    k(t)`` (:func:`_gamma`, ``k(t) = sum_k t^k / w_k``) added, it is below
+    ``CHAR_TOL``; otherwise one batched SVD norms the residuals and the
+    largest is reported.  At ``rho = max |z|``, ``s_theta = sqrt(r sum_j
     rho_j rho^(2j)) + ||W||_F sum_j rho^j ||Lambda_j||_F`` and ``s_D = sum_j
     rho^j ||R_j||_F / w_j`` bound the absolute-value chains of ``theta`` and
     ``D K``; ``m = 8n + e + 3d + 32 + 3 / (1 - t)`` sums the counts along a
     chain (``3n`` Vandermonde rows, ``n + 3`` per factor, ``e + 2`` for
     ``K``, ``d + 2`` and ``2d + 2`` for the products, ``11 + 3 / (1 - t)``
-    for the division (Higham, section 3.6), 2 for the subtractions), and the
-    scalar kernel counts ``KERNEL_CAP`` terms of at most ``3 KERNEL_CAP``
-    products each.
+    for the division (Higham, section 3.6), 2 for the subtractions).
+
+    ``gamma_c k(t)`` bounds the rounding of each scalar kernel value
+    (:func:`_kernel_scalar`), ``|k(x)| <= k(t)``, and ``x`` itself is a
+    complex product, exact to ``gamma_3`` relative.  For a preset of
+    exponent ``p``, ``l = log(1 - x)`` has modulus at most ``lambda =
+    log(1 / (1 - t)) + 3`` (real part in ``[log(1 - t), log 2]``, imaginary
+    part below ``pi / 2``).  The subtraction ``1 - x`` is exact to ``u`` and
+    so moves ``l`` by ``gamma_1``; with the library's complex log and exp
+    each exact to ``gamma_3`` (a few units in the last place) and the
+    product with ``p`` to ``u``, the exponent ``-p l`` is off by at most ``p
+    gamma_5 (lambda + 1)``, and the exp and the second order add ``gamma_4``.
+    The rounding of ``x`` moves ``k`` by at most ``p t / (1 - t)`` times
+    ``gamma_3`` relative, so ``c = p (20 + 5 log(1 / (1 - t)) + 3 / (1 - t))
+    + 4`` (Higham, chapter 3).  For a list of ``L`` weights, the power
+    ``x^j`` is a running product exact to ``gamma_(3j)``, the rounding of
+    ``x`` moves it by ``gamma_(3j)`` more, and the sum of ``L`` complex
+    products counts ``L + 2``: ``c = 7L + 2``.
     """
     zetas = _disc_points(zetas)
     etas = _disc_points(etas)

@@ -436,8 +436,17 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
     Bergman space over the ``lam``-variables, each truncated at its purity
     horizon, with coefficient space the range
     of the block defect ``Delta_lam``; coordinates outside ``lam`` act as
-    lifted co-isometries, coordinates inside as shifts.  ``compression_i`` is
-    ``||Pi* M_i Pi - T_i||``, read from the ``M_i* Pi`` of ``intertwining_i``.
+    lifted co-isometries, coordinates inside as shifts.
+
+    The residuals are ``isometry = ||Pi* Pi - I||`` and ``intertwining_i =
+    ||R_i||``, ``R_i = Pi T_i* - M_i* Pi``.  They bound how far ``Pi* M_i
+    Pi`` is from ``T_i``: ``R_i* = T_i Pi* - Pi* M_i``, so ``Pi* M_i Pi - T_i
+    = T_i (Pi* Pi - I) - R_i* Pi``, and ``||Pi||^2 = ||Pi* Pi|| <= 1 +
+    isometry`` gives
+
+        ||Pi* M_i Pi - T_i|| <= ||T_i|| isometry + sqrt(1 + isometry) intertwining_i,
+
+    so ``Pi* M_i Pi`` is not formed.
 
     ``residuals["model_norm_i"]`` is the spectral norm of ``model_ops[i]``,
     taken from its blocks without an SVD of a shift: the norm of a block
@@ -487,15 +496,10 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
                 f"general model not isometric (residual {residuals['isometry']:.3e})"
             )
         for i, op in enumerate(model_ops):
-            # ``M_i* p``, then its conjugate for the compression ``p* M_i p``
-            moved = op.adjoint_apply(p)
             t.times_adjoint(i, p, resid)
-            resid -= moved
+            resid -= op.adjoint_apply(p)
             residuals[f"intertwining_{i}"] = spectral_norm(resid)
-            np.conjugate(moved, out=moved)
-            residuals[f"compression_{i}"] = spectral_norm(moved.T @ p - t[i].mat)
             residuals[f"model_norm_{i}"] = op.norm()
-            del moved  # before the next ``M_i* p``, so that two are never held
     for block in blocks:
         tag, delta = block.tag, block.delta
         brute = _double_limit(t, w, block.lam)

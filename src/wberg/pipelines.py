@@ -39,9 +39,9 @@ from .series import (
 SERIES_RESID_TOL = 1e-12
 # Floor of the tolerance on Loewner gaps between defect values along the grid.
 LOEWNER_TOL_FLOOR = 1e-10
-# Budgets a pure dilation's isometry, intertwining and compression residuals
-# must meet, by residual family.
-PURE_DILATION_BUDGETS = {"isometry": 1e-9, "intertwining": 1e-9, "compression": 1e-8}
+# Budgets a pure dilation's isometry and intertwining residuals must meet,
+# by residual family.
+PURE_DILATION_BUDGETS = {"isometry": 1e-9, "intertwining": 1e-9}
 # Budget of every model residual without a budget of its own; the isometry
 # residual is held to ISO_TOL and the model norms to 1 + MODEL_NORM_SLACK.
 GENERAL_MODEL_BUDGET = 1e-7

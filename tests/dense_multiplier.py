@@ -7,6 +7,10 @@ blocks of a characteristic function without forming its multiplier; the tests
 build the multiplier here, entry by entry, and compare.  A `charfn.CharTriple`
 holds its completion as factors; `dense_triple` makes one whose factors
 reproduce any given completion, rotated or perturbed.
+
+A dilation reports no compression residual; `dense_compression` forms it
+from the dense model operator, and `compression_bound` is the bound the
+isometry and intertwining residuals put on it.
 """
 
 import math
@@ -84,3 +88,25 @@ def dense_row_chain(a: np.ndarray, t: np.ndarray, count: int) -> np.ndarray:
     for _ in range(1, count):
         out.append(out[-1] @ np.asarray(t).conj().T)
     return np.array(out)
+
+
+def dense_compression(pi: np.ndarray, m: np.ndarray, t: np.ndarray) -> float:
+    """``||Pi* M Pi - T||`` from the dense map ``Pi`` and model operator ``M``."""
+    return float(np.linalg.norm(pi.conj().T @ m @ pi - t, 2))
+
+
+def compression_bound(pi: np.ndarray, t: np.ndarray, isometry: float, intertwining: float) -> float:
+    """``||T|| isometry + sqrt(1 + isometry) intertwining``, plus rounding.
+
+    With ``R = Pi T* - M* Pi``, ``Pi* M Pi - T = T (Pi* Pi - I) - R* Pi`` and
+    ``||Pi||^2 <= 1 + isometry`` give the bound on the compression.  The
+    compression and both residuals are formed with products of inner
+    dimension at most ``N + d`` (``Pi`` is ``N x d``) from operands whose
+    norms are at most ``||Pi||_F`` and 1 (``||M|| <= 1``), so rounding moves
+    each by at most ``gamma_(N + d + 2) ||Pi||_F^2``; the bound allows four
+    times ``(N + d + 2) eps ||Pi||_F^2`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 3.5).
+    """
+    slack = 4 * (sum(pi.shape) + 2) * np.finfo(float).eps * float(np.linalg.norm(pi)) ** 2
+    norm_t = float(np.linalg.norm(t, 2)) if t.size else 0.0
+    return norm_t * isometry + math.sqrt(1.0 + isometry) * intertwining + slack

@@ -50,7 +50,7 @@ from wberg.series import (
     reciprocal_series,
 )
 
-from dense_multiplier import dense_triple
+from dense_multiplier import compression_bound, dense_compression, dense_triple
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -175,26 +175,28 @@ def test_criterion_5_one_variable_dilation():
 
 
 def test_criterion_6_pure_multivariable_dilation():
+    # the compression ||Pi* M_i Pi - T_i|| is formed here from the dense
+    # model operators, and must also lie within the bound the isometry and
+    # intertwining residuals put on it
     worst_iso = worst_int = worst_comp = 0.0
-    for seed in range(12):
-        pair = nilpotent_commuting_tuple(100 + seed, 5 + seed % 3, 2, radius=0.5)
-        w = MultiWeightSpec.parse("hardy,hardy" if seed % 2 else "bergman:2,hardy")
-        res = pure_dilation(pair, w)
-        worst_iso = max(worst_iso, res.residuals["isometry"])
-        for i in range(2):
-            worst_int = max(worst_int, res.residuals[f"intertwining_{i}"])
-            worst_comp = max(worst_comp, res.residuals[f"compression_{i}"])
-    for seed in range(4):
-        tri = nilpotent_commuting_tuple(200 + seed, 4, 3, radius=0.45)
-        w = MultiWeightSpec.parse("hardy,hardy,hardy")
-        res = pure_dilation(tri, w)
-        worst_iso = max(worst_iso, res.residuals["isometry"])
-        for i in range(3):
-            worst_int = max(worst_int, res.residuals[f"intertwining_{i}"])
-            worst_comp = max(worst_comp, res.residuals[f"compression_{i}"])
-    ok = worst_iso < 1e-9 and worst_int < 1e-9 and worst_comp < 1e-8
+    cases = [(nilpotent_commuting_tuple(100 + seed, 5 + seed % 3, 2, radius=0.5),
+              "hardy,hardy" if seed % 2 else "bergman:2,hardy") for seed in range(12)]
+    cases += [(nilpotent_commuting_tuple(200 + seed, 4, 3, radius=0.45), "hardy,hardy,hardy")
+              for seed in range(4)]
+    implied = True
+    for tup, wtxt in cases:
+        res = pure_dilation(tup, MultiWeightSpec.parse(wtxt))
+        iso = res.residuals["isometry"]
+        worst_iso = max(worst_iso, iso)
+        for i in range(tup.n):
+            inter = res.residuals[f"intertwining_{i}"]
+            worst_int = max(worst_int, inter)
+            comp = dense_compression(res.map.mat, res.model_ops[i].to_matrix(), tup[i].mat)
+            worst_comp = max(worst_comp, comp)
+            implied &= comp <= compression_bound(res.map.mat, tup[i].mat, iso, inter)
+    ok = worst_iso < 1e-9 and worst_int < 1e-9 and worst_comp < 1e-8 and implied
     verdict(6, ok, f"isometry {worst_iso:.2e} (1e-9), intertwining {worst_int:.2e} "
-                   f"(1e-9), compression {worst_comp:.2e} (1e-8)")
+                   f"(1e-9), compression {worst_comp:.2e} (1e-8, formed), implied {implied}")
 
 
 def test_criterion_7_general_model():

@@ -47,7 +47,7 @@ from wberg.linalg import Operator, hermitian_norm, spectral_norm
 from wberg.pipelines import GENERAL_MODEL_BUDGET, MODEL_NORM_SLACK, PURE_DILATION_BUDGETS
 from wberg.series import MultiWeightSpec, WeightSpec
 
-from dense_multiplier import dense_row_chain
+from dense_multiplier import compression_bound, dense_compression, dense_row_chain
 
 HARDY = WeightSpec.hardy()
 B2 = WeightSpec.bergman(2)
@@ -202,7 +202,8 @@ def pure_reference(t: OperatorTuple, w: MultiWeightSpec) -> dict:
     ``Dmin_j`` of each stage operator, the rest lifted through them, and the
     row of the multi-index ``a`` the left-nested chain ``Dmin_n S_n*^{a_n} ...
     Dmin_1 T_1*^{a_1} / sqrt(w_a)``, with the residuals of the map against the
-    truncated multi-shift."""
+    truncated multi-shift, and the compression ``Pi* M_i Pi - T_i`` it forms
+    itself."""
     degs = tuple(_pure_horizon(t, i, w[i]) for i in range(t.n))
     ops = [subtuple(t, (0,))] + list(t.ops[1:])
     stacks = []
@@ -241,9 +242,14 @@ def test_pure_dilation_is_the_stage_cascade(spec, wtxt):
     # every block but the full one is empty, and the map is the cascade bit for bit
     assert [b.lam for b in res.block_layout if b.e_dim] == [tuple(range(t.n))]
     assert np.array_equal(res.map.mat, ref["pi"])
-    for key in ["isometry"] + [f"{f}_{i}" for f in ("intertwining", "compression")
-                               for i in range(t.n)]:
+    for key in ["isometry"] + [f"intertwining_{i}" for i in range(t.n)]:
         assert res.residuals[key] == ref[key], key
+    # the compression is not reported: the isometry and intertwining
+    # residuals bound it
+    assert not any(key.startswith("compression") for key in res.residuals)
+    for i in range(t.n):
+        assert ref[f"compression_{i}"] <= compression_bound(
+            ref["pi"], t[i].mat, ref["isometry"], ref[f"intertwining_{i}"])
 
 
 def test_pure_multishift_dilation_forms_no_power_stack_past_the_gram(monkeypatch, capsys):
@@ -268,7 +274,11 @@ def test_pure_dilation_single_variable_matches_one_var():
     res = pure_dilation(t, MultiWeightSpec.of(B2))
     assert res.residuals["isometry"] < 1e-10
     assert res.residuals["intertwining_0"] < 1e-10
-    assert res.residuals["compression_0"] < 1e-9
+    p = res.map.mat
+    comp = dense_compression(p, res.model_ops[0].to_matrix(), t[0].mat)
+    assert comp < 1e-9
+    assert comp <= compression_bound(p, t[0].mat, res.residuals["isometry"],
+                                     res.residuals["intertwining_0"])
 
 
 def test_pure_dilation_multishift_is_its_own_model():
@@ -276,11 +286,14 @@ def test_pure_dilation_multishift_is_its_own_model():
     shifts = multishift_tuple(TruncatedSpace(w, (4, 4)))
     res = pure_dilation(shifts, w)
     assert res.residuals["isometry"] < 1e-9
+    pi = res.map.mat
     for i in range(2):
         assert res.residuals[f"intertwining_{i}"] < 1e-9
-        assert res.residuals[f"compression_{i}"] < 1e-9
+        comp = dense_compression(pi, res.model_ops[i].to_matrix(), shifts[i].mat)
+        assert comp < 1e-9
+        assert comp <= compression_bound(pi, shifts[i].mat, res.residuals["isometry"],
+                                         res.residuals[f"intertwining_{i}"])
     # the map is unitary onto its range: Pi Pi* is a projection
-    pi = res.map.mat
     gram = pi @ pi.conj().T
     assert opnorm(gram @ gram - gram) < 1e-12
 
@@ -413,12 +426,12 @@ def test_pure_dilation_nilpotent_pair_compression_recovery():
     t = nilpotent_commuting_tuple(33, 6, 2, radius=0.5)
     w = MultiWeightSpec.parse("hardy,hardy")
     res = pure_dilation(t, w)
+    # map* M_i map equals T_i, within the bound the reported residuals imply
     for i in range(2):
-        assert res.residuals[f"compression_{i}"] < 1e-10
-    # explicit restatement: map* M_i map equals T_i
-    for i in range(2):
-        comp = res.map.mat.conj().T @ res.model_ops[i].to_matrix() @ res.map.mat
-        assert opnorm(comp - t[i].mat) < 1e-10
+        comp = dense_compression(res.map.mat, res.model_ops[i].to_matrix(), t[i].mat)
+        assert comp < 1e-10
+        assert comp <= compression_bound(res.map.mat, t[i].mat, res.residuals["isometry"],
+                                         res.residuals[f"intertwining_{i}"])
 
 
 def test_pure_dilation_rejects_non_pure():
@@ -716,9 +729,12 @@ def test_pure_dilation_residuals_match_dense_route():
         assert [type(b) for b in op.blocks if b.dim] == [ShiftAction]
         m, ti = op.to_matrix(), t[i].mat
         dense_int = opnorm(p @ ti.conj().T - m.conj().T @ p)
-        dense_comp = opnorm(p.conj().T @ m @ p - ti)
         assert abs(res.residuals[f"intertwining_{i}"] - dense_int) <= DENSE_ROUTE_TOL
-        assert abs(res.residuals[f"compression_{i}"] - dense_comp) <= DENSE_ROUTE_TOL
+        # the compression is not reported; the dense one is within the bound
+        # of the reported residuals
+        dense_comp = dense_compression(p, m, ti)
+        assert dense_comp <= compression_bound(p, ti, res.residuals["isometry"],
+                                               res.residuals[f"intertwining_{i}"])
 
 
 @pytest.mark.parametrize("make,wtxt", [

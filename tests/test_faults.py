@@ -12,9 +12,13 @@ import numpy as np
 import pytest
 
 import wberg.charfn as charfn
+import wberg.dilation as dilation
 from wberg.charfn import CHAR_TOL, char_function, char_function_eval
 from wberg.config import parse_case, report_json
+from wberg.errors import IsometryResidualTooLarge
 from wberg.pipelines import CHARFN_BUDGETS, run_charfn
+
+from dense_multiplier import compression_bound, dense_compression
 
 CASE = {"name": "charfn-b2-nil16-s1", "weights": "bergman:2", "tuple": "nilpotent:1:16:1:0.5",
         "seed": 1, "run": ["charfn"]}
@@ -138,3 +142,194 @@ def test_key_identity_in_the_undecided_window_reports_the_svd_value(monkeypatch,
     [values] = [s for s in singular if s.shape == (len(ETAS), len(ZETAS), cf.defect_dim)]
     assert report["key_identity_max"] == float(np.max(values)) < CHAR_TOL
     assert ok and report["verdict"]
+
+
+# ---------------------------------------------------------------------------
+# the dilation residuals the compression bound rests on
+# ---------------------------------------------------------------------------
+
+PROBE = {"name": "general-scalars-hardy", "weights": "hardy,hardy",
+         "tuple": "scalars:[1.0,0.5]", "run": ["dilate-general"]}
+PURE = {"name": "pure-nilpotent-hardy", "weights": "hardy,hardy",
+        "tuple": "nilpotent:1:4:2:0.6", "run": ["dilate-pure"]}
+
+
+def build(data):
+    case = parse_case(dict(data), name=data["name"])
+    return case, case.build_tuple(None)
+
+
+def fault_map_rows(monkeypatch, eps, seen=None):
+    """Scale the first row block (the rows of the multi-index 0) of the first
+    map block ``_fill_map_rows`` writes by ``1 + eps``; ``seen`` collects a
+    copy of the unscaled rows."""
+    original = dilation._fill_map_rows
+
+    def faulty(out, space, stacks):
+        original(out, space, stacks)
+        if not hasattr(faulty, "done"):
+            faulty.done = True
+            if seen is not None:
+                seen.append(out[:space.coeff_dim].copy())
+            out[:space.coeff_dim] *= 1.0 + eps
+
+    monkeypatch.setattr(dilation, "_fill_map_rows", faulty)
+
+
+def fault_colift(monkeypatch, eps, seen=None):
+    """Scale every nonempty lifted co-isometry ``V`` ``_colift`` returns by
+    ``1 + eps``; on the probe case there is one, ``V = [1]`` on the block
+    ``(1,)`` for coordinate 0.  ``seen`` collects the unscaled ``V``."""
+    original = dilation._colift
+
+    def faulty(delta, v, lam, what):
+        lift, cond = original(delta, v, lam, what)
+        if lift.size and seen is not None:
+            seen.append(lift.copy())
+        return (lift * (1.0 + eps) if lift.size else lift), cond
+
+    monkeypatch.setattr(dilation, "_colift", faulty)
+
+
+def isometry_response(monkeypatch, data):
+    """``g = 2 ||E Pi||^2`` for the scaled row block ``E Pi``, with the
+    unfaulted residuals.
+
+    The fault makes the map ``(I + eps E) Pi`` for the projection ``E`` on
+    those rows, so ``Pi'* Pi' - I = (Pi* Pi - I) + eps (2 + eps) Pi* E Pi``
+    exactly: the isometry residual is within ``R(0)`` of ``eps (1 + eps / 2)
+    g``.
+    """
+    case, t = build(data)
+    seen = []
+    fault_map_rows(monkeypatch, 0.0, seen)
+    res = dilation.general_model(t, case.weights)
+    [rows] = seen
+    return 2.0 * np.linalg.norm(rows, 2) ** 2, res.residuals
+
+
+@pytest.mark.parametrize("data", [PROBE, PURE], ids=["general", "pure"])
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-9])
+def test_isometry_moves_linearly_with_a_scaled_map_row_block(monkeypatch, data, eps):
+    # With a the rounding of forming Pi* Pi - I (at most 4 N eps ||Pi||_F^2,
+    # N the model dimension, well below 1e-13 here), the move R(eps) - R(0)
+    # lies in [eps g - 2 R(0) - a, eps (1 + eps / 2) g + a].  When (2 R(0) +
+    # a) / eps <= g / 4 it is between eps g / 2 and 3 eps g / 2, so within
+    # [eps / c, c eps] for c = 2 max(g, 1 / g).
+    g, before = isometry_response(monkeypatch, data)
+    c = 2.0 * max(g, 1.0 / g)
+    case, t = build(data)
+    assert (2 * before["isometry"] + 1e-13) / eps <= g / 4
+    fault_map_rows(monkeypatch, eps)
+    after = dilation.general_model(t, case.weights).residuals["isometry"]
+    assert eps / c <= after - before["isometry"] <= c * eps
+
+
+def test_isometry_fault_past_its_budget_flips_or_raises(monkeypatch):
+    from wberg.pipelines import PURE_DILATION_BUDGETS, run_dilate_general, run_dilate_pure
+
+    # general model: past ISO_TOL the isometry gate raises before any other
+    # residual is formed
+    g, _ = isometry_response(monkeypatch, PROBE)
+    case, t = build(PROBE)
+    fault_map_rows(monkeypatch, 0.0)
+    ok, report = run_dilate_general(case, t)
+    monkeypatch.undo()
+    assert ok and report_json(report) == report_json(run_dilate_general(case, t)[1])
+    fault_map_rows(monkeypatch, 0.5 * dilation.ISO_TOL / g)
+    ok, faulty = run_dilate_general(case, t)
+    assert ok and dilation.ISO_TOL / 4 < faulty["residuals"]["isometry"] < dilation.ISO_TOL
+    fault_map_rows(monkeypatch, 2.0 * dilation.ISO_TOL / g)
+    with pytest.raises(IsometryResidualTooLarge):
+        run_dilate_general(case, t)
+    monkeypatch.undo()
+    # pure dilation: its budget sits below ISO_TOL, so the verdict flips
+    # first
+    budget = PURE_DILATION_BUDGETS["isometry"]
+    g, _ = isometry_response(monkeypatch, PURE)
+    case, t = build(PURE)
+    fault_map_rows(monkeypatch, 0.0)
+    ok, report = run_dilate_pure(case, t)
+    monkeypatch.undo()
+    assert ok and report_json(report) == report_json(run_dilate_pure(case, t)[1])
+    for factor, verdict in ((0.5, True), (2.0, False)):
+        fault_map_rows(monkeypatch, factor * budget / g)
+        ok, faulty = run_dilate_pure(case, t)
+        assert ok is faulty["verdict"] is verdict
+        assert (faulty["residuals"]["isometry"] <= budget) is verdict
+        monkeypatch.undo()
+
+
+def intertwining_response(monkeypatch):
+    """``g = ||(I (x) V*) Pi_B||`` for the rows ``Pi_B`` of the block whose
+    lifted co-isometry ``V`` is scaled, with the unfaulted residuals.
+
+    Scaling ``V`` by ``1 + eps`` adds ``eps (I (x) V)`` on that block to
+    ``M_0``, so ``R_0 = Pi T_0* - M_0* Pi`` becomes ``R_0 - eps (I (x) V*)
+    Pi_B``, exactly linear: ``intertwining_0`` is within ``R(0)`` of ``eps
+    g``.
+    """
+    case, t = build(PROBE)
+    seen = []
+    fault_colift(monkeypatch, 0.0, seen)
+    res = dilation.general_model(t, case.weights)
+    [v] = seen
+    [block] = [b for b in res.block_layout if b.v.get(0, np.zeros(0)).size]
+    lo = sum(b.block_dim for b in res.block_layout[:res.block_layout.index(block)])
+    rows = res.map.mat[lo:lo + block.block_dim].reshape(block.copies, v.shape[0], -1)
+    return np.linalg.norm((v.conj().T @ rows).reshape(block.block_dim, -1), 2), res.residuals
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6])
+def test_intertwining_moves_linearly_with_a_scaled_lifted_coisometry(monkeypatch, eps):
+    # R(eps) - R(0) lies in [eps g - 2 R(0) - a, eps g + a], a the rounding
+    # of the residual (below 1e-13 here); with (2 R(0) + a) / eps <= g / 4 it
+    # is within [eps / c, c eps] for c = 2 max(g, 1 / g)
+    g, before = intertwining_response(monkeypatch)
+    c = 2.0 * max(g, 1.0 / g)
+    case, t = build(PROBE)
+    assert (2 * before["intertwining_0"] + 1e-13) / eps <= g / 4
+    fault_colift(monkeypatch, eps)
+    after = dilation.general_model(t, case.weights).residuals["intertwining_0"]
+    assert eps / c <= after - before["intertwining_0"] <= c * eps
+
+
+def test_intertwining_fault_past_its_budget_flips_the_verdict(monkeypatch):
+    from wberg.pipelines import GENERAL_MODEL_BUDGET, run_dilate_general
+
+    g, _ = intertwining_response(monkeypatch)
+    case, t = build(PROBE)
+    fault_colift(monkeypatch, 0.0)
+    ok, report = run_dilate_general(case, t)
+    monkeypatch.undo()
+    assert ok and report_json(report) == report_json(run_dilate_general(case, t)[1])
+    # past the budget intertwining_0 fails it and the verdict flips; the
+    # scaled V also moves model_norm_0 (1 + eps), v_coisometry_1 (about
+    # 2 eps) and delta_intertwine_1, which fail their budgets with it
+    fault_colift(monkeypatch, 2.0 * GENERAL_MODEL_BUDGET / g)
+    ok, faulty = run_dilate_general(case, t)
+    assert not ok and faulty["verdict"] is False
+    assert faulty["residuals"]["intertwining_0"] > GENERAL_MODEL_BUDGET
+
+
+@pytest.mark.parametrize("fault,eps", [
+    (fault_map_rows, 1e-10), (fault_map_rows, 3e-9),
+    (fault_colift, 1e-8), (fault_colift, 1e-4),
+], ids=["map-1e-10", "map-3e-9", "colift-1e-8", "colift-1e-4"])
+def test_compression_stays_within_the_bound_under_each_fault(monkeypatch, fault, eps):
+    # the compression is not reported: formed from the dense model, it stays
+    # within ||T_i|| isometry + sqrt(1 + isometry) intertwining_i of the
+    # faulty model's own residuals, and moves with them
+    case, t = build(PROBE)
+    fault(monkeypatch, eps)
+    res = dilation.general_model(t, case.weights)
+    assert not any(key.startswith("compression") for key in res.residuals)
+    pi = res.map.mat
+    worst = 0.0
+    for i in range(t.n):
+        comp = dense_compression(pi, res.model_ops[i].to_matrix(), t[i].mat)
+        bound = compression_bound(pi, t[i].mat, res.residuals["isometry"],
+                                  res.residuals[f"intertwining_{i}"])
+        assert comp <= bound
+        worst = max(worst, comp)
+    assert worst > eps / 4

@@ -334,6 +334,24 @@ def test_only_general_model_fills_map_rows():
     assert callers == ["dilation.general_model"]
 
 
+def test_every_budget_names_a_reported_residual():
+    # a budget left behind for a residual no pipeline reports any more is a
+    # setting nothing reads: each residual family PURE_DILATION_BUDGETS keys,
+    # and each key of CHARFN_BUDGETS, appears in a small run's report
+    from wberg.config import parse_case
+    from wberg.pipelines import CHARFN_BUDGETS, PURE_DILATION_BUDGETS, run_charfn, run_dilate_pure
+
+    def run(pipeline, weights, spec):
+        case = parse_case({"weights": weights, "tuple": spec})
+        return pipeline(case, case.build_tuple(None))[1]
+
+    pure = run(run_dilate_pure, "hardy,hardy", "scalars:[0.5,0.4]")["residuals"]
+    families = {key.split("_")[0] for key in pure}
+    assert set(PURE_DILATION_BUDGETS) <= families, set(PURE_DILATION_BUDGETS) - families
+    charfn = run(run_charfn, "hardy", "nilpotent:1:4:1:0.5")
+    assert set(CHARFN_BUDGETS) <= set(charfn), set(CHARFN_BUDGETS) - set(charfn)
+
+
 # Public functions, classes and methods that nothing in the package refers
 # to, each with the reason it stays.
 UNREFERENCED_ALLOWED = {
