@@ -1,10 +1,11 @@
 """Dilations of hypercontractive tuples onto truncated weighted Bergman models.
 
-The general model keeps, for every subset ``L`` of coordinates, a block
-``A^2_{W_L}(E_L)`` whose defect map ``Delta_L`` solves a double limit (series
-limit inside ``L``, power conjugation outside).  For one variable its two
-blocks are the tail space and ``A^2_w(defect space)``, and the map is
-Olofsson's
+The general model keeps, for every subset ``L`` of coordinates whose
+coefficient space ``E_L`` is nonzero, a block ``A^2_{W_L}(E_L)`` whose defect
+map ``Delta_L`` solves a double limit (series limit inside ``L``, power
+conjugation outside); a summand with ``E_L = 0`` is not formed.  For one
+variable its two blocks are the tail space and ``A^2_w(defect space)``, and
+the map is Olofsson's
 
     h  |->  ( Q h ,  sum_k (D T*^k h / w_k) z^k ),
 
@@ -15,7 +16,7 @@ lift), one Douglas solve per coordinate, and each tail co-isometry is
 co-lifted onto every block it meets.  The blocks come from iterating that
 split variable by variable, and every block's rows are the stage cascade
 ``Dmin_n S_n*^{a_n} ... Dmin_1 T_1*^{a_1} / sqrt(w_a)`` of the lifted stage
-operators, the tail maps ``Qmin`` folded in.  A pure tuple keeps only the
+operators, the tail maps ``Qmin`` folded in.  A pure tuple has only the
 full block, and its model is the multi-shift dilation (:func:`pure_dilation`).
 
 Each operator a one-variable step reads is an :class:`~wberg.hyper.OperatorTuple`:
@@ -179,11 +180,13 @@ class BlockDiagonal:
 
 @dataclass
 class LambdaBlock:
-    """One direct summand of the general model.
+    """One nonzero direct summand of the general model.
 
     ``delta`` maps ``H`` into orthonormal coordinates of the block's
-    coefficient space; ``v`` holds the block co-isometries for coordinates
-    outside ``lam``.
+    coefficient space, of dimension ``e_dim >= 1``; ``v`` holds the block
+    co-isometries for coordinates outside ``lam``; ``space`` is the truncated
+    Bergman space over the ``lam``-variables, ``None`` for the tail block
+    ``lam = ()``.
     """
 
     lam: tuple[int, ...]
@@ -191,10 +194,6 @@ class LambdaBlock:
     e_dim: int
     v: dict[int, np.ndarray]
     space: TruncatedSpace | None
-
-    @property
-    def mask(self) -> int:
-        return sum(1 << i for i in self.lam)
 
     @property
     def block_dim(self) -> int:
@@ -207,7 +206,12 @@ class LambdaBlock:
 
     @property
     def tag(self) -> str:
-        return "_".join(str(i) for i in self.lam) if self.lam else "empty"
+        return _tag(self.lam)
+
+
+def _tag(lam: tuple[int, ...]) -> str:
+    """The residual-key name of the coordinate subset ``lam``."""
+    return "_".join(str(i) for i in lam) if lam else "empty"
 
 
 @dataclass
@@ -215,8 +219,8 @@ class DilationResult:
     """The dilation map as an :class:`Operator`, the model operators as
     block-diagonal actions (``to_matrix()`` gives the dense reference), the
     residual of every identity the construction promises, and the blocks,
-    one per coordinate subset in mask order (a pure tuple's are empty but
-    the full one)."""
+    one per coordinate subset with a nonzero coefficient space, in mask
+    order (a pure tuple's only block is the full one)."""
 
     map: Operator
     model_ops: list[BlockDiagonal]
@@ -356,12 +360,12 @@ def _defect_sqrt_pieces(t: OperatorTuple, omega: WeightSpec) -> tuple[np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# the 2^n-block model
+# the block model
 # ---------------------------------------------------------------------------
 
 def pure_dilation(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
     """Dilate a pure tuple onto the truncated multi-shift: its general
-    model, whose only nonempty block is the full one, acted on by shifts.
+    model, in which only the full block exists, acted on by shifts.
 
     Purity is the tuple's :func:`~wberg.hyper.is_pure`, on the tails the
     tuple holds: exactly zero for a nilpotent entry, whichever step asked
@@ -390,7 +394,13 @@ def _recursive_blocks(
     each by :meth:`~wberg.hyper.OperatorTuple.row_chain`; each ``Qmin`` is
     folded into the chain of the next coordinate of ``lam`` (on its right),
     or after the last one into the last chain (on its left).
+
+    A zero-dimensional stage has no blocks, so nothing below it is formed
+    (no defect limit, tail split, lift or co-lift), and every block returned
+    has a coefficient space of dimension at least one.
     """
+    if dim == 0:
+        return []
     if not ops:
         return [((), np.eye(dim, dtype=complex), {}, {}, [])]
     lab, rest = labels[0], labels[1:]
@@ -432,11 +442,17 @@ def _colift(
 def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
     """Model of a (not necessarily pure) hypercontractive tuple.
 
-    One block per coordinate subset: the block at ``lam`` is a truncated
-    Bergman space over the ``lam``-variables, each truncated at its purity
-    horizon, with coefficient space the range
-    of the block defect ``Delta_lam``; coordinates outside ``lam`` act as
-    lifted co-isometries, coordinates inside as shifts.
+    One block per coordinate subset whose block defect ``Delta_lam`` is
+    nonzero: the block at ``lam`` is a truncated Bergman space over the
+    ``lam``-variables, each truncated at its purity horizon, with
+    coefficient space the range of ``Delta_lam``; coordinates outside
+    ``lam`` act as lifted co-isometries, coordinates inside as shifts.
+    ``delta_formula_<lam>`` compares ``Delta_lam* Delta_lam`` with the brute
+    double limit (:func:`_double_limit`) for each of the ``2^n`` subsets, a
+    subset without a block with the zero matrix; ``v_coisometry_<lam>`` is
+    the worst ``||V_i V_i* - I||`` of a block with a coordinate outside
+    ``lam``, and ``lift_condition_<lam>_at_<i>`` the lift condition of each
+    co-lift onto a block.
 
     The residuals are ``isometry = ||Pi* Pi - I||`` and ``intertwining_i =
     ||R_i||``, ``R_i = Pi T_i* - M_i* Pi``.  They bound how far ``Pi* M_i
@@ -447,6 +463,15 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
         ||Pi* M_i Pi - T_i|| <= ||T_i|| isometry + sqrt(1 + isometry) intertwining_i,
 
     so ``Pi* M_i Pi`` is not formed.
+
+    Nor is the block intertwining ``Delta_lam T_i* = V_i* Delta_lam``, ``i``
+    outside ``lam``, reported: the row block of the constant monomial of
+    block ``lam`` in ``Pi`` is ``Delta_lam`` (its chain at ``a = 0`` over
+    ``w_0 = 1``), and on it ``M_i*`` acts as ``V_i*`` (``I (x) V_i*`` acts
+    copy by copy), so ``Delta_lam T_i* - V_i* Delta_lam`` is a row block of
+    ``R_i`` and
+
+        ||Delta_lam T_i* - V_i* Delta_lam|| <= intertwining_i.
 
     ``residuals["model_norm_i"]`` is the spectral norm of ``model_ops[i]``,
     taken from its blocks without an SVD of a shift: the norm of a block
@@ -467,11 +492,8 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
     residuals: dict[str, float] = {}
     for lam, delta, v, cond, _ in raw:
         e_dim = delta.shape[0]
-        space = None
-        if lam and e_dim > 0:
-            space = TruncatedSpace(
-                w.subset(lam), tuple(degs[i] for i in lam), coeff_dim=e_dim
-            )
+        space = TruncatedSpace(w.subset(lam), tuple(degs[i] for i in lam),
+                               coeff_dim=e_dim) if lam else None
         blocks.append(LambdaBlock(lam=lam, delta=delta, e_dim=e_dim, v=v, space=space))
         for i, value in cond.items():
             residuals[f"lift_condition_{blocks[-1].tag}_at_{i}"] = value
@@ -500,25 +522,17 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
             resid -= op.adjoint_apply(p)
             residuals[f"intertwining_{i}"] = spectral_norm(resid)
             residuals[f"model_norm_{i}"] = op.norm()
+    grams = {block.lam: block.delta.conj().T @ block.delta for block in blocks}
+    for mask in range(1 << t.n):
+        lam = tuple(i for i in range(t.n) if mask >> i & 1)
+        # a subset without a block holds the zero matrix
+        residuals[f"delta_formula_{_tag(lam)}"] = hermitian_norm(
+            grams.get(lam, 0) - _double_limit(t, w, lam))
     for block in blocks:
-        tag, delta = block.tag, block.delta
-        brute = _double_limit(t, w, block.lam)
-        residuals[f"delta_formula_{tag}"] = hermitian_norm(delta.conj().T @ delta - brute)
-        worst_int = 0.0
-        worst_co = 0.0
-        for i in range(t.n):
-            if i in block.lam:
-                continue
-            vi = block.v[i]
-            worst_int = max(
-                worst_int, spectral_norm(delta @ t[i].mat.conj().T - vi.conj().T @ delta)
-            )
-            if block.e_dim:
-                worst_co = max(
-                    worst_co, hermitian_norm(vi @ vi.conj().T - np.eye(block.e_dim))
-                )
-        residuals[f"delta_intertwine_{tag}"] = worst_int
-        residuals[f"v_coisometry_{tag}"] = worst_co
+        outside = [block.v[i] for i in range(t.n) if i not in block.lam]
+        if outside:
+            residuals[f"v_coisometry_{block.tag}"] = max(
+                hermitian_norm(v @ v.conj().T - np.eye(block.e_dim)) for v in outside)
     return DilationResult(map=Operator._adopt(p), model_ops=model_ops, residuals=residuals,
                           block_layout=blocks)
 
@@ -526,11 +540,9 @@ def general_model(t: OperatorTuple, w: MultiWeightSpec) -> DilationResult:
 def _block_action(block: LambdaBlock, i: int) -> ModelAction:
     """Coordinate ``i`` of the general model on one block: the block shift
     when ``i`` is in ``lam``, else the lifted co-isometry ``I (x) v[i]``."""
-    if i not in block.lam:
-        return LiftedAction(block.v[i], block.copies)
-    if block.space is None:  # an empty block
-        return LiftedAction(np.zeros((0, 0), dtype=complex))
-    return block.space.shifts[block.lam.index(i)]
+    if i in block.lam:
+        return block.space.shifts[block.lam.index(i)]
+    return LiftedAction(block.v[i], block.copies)
 
 
 def _double_limit(t: OperatorTuple, w: MultiWeightSpec, lam: tuple[int, ...]) -> np.ndarray:

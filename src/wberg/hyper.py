@@ -1019,11 +1019,16 @@ def equivalence_crosscheck(
     r_grid: Sequence | None = None,
     tol: float = POSITIVITY_TOL,
 ) -> CrosscheckReport:
-    """Run both equivalent finite criteria and insist the verdicts match."""
+    """Run both equivalent finite criteria and insist the verdicts match.
+
+    The defect verdict is the grid and vertex verdict alone
+    (``lattice_e_points=False``): with the lattice witnesses in it, a failing
+    lattice would fail both verdicts and read as agreement.
+    """
     gamma = tuple(int(g) for g in gamma)
     gr = is_gamma_contractive(t, gamma, tol=tol)
     w = MultiWeightSpec(tuple(WeightSpec.bergman(g) for g in gamma))
-    wr = is_W_hypercontraction(t, w, r_grid=r_grid, tol=tol)
+    wr = is_W_hypercontraction(t, w, r_grid=r_grid, tol=tol, lattice_e_points=False)
     agree = gr.verdict == wr.verdict
     if not agree:
         raise EquivalenceViolation(

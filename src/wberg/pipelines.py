@@ -131,7 +131,6 @@ def run_check(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
         ms = multishift_purity_and_positivity(space, t, case.r_grid or [0.5, 0.9])
         out["multishift_diagonal_ok"] = ms.diagonal_ok
         out["multishift_diag_residual"] = ms.max_diagonal_residual
-        out["multishift_pure"] = pure
         ok = rep.verdict and ms.diagonal_ok and pure
         return ok, {**out, "verdict": ok}
     return rep.verdict, out

@@ -202,24 +202,28 @@ def test_criterion_6_pure_multivariable_dilation():
 def test_criterion_7_general_model():
     # the delta_formula_* residuals are the defect-transport identities:
     # each block's Delta* Delta against its double limit
+    # (one per subset of the two coordinates; a subset without a block
+    # against the zero matrix), and the one nonzero block is (1,)
     worst = 0.0
     transport_worst = 0.0
-    blocks_seen = None
+    ok = True
     for seed in (401, 402, 403):
         t = unitary_times_nilpotent(seed, 2, 3)
         w = MultiWeightSpec.parse("bergman:2,hardy")
         res = general_model(t, w)
-        blocks_seen = len(res.block_layout)
+        transports = 0
         for key, value in res.residuals.items():
             if key.startswith("model_norm"):
                 assert value <= 1.0 + 1e-8
             else:
                 worst = max(worst, value)
             if key.startswith("delta_formula"):
+                transports += 1
                 transport_worst = max(transport_worst, value)
-    ok = worst < 1e-8 and blocks_seen == 4
-    verdict(7, ok, f"4-block model, worst identity residual {worst:.2e}, "
-                   f"transport identities {transport_worst:.2e} (tol 1e-8)")
+        ok = ok and transports == 4 and [b.lam for b in res.block_layout] == [(1,)]
+    ok = ok and worst < 1e-8
+    verdict(7, ok, f"4 transport identities and block (1,), worst identity residual "
+                   f"{worst:.2e}, transport identities {transport_worst:.2e} (tol 1e-8)")
 
 
 def test_criterion_8_characteristic_function_suite():

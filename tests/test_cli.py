@@ -126,8 +126,10 @@ def test_dilate_general_mixed(capsys):
     code, out, _ = run_cli(capsys, "dilate", "--general", "--weights", "hardy,hardy",
                            "--tuple", "scalars:[1.0,0.5]")
     assert code == 0
-    blocks = json.loads(out)["steps"]["dilate-general"]["blocks"]
-    assert len(blocks) == 4
+    step = json.loads(out)["steps"]["dilate-general"]
+    # the one nonzero block, and a delta_formula identity for each of the 4 subsets
+    assert [(b["lam"], b["e_dim"]) for b in step["blocks"]] == [([1], 1)]
+    assert sum(key.startswith("delta_formula") for key in step["residuals"]) == 4
 
 
 def test_dilate_general_as_large_as_the_pure_dilation(capsys):

@@ -13,10 +13,19 @@ import pytest
 
 import wberg.charfn as charfn
 import wberg.dilation as dilation
+import wberg.hyper as hyper
 from wberg.charfn import CHAR_TOL, char_function, char_function_eval
 from wberg.config import parse_case, report_json
-from wberg.errors import IsometryResidualTooLarge
-from wberg.pipelines import CHARFN_BUDGETS, run_charfn
+from wberg.errors import EquivalenceViolation, IsometryResidualTooLarge
+from wberg.generators import scalar_tuple
+from wberg.pipelines import (
+    CHARFN_BUDGETS,
+    GENERAL_MODEL_BUDGET,
+    PURE_DILATION_BUDGETS,
+    run_charfn,
+    run_dilate_general,
+    run_dilate_pure,
+)
 
 from dense_multiplier import compression_bound, dense_compression
 
@@ -145,8 +154,13 @@ def test_key_identity_in_the_undecided_window_reports_the_svd_value(monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# the dilation residuals the compression bound rests on
+# the dilation residuals
 # ---------------------------------------------------------------------------
+#
+# ``lift_condition_<block>_at_<i>`` needs no row: ``_colift`` raises
+# ``LiftConditionFailed`` above its bound, before any report is formed, so no
+# reported value can sit past a budget (``test_model_colift_condition_failure``
+# shows the raise).
 
 PROBE = {"name": "general-scalars-hardy", "weights": "hardy,hardy",
          "tuple": "scalars:[1.0,0.5]", "run": ["dilate-general"]}
@@ -177,16 +191,16 @@ def fault_map_rows(monkeypatch, eps, seen=None):
 
 
 def fault_colift(monkeypatch, eps, seen=None):
-    """Scale every nonempty lifted co-isometry ``V`` ``_colift`` returns by
-    ``1 + eps``; on the probe case there is one, ``V = [1]`` on the block
-    ``(1,)`` for coordinate 0.  ``seen`` collects the unscaled ``V``."""
+    """Scale every lifted co-isometry ``V`` ``_colift`` returns by ``1 + eps``;
+    on the probe case there is one, ``V = [1]`` on the block ``(1,)`` for
+    coordinate 0.  ``seen`` collects the unscaled ``V``."""
     original = dilation._colift
 
     def faulty(delta, v, lam, what):
         lift, cond = original(delta, v, lam, what)
-        if lift.size and seen is not None:
+        if seen is not None:
             seen.append(lift.copy())
-        return (lift * (1.0 + eps) if lift.size else lift), cond
+        return lift * (1.0 + eps), cond
 
     monkeypatch.setattr(dilation, "_colift", faulty)
 
@@ -226,8 +240,6 @@ def test_isometry_moves_linearly_with_a_scaled_map_row_block(monkeypatch, data, 
 
 
 def test_isometry_fault_past_its_budget_flips_or_raises(monkeypatch):
-    from wberg.pipelines import PURE_DILATION_BUDGETS, run_dilate_general, run_dilate_pure
-
     # general model: past ISO_TOL the isometry gate raises before any other
     # residual is formed
     g, _ = isometry_response(monkeypatch, PROBE)
@@ -274,7 +286,7 @@ def intertwining_response(monkeypatch):
     fault_colift(monkeypatch, 0.0, seen)
     res = dilation.general_model(t, case.weights)
     [v] = seen
-    [block] = [b for b in res.block_layout if b.v.get(0, np.zeros(0)).size]
+    [block] = [b for b in res.block_layout if 0 in b.v]
     lo = sum(b.block_dim for b in res.block_layout[:res.block_layout.index(block)])
     rows = res.map.mat[lo:lo + block.block_dim].reshape(block.copies, v.shape[0], -1)
     return np.linalg.norm((v.conj().T @ rows).reshape(block.block_dim, -1), 2), res.residuals
@@ -295,8 +307,6 @@ def test_intertwining_moves_linearly_with_a_scaled_lifted_coisometry(monkeypatch
 
 
 def test_intertwining_fault_past_its_budget_flips_the_verdict(monkeypatch):
-    from wberg.pipelines import GENERAL_MODEL_BUDGET, run_dilate_general
-
     g, _ = intertwining_response(monkeypatch)
     case, t = build(PROBE)
     fault_colift(monkeypatch, 0.0)
@@ -304,8 +314,8 @@ def test_intertwining_fault_past_its_budget_flips_the_verdict(monkeypatch):
     monkeypatch.undo()
     assert ok and report_json(report) == report_json(run_dilate_general(case, t)[1])
     # past the budget intertwining_0 fails it and the verdict flips; the
-    # scaled V also moves model_norm_0 (1 + eps), v_coisometry_1 (about
-    # 2 eps) and delta_intertwine_1, which fail their budgets with it
+    # scaled V also moves model_norm_0 (1 + eps) and v_coisometry_1 (about
+    # 2 eps), which fail their budgets with it
     fault_colift(monkeypatch, 2.0 * GENERAL_MODEL_BUDGET / g)
     ok, faulty = run_dilate_general(case, t)
     assert not ok and faulty["verdict"] is False
@@ -333,3 +343,130 @@ def test_compression_stays_within_the_bound_under_each_fault(monkeypatch, fault,
         assert comp <= bound
         worst = max(worst, comp)
     assert worst > eps / 4
+
+
+def fault_double_limit(monkeypatch, eps, lam):
+    """Add ``eps I`` to the brute double limit of the subset ``lam`` that
+    ``general_model`` compares each block defect with."""
+    original = dilation._double_limit
+
+    def faulty(t, w, sub):
+        brute = original(t, w, sub)
+        return brute + eps * np.eye(t.dim) if sub == lam else brute
+
+    monkeypatch.setattr(dilation, "_double_limit", faulty)
+
+
+def over_budget(residuals):
+    """The residual keys past ``GENERAL_MODEL_BUDGET``, the model norms aside."""
+    return {k for k, v in residuals.items()
+            if not k.startswith("model_norm") and v > GENERAL_MODEL_BUDGET}
+
+
+# the probe's one block, and a subset without a block (its tail is 0)
+SUBSETS = [((1,), "delta_formula_1"), ((), "delta_formula_empty")]
+
+
+@pytest.mark.parametrize("lam,key", SUBSETS, ids=["block", "no-block"])
+@pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6])
+def test_delta_formula_moves_by_eps_with_a_shifted_double_limit(monkeypatch, lam, key, eps):
+    # ||G - B - eps I|| lies within R(0) = ||G - B|| of eps, plus a the
+    # rounding of B + eps I (below 1e-15 here), so with (2 R(0) + a) / eps
+    # <= 1 / 4 the move R(eps) - R(0) is between eps / 2 and 3 eps / 2
+    # (g = 1, c = 2); no other residual reads the double limit
+    case, t = build(PROBE)
+    before = dilation.general_model(t, case.weights).residuals
+    assert (2 * before[key] + 1e-15) / eps <= 0.25
+    fault_double_limit(monkeypatch, eps, lam)
+    after = dilation.general_model(t, case.weights).residuals
+    assert eps / 2 <= after[key] - before[key] <= 2 * eps
+    assert {k for k in before if after[k] != before[k]} == {key}
+
+
+@pytest.mark.parametrize("lam,key", SUBSETS, ids=["block", "no-block"])
+def test_delta_formula_fault_past_its_budget_flips_the_verdict(monkeypatch, lam, key):
+    case, t = build(PROBE)
+    ok, report = run_dilate_general(case, t)
+    fault_double_limit(monkeypatch, 0.0, lam)
+    assert ok and report_json(run_dilate_general(case, t)[1]) == report_json(report)
+    monkeypatch.undo()
+    for factor, verdict in ((0.5, True), (2.0, False)):
+        fault_double_limit(monkeypatch, factor * GENERAL_MODEL_BUDGET, lam)
+        ok, faulty = run_dilate_general(case, t)
+        assert ok is faulty["verdict"] is verdict
+        assert over_budget(faulty["residuals"]) == (set() if verdict else {key})
+        monkeypatch.undo()
+
+
+def coisometry_response(monkeypatch):
+    """``g = 2 ||V V*||`` for the probe's one lifted co-isometry ``V``, with
+    the unfaulted residuals.
+
+    Scaling ``V`` by ``1 + eps`` makes ``V V* - I`` into ``(V V* - I) + eps
+    (2 + eps) V V*`` exactly, so ``v_coisometry_1`` is within ``R(0)`` of
+    ``|eps| (1 + eps / 2) g``.
+    """
+    case, t = build(PROBE)
+    seen = []
+    fault_colift(monkeypatch, 0.0, seen)
+    res = dilation.general_model(t, case.weights)
+    monkeypatch.undo()
+    [v] = seen
+    return 2.0 * np.linalg.norm(v @ v.conj().T, 2), res.residuals
+
+
+# A shrunk V (eps < 0): a grown one would push model_norm_0 past its slack
+# of 1e-8 before v_coisometry_1 reaches its budget of 1e-7.
+@pytest.mark.parametrize("eps", [-1e-10, -1e-8, -1e-6])
+def test_v_coisometry_moves_linearly_with_a_scaled_colift(monkeypatch, eps):
+    # R(eps) - R(0) lies in [|eps| (1 - |eps| / 2) g - 2 R(0) - a,
+    # |eps| g + a], a the rounding of V V* - I (below 1e-15 here); with
+    # (2 R(0) + a) / |eps| <= g / 4 it is within [|eps| / c, c |eps|] for
+    # c = 2 max(g, 1 / g)
+    g, before = coisometry_response(monkeypatch)
+    c = 2.0 * max(g, 1.0 / g)
+    case, t = build(PROBE)
+    assert (2 * before["v_coisometry_1"] + 1e-15) / abs(eps) <= g / 4
+    fault_colift(monkeypatch, eps)
+    after = dilation.general_model(t, case.weights).residuals["v_coisometry_1"]
+    assert abs(eps) / c <= after - before["v_coisometry_1"] <= c * abs(eps)
+
+
+def test_v_coisometry_fault_past_its_budget_flips_the_verdict(monkeypatch):
+    # the shrunk V also moves intertwining_0 by about |eps| (g = 1 in
+    # intertwining_response), half as fast as v_coisometry_1, so at 1.5
+    # times the budget v_coisometry_1 alone fails
+    g, _ = coisometry_response(monkeypatch)
+    case, t = build(PROBE)
+    ok, report = run_dilate_general(case, t)
+    fault_colift(monkeypatch, 0.0)
+    assert ok and report_json(run_dilate_general(case, t)[1]) == report_json(report)
+    monkeypatch.undo()
+    for factor, verdict in ((0.5, True), (1.5, False)):
+        fault_colift(monkeypatch, -factor * GENERAL_MODEL_BUDGET / g)
+        ok, faulty = run_dilate_general(case, t)
+        assert ok is faulty["verdict"] is verdict
+        assert over_budget(faulty["residuals"]) == (set() if verdict else {"v_coisometry_1"})
+        monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# the equivalence cross-check
+# ---------------------------------------------------------------------------
+
+def test_a_failing_lattice_is_an_equivalence_violation(monkeypatch):
+    # one lattice witness of a hypercontractive scalar pair reads -1.0: the
+    # cross-check compares the lattice with the grid and vertex verdict, which
+    # holds, so the two criteria disagree
+    gamma = (2, 2)
+    report = hyper.equivalence_crosscheck(scalar_tuple([0.5, 0.4]), gamma)
+    assert report.agree and report.gamma_report.verdict and report.w_report.verdict
+    original = hyper._lattice_report
+
+    def faulty(t, gamma, tol):
+        (beta, _), *rest = original(t, gamma, tol).witnesses
+        return hyper.GammaReport(False, ((beta, -1.0), *rest), beta)
+
+    monkeypatch.setattr(hyper, "_lattice_report", faulty)
+    with pytest.raises(EquivalenceViolation, match="lattice verdict False, defect verdict True"):
+        hyper.equivalence_crosscheck(scalar_tuple([0.5, 0.4]), gamma)

@@ -352,6 +352,37 @@ def test_every_budget_names_a_reported_residual():
     assert set(CHARFN_BUDGETS) <= set(charfn), set(CHARFN_BUDGETS) - set(charfn)
 
 
+def test_the_general_model_holds_and_reports_only_nonzero_blocks():
+    # a summand with a zero coefficient space is neither built nor reported:
+    # over the corpus dilation tuples and a pure three-variable multishift,
+    # every block has e_dim >= 1; the delta_formula_* keys are the 2^n
+    # subsets (a subset without a block against the zero matrix); every
+    # v_coisometry_<block> and lift_condition_<block>_at_<i> names a block of
+    # the layout; and the implied delta_intertwine_* is not emitted
+    from wberg.config import parse_case
+    from wberg.corpus import corpus_cases
+    from wberg.dilation import general_model
+
+    cases = [c for c in corpus_cases() if {"dilate-pure", "dilate-general"} & set(c["run"])]
+    cases.append({"name": "multishift-3d", "weights": "bergman:2,bergman:2,bergman:2",
+                  "tuple": "multishift:3x3x3", "degrees": [3, 3, 3]})
+    assert len(cases) == 8
+    for data in cases:
+        case = parse_case(dict(data), name=data["name"])
+        t = case.build_tuple(None)
+        res = general_model(t, case.weights)
+        assert all(b.e_dim >= 1 for b in res.block_layout), data["name"]
+        blocks = {b.tag for b in res.block_layout}
+        subsets = {"_".join(str(i) for i in range(t.n) if mask >> i & 1) or "empty"
+                   for mask in range(1 << t.n)}
+        keys = list(res.residuals)
+        assert {k[len("delta_formula_"):] for k in keys
+                if k.startswith("delta_formula_")} == subsets, data["name"]
+        named = [re.fullmatch(r"v_coisometry_(.+)|lift_condition_(.+)_at_\d+", k) for k in keys]
+        assert {m.group(1) or m.group(2) for m in named if m} <= blocks, data["name"]
+        assert not any(k.startswith("delta_intertwine") for k in keys), data["name"]
+
+
 # Public functions, classes and methods that nothing in the package refers
 # to, each with the reason it stays.
 UNREFERENCED_ALLOWED = {
