@@ -33,7 +33,9 @@ d``, so ``theta(z) = kron(a(z), I_r) + L(z) W*``.  The orthogonality defect
 (:attr:`CharTriple.orthogonality`).  The unitarity of the completed block
 matrix is read off a ``(d + min(e, d))``-square matrix
 (:func:`block_unitarity`, held on the function), the range orthogonality
-``pi* M = 0`` off a ``d``-square Gram matrix.  The split ``pi pi* + M M* =
+``pi* M = 0`` off the ``d``-square Gram matrix of its formed ``d x e``
+blocks, taken only where the arrays they are built from are not exactly
+zero (:func:`_range_orthogonality`).  The split ``pi pi* + M M* =
 I`` factors exactly through ``U U* - I`` of the completed block matrix
 ``U``, so it is certified by a proved bound from the block unitarity, the
 orthogonality defect and the ``d``-sized blocks ``D T*^j``
@@ -43,7 +45,8 @@ transport ``tau`` between the completions of ``T`` and ``u T u*`` is
 applied through its factors and certified unitary by a proved bound from a
 ``d``-square Gram matrix and both orthogonality defects
 (:func:`coincidence_verify`); it is formed only when that bound cannot
-decide.  Every bound carries a rounding allowance derived from the sizes of
+decide; the coincidence gaps are normed by their ``r``-square Gram
+matrices.  Every bound carries a rounding allowance derived from the sizes of
 its formed products (:func:`_gamma`).  Evaluations take a whole point set
 at once: one Vandermonde product per coefficient stack.  The kernel identity
 is read off the factors ``a(z)``, ``L(z)`` and ``K = W* W``, with no value
@@ -66,6 +69,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dilation import _defect_sqrt_pieces, _one_tuple, _pure_horizon
 from .errors import HorizonTooShort, NotPure, NotUnitaryInput
@@ -102,6 +106,12 @@ MIN_CHAR_TERMS = 24
 # The last term of an explicit list's scalar kernel sum must be this small
 # relative to the sum: the list ends there, and no later term can be added.
 KERNEL_CHUNK_RTOL = 1e-18
+# Complex entries (64 KiB) of one run of range-orthogonality blocks: a fixed
+# budget keeps a run in cache whatever the number of terms, and the memory
+# held flat.  4096 and 6144 timed best on the charfn benchmark functions
+# (shared 2-core x86-64 VM, one BLAS thread): 2048 was slower at d = 1 and
+# n = 507, 8192 and above at d = 16.
+RUN_ENTRIES = 4096
 
 
 def rho_sequence(omega: WeightSpec, n: int) -> np.ndarray:
@@ -697,12 +707,22 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
     Lambda_j`` (``d x d``), and ``T^a A_m`` holds ``sqrt(rho_j)
     R_(a+j)*``.  So block ``a`` is formed, ``d x e``, from the ``R`` stack,
     one ``cumsum`` of the ``Q_m`` and one product with ``W*``; the blocks
-    are a residual and are formed before they are normed.  They are taken
-    in runs of about ``sqrt(n)``, so that both the memory held and the
-    number of batched products grow like ``sqrt(n)``.  The ``d x n e``
-    matrix ``pi* M`` has the norm ``sqrt(lambda_max)`` of its ``d``-square
-    Gram matrix ``sum_a block_a block_a*``; a largest singular value taken
-    from the Gram matrix carries a relative error of about ``eps``.
+    are a residual and are formed before they are normed.  Only their
+    nonzero support is formed: block row ``a`` is exactly zero once ``T^a``
+    and every ``R_(a+j)`` are, and block column ``j`` once the block row
+    ``W_j`` of ``W`` and every ``R_(a+j)`` are, so the rows past the first
+    exactly zero power (the nilpotency order) and the last nonzero ``R_b``,
+    and the columns past the last nonzero ``W_j`` and ``R_b``, add nothing
+    but exact zeros.  The blocks are taken in runs of a fixed number of
+    entries, so that a run stays in cache and the memory held is flat in
+    ``n``.  The ``d x n e`` matrix ``pi* M`` has the norm
+    ``sqrt(lambda_max)`` of its ``d``-square Gram matrix ``sum_a block_a
+    block_a*``; a largest singular value taken from the Gram matrix carries
+    a relative error of about ``eps``.  The Gram matrix is that of the
+    formed residual: expanded through ``K = W* W`` into ``d``-sized terms,
+    it cancels ``O(1)`` pieces down to the residual's square and reads
+    1.6e-8 to 3.8e-8 on the five ``charfn`` benchmark functions (seed 1),
+    past the 1e-8 budget, where the formed blocks read 1.2e-15 to 8.2e-11.
     """
     rows = cf.rows
     bound, proved = _split_bound(cf, rows)
@@ -711,25 +731,51 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
     return {"partial_isometry": split, "range_orthogonality": _range_orthogonality(cf)}
 
 
+def _support(stack: np.ndarray) -> int:
+    """One past the last block along axis 0 of ``stack`` that holds a nonzero entry."""
+    nonzero = np.flatnonzero(stack.reshape(len(stack), -1).any(axis=1))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
 def _range_orthogonality(cf: CharFunction) -> float:
-    """``||pi* M||`` from its blocks ``T^a P_(n-1-a)``, formed run by run
-    (:func:`partial_isometry_check`), with ``T^a`` from the tuple's power stack."""
+    """``||pi* M||`` from its blocks ``T^a Q_(n-1-a) W* + [sqrt(rho_j)
+    R_(a+j)*]_j``, formed on their nonzero support (:func:`partial_isometry_check`).
+
+    The rows ``a`` run to the larger of the nilpotency order held on the
+    tuple (``n`` without one) and the support of the ``R`` stack, and read
+    ``T^a`` from the tuple's power stack; the columns ``j`` run to the
+    larger of the supports of ``W`` and of the ``R`` stack.  A run of rows
+    is held ``(d, a, j, r)``: one product of its stacked ``T^a Q`` with the
+    kept columns of ``W*``, a zero-copy Hankel view of the zero-padded
+    ``R*`` stack added in place, and one ``flat flat*`` into the Gram
+    matrix.  A run holds about ``RUN_ENTRIES`` entries.
+    """
     n, r, d = cf.n_terms, cf.defect_dim, cf.t.shape[0]
+    w = cf.triple.w
+    k = w.shape[1]
+    rows_end = _support(cf.rows)
+    a_end = max(cf.tup.nilpotency_order(0, min(n, d)) or n, rows_end)
+    j_end = max(_support(w.reshape(n, r, k)), rows_end)
+    if not j_end:
+        return 0.0
     r_adj = cf.rows.conj().transpose(0, 2, 1)  # R_j*
     # Theta_n only reaches degrees beyond the cutoff
     q = np.cumsum(r_adj @ cf.coefficient_factors[:n], axis=0)
-    tq = cf.tup.power_stack(0, n) @ q[::-1]  # T^a Q_(n-1-a)
-    padded = np.concatenate([r_adj, np.zeros_like(r_adj[:1])])  # R_(a+j)* is zero past the stack
-    sqrt_rho = np.sqrt(rho_sequence(cf.omega, n))[None, None, :, None]
-    w_adj = cf.triple.w.conj().T
-    j = np.arange(n)
+    tq = cf.tup.power_stack(0, a_end) @ q[::-1][:a_end]  # T^a Q_(n-1-a)
+    # R_(a+j)*, zero past the stack, as a (d, a, j, r) Hankel view
+    padded = np.zeros((d, a_end + j_end - 1, r), dtype=complex)
+    padded[:, :rows_end] = r_adj[:rows_end].transpose(1, 0, 2)
+    hankel = sliding_window_view(padded, j_end, axis=1).transpose(0, 1, 3, 2)
+    sqrt_rho = np.sqrt(rho_sequence(cf.omega, n))[:j_end, None]
+    w_adj = w[:j_end * r].conj().T
+    step = max(1, RUN_ENTRIES // (d * j_end * r))
     gram = np.zeros((d, d), dtype=complex)
-    step = math.isqrt(n - 1) + 1
-    for start in range(0, n, step):
-        a = np.arange(start, min(start + step, n))
-        blocks = (tq[a] @ w_adj).reshape(len(a), d, n, r)
-        blocks += sqrt_rho * padded[np.minimum(a[:, None] + j, n)].transpose(0, 2, 1, 3)
-        gram += np.tensordot(blocks, blocks.conj(), axes=([0, 2, 3], [0, 2, 3]))
+    for start in range(0, a_end, step):
+        run = tq[start:start + step]
+        blocks = (run.transpose(1, 0, 2).reshape(-1, k) @ w_adj).reshape(d, len(run), j_end, r)
+        blocks += sqrt_rho * hankel[:, start:start + step]
+        flat = blocks.reshape(d, -1)
+        gram += flat @ flat.conj().T
     return math.sqrt(hermitian_norm(gram))
 
 
@@ -833,6 +879,26 @@ def _transport_bound(
     return g_norm**2 + (1.0 + delta_t) * (beta2 + beta_rounding + delta2) + delta_t
 
 
+def _coincidence_gaps(
+    theta1: CharFunction, theta2: CharFunction, u: np.ndarray, tau_star: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """``theta2(z) - tau_* theta1(z) tau`` at each point, stacked as ``(P, r,
+    e)``, with ``tau = Y1* W* Y2`` applied through the factors
+    (:func:`coincidence_verify`)."""
+    t1, t2 = theta1.triple, theta2.triple
+    r, e = theta1.defect_dim, t1.e_dim
+    # theta1(z) Y1* as [top | bottom], r x d and r x e per point
+    th1 = char_function_eval(theta1, z).reshape(-1, e)
+    lead = (th1 @ t1.w) @ t1.s.conj().T
+    top = -(lead @ t1.v_top.conj().T)
+    bottom = th1 - lead @ t1.w.conj().T
+    # times W* = diag(u*, I (x) tau_*^*), then times Y2 = E - V2 S2 W2*
+    top = top @ u.conj().T
+    bottom = (bottom.reshape(-1, r) @ tau_star.conj().T).reshape(bottom.shape)
+    right = bottom - ((top @ t2.v_top + bottom @ t2.w) @ t2.s) @ t2.w.conj().T
+    return char_function_eval(theta2, z) - tau_star @ right.reshape(len(z), r, e)
+
+
 def coincidence_verify(
     theta1: CharFunction,
     theta2: CharFunction,
@@ -864,6 +930,13 @@ def coincidence_verify(
     residual, which a rejection quotes, so every decision is the one the
     formed ``tau`` would give.  The identity holds when its residual is at
     most ``CHAR_TOL``.
+
+    The residual is the largest spectral norm of the formed ``r x e`` gaps
+    (:func:`_coincidence_gaps`), each read as ``sqrt(lambda_max)`` of its
+    ``r``-square Gram matrix, the rule of :func:`_range_orthogonality`: a
+    largest singular value taken from the Gram matrix carries a relative
+    error of about ``eps``.  An empty defect (``r = e = 0``) leaves no gap
+    and no transport, and gives 0.
     """
     z = _disc_points(z_grid)
     u = np.asarray(u, dtype=complex)
@@ -875,22 +948,15 @@ def coincidence_verify(
     tau_star = theta2.defect_basis.conj().T @ u @ theta1.defect_basis
     eps = max(_require_unitary(u, "the conjugating map must be unitary"),
               _require_unitary(tau_star, "coincidence transports must be unitary"))
-    t1, t2 = theta1.triple, theta2.triple
+    if not e:  # an empty defect: both functions map into a zero space
+        return True, 0.0
     if _transport_bound(theta1, theta2, u, tau_star, eps) > CHAR_TOL * 10:
-        y1, y2 = t1.completion(), t2.completion()
+        y1, y2 = theta1.triple.completion(), theta2.triple.completion()
         bt = u @ y1[:d]
         dt = (tau_star @ y1[d:].reshape(-1, r, e)).reshape(-1, e)
         _require_unitary(bt.conj().T @ y2[:d] + dt.conj().T @ y2[d:],
                          "coincidence transports must be unitary")
-    # theta1(z) Y1* as [top | bottom], r x d and r x e per point
-    th1 = char_function_eval(theta1, z).reshape(-1, e)
-    lead = (th1 @ t1.w) @ t1.s.conj().T
-    top = -(lead @ t1.v_top.conj().T)
-    bottom = th1 - lead @ t1.w.conj().T
-    # times W* = diag(u*, I (x) tau_*^*), then times Y2 = E - V2 S2 W2*
-    top = top @ u.conj().T
-    bottom = (bottom.reshape(-1, r) @ tau_star.conj().T).reshape(bottom.shape)
-    right = bottom - ((top @ t2.v_top + bottom @ t2.w) @ t2.s) @ t2.w.conj().T
-    gap = char_function_eval(theta2, z) - tau_star @ right.reshape(len(z), r, e)
-    worst = float(np.max(np.linalg.svd(gap, compute_uv=False))) if gap.size else 0.0
+    gap = _coincidence_gaps(theta1, theta2, u, tau_star, z)
+    grams = gap @ gap.conj().transpose(0, 2, 1)
+    worst = math.sqrt(max((hermitian_norm(g) for g in grams), default=0.0))
     return worst <= CHAR_TOL, worst

@@ -28,7 +28,7 @@ from wberg.charfn import (
 )
 from wberg.errors import HorizonTooShort, NotPure, NotUnitaryInput
 from wberg.generators import commuting_unitaries, nilpotent_commuting_tuple, random_unitary
-from wberg.hyper import _power_stack
+from wberg.hyper import OperatorTuple, _power_stack
 from wberg.linalg import Operator, hermitian_norm
 from wberg.series import MultiWeightSpec, WeightSpec
 
@@ -1395,7 +1395,23 @@ REFERENCE_CASES = {
         nilpotent_commuting_tuple(1, 16, 1, radius=0.5)[0], B2),
     # n_terms cut short: the column identity, 1.7e-10, dominates the residual
     "bergman2-scalar0.5-cut16": lambda: char_function(np.array([[0.5]]), B2, 16),
+    # inputs of the support rule of the range orthogonality (SUPPORT_ROWS)
+    "bergman2-zero-operator": lambda: char_function(np.zeros((3, 3)), B2),
+    "hardy-nil8": lambda: char_function(nilpotent_commuting_tuple(3, 8, 1, radius=0.5)[0], HARDY),
+    "bergman2-nil16-conjugated": lambda: char_function(_conjugated_nilpotent(), B2),
 }
+
+# Block rows of pi* M that the range orthogonality forms, the powers T^a it
+# reads: T = 0 has one nonzero block row (and column), a nilpotent of order
+# 8 eight of its 24, and a nilpotent conjugated by a unitary has no exactly
+# zero power, so all n_terms rows are formed
+SUPPORT_ROWS = {"bergman2-zero-operator": 1, "hardy-nil8": 8, "bergman2-nil16-conjugated": 33}
+
+
+def _conjugated_nilpotent() -> np.ndarray:
+    t = nilpotent_commuting_tuple(1, 16, 1, radius=0.5)[0].mat
+    u = random_unitary(5, 16).mat
+    return u @ t @ u.conj().T
 
 
 @functools.cache
@@ -1451,15 +1467,145 @@ def test_block_unitarity_matches_dense_route(name):
     assert abs(got - right) <= completion + 64 * EPS, (got, right, completion)
 
 
+def counted_power_stacks(monkeypatch) -> list[int]:
+    """The ``count`` of every ``OperatorTuple.power_stack`` read from now on."""
+    counts = []
+    original = OperatorTuple.power_stack
+    monkeypatch.setattr(OperatorTuple, "power_stack",
+                        lambda self, i, count: counts.append(count) or original(self, i, count))
+    return counts
+
+
 @pytest.mark.parametrize("name", REFERENCE_CASES)
-def test_range_orthogonality_matches_concatenated_route(name):
+def test_range_orthogonality_matches_concatenated_route(monkeypatch, name):
     cf = reference_function(name)
+    counts = counted_power_stacks(monkeypatch)
     got = partial_isometry_check(cf)["range_orthogonality"]
     ref = concatenated_range_orthogonality(cf)
     assert abs(got - ref) < 1e-13, (got, ref)
+    if name in SUPPORT_ROWS:
+        assert counts == [SUPPORT_ROWS[name]] and cf.n_terms >= 24
     if name == "bergman2.5-scalar0.95":
         # truncation at n_terms = 507 dominates the value (8.2e-11); the two
         # routes round differently, at the level to which the value is
         # determined by its double-precision inputs (about 1e-9 relative)
         assert ref > 1e-11
         assert abs(got - ref) <= 1e-8 * ref, (got, ref)
+
+
+# ---------------------------------------------------------------------------
+# range orthogonality and coincidence: no SVD, and only the nonzero support
+# ---------------------------------------------------------------------------
+
+# the five charfn benchmark shapes at seed 1, with the block rows of pi* M
+# their range orthogonality forms: all 507 for the scalar, whose powers never
+# vanish, and the nilpotency order for the nilpotent ones (of their 24)
+WORKLOAD_ROWS = {"bergman2.5-scalar0.95": 507, "hardy-nil8-s1": 8, "bergman2-nil16-s1": 16,
+                 "bergman2-nil16-s2": 16, "bergman2-nil16-s3": 16}
+
+
+def _workload_function(name):
+    """A ``charfn`` benchmark shape: the function, that of ``u T u*`` with the
+    pipeline's conjugating unitary, and the unitary."""
+    if name == "bergman2.5-scalar0.95":
+        op, spec, seed = np.array([[0.95 * np.exp(0.3j)]]), WeightSpec.bergman(2.5), 1
+    else:
+        size, spec = (8, HARDY) if name.startswith("hardy") else (16, B2)
+        seed = int(name[-1])
+        op = nilpotent_commuting_tuple(seed, size, 1, radius=0.5)[0]
+    cf = char_function(op, spec)
+    u = random_unitary(seed + 17, cf.t.shape[0]).mat
+    return cf, conjugated(cf, u), u
+
+
+def counted_svds(monkeypatch) -> list[str]:
+    """Every ``np.linalg.svd`` call, and every SVD norm ``np.linalg.norm(x,
+    2)`` (or ``-2``), from now on."""
+    calls = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2):
+            calls.append("norm")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return calls
+
+
+@pytest.mark.parametrize("name", WORKLOAD_ROWS)
+def test_range_orthogonality_and_coincidence_take_no_svd(monkeypatch, name):
+    import wberg.charfn as charfn
+
+    cf, cf2, u = _workload_function(name)
+    svds, counts = counted_svds(monkeypatch), counted_power_stacks(monkeypatch)
+    value = charfn._range_orthogonality(cf)
+    ok, res = coincidence_verify(cf, cf2, u, [0.3, -0.25 + 0.2j, 0.1j])
+    assert svds == [] and counts == [WORKLOAD_ROWS[name]]
+    assert value < 1e-10 and ok and res < 1e-14
+
+
+def test_range_orthogonality_on_a_triple_with_k_equal_to_n(monkeypatch):
+    # V = I_N (dense_triple): every block row of W is nonzero, so all block
+    # columns are formed, while the block rows still stop at the nilpotency
+    # order; the value is the concatenated route's, with no SVD
+    import wberg.charfn as charfn
+
+    cf, cf2, u = _workload_function("bergman2-nil16-s1")
+    dense = dataclasses.replace(cf, triple=dense_triple(cf.triple.completion()))
+    dense2 = dataclasses.replace(cf2, triple=dense_triple(cf2.triple.completion()))
+    assert dense.triple.s.shape[0] == dense.triple.v.shape[0] == 16 + dense.triple.e_dim
+    ref = concatenated_range_orthogonality(dense)
+    svds, counts = counted_svds(monkeypatch), counted_power_stacks(monkeypatch)
+    got = charfn._range_orthogonality(dense)
+    ok, res = coincidence_verify(dense, dense2, u, [0.3, 0.1j])
+    assert svds == [] and counts == [16]
+    assert abs(got - ref) < 1e-13, (got, ref)
+    assert ok and res < 1e-13
+
+
+def test_range_orthogonality_and_coincidence_on_an_empty_defect(monkeypatch):
+    # no pure operator has a zero defect, but a rank floor can empty it: the
+    # function then maps into a zero space, every residual is 0 and no
+    # power, SVD or completion is formed
+    import wberg.charfn as charfn
+
+    cf = char_function(np.array([[0.5]]), B2)
+    empty = dataclasses.replace(
+        cf, triple=CharTriple(0, cf.triple.v[:1], cf.triple.s), rows=cf.rows[:, :0],
+        defect_min=cf.defect_min[:0], defect_basis=cf.defect_basis[:, :0],
+        column_map=cf.column_map[:0])
+    assert empty.defect_dim == 0 and empty.triple.e_dim == 0
+    svds, counts = counted_svds(monkeypatch), counted_power_stacks(monkeypatch)
+    monkeypatch.setattr(CharTriple, "completion", lambda self: pytest.fail("completion formed"))
+    assert charfn._range_orthogonality(empty) == 0.0
+    assert coincidence_verify(empty, empty, np.eye(1), [0.3, 0.1j]) == (True, 0.0)
+    assert svds == [] and counts == []
+
+
+def test_coincidence_residual_is_the_svd_norm_of_the_formed_gaps(monkeypatch):
+    # each r x e gap is normed by sqrt(lambda_max) of its r-square Gram
+    # matrix, which matches the largest singular value of the same formed
+    # gap to a few ulps: at rounding level, and with theta2's Lambda_0
+    # scaled so that the gap is about 1e-3
+    import wberg.charfn as charfn
+
+    t = nilpotent_commuting_tuple(24, 5, 1, radius=0.5)[0]
+    cf = char_function(t, B2)
+    u = random_unitary(88, t.rows).mat
+    cf2 = conjugated(cf, u)
+    lam = cf2.coefficient_factors.copy()
+    lam[0] *= 1.0 + 1e-3 / opnorm(lam[0] @ cf2.triple.w.conj().T)
+    perturbed = dataclasses.replace(cf2)
+    perturbed.__dict__["coefficient_factors"] = lam
+    formed = []
+    original = charfn._coincidence_gaps
+    monkeypatch.setattr(charfn, "_coincidence_gaps",
+                        lambda *args: formed.append(original(*args)) or formed[-1])
+    points = [0.25, -0.2 + 0.35j, 0.45j]
+    for theta2, low, high in ((cf2, 0.0, 1e-14), (perturbed, 0.9e-3, 1.1e-3)):
+        ok, res = coincidence_verify(cf, theta2, u, points)
+        svd = float(np.max(np.linalg.svd(formed[-1], compute_uv=False)))
+        assert low <= res <= high and ok is (res <= CHAR_TOL)
+        assert abs(res - svd) <= 4 * EPS * svd, (res, svd)

@@ -17,7 +17,7 @@ import wberg.hyper as hyper
 from wberg.charfn import CHAR_TOL, char_function, char_function_eval
 from wberg.config import parse_case, report_json
 from wberg.errors import EquivalenceViolation, IsometryResidualTooLarge
-from wberg.generators import scalar_tuple
+from wberg.generators import random_unitary, scalar_tuple
 from wberg.pipelines import (
     CHARFN_BUDGETS,
     GENERAL_MODEL_BUDGET,
@@ -151,6 +151,144 @@ def test_key_identity_in_the_undecided_window_reports_the_svd_value(monkeypatch,
     [values] = [s for s in singular if s.shape == (len(ETAS), len(ZETAS), cf.defect_dim)]
     assert report["key_identity_max"] == float(np.max(values)) < CHAR_TOL
     assert ok and report["verdict"]
+
+
+# ---------------------------------------------------------------------------
+# range orthogonality and the coincidence residual
+# ---------------------------------------------------------------------------
+
+# block rows of W with a fault: one inside the support of nilpotent:1:16 (the
+# W_j of block rows 16-23 of its 24 are exact zeros) and one past it, which a
+# route that cut its block columns at the nilpotency order would not see
+W_ROWS = [5, 20]
+POINTS = [0.3, -0.25 + 0.2j, 0.1j]  # the points run_charfn checks coincidence at
+
+
+def w_fault(cf, eps, j):
+    """A copy of ``cf`` whose ``W`` has ``eps`` added to every entry of block
+    row ``j``; the held coefficient factors are kept, so the fault reaches
+    ``pi* M`` only through the product with ``W*``."""
+    v = cf.triple.v.copy()
+    start = cf.t.shape[0] + j * cf.defect_dim
+    v[start:start + cf.defect_dim] += eps
+    faulty = dataclasses.replace(cf, triple=dataclasses.replace(cf.triple, v=v))
+    faulty.__dict__["coefficient_factors"] = cf.coefficient_factors
+    return faulty
+
+
+def range_response(cf, j):
+    """``g = ||G||`` for the exact change ``eps G`` of ``pi* M`` under :func:`w_fault`.
+
+    Block ``a`` of ``pi* M`` is ``T^a Q_(n-1-a) W* + [sqrt(rho_i)
+    R_(a+i)*]_i`` with ``Q_m = sum_(i <= m) R_i* Lambda_i``
+    (:func:`wberg.charfn.partial_isometry_check`), so adding ``eps F`` to
+    ``W``, ``F`` the ones of block row ``j``, adds ``eps T^a Q_(n-1-a) F*``:
+    its block column ``j`` holds ``r`` copies of ``x_a = T^a Q_(n-1-a) 1``
+    and the others are zero, so ``g = sqrt(r) ||[x_0 ... x_(n-1)]||``.  The
+    powers of ``T`` are dense products here.
+    """
+    n, r = cf.n_terms, cf.defect_dim
+    q = np.cumsum(cf.rows.conj().transpose(0, 2, 1) @ cf.coefficient_factors[:n], axis=0)
+    power, cols = np.eye(cf.t.shape[0]), []
+    for a in range(n):
+        cols.append(power @ q[n - 1 - a].sum(axis=1))
+        power = power @ cf.t
+    return math.sqrt(r) * np.linalg.norm(np.array(cols).T, 2)
+
+
+def conjugate_pair(case, cf):
+    """The unitary ``u`` of ``run_charfn`` and the function of ``u T u*``."""
+    u = random_unitary(case.seed + 17, cf.t.shape[0]).mat
+    return u, char_function(u @ cf.t @ u.conj().T, cf.omega, cf.n_terms)
+
+
+@pytest.mark.parametrize("j", W_ROWS)
+@pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6])
+def test_range_orthogonality_moves_linearly_with_a_shifted_w_row(nil16, j, eps):
+    # pi* M becomes P + eps G exactly, so by the triangle inequality the
+    # residual lies within ||P|| of eps g; the formed P is R(0), and the
+    # rounding of the faulted blocks is of the same size
+    _, _, cf = nil16
+    blocks = cf.triple.w.reshape(cf.n_terms, cf.defect_dim, -1)
+    assert [i for i in range(cf.n_terms) if blocks[i].any()] == list(range(16))
+    g = range_response(cf, j)
+    before = charfn._range_orthogonality(cf)
+    after = charfn._range_orthogonality(w_fault(cf, eps, j))
+    assert eps * g > 100 * before
+    assert abs(after - eps * g) <= 2 * before + 1e-12 * eps * g, (after, eps * g, before)
+
+
+@pytest.mark.parametrize("j", W_ROWS)
+def test_range_orthogonality_fault_flips_the_charfn_verdict_past_its_budget(monkeypatch, nil16, j):
+    case, t, cf = nil16
+    g = range_response(cf, j)
+    budget = CHARFN_BUDGETS["range_orthogonality"]
+    ok, report = run_charfn(case, t)
+    body = report_json(report)
+    original = charfn._range_orthogonality
+    assert ok
+    for factor in (0.0, 0.5, 2.0):
+        monkeypatch.setattr(charfn, "_range_orthogonality",
+                            lambda cf: original(w_fault(cf, factor * budget / g, j)))
+        ok, faulty = run_charfn(case, t)
+        monkeypatch.undo()
+        if not factor:
+            # no fault: the same bytes
+            assert report_json(faulty) == body
+            continue
+        # a residual of about factor * budget: the verdict holds below the
+        # budget and fails past it, and no other field moves
+        verdict = factor < 1.0
+        assert ok is faulty["verdict"] is verdict
+        assert (faulty["range_orthogonality"] < budget) is verdict
+        assert {key for key in report if faulty[key] != report[key]} <= {
+            "range_orthogonality", "verdict"}
+
+
+def coincidence_response(cf2):
+    """``g = ||Lambda_0 W2*||``: scaling ``theta2``'s ``Lambda_0`` by ``1 +
+    eps`` (:func:`scaled`, ``J = 0``) moves ``theta2(z) = kron(a(z), I) +
+    L(z) W2*`` by ``eps Lambda_0 W2*`` at every point, and so every
+    coincidence gap by the same matrix."""
+    assert J == 0
+    return np.linalg.norm(cf2.coefficient_factors[0] @ cf2.triple.w.conj().T, 2)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6])
+def test_coincidence_residual_moves_linearly_with_a_scaled_theta2_factor(nil16, eps):
+    # each gap becomes gap_p + eps G, so the largest norm lies within the
+    # unperturbed largest, R(0), of eps g
+    case, _, cf = nil16
+    u, cf2 = conjugate_pair(case, cf)
+    g = coincidence_response(cf2)
+    _, before = charfn.coincidence_verify(cf, cf2, u, POINTS)
+    _, after = charfn.coincidence_verify(cf, scaled(cf2, eps), u, POINTS)
+    assert eps * g > 100 * before
+    assert abs(after - eps * g) <= 2 * before + 1e-12 * eps * g, (after, eps * g, before)
+
+
+def test_coincidence_fault_flips_the_charfn_verdict_past_its_tolerance(monkeypatch, nil16):
+    case, t, cf = nil16
+    g = coincidence_response(conjugate_pair(case, cf)[1])
+    ok, report = run_charfn(case, t)
+    body = report_json(report)
+    original = charfn.coincidence_verify
+    assert ok and report["coincidence"]
+    for factor in (0.0, 0.5, 2.0):
+        monkeypatch.setattr(charfn, "coincidence_verify",
+                            lambda th1, th2, u, z: original(th1, scaled(th2, factor * CHAR_TOL / g),
+                                                            u, z))
+        ok, faulty = run_charfn(case, t)
+        monkeypatch.undo()
+        if not factor:
+            assert report_json(faulty) == body
+            continue
+        # the identity holds at a residual of at most CHAR_TOL
+        verdict = factor < 1.0
+        assert ok is faulty["verdict"] is faulty["coincidence"] is verdict
+        assert (faulty["coincidence_residual"] <= CHAR_TOL) is verdict
+        assert {key for key in report if faulty[key] != report[key]} <= {
+            "coincidence_residual", "coincidence", "verdict"}
 
 
 # ---------------------------------------------------------------------------
