@@ -183,7 +183,8 @@ def multishift_purity_and_positivity(
     """Verify the diagonal defect formula of the truncated shifts.
 
     ``shifts`` is the caller's ``multishift_tuple(space)``, so the defect
-    series are summed over the power stacks that tuple already holds.  In
+    series are summed over the power stacks that tuple already holds, and
+    each is read as the diagonal it is held as (:func:`~wberg.hyper.defect_series`).  In
     the weighted quadratic form the defect series acts diagonally on
     monomials with entries ``w_a^2 * a_a(1, r)`` built from the quotient
     coefficients.  Grid positivity is what
@@ -205,7 +206,7 @@ def multishift_purity_and_positivity(
         ]
         # diagonal entries in the orthonormal basis are w_a * a_a(1, r);
         # against the monomial quadratic form that is w_a^2 * a_a(1, r)
-        diag = np.real(np.diag(ds))
+        diag = ds if ds.ndim == 1 else np.real(np.diag(ds))
         for idx, a in enumerate(space.indices):
             expected = space.monomial_weight(a) * float(
                 np.prod([quot[i][a[i]] for i in range(space.n_vars)])
@@ -213,8 +214,8 @@ def multishift_purity_and_positivity(
             for p in range(space.coeff_dim):
                 got = diag[idx * space.coeff_dim + p]
                 max_resid = max(max_resid, abs(got - expected))
-        off = ds - np.diag(np.diag(ds))
-        max_resid = max(max_resid, hermitian_norm(off))
+        if ds.ndim == 2:  # a diagonal held as its vector has nothing off it
+            max_resid = max(max_resid, hermitian_norm(ds - np.diag(np.diag(ds))))
     return MultishiftReport(
         diagonal_ok=bool(max_resid <= MULTISHIFT_TOL),
         max_diagonal_residual=max_resid,

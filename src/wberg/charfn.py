@@ -247,8 +247,11 @@ def _add_selectors(theta: np.ndarray, a: np.ndarray) -> None:
     """Add ``kron(a[p], I_r)`` to each ``r x n r`` slice ``theta[p]``, in place.
 
     ``a`` is ``(P, n)``: ``a[p, j]`` goes on the diagonal of block ``j``.
+    An empty defect (``r = 0``) has no diagonal, and nothing is added.
     """
     p, r, e = theta.shape
+    if not r:
+        return
     diag = np.arange(r)
     theta.reshape(p, r, e // r, r)[:, diag, :, diag] += a
 
@@ -723,7 +726,12 @@ def partial_isometry_check(cf: CharFunction) -> dict[str, float]:
     it cancels ``O(1)`` pieces down to the residual's square and reads
     1.6e-8 to 3.8e-8 on the five ``charfn`` benchmark functions (seed 1),
     past the 1e-8 budget, where the formed blocks read 1.2e-15 to 8.2e-11.
+
+    An empty defect (``r = 0``) makes both maps go into the zero space, so
+    both residuals are 0, with nothing formed.
     """
+    if not cf.defect_dim:
+        return {"partial_isometry": 0.0, "range_orthogonality": 0.0}
     rows = cf.rows
     bound, proved = _split_bound(cf, rows)
     split = (bound if proved < CHAR_TOL * 10

@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -241,5 +242,51 @@ def _sanitize(value):
 
 
 def report_json(report: dict) -> str:
-    """Serialize a report deterministically (sorted keys, repr floats)."""
-    return json.dumps(_sanitize(report), sort_keys=True, indent=2)
+    """Serialize a report deterministically (sorted keys, repr floats).
+
+    The text is that of ``json.dumps(_sanitize(report), sort_keys=True,
+    indent=2)``, byte for byte.  ``json.dumps`` with an indent runs the
+    pure-Python encoder over every value; here the indented layout is
+    written by :func:`_encoded`, and each flat list of finite reals (the
+    bulk of a report: the entries of its matrices) goes whole to the C
+    encoder, whose item separator ``",\\n" + pad`` puts each number on its
+    own indented line.
+    """
+    return _encoded(report, "")
+
+
+def _encoded(value, pad: str) -> str:
+    """``value`` as ``json.dumps(_sanitize(value), sort_keys=True,
+    indent=2)`` writes it at the indent ``pad``.
+
+    Dicts and lists are laid out here, a list of ``float`` and ``int`` items
+    by one C-encoder call, which refuses a nan or an infinity
+    (``allow_nan=False``); such a list, and every other value, is
+    sanitized item by item.  A complex value becomes ``{"im", "re"}``,
+    whose parts :func:`_sanitize` leaves as they are.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = {str(k): v for k, v in value.items()}
+        body = ",\n".join(f"{inner}{encode_basestring_ascii(k)}: {_encoded(items[k], inner)}"
+                           for k in sorted(items))
+        return "{\n" + body + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) <= {float, int}:
+            try:
+                flat = json.dumps(value, separators=(",\n" + inner, ": "), allow_nan=False)
+                return "[\n" + inner + flat[1:-1] + "\n" + pad + "]"
+            except ValueError:
+                pass
+        return "[\n" + ",\n".join(inner + _encoded(v, inner) for v in value) + "\n" + pad + "]"
+    if isinstance(value, complex):
+        return json.dumps({"re": value.real, "im": value.imag}, sort_keys=True, indent=2).replace(
+            "\n", "\n" + pad)
+    value = _sanitize(value)
+    kind = type(value)
+    # the reprs the encoder writes for an int and a finite float
+    return kind.__repr__(value) if kind is float or kind is int else json.dumps(value)

@@ -72,6 +72,7 @@ from .hyper import (
 )
 from .linalg import (
     Operator,
+    _as_matrix,
     douglas_solve,
     hermitian_norm,
     psd_root_pieces,
@@ -281,12 +282,6 @@ def _lifts(g: np.ndarray, ops, labels, what: str) -> list[np.ndarray]:
             for op, lab in zip(ops, labels)]
 
 
-def _staged(ops: list) -> list:
-    """A lifted list with its first operator wrapped as the one-tuple the next
-    stage reads its defect, powers, horizon and tail from."""
-    return [OperatorTuple.of(ops[0])] + ops[1:] if ops else []
-
-
 def _one_tuple(t) -> OperatorTuple:
     """A one-entry :class:`OperatorTuple` as it is, so that it lends its
     stacks and tail limit, or a matrix wrapped as one."""
@@ -342,20 +337,25 @@ def _fill_map_rows(
 
 
 def _vertex_defect(t: OperatorTuple, w: MultiWeightSpec) -> np.ndarray:
-    """The defect limit of ``t`` at ``w``; an unconverged limit warns its accuracy floor."""
+    """The defect limit of ``t`` at ``w``, a real ``d``-vector (its diagonal)
+    on a tuple of weighted shifts; an unconverged limit warns its accuracy
+    floor."""
     res = defect_limit(t, w)
     res.warn_unconverged(LIMIT_TOL)
-    return res.limit
+    return res.value
 
 
 def _defect_sqrt_pieces(t: OperatorTuple, omega: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
     """Range basis and minimal coordinates of the defect square root of the
     one-tuple ``t``, whose stacks the defect limit sums over; an unconverged
-    limit warns its accuracy floor."""
+    limit warns its accuracy floor.  A diagonal root, held as a vector,
+    scales the columns of ``basis*``."""
     try:
         defect, basis = psd_root_pieces(_vertex_defect(t, MultiWeightSpec.of(omega)))
     except NotPsd as exc:
         raise NotHypercontractive(f"defect limit is not positive: {exc}") from exc
+    if defect.ndim == 1:
+        return basis, basis.conj().T * defect
     return basis, basis.conj().T @ defect
 
 
@@ -383,8 +383,10 @@ def _recursive_blocks(
 ) -> list[tuple]:
     """Blocks ``(lam, delta, v, cond, stacks)`` over subsets of ``labels`` on a ``dim``-space.
 
-    ``ops[0]`` is the one-tuple of the first stage operator ``S``; the others
-    are :class:`Operator` entries at the top level and lifted arrays below.
+    ``ops[0]`` is the first stage operator ``S``, wrapped here as the
+    one-tuple the stage reads its defect, powers, horizon and tail from (at
+    the top level it is already one); the others are :class:`Operator`
+    entries at the top level and lifted arrays below.
     The defect branch lifts the rest through ``Dmin``, the tail branch
     through ``Qmin``, and co-lifts the tail co-isometry ``U`` onto each of
     its blocks (``v[lab]``, with ``cond[lab]`` the residual of the lift
@@ -404,6 +406,7 @@ def _recursive_blocks(
     if not ops:
         return [((), np.eye(dim, dtype=complex), {}, {}, [])]
     lab, rest = labels[0], labels[1:]
+    ops = [_one_tuple(ops[0])] + ops[1:]
     _, d_min = _defect_sqrt_pieces(ops[0], weights[0])
     q_min, u = _tail_split(ops[0], f"tail co-isometry at {lab}")
     a_next = _lifts(d_min, ops[1:], rest, "defect intertwiner")
@@ -411,12 +414,12 @@ def _recursive_blocks(
     head = ops[0].row_chain(0, d_min, degs[0]) if rest else None
     out = []
     for lam, delta, v, cond, stacks in _recursive_blocks(
-            _staged(a_next), weights[1:], rest, degs[1:], d_min.shape[0]):
+            a_next, weights[1:], rest, degs[1:], d_min.shape[0]):
         delta = delta @ d_min
         stacks = [head] + stacks if stacks else [ops[0].row_chain(0, delta, degs[0])]
         out.append(((lab,) + lam, delta, v, cond, stacks))
     for lam, delta, v, cond, stacks in _recursive_blocks(
-            _staged(x_next), weights[1:], rest, degs[1:], q_min.shape[0]):
+            x_next, weights[1:], rest, degs[1:], q_min.shape[0]):
         w_lift, cond_lab = _colift(delta, u, (lab,) + lam, f"co-isometry lift at {lab}")
         if stacks:
             stacks = [stacks[0] @ q_min] + stacks[1:]
@@ -549,5 +552,5 @@ def _double_limit(t: OperatorTuple, w: MultiWeightSpec, lam: tuple[int, ...]) ->
     """Brute evaluation of the block defect: series limit inside ``lam``,
     the joint tail (:func:`~wberg.hyper.joint_tail`) outside, exactly zero
     when an outside tail is."""
-    start = (lambda: _vertex_defect(subtuple(t, lam), w.subset(lam))) if lam else None
+    start = (lambda: _as_matrix(_vertex_defect(subtuple(t, lam), w.subset(lam)))) if lam else None
     return joint_tail(t, [i for i in range(t.n) if i not in lam], start)

@@ -47,8 +47,14 @@ power).  The purity test, the tail split of a dilation, the joint tail of a
 check and the block defects of a model read it through :func:`joint_tail`,
 which warns of an unconverged limit.  An entry that is a weighted shift
 (each coordinate shift of a multi-shift) is held with its index map
-(:class:`ShiftAction`) and multiplied by gather and scale, with the bits of
-the dense products.
+(:class:`ShiftAction`), observed when the tuple validates it: its norm is
+the index map's, exactly, and its commutator with another weighted shift is
+formed by gathers.  It is multiplied by gather and scale, with the bits of
+the dense products, and every diagonal quantity of it (its Gram stack, each
+level of a diagonal ``X``, each defect of a tuple of weighted shifts) is
+held as a real ``d``-vector, the diagonal of the matrix it stands for: one
+route per representation, a vector becoming a matrix only where a dense
+entry or a report field needs one.
 A tuple and its sub-tuples share one store of classification facts
 (:func:`_held`), keyed by the root indices of the entries they are about: the
 defect certificates per weight levels (:func:`_levels`), grid and tolerance,
@@ -85,6 +91,7 @@ from .linalg import (
     POSITIVITY_TOL,
     UNIT_ROUNDOFF,
     Operator,
+    _as_matrix,
     _eigvalsh,
     _is_diagonal,
     hermitian_norm,
@@ -245,30 +252,37 @@ class _OperatorStacks:
     The stacks only ever grow, and a request returns a read-only prefix, so
     a short request after a long one gives the bits of a fresh build.  The
     nilpotency order is cached with the depth it was scanned to, the norm of
-    each power asked for by exponent (read from the power stack, which then
-    holds one power past it), and the tail limit once (:meth:`tail`).
+    each power asked for by exponent, and the tail limit once (:meth:`tail`).
 
     Whether the matrix is a weighted shift (:func:`_weighted_shift`) is
-    observed once, on first use, and held as its index map.  A weighted
-    shift ``T`` is multiplied by gather and scale, never by a dense product:
-    each power by :func:`_power_stack`, the nilpotency scan by
-    :func:`_nilpotency_order` on the held index map, the Gram stack ``T^k
-    T*^k`` read as a diagonal, ``T X T*`` with a real diagonal ``X`` in
-    ``O(d)`` (:func:`_conjugate`) and ``A T*`` by :meth:`adjoint_step`,
-    which forms each power of a row chain (:meth:`OperatorTuple.row_chain`).
-    Every sum of these products has one nonzero term, so each nonzero entry
-    has the bits of the dense product.  Every zero is written as ``+0``
-    (``0.0`` is added as the result is stored), the sign a BLAS sum started
-    from ``+0`` gives it; on a multi-shift, whose weights are positive, the
-    dense route signs no zero otherwise.
+    observed once, when the tuple validates it, and held as its index map.
+    A weighted shift ``T`` is multiplied by gather and scale, never by a
+    dense product, and every diagonal quantity of it is held as a real
+    ``d``-vector, the diagonal of the matrix it stands for: ``T^k X T*^k``
+    with a diagonal ``X`` is diagonal, since ``T^k`` holds at most one
+    nonzero per row and per column.  Its power values are the table of
+    :meth:`paths`, multiplied in the order of :func:`_power_stack`; the Gram
+    stack ``T^k T*^k`` is their squares, each power's norm their largest
+    modulus, ``T X T*`` with a diagonal ``X`` a gather (:func:`_conjugate`),
+    the nilpotency scan :func:`_nilpotency_order` on the held index map and
+    ``A T*`` :meth:`adjoint_step`, which forms each power of a row chain
+    (:meth:`OperatorTuple.row_chain`).  Every sum the dense route forms
+    there has one nonzero term, so each value has the bits of the dense
+    product.  Every zero is written as ``+0`` (``0.0`` is added as the
+    result is stored), the sign a BLAS sum started from ``+0`` gives it; on
+    a multi-shift, whose weights are positive, the dense route signs no
+    zero otherwise.  The dense power stack (:meth:`powers`) is formed only
+    when asked for: by a caller of :meth:`OperatorTuple.power_stack`, or by
+    a sum whose middle factor ``X`` is a dense matrix.
     """
 
-    __slots__ = ("mat", "_shift", "_powers", "_grams", "_nil", "_power_norms", "_tail")
+    __slots__ = ("mat", "_shift", "_powers", "_paths", "_grams", "_nil", "_power_norms",
+                 "_tail")
 
     def __init__(self, mat: np.ndarray) -> None:
         self.mat = mat
         self._shift: ShiftAction | None | bool = False  # False: not observed yet
-        self._powers = self._grams = self._tail = None
+        self._powers = self._paths = self._grams = self._tail = None
         self._nil: tuple[int, int | None] = (0, None)
         self._power_norms: dict[int, float] = {}
 
@@ -287,20 +301,47 @@ class _OperatorStacks:
             self._powers.flags.writeable = False
         return self._powers[:count]
 
+    def paths(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The powers ``T^k``, ``k < count``, of a weighted shift as a table
+        ``(value, col)`` of two ``(count, d)`` arrays: row ``i`` of ``T^k``
+        holds ``value[k, i]`` in column ``col[k, i]`` and nothing else (a
+        zero row holds ``value`` 0).
+
+        ``T^k = T^(k-1) T`` has the one nonzero term ``T^(k-1)[i, l] T[l,
+        col[k, i]]``, ``l = col[k-1, i]``, so the table grows by one gather
+        and one product per power, in the order of :func:`_power_stack`, and
+        every value has the bits of the dense power.
+        """
+        have = 0 if self._paths is None else len(self._paths[0])
+        if have < count:
+            s = self.shift
+            d = s.dim
+            step_val, step_col = np.zeros(d), np.zeros(d, dtype=np.intp)
+            step_val[s.dst], step_col[s.dst] = s.ratio, s.src
+            value, col = np.empty((count, d)), np.empty((count, d), dtype=np.intp)
+            if have:
+                value[:have], col[:have] = self._paths
+            else:
+                value[0], col[0] = 1.0, np.arange(d)
+            for k in range(max(have, 1), count):
+                value[k] = value[k - 1] * step_val[col[k - 1]]
+                col[k] = step_col[col[k - 1]]
+            value.flags.writeable = col.flags.writeable = False
+            self._paths = (value, col)
+        return self._paths[0][:count], self._paths[1][:count]
+
     def grams(self, count: int) -> np.ndarray:
-        """``[T^k T*^k for k < count]``; diagonal for a weighted shift, whose
-        ``T^k`` holds at most one nonzero per row, ``|.|^2`` of which is the
-        one term of each diagonal entry."""
+        """``[T^k T*^k for k < count]``: ``(count, d, d)``, or for a weighted
+        shift the ``(count, d)`` diagonals, the squares of :meth:`paths`
+        (the one term of each diagonal entry)."""
         have = 0 if self._grams is None else len(self._grams)
         if have < count:
-            new = self.powers(count)[have:]
             if self.shift is None:
+                new = self.powers(count)[have:]
                 new = new @ new.conj().transpose(0, 2, 1)
             else:
-                rows = new.real.sum(axis=2)
-                new = np.zeros(new.shape, dtype=complex)
-                diag = np.arange(new.shape[1])
-                new[:, diag, diag] = rows * rows + 0.0
+                value = self.paths(count)[0][have:]
+                new = value * value + 0.0
             self._grams = new if have == 0 else np.concatenate([self._grams, new])
             self._grams.flags.writeable = False
         return self._grams[:count]
@@ -323,9 +364,15 @@ class _OperatorStacks:
         return order if order is not None and order <= cap else None
 
     def power_norm(self, k: int) -> float:
-        """``||T^k||`` of the power stack, computed once per exponent."""
+        """``||T^k||``, computed once per exponent: the SVD norm of the power
+        stack's entry (which then holds one power past it), or for a
+        weighted shift exactly the largest modulus of its power values, as
+        in :meth:`ShiftAction.norm`."""
         if k not in self._power_norms:
-            self._power_norms[k] = spectral_norm(self.powers(k + 1)[k])
+            if self.shift is None:
+                self._power_norms[k] = spectral_norm(self.powers(k + 1)[k])
+            else:
+                self._power_norms[k] = float(np.abs(self.paths(k + 1)[0][k]).max())
         return self._power_norms[k]
 
     def tail(self) -> tuple[np.ndarray, bool]:
@@ -346,6 +393,15 @@ class _OperatorStacks:
             limit.flags.writeable = False
             self._tail = (limit, converged)
         return self._tail
+
+
+def _commutator(a: _OperatorStacks, b: _OperatorStacks) -> np.ndarray:
+    """``A B - B A``: by two gathers when both are weighted shifts (each
+    product ``S M`` moves and scales the rows of ``M``, the one nonzero term
+    of each dense sum), else by dense products."""
+    if a.shift is not None and b.shift is not None:
+        return a.shift.apply(b.mat) - b.shift.apply(a.mat)
+    return a.mat @ b.mat - b.mat @ a.mat
 
 
 @dataclass(frozen=True)
@@ -375,14 +431,17 @@ class OperatorTuple:
         object.__setattr__(self, "_index", tuple(range(len(ops))))
         d = ops[0].rows
         bound = 1.0 + COMMUTATION_TOL
-        for t in ops:
+        for t, stacks in zip(ops, self._stacks):
             if t.rows != t.cols or t.rows != d:
                 raise ArityMismatch("tuple entries must be square on a shared space")
-            if threshold_norm(t.mat, bound) > bound:
-                raise NotContractive(f"entry norm {t.norm():.6f} exceeds 1")
+            # a weighted shift's norm is exact; any other entry's is decided at the bound
+            shift = stacks.shift
+            if (threshold_norm(t.mat, bound) if shift is None else shift.norm()) > bound:
+                norm = t.norm() if shift is None else shift.norm()
+                raise NotContractive(f"entry norm {norm:.6f} exceeds 1")
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
-                comm = ops[i].mat @ ops[j].mat - ops[j].mat @ ops[i].mat
+                comm = _commutator(self._stacks[i], self._stacks[j])
                 if threshold_norm(comm, COMMUTATION_TOL) > COMMUTATION_TOL:
                     raise NotCommuting(
                         f"entries {i} and {j} fail to commute (norm {spectral_norm(comm):.3e})"
@@ -411,7 +470,8 @@ class OperatorTuple:
         return self._stacks[i].powers(count)
 
     def gram_stack(self, i: int, count: int) -> np.ndarray:
-        """Read-only ``[T_i^k T_i*^k for k < count]``, built from :meth:`power_stack`."""
+        """Read-only ``[T_i^k T_i*^k for k < count]``: ``d``-square, or the
+        ``d``-vectors of their diagonals when ``T_i`` is a weighted shift."""
         return self._stacks[i].grams(count)
 
     def nilpotency_order(self, i: int, cap: int) -> int | None:
@@ -521,26 +581,69 @@ def _power_stack(mat, count: int, prefix: np.ndarray | None = None) -> np.ndarra
 def _hereditary_sum(
     coeffs: np.ndarray, stacks: _OperatorStacks, x: np.ndarray | None
 ) -> np.ndarray:
-    """``sum_k coeffs[k] T^k X T*^k`` over the stacks of ``T``; ``x=None`` means ``X = I``."""
+    """``sum_k coeffs[k] T^k X T*^k`` over the stacks of ``T``; ``x=None``
+    means ``X = I`` and a 1-D ``x`` the diagonal ``X`` it holds.
+
+    For a weighted shift and a diagonal ``X`` each term is the diagonal
+    ``(v x[c]) v`` of the power table (:meth:`_OperatorStacks.paths`), the
+    rounding of ``(T^k X) T*^k``, and the sum is a vector, summed by
+    :func:`_diagonal_sum` with the bits of the dense diagonal.  A dense
+    ``T`` takes a diagonal ``X`` as its matrix.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     nz = np.nonzero(coeffs)[0]
+    vector = stacks.shift is not None and (x is None or x.ndim == 1)
     if nz.size == 0:
-        return np.zeros_like(stacks.mat if x is None else x)
+        return np.zeros(len(stacks.mat)) if vector else np.zeros_like(
+            stacks.mat if x is None else x)
     count = int(nz[-1]) + 1
     if x is None:
         terms = stacks.grams(count)
+    elif vector:
+        value, col = stacks.paths(count)
+        terms = value * x[col] * value + 0.0
     else:
         powers = stacks.powers(count)
-        terms = (powers @ x) @ powers.conj().transpose(0, 2, 1)
+        terms = (powers @ _as_matrix(x)) @ powers.conj().transpose(0, 2, 1)
+    if vector:
+        return _diagonal_sum(coeffs[:count], terms)
     return np.tensordot(coeffs[:count], terms, axes=1)
+
+
+def _diagonal_sum(coeffs: np.ndarray, diags: np.ndarray) -> np.ndarray:
+    """``coeffs @ diags`` over the stacked diagonals ``(count, d)``, with the
+    bits of the diagonal of the dense route's sum over ``(count, d, d)``.
+
+    That sum is one complex matrix-vector product with ``d^2`` output rows.
+    OpenBLAS rounds the last ``m % 4`` of its ``m`` output rows in a
+    remainder loop and every other row in the blocked kernel, which round
+    alike whatever the row; a row's bits depend only on which of the two it
+    falls in.  Of the ``d^2`` rows, diagonal entry ``j`` sits at ``j (d +
+    1)``, so only the last, when ``d`` is odd (``d^2 % 4 = 1``), is a
+    remainder row.  The diagonals are laid out so that each falls in the
+    same class: the first ``d - 1`` (all ``d`` for even ``d``) padded with
+    zero columns to a multiple of 4, the last of an odd ``d`` after them as
+    the one remainder row, and summed by the same complex product.  A
+    product large enough to be split over BLAS threads splits its rows into
+    other classes, on either route, so the bits hold at one BLAS thread.
+    """
+    count, d = diags.shape
+    body = d - d % 2
+    width = -(-body // 4) * 4
+    padded = np.zeros((count, width + d % 2), dtype=complex)
+    padded[:, :body] = diags[:, :body]
+    if d % 2:
+        padded[:, width] = diags[:, body]
+    out = np.tensordot(coeffs, padded, axes=1).real
+    return np.concatenate([out[:body], out[width:]]) if d % 2 else out[:d].copy()
 
 
 def hereditary_apply(coeffs: np.ndarray, t, x: np.ndarray) -> np.ndarray:
     """One-variable hereditary sum ``sum_k coeffs[k] T^k X T*^k``, expanded.
 
-    This one-shot form builds the powers of ``T`` for this call alone.  It is
-    the reference the tuple's levels are tested against: with the
-    coefficients of an explicit weight list it is bit for bit the level
+    This one-shot form builds the powers of the matrix ``T`` for this call
+    alone.  It is the reference the tuple's levels are tested against: with
+    the coefficients of an explicit weight list it is bit for bit the level
     :func:`defect_series` sums, and with those of ``(1 - z)^p`` it is the
     expanded form of the factored preset level, exact up to its cancellation
     ``eps * sum_k |c_k| ||T^k||^2 ||X||``.
@@ -598,16 +701,21 @@ def _row(level) -> np.ndarray | None:
 
 
 def _level(t: OperatorTuple, i: int, level, r: float, x: np.ndarray | None) -> np.ndarray:
-    """Apply variable ``i``'s level at radius ``r`` to ``X``; ``x=None`` means ``X = I``.
+    """Apply variable ``i``'s level at radius ``r`` to ``X``; ``x=None``
+    means ``X = I`` and a 1-D ``x`` the diagonal ``X`` it holds.
 
     An exponent ``p = whole + f`` is the factored ``(I - r C_{T_i})^p``: the
     fractional factor ``sum_k c_k(f) r^k T^k X T*^k`` (``c_0 = 1``, every
     other ``c_k <= 0``), cut at :func:`_effective_degree`, then ``whole``
     differences ``X - r T X T*``, the first read off the Gram stack when
     ``X = I``, each later one by :func:`_conjugate`.  An explicit list is its
-    expanded sum, cut the same way.
+    expanded sum, cut the same way.  On a weighted shift ``T_i`` a diagonal
+    ``X`` stays a vector, so the level of ``I`` or of a vector is a vector;
+    a dense ``T_i`` takes a vector as its matrix first.
     """
     stacks = t._stacks[i]
+    if stacks.shift is None and x is not None and x.ndim == 1:
+        x = _as_matrix(x)
     row = _row(level)
     if row is not None:
         c = row[:_effective_degree(t, i, row)]
@@ -616,34 +724,35 @@ def _level(t: OperatorTuple, i: int, level, r: float, x: np.ndarray | None) -> n
         return x
     for _ in range(_split(level)[0]):
         if x is None:
-            x = np.eye(t.dim, dtype=complex) - r * stacks.grams(2)[1]
+            eye = 1.0 if stacks.shift is not None else np.eye(t.dim, dtype=complex)
+            x = eye - r * stacks.grams(2)[1]
         else:
             x = x - r * _conjugate(stacks.mat, x, stacks.shift)
     return x
 
 
 def _conjugate(t: np.ndarray, x: np.ndarray, shift: ShiftAction | None = None) -> np.ndarray:
-    """``T X T*``, in one product ``(T * diag(X)) @ T*`` when ``X`` is
-    diagonal with an exactly real diagonal, and read off as a diagonal when
-    ``shift`` is also the index map of the weighted shift ``T``.
+    """``T X T*``; a 1-D ``x`` is the diagonal of ``X`` with ``shift`` the
+    index map of the weighted shift ``T``, and the result is the diagonal.
 
-    Each entry of ``T X`` is then the one nonzero term of its sum, a complex
-    times a real number, so the product has the bits of the two-product
-    form.  A diagonal with a nonzero imaginary part keeps both products:
-    each term is then a full complex product, which BLAS and numpy's
-    elementwise product need not round alike.  For a weighted shift, row
-    ``dst[j]`` of ``T X`` holds the one nonzero ``ratio[j] x[src[j]]`` and
-    ``T X T*`` is diagonal with entries ``(ratio[j] x[src[j]]) ratio[j]``,
-    the rounding of the one-product form, formed in ``O(d)`` (zeros ``+0``,
-    as BLAS sums them).
+    Row ``dst[j]`` of ``T X`` then holds the one nonzero ``ratio[j]
+    x[src[j]]`` and ``T X T*`` is diagonal with entries ``(ratio[j]
+    x[src[j]]) ratio[j]``, the rounding of the dense products, formed in
+    ``O(d)`` (zeros ``+0``, as BLAS sums them).  A matrix ``X`` that is
+    diagonal with an exactly real diagonal takes one product ``(T *
+    diag(X)) @ T*``: each entry of ``T X`` is the one nonzero term of its
+    sum, a complex times a real number, so the product has the bits of the
+    two-product form.  A diagonal with a nonzero imaginary part keeps both
+    products: each term is then a full complex product, which BLAS and
+    numpy's elementwise product need not round alike.
     """
+    if x.ndim == 1:
+        out = np.zeros(x.shape)
+        out[shift.dst] = shift.ratio * x[shift.src] * shift.ratio + 0.0
+        return out
     d = np.diagonal(x)
     if _is_diagonal(x) and not d.imag.any():
-        if shift is None:
-            return (t * d.real) @ t.conj().T
-        out = np.zeros(x.shape, dtype=complex)
-        out[shift.dst, shift.dst] = shift.ratio * d.real[shift.src] * shift.ratio + 0.0
-        return out
+        return (t * d.real) @ t.conj().T
     return t @ x @ t.conj().T
 
 
@@ -737,6 +846,11 @@ def defect_series(t: OperatorTuple, w: MultiWeightSpec, r) -> np.ndarray:
     ||T^k||^2``; at ``r = 1`` it is :func:`delta_power` of ``I`` bit for bit.
     An explicit list takes its expanded sum, nesting :func:`_hereditary_sum`;
     :func:`hereditary_apply` is only the reference tests compare a level with.
+
+    On a tuple of weighted shifts every level keeps ``X`` diagonal, and the
+    value is held as a real ``d``-vector, its diagonal, with the bits of the
+    dense route's diagonal (``wberg.linalg._as_matrix`` forms the matrix);
+    any other tuple gives the Hermitian part of the nested levels.
     """
     if w.n != t.n:
         raise ArityMismatch(f"weight arity {w.n} != tuple arity {t.n}")
@@ -744,7 +858,7 @@ def defect_series(t: OperatorTuple, w: MultiWeightSpec, r) -> np.ndarray:
     x = None
     for i, level in reversed(list(enumerate(_levels(w)))):
         x = _level(t, i, level, point[i], x)
-    return 0.5 * (x + x.conj().T)
+    return x if x.ndim == 1 else 0.5 * (x + x.conj().T)
 
 
 def _warn_floor(floor: float, tol: float) -> None:
@@ -756,16 +870,27 @@ def _warn_floor(floor: float, tol: float) -> None:
 class DefectResult:
     """Limit of the defect series as ``r`` increases to the vertex.
 
-    ``limit`` is the truncated series evaluated at ``r = 1``; ``tail_estimate``
+    ``value`` is the read-only truncated series evaluated at ``r = 1``
+    (:func:`defect_series`: a real ``d``-vector, its diagonal, on a tuple of
+    weighted shifts), and ``limit`` the same as a matrix; ``tail_estimate``
     bounds the mass dropped beyond the cutoffs and is the accuracy floor of
     that value.  ``converged`` says the floor is below the requested
     tolerance.  ``r_trace`` lists the evaluated points with their step sizes.
     """
 
-    limit: np.ndarray
+    value: np.ndarray
     r_trace: tuple[tuple[float, float], ...]
     converged: bool
     tail_estimate: float
+
+    @property
+    def limit(self) -> np.ndarray:
+        """``value`` as a read-only matrix: itself, or formed from its diagonal."""
+        if self.value.ndim == 2:
+            return self.value
+        mat = _as_matrix(self.value)
+        mat.flags.writeable = False
+        return mat
 
     def warn_unconverged(self, tol: float) -> None:
         """Warn :class:`SeriesTailTooLarge` naming the floor when the limit,
@@ -789,7 +914,7 @@ def defect_limit(t: OperatorTuple, w: MultiWeightSpec, tol: float = LIMIT_TOL) -
 
 
 def _vertex_value(t: OperatorTuple, w: MultiWeightSpec) -> tuple[np.ndarray, float]:
-    """Read-only ``D(1)`` and its tail estimate."""
+    """Read-only ``D(1)`` (:func:`defect_series`) and its tail estimate."""
     value = defect_series(t, w, (1.0,) * t.n)
     value.flags.writeable = False
     return value, _tail_estimate(t, _levels(w))
@@ -949,21 +1074,28 @@ def delta_power(
 
     These are the factored levels of :func:`defect_series` at ``r = 1``, so
     for preset weights ``delta_power(t, gamma, I)`` is ``defect_series(t, w,
-    1)`` bit for bit.  When ``||X||`` times the tail estimate of the
-    fractional factors reaches ``tol``, :class:`SeriesTailTooLarge` names it.
+    1)`` bit for bit.  ``x=None`` means ``X = I``, and the value is then held
+    as :func:`defect_series` holds it: a real ``d``-vector, its diagonal, on
+    a tuple of weighted shifts (and, with every exponent 0, on any tuple:
+    the diagonal of ``I``).  A matrix ``X`` gives the Hermitian part of
+    the matrix.  When ``||X||`` times the tail estimate of the fractional
+    factors reaches ``tol``, :class:`SeriesTailTooLarge` names it.
     """
     beta = tuple(float(b) for b in beta)
     if len(beta) != t.n:
         raise ArityMismatch(f"exponent arity {len(beta)} != tuple arity {t.n}")
     if any(b < 0 for b in beta):
         raise ValueError("exponents must be nonnegative")
-    mat = np.asarray(x, dtype=complex)
+    mat = None if x is None else np.asarray(x, dtype=complex)
     floor = _tail_estimate(t, beta)
-    if floor and floor * hermitian_norm(mat) >= tol:
-        _warn_floor(floor * hermitian_norm(mat), tol)
+    norm = 1.0 if mat is None else hermitian_norm(mat)
+    if floor and floor * norm >= tol:
+        _warn_floor(floor * norm, tol)
     for i in reversed(range(t.n)):
         mat = _level(t, i, beta[i], 1.0, mat)
-    return 0.5 * (mat + mat.conj().T)
+    if mat is None:  # every exponent 0
+        return np.ones(t.dim)
+    return mat if mat.ndim == 1 else 0.5 * (mat + mat.conj().T)
 
 
 @dataclass(frozen=True)
@@ -999,8 +1131,7 @@ def _lattice_report(t: OperatorTuple, gamma: tuple[float, ...], tol: float) -> G
     for g in gamma:
         whole, frac = _split(g)
         axes.append([float(k) for k in range(whole + 1)] + ([g] if frac else []))
-    eye = np.eye(t.dim, dtype=complex)
-    witnesses = tuple((beta, psd_check(delta_power(t, beta, eye, tol=tol), tol).min_eigenvalue)
+    witnesses = tuple((beta, psd_check(delta_power(t, beta, None, tol=tol), tol).min_eigenvalue)
                       for beta in itertools.product(*axes))
     failure = next((beta for beta, min_eig in witnesses if min_eig < -tol), None)
     return GammaReport(failure is None, witnesses, failure)
@@ -1097,7 +1228,7 @@ def two_parameter_monotonicity_check(
             raise ArityMismatch(f"exponent arity {len(bp)} != complement size {len(comp)}")
     values: dict[tuple, np.ndarray] = {}
     for p in points:
-        base = defect_series(t_sub, w_sub, p)
+        base = _as_matrix(defect_series(t_sub, w_sub, p))
         for bp in betas:
             left = np.eye(t.dim, dtype=complex)
             for idx, power in zip(comp, bp):

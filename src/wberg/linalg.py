@@ -114,13 +114,31 @@ def _is_diagonal(mat: np.ndarray) -> bool:
     return not mat.ravel(order="K")[1:].reshape(n - 1, n + 1)[:, :n].any()
 
 
+def _as_matrix(a: np.ndarray) -> np.ndarray:
+    """The complex matrix a real 1-D array stands for, its diagonal (zeros
+    ``+0``); a matrix is returned as it is."""
+    if a.ndim == 2:
+        return a
+    out = np.zeros((a.size, a.size), dtype=complex)
+    out.ravel()[:: a.size + 1] = a
+    return out
+
+
+def _hermitian_operand(a) -> np.ndarray:
+    """``a`` as the positivity routines read it: a 1-D array as the real
+    diagonal it holds, anything else as a complex array."""
+    a = np.asarray(a)
+    return a if a.ndim == 1 else a.astype(complex, copy=False)
+
+
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part ``(H + H*) / 2`` of a square matrix.
 
-    The one route to ``np.linalg.eigvalsh`` in the package.  A diagonal
-    ``H`` (:func:`_is_diagonal`), the zero matrix included, skips the
-    symmetrization and the eigensolve: the eigenvalues are the real parts of
-    its diagonal, sorted, the values LAPACK returns for it.  Signed zeros:
+    The one route to ``np.linalg.eigvalsh`` in the package.  A real 1-D
+    array holds the diagonal of a diagonal matrix.  A diagonal ``H``, held
+    so or found so (:func:`_is_diagonal`), the zero matrix included, skips
+    the symmetrization and the eigensolve: the eigenvalues are the real
+    parts of its diagonal, sorted, the values LAPACK returns for it.  Signed zeros:
     the sort is stable, so tied values keep their order along the diagonal,
     and a ``-0.0`` that comes before a ``+0.0`` there comes before it in the
     result.  LAPACK sorts the same way up to 20 eigenvalues (insertion sort)
@@ -129,6 +147,8 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
     ``[1e-146, 1e146]``, which can move its last bits; the diagonal is
     returned exactly.
     """
+    if h.ndim == 1:
+        return np.sort(h, kind="stable")
     if _is_diagonal(h):
         return np.sort(np.diagonal(h).real, kind="stable")
     sym = h + h.conj().T
@@ -264,25 +284,34 @@ def psd_check(a, tol: float = POSITIVITY_TOL) -> PsdCertificate:
 
     The verdict compares the smallest eigenvalue of the Hermitian part
     against ``-tol``; a diagonal matrix, the zero matrix included, gives its
-    smallest diagonal entry with no eigensolve (:func:`_eigvalsh`).
+    smallest diagonal entry with no eigensolve (:func:`_eigvalsh`).  A real
+    1-D array is the diagonal of the matrix it stands for (every defect of
+    a tuple of weighted shifts is held so), Hermitian by construction, so it
+    takes no hermiticity test.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _hermitian_operand(a)
+    if a.ndim != 1 and (a.ndim != 2 or a.shape[0] != a.shape[1]):
         raise NotHermitian("psd check needs a square operator")
     if a.size == 0:
         return PsdCertificate(0.0, tol, True)
-    if not _is_hermitian(a, tol):
+    if a.ndim == 2 and not _is_hermitian(a, tol):
         raise NotHermitian("operator is not Hermitian within tolerance")
     min_eig = float(_eigvalsh(a)[0])
     return PsdCertificate(min_eig, tol, min_eig >= -tol)
 
 
 def psd_sqrt(a, tol: float = POSITIVITY_TOL) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues within ``-tol`` of zero are clamped."""
-    a = np.asarray(a, dtype=complex)
+    """Hermitian PSD square root; eigenvalues within ``-tol`` of zero are clamped.
+
+    A real 1-D array (a diagonal, as in :func:`psd_check`) gives the vector
+    of the square roots of its clamped entries, with no eigensolve.
+    """
+    a = _hermitian_operand(a)
     cert = psd_check(a, tol)
     if not cert.verdict:
         raise NotPsd(f"smallest eigenvalue {cert.min_eigenvalue:.3e} below -{tol:.1e}")
+    if a.ndim == 1:
+        return np.sqrt(np.where(a > 0.0, a, 0.0))
     if a.size == 0:
         return a.copy()
     herm = 0.5 * (a + a.conj().T)
@@ -387,13 +416,25 @@ def psd_root_pieces(s) -> tuple[np.ndarray, np.ndarray]:
     first would amplify eigenvalue noise ``eps`` to ``sqrt(eps)`` and
     manufacture spurious range directions.  Basis columns are ordered by
     descending eigenvalue.
+
+    A real 1-D array (a diagonal, as in :func:`psd_check`) is read with no
+    eigensolve: its root is the vector of the square roots of the kept
+    entries (0 elsewhere), and its basis the unit vectors of the kept
+    entries, ties in index order.
     """
-    s = np.asarray(s, dtype=complex)
+    s = _hermitian_operand(s)
     cert = psd_check(s)
     if not cert.verdict:
         raise NotPsd(f"smallest eigenvalue {cert.min_eigenvalue:.3e} below -{POSITIVITY_TOL:.1e}")
     if not s.any():  # empty or zero: no range
         return np.zeros_like(s), np.zeros((s.shape[0], 0), dtype=complex)
+    if s.ndim == 1:
+        order = np.argsort(-s, kind="stable")
+        keep = s > RANK_TOL * max(1.0, float(s[order[0]]))
+        rank = int(np.sum(keep))
+        basis = np.zeros((s.size, rank), dtype=complex)
+        basis[order[:rank], np.arange(rank)] = 1.0
+        return np.sqrt(np.where(keep, s, 0.0)), basis
     herm = 0.5 * (s + s.conj().T)
     vals, vecs = np.linalg.eigh(herm)
     vals, vecs = vals[::-1], vecs[:, ::-1]

@@ -27,7 +27,7 @@ from .hyper import (
     joint_tail,
     subtuple_inheritance_check,
 )
-from .linalg import Operator, psd_check, psd_sqrt
+from .linalg import Operator, _as_matrix, psd_check, psd_sqrt
 from .series import (
     MultiWeightSpec,
     TruncatedSeries,
@@ -121,8 +121,8 @@ def run_check(case: CaseConfig, t: OperatorTuple) -> tuple[bool, dict]:
         # tolerance of the verdict warns its floor
         vertex = defect_limit(t, case.weights, case.tol)
         vertex.warn_unconverged(case.tol)
-        out["defect_vertex_min_eig"] = psd_check(vertex.limit, case.tol).min_eigenvalue
-        out["defect"] = Operator(psd_sqrt(vertex.limit, case.tol)).to_dict()
+        out["defect_vertex_min_eig"] = psd_check(vertex.value, case.tol).min_eigenvalue
+        out["defect"] = Operator(_as_matrix(psd_sqrt(vertex.value, case.tol))).to_dict()
     if case.tuple_spec and isinstance(case.tuple_spec, str) and case.tuple_spec.startswith(
         "multishift"
     ):

@@ -11,6 +11,11 @@ reproduce any given completion, rotated or perturbed.
 A dilation reports no compression residual; `dense_compression` forms it
 from the dense model operator, and `compression_bound` is the bound the
 isometry and intertwining residuals put on it.
+
+A tuple of weighted shifts holds each defect as the vector of its diagonal;
+`dense_route` gives the same tuple with its index maps withheld, which forms
+every defect as a `d`-square matrix, and `dense_diagonal_sum` sums stacked
+diagonals as that route sums its stacked matrices.
 """
 
 import math
@@ -21,6 +26,7 @@ import numpy as np
 from wberg.bergman import TruncatedSpace
 from wberg.charfn import CharTriple
 from wberg.errors import WbergError
+from wberg.hyper import OperatorTuple
 
 
 class DegreeOverflow(WbergError):
@@ -110,3 +116,23 @@ def compression_bound(pi: np.ndarray, t: np.ndarray, isometry: float, intertwini
     slack = 4 * (sum(pi.shape) + 2) * np.finfo(float).eps * float(np.linalg.norm(pi)) ** 2
     norm_t = float(np.linalg.norm(t, 2)) if t.size else 0.0
     return norm_t * isometry + math.sqrt(1.0 + isometry) * intertwining + slack
+
+
+def dense_route(t: OperatorTuple) -> OperatorTuple:
+    """A tuple on the entries of ``t`` with their index maps withheld: no
+    entry is taken as a weighted shift, so every level, defect, positivity
+    test and root is formed from ``d``-square matrices by dense products."""
+    dense = OperatorTuple(t.ops)
+    for stacks in dense._stacks:
+        stacks._shift = None
+    return dense
+
+
+def dense_diagonal_sum(coeffs: np.ndarray, diags: np.ndarray) -> np.ndarray:
+    """The diagonal of ``sum_k coeffs[k] diag(diags[k])``, summed as the dense
+    route sums a stack of ``d``-square terms: one product of ``coeffs`` with
+    the stacked matrices, zero off their diagonals."""
+    count, d = diags.shape
+    stack = np.zeros((count, d, d), dtype=complex)
+    stack[:, np.arange(d), np.arange(d)] = diags
+    return np.diagonal(np.tensordot(coeffs, stack, axes=1)).real.copy()

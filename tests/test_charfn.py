@@ -1565,22 +1565,41 @@ def test_range_orthogonality_on_a_triple_with_k_equal_to_n(monkeypatch):
     assert ok and res < 1e-13
 
 
-def test_range_orthogonality_and_coincidence_on_an_empty_defect(monkeypatch):
-    # no pure operator has a zero defect, but a rank floor can empty it: the
-    # function then maps into a zero space, every residual is 0 and no
-    # power, SVD or completion is formed
-    import wberg.charfn as charfn
-
+def empty_defect_function():
+    """A function with an empty defect (``r = 0``), built by hand: no pure
+    operator has a zero defect, but a rank floor can empty it."""
     cf = char_function(np.array([[0.5]]), B2)
     empty = dataclasses.replace(
         cf, triple=CharTriple(0, cf.triple.v[:1], cf.triple.s), rows=cf.rows[:, :0],
         defect_min=cf.defect_min[:0], defect_basis=cf.defect_basis[:, :0],
         column_map=cf.column_map[:0])
     assert empty.defect_dim == 0 and empty.triple.e_dim == 0
+    return empty
+
+
+def test_range_orthogonality_and_coincidence_on_an_empty_defect(monkeypatch):
+    # the function maps into a zero space: every residual is 0 and no power,
+    # SVD or completion is formed
+    import wberg.charfn as charfn
+
+    empty = empty_defect_function()
     svds, counts = counted_svds(monkeypatch), counted_power_stacks(monkeypatch)
     monkeypatch.setattr(CharTriple, "completion", lambda self: pytest.fail("completion formed"))
     assert charfn._range_orthogonality(empty) == 0.0
     assert coincidence_verify(empty, empty, np.eye(1), [0.3, 0.1j]) == (True, 0.0)
+    assert svds == [] and counts == []
+
+
+def test_eval_and_partial_isometry_on_an_empty_defect(monkeypatch):
+    # the values are r x e = 0 x 0 at each point, and both residuals of the
+    # split into the zero space are 0, with no power, SVD or completion formed
+    empty = empty_defect_function()
+    svds, counts = counted_svds(monkeypatch), counted_power_stacks(monkeypatch)
+    monkeypatch.setattr(CharTriple, "completion", lambda self: pytest.fail("completion formed"))
+    values = char_function_eval(empty, [0.3, 0.1j, -0.2])
+    assert values.shape == (3, 0, 0)
+    assert partial_isometry_check(empty) == {"partial_isometry": 0.0,
+                                             "range_orthogonality": 0.0}
     assert svds == [] and counts == []
 
 

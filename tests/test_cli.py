@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wberg.cli import main
-from wberg.config import build_tuple, parse_case, report_json
+from wberg.config import _sanitize, build_tuple, parse_case, report_json
 from wberg.corpus import corpus_cases
 from wberg.errors import ConfigError, SeriesTailTooLarge
 from wberg.series import MultiWeightSpec
@@ -380,6 +380,52 @@ def test_report_json_deterministic_and_sorted():
     text = report_json(body)
     assert text == report_json({"a": {"y": 0.25, "z": float("inf")}, "b": 1.0})
     assert json.loads(text)["a"]["z"] == "inf"
+
+
+def indented_json(report) -> str:
+    """The oracle ``report_json`` keeps the bytes of: the pure-Python
+    indented encoder over the sanitized report."""
+    return json.dumps(_sanitize(report), sort_keys=True, indent=2)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("report", [
+    {},
+    {"empty_list": [], "empty_dict": {}, "nested_empty": [[], {}, [[]]]},
+    {"reals": [1.0, -0.0, 5e-324, 1e300, 0.1, 3, -7], "ints": [1, 2, 3], "one": [2.5]},
+    {"nan_in_list": [1.0, NAN, 2.0], "infs": [INF, -INF], "scalars": [NAN, INF, -INF]},
+    {"complex": 1 + 2j, "np_complex": np.complex128(complex(NAN, -1.0)),
+     "complex_in_list": [1j, 2.0, 3], "complex_only": [0.5 - 0.25j]},
+    {"np_float": np.float64(0.1), "np_float32": np.float32(0.1), "np_int": np.int64(3),
+     "np_bool": np.bool_(True), "np_items": [np.float64(1.5), np.int32(2), np.float64(NAN)]},
+    {"bools": [True, False], "bool": False, "none": None, "mixed": [1.0, "a", None, True],
+     "strings": ["x", "\u00e9\n\"q\""], "tuple": (1.0, 2.0), "tuples": [(1, 2), (3.5,)]},
+    {3: "int key", 0.5: [0, 1], "deep": {"deeper": {"list": [{"a": [1.0, NAN]}, [2, [3.0]]]}}},
+], ids=["empty", "empties", "reals", "nan-inf", "complex", "numpy-scalars", "other-scalars",
+        "keys-and-depth"])
+def test_report_json_has_the_bytes_of_the_indented_encoder(report):
+    assert report_json(report) == indented_json(report)
+
+
+def test_verify_all_bodies_have_the_bytes_of_the_indented_encoder(monkeypatch):
+    # every body of the bundled corpus and the verify-all body around them;
+    # none of them holds a complex value, so no pure-Python encoder pass runs
+    from wberg.pipelines import run_case
+
+    reports = []
+    for data in corpus_cases():
+        reports.append(run_case(parse_case(dict(data), name=data["name"]))[1])
+    body = {"corpus": reports, "verdict": True, "cases": len(reports)}
+    passes = []
+    original = json.encoder._make_iterencode
+    monkeypatch.setattr(json.encoder, "_make_iterencode",
+                        lambda *a, **k: passes.append(1) or original(*a, **k))
+    got = [report_json(r) for r in reports + [body]]
+    assert passes == []
+    monkeypatch.undo()
+    assert got == [indented_json(r) for r in reports + [body]]
 
 
 def test_verify_all_runs_clean(tmp_path, capsys):

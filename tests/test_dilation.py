@@ -20,8 +20,8 @@ from wberg.dilation import (
     _defect_sqrt_pieces,
     _double_limit,
     _lifts,
+    _one_tuple,
     _pure_horizon,
-    _staged,
     _tail_split,
     general_model,
     pure_dilation,
@@ -216,9 +216,10 @@ def pure_reference(t: OperatorTuple, w: MultiWeightSpec) -> dict:
     ops = [subtuple(t, (0,))] + list(t.ops[1:])
     stacks = []
     for j in range(t.n):
-        _, d_min = _defect_sqrt_pieces(ops[0], w[j])
-        stacks.append(dense_row_chain(d_min, ops[0][0].mat, degs[j]))
-        ops = _staged(_lifts(d_min, ops[1:], range(j + 1, t.n), f"stage {j} lift"))
+        stage = _one_tuple(ops[0])
+        _, d_min = _defect_sqrt_pieces(stage, w[j])
+        stacks.append(dense_row_chain(d_min, stage[0].mat, degs[j]))
+        ops = _lifts(d_min, ops[1:], range(j + 1, t.n), f"stage {j} lift")
     e_dim = stacks[-1].shape[1]
     space = TruncatedSpace(w, degs, coeff_dim=e_dim)
     pi = np.empty((space.dim, t.dim), dtype=complex)
@@ -263,18 +264,24 @@ def test_pure_dilation_is_the_stage_cascade(spec, wtxt):
 def test_pure_multishift_dilation_forms_no_power_stack_past_the_gram(monkeypatch, capsys):
     # the rows D S*^k of every stage are row chains, so no stage operator
     # forms a stack of its powers; only the defect's first difference reads
-    # [I, S] through the Gram stack
+    # [I, S] through the Gram stack, which a weighted shift (every stage
+    # operator of a multi-shift) reads off its power table, with no dense
+    # power at all
     from wberg.cli import main
 
-    counts = []
+    counts, tables = [], []
     original = hyper._power_stack
     monkeypatch.setattr(hyper, "_power_stack",
                         lambda mat, count, prefix=None: counts.append(count)
                         or original(mat, count, prefix))
+    paths = hyper._OperatorStacks.paths
+    monkeypatch.setattr(hyper._OperatorStacks, "paths",
+                        lambda self, count: tables.append(count) or paths(self, count))
     main(["dilate", "--pure", "--weights", "bergman:2,bergman:2",
           "--tuple", "multishift:8x8"])
     assert '"verdict": true' in capsys.readouterr().out
-    assert counts and max(counts) <= 2
+    assert not counts
+    assert tables and max(tables) <= 2
 
 
 def test_pure_dilation_single_variable_matches_one_var():

@@ -7,6 +7,7 @@ to ``src/wberg``.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -53,12 +54,16 @@ def scaled(cf, eps):
     return faulty
 
 
+# the unpatched kernel identity, which every injected fault wraps
+KEY_IDENTITY = charfn.key_identity_check
+
+
 def inject(monkeypatch, eps):
     """Make the kernel identity of ``run_charfn`` read ``Lambda_J`` scaled by
-    ``1 + eps``; every other check reads the held factors."""
-    original = charfn.key_identity_check
+    ``1 + eps``; every other check reads the held factors.  The fault wraps
+    the unpatched check, so a later fault replaces an earlier one."""
     monkeypatch.setattr(charfn, "key_identity_check",
-                        lambda cf, zetas, etas: original(scaled(cf, eps), zetas, etas))
+                        lambda cf, zetas, etas: KEY_IDENTITY(scaled(cf, eps), zetas, etas))
 
 
 def response(cf):
@@ -118,14 +123,23 @@ def test_key_identity_fault_flips_the_charfn_verdict_past_its_budget(monkeypatch
     ok, report = run_charfn(case, t)
     body = report_json(report)
     assert ok and CHARFN_BUDGETS["key_identity_max"] == CHAR_TOL
+    # the Lambda_J each run's check reads, captured under every fault
+    read, check = [], KEY_IDENTITY
+    monkeypatch.setattr(sys.modules[__name__], "KEY_IDENTITY",
+                        lambda cf, zetas, etas: read.append(cf.coefficient_factors[J])
+                        or check(cf, zetas, etas))
     # no fault: the same bytes
     inject(monkeypatch, 0.0)
     assert report_json(run_charfn(case, t)[1]) == body
     for factor, verdict in ((0.5, True), (2.0, False)):
         # a residual of about factor * CHAR_TOL: the verdict holds below the
         # budget and fails past it, and no other field moves
-        inject(monkeypatch, factor * CHAR_TOL / g)
+        eps = factor * CHAR_TOL / g
+        inject(monkeypatch, eps)
+        read.clear()
         ok, faulty = run_charfn(case, t)
+        # the one fault of this run, not stacked on the earlier ones
+        assert len(read) == 1 and np.array_equal(read[0], cf.coefficient_factors[J] * (1.0 + eps))
         assert ok is faulty["verdict"] is verdict
         assert (faulty["key_identity_max"] < CHAR_TOL) is verdict
         moved = {key for key in report if faulty[key] != report[key]}

@@ -3,6 +3,8 @@
 import decimal
 import itertools
 import math
+import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +20,12 @@ from wberg.generators import (
     unitary_times_nilpotent,
 )
 from wberg.hyper import (
+    COMMUTATION_TOL,
     DEGREE_CAP,
     OperatorTuple,
     _abs_mass,
     _conjugate,
+    _diagonal_sum,
     _effective_degree,
     _levels,
     _nilpotency_order,
@@ -34,6 +38,7 @@ from wberg.hyper import (
     defect_limit,
     defect_series,
     delta_power,
+    dyadic_grid,
     equivalence_crosscheck,
     hereditary_apply,
     is_gamma_contractive,
@@ -42,10 +47,17 @@ from wberg.hyper import (
     subtuple,
     subtuple_inheritance_check,
 )
-from wberg.linalg import POSITIVITY_TOL, Operator, psd_check, psd_sqrt
+from wberg.linalg import (
+    POSITIVITY_TOL,
+    Operator,
+    _as_matrix,
+    psd_check,
+    psd_root_pieces,
+    psd_sqrt,
+)
 from wberg.series import MultiWeightSpec, WeightSpec
 
-from dense_multiplier import dense_row_chain
+from dense_multiplier import dense_diagonal_sum, dense_route, dense_row_chain
 
 HARDY = WeightSpec.hardy()
 B2 = WeightSpec.bergman(2)
@@ -153,7 +165,9 @@ MULTISHIFTS = [
 def test_weighted_shift_stacks_have_the_dense_bits(wtxt, degrees):
     # each entry of a multi-shift is a weighted shift, multiplied by gather
     # and scale; every sum of the dense route has one nonzero term, so the
-    # stacks, scans and conjugations carry its bits, signed zeros included
+    # stacks, scans and conjugations carry its bits, signed zeros included;
+    # the Gram stack and the conjugation of a diagonal are held as the
+    # vectors of their diagonals
     t = multishift_tuple(TruncatedSpace(MultiWeightSpec.parse(wtxt), degrees))
     count = t.dim + 2
     for i in range(t.n):
@@ -163,7 +177,17 @@ def test_weighted_shift_stacks_have_the_dense_bits(wtxt, degrees):
         assert _same_bits(t.power_stack(i, count), powers)
         eye = np.eye(t.dim, dtype=complex)
         assert _same_bits(t.row_chain(i, eye, count), _dense_stack(mat.conj().T, count))
-        assert _same_bits(t.gram_stack(i, count), powers @ powers.conj().transpose(0, 2, 1))
+        grams = t.gram_stack(i, count)
+        assert grams.shape == (count, t.dim) and grams.dtype == float
+        assert _same_bits(np.array([_as_matrix(g) for g in grams]),
+                          powers @ powers.conj().transpose(0, 2, 1))
+        # the power table: row j of T^k holds value[k, j] in column col[k, j]
+        value, col = t._stacks[i].paths(count)
+        rows = np.arange(t.dim)
+        for k in range(count):
+            placed = np.zeros((t.dim, t.dim), dtype=complex)
+            placed[rows, col[k]] = value[k]
+            assert np.array_equal(placed, powers[k])
         for cap in (1, degrees[i] - 1, degrees[i], t.dim):
             dense = next((k for k in range(1, cap + 1) if not powers[k].any()), None)
             assert t.nilpotency_order(i, cap) == _nilpotency_order(mat, cap) == dense
@@ -176,6 +200,9 @@ def test_weighted_shift_stacks_have_the_dense_bits(wtxt, degrees):
             got = _conjugate(mat, x, t._stacks[i].shift)
             assert _same_bits(got, _conjugate(mat, x))
             assert _same_bits(got, mat @ x @ mat.conj().T)
+            # the diagonal held as a vector gives the diagonal of the product
+            vec = _conjugate(mat, np.diagonal(x).real.copy(), t._stacks[i].shift)
+            assert vec.shape == (t.dim,) and _same_bits(_as_matrix(vec), got)
         # a complex or full middle factor keeps the dense products
         x = np.diag(Lcg(t.dim + 50).complex_matrix(t.dim, 1)[:, 0])
         assert _same_bits(_conjugate(mat, x, t._stacks[i].shift), mat @ x @ mat.conj().T)
@@ -193,13 +220,155 @@ def test_multishift_defects_do_not_depend_on_the_route(wtxt, degrees):
     points = [(0.5,) * fast.n, (0.875,) * fast.n, tuple(0.3 + 0.2 * j for j in range(fast.n))]
     for _, member in w.swap_family():
         for point in points:
-            assert _same_bits(defect_series(fast, member, point),
-                              defect_series(dense, member, point))
+            held = defect_series(fast, member, point)
+            assert held.shape == (fast.dim,)
+            assert _same_bits(_as_matrix(held), defect_series(dense, member, point))
         assert _same_bits(defect_limit(fast, member).limit, defect_limit(dense, member).limit)
     beta = [float(spec.exponent) for spec in w]
     eye = np.eye(fast.dim, dtype=complex)
     assert _same_bits(delta_power(fast, beta, eye), delta_power(dense, beta, eye))
+    assert _same_bits(_as_matrix(delta_power(fast, beta, None)), delta_power(dense, beta, None))
     assert is_W_hypercontraction(fast, w) == is_W_hypercontraction(dense, w)
+
+
+# the multi-shifts of the dilate benchmark and two with unequal weights
+DIAGONAL_ROUTE_TUPLES = [
+    ("bergman:2,bergman:2", (12, 12)),
+    ("bergman:2,bergman:2,bergman:2", (4, 4, 4)),
+    ("bergman:1.5,bergman:2.5", (6, 6)),
+    ("hardy,bergman:3", (8, 8)),
+]
+
+
+@pytest.mark.parametrize("wtxt, degrees", DIAGONAL_ROUTE_TUPLES)
+def test_diagonal_defects_have_the_bits_of_the_dense_route(wtxt, degrees):
+    # every swap-family member at the points of the default grid and at the
+    # vertex: the held vector is the diagonal of the dense route's matrix,
+    # signed zeros included, with the same positivity witness; the root of
+    # the vertex value is the dense root's diagonal, and its range basis the
+    # dense basis up to the order of tied values
+    w = MultiWeightSpec.parse(wtxt)
+    t = multishift_tuple(TruncatedSpace(w, degrees))
+    dense = dense_route(t)
+    for _, member in w.swap_family():
+        for point in dyadic_grid(t.n) + [(1.0,) * t.n]:
+            held = defect_series(t, member, point)
+            assert held.shape == (t.dim,) and held.dtype == float
+            matrix = defect_series(dense, member, point)
+            assert _same_bits(_as_matrix(held), matrix)
+            assert psd_check(held) == psd_check(matrix)
+        vertex, dense_vertex = defect_limit(t, member), defect_limit(dense, member)
+        assert _same_bits(vertex.limit, dense_vertex.limit)
+        assert _same_bits(_as_matrix(psd_sqrt(vertex.value)), psd_sqrt(dense_vertex.limit))
+        root, basis = psd_root_pieces(vertex.value)
+        dense_root, dense_basis = psd_root_pieces(dense_vertex.limit)
+        assert _same_bits(_as_matrix(root), dense_root)
+        # the row of each column's one nonzero, a 1 (LAPACK's eigenvectors
+        # of these diagonals are unit vectors too), in column order
+        rows, dense_rows = np.nonzero(basis.T)[1], np.nonzero(dense_basis.T)[1]
+        cols = np.arange(basis.shape[1])
+        assert len(rows) == len(dense_rows) == len(cols) == dense_basis.shape[1]
+        assert np.array_equal(basis[rows, cols], np.ones(len(cols)))
+        assert np.array_equal(dense_basis[dense_rows, cols], np.ones(len(cols)))
+        assert sorted(rows) == sorted(dense_rows)
+        assert np.array_equal(vertex.value[rows], vertex.value[dense_rows])
+        assert np.all(np.diff(vertex.value[rows]) <= 0)
+    assert is_W_hypercontraction(t, w) == is_W_hypercontraction(dense, w)
+
+
+def test_diagonal_sum_rounds_each_entry_as_the_dense_sum():
+    # each diagonal entry falls in the same row class of the complex product
+    # as in the d^2 rows of the dense sum; sizes stay below the product
+    # BLAS splits over threads (m n >= 4096), where the classes move
+    rng = np.random.default_rng(7)
+    for d in range(1, 23):
+        for count in (1, 2, 3, 5, 8):
+            coeffs = rng.standard_normal(count) * np.exp(rng.standard_normal(count))
+            diags = rng.standard_normal((count, d)) * np.exp(3 * rng.standard_normal((count, d)))
+            assert _same_bits(_diagonal_sum(coeffs, diags), dense_diagonal_sum(coeffs, diags))
+
+
+def test_multishift_check_and_pure_dilation_take_no_eigensolve(monkeypatch, capsys):
+    # every defect, positivity test and root of a multi-shift reads its
+    # diagonal, and a weighted shift's norm is its largest ratio: no
+    # eigensolve runs, and an SVD only for the reported intertwining norms
+    # and the Douglas pseudo-inverses
+    import numpy.linalg._linalg as lapack_wrappers
+
+    from wberg.cli import main
+
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, {frame.name for frame in traceback.extract_stack()}))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(lapack_wrappers, name, counted)
+    for argv in (["check"], ["dilate", "--pure"]):
+        calls.clear()
+        assert main(argv + ["--weights", "bergman:2,bergman:2", "--tuple", "multishift:12x12"]) == 0
+        assert all(name == "svd" for name, _ in calls)
+        norms = [frames for _, frames in calls if {"spectral_norm", "general_model"} <= frames]
+        pinvs = [frames for _, frames in calls if "douglas_solve" in frames]
+        assert len(norms) + len(pinvs) == len(calls)
+        assert len(norms) == (0 if argv == ["check"] else 2)
+    capsys.readouterr()
+
+
+def test_a_weighted_shift_of_norm_one_is_contractive():
+    # a ratio of exactly 1 (the Hardy shift) is a norm-1 entry
+    t = OperatorTuple.of(np.diag(np.ones(4), -1))
+    assert t._stacks[0].shift is not None and t._stacks[0].shift.norm() == 1.0
+
+
+@pytest.mark.parametrize("entries, error", [
+    ([np.diag([0.5, 1.0 + 2 * COMMUTATION_TOL, 0.25], -1)], NotContractive),
+    ([np.diag([1.0, 0.5, 0.5], -1), np.diag([0.5, 1.0, 0.5], -1)], NotCommuting),
+], ids=["ratio-past-the-bound", "non-commuting"])
+def test_weighted_shifts_are_rejected_as_on_the_dense_route(monkeypatch, entries, error):
+    import wberg.hyper as hyper
+
+    with pytest.raises(error) as held:
+        OperatorTuple(entries)
+    monkeypatch.setattr(hyper, "_weighted_shift", lambda mat: None)
+    with pytest.raises(error) as dense:
+        OperatorTuple(entries)
+    assert str(held.value) == str(dense.value)
+
+
+def test_a_mixed_tuple_keeps_its_report_bytes(monkeypatch):
+    # a dense entry and a weighted shift that commutes with it (the entry is
+    # a polynomial in it): the shift's level, nested first, is a vector that
+    # the dense entry's level takes as a matrix, and the report has the
+    # dense route's bytes
+    import wberg.hyper as hyper
+    from wberg.config import parse_case, report_json
+    from wberg.pipelines import run_case
+
+    s = multishift_tuple(TruncatedSpace(MultiWeightSpec.parse("bergman:2"), (8,)))[0].mat
+    dense_entry = 0.5 * s + 0.3 * s @ s
+    data = {"name": "mixed", "weights": "bergman:2,bergman:1.5", "degrees": [8, 8],
+            "run": ["check"], "tuple": {"kind": "explicit", "matrices": [
+                Operator(dense_entry).to_dict(), Operator(s).to_dict()]}}
+    sums = []
+    original = hyper._diagonal_sum
+    monkeypatch.setattr(hyper, "_diagonal_sum", lambda *a: sums.append(1) or original(*a))
+    held = report_json(run_case(parse_case(dict(data), name="mixed"))[1])
+    assert sums
+    monkeypatch.setattr(hyper, "_weighted_shift", lambda mat: None)
+    assert held == report_json(run_case(parse_case(dict(data), name="mixed"))[1])
+
+
+def test_monotonicity_on_a_multishift_subtuple_has_the_dense_route_report():
+    # the sub-tuple's defect is held as a vector and conjugated as a matrix
+    w = MultiWeightSpec.parse("bergman:2,hardy")
+    t = multishift_tuple(TruncatedSpace(w, (4, 3)))
+    args = (w, (1,), [(0.5,), (0.9,)], [(0,), (1,), (2,)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        held = two_parameter_monotonicity_check(t, *args)
+    assert held == two_parameter_monotonicity_check(dense_route(t), *args)
+    assert held.ok and held.pairs_checked == 12
 
 
 @pytest.mark.parametrize("make", [
@@ -311,10 +480,12 @@ def test_defect_series_truncated_shift_explicit():
     space = TruncatedSpace(MultiWeightSpec.of(HARDY), (4,))
     s = multishift_tuple(space)
     val = defect_series(s, MultiWeightSpec.of(HARDY), (1.0,))
-    # direct 4x4 oracle: I - S S* is the projection onto the constant slot
+    # direct 4x4 oracle: I - S S* is the projection onto the constant slot;
+    # the defect of a weighted shift is held as its diagonal
     smat = s[0].mat
     oracle = np.eye(4) - smat @ smat.conj().T
-    assert np.allclose(val, oracle, atol=1e-14)
+    assert val.shape == (4,)
+    assert np.allclose(_as_matrix(val), oracle, atol=1e-14)
     assert np.allclose(oracle, np.diag([1.0, 0, 0, 0]), atol=1e-14)
 
 

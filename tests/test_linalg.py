@@ -437,10 +437,11 @@ def test_spectral_primitives_bitwise_deterministic():
 
 @pytest.mark.parametrize("name,expected", [
     # 2 generator entries; 2 report matrices of `check` (q_tail, defect);
-    # `dilate-pure`, the general model of the pair: the lifted entries of
-    # the second stage's one-variable tuples on the defect and the (empty)
-    # tail side, and the dilation map (the model shifts are index maps)
-    ("nilpotent-pair-hardy", 2 + 2 + 2 + 1),
+    # `dilate-pure`, the general model of the pair: the lifted entry of the
+    # second stage's one-variable tuple on the defect side (the empty tail
+    # side wraps no stage tuple), and the dilation map (the model shifts are
+    # index maps)
+    ("nilpotent-pair-hardy", 2 + 2 + 1 + 1),
     # 1 generator entry; 2 report matrices of `check`; `charfn`: the random
     # unitary and the entry of the conjugated operator's tuple
     ("charfn-nilpotent-bergman2", 1 + 2 + 1 + 1),
