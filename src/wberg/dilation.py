@@ -291,8 +291,13 @@ def _one_tuple(t) -> OperatorTuple:
 def _tail_split(t: OperatorTuple, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Minimal coordinates ``Qmin`` of the root of the one-tuple's tail
     ``lim T^k T*^k``, and the co-isometry ``U`` on those coordinates with
-    ``U* Qmin = Qmin T*``; an unconverged tail warns ``TailUnconverged``."""
-    q, q_basis = psd_root_pieces(joint_tail(t, (0,)))
+    ``U* Qmin = Qmin T*``; an unconverged tail warns ``TailUnconverged``.
+    An exactly zero tail (a nilpotent entry) has no range: its pieces are
+    the empty ``(0, d)`` and ``(0, 0)`` maps, with no positivity test."""
+    tail = joint_tail(t, (0,))
+    if not tail.any():
+        return np.zeros((0, t.dim), dtype=complex), np.zeros((0, 0), dtype=complex)
+    q, q_basis = psd_root_pieces(tail)
     q_min = q_basis.conj().T @ q
     return q_min, _douglas(q_min, q_min @ t[0].mat.conj().T, what)
 

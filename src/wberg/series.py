@@ -343,15 +343,44 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs - other.coeffs)
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product truncated to the common cutoff (direct convolution)."""
+        """Cauchy product truncated to the common cutoff, by Toeplitz blocks.
+
+        With ``a = self.coeffs``, ``b = other.coeffs`` and ``n`` the last
+        degree, the product is ``sum_s z^s a_s(z_n) b(z)`` over the leading
+        multi-indices ``s``, ``a_s`` the last-axis row of ``a`` at ``s``.
+        Multiplying every last-axis row of ``b`` by ``a_s`` is one product
+        with the ``n``-square upper triangular Toeplitz matrix ``T_s[j, k] =
+        a_s[k - j]`` (Golub & Van Loan, *Matrix Computations*, 4th ed.,
+        §4.7), and the shift ``z^s`` moves the rows ``b[i']`` to ``out[s +
+        i']``, dropping those past the cutoff.  So Python loops once per
+        leading ``s`` with a nonzero row (a zero row adds nothing), and
+        BLAS does the rest: ``out[s + i', :] += b[i', :] @ T_s`` over all
+        ``i'`` at once.
+
+        Sum order: each output coefficient accumulates its terms in the
+        C order of ``s``, and within one ``s`` in the order of the BLAS
+        product over the last axis.  Products of integer-valued series
+        (Hardy and integer ``bergman`` presets) stay exact: every term and
+        partial sum is an integer below ``2^53``, so the sum is exact in any
+        order.
+
+        Memory: one ``n``-square block and one product the size of the
+        shifted slice of ``b`` per step, never a block per leading index.
+        """
         if self.degrees != other.degrees:
             raise ValueError("series cutoffs differ")
         a, b = self.coeffs, other.coeffs
-        out = np.empty_like(a)
-        for idx in np.ndindex(*a.shape):
-            block = tuple(slice(0, i + 1) for i in idx)
-            rev = tuple(slice(i, None, -1) for i in idx)
-            out[idx] = np.sum(a[block] * b[rev])
+        n = a.shape[-1]
+        out = np.zeros_like(a)
+        # T_s = padded[lags] with padded = [0, .., 0, a_s], so a lag k - j
+        # below 0 reads the zero padding
+        padded = np.zeros(2 * n - 1)
+        lags = (n - 1) + np.arange(n)[None, :] - np.arange(n)[:, None]
+        for s in np.argwhere(a.any(axis=-1)):
+            padded[n - 1:] = a[tuple(s)]
+            shifted = tuple(slice(i, None) for i in s)
+            kept = tuple(slice(None, d - i) for i, d in zip(s, a.shape))
+            out[shifted] += b[kept] @ padded[lags]
         return TruncatedSeries(out)
 
     __mul__ = mul

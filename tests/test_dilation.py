@@ -685,6 +685,30 @@ def test_an_unconverged_tail_warns(monkeypatch, read):
     assert t.tail_limit(0)[1] is False
 
 
+def test_a_zero_tail_splits_into_empty_pieces_with_no_hermiticity_test(monkeypatch, capsys):
+    # a nilpotent entry's tail is exactly zero: its pieces are the empty
+    # (0, d) coordinates and (0, 0) co-isometry the root route gives, with no
+    # root and no positivity test of the d-square zero
+    import wberg.linalg as linalg
+    from wberg.cli import main
+
+    t = OperatorTuple.of(nilpotent_commuting_tuple(7, 5, 1, radius=0.6)[0].mat)
+    q, basis = linalg.psd_root_pieces(hyper.joint_tail(t, (0,)))
+    reference = basis.conj().T @ q
+    calls, original = [], linalg._is_hermitian
+    monkeypatch.setattr(linalg, "_is_hermitian",
+                        lambda mat, tol: calls.append(mat.shape) or original(mat, tol))
+    q_min, u = _tail_split(t, "tail co-isometry")
+    assert q_min.shape == reference.shape == (0, t.dim) and q_min.dtype == reference.dtype
+    assert u.shape == (0, 0) and u.dtype == complex and calls == []
+    # the pure dilation of multishift:12x12 tested its two stage tails (144-
+    # and 12-square zeros), its only hermiticity tests; now it runs none
+    assert main(["dilate", "--pure", "--weights", "bergman:2,bergman:2",
+                 "--tuple", "multishift:12x12"]) == 0
+    assert calls == []
+    capsys.readouterr()
+
+
 def test_an_unconverged_tail_warns_through_the_check(monkeypatch, capsys):
     from wberg.cli import main
 

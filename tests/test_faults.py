@@ -15,18 +15,23 @@ import pytest
 import wberg.charfn as charfn
 import wberg.dilation as dilation
 import wberg.hyper as hyper
+import wberg.pipelines as pipelines
 from wberg.charfn import CHAR_TOL, char_function, char_function_eval
 from wberg.config import parse_case, report_json
+from wberg.corpus import corpus_cases
 from wberg.errors import EquivalenceViolation, IsometryResidualTooLarge
 from wberg.generators import random_unitary, scalar_tuple
 from wberg.pipelines import (
     CHARFN_BUDGETS,
     GENERAL_MODEL_BUDGET,
     PURE_DILATION_BUDGETS,
+    SERIES_RESID_TOL,
     run_charfn,
     run_dilate_general,
     run_dilate_pure,
+    run_series,
 )
+from wberg.series import TruncatedSeries, associated_series
 
 from dense_multiplier import compression_bound, dense_compression
 
@@ -165,6 +170,93 @@ def test_key_identity_in_the_undecided_window_reports_the_svd_value(monkeypatch,
     [values] = [s for s in singular if s.shape == (len(ETAS), len(ZETAS), cf.defect_dim)]
     assert report["key_identity_max"] == float(np.max(values)) < CHAR_TOL
     assert ok and report["verdict"]
+
+
+# ---------------------------------------------------------------------------
+# the series residual
+# ---------------------------------------------------------------------------
+
+# a mixed index, a last-axis edge and a leading-axis edge of the 12 x 12 x 12
+# box: a product that skipped an edge shift or lag would not see the fault
+SERIES_INDICES = [(1, 1, 1), (0, 0, 11), (11, 0, 0)]
+# the unpatched reciprocal, which every injected fault wraps
+RECIPROCAL = pipelines.reciprocal_series
+
+
+@pytest.fixture(scope="module")
+def hardy_cube():
+    data = dict({c["name"]: c for c in corpus_cases()}["series-hardy-cube"], run=["series"])
+    return parse_case(data, name=data["name"])
+
+
+def fault_reciprocal(monkeypatch, eps, index):
+    """Make ``inversion_residuals`` read the reciprocal ``1/k`` with ``eps``
+    added to its coefficient at ``index``."""
+    def faulty(w, degrees):
+        coeffs = RECIPROCAL(w, degrees).coeffs.copy()
+        coeffs[index] += eps
+        return TruncatedSeries(coeffs)
+
+    monkeypatch.setattr(pipelines, "reciprocal_series", faulty)
+
+
+def series_response(case, index):
+    """``g = max|k| / max(1, max|k|)``: the fault adds ``eps z^index k``,
+    truncated, to ``k (1/k)``, so the relative residual moves by ``eps``
+    times the largest ``|k_j|`` with ``index + j`` inside the box, over the
+    scale.  For Hardy weights ``k`` is all ones, so every ``index`` reaches
+    ``max|k|``; the function asserts it."""
+    k = associated_series(case.weights, case.degrees).coeffs
+    kept = k[tuple(slice(0, n - i) for i, n in zip(index, k.shape))]
+    assert np.max(np.abs(kept)) == np.max(np.abs(k))
+    return np.max(np.abs(k)) / max(1.0, np.max(np.abs(k)))
+
+
+# Each coefficient of the Hardy product k (1/k) has at most 8 nonzero
+# terms, +-1 (1/k is the outer product of three rows [1, -1]), so each
+# partial sum stays below 16 in size; the term that carries the fault is
+# moved by at most 8 additions, each rounding by at most 2^-50, plus the
+# rounding of 1/k's own entry plus eps, at most 2^-53.
+SERIES_ROUNDING = 8 * 2.0**-50 + 2.0**-53
+
+
+@pytest.mark.parametrize("index", SERIES_INDICES, ids=str)
+@pytest.mark.parametrize("eps", [1e-14, 1e-13, 1e-12])
+def test_convolution_residual_moves_linearly_with_a_shifted_reciprocal_coefficient(
+        monkeypatch, hardy_cube, index, eps):
+    # the product is exact without the fault (R(0) = 0), and with it the
+    # exact residual is eps g; the formed one is within R(0) + a of it
+    g = series_response(hardy_cube, index)
+    before = pipelines.inversion_residuals(hardy_cube.weights, hardy_cube.degrees)
+    assert before["convolution_residual"] == 0.0 and g == 1.0
+    fault_reciprocal(monkeypatch, eps, index)
+    after = pipelines.inversion_residuals(hardy_cube.weights, hardy_cube.degrees)
+    assert abs(after["convolution_residual"] - eps * g) <= SERIES_ROUNDING < eps * g
+    assert after["scale"] == before["scale"]
+
+
+@pytest.mark.parametrize("index", SERIES_INDICES, ids=str)
+def test_convolution_fault_flips_the_series_verdict_past_its_tolerance(
+        monkeypatch, hardy_cube, index):
+    g = series_response(hardy_cube, index)
+    ok, report = run_series(hardy_cube)
+    body = report_json(report)
+    assert ok
+    for factor in (0.0, 0.5, 2.0):
+        fault_reciprocal(monkeypatch, factor * SERIES_RESID_TOL / g, index)
+        ok, faulty = run_series(hardy_cube)
+        monkeypatch.undo()
+        if not factor:
+            # no fault: the same bytes
+            assert report_json(faulty) == body
+            continue
+        # a residual of about factor * SERIES_RESID_TOL: the verdict holds
+        # below the tolerance and fails past it, and no other field moves
+        verdict = factor < 1.0
+        assert ok is faulty["verdict"] is verdict
+        assert (faulty["convolution_residual"] < SERIES_RESID_TOL) is verdict
+        moved = {key for key in report if faulty[key] != report[key]}
+        assert moved == ({"convolution_residual"} if verdict else {"convolution_residual", "verdict"})
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +150,84 @@ def test_truncated_multiply_against_oracle():
     b = rng.normal(size=(3, 4, 2))
     got = TruncatedSeries(a).mul(TruncatedSeries(b)).coeffs
     assert np.allclose(got, brute_truncated_product(a, b), atol=1e-13)
+
+
+# degree-1 axes at either end and inside, non-cubic boxes, one to four variables
+PRODUCT_SHAPES = [(1,), (7,), (1, 5), (5, 1), (4, 3), (3, 6), (3, 1, 4), (1, 3, 1),
+                  (2, 5, 3), (2, 3, 2, 3), (3, 1, 2, 1)]
+
+
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=str)
+def test_toeplitz_product_against_the_brute_oracle(shape):
+    # both sums have at most m terms per coefficient, so each differs from
+    # the exact product by at most gamma_m times the product of |a| and |b|
+    rng = np.random.default_rng(sum(shape) * 31 + len(shape))
+    a, b = rng.normal(size=shape), rng.normal(size=shape)
+    got = TruncatedSeries(a).mul(TruncatedSeries(b)).coeffs
+    m = math.prod(shape)
+    bound = 2 * m * EPS * brute_truncated_product(np.abs(a), np.abs(b))
+    assert got.shape == shape
+    assert np.all(np.abs(got - brute_truncated_product(a, b)) <= bound)
+    # small integers multiply and add exactly in any order
+    a, b = rng.integers(-9, 10, size=shape) * 1.0, rng.integers(-9, 10, size=shape) * 1.0
+    assert np.array_equal(TruncatedSeries(a).mul(TruncatedSeries(b)).coeffs,
+                          brute_truncated_product(a, b))
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (4, 5), (3, 4, 5)], ids=str)
+def test_toeplitz_product_with_zero_leading_rows(shape):
+    # the last-axis rows of ``a`` that are zero (the whole first slab and
+    # every other row) add nothing; zero rows of ``b`` and an all-zero factor
+    # give the oracle's values too
+    rng = np.random.default_rng(len(shape))
+    a = rng.integers(-9, 10, size=shape) * 1.0
+    b = rng.integers(-9, 10, size=shape) * 1.0
+    a[0] = 0.0
+    a.reshape(-1, shape[-1])[1::2] = 0.0
+    b.reshape(-1, shape[-1])[-1] = 0.0
+    for x, y in ((a, b), (b, a), (np.zeros(shape), b), (a, np.zeros(shape))):
+        got = TruncatedSeries(x).mul(TruncatedSeries(y)).coeffs
+        assert np.array_equal(got, brute_truncated_product(x, y))
+
+
+@pytest.mark.parametrize("text,degrees", [
+    ("hardy,hardy,hardy", (12, 12, 12)),
+    ("bergman:2", (32,)),
+    ("bergman:3,bergman:2", (24, 24)),
+    ("bergman:2,bergman:3,hardy", (8, 9, 10)),
+])
+def test_integer_preset_products_are_exact(text, degrees):
+    # every term and partial sum is an integer below 2^53
+    from wberg.pipelines import inversion_residuals
+
+    assert inversion_residuals(MultiWeightSpec.parse(text), degrees)["convolution_residual"] == 0.0
+
+
+def test_product_takes_no_step_per_coefficient(monkeypatch):
+    # on a 12 x 12 x 12 box the product reduces no coefficient by itself
+    # (no np.sum) and no line of it runs more than once per leading index
+    # (a loop header runs once more, to end the loop)
+    sums = []
+    monkeypatch.setattr(np, "sum", lambda *args, **kwargs: sums.append(args))
+    w = MultiWeightSpec.parse("hardy,hardy,hardy")
+    k, c = associated_series(w, 12), reciprocal_series(w, 12)
+    lines = {}
+    code = TruncatedSeries.mul.__code__
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines[frame.f_lineno] = lines.get(frame.f_lineno, 0) + 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        prod = k.mul(c)
+    finally:
+        sys.settrace(previous)
+    assert not sums
+    assert lines and max(lines.values()) <= 12 * 12 + 1
+    assert np.array_equal(prod.coeffs, TruncatedSeries.one((12, 12, 12)).coeffs)
 
 
 def test_invert_zero_constant_term():

@@ -308,6 +308,23 @@ def test_no_complete_qr_in_the_package():
     assert found == []
 
 
+def test_series_enumerates_no_coefficient_index():
+    # the truncated product loops at most once per leading multi-index and
+    # leaves the last axis to BLAS; enumerating every multi-index of a box
+    # would bring back one Python step per coefficient.  bergman.graded_indices
+    # keeps its np.ndindex: it enumerates a basis, not coefficients
+    path = PACKAGE / "series.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("itertools", "numpy"):
+            found += [alias.name for alias in node.names if alias.name in ("product", "ndindex")]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = getattr(node.func.value, "id", None)
+            if node.func.attr == "ndindex" or (owner, node.func.attr) == ("itertools", "product"):
+                found.append(f"{owner}.{node.func.attr}:{node.lineno}")
+    assert found == []
+
+
 def test_only_colift_raises_the_lift_condition():
     # the lift condition V Delta* Delta V* = Delta* Delta and its tolerance
     # have one owner, shared by the general model and the co-isometry lift
